@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .cascade import CascadeConfig, simulate_cascade
-from .errors import ConfigurationError, TruncationError
+from .errors import ConfigurationError, EnumerationLimitError, TruncationError
 from .experiments import ExperimentConfig, ResultTable, run_experiment
 from .fock import TruncationPolicy
 from .loss import max_tolerable_loss
@@ -227,6 +227,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TRUNCATION
     except (ConfigurationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EnumerationLimitError as exc:
+        print(
+            f"config error: {exc}; sample instead with --shots N --seed S",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
 
 

@@ -1,9 +1,14 @@
-"""Sparse truncated Fock-space states for few-mode photonic simulation.
+"""Dense truncated Fock-space states for few-mode photonic simulation.
 
-A state is a map from occupation tuples ``(n_1, ..., n_M)`` to complex
-amplitudes, with an independent cutoff per mode.  The schemes simulated here
-populate very few basis tuples per branch, so sparse storage beats a dense
-``(n_max+1)^M`` vector by a wide margin.
+A state is a ``complex128`` array of shape ``tuple(c + 1 for c in cutoffs)``
+holding the amplitude of every occupation tuple ``(n_1, ..., n_M)``, with an
+independent cutoff per mode.  The heralding setup has three modes, one of
+them a single-photon register, so even at the bright-probe threshold a ket
+holds only 2 x 48 x 48 = 4,608 amplitudes.  At that size a dense array is
+cheaper than any sparse map: every operation below is a few whole-array
+numpy calls (a phase grid, a slice, a reduction) instead of a Python loop
+over occupied tuples, and the beam splitter of ``elements`` becomes one
+batched matrix product over its number-conserving blocks.
 
 Mixed states are ensembles of pure kets (weighted branch lists).  Every
 mixture that occurs in this problem, such as a noisy photon source or the
@@ -15,8 +20,11 @@ is never redistributed over the retained amplitudes.  Downstream
 probabilities therefore under-count by at most the tail mass, which callers
 report as an error bar instead of silently biasing results.
 
-All values are treated as immutable after construction and all operations
-are pure functions, so states can be shared freely across workers.
+Kets are checked (shape against cutoffs, finite norm at most one) where
+they are built from outside data; the operations of this package return
+unchecked kets, since each of them preserves both properties by
+construction.  Amplitude arrays are read-only and all operations are pure
+functions, so states can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ MAX_AUTO_CUTOFF = 100_000
 # saturating to 1.0 says nothing about a 1e-300 request.
 CERTIFIABLE_TAIL = 1e-15
 
+EVENTS = ("zero", "at_least_one")
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -67,54 +77,80 @@ class TruncationPolicy:
             raise ValueError("fixed_cutoff must be non-negative")
 
 
-@dataclass(frozen=True)
+def _mass(amps: np.ndarray) -> float:
+    """Sum of squared amplitude moduli."""
+    return float(np.vdot(amps, amps).real)
+
+
+@dataclass(frozen=True, eq=False)
 class MultiModeKet:
     """Pure state over a truncated multimode Fock basis.
 
-    ``amps`` maps occupation tuples to complex amplitudes; ``cutoffs`` gives
-    the largest retained occupation per mode.  Kets may be sub-normalized
-    (squared norm below one) when they represent truncated or conditioned
-    branches, but never super-normalized.
+    ``amps[n_1, ..., n_M]`` is the amplitude of the occupation tuple
+    ``(n_1, ..., n_M)``; ``cutoffs`` gives the largest retained occupation
+    per mode, so ``amps.shape == tuple(c + 1 for c in cutoffs)``.  Kets may
+    be sub-normalized (squared norm below one) when they represent
+    truncated or conditioned branches, but never super-normalized.
     """
 
-    amps: dict[tuple[int, ...], complex]
+    amps: np.ndarray
     cutoffs: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.cutoffs):
+        cutoffs = tuple(int(c) for c in self.cutoffs)
+        if any(c < 0 for c in cutoffs):
             raise ValueError("cutoffs must be non-negative")
-        m = len(self.cutoffs)
-        for occ in self.amps:
-            if len(occ) != m:
-                raise ModeMismatchError(
-                    f"occupation {occ} has {len(occ)} modes, expected {m}"
-                )
-            for n, c in zip(occ, self.cutoffs):
-                if n < 0 or n > c:
-                    raise CutoffViolationError(
-                        f"occupation {occ} exceeds cutoffs {self.cutoffs}"
-                    )
+        amps = np.array(self.amps, dtype=np.complex128)
+        if amps.ndim != len(cutoffs):
+            raise ModeMismatchError(
+                f"amplitudes have {amps.ndim} modes, cutoffs give {len(cutoffs)}"
+            )
+        if amps.shape != tuple(c + 1 for c in cutoffs):
+            raise CutoffViolationError(
+                f"amplitude shape {amps.shape} does not match cutoffs {cutoffs}"
+            )
+        amps.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "cutoffs", cutoffs)
         sq = self.squared_norm()
-        if sq > 1.0 + 1e-12:
+        if not math.isfinite(sq):
+            raise ValueError(f"squared norm {sq} is not finite")
+        if sq > 1.0 + NORM_TOL:
             raise ValueError(f"squared norm {sq} exceeds 1")
+
+    @classmethod
+    def _unchecked(cls, amps: np.ndarray, cutoffs: tuple[int, ...]) -> "MultiModeKet":
+        """Wrap an amplitude array an operation of this package produced;
+        its shape and norm are correct by construction."""
+        ket = object.__new__(cls)
+        amps.flags.writeable = False
+        object.__setattr__(ket, "amps", amps)
+        object.__setattr__(ket, "cutoffs", cutoffs)
+        return ket
 
     @property
     def n_modes(self) -> int:
         return len(self.cutoffs)
 
     def amplitude(self, occ: tuple[int, ...]) -> complex:
-        return self.amps.get(tuple(occ), 0.0 + 0.0j)
+        """Amplitude of one occupation tuple; zero beyond the cutoffs."""
+        occ = tuple(occ)
+        if len(occ) != len(self.cutoffs):
+            raise ModeMismatchError(
+                f"occupation {occ} has {len(occ)} modes, expected {len(self.cutoffs)}"
+            )
+        if any(n < 0 or n > c for n, c in zip(occ, self.cutoffs)):
+            return 0.0 + 0.0j
+        return complex(self.amps[occ])
 
     def squared_norm(self) -> float:
-        return float(sum((a * a.conjugate()).real for a in self.amps.values()))
+        return _mass(self.amps)
 
     def norm(self) -> float:
         return math.sqrt(self.squared_norm())
 
     def scaled(self, factor: complex) -> "MultiModeKet":
-        return MultiModeKet(
-            {occ: a * factor for occ, a in self.amps.items()}, self.cutoffs
-        )
+        return MultiModeKet(self.amps * factor, self.cutoffs)
 
 
 @dataclass(frozen=True)
@@ -145,7 +181,13 @@ def make_fock(occupations: tuple[int, ...], cutoffs: tuple[int, ...]) -> MultiMo
         raise ModeMismatchError(
             f"{len(occ)} occupations given for {len(cut)} cutoffs"
         )
-    return MultiModeKet({occ: 1.0 + 0.0j}, cut)
+    if any(c < 0 for c in cut):
+        raise ValueError("cutoffs must be non-negative")
+    if any(n < 0 or n > c for n, c in zip(occ, cut)):
+        raise CutoffViolationError(f"occupation {occ} exceeds cutoffs {cut}")
+    amps = np.zeros(tuple(c + 1 for c in cut), dtype=np.complex128)
+    amps[occ] = 1.0
+    return MultiModeKet._unchecked(amps, cut)
 
 
 def _poisson_tail(mean: float, n_max: int) -> float:
@@ -209,13 +251,12 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     beta = complex(beta)
     mean = abs(beta) ** 2
     n_max = coherent_cutoff(mean, policy)
-    amps: dict[tuple[int, ...], complex] = {}
+    amps = np.empty(n_max + 1, dtype=np.complex128)
     a = complex(math.exp(-mean / 2.0))
-    amps[(0,)] = a
+    amps[0] = a
     for n in range(1, n_max + 1):
         a = a * beta / math.sqrt(n)
-        if a != 0.0:
-            amps[(n,)] = a
+        amps[n] = a
     return MultiModeKet(amps, (n_max,))
 
 
@@ -223,16 +264,12 @@ def tensor(kets: list[MultiModeKet]) -> MultiModeKet:
     """Tensor product: occupation tuples concatenate, amplitudes multiply."""
     if not kets:
         raise ValueError("tensor of zero kets is undefined")
-    amps = {occ: a for occ, a in kets[0].amps.items()}
+    amps = kets[0].amps
     cutoffs = kets[0].cutoffs
     for ket in kets[1:]:
-        merged: dict[tuple[int, ...], complex] = {}
-        for occ1, a1 in amps.items():
-            for occ2, a2 in ket.amps.items():
-                merged[occ1 + occ2] = a1 * a2
-        amps = merged
+        amps = np.multiply.outer(amps, ket.amps)
         cutoffs = cutoffs + ket.cutoffs
-    return MultiModeKet(amps, cutoffs)
+    return MultiModeKet._unchecked(amps, cutoffs)
 
 
 def inner(a: MultiModeKet, b: MultiModeKet) -> complex:
@@ -241,19 +278,7 @@ def inner(a: MultiModeKet, b: MultiModeKet) -> complex:
         raise ModeMismatchError(
             f"mode structures differ: cutoffs {a.cutoffs} vs {b.cutoffs}"
         )
-    small, large = (a.amps, b.amps) if len(a.amps) <= len(b.amps) else (b.amps, a.amps)
-    total = 0.0 + 0.0j
-    if small is a.amps:
-        for occ, amp in small.items():
-            other = large.get(occ)
-            if other is not None:
-                total += amp.conjugate() * other
-    else:
-        for occ, amp in small.items():
-            other = large.get(occ)
-            if other is not None:
-                total += other.conjugate() * amp
-    return total
+    return complex(np.vdot(a.amps, b.amps))
 
 
 def same_state(a: MultiModeKet, b: MultiModeKet, tol: float = 1e-9) -> bool:
@@ -276,40 +301,30 @@ def mode_number_distribution(ket: MultiModeKet, mode: int) -> np.ndarray:
     sq = ket.squared_norm()
     if sq <= 0.0:
         raise ValueError("zero-norm ket has no number distribution")
-    dist = np.zeros(ket.cutoffs[mode] + 1)
-    for occ, a in ket.amps.items():
-        dist[occ[mode]] += (a * a.conjugate()).real
-    return dist / sq
+    probs = ket.amps.real**2 + ket.amps.imag**2
+    others = tuple(ax for ax in range(ket.n_modes) if ax != mode)
+    return probs.sum(axis=others) / sq
 
 
-def _event_mass(ket: MultiModeKet, mode: int, event: str) -> float:
-    if event == "zero":
-        return float(
-            sum(
-                (a * a.conjugate()).real
-                for occ, a in ket.amps.items()
-                if occ[mode] == 0
-            )
-        )
-    return float(
-        sum(
-            (a * a.conjugate()).real
-            for occ, a in ket.amps.items()
-            if occ[mode] >= 1
-        )
-    )
+def _event_slice(n_modes: int, mode: int, event: str) -> tuple:
+    """Index selecting the occupations of ``mode`` an event keeps."""
+    index = [slice(None)] * n_modes
+    index[mode] = 0 if event == "zero" else slice(1, None)
+    return tuple(index)
 
 
-def _project(ket: MultiModeKet, mode: int, event: str) -> MultiModeKet:
-    if event == "zero":
-        amps = {occ: a for occ, a in ket.amps.items() if occ[mode] == 0}
-    else:
-        amps = {occ: a for occ, a in ket.amps.items() if occ[mode] >= 1}
-    return MultiModeKet(amps, ket.cutoffs)
+def event_mass(ket: MultiModeKet, mode: int, event: str) -> float:
+    """Unnormalized probability of a detector event in one mode: the squared
+    amplitude mass with zero (``"zero"``) or at least one
+    (``"at_least_one"``) photon in ``mode``."""
+    return _mass(ket.amps[_event_slice(ket.n_modes, mode, event)])
 
 
 def condition(
-    ensemble: Ensemble, mode: int, event: str
+    ensemble: Ensemble,
+    mode: int,
+    event: str,
+    masses: list[float] | None = None,
 ) -> tuple[float, Ensemble]:
     """Condition an ensemble on a detector event in one mode.
 
@@ -318,25 +333,29 @@ def condition(
     Returns the total event probability and the renormalized
     post-measurement ensemble.  Probabilities are raw squared-amplitude
     masses, so sub-normalized branch kets under-count by at most their
-    truncation deficit.
+    truncation deficit.  Callers that already hold each branch's
+    ``event_mass`` pass them as ``masses`` instead of having them
+    recomputed.
     """
-    if event not in ("zero", "at_least_one"):
+    if event not in EVENTS:
         raise ValueError(f"unknown event {event!r}")
     total = ensemble.total_weight
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
+    if masses is None:
+        masses = [event_mass(ket, mode, event) for _, ket in ensemble.branches]
     prob = 0.0
     posterior: list[tuple[float, MultiModeKet]] = []
-    for w, ket in ensemble.branches:
-        mass = _event_mass(ket, mode, event)
+    for (w, ket), mass in zip(ensemble.branches, masses):
         contribution = w * mass
         prob += contribution
         if contribution > 0.0:
-            projected = _project(ket, mode, event).scaled(1.0 / math.sqrt(mass))
-            posterior.append((contribution, projected))
+            index = _event_slice(ket.n_modes, mode, event)
+            amps = np.zeros_like(ket.amps)
+            amps[index] = ket.amps[index] * (1.0 / math.sqrt(mass))
+            posterior.append((contribution, MultiModeKet._unchecked(amps, ket.cutoffs)))
     if prob <= 0.0:
         raise ConditioningError(
             f"event {event!r} on mode {mode} has probability 0"
         )
-    posterior = [(w / prob, k) for w, k in posterior]
-    return prob, Ensemble(posterior)
+    return prob, Ensemble([(w / prob, k) for w, k in posterior])

@@ -33,10 +33,12 @@ from .elements import (
 )
 from .errors import ConditioningError, ConfigurationError
 from .fock import (
+    NORM_TOL,
     Ensemble,
     MultiModeKet,
     TruncationPolicy,
     condition,
+    event_mass,
     make_coherent,
     make_fock,
     mode_number_distribution,
@@ -46,7 +48,7 @@ from .fock import (
 SIGNAL, PROBE, AUX = 0, 1, 2
 
 # Above this probe mean photon number the classical coherent path is the
-# default: truncation would need cutoffs far beyond what sparse Fock
+# default: truncation would need cutoffs far beyond what truncated Fock
 # propagation buys, while the classical path is exact at any brightness.
 BRIGHT_PROBE_MEAN_PHOTONS = 16.0
 
@@ -105,6 +107,13 @@ class CoherentProbe:
     """Probe arm fed by a coherent state of amplitude beta."""
 
     beta: complex
+
+    def __post_init__(self):
+        beta = complex(self.beta)
+        if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
+            raise ConfigurationError(
+                f"coherent probe amplitude must be finite, got {self.beta}"
+            )
 
 
 Probe = NoisyPhotonProbe | CoherentProbe
@@ -241,16 +250,28 @@ def _probe_branches(
     return [(ket, 1.0)], ket.cutoffs[0]
 
 
+@dataclass(frozen=True)
+class _Branch:
+    """One propagated input branch: its joint weight, the signal occupation,
+    the probe branch's index and weight, the output ket, and the ket's
+    squared norm and click mass (each computed once)."""
+
+    weight: float
+    signal: int
+    probe_index: int
+    probe_weight: float
+    ket: MultiModeKet
+    squared_norm: float
+    click_mass: float
+
+
 def _propagated_branches(
     cfg: MziConfig,
     source: NoisySource,
     probe: Probe,
     policy: TruncationPolicy,
-) -> list[tuple[float, int, float, MultiModeKet]]:
-    """Propagate every discrete input branch once.
-
-    Returns (joint weight, signal occupation, probe-branch weight, output ket).
-    """
+) -> list[_Branch]:
+    """Propagate every discrete input branch of positive weight once."""
     probe_branches, cut = _probe_branches(probe, policy)
     vac_c = make_fock((0,), (cut,))
     signal_branches = [
@@ -259,16 +280,14 @@ def _propagated_branches(
     out = []
     for a_occ, wa in signal_branches:
         a_ket = make_fock((a_occ,), (1,))
-        for b_ket, wb in probe_branches:
-            propagated = propagate_mzi(tensor([a_ket, b_ket, vac_c]), cfg)
-            out.append((wa * wb, a_occ, wb, propagated))
+        for b_idx, (b_ket, wb) in enumerate(probe_branches):
+            ket = propagate_mzi(tensor([a_ket, b_ket, vac_c]), cfg)
+            sq = ket.squared_norm()
+            if not sq <= 1.0 + NORM_TOL:
+                raise ValueError(f"propagated squared norm {sq} exceeds 1")
+            click = event_mass(ket, AUX, "at_least_one")
+            out.append(_Branch(wa * wb, a_occ, b_idx, wb, ket, sq, click))
     return out
-
-
-def _click_mass(ket: MultiModeKet) -> float:
-    return float(
-        sum((a * a.conjugate()).real for occ, a in ket.amps.items() if occ[AUX] >= 1)
-    )
 
 
 def _classical_click_probs(cfg: MziConfig, beta: complex) -> tuple[float, float]:
@@ -335,17 +354,19 @@ def run_setup(
     ):
         return _bright_probe_outcome(cfg, source, probe.beta)
     branches = _propagated_branches(cfg, source, probe, policy)
-    deficit = 1.0 - sum(w * ket.squared_norm() for w, _, _, ket in branches)
+    deficit = 1.0 - sum(b.weight * b.squared_norm for b in branches)
     deficit = max(0.0, deficit)
 
-    p_click = sum(w * _click_mass(ket) for w, _, _, ket in branches)
+    p_click = sum(b.weight * b.click_mass for b in branches)
     detection_eff = sum(
-        wb * _click_mass(ket) for _, a_occ, wb, ket in branches if a_occ == 1
+        b.probe_weight * b.click_mass for b in branches if b.signal == 1
     )
-    ensemble = Ensemble([(w, ket) for w, _, _, ket in branches])
+    ensemble = Ensemble([(b.weight, b.ket) for b in branches])
 
     try:
-        _, click_state = condition(ensemble, AUX, "at_least_one")
+        _, click_state = condition(
+            ensemble, AUX, "at_least_one", masses=[b.click_mass for b in branches]
+        )
     except ConditioningError:
         click_state = None
     try:
@@ -428,7 +449,7 @@ def sample_shots(
     if require_transparent and not is_transparent(cfg):
         raise ConfigurationError("configuration is not transparent")
 
-    # Conditional click probabilities, one propagation per discrete branch.
+    # Conditional click probabilities, one per discrete input branch.
     click_given: dict[tuple[int, int], float] = {}
     two_probe_branches = False
     if (
@@ -439,14 +460,9 @@ def sample_shots(
         click_given[(1, 0)] = q1
         click_given[(0, 0)] = q0
     else:
-        probe_branches, cut = _probe_branches(probe, policy)
-        two_probe_branches = len(probe_branches) == 2
-        vac_c = make_fock((0,), (cut,))
-        for a_occ in (0, 1):
-            a_ket = make_fock((a_occ,), (1,))
-            for b_idx, (b_ket, _) in enumerate(probe_branches):
-                out = propagate_mzi(tensor([a_ket, b_ket, vac_c]), cfg)
-                click_given[(a_occ, b_idx)] = _click_mass(out)
+        for b in _propagated_branches(cfg, source, probe, policy):
+            click_given[(b.signal, b.probe_index)] = b.click_mass
+            two_probe_branches = two_probe_branches or b.probe_index == 1
 
     rng = np.random.Generator(np.random.Philox(seed))
     photon = rng.random(n_shots) < source.p

@@ -39,17 +39,13 @@ def random_probe(rng):
 
 
 def random_bc_ket(rng, max_total=3):
-    occs = [
-        (n, m)
-        for n in range(max_total + 1)
-        for m in range(max_total + 1)
-        if n + m <= max_total
-    ]
-    vec = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
-    vec /= np.linalg.norm(vec)
-    return MultiModeKet(
-        {o: complex(a) for o, a in zip(occs, vec)}, (max_total, max_total)
-    )
+    n, m = np.indices((max_total + 1, max_total + 1))
+    keep = n + m <= max_total
+    size = int(keep.sum())
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps = np.zeros(keep.shape, dtype=complex)
+    amps[keep] = vec / np.linalg.norm(vec)
+    return MultiModeKet(amps, (max_total, max_total))
 
 
 def test_acceptance_1_zero_false_click():
@@ -189,13 +185,13 @@ def test_acceptance_5_transparency_generality():
         bc = random_bc_ket(rng)
         ket = tensor([make_fock((0,), (1,)), bc])
         out = propagate_mzi(ket, cfg)
-        for occ in set(ket.amps) | set(out.amps):
-            expected = ket.amplitude(occ) * sign ** (occ[1] + occ[2])
-            worst_signed = max(worst_signed, abs(out.amplitude(occ) - expected))
-            if sign == 1:
-                worst_strict = max(
-                    worst_strict, abs(out.amplitude(occ) - ket.amplitude(occ))
-                )
+        occ = np.indices(ket.amps.shape)
+        expected = ket.amps * sign ** (occ[1] + occ[2])
+        worst_signed = max(worst_signed, float(np.max(np.abs(out.amps - expected))))
+        if sign == 1:
+            worst_strict = max(
+                worst_strict, float(np.max(np.abs(out.amps - ket.amps)))
+            )
         strict_count += sign == 1
     assert worst_signed <= 1e-12
     assert worst_strict <= 1e-12
@@ -220,10 +216,7 @@ def test_acceptance_5_transparency_generality():
             [make_fock((0,), (1,)), make_fock((1,), (3,)), make_fock((0,), (3,))]
         )
         out = propagate_mzi(probe_photon, cfg)
-        if any(
-            abs(out.amplitude(occ) - probe_photon.amplitude(occ)) > 1e-12
-            for occ in set(out.amps) | set(probe_photon.amps)
-        ):
+        if np.any(np.abs(out.amps - probe_photon.amps) > 1e-12):
             found += 1
     assert found == 1000
     print(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import xpmherald.elements as el
 from xpmherald.elements import (
     BeamSplitterParams,
     CoherentAmplitudes,
@@ -13,7 +14,7 @@ from xpmherald.elements import (
     bs_unitary,
     xpm_coherent_branch,
 )
-from xpmherald.errors import CutoffViolationError
+from xpmherald.errors import ConfigurationError, CutoffViolationError
 from xpmherald.fock import (
     MultiModeKet,
     TruncationPolicy,
@@ -28,15 +29,36 @@ SQRT2 = math.sqrt(2.0)
 
 
 def random_two_mode_ket(rng, cutoff, max_total):
-    occs = [
-        (n, m)
-        for n in range(cutoff + 1)
-        for m in range(cutoff + 1)
-        if n + m <= max_total
-    ]
-    vec = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
-    vec /= np.linalg.norm(vec)
-    return MultiModeKet({o: complex(a) for o, a in zip(occs, vec)}, (cutoff, cutoff))
+    n, m = np.indices((cutoff + 1, cutoff + 1))
+    keep = n + m <= max_total
+    size = int(keep.sum())
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps = np.zeros(keep.shape, dtype=complex)
+    amps[keep] = vec / np.linalg.norm(vec)
+    return MultiModeKet(amps, (cutoff, cutoff))
+
+
+def binomial_block(u, n, m):
+    """Test-only oracle for one splitter input: the output amplitudes of
+    |n, m> as {(p, q): amplitude}, by binomial expansion of the substituted
+    creation-operator product
+    (u00 b1+ + u01 b2+)^n (u10 b1+ + u11 b2+)^m / sqrt(n! m!) |0>.
+    The normalization ratio sqrt(p! q! / (n! m!)) is evaluated as a
+    binomial ratio so it stays finite where raw factorials overflow."""
+    t1, r1 = u[0, 0], u[0, 1]
+    r2, t2 = u[1, 0], u[1, 1]
+    total = n + m
+    out = {}
+    for k in range(n + 1):
+        c_nk = math.comb(n, k) * t1**k * r1 ** (n - k)
+        for l in range(m + 1):
+            coeff = c_nk * math.comb(m, l) * r2**l * t2 ** (m - l)
+            p, q = k + l, (n - k) + (m - l)
+            out[(p, q)] = out.get((p, q), 0.0 + 0.0j) + coeff
+    return {
+        (p, q): coeff * math.sqrt(math.comb(total, n) / math.comb(total, p))
+        for (p, q), coeff in out.items()
+    }
 
 
 def dense_bs_unitary(theta, phi, cutoff):
@@ -58,12 +80,8 @@ def dense_bs_unitary(theta, phi, cutoff):
     return v @ np.diag(np.exp(1j * theta * w)) @ v.conj().T
 
 
-def to_dense(ket, cutoff):
-    d = cutoff + 1
-    vec = np.zeros(d * d, dtype=complex)
-    for (n, m), amp in ket.amps.items():
-        vec[n * d + m] = amp
-    return vec
+def max_dev(a, b):
+    return float(np.max(np.abs(a - b)))
 
 
 def test_single_photon_splits_evenly():
@@ -77,8 +95,7 @@ def test_theta_zero_is_identity():
     rng = np.random.default_rng(2)
     ket = random_two_mode_ket(rng, 3, 3)
     out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(0.0, 1.3))
-    for occ in ket.amps:
-        assert out.amplitude(occ) == pytest.approx(ket.amplitude(occ), abs=1e-15)
+    assert max_dev(out.amps, ket.amps) <= 1e-15
 
 
 def test_two_photon_bunching():
@@ -98,9 +115,9 @@ def test_beam_splitter_matches_dense_exponential_oracle():
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         ket = random_two_mode_ket(rng, cutoff, cutoff)
-        sparse_out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi))
-        dense_out = dense_bs_unitary(theta, phi, cutoff) @ to_dense(ket, cutoff)
-        assert np.allclose(to_dense(sparse_out, cutoff), dense_out, atol=1e-10)
+        out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi))
+        dense_out = dense_bs_unitary(theta, phi, cutoff) @ ket.amps.ravel()
+        assert np.allclose(out.amps.ravel(), dense_out, atol=1e-10)
 
 
 def test_beam_splitter_norm_preserved():
@@ -124,10 +141,7 @@ def test_beam_splitter_inverse_roundtrip():
         ket = random_two_mode_ket(rng, 4, 4)
         out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi))
         back = apply_beam_splitter(out, (0, 1), BeamSplitterParams(-theta, phi))
-        for occ in set(ket.amps) | set(back.amps):
-            assert back.amplitude(occ) == pytest.approx(
-                ket.amplitude(occ), abs=1e-12
-            )
+        assert max_dev(back.amps, ket.amps) <= 1e-12
 
 
 def test_beam_splitter_reversed_mode_pair():
@@ -138,10 +152,62 @@ def test_beam_splitter_reversed_mode_pair():
     theta, phi = 0.8, 1.7
     swapped = apply_beam_splitter(ket, (1, 0), BeamSplitterParams(theta, phi))
     direct = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(-theta, -phi))
-    for occ in set(swapped.amps) | set(direct.amps):
-        assert swapped.amplitude(occ) == pytest.approx(
-            direct.amplitude(occ), abs=1e-12
-        )
+    assert max_dev(swapped.amps, direct.amps) <= 1e-12
+
+
+def test_blocks_match_binomial_oracle():
+    rng = np.random.default_rng(71)
+    for _ in range(8):
+        theta = float(rng.uniform(-math.pi, math.pi))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        u = bs_unitary(BeamSplitterParams(theta, phi))
+        blocks = el._bs_blocks(theta, phi, 12)
+        for t in range(13):
+            expected = np.zeros((t + 1, t + 1), dtype=complex)
+            for n in range(t + 1):
+                for (p, _), amp in binomial_block(u, n, t - n).items():
+                    expected[p, n] = amp
+            assert max_dev(blocks[t, : t + 1, : t + 1], expected) <= 1e-12
+            assert not blocks[t, t + 1 :].any() and not blocks[t, :, t + 1 :].any()
+
+
+def test_blocks_unitary_to_bright_probe_cutoff():
+    rng = np.random.default_rng(72)
+    for _ in range(4):
+        theta = float(rng.uniform(-math.pi, math.pi))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        blocks = el._bs_blocks(theta, phi, 47)
+        for t in range(48):
+            b = blocks[t, : t + 1, : t + 1]
+            assert max_dev(b @ b.conj().T, np.eye(t + 1)) <= 1e-12
+
+
+def test_block_cache_extends_to_larger_totals():
+    theta, phi = 0.41, 2.2
+    u = bs_unitary(BeamSplitterParams(theta, phi))
+    small = el._bs_blocks(theta, phi, 5).copy()
+    large = el._bs_blocks(theta, phi, 20)
+    assert large.shape == (21, 21, 21)
+    assert np.array_equal(large[:6, :6, :6], small)
+    assert np.array_equal(large, el._block_recurrence(u, 20))
+    assert len(el._block_cache) <= el.BLOCK_CACHE_SIZE
+
+
+def test_beam_splitter_on_outer_modes_of_three():
+    # the splitter on modes (2, 0) acts on each middle-mode slice alone,
+    # as the two-mode splitter on the reversed pair
+    rng = np.random.default_rng(73)
+    shape = (4, 3, 4)
+    vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    n0, _, n2 = np.indices(shape)
+    vec[n0 + n2 > 3] = 0.0
+    ket = MultiModeKet(vec / np.linalg.norm(vec), (3, 2, 3))
+    params = BeamSplitterParams(0.9, 0.4)
+    out = apply_beam_splitter(ket, (2, 0), params)
+    for k in range(3):
+        pair = MultiModeKet(ket.amps[:, k, :].T.copy(), (3, 3))
+        expected = apply_beam_splitter(pair, (0, 1), params)
+        assert max_dev(out.amps[:, k, :].T, expected.amps) <= 1e-15
 
 
 def test_beam_splitter_handles_large_occupation():
@@ -155,6 +221,30 @@ def test_beam_splitter_refuses_to_drop_photons():
     ket = make_fock((1, 1), (1, 1))  # no room for the bunched |2,0> component
     with pytest.raises(CutoffViolationError):
         apply_beam_splitter(ket, (0, 1), BeamSplitterParams(math.pi / 4.0, 0.0))
+
+
+def test_beam_splitter_cutoff_check_follows_occupied_inputs():
+    # |0,2> fits a (2, 2) grid only while nothing is sent to |3,_>; with the
+    # identity splitter every coefficient off the diagonal is exactly zero
+    ket = make_fock((0, 2), (2, 2))
+    out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(0.0, 0.3))
+    assert max_dev(out.amps, ket.amps) == 0.0
+    narrow = make_fock((0, 2), (1, 2))
+    with pytest.raises(CutoffViolationError):
+        apply_beam_splitter(narrow, (0, 1), BeamSplitterParams(0.3, 0.0))
+    assert apply_beam_splitter(narrow, (0, 1), BeamSplitterParams(0.0, 0.0)).amplitude(
+        (0, 2)
+    ) == 1.0
+
+
+def test_element_parameters_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            BeamSplitterParams(bad, 0.0)
+        with pytest.raises(ConfigurationError):
+            BeamSplitterParams(0.3, bad)
+        with pytest.raises(ConfigurationError):
+            XpmParams(bad)
 
 
 def test_xpm_single_pair_phase():
@@ -178,6 +268,15 @@ def test_xpm_product_of_occupations():
     out = apply_xpm(ket, (0, 1), XpmParams(math.pi / 6.0))
     # n*m = 6 turns pi/6 into a half turn
     assert out.amplitude((2, 3)) == pytest.approx(-1.0, abs=1e-14)
+
+
+def test_xpm_matches_phase_per_occupation():
+    rng = np.random.default_rng(19)
+    ket = random_two_mode_ket(rng, 3, 6)
+    phi_chi = 1.1
+    out = apply_xpm(ket, (1, 0), XpmParams(phi_chi))
+    n, m = np.indices(ket.amps.shape)
+    assert max_dev(out.amps, ket.amps * np.exp(1j * phi_chi * n * m)) <= 1e-15
 
 
 def test_xpm_preserves_number_distributions():

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xpmherald.elements as el
@@ -207,6 +212,23 @@ def test_cli_cascade_mc_requires_seed(capsys):
     assert main(["cascade", "--shots", "100"]) == 1
 
 
+def test_cli_cascade_past_enumeration_cap_exits_one():
+    # the exact shared-probe route is capped; past the cap the CLI must
+    # point to Monte Carlo instead of dying with a traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xpmherald.cli", "cascade", "--scheme",
+         "shared-probe", "--setups", "30"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "--shots" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_cli_truncation_failure_exits_three(capsys):
     # a fixed cutoff that cannot reach the tolerance is a truncation
     # failure, distinct from a config error
@@ -236,28 +258,13 @@ def test_verify_catches_flipped_sign_convention(monkeypatch):
     # a unitary but wrong-sign rewrite: the second input's transmitted
     # component picks up a minus, so the second splitter no longer reverses
     # the first and the no-false-click guarantee collapses
-    def flipped_block(n, m, theta, phi):
+    def flipped_blocks(theta, phi, t_max):
         c, s = math.cos(theta), math.sin(theta)
         ph = complex(math.cos(phi), math.sin(phi))
-        t1, r1 = c, s / ph
-        r2, t2 = s * ph, -c
-        out = {}
-        for k in range(n + 1):
-            for l in range(m + 1):
-                coeff = (
-                    math.comb(n, k) * t1**k * r1 ** (n - k)
-                    * math.comb(m, l) * r2**l * t2 ** (m - l)
-                )
-                p, q = k + l, (n - k) + (m - l)
-                out[(p, q)] = out.get((p, q), 0j) + coeff
-        scale = math.sqrt(math.factorial(n) * math.factorial(m))
-        return tuple(
-            ((p, q), coeff * math.sqrt(math.factorial(p) * math.factorial(q)) / scale)
-            for (p, q), coeff in out.items()
-            if coeff != 0.0
-        )
+        flipped = np.array([[c, s / ph], [s * ph, -c]])
+        return el._block_recurrence(flipped, t_max)
 
-    monkeypatch.setattr(el, "_bs_block", flipped_block)
+    monkeypatch.setattr(el, "_bs_blocks", flipped_blocks)
     results = run_suite("fast", modules=["mzi"])
     report = format_report(results)
     assert not all_passed(results)

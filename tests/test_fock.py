@@ -14,6 +14,7 @@ from xpmherald.fock import (
     MultiModeKet,
     TruncationPolicy,
     condition,
+    event_mass,
     inner,
     make_coherent,
     make_fock,
@@ -34,10 +35,9 @@ def poisson_tail(mean, n_max):
 
 
 def random_ket(rng, cutoffs):
-    occs = [tuple(int(x) for x in occ) for occ in np.ndindex(*[c + 1 for c in cutoffs])]
-    vec = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
-    vec /= np.linalg.norm(vec)
-    return MultiModeKet({o: complex(a) for o, a in zip(occs, vec)}, tuple(cutoffs))
+    shape = tuple(c + 1 for c in cutoffs)
+    vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return MultiModeKet(vec / np.linalg.norm(vec), tuple(cutoffs))
 
 
 def test_make_fock_basis_state():
@@ -60,7 +60,27 @@ def test_make_fock_cutoff_violation():
 
 def test_super_normalized_rejected():
     with pytest.raises(ValueError):
-        MultiModeKet({(0,): 1.0, (1,): 0.1}, (1,))
+        MultiModeKet(np.array([1.0, 0.1]), (1,))
+
+
+def test_non_finite_amplitudes_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MultiModeKet(np.array([bad, 0.0]), (1,))
+
+
+def test_amplitude_shape_must_match_cutoffs():
+    with pytest.raises(CutoffViolationError):
+        MultiModeKet(np.zeros((3, 2)), (1, 1))
+    with pytest.raises(ModeMismatchError):
+        MultiModeKet(np.zeros((2, 2)), (1,))
+
+
+def test_amplitudes_are_read_only():
+    ket = make_fock((1, 0), (1, 1))
+    with pytest.raises(ValueError):
+        ket.amps[0, 0] = 1.0
+    assert ket.amplitude((2, 0)) == 0.0  # beyond the cutoff
 
 
 def test_coherent_beta_zero_is_vacuum():
@@ -109,7 +129,7 @@ def test_tensor_product_basis():
 
 def test_tensor_bilinearity():
     a, g = 0.6, 0.8
-    left = MultiModeKet({(0,): a, (1,): g}, (1,))
+    left = MultiModeKet(np.array([a, g]), (1,))
     ket = tensor([left, make_fock((1,), (1,))])
     assert ket.amplitude((0, 1)) == pytest.approx(a)
     assert ket.amplitude((1, 1)) == pytest.approx(g)
@@ -172,7 +192,7 @@ def test_mode_number_distribution_poisson():
 
 def test_mode_number_distribution_superposition():
     amp = 1.0 / math.sqrt(2.0)
-    ket = MultiModeKet({(1, 0): amp, (0, 1): amp}, (1, 1))
+    ket = MultiModeKet(np.array([[0.0, amp], [amp, 0.0]]), (1, 1))
     assert np.allclose(mode_number_distribution(ket, 0), [0.5, 0.5])
 
 
@@ -181,6 +201,19 @@ def test_condition_certain_click():
     prob, post = condition(ens, 2, "at_least_one")
     assert prob == pytest.approx(1.0)
     assert post.branches[0][1].amplitude((0, 0, 1)) == pytest.approx(1.0)
+
+
+def test_condition_projects_and_renormalizes():
+    rng = np.random.default_rng(13)
+    ket = random_ket(rng, (1, 2, 3))
+    for event, keep in (("zero", slice(0, 1)), ("at_least_one", slice(1, None))):
+        prob, post = condition(Ensemble.pure(ket), 2, event)
+        expected = np.zeros_like(ket.amps)
+        expected[:, :, keep] = ket.amps[:, :, keep]
+        assert prob == pytest.approx(event_mass(ket, 2, event), abs=1e-15)
+        assert prob == pytest.approx(np.sum(np.abs(expected) ** 2), abs=1e-12)
+        out = post.branches[0][1].amps
+        assert np.max(np.abs(out - expected / math.sqrt(prob))) <= 1e-12
 
 
 def test_condition_mixed_branches():
