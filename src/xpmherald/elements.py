@@ -92,9 +92,7 @@ BLOCK_CACHE_SIZE = 4
 _block_cache: OrderedDict[tuple[float, float], np.ndarray] = OrderedDict()
 
 
-def _block_recurrence(
-    u: np.ndarray, t_max: int, start: np.ndarray | None = None
-) -> np.ndarray:
+def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
     """Number-conserving blocks of the two-mode splitter with substitution
     matrix ``u``, for total photon numbers 0..t_max.
 
@@ -104,16 +102,9 @@ def _block_recurrence(
     ``|n, T-n> = a1+ |n-1, T-n> / sqrt(n)`` or
     ``|n, T-n> = a2+ |n, T-n-1> / sqrt(T-n)``, where ``U ak+ U^-1 =
     u[k, 0] b1+ + u[k, 1] b2+`` and ``b1+ |p-1, q> = sqrt(p) |p, q>``.
-    ``start``, a stack this function returned for a smaller t_max, is
-    extended instead of rebuilt.
     """
     blocks = np.zeros((t_max + 1,) * 3, dtype=np.complex128)
-    if start is None:
-        blocks[0, 0, 0] = 1.0
-        t_first = 1
-    else:
-        t_first = start.shape[0]
-        blocks[:t_first, :t_first, :t_first] = start
+    blocks[0, 0, 0] = 1.0
     roots = np.sqrt(np.arange(t_max + 1, dtype=float))
     inv_roots = np.zeros(t_max + 1)
     inv_roots[1:] = 1.0 / roots[1:]
@@ -122,7 +113,7 @@ def _block_recurrence(
     # 1/sqrt of the fed input occupation folded in
     w = u[:, :, None] * inv_roots
     scratch = np.empty((t_max, t_max), dtype=np.complex128)
-    for t in range(t_first, t_max + 1):
+    for t in range(1, t_max + 1):
         prev = blocks[t - 1, :t, :t]
         out = blocks[t, : t + 1, : t + 1]
         # Add the input photon to the fuller input mode, so the division is
@@ -142,13 +133,11 @@ def _block_recurrence(
 def _bs_blocks(theta: float, phi: float, t_max: int) -> np.ndarray:
     """Blocks U_0..U_t_max of the splitter (theta, phi), padded to shape
     ``(t_max + 1,) * 3`` as in ``_block_recurrence``; cached per angle pair
-    in a small LRU cache, and extended when a larger t_max is asked for."""
+    in a small LRU cache and rebuilt when a larger t_max is asked for."""
     key = (theta, phi)
     blocks = _block_cache.pop(key, None)
     if blocks is None or blocks.shape[0] <= t_max:
-        blocks = _block_recurrence(
-            bs_unitary(BeamSplitterParams(theta, phi)), t_max, blocks
-        )
+        blocks = _block_recurrence(bs_unitary(BeamSplitterParams(theta, phi)), t_max)
         blocks.flags.writeable = False
     _block_cache[key] = blocks
     while len(_block_cache) > BLOCK_CACHE_SIZE:

@@ -181,13 +181,11 @@ def make_fock(occupations: tuple[int, ...], cutoffs: tuple[int, ...]) -> MultiMo
         raise ModeMismatchError(
             f"{len(occ)} occupations given for {len(cut)} cutoffs"
         )
-    if any(c < 0 for c in cut):
-        raise ValueError("cutoffs must be non-negative")
     if any(n < 0 or n > c for n, c in zip(occ, cut)):
         raise CutoffViolationError(f"occupation {occ} exceeds cutoffs {cut}")
     amps = np.zeros(tuple(c + 1 for c in cut), dtype=np.complex128)
     amps[occ] = 1.0
-    return MultiModeKet._unchecked(amps, cut)
+    return MultiModeKet(amps, cut)
 
 
 def _poisson_tail(mean: float, n_max: int) -> float:
@@ -320,12 +318,7 @@ def event_mass(ket: MultiModeKet, mode: int, event: str) -> float:
     return _mass(ket.amps[_event_slice(ket.n_modes, mode, event)])
 
 
-def condition(
-    ensemble: Ensemble,
-    mode: int,
-    event: str,
-    masses: list[float] | None = None,
-) -> tuple[float, Ensemble]:
+def condition(ensemble: Ensemble, mode: int, event: str) -> tuple[float, Ensemble]:
     """Condition an ensemble on a detector event in one mode.
 
     ``event`` is ``"zero"`` (no photon seen) or ``"at_least_one"`` (click;
@@ -333,20 +326,17 @@ def condition(
     Returns the total event probability and the renormalized
     post-measurement ensemble.  Probabilities are raw squared-amplitude
     masses, so sub-normalized branch kets under-count by at most their
-    truncation deficit.  Callers that already hold each branch's
-    ``event_mass`` pass them as ``masses`` instead of having them
-    recomputed.
+    truncation deficit.
     """
     if event not in EVENTS:
         raise ValueError(f"unknown event {event!r}")
     total = ensemble.total_weight
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    if masses is None:
-        masses = [event_mass(ket, mode, event) for _, ket in ensemble.branches]
     prob = 0.0
     posterior: list[tuple[float, MultiModeKet]] = []
-    for (w, ket), mass in zip(ensemble.branches, masses):
+    for w, ket in ensemble.branches:
+        mass = event_mass(ket, mode, event)
         contribution = w * mass
         prob += contribution
         if contribution > 0.0:

@@ -364,9 +364,7 @@ def run_setup(
     ensemble = Ensemble([(b.weight, b.ket) for b in branches])
 
     try:
-        _, click_state = condition(
-            ensemble, AUX, "at_least_one", masses=[b.click_mass for b in branches]
-        )
+        _, click_state = condition(ensemble, AUX, "at_least_one")
     except ConditioningError:
         click_state = None
     try:

@@ -182,14 +182,15 @@ def test_blocks_unitary_to_bright_probe_cutoff():
             assert max_dev(b @ b.conj().T, np.eye(t + 1)) <= 1e-12
 
 
-def test_block_cache_extends_to_larger_totals():
+def test_block_cache_serves_any_total():
+    # a cached stack answers smaller totals by slicing and is rebuilt for
+    # larger ones; either way the blocks equal a fresh build
     theta, phi = 0.41, 2.2
     u = bs_unitary(BeamSplitterParams(theta, phi))
-    small = el._bs_blocks(theta, phi, 5).copy()
-    large = el._bs_blocks(theta, phi, 20)
-    assert large.shape == (21, 21, 21)
-    assert np.array_equal(large[:6, :6, :6], small)
-    assert np.array_equal(large, el._block_recurrence(u, 20))
+    for t_max in (5, 20, 3):
+        blocks = el._bs_blocks(theta, phi, t_max)
+        assert blocks.shape == (t_max + 1,) * 3
+        assert np.array_equal(blocks, el._block_recurrence(u, t_max))
     assert len(el._block_cache) <= el.BLOCK_CACHE_SIZE
 
 
