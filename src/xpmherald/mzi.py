@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,8 +251,7 @@ def _probe_branches(
     return [(ket, 1.0)], ket.cutoffs[0]
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     """One propagated input branch: its joint weight, the signal occupation,
     the probe branch's index and weight, the output ket, and the ket's
     squared norm and click mass (each computed once)."""
