@@ -17,12 +17,13 @@ others.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError
+from .errors import ConfigurationError, EnumerationLimitError
 
 # 2^(N-1) click patterns per setup makes exact shared-probe enumeration
 # explode; past this many setups, use the closed form or Monte Carlo.
@@ -50,6 +51,11 @@ class CascadeConfig:
             raise ValueError("a cascade needs at least one setup")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
+        if not (cmath.isfinite(self.alpha) and math.isfinite(self.phi_chi)):
+            raise ConfigurationError(
+                f"probe amplitude and XPM phase must be finite, got "
+                f"alpha={self.alpha}, phi_chi={self.phi_chi}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,17 @@ def _attenuation_sum(c2: float, k: int) -> float:
     return (1.0 - c2**k) / (1.0 - c2)
 
 
+def _binomial_pmf(m: int, k: int, p: float) -> float:
+    """C(m, k) p^k (1-p)^(m-k), formed in log space: the binomial
+    coefficient alone overflows a float from m = 1030."""
+    if p == 0.0 or p == 1.0:
+        return float(k == (m if p == 1.0 else 0))
+    return math.exp(
+        math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+        + k * math.log(p) + (m - k) * math.log1p(-p)
+    )
+
+
 def shared_probe_pn(n: int, alpha: complex, phi_chi: float, p: float) -> float:
     """Probability that the first click of the shared-probe chain happens at
     setup n.
@@ -116,9 +133,9 @@ def shared_probe_pn(n: int, alpha: complex, phi_chi: float, p: float) -> float:
     c2 = math.cos(phi_chi / 2.0) ** 2
     total = 0.0
     for k in range(n):
-        pattern_weight = math.comb(n - 1, k) * p**k * (1.0 - p) ** (n - 1 - k)
+        pattern_weight = _binomial_pmf(n - 1, k, p)
         no_click_before = math.exp(-a2 * s2 * _attenuation_sum(c2, k))
-        click_now = p * (1.0 - math.exp(-a2 * c2**k * s2))
+        click_now = -p * math.expm1(-a2 * c2**k * s2)
         total += pattern_weight * no_click_before * click_now
     return total
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 invariant failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -99,15 +100,13 @@ def _emit(table: ResultTable, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trunc_tol is not None:
-        cfg.trunc_tol = args.trunc_tol
-    if args.threads is not None:
-        cfg.threads = args.threads
+    overrides = {
+        name: getattr(args, name)
+        for name in ("out", "seed", "trunc_tol", "threads")
+        if getattr(args, name) is not None
+    }
+    # replace() runs the config's validation on the overridden fields too
+    cfg = dataclasses.replace(ExperimentConfig.from_file(args.config), **overrides)
     table = run_experiment(cfg)
     if cfg.out:
         print(f"wrote {cfg.out}")
@@ -160,6 +159,10 @@ def _cmd_loss_bound(args) -> int:
     cfg = transparent_via_angle_sum(math.pi / 4.0, 0.0, args.phi_chi)
     rows = []
     for beta_sq in args.beta_sq:
+        if not (math.isfinite(beta_sq) and beta_sq > 0.0):
+            raise ConfigurationError(
+                f"--beta-sq must be finite and positive, got {beta_sq}"
+            )
         bound = max_tolerable_loss(cfg, math.sqrt(beta_sq), fixed_p=args.fixed_p)
         rows.append((args.phi_chi, beta_sq, bound))
     table = ResultTable(
@@ -180,6 +183,10 @@ def _cmd_loss_bound(args) -> int:
 def _cmd_cascade(args) -> int:
     if args.shots is not None and args.seed is None:
         raise ConfigurationError("--shots requires --seed")
+    if not (math.isfinite(args.alpha_sq) and args.alpha_sq >= 0.0):
+        raise ConfigurationError(
+            f"--alpha-sq must be finite and non-negative, got {args.alpha_sq}"
+        )
     scheme = args.scheme.replace("-", "_")
     cfg = CascadeConfig(
         scheme, args.setups, math.sqrt(args.alpha_sq), args.phi_chi, args.p

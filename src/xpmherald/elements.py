@@ -11,13 +11,16 @@ Beam-splitter sign convention, fixed once and used everywhere: the creation
 operator of input 1 maps to ``cos(theta) a1' + exp(-i phi) sin(theta) a2'``
 and that of input 2 to ``-exp(i phi) sin(theta) a1' + cos(theta) a2'``.
 The interferometer transparency constraints depend on this convention, so
-no other module builds its own matrix.
+no other module builds its own matrix.  The exact path reads a
+Mach-Zehnder form off that matrix, two fixed real 50:50 splitters around
+phases, so the only number-conserving blocks it builds are the angle-free
+ones of the 50:50 splitter.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,25 +88,18 @@ def bs_unitary(p: BeamSplitterParams) -> np.ndarray:
     return np.array([[c, s / ph], [-s * ph, c]], dtype=complex)
 
 
-# Angle pairs whose splitter blocks stay cached.  One run of the setup uses
-# two pairs, and so does a row of a sweep at fixed splitters; a padded stack
-# at cutoff 47 takes about 1.8 MB.
-BLOCK_CACHE_SIZE = 4
-_block_cache: OrderedDict[tuple[float, float], np.ndarray] = OrderedDict()
-
-
 def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
     """Number-conserving blocks of the two-mode splitter with substitution
     matrix ``u``, for total photon numbers 0..t_max.
 
-    Returns ``blocks`` of shape ``(t_max + 1,) * 3`` with
-    ``blocks[T, p, n] = <p, T-p| U |n, T-n>`` for p, n <= T and zeros
+    Returns ``blocks`` of shape ``(t_max + 1,) * 3`` and the dtype of ``u``,
+    with ``blocks[T, p, n] = <p, T-p| U |n, T-n>`` for p, n <= T and zeros
     elsewhere.  Block T follows from block T-1 by one creation operator:
     ``|n, T-n> = a1+ |n-1, T-n> / sqrt(n)`` or
     ``|n, T-n> = a2+ |n, T-n-1> / sqrt(T-n)``, where ``U ak+ U^-1 =
     u[k, 0] b1+ + u[k, 1] b2+`` and ``b1+ |p-1, q> = sqrt(p) |p, q>``.
     """
-    blocks = np.zeros((t_max + 1,) * 3, dtype=np.complex128)
+    blocks = np.zeros((t_max + 1,) * 3, dtype=u.dtype)
     blocks[0, 0, 0] = 1.0
     roots = np.sqrt(np.arange(t_max + 1, dtype=float))
     inv_roots = np.zeros(t_max + 1)
@@ -112,7 +108,7 @@ def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
     # photon added to mode 1 (row 0 of u) or mode 2 (row 1 of u), with the
     # 1/sqrt of the fed input occupation folded in
     w = u[:, :, None] * inv_roots
-    scratch = np.empty((t_max, t_max), dtype=np.complex128)
+    scratch = np.empty((t_max, t_max), dtype=u.dtype)
     for t in range(1, t_max + 1):
         prev = blocks[t - 1, :t, :t]
         out = blocks[t, : t + 1, : t + 1]
@@ -130,48 +126,57 @@ def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
     return blocks
 
 
-def _bs_blocks(theta: float, phi: float, t_max: int) -> np.ndarray:
-    """Blocks U_0..U_t_max of the splitter (theta, phi), padded to shape
-    ``(t_max + 1,) * 3`` as in ``_block_recurrence``; cached per angle pair
-    in a small LRU cache and rebuilt when a larger t_max is asked for."""
-    key = (theta, phi)
-    blocks = _block_cache.pop(key, None)
-    if blocks is None or blocks.shape[0] <= t_max:
-        blocks = _block_recurrence(bs_unitary(BeamSplitterParams(theta, phi)), t_max)
-        blocks.flags.writeable = False
-    _block_cache[key] = blocks
-    while len(_block_cache) > BLOCK_CACHE_SIZE:
-        _block_cache.popitem(last=False)
-    return blocks[: t_max + 1, : t_max + 1, : t_max + 1]
+# The real 50:50 splitter.  Every splitter is a Mach-Zehnder of two of them
+# around phases (Clements et al., Optica 3, 1460 (2016)), so its blocks W_T
+# are the only ones built, once per process; each W_T is its own inverse.
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_hadamard_stack = np.zeros((0, 0, 0))
+
+
+def _hadamard_blocks(t_max: int) -> np.ndarray:
+    """W_0..W_t_max, padded as in ``_block_recurrence``: one stack, sliced
+    for smaller totals and rebuilt when a larger one is asked for."""
+    global _hadamard_stack
+    if _hadamard_stack.shape[0] <= t_max:
+        _hadamard_stack = _block_recurrence(_HADAMARD, t_max)
+        _hadamard_stack.flags.writeable = False
+    return _hadamard_stack[: t_max + 1, : t_max + 1, : t_max + 1]
+
+
+def _mzi_angles(u: np.ndarray) -> tuple[float, float]:
+    """(theta, psi) with ``u = D H diag(e^{i theta}, e^{-i theta}) H D^-1``,
+    ``H = _HADAMARD`` and ``D = diag(1, e^{i psi})``, read off
+    ``u[0, 0] = cos(theta)`` and ``u[1, 0] = i sin(theta) e^{i psi}``."""
+    return math.atan2(abs(u[1, 0]), u[0, 0].real), cmath.phase(-1j * u[1, 0])
 
 
 @lru_cache(maxsize=64)
 def _diagonal_index(
-    t_max: int, cut_i: int, cut_j: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index maps between a flattened (cut_i+1) x (cut_j+1) grid of two-mode
-    occupations (n, m) and the padded (T, n) block layout with
-    T = n + m <= t_max.  Both flattened layouts carry one trailing zero row
-    that every unused slot points to.
+    shape: tuple[int, ...], modes: tuple[int, int], t_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps between a flat ket of the given shape and the padded
+    ``(T, n, rest)`` block layout of the mode pair, where n is the
+    occupation of ``modes[0]`` and T <= t_max <= both cutoffs.  Both flat
+    layouts end in one zero slot that unused entries point to.
 
-    Returns (gather, scatter, lost): ``grid[gather]`` is the block-layout
-    input, ``blocks_out[scatter]`` the output grid, and ``lost[T, p]``
-    marks block rows (p, T-p) that lie beyond a cutoff.
+    Returns (gather, scatter): ``ket_flat[gather]`` is the block-layout
+    input and ``blocks_flat[scatter]`` the flat output ket.
     """
-    pad = (cut_i + 1) * (cut_j + 1)
-    t = np.arange(t_max + 1)[:, None]
-    n = np.arange(t_max + 1)[None, :]
-    m = t - n
-    inside = (m >= 0) & (n <= cut_i) & (m <= cut_j)
-    gather = np.where(inside, n * (cut_j + 1) + m, pad)
-    lost = (m >= 0) & ~inside
-    p = np.arange(cut_i + 1)[:, None]
-    q = np.arange(cut_j + 1)[None, :]
-    total = p + q
-    scatter = np.where(total <= t_max, total * (t_max + 1) + p, (t_max + 1) ** 2)
-    for arr in (gather, scatter, lost):
+    size = math.prod(shape)
+    flat = np.moveaxis(np.arange(size).reshape(shape), modes, (0, 1))
+    flat = flat.reshape(flat.shape[0], flat.shape[1], -1)
+    rest = flat.shape[2]
+    t, n = np.ogrid[: t_max + 1, : t_max + 1]
+    gather = np.where((n <= t)[:, :, None], flat[n, np.maximum(t - n, 0)], size)
+    p, q = np.indices(flat.shape[:2])
+    slot = ((p + q) * (t_max + 1) + p)[:, :, None] * rest + np.arange(rest)
+    scatter = np.empty(size, dtype=np.intp)
+    scatter[flat.ravel()] = np.where(
+        (p + q <= t_max)[:, :, None], slot, (t_max + 1) ** 2 * rest
+    ).ravel()
+    for arr in (gather, scatter):
         arr.flags.writeable = False
-    return gather, scatter.ravel(), lost
+    return gather, scatter
 
 
 def apply_beam_splitter(
@@ -181,48 +186,43 @@ def apply_beam_splitter(
 
     The splitter conserves the photon number n + m of the two modes, so it
     acts on each anti-diagonal n + m = T of their occupation grid as one
-    (T+1) x (T+1) block; all blocks up to the largest occupied total are
-    applied in one batched product.  Redistribution beyond a cutoff raises
-    instead of dropping amplitude: silent leakage would fake the very
-    no-false-click guarantee this library exists to check.
+    (T+1) x (T+1) block.  With ``theta, psi = _mzi_angles(bs_unitary(p))``
+    that block is ``e^{-i theta T} P W_T L W_T P^-1``, with the diagonal
+    phases ``P[n] = e^{i psi n}`` and ``L[k] = e^{2 i theta k}``; all totals
+    up to the largest occupied one go through two batched real products.
+    A mixing splitter reaches every row of a block, so an occupied total
+    past a cutoff raises instead of dropping amplitude: silent leakage
+    would fake the very no-false-click guarantee this library checks.
     """
     i, j = modes
     if i == j:
         raise ValueError("beam splitter modes must be distinct")
-    cut_i, cut_j = ket.cutoffs[i], ket.cutoffs[j]
-    moved = np.moveaxis(ket.amps, (i, j), (0, 1))
-    rest = moved.shape[2:]
-    grid = moved.reshape((cut_i + 1) * (cut_j + 1), -1)
-    occupied = np.flatnonzero(grid.any(axis=1))
-    if occupied.size == 0:
+    u = bs_unitary(p)
+    occupied = ket.amps.any(axis=tuple(k for k in range(ket.n_modes) if k not in modes))
+    n, m = np.indices(occupied.shape, sparse=True)
+    t_max = int((n + m).max(where=occupied, initial=-1))
+    if u[1, 0] == 0 or t_max < 0:
         return ket
-    t_max = int((occupied // (cut_j + 1) + occupied % (cut_j + 1)).max())
-    gather, scatter, lost = _diagonal_index(t_max, cut_i, cut_j)
-    padded = np.zeros((grid.shape[0] + 1, grid.shape[1]), dtype=np.complex128)
-    padded[:-1] = grid
-    blocks = _bs_blocks(p.theta, p.phi, t_max)
-    diag_in = padded[gather]
-    if lost.any():
-        _check_cutoffs(blocks, diag_in, lost, modes, (cut_i, cut_j))
-    diag_out = np.zeros(((t_max + 1) ** 2 + 1, grid.shape[1]), dtype=np.complex128)
-    np.matmul(blocks, diag_in, out=diag_out[:-1].reshape(diag_in.shape))
-    out = diag_out[scatter].reshape((cut_i + 1, cut_j + 1) + rest)
-    out = np.ascontiguousarray(np.moveaxis(out, (0, 1), (i, j)))
-    return MultiModeKet._unchecked(out, ket.cutoffs)
-
-
-def _check_cutoffs(blocks, diag_in, lost, modes, cuts) -> None:
-    """Raise when an occupied input |n, T-n> has a nonzero block coefficient
-    on an output |p, T-p> beyond the cutoffs."""
-    fed = (diag_in != 0).any(axis=2)
-    reach = ((blocks != 0) & fed[:, None, :]).any(axis=2) & lost
-    if reach.any():
-        t, out_p = (int(x) for x in np.argwhere(reach)[0])
-        n = int(np.flatnonzero(fed[t] & (blocks[t, out_p] != 0))[0])
+    cuts = (ket.cutoffs[i], ket.cutoffs[j])
+    if t_max > min(cuts):
         raise CutoffViolationError(
-            f"beam splitter sends |{n},{t - n}> to |{out_p},{t - out_p}> beyond "
-            f"cutoffs {cuts} on modes {modes}"
+            f"beam splitter sends {t_max} occupied photons into one mode, "
+            f"beyond cutoffs {cuts} on modes {modes}"
         )
+    theta, psi = _mzi_angles(u)
+    gather, scatter = _diagonal_index(ket.amps.shape, (i, j), t_max)
+    flat = np.zeros(ket.amps.size + 1, dtype=np.complex128)
+    flat[:-1] = ket.amps.ravel()
+    ph = np.exp(np.array((1j * psi, 1j * theta))[:, None] * np.arange(t_max + 1))
+    w = _hadamard_blocks(t_max)
+    x = flat[gather]
+    x *= ph[0].conj()[:, None]
+    y = np.matmul(w, x.view(np.float64))
+    y.view(np.complex128)[...] *= (ph[1].conj()[:, None] * ph[1] ** 2)[:, :, None]
+    np.matmul(w, y, out=x.view(np.float64))
+    out = np.zeros(x.size + 1, dtype=np.complex128)
+    np.multiply(x, ph[0][:, None], out=out[:-1].reshape(x.shape))
+    return MultiModeKet._unchecked(out[scatter].reshape(ket.amps.shape), ket.cutoffs)
 
 
 def apply_xpm(

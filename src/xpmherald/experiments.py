@@ -59,8 +59,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.params, dict):
             raise ConfigurationError("field 'params' must be a table of values")
-        if self.trunc_tol <= 0.0:
-            raise ConfigurationError("field 'trunc_tol' must be positive")
+        if not (math.isfinite(self.trunc_tol) and self.trunc_tol > 0.0):
+            raise ConfigurationError(
+                f"field 'trunc_tol' must be finite and positive, got {self.trunc_tol}"
+            )
         if self.threads < 1:
             raise ConfigurationError("field 'threads' must be at least 1")
 

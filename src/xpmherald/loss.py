@@ -13,6 +13,7 @@ improving on the raw source.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -194,8 +195,14 @@ def max_tolerable_loss(
     """
     if not cfg.xpm.working:
         raise ValueError("inert cross-phase medium: no click mechanism exists")
+    if not cmath.isfinite(beta):
+        raise ConfigurationError(f"probe amplitude must be finite, got {beta}")
     if abs(beta) <= 0.0:
         raise ValueError("probe amplitude must be nonzero")
+    if fixed_p is not None and not 0.0 <= fixed_p <= 1.0:
+        raise ConfigurationError(
+            f"fixed source efficiency must lie in [0, 1], got {fixed_p}"
+        )
     if not is_transparent(cfg):
         raise ConfigurationError("loss bound assumes a transparent configuration")
 

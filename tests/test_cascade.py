@@ -13,7 +13,7 @@ from xpmherald.cascade import (
     shared_probe_total,
     simulate_cascade,
 )
-from xpmherald.errors import EnumerationLimitError
+from xpmherald.errors import ConfigurationError, EnumerationLimitError
 from xpmherald.mzi import CoherentProbe, detection_efficiency, transparent_via_angle_sum
 
 PI = math.pi
@@ -152,6 +152,15 @@ def test_shared_pn_matches_library_enumeration_grid():
     assert worst < 1e-12, f"closed form deviates from enumeration by {worst}"
 
 
+def test_shared_pn_finite_past_float_binomials():
+    # C(n - 1, k) exceeds the float range from n = 1031, and the click
+    # probability of a deeply attenuated probe is far below 1e-16; the
+    # closed form stays finite and positive there
+    for n in (1100, 2000):
+        val = shared_probe_pn(n, 1.2, 0.9, 0.5)
+        assert math.isfinite(val) and 0.0 < val <= 1.0
+
+
 def test_shared_total_first_setup():
     assert shared_probe_total(1, 1.3, 1.1, 0.4) == pytest.approx(
         shared_probe_pn(1, 1.3, 1.1, 0.4)
@@ -252,3 +261,13 @@ def test_cascade_config_validation():
         CascadeConfig("reused_probe", 0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         CascadeConfig("reused_probe", 5, 1.0, 1.0, 1.5)
+    for alpha, phi_chi in (
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (complex(1.0, math.inf), 1.0),
+        (1.0, math.nan),
+        (1.0, -math.inf),
+    ):
+        for scheme in ("reused_probe", "shared_probe"):
+            with pytest.raises(ConfigurationError):
+                CascadeConfig(scheme, 5, alpha, phi_chi, 0.5)

@@ -155,20 +155,31 @@ def test_beam_splitter_reversed_mode_pair():
     assert max_dev(swapped.amps, direct.amps) <= 1e-12
 
 
+def splitter_block(theta, phi, t):
+    """Block U_T[p, n] = <p, T-p|U|n, T-n> read off one splitter call: a
+    third mode labels the input n, so every column propagates at once."""
+    n = np.arange(t + 1)
+    amps = np.zeros((t + 1,) * 3, dtype=complex)
+    amps[n, t - n, n] = 1.0 / math.sqrt(t + 1)
+    ket = MultiModeKet(amps, (t,) * 3)
+    out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi)).amps
+    p, q = np.indices(out.shape[:2])
+    assert not out[p + q != t].any()
+    return out[n, t - n] * math.sqrt(t + 1)
+
+
 def test_blocks_match_binomial_oracle():
     rng = np.random.default_rng(71)
     for _ in range(8):
         theta = float(rng.uniform(-math.pi, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         u = bs_unitary(BeamSplitterParams(theta, phi))
-        blocks = el._bs_blocks(theta, phi, 12)
         for t in range(13):
             expected = np.zeros((t + 1, t + 1), dtype=complex)
             for n in range(t + 1):
                 for (p, _), amp in binomial_block(u, n, t - n).items():
                     expected[p, n] = amp
-            assert max_dev(blocks[t, : t + 1, : t + 1], expected) <= 1e-12
-            assert not blocks[t, t + 1 :].any() and not blocks[t, :, t + 1 :].any()
+            assert max_dev(splitter_block(theta, phi, t), expected) <= 1e-12
 
 
 def test_blocks_unitary_to_bright_probe_cutoff():
@@ -176,22 +187,38 @@ def test_blocks_unitary_to_bright_probe_cutoff():
     for _ in range(4):
         theta = float(rng.uniform(-math.pi, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        blocks = el._bs_blocks(theta, phi, 47)
         for t in range(48):
-            b = blocks[t, : t + 1, : t + 1]
+            b = splitter_block(theta, phi, t)
             assert max_dev(b @ b.conj().T, np.eye(t + 1)) <= 1e-12
 
 
-def test_block_cache_serves_any_total():
-    # a cached stack answers smaller totals by slicing and is rebuilt for
-    # larger ones; either way the blocks equal a fresh build
-    theta, phi = 0.41, 2.2
-    u = bs_unitary(BeamSplitterParams(theta, phi))
-    for t_max in (5, 20, 3):
-        blocks = el._bs_blocks(theta, phi, t_max)
+def test_block_cache_serves_any_total(monkeypatch):
+    # one 50:50 basis stack answers smaller totals by slicing and is rebuilt
+    # for larger ones; either way it equals a fresh build and each block is
+    # its own inverse
+    monkeypatch.setattr(el, "_hadamard_stack", np.zeros((0, 0, 0)))
+    for t_max, built in ((5, 6), (20, 21), (3, 21)):
+        blocks = el._hadamard_blocks(t_max)
         assert blocks.shape == (t_max + 1,) * 3
-        assert np.array_equal(blocks, el._block_recurrence(u, t_max))
-    assert len(el._block_cache) <= el.BLOCK_CACHE_SIZE
+        assert el._hadamard_stack.shape[0] == built
+        assert np.array_equal(blocks, el._block_recurrence(el._HADAMARD, t_max))
+        for t in range(t_max + 1):
+            w = blocks[t, : t + 1, : t + 1]
+            assert max_dev(w @ w, np.eye(t + 1)) <= 1e-12
+
+
+def test_mzi_angles_rebuild_bs_unitary():
+    # u = D H diag(e^{i theta}, e^{-i theta}) H D^-1 with D = diag(1, e^{i psi})
+    rng = np.random.default_rng(74)
+    thetas = [*rng.uniform(-math.pi, math.pi, 200), -3.1, -1e-9, 1e-300]
+    for theta in thetas:
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        u = bs_unitary(BeamSplitterParams(float(theta), phi))
+        mix, psi = el._mzi_angles(u)
+        d = np.diag([1.0, np.exp(1j * psi)])
+        lam = np.diag([np.exp(1j * mix), np.exp(-1j * mix)])
+        h = el._HADAMARD
+        assert max_dev(d @ h @ lam @ h @ d.conj().T, u) <= 1e-15
 
 
 def test_beam_splitter_on_outer_modes_of_three():

@@ -89,6 +89,12 @@ def test_unknown_experiment_rejected():
         ExperimentConfig("not-an-experiment")
 
 
+def test_config_rejects_non_finite_trunc_tol():
+    for tol in (math.nan, math.inf, 0.0, -1e-10):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig("fig4", trunc_tol=tol)
+
+
 def test_csv_bit_identical_for_same_config(tmp_path):
     paths = []
     for name in ("a.csv", "b.csv"):
@@ -229,6 +235,32 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cascade", "--alpha-sq", "nan"],
+        ["cascade", "--phi-chi", "nan"],
+        ["cascade", "--alpha-sq", "inf", "--scheme", "shared-probe"],
+        ["cascade", "--alpha-sq", "-1"],
+        ["loss-bound", "--beta-sq", "nan"],
+        ["loss-bound", "--beta-sq", "-1"],
+        ["loss-bound", "--fixed-p", "nan"],
+        ["run", "{config}", "--trunc-tol", "nan"],
+    ],
+)
+def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsys):
+    # each bad value is a config error on one stderr line, before any output
+    config = tmp_path / "fig4.json"
+    config.write_text(json.dumps({"experiment": "fig4"}))
+    out = tmp_path / "out.csv"
+    argv = [a.replace("{config}", str(config)) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_cli_truncation_failure_exits_three(capsys):
     # a fixed cutoff that cannot reach the tolerance is a truncation
     # failure, distinct from a config error
@@ -255,16 +287,15 @@ def test_cli_verify_fast_exit_zero(capsys):
 
 
 def test_verify_catches_flipped_sign_convention(monkeypatch):
-    # a unitary but wrong-sign rewrite: the second input's transmitted
-    # component picks up a minus, so the second splitter no longer reverses
-    # the first and the no-false-click guarantee collapses
-    def flipped_blocks(theta, phi, t_max):
-        c, s = math.cos(theta), math.sin(theta)
-        ph = complex(math.cos(phi), math.sin(phi))
-        flipped = np.array([[c, s / ph], [s * ph, -c]])
-        return el._block_recurrence(flipped, t_max)
+    # a unitary but wrong-sign rewrite: the fixed 50:50 basis becomes a real
+    # rotation, which is not its own inverse, so the second splitter no
+    # longer reverses the first and the no-false-click guarantee collapses
+    rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
 
-    monkeypatch.setattr(el, "_bs_blocks", flipped_blocks)
+    def rotated_blocks(t_max):
+        return el._block_recurrence(rotation, t_max)
+
+    monkeypatch.setattr(el, "_hadamard_blocks", rotated_blocks)
     results = run_suite("fast", modules=["mzi"])
     report = format_report(results)
     assert not all_passed(results)

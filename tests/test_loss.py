@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xpmherald.elements import XpmParams, apply_beam_splitter
-from xpmherald.errors import ConditioningError
+from xpmherald.errors import ConditioningError, ConfigurationError
 from xpmherald.fock import (
     Ensemble,
     MultiModeKet,
@@ -253,6 +253,16 @@ def test_max_tolerable_loss_rejects_inert_xpm():
         max_tolerable_loss(symmetric_cfg(0.0), 1.0)
     with pytest.raises(ValueError):
         max_tolerable_loss(symmetric_cfg(PI), 0.0)
+
+
+def test_max_tolerable_loss_rejects_non_finite_inputs():
+    cfg = symmetric_cfg(PI)
+    for beta in (math.nan, math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ConfigurationError):
+            max_tolerable_loss(cfg, beta)
+    for fixed_p in (math.nan, -0.1, 1.5, math.inf):
+        with pytest.raises(ConfigurationError):
+            max_tolerable_loss(cfg, 1.0, fixed_p=fixed_p)
 
 
 def test_max_tolerable_loss_degenerate_angle_returns_zero():
