@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output CSV path (overrides config)")
     p_run.add_argument("--seed", type=int, help="seed (overrides config)")
     p_run.add_argument("--trunc-tol", type=float, help="truncation tail tolerance")
-    p_run.add_argument("--threads", type=int, help="worker threads for sweeps")
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--suite", choices=("fast", "full"), default="fast")
@@ -102,7 +101,7 @@ def _emit(table: ResultTable, out: str | None) -> None:
 def _cmd_run(args) -> int:
     overrides = {
         name: getattr(args, name)
-        for name in ("out", "seed", "trunc_tol", "threads")
+        for name in ("out", "seed", "trunc_tol")
         if getattr(args, name) is not None
     }
     # replace() runs the config's validation on the overridden fields too

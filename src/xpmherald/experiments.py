@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +26,8 @@ from .mzi import (
     CoherentProbe,
     NoisyPhotonProbe,
     NoisySource,
-    detection_efficiency,
+    _coherent_efficiency,
+    is_transparent,
     sample_shots,
     transparent_via_angle_sum,
 )
@@ -49,7 +49,6 @@ class ExperimentConfig:
     seed: int | None = None
     trunc_tol: float = 1e-10
     out: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -63,8 +62,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"field 'trunc_tol' must be finite and positive, got {self.trunc_tol}"
             )
-        if self.threads < 1:
-            raise ConfigurationError("field 'threads' must be at least 1")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -82,7 +79,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"config file {path}: top level must be a table")
         if "experiment" not in raw:
             raise ConfigurationError(f"config file {path}: missing field 'experiment'")
-        known = {"experiment", "params", "seed", "trunc_tol", "out", "threads"}
+        known = {"experiment", "params", "seed", "trunc_tol", "out"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(
@@ -133,14 +130,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _sweep(func, points, threads: int):
-    """Evaluate independent sweep points, output ordered by parameter order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, points))
-    return [func(pt) for pt in points]
-
-
 def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     """Detection-efficiency curves versus cross-phase shift for a handful of
     coherent probe amplitudes, at the optimal symmetric splitter."""
@@ -148,18 +137,16 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     num = int(cfg.params.get("phi_chi_points", 121))
     if num < 2 or not betas:
         raise ConfigurationError("fig4 needs a non-empty beta list and >= 2 grid points")
-    phis = np.linspace(0.0, 2.0 * math.pi, num)
-    points = [(phi, b) for b in betas for phi in phis]
-
-    def evaluate(point):
-        phi_chi, beta = point
-        mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
-        return detection_efficiency(mzi, CoherentProbe(beta))
-
-    values = _sweep(evaluate, points, cfg.threads)
+    phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
+    # transparency depends on the splitter pair alone, not on phi_chi
+    mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, 0.0)
+    if not is_transparent(mzi):
+        raise ConfigurationError("closed form assumes a transparent configuration")
+    for beta in betas:
+        CoherentProbe(beta)  # rejects a non-finite amplitude
     rows = [
-        (phi, beta, val, 0.0)
-        for (phi, beta), val in zip(points, values)
+        (phi, beta, _coherent_efficiency(mzi.theta1, phi, beta), 0.0)
+        for beta in betas for phi in phis
     ]
     manifest = {
         "experiment": "fig4",
@@ -183,32 +170,30 @@ def _run_loss_bounds(cfg: ExperimentConfig) -> ResultTable:
     with reference bounds and deviations where reference values exist."""
     phi_chis = [float(x) for x in cfg.params.get("phi_chi", (0.010, math.pi))]
     beta_sqs = [float(x) for x in cfg.params.get("beta_sq", (1.0, 1e2, 1e4, 1e6))]
+    for beta_sq in beta_sqs:
+        if not (math.isfinite(beta_sq) and beta_sq > 0.0):
+            raise ConfigurationError(
+                f"parameter 'beta_sq' entries must be finite and positive, got {beta_sq}"
+            )
     fixed_p = cfg.params.get("fixed_p")
     if fixed_p is not None:
         fixed_p = float(fixed_p)
     references = {
         (round(p, 6), b): r for p, b, r in REFERENCE_LOSS_BOUNDS
     }
-    points = [(phi, b2) for phi in phi_chis for b2 in beta_sqs]
-
-    def evaluate(point):
-        phi_chi, beta_sq = point
-        mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
-        return max_tolerable_loss(mzi, math.sqrt(beta_sq), fixed_p=fixed_p)
-
-    values = _sweep(evaluate, points, cfg.threads)
     rows = []
-    for (phi_chi, beta_sq), bound in zip(points, values):
-        ref = references.get((round(phi_chi, 6), beta_sq))
-        rows.append(
-            (
+    for phi_chi in phi_chis:
+        mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
+        for beta_sq in beta_sqs:
+            bound = max_tolerable_loss(mzi, math.sqrt(beta_sq), fixed_p=fixed_p)
+            ref = references.get((round(phi_chi, 6), beta_sq))
+            rows.append((
                 phi_chi,
                 beta_sq,
                 bound,
                 "" if ref is None else repr(ref),
                 "" if ref is None else repr(abs(bound - ref)),
-            )
-        )
+            ))
     manifest = {
         "experiment": "loss-bounds",
         "version": __version__,

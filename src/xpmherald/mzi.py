@@ -391,12 +391,22 @@ def run_setup(
     )
 
 
+def _single_photon_factor(theta1: float, phi_chi: float) -> float:
+    """sin^2(phi_chi / 2) * sin^2(2 theta1); the caller checks transparency."""
+    return math.sin(phi_chi / 2.0) ** 2 * math.sin(2.0 * theta1) ** 2
+
+
+def _coherent_efficiency(theta1: float, phi_chi: float, beta: complex) -> float:
+    """Coherent-probe detection efficiency; the caller checks transparency."""
+    return 1.0 - math.exp(-abs(beta) ** 2 * _single_photon_factor(theta1, phi_chi))
+
+
 def single_photon_click_prob(cfg: MziConfig) -> float:
     """Closed-form click probability with one photon in each of signal and
     probe: sin^2(phi_chi / 2) * sin^2(2 theta1).  Transparent setups only."""
     if not is_transparent(cfg):
         raise ConfigurationError("closed form assumes a transparent configuration")
-    return math.sin(cfg.phi_chi / 2.0) ** 2 * math.sin(2.0 * cfg.theta1) ** 2
+    return _single_photon_factor(cfg.theta1, cfg.phi_chi)
 
 
 def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
@@ -404,10 +414,9 @@ def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     triggers the herald, for either probe choice."""
     if not is_transparent(cfg):
         raise ConfigurationError("closed form assumes a transparent configuration")
-    s2 = math.sin(cfg.phi_chi / 2.0) ** 2 * math.sin(2.0 * cfg.theta1) ** 2
     if isinstance(probe, NoisyPhotonProbe):
-        return s2 * probe.source.p
-    return 1.0 - math.exp(-abs(probe.beta) ** 2 * s2)
+        return _single_photon_factor(cfg.theta1, cfg.phi_chi) * probe.source.p
+    return _coherent_efficiency(cfg.theta1, cfg.phi_chi, probe.beta)
 
 
 def optimal_theta1(phi_chi: float) -> float:

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -19,27 +18,31 @@ from xpmherald.mzi import CoherentProbe, detection_efficiency, transparent_via_a
 PI = math.pi
 
 
-def enum_shared_pn(n, alpha, phi_chi, p):
-    """Test-local exhaustive oracle over photon patterns of earlier setups."""
-    a2 = abs(alpha) ** 2
-    s2 = math.sin(phi_chi / 2.0) ** 2
-    c2 = math.cos(phi_chi / 2.0) ** 2
+def loop_exact_shared(cfg):
+    """Test-local exhaustive oracle, the per-pattern enumeration loop: pattern
+    bits in setup order, factors multiplied one by one, summed in order."""
+    a2 = abs(cfg.alpha) ** 2
+    s2 = math.sin(cfg.phi_chi / 2.0) ** 2
+    c2 = math.cos(cfg.phi_chi / 2.0) ** 2
 
     def click(rank):
         return 1.0 - math.exp(-a2 * s2 * c2**rank)
 
-    total = 0.0
-    for pattern in itertools.product((0, 1), repeat=n - 1):
-        weight = 1.0
-        rank = 0
-        for has_photon in pattern:
-            if has_photon:
-                weight *= p * (1.0 - click(rank))
-                rank += 1
-            else:
-                weight *= 1.0 - p
-        total += weight * p * click(rank)
-    return total
+    per = np.zeros(cfg.n_setups)
+    for n in range(1, cfg.n_setups + 1):
+        total = 0.0
+        for pattern in range(1 << (n - 1)):
+            weight = 1.0
+            rank = 0
+            for setup in range(n - 1):
+                if (pattern >> setup) & 1:
+                    weight *= cfg.p * (1.0 - click(rank))
+                    rank += 1
+                else:
+                    weight *= 1.0 - cfg.p
+            total += weight * cfg.p * click(rank)
+        per[n - 1] = total
+    return per
 
 
 def test_reused_pn_first_setup_matches_single_setup():
@@ -62,6 +65,19 @@ def test_reused_pn_matches_sequential_oracle():
         assert sim.per_setup[n - 1] == pytest.approx(
             reused_probe_pn(n, 2.0, PI / 2.0), abs=1e-12
         )
+
+
+def test_reused_pn_survives_click_exponent_underflow():
+    # the last click exponent is about 4e-38, so 1 - exp(-x) would round to 0
+    n, alpha, phi_chi = 400, 1.2, 0.9
+    a2s2 = alpha**2 * math.sin(phi_chi / 2.0) ** 2
+    c2 = math.cos(phi_chi / 2.0) ** 2
+    log_survive = -a2s2 * (1.0 - c2 ** (n - 1)) / (1.0 - c2)
+    # 1 - exp(-x) equals x to relative order x here
+    log_click = math.log(a2s2) + (n - 1) * math.log(c2)
+    expected = math.exp(log_survive + log_click)
+    assert expected == pytest.approx(2.93e-38, rel=1e-3)
+    assert reused_probe_pn(n, alpha, phi_chi) == pytest.approx(expected, rel=1e-12)
 
 
 def test_reused_partial_sums_telescope():
@@ -121,6 +137,10 @@ def test_shared_pn_unit_source_reduces_to_reused():
         assert shared_probe_pn(n, 1.4, 1.9, 1.0) == pytest.approx(
             reused_probe_pn(n, 1.4, 1.9), abs=1e-12
         )
+
+
+def enum_shared_pn(n, alpha, phi_chi, p):
+    return loop_exact_shared(CascadeConfig("shared_probe", n, alpha, phi_chi, p))[n - 1]
 
 
 def test_shared_pn_against_test_local_enumeration():
@@ -211,6 +231,35 @@ def test_simulate_residual_amplitude_matches_arm_recursion():
     shrink = abs(coherent_outputs(setup, 1.0, True)[0])
     assert shrink == pytest.approx(abs(math.cos(phi_chi / 2.0)), abs=1e-12)
     assert sim.residual_amp == pytest.approx(1.5 * shrink**7, abs=1e-12)
+
+
+def test_simulate_shared_bit_identical_to_pattern_loop():
+    rng = np.random.default_rng(2024)
+    configs = [
+        CascadeConfig("shared_probe", n, alpha, phi_chi, p)
+        for n in (1, 2, 7, 12)
+        for p in (0.0, 1.0, 0.37)
+        for phi_chi in (0.0, PI, 2.0 * PI)
+        for alpha in (0.0, 1.9)
+    ]
+    for _ in range(40):
+        configs.append(
+            CascadeConfig(
+                "shared_probe",
+                int(rng.integers(1, 13)),
+                complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
+                float(rng.uniform(-7.0, 7.0)),
+                float(rng.uniform(0.0, 1.0)),
+            )
+        )
+    for cfg in configs:
+        sim = simulate_cascade(cfg)
+        expected = loop_exact_shared(cfg)
+        assert np.array_equal(sim.per_setup, expected), cfg
+        assert sim.total == float(expected.sum())
+        assert sim.residual_amp == (
+            abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
+        )
 
 
 def test_simulate_enumeration_cap():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from xpmherald.experiments import (
     ResultTable,
     run_experiment,
 )
+from xpmherald.mzi import CoherentProbe, detection_efficiency, transparent_via_angle_sum
 from xpmherald.verify import all_passed, format_report, run_suite
 
 
@@ -34,12 +36,43 @@ def test_fig4_rows_match_closed_form():
     assert "default" in table.manifest["beta_provenance"]
 
 
-def test_fig4_threads_do_not_change_output():
-    one = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 15}))
-    four = run_experiment(
-        ExperimentConfig("fig4", params={"phi_chi_points": 15}, threads=4)
+def test_fig4_rows_equal_per_point_detection_efficiency():
+    # the sweep checks transparency once; every value must still be exactly
+    # what the public closed form gives point by point
+    table = run_experiment(
+        ExperimentConfig("fig4", params={"phi_chi_points": 301, "beta": [0.3, 1.7, 4.0]})
     )
-    assert one.to_csv_text() == four.to_csv_text()
+    assert len(table.rows) == 3 * 301
+    for phi_chi, beta, value, _ in table.rows:
+        mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
+        assert value == detection_efficiency(mzi, CoherentProbe(beta))
+
+
+def test_fig4_rejects_non_finite_beta():
+    with pytest.raises(ConfigurationError):
+        run_experiment(ExperimentConfig("fig4", params={"beta": [1.0, float("nan")]}))
+
+
+def _data_digest(csv_text):
+    """sha256 of a CSV with its manifest lines stripped."""
+    data = "".join(
+        line + "\n" for line in csv_text.splitlines() if not line.startswith("#")
+    )
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def test_fig4_csv_bytes_golden():
+    table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5000}))
+    assert _data_digest(table.to_csv_text()) == (
+        "b8d0b336343d1abaf0606a7bde6367ad2274852c09af489dfb6e13716a761d54"
+    )
+
+
+def test_shared_probe_cascade_csv_bytes_golden(capsys):
+    assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
+    assert _data_digest(capsys.readouterr().out) == (
+        "180ba376c578b908a522cc4ea558fbfd294c7c189bf7f4b2e863a687f8246036"
+    )
 
 
 def test_loss_bounds_table_has_reference_columns():
@@ -55,6 +88,30 @@ def test_loss_bounds_table_has_reference_columns():
     assert abs(by_beta[1.0][2] - 0.80) <= 0.05
     assert float(by_beta[1.0][4]) <= 0.05
     assert abs(by_beta[100.0][2] - 0.35) <= 0.05
+
+
+@pytest.mark.parametrize("beta_sq", [-1.0, 0.0, float("nan"), float("inf")])
+def test_loss_bounds_rejects_bad_beta_sq(beta_sq):
+    cfg = ExperimentConfig(
+        "loss-bounds", params={"phi_chi": [3.14], "beta_sq": [1.0, beta_sq]}
+    )
+    with pytest.raises(ConfigurationError, match="beta_sq"):
+        run_experiment(cfg)
+
+
+def test_cli_run_loss_bounds_bad_beta_sq_exits_one(tmp_path, capsys):
+    config = tmp_path / "loss.json"
+    config.write_text(
+        json.dumps(
+            {"experiment": "loss-bounds", "params": {"phi_chi": [3.14], "beta_sq": [-1.0]}}
+        )
+    )
+    out = tmp_path / "out.csv"
+    assert main(["run", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_loss_bounds_unknown_cells_have_blank_reference():
