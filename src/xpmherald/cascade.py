@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +48,8 @@ class CascadeConfig:
     def __post_init__(self):
         if self.scheme not in ("reused_probe", "shared_probe"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if isinstance(self.n_setups, bool) or not isinstance(self.n_setups, Integral):
+            raise ConfigurationError(f"n_setups must be an integer, got {self.n_setups!r}")
         if self.n_setups < 1:
             raise ValueError("a cascade needs at least one setup")
         if not 0.0 <= self.p <= 1.0:

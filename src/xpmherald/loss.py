@@ -16,11 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import CoherentAmplitudes, XpmParams, bs_coherent
+from .elements import CoherentAmplitudes, XpmParams, bs_coherent, bs_unitary
 from .errors import ConditioningError, ConfigurationError
 from .mzi import MziConfig, is_transparent
 
@@ -103,6 +104,29 @@ def lossy_xpm(
     return branches
 
 
+def _lossy_clicks(
+    cfg: MziConfig, beta: complex
+) -> Callable[[float], tuple[float, float]]:
+    """(q1, q0) as a function of the absorption probability, classical path.
+    The arms after the first splitter, the second splitter's detector row and
+    the XPM phase are computed once; each call attenuates the upper arm,
+    rotates it if the photon survives and mixes it onto the detector."""
+    arms = bs_coherent(CoherentAmplitudes((complex(beta), 0.0 + 0.0j)), (0, 1), cfg.bs1)
+    upper = complex(arms[0])
+    u2 = bs_unitary(cfg.bs2)
+    coupling, lower = u2[0, 1], u2[1, 1] * arms[1]
+    phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
+
+    def clicks(p_absorb: float) -> tuple[float, float]:
+        attenuated = math.sqrt(1.0 - p_absorb) * upper
+        q0 = 1.0 - math.exp(-abs(coupling * attenuated + lower) ** 2)
+        if p_absorb >= 1.0:
+            return q0, q0
+        return 1.0 - math.exp(-abs(coupling * (phase * attenuated) + lower) ** 2), q0
+
+    return clicks
+
+
 def lossy_click_probs(
     cfg: MziConfig, beta: complex, loss: LossParams
 ) -> tuple[float, float]:
@@ -114,25 +138,7 @@ def lossy_click_probs(
     """
     if not is_transparent(cfg):
         raise ConfigurationError("lossy click analysis assumes transparency")
-
-    def click_prob(signal_photon: bool) -> float:
-        amps = CoherentAmplitudes((complex(beta), 0.0 + 0.0j))
-        amps = bs_coherent(amps, (0, 1), cfg.bs1)
-        branches = lossy_xpm(signal_photon, amps[0], loss, cfg.xpm)
-        # Conditioned on the branch, so exactly one branch kind matters here:
-        # survived for q1, absorbed/absent for q0.  Both propagate the same way.
-        wanted = [b for b in branches if b.signal_photons == (1 if signal_photon else 0)]
-        branch = wanted[0] if wanted else branches[0]
-        out = bs_coherent(
-            CoherentAmplitudes((branch.probe_amplitude, amps[1])), (0, 1), cfg.bs2
-        )
-        return 1.0 - math.exp(-abs(out[1]) ** 2)
-
-    q0 = click_prob(False)
-    if loss.p_absorb >= 1.0:
-        return q0, q0
-    q1 = click_prob(True)
-    return q1, q0
+    return _lossy_clicks(cfg, beta)(loss.p_absorb)
 
 
 def lossy_heralded_efficiency(
@@ -162,19 +168,24 @@ def lossy_heralded_efficiency(
 
 
 def _improvement_margin(
-    cfg: MziConfig, beta: complex, p_absorb: float, fixed_p: float | None
-) -> float:
-    """Positive while conditioning on clicks still improves the source.
+    cfg: MziConfig, beta: complex, fixed_p: float | None
+) -> Callable[[float], float]:
+    """Margin over the absorption, positive while clicks improve the source.
 
     ``fixed_p=None`` uses the weak-source limit, where improvement reduces
     to (1 - p_absorb) q1 > q0; a concrete ``fixed_p`` evaluates the full
     inequality at that source efficiency.
     """
-    q1, q0 = lossy_click_probs(cfg, beta, LossParams(p_absorb))
-    survive = 1.0 - p_absorb
-    if fixed_p is None:
-        return survive * q1 - q0
-    return survive * q1 * (1.0 - fixed_p) - (fixed_p * p_absorb + 1.0 - fixed_p) * q0
+    clicks = _lossy_clicks(cfg, beta)
+
+    def margin(p_absorb: float) -> float:
+        q1, q0 = clicks(p_absorb)
+        survive = 1.0 - p_absorb
+        if fixed_p is None:
+            return survive * q1 - q0
+        return survive * q1 * (1.0 - fixed_p) - (fixed_p * p_absorb + 1.0 - fixed_p) * q0
+
+    return margin
 
 
 def max_tolerable_loss(
@@ -187,11 +198,13 @@ def max_tolerable_loss(
     """Largest absorption probability at which heralding still improves the
     source, located by bisection to ``tol``.
 
-    The improvement margin is checked for monotonicity on a coarse grid
-    first; if it changes sign more than once the solver falls back to a
-    refined grid scan around the largest improving point instead of trusting
-    a single bracket.  Returns 0 (with a diagnostic warning) when no
-    positive absorption improves the source at all.
+    Transparency is checked and the absorption-independent probe amplitudes
+    are computed once per solve; each margin evaluation only applies the
+    attenuation and the second splitter.  The margin is checked for
+    monotonicity on a coarse grid first; if it changes sign more than once
+    the solver falls back to a refined grid scan around the largest
+    improving point instead of trusting a single bracket.  Returns 0 (with
+    a diagnostic warning) when no positive absorption improves the source.
     """
     if not cfg.xpm.working:
         raise ValueError("inert cross-phase medium: no click mechanism exists")
@@ -206,9 +219,7 @@ def max_tolerable_loss(
     if not is_transparent(cfg):
         raise ConfigurationError("loss bound assumes a transparent configuration")
 
-    def margin(pa: float) -> float:
-        return _improvement_margin(cfg, beta, pa, fixed_p)
-
+    margin = _improvement_margin(cfg, beta, fixed_p)
     grid = np.linspace(0.0, 1.0, coarse_points)
     values = [margin(x) for x in grid]
     signs = [v > 0.0 for v in values]

@@ -445,10 +445,11 @@ def sample_shots(
 ) -> dict[str, int]:
     """Monte Carlo photodetection over repeated runs of the setup.
 
-    Each shot samples the source branch (and the probe branch for a noisy
-    probe), propagates it exactly, and samples the detector.  The stream is
-    a counter-based generator, so results are reproducible for a given seed
-    and shot batches can be split across workers.
+    Each discrete input branch is propagated once for its click probability.
+    A counter-based generator then draws, each for all shots and in this
+    order, the source branch, the probe branch (noisy probe with two
+    branches only) and the detector outcome.  Counts are reproducible for a
+    given seed and shot count; splitting a run into batches changes them.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
@@ -456,33 +457,26 @@ def sample_shots(
     if require_transparent and not is_transparent(cfg):
         raise ConfigurationError("configuration is not transparent")
 
-    # Conditional click probabilities, one per discrete input branch.
-    click_given: dict[tuple[int, int], float] = {}
-    two_probe_branches = False
+    # Click probability per (signal occupation, probe branch index).
+    click_given = np.zeros((2, 2))
     if (
         isinstance(probe, CoherentProbe)
         and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS
     ):
-        q1, q0 = _classical_click_probs(cfg, probe.beta)
-        click_given[(1, 0)] = q1
-        click_given[(0, 0)] = q0
+        click_given[1, 0], click_given[0, 0] = _classical_click_probs(cfg, probe.beta)
     else:
         for b in _propagated_branches(cfg, source, probe, policy):
-            click_given[(b.signal, b.probe_index)] = b.click_mass
-            two_probe_branches = two_probe_branches or b.probe_index == 1
+            click_given[b.signal, b.probe_index] = b.click_mass
 
     rng = np.random.Generator(np.random.Philox(seed))
     photon = rng.random(n_shots) < source.p
-    if isinstance(probe, NoisyPhotonProbe) and two_probe_branches:
-        # branch index 0 is the occupied probe ket when 0 < p_B < 1
+    signal = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
+    if isinstance(probe, NoisyPhotonProbe) and 0.0 < probe.source.p < 1.0:
+        # branch index 0 is the occupied probe ket, 1 the vacuum
         probe_occupied = rng.random(n_shots) < probe.source.p
-        b_idx = np.where(probe_occupied, 0, 1)
+        p_click = click_given[signal, (~probe_occupied).view(np.uint8)]
     else:
-        b_idx = np.zeros(n_shots, dtype=int)
-    p_click = np.empty(n_shots)
-    for (a_occ, idx), prob in click_given.items():
-        mask = (photon == bool(a_occ)) & (b_idx == idx)
-        p_click[mask] = prob
+        p_click = click_given[signal, 0]
     click = rng.random(n_shots) < p_click
     return {
         "click_and_photon": int(np.count_nonzero(click & photon)),

@@ -320,3 +320,15 @@ def test_cascade_config_validation():
         for scheme in ("reused_probe", "shared_probe"):
             with pytest.raises(ConfigurationError):
                 CascadeConfig(scheme, 5, alpha, phi_chi, 0.5)
+
+
+def test_cascade_config_rejects_non_integer_setups():
+    # a float count used to pass construction and fail inside the
+    # enumeration with a bare TypeError; bool is not a count either
+    for n_setups in (3.5, 3.0, True, False, "3"):
+        for scheme in ("reused_probe", "shared_probe"):
+            with pytest.raises(ConfigurationError, match="n_setups"):
+                CascadeConfig(scheme, n_setups, 1.2, 0.9, 1.0)
+    direct = simulate_cascade(CascadeConfig("shared_probe", 3, 1.2, 0.9, 1.0))
+    numpy_count = simulate_cascade(CascadeConfig("shared_probe", np.int64(3), 1.2, 0.9, 1.0))
+    assert np.array_equal(direct.per_setup, numpy_count.per_setup)

@@ -68,6 +68,49 @@ def test_fig4_csv_bytes_golden():
     )
 
 
+# the loss-bounds grid of the benchmark's seed-1 cli pass
+GOLDEN_LOSS_PARAMS = {
+    "phi_chi": [0.01, math.pi, 2.5670622557308143],
+    "beta_sq": [1, 100, 1e4, 1e6, 63.3233922577051, 90302.34906627363, 72.27433780736384],
+}
+
+
+@pytest.mark.parametrize(
+    "fixed_p, digest",
+    [
+        (None, "5403e6a196f3ddd82d55a02bdca863ab993a9ff2f978ca9aa181242a6a473c1c"),
+        (0.3, "240bee7b55ef099c74d0db1a145e9387d7a36abb4403afe4f6c40f4fa514a24c"),
+    ],
+)
+def test_loss_bounds_csv_bytes_golden(fixed_p, digest):
+    params = dict(GOLDEN_LOSS_PARAMS)
+    if fixed_p is not None:
+        params["fixed_p"] = fixed_p
+    table = run_experiment(ExperimentConfig("loss-bounds", params=params))
+    assert _data_digest(table.to_csv_text()) == digest
+
+
+@pytest.mark.parametrize(
+    "params, seed, digest",
+    [
+        (
+            {"p_a": 0.7260402951959974, "p_b": 0.7308769845622459, "phi_chi": 1.764629736151154},
+            1517124863,
+            "1e936cc48efa3b6ae15bfd045c62777042a1a077b15697ec0fae3f988d81d55b",
+        ),
+        (
+            {"beta": 1.3, "p_a": 0.45, "phi_chi": 2.1},
+            6,
+            "7d72981abd521d11c3d0be010ae9c78a7fdb6a3c06ecaae831e22211db68c038",
+        ),
+    ],
+    ids=["noisy-probe", "coherent-probe"],
+)
+def test_purity_audit_csv_bytes_golden(params, seed, digest):
+    config = ExperimentConfig("purity-audit", params=dict(params, shots=200_000), seed=seed)
+    assert _data_digest(run_experiment(config).to_csv_text()) == digest
+
+
 def test_shared_probe_cascade_csv_bytes_golden(capsys):
     assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
     assert _data_digest(capsys.readouterr().out) == (

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import xpmherald.loss as loss_module
 from xpmherald.elements import XpmParams, apply_beam_splitter
 from xpmherald.errors import ConditioningError, ConfigurationError
 from xpmherald.fock import (
@@ -230,6 +231,51 @@ def test_max_tolerable_loss_is_a_root_of_the_margin():
 
     assert margin(bound - 1e-6) > 0.0
     assert margin(bound + 1e-6) < 0.0
+
+
+def test_max_tolerable_loss_checks_transparency_once(monkeypatch):
+    calls = []
+    is_transparent = loss_module.is_transparent
+
+    def counting_is_transparent(cfg):
+        calls.append(cfg)
+        return is_transparent(cfg)
+
+    monkeypatch.setattr(loss_module, "is_transparent", counting_is_transparent)
+    cfg = symmetric_cfg(PI)
+    for fixed_p in (None, 0.3):
+        calls.clear()
+        max_tolerable_loss(cfg, 10.0, fixed_p=fixed_p)
+        assert len(calls) == 1
+    calls.clear()
+    lossy_click_probs(cfg, 10.0, LossParams(0.2))
+    assert len(calls) == 1
+
+
+def test_solver_margin_equals_public_click_probs_exactly():
+    # the solver evaluates its margin from amplitudes computed once per
+    # solve; it must equal, bit for bit, the margin formed from the public
+    # lossy_click_probs at every absorption, including 0 and 1
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        cfg = transparent_via_angle_sum(
+            rng.uniform(0.05, PI - 0.05), rng.uniform(0.0, 2.0 * PI), rng.uniform(-7.0, 7.0)
+        )
+        beta = 10.0 ** rng.uniform(-1.0, 3.0) * complex(
+            math.cos(rng.uniform(0.0, 2.0 * PI)), math.sin(rng.uniform(0.0, 2.0 * PI))
+        )
+        points = [0.0, 1.0, *rng.uniform(0.0, 1.0, 8), *np.linspace(0.0, 1.0, 5)]
+        for fixed_p in (None, float(rng.uniform(0.0, 1.0))):
+            margin = loss_module._improvement_margin(cfg, beta, fixed_p)
+            for pa in points:
+                q1, q0 = lossy_click_probs(cfg, beta, LossParams(pa))
+                if fixed_p is None:
+                    expected = (1.0 - pa) * q1 - q0
+                else:
+                    expected = (1.0 - pa) * q1 * (1.0 - fixed_p) - (
+                        fixed_p * pa + 1.0 - fixed_p
+                    ) * q0
+                assert margin(pa) == expected
 
 
 def test_max_tolerable_loss_weak_phase_reported_values():

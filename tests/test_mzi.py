@@ -409,6 +409,36 @@ def test_sample_shots_counts_pinned():
     }
 
 
+@pytest.mark.parametrize(
+    "transparent, p_a, probe, n_shots, seed, counts",
+    [
+        (False, 0.0, NoisyPhotonProbe(NoisySource(0.7)), 20_000, 11, (0, 7075, 0, 12925)),
+        (False, 1.0, NoisyPhotonProbe(NoisySource(0.7)), 20_000, 12, (2786, 0, 17214, 0)),
+        (False, 0.0, CoherentProbe(1.3 + 0.4j), 20_000, 13, (0, 12189, 0, 7811)),
+        (True, 1.0, CoherentProbe(1.3 + 0.4j), 20_000, 14, (14019, 0, 5981, 0)),
+        (False, 0.45, NoisyPhotonProbe(NoisySource(0.0)), 20_000, 15, (0, 0, 9076, 10924)),
+        (False, 0.45, NoisyPhotonProbe(NoisySource(1.0)), 20_000, 16, (1787, 5598, 7180, 5435)),
+        (True, 0.45, CoherentProbe(4.5 - 1.0j), 20_000, 17, (8960, 0, 0, 11040)),
+        (False, 0.45, CoherentProbe(4.5 - 1.0j), 20_000, 18, (8734, 11139, 127, 0)),
+        (False, 0.45, NoisyPhotonProbe(NoisySource(0.7)), 1, 1, (1, 0, 0, 0)),
+        (False, 0.45, NoisyPhotonProbe(NoisySource(0.7)), 1, 7, (0, 1, 0, 0)),
+        (True, 0.45, CoherentProbe(4.5 - 1.0j), 1, 0, (1, 0, 0, 0)),
+    ],
+)
+def test_sample_shots_edge_branches_pinned(transparent, p_a, probe, n_shots, seed, counts):
+    # counts recorded before the click lookup table; the cases reach every
+    # cell of it: sources and probes at 0 and 1, a leaky setup so that q0 is
+    # not 0, the classical path of a bright probe (|beta|^2 = 21.25), one shot
+    cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
+    if not transparent:
+        cfg = mzi_config(0.6, 0.3, 0.2, 0.0, phi_chi=2.1)
+    result = sample_shots(
+        cfg, NoisySource(p_a), probe, n_shots, seed=seed, require_transparent=transparent
+    )
+    keys = ("click_and_photon", "click_no_photon", "no_click_photon", "no_click_no_photon")
+    assert result == dict(zip(keys, counts))
+
+
 def test_nan_phase_rejected_before_propagation():
     # a NaN phase used to pass the transparency check and yield p_click nan
     with pytest.raises(ConfigurationError):
