@@ -72,12 +72,10 @@ from .mzi import (
     coherent_outputs,
     detection_efficiency,
     is_transparent,
-    optimal_theta1,
     propagate_mzi,
     run_setup,
     sample_shots,
     single_photon_click_prob,
-    total_success,
     transparency_sign,
     transparent_via_angle_diff,
     transparent_via_angle_sum,
@@ -125,7 +123,6 @@ __all__ = [
     "make_fock",
     "max_tolerable_loss",
     "mode_number_distribution",
-    "optimal_theta1",
     "propagate_mzi",
     "reused_probe_pn",
     "reused_probe_total",
@@ -137,7 +134,6 @@ __all__ = [
     "simulate_cascade",
     "single_photon_click_prob",
     "tensor",
-    "total_success",
     "transparency_sign",
     "transparent_via_angle_diff",
     "transparent_via_angle_sum",

@@ -47,13 +47,13 @@ class CascadeConfig:
 
     def __post_init__(self):
         if self.scheme not in ("reused_probe", "shared_probe"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if isinstance(self.n_setups, bool) or not isinstance(self.n_setups, Integral):
             raise ConfigurationError(f"n_setups must be an integer, got {self.n_setups!r}")
         if self.n_setups < 1:
-            raise ValueError("a cascade needs at least one setup")
+            raise ConfigurationError("a cascade needs at least one setup")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
+            raise ConfigurationError(f"source efficiency must lie in [0, 1], got {self.p}")
         if not (cmath.isfinite(self.alpha) and math.isfinite(self.phi_chi)):
             raise ConfigurationError(
                 f"probe amplitude and XPM phase must be finite, got "
@@ -74,6 +74,13 @@ class CascadeResult:
     residual_amp: float
 
 
+def _xpm_factors(alpha: complex, phi_chi: float) -> tuple[float, float, float]:
+    """(|alpha|^2, sin^2(phi_chi / 2), cos^2(phi_chi / 2)): the probe's mean
+    photon number, the share a photon-bearing setup can click on and the
+    share of the probe intensity it leaves for the next setup."""
+    return abs(alpha) ** 2, math.sin(phi_chi / 2.0) ** 2, math.cos(phi_chi / 2.0) ** 2
+
+
 def reused_probe_pn(n: int, alpha: complex, phi_chi: float) -> float:
     """Probability that a retried photon first clicks at setup n.
 
@@ -82,9 +89,7 @@ def reused_probe_pn(n: int, alpha: complex, phi_chi: float) -> float:
     """
     if n < 1:
         raise ValueError("setup index starts at 1")
-    a2 = abs(alpha) ** 2
-    s2 = math.sin(phi_chi / 2.0) ** 2
-    c2 = math.cos(phi_chi / 2.0) ** 2
+    a2, s2, c2 = _xpm_factors(alpha, phi_chi)
     survive = 1.0
     for i in range(n - 1):
         survive *= math.exp(-a2 * s2 * c2**i)
@@ -131,9 +136,7 @@ def shared_probe_pn(n: int, alpha: complex, phi_chi: float, p: float) -> float:
     """
     if n < 1:
         raise ValueError("setup index starts at 1")
-    a2 = abs(alpha) ** 2
-    s2 = math.sin(phi_chi / 2.0) ** 2
-    c2 = math.cos(phi_chi / 2.0) ** 2
+    a2, s2, c2 = _xpm_factors(alpha, phi_chi)
     total = 0.0
     for k in range(n):
         pattern_weight = _binomial_pmf(n - 1, k, p)
@@ -161,22 +164,19 @@ def _click_prob(a2: float, s2: float, c2: float, rank: int) -> float:
     return 1.0 - math.exp(-a2 * s2 * c2**rank)
 
 
-def _exact_reused(cfg: CascadeConfig) -> CascadeResult:
+def _exact_reused(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
     """Sequential amplitude recursion; linear in the number of setups."""
-    a2 = abs(cfg.alpha) ** 2
-    s2 = math.sin(cfg.phi_chi / 2.0) ** 2
-    c2 = math.cos(cfg.phi_chi / 2.0) ** 2
+    a2, s2, c2 = _xpm_factors(cfg.alpha, cfg.phi_chi)
     per = np.zeros(cfg.n_setups)
     survive = 1.0
     for n in range(cfg.n_setups):
         q = _click_prob(a2, s2, c2, n)
         per[n] = survive * q
         survive *= 1.0 - q
-    residual = abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
-    return CascadeResult(per, cfg.p * float(per.sum()), residual)
+    return per, cfg.p * float(per.sum())
 
 
-def _exact_shared(cfg: CascadeConfig) -> CascadeResult:
+def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
     """Enumeration over photon-occupancy patterns of the earlier setups,
     doubled one setup at a time (first setup in the lowest bit); ``rank``
     counts a pattern's photon-bearing, hence attenuating, setups.  Products
@@ -186,9 +186,7 @@ def _exact_shared(cfg: CascadeConfig) -> CascadeResult:
             f"exact shared-probe enumeration is capped at {ENUMERATION_CAP} "
             f"setups; {cfg.n_setups} requested"
         )
-    a2 = abs(cfg.alpha) ** 2
-    s2 = math.sin(cfg.phi_chi / 2.0) ** 2
-    c2 = math.cos(cfg.phi_chi / 2.0) ** 2
+    a2, s2, c2 = _xpm_factors(cfg.alpha, cfg.phi_chi)
     q = np.array([_click_prob(a2, s2, c2, r) for r in range(cfg.n_setups)])
     carry = cfg.p * (1.0 - q)
     weight, rank = np.ones(1), np.zeros(1, dtype=np.int8)
@@ -199,14 +197,11 @@ def _exact_shared(cfg: CascadeConfig) -> CascadeResult:
             rank = np.concatenate((rank, rank + 1))
         # cumsum adds in order; np.sum's pairwise sum would move the last bits
         per[n] = np.cumsum(weight * cfg.p * q[rank])[-1]
-    residual = abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
-    return CascadeResult(per, float(per.sum()), residual)
+    return per, float(per.sum())
 
 
-def _monte_carlo(cfg: CascadeConfig, shots: int, seed: int) -> CascadeResult:
-    a2 = abs(cfg.alpha) ** 2
-    s2 = math.sin(cfg.phi_chi / 2.0) ** 2
-    c2 = math.cos(cfg.phi_chi / 2.0) ** 2
+def _monte_carlo(cfg: CascadeConfig, shots: int, seed: int) -> tuple[np.ndarray, float]:
+    a2, s2, c2 = _xpm_factors(cfg.alpha, cfg.phi_chi)
     rng = np.random.Generator(np.random.Philox(seed))
     first_click = np.zeros(cfg.n_setups, dtype=np.int64)
     alive = np.ones(shots, dtype=bool)
@@ -229,12 +224,9 @@ def _monte_carlo(cfg: CascadeConfig, shots: int, seed: int) -> CascadeResult:
         per = (
             first_click / photon_shots if photon_shots else np.zeros(cfg.n_setups)
         )
-        total = float(first_click.sum()) / shots
     else:
         per = first_click / shots
-        total = float(first_click.sum()) / shots
-    residual = abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
-    return CascadeResult(np.asarray(per, dtype=float), total, residual)
+    return np.asarray(per, dtype=float), float(first_click.sum()) / shots
 
 
 def simulate_cascade(
@@ -250,11 +242,13 @@ def simulate_cascade(
     photon being present for the reused probe, absolute for the shared one.
     """
     if shots is None:
-        if cfg.scheme == "reused_probe":
-            return _exact_reused(cfg)
-        return _exact_shared(cfg)
-    if seed is None:
-        raise ValueError("Monte Carlo cascade simulation requires a seed")
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    return _monte_carlo(cfg, shots, seed)
+        exact = _exact_reused if cfg.scheme == "reused_probe" else _exact_shared
+        per, total = exact(cfg)
+    else:
+        if seed is None:
+            raise ValueError("Monte Carlo cascade simulation requires a seed")
+        if shots < 1:
+            raise ValueError("shots must be at least 1")
+        per, total = _monte_carlo(cfg, shots, seed)
+    residual = abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
+    return CascadeResult(per, total, residual)

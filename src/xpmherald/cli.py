@@ -1,8 +1,9 @@
 """Command-line harness.
 
-Subcommands: ``run <config>`` (named experiments from a JSON config),
-``verify`` (invariant suites), ``sample`` (Monte Carlo shot campaign),
-``loss-bound`` (tolerable-absorption solver), ``cascade`` (chained setups).
+Subcommands: ``run <config>`` (named experiments from a JSON config: the
+``fig4`` efficiency curves, the ``loss-bounds`` tolerable-absorption solver
+and the ``purity-audit`` Monte Carlo shot campaign), ``verify`` (invariant
+suites) and ``cascade`` (chained setups).
 
 Exit codes: 0 success, 1 configuration error, 2 invariant failure,
 3 truncation failure.
@@ -19,15 +20,6 @@ from . import __version__
 from .cascade import CascadeConfig, simulate_cascade
 from .errors import ConfigurationError, EnumerationLimitError, TruncationError
 from .experiments import ExperimentConfig, ResultTable, run_experiment
-from .fock import TruncationPolicy
-from .loss import max_tolerable_loss
-from .mzi import (
-    CoherentProbe,
-    NoisyPhotonProbe,
-    NoisySource,
-    sample_shots,
-    transparent_via_angle_sum,
-)
 from .verify import all_passed, format_report, run_suite
 
 EXIT_OK = 0
@@ -52,29 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--suite", choices=("fast", "full"), default="fast")
-
-    p_sample = sub.add_parser("sample", help="Monte Carlo shot campaign")
-    p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--shots", type=int, default=100_000)
-    p_sample.add_argument("--p-a", type=float, default=0.5, help="signal source efficiency")
-    p_sample.add_argument("--p-b", type=float, help="probe source efficiency (noisy probe)")
-    p_sample.add_argument("--beta", type=float, help="coherent probe amplitude")
-    p_sample.add_argument("--phi-chi", type=float, default=math.pi)
-    p_sample.add_argument("--theta1", type=float, default=math.pi / 4.0)
-    p_sample.add_argument("--trunc-tol", type=float, default=1e-10)
-    p_sample.add_argument("--out", help="output CSV path")
-
-    p_loss = sub.add_parser("loss-bound", help="maximum tolerable absorption")
-    p_loss.add_argument("--phi-chi", type=float, default=math.pi)
-    p_loss.add_argument(
-        "--beta-sq", type=float, nargs="+", default=[1.0, 1e2, 1e4],
-        help="probe mean photon numbers",
-    )
-    p_loss.add_argument(
-        "--fixed-p", type=float,
-        help="evaluate improvement at this source efficiency instead of the weak-source limit",
-    )
-    p_loss.add_argument("--out", help="output CSV path")
 
     p_casc = sub.add_parser("cascade", help="chained setups sharing one probe")
     p_casc.add_argument(
@@ -106,11 +75,7 @@ def _cmd_run(args) -> int:
     }
     # replace() runs the config's validation on the overridden fields too
     cfg = dataclasses.replace(ExperimentConfig.from_file(args.config), **overrides)
-    table = run_experiment(cfg)
-    if cfg.out:
-        print(f"wrote {cfg.out}")
-    else:
-        sys.stdout.write(table.to_csv_text())
+    _emit(run_experiment(dataclasses.replace(cfg, out=None)), cfg.out)
     return EXIT_OK
 
 
@@ -118,65 +83,6 @@ def _cmd_verify(args) -> int:
     results = run_suite(args.suite)
     print(format_report(results))
     return EXIT_OK if all_passed(results) else EXIT_INVARIANT
-
-
-def _cmd_sample(args) -> int:
-    if (args.p_b is None) == (args.beta is None):
-        raise ConfigurationError("choose exactly one probe: --p-b or --beta")
-    probe = (
-        CoherentProbe(args.beta)
-        if args.beta is not None
-        else NoisyPhotonProbe(NoisySource(args.p_b))
-    )
-    cfg = transparent_via_angle_sum(args.theta1, 0.0, args.phi_chi)
-    counts = sample_shots(
-        cfg,
-        NoisySource(args.p_a),
-        probe,
-        args.shots,
-        args.seed,
-        policy=TruncationPolicy(tail_tolerance=args.trunc_tol),
-    )
-    table = ResultTable(
-        columns=["shots", "seed"] + list(counts),
-        rows=[(args.shots, args.seed) + tuple(counts.values())],
-        manifest={
-            "experiment": "sample",
-            "version": __version__,
-            "p_a": repr(args.p_a),
-            "probe": "coherent" if args.beta is not None else "noisy_photon",
-            "phi_chi": repr(args.phi_chi),
-            "theta1": repr(args.theta1),
-            "seed": args.seed,
-        },
-    )
-    _emit(table, args.out)
-    return EXIT_OK
-
-
-def _cmd_loss_bound(args) -> int:
-    cfg = transparent_via_angle_sum(math.pi / 4.0, 0.0, args.phi_chi)
-    rows = []
-    for beta_sq in args.beta_sq:
-        if not (math.isfinite(beta_sq) and beta_sq > 0.0):
-            raise ConfigurationError(
-                f"--beta-sq must be finite and positive, got {beta_sq}"
-            )
-        bound = max_tolerable_loss(cfg, math.sqrt(beta_sq), fixed_p=args.fixed_p)
-        rows.append((args.phi_chi, beta_sq, bound))
-    table = ResultTable(
-        columns=["phi_chi", "beta_sq", "pa_max"],
-        rows=rows,
-        manifest={
-            "experiment": "loss-bound",
-            "version": __version__,
-            "criterion": "weak-source limit"
-            if args.fixed_p is None
-            else f"fixed p = {args.fixed_p}",
-        },
-    )
-    _emit(table, args.out)
-    return EXIT_OK
 
 
 def _cmd_cascade(args) -> int:
@@ -222,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "verify": _cmd_verify,
-        "sample": _cmd_sample,
-        "loss-bound": _cmd_loss_bound,
         "cascade": _cmd_cascade,
     }
     try:

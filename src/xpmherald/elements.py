@@ -194,6 +194,7 @@ def apply_beam_splitter(
     past a cutoff raises instead of dropping amplitude: silent leakage
     would fake the very no-false-click guarantee this library checks.
     """
+    ket.check_modes(*modes)
     i, j = modes
     if i == j:
         raise ValueError("beam splitter modes must be distinct")
@@ -231,6 +232,7 @@ def apply_xpm(
     """Cross-phase gate: each basis amplitude with occupations (n, m) on the
     given modes picks up exp(i phi_chi * n * m).  Diagonal, norm and photon
     numbers preserved."""
+    ket.check_modes(*modes)
     i, j = modes
     if i == j:
         raise ValueError("XPM modes must be distinct")

@@ -145,7 +145,7 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     for beta in betas:
         CoherentProbe(beta)  # rejects a non-finite amplitude
     rows = [
-        (phi, beta, _coherent_efficiency(mzi.theta1, phi, beta), 0.0)
+        (phi, beta, _coherent_efficiency(mzi.bs1.theta, phi, beta), 0.0)
         for beta in betas for phi in phis
     ]
     manifest = {

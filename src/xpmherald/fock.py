@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     ConditioningError,
+    ConfigurationError,
     CutoffViolationError,
     ModeMismatchError,
     TruncationError,
@@ -70,11 +71,11 @@ class TruncationPolicy:
 
     def __post_init__(self):
         if not 0.0 < self.tail_tolerance < 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}"
             )
-        if self.fixed_cutoff is not None and self.fixed_cutoff < 0:
-            raise ValueError("fixed_cutoff must be non-negative")
+        if self.fixed_cutoff is not None and not self.fixed_cutoff >= 0:
+            raise ConfigurationError("fixed_cutoff must be non-negative")
 
 
 def _mass(amps: np.ndarray) -> float:
@@ -131,6 +132,13 @@ class MultiModeKet:
     @property
     def n_modes(self) -> int:
         return len(self.cutoffs)
+
+    def check_modes(self, *modes: int) -> None:
+        """Raise unless every mode index lies in 0..n_modes-1 (a negative
+        index would silently pick a mode from the end)."""
+        for mode in modes:
+            if not 0 <= mode < self.n_modes:
+                raise ModeMismatchError(f"mode {mode} is outside 0..{self.n_modes - 1}")
 
     def amplitude(self, occ: tuple[int, ...]) -> complex:
         """Amplitude of one occupation tuple; zero beyond the cutoffs."""
@@ -296,6 +304,7 @@ def mode_number_distribution(ket: MultiModeKet, mode: int) -> np.ndarray:
     Entry n gives the probability of finding n photons in ``mode``,
     normalized by the ket's squared norm.
     """
+    ket.check_modes(mode)
     sq = ket.squared_norm()
     if sq <= 0.0:
         raise ValueError("zero-norm ket has no number distribution")
@@ -315,6 +324,7 @@ def event_mass(ket: MultiModeKet, mode: int, event: str) -> float:
     """Unnormalized probability of a detector event in one mode: the squared
     amplitude mass with zero (``"zero"``) or at least one
     (``"at_least_one"``) photon in ``mode``."""
+    ket.check_modes(mode)
     return _mass(ket.amps[_event_slice(ket.n_modes, mode, event)])
 
 

@@ -34,7 +34,7 @@ class LossParams:
 
     def __post_init__(self):
         if not 0.0 <= self.p_absorb <= 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"absorption probability must lie in [0, 1], got {self.p_absorb}"
             )
 

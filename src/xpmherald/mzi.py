@@ -63,26 +63,6 @@ class MziConfig:
     bs2: BeamSplitterParams
     xpm: XpmParams
 
-    @property
-    def theta1(self) -> float:
-        return self.bs1.theta
-
-    @property
-    def phi1(self) -> float:
-        return self.bs1.phi
-
-    @property
-    def theta2(self) -> float:
-        return self.bs2.theta
-
-    @property
-    def phi2(self) -> float:
-        return self.bs2.phi
-
-    @property
-    def phi_chi(self) -> float:
-        return self.xpm.phi_chi
-
 
 @dataclass(frozen=True)
 class NoisySource:
@@ -93,7 +73,7 @@ class NoisySource:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
+            raise ConfigurationError(f"source efficiency must lie in [0, 1], got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -179,11 +159,13 @@ def vacuum_leak_amplitude(cfg: MziConfig) -> complex:
     leaves in the auxiliary mode with this amplitude; transparency is
     exactly its vanishing (for every input, see ``is_transparent``).
     """
-    e1 = complex(math.cos(cfg.phi1), -math.sin(cfg.phi1))
-    e2 = complex(math.cos(cfg.phi2), -math.sin(cfg.phi2))
-    return e2 * math.cos(cfg.theta1) * math.sin(cfg.theta2) + e1 * math.sin(
-        cfg.theta1
-    ) * math.cos(cfg.theta2)
+    bs1, bs2 = cfg.bs1, cfg.bs2
+    e1 = complex(math.cos(bs1.phi), -math.sin(bs1.phi))
+    e2 = complex(math.cos(bs2.phi), -math.sin(bs2.phi))
+    return (
+        e2 * math.cos(bs1.theta) * math.sin(bs2.theta)
+        + e1 * math.sin(bs1.theta) * math.cos(bs2.theta)
+    )
 
 
 def bc_transfer_matrix(cfg: MziConfig) -> np.ndarray:
@@ -406,7 +388,7 @@ def single_photon_click_prob(cfg: MziConfig) -> float:
     probe: sin^2(phi_chi / 2) * sin^2(2 theta1).  Transparent setups only."""
     if not is_transparent(cfg):
         raise ConfigurationError("closed form assumes a transparent configuration")
-    return _single_photon_factor(cfg.theta1, cfg.phi_chi)
+    return _single_photon_factor(cfg.bs1.theta, cfg.xpm.phi_chi)
 
 
 def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
@@ -415,23 +397,8 @@ def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     if not is_transparent(cfg):
         raise ConfigurationError("closed form assumes a transparent configuration")
     if isinstance(probe, NoisyPhotonProbe):
-        return _single_photon_factor(cfg.theta1, cfg.phi_chi) * probe.source.p
-    return _coherent_efficiency(cfg.theta1, cfg.phi_chi, probe.beta)
-
-
-def optimal_theta1(phi_chi: float) -> float:
-    """First-beam-splitter angle maximizing the detection efficiency.
-
-    The optimum sits at the symmetric splitter and does not depend on the
-    exerted phase shift, which is why the argument is unused beyond
-    signaling intent; the verification suite confirms the claim by sweeping.
-    """
-    return math.pi / 4.0
-
-
-def total_success(cfg: MziConfig, source: NoisySource, probe: Probe) -> float:
-    """Closed-form probability of producing a heralded photon per trial."""
-    return detection_efficiency(cfg, probe) * source.p
+        return _single_photon_factor(cfg.bs1.theta, cfg.xpm.phi_chi) * probe.source.p
+    return _coherent_efficiency(cfg.bs1.theta, cfg.xpm.phi_chi, probe.beta)
 
 
 def sample_shots(

@@ -13,21 +13,11 @@ import pytest
 import xpmherald as xh
 from xpmherald.cli import main
 from xpmherald.experiments import ExperimentConfig, run_experiment
-from xpmherald.fock import MultiModeKet, make_fock, tensor
+from xpmherald.fock import make_fock, tensor
 from xpmherald.mzi import propagate_mzi
+from xpmherald.verify import random_ket, random_transparent
 
 PI = math.pi
-
-
-def random_transparent(rng, phi_chi=None):
-    theta1 = float(rng.uniform(0.05, PI - 0.05))
-    phi1 = float(rng.uniform(0.0, 2.0 * PI))
-    pc = float(rng.uniform(0.0, 2.0 * PI)) if phi_chi is None else phi_chi
-    k = int(rng.integers(-1, 2))
-    l = int(rng.integers(-1, 3))
-    if rng.random() < 0.5:
-        return xh.transparent_via_angle_sum(theta1, phi1, pc, k=k, l=l)
-    return xh.transparent_via_angle_diff(theta1, phi1, pc, k=k, l=l)
 
 
 def random_probe(rng):
@@ -36,16 +26,6 @@ def random_probe(rng):
     ang = float(rng.uniform(0.0, 2.0 * PI))
     mag = float(rng.uniform(0.05, 2.0))
     return xh.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang)))
-
-
-def random_bc_ket(rng, max_total=3):
-    n, m = np.indices((max_total + 1, max_total + 1))
-    keep = n + m <= max_total
-    size = int(keep.sum())
-    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-    amps = np.zeros(keep.shape, dtype=complex)
-    amps[keep] = vec / np.linalg.norm(vec)
-    return MultiModeKet(amps, (max_total, max_total))
 
 
 def test_acceptance_1_zero_false_click():
@@ -182,7 +162,7 @@ def test_acceptance_5_transparency_generality():
     for _ in range(1000):
         cfg = random_transparent(rng)
         sign = xh.transparency_sign(cfg)
-        bc = random_bc_ket(rng)
+        bc = random_ket(rng, (3, 3), max_total=3)
         ket = tensor([make_fock((0,), (1,)), bc])
         out = propagate_mzi(ket, cfg)
         occ = np.indices(ket.amps.shape)

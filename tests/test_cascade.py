@@ -304,12 +304,13 @@ def test_simulate_monte_carlo_matches_closed_form():
 
 
 def test_cascade_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         CascadeConfig("bogus", 5, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         CascadeConfig("reused_probe", 0, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        CascadeConfig("reused_probe", 5, 1.0, 1.0, 1.5)
+    for p in (1.5, -0.1, math.nan):
+        with pytest.raises(ConfigurationError):
+            CascadeConfig("reused_probe", 5, 1.0, 1.0, p)
     for alpha, phi_chi in (
         (math.nan, 1.0),
         (math.inf, 1.0),

@@ -24,18 +24,9 @@ from xpmherald.fock import (
     mode_number_distribution,
     tensor,
 )
+from xpmherald.verify import random_ket
 
 SQRT2 = math.sqrt(2.0)
-
-
-def random_two_mode_ket(rng, cutoff, max_total):
-    n, m = np.indices((cutoff + 1, cutoff + 1))
-    keep = n + m <= max_total
-    size = int(keep.sum())
-    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-    amps = np.zeros(keep.shape, dtype=complex)
-    amps[keep] = vec / np.linalg.norm(vec)
-    return MultiModeKet(amps, (cutoff, cutoff))
 
 
 def binomial_block(u, n, m):
@@ -93,7 +84,7 @@ def test_single_photon_splits_evenly():
 
 def test_theta_zero_is_identity():
     rng = np.random.default_rng(2)
-    ket = random_two_mode_ket(rng, 3, 3)
+    ket = random_ket(rng, (3, 3), max_total=3)
     out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(0.0, 1.3))
     assert max_dev(out.amps, ket.amps) <= 1e-15
 
@@ -114,7 +105,7 @@ def test_beam_splitter_matches_dense_exponential_oracle():
     for _ in range(12):
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        ket = random_two_mode_ket(rng, cutoff, cutoff)
+        ket = random_ket(rng, (cutoff, cutoff), max_total=cutoff)
         out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi))
         dense_out = dense_bs_unitary(theta, phi, cutoff) @ ket.amps.ravel()
         assert np.allclose(out.amps.ravel(), dense_out, atol=1e-10)
@@ -123,7 +114,7 @@ def test_beam_splitter_matches_dense_exponential_oracle():
 def test_beam_splitter_norm_preserved():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        ket = random_two_mode_ket(rng, 4, 4)
+        ket = random_ket(rng, (4, 4), max_total=4)
         out = apply_beam_splitter(
             ket,
             (0, 1),
@@ -138,7 +129,7 @@ def test_beam_splitter_inverse_roundtrip():
     for _ in range(20):
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        ket = random_two_mode_ket(rng, 4, 4)
+        ket = random_ket(rng, (4, 4), max_total=4)
         out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi))
         back = apply_beam_splitter(out, (0, 1), BeamSplitterParams(-theta, phi))
         assert max_dev(back.amps, ket.amps) <= 1e-12
@@ -148,7 +139,7 @@ def test_beam_splitter_reversed_mode_pair():
     # feeding the pair in reverse order is the same element with both
     # angles negated: swap-conjugating the substitution matrix
     rng = np.random.default_rng(57)
-    ket = random_two_mode_ket(rng, 3, 3)
+    ket = random_ket(rng, (3, 3), max_total=3)
     theta, phi = 0.8, 1.7
     swapped = apply_beam_splitter(ket, (1, 0), BeamSplitterParams(theta, phi))
     direct = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(-theta, -phi))
@@ -300,7 +291,7 @@ def test_xpm_product_of_occupations():
 
 def test_xpm_matches_phase_per_occupation():
     rng = np.random.default_rng(19)
-    ket = random_two_mode_ket(rng, 3, 6)
+    ket = random_ket(rng, (3, 3), max_total=6)
     phi_chi = 1.1
     out = apply_xpm(ket, (1, 0), XpmParams(phi_chi))
     n, m = np.indices(ket.amps.shape)
@@ -309,7 +300,7 @@ def test_xpm_matches_phase_per_occupation():
 
 def test_xpm_preserves_number_distributions():
     rng = np.random.default_rng(17)
-    ket = random_two_mode_ket(rng, 3, 6)
+    ket = random_ket(rng, (3, 3), max_total=6)
     out = apply_xpm(ket, (0, 1), XpmParams(1.7))
     for mode in (0, 1):
         assert np.allclose(

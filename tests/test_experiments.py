@@ -282,26 +282,46 @@ def test_cli_usage_error_exits_one():
     assert main(["no-such-command"]) == 1
 
 
-def test_cli_sample_requires_probe_choice(capsys):
-    assert main(["sample", "--seed", "1", "--p-b", "0.5", "--beta", "1.0"]) == 1
-    assert main(["sample", "--seed", "1"]) == 1
+def _config(tmp_path, **fields):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
 
 
-def test_cli_sample_runs(capsys):
-    code = main(
-        ["sample", "--seed", "4", "--shots", "2000", "--p-a", "0.4", "--beta", "1.0"]
+def test_cli_sample_requires_probe_choice(tmp_path, capsys):
+    # the purity-audit shot campaign takes exactly one probe
+    config = _config(
+        tmp_path, experiment="purity-audit", seed=1, params={"p_b": 0.5, "beta": 1.0}
     )
-    assert code == 0
+    assert main(["run", config]) == 1
+
+
+def test_cli_sample_runs(tmp_path, capsys):
+    config = _config(
+        tmp_path,
+        experiment="purity-audit",
+        seed=4,
+        params={"shots": 2000, "p_a": 0.4, "beta": 1.0},
+    )
+    assert main(["run", config]) == 0
     text = capsys.readouterr().out
     assert "click_no_photon" in text
 
 
-def test_cli_sample_without_seed_is_usage_error():
-    assert main(["sample", "--shots", "10", "--beta", "1.0"]) == 1
+def test_cli_sample_without_seed_is_usage_error(tmp_path, capsys):
+    config = _config(
+        tmp_path, experiment="purity-audit", params={"shots": 10, "beta": 1.0}
+    )
+    assert main(["run", config]) == 1
 
 
-def test_cli_loss_bound(capsys):
-    code = main(["loss-bound", "--phi-chi", str(math.pi), "--beta-sq", "1.0"])
+def test_cli_loss_bound(tmp_path, capsys):
+    config = _config(
+        tmp_path,
+        experiment="loss-bounds",
+        params={"phi_chi": [math.pi], "beta_sq": [1.0]},
+    )
+    code = main(["run", config])
     assert code == 0
     out = capsys.readouterr().out
     row = out.strip().splitlines()[-1]
@@ -342,18 +362,19 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["cascade", "--phi-chi", "nan"],
         ["cascade", "--alpha-sq", "inf", "--scheme", "shared-probe"],
         ["cascade", "--alpha-sq", "-1"],
-        ["loss-bound", "--beta-sq", "nan"],
-        ["loss-bound", "--beta-sq", "-1"],
-        ["loss-bound", "--fixed-p", "nan"],
-        ["run", "{config}", "--trunc-tol", "nan"],
+        ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [math.nan]}}],
+        ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [-1.0]}}],
+        ["run", {"experiment": "loss-bounds", "params": {"fixed_p": math.nan}}],
+        ["run", {"experiment": "fig4"}, "--trunc-tol", "nan"],
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsys):
-    # each bad value is a config error on one stderr line, before any output
-    config = tmp_path / "fig4.json"
-    config.write_text(json.dumps({"experiment": "fig4"}))
+    # each bad value is a config error on one stderr line, before any output;
+    # a table in argv stands for a config file holding it
     out = tmp_path / "out.csv"
-    argv = [a.replace("{config}", str(config)) for a in argv] + ["--out", str(out)]
+    argv = [
+        _config(tmp_path, **a) if isinstance(a, dict) else a for a in argv
+    ] + ["--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -361,16 +382,17 @@ def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsy
     assert not out.exists()
 
 
-def test_cli_truncation_failure_exits_three(capsys):
-    # a fixed cutoff that cannot reach the tolerance is a truncation
-    # failure, distinct from a config error
-    code = main(
-        [
-            "sample", "--seed", "1", "--shots", "10", "--beta", "3.0",
-            "--trunc-tol", "1e-300",
-        ]
+def test_cli_truncation_failure_exits_three(tmp_path, capsys):
+    # a tail tolerance no cutoff can certify is a truncation failure,
+    # distinct from a config error
+    config = _config(
+        tmp_path,
+        experiment="purity-audit",
+        seed=1,
+        trunc_tol=1e-300,
+        params={"shots": 10, "beta": 3.0},
     )
-    assert code == 3
+    assert main(["run", config]) == 3
 
 
 def test_cli_verify_fast_exit_zero(capsys):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from xpmherald.elements import (
+    BeamSplitterParams,
+    XpmParams,
+    apply_beam_splitter,
+    apply_xpm,
+)
 from xpmherald.errors import (
     ConditioningError,
+    ConfigurationError,
     CutoffViolationError,
     ModeMismatchError,
     TruncationError,
@@ -22,6 +29,7 @@ from xpmherald.fock import (
     same_state,
     tensor,
 )
+from xpmherald.verify import random_ket
 
 
 def poisson_tail(mean, n_max):
@@ -32,12 +40,6 @@ def poisson_tail(mean, n_max):
         term *= mean / k
         cum += term
     return 1.0 - cum
-
-
-def random_ket(rng, cutoffs):
-    shape = tuple(c + 1 for c in cutoffs)
-    vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return MultiModeKet(vec / np.linalg.norm(vec), tuple(cutoffs))
 
 
 def test_make_fock_basis_state():
@@ -113,6 +115,42 @@ def test_coherent_not_renormalized():
     ket = make_coherent(2.0, TruncationPolicy(tail_tolerance=1e-6))
     deficit = 1.0 - ket.squared_norm()
     assert 0.0 < deficit < 1e-6
+
+
+def test_truncation_policy_rejects_bad_values():
+    for tail in (math.nan, 0.0, 1.0, -1e-3, math.inf):
+        with pytest.raises(ConfigurationError):
+            TruncationPolicy(tail_tolerance=tail)
+    for cutoff in (-1, math.nan):
+        with pytest.raises(ConfigurationError):
+            TruncationPolicy(fixed_cutoff=cutoff)
+
+
+@pytest.mark.parametrize("mode", [2, -1, 5])
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda ket, mode: mode_number_distribution(ket, mode),
+        lambda ket, mode: event_mass(ket, mode, "zero"),
+        lambda ket, mode: condition(Ensemble.pure(ket), mode, "at_least_one"),
+        lambda ket, mode: apply_xpm(ket, (0, mode), XpmParams(1.0)),
+        lambda ket, mode: apply_beam_splitter(
+            ket, (0, mode), BeamSplitterParams(0.3, 0.2)
+        ),
+    ],
+    ids=[
+        "mode_number_distribution",
+        "event_mass",
+        "condition",
+        "apply_xpm",
+        "apply_beam_splitter",
+    ],
+)
+def test_mode_outside_ket_rejected(apply, mode):
+    # modes n_modes (2), -1 and 5 name no mode of a two-mode ket
+    ket = make_fock((1, 0), (1, 1))
+    with pytest.raises(ModeMismatchError, match="outside"):
+        apply(ket, mode)
 
 
 def test_coherent_fixed_cutoff_unreachable():

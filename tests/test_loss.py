@@ -294,6 +294,12 @@ def test_max_tolerable_loss_fixed_p_approaches_weak_source_limit():
     assert abs(weak - fixed_small) < 1e-3
 
 
+def test_loss_params_rejects_bad_absorption():
+    for p_absorb in (math.nan, -0.1, 1.5, math.inf):
+        with pytest.raises(ConfigurationError):
+            LossParams(p_absorb)
+
+
 def test_max_tolerable_loss_rejects_inert_xpm():
     with pytest.raises(ValueError):
         max_tolerable_loss(symmetric_cfg(0.0), 1.0)

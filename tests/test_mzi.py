@@ -5,7 +5,7 @@ import pytest
 
 from xpmherald.elements import BeamSplitterParams, XpmParams
 from xpmherald.errors import ConditioningError, ConfigurationError
-from xpmherald.fock import MultiModeKet, TruncationPolicy, make_fock, tensor
+from xpmherald.fock import TruncationPolicy, make_fock, tensor
 from xpmherald.mzi import (
     CoherentProbe,
     MziConfig,
@@ -13,17 +13,16 @@ from xpmherald.mzi import (
     NoisySource,
     detection_efficiency,
     is_transparent,
-    optimal_theta1,
     propagate_mzi,
     run_setup,
     sample_shots,
     single_photon_click_prob,
-    total_success,
     transparency_sign,
     transparent_via_angle_diff,
     transparent_via_angle_sum,
     vacuum_leak_amplitude,
 )
+from xpmherald.verify import random_ket, random_transparent
 
 PI = math.pi
 
@@ -34,27 +33,6 @@ def mzi_config(theta1, phi1, theta2, phi2, phi_chi=1.0):
         bs2=BeamSplitterParams(theta2, phi2),
         xpm=XpmParams(phi_chi),
     )
-
-
-def random_transparent(rng, phi_chi=None):
-    theta1 = float(rng.uniform(0.05, PI - 0.05))
-    phi1 = float(rng.uniform(0.0, 2.0 * PI))
-    pc = float(rng.uniform(0.0, 2.0 * PI)) if phi_chi is None else phi_chi
-    k = int(rng.integers(-1, 2))
-    l = int(rng.integers(-1, 3))
-    if rng.random() < 0.5:
-        return transparent_via_angle_sum(theta1, phi1, pc, k=k, l=l)
-    return transparent_via_angle_diff(theta1, phi1, pc, k=k, l=l)
-
-
-def random_bc_ket(rng, max_total=3):
-    n, m = np.indices((max_total + 1, max_total + 1))
-    keep = n + m <= max_total
-    size = int(keep.sum())
-    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-    amps = np.zeros(keep.shape, dtype=complex)
-    amps[keep] = vec / np.linalg.norm(vec)
-    return MultiModeKet(amps, (max_total, max_total))
 
 
 def test_vacuum_leak_vanishes_on_angle_sum_constraint():
@@ -100,7 +78,7 @@ def test_empty_interferometer_is_signed_identity():
     for _ in range(40):
         cfg = random_transparent(rng)
         sign = transparency_sign(cfg)
-        bc = random_bc_ket(rng)
+        bc = random_ket(rng, (3, 3), max_total=3)
         ket = tensor([make_fock((0,), (1,)), bc])
         out = propagate_mzi(ket, cfg)
         occ = np.indices(ket.amps.shape)
@@ -220,18 +198,6 @@ def test_detection_efficiency_coherent_example():
     assert detection_efficiency(cfg, CoherentProbe(2.0)) == pytest.approx(
         1.0 - math.exp(-4.0), abs=1e-12
     )
-
-
-def test_total_success_closed_form():
-    cfg = transparent_via_angle_sum(PI / 4.0, 0.0, PI)
-    assert total_success(cfg, NoisySource(0.5), CoherentProbe(2.0)) == pytest.approx(
-        0.5 * (1.0 - math.exp(-4.0))
-    )
-
-
-def test_optimal_theta1_independent_of_phase():
-    for phi_chi in (0.01, PI / 2.0, PI):
-        assert optimal_theta1(phi_chi) == pytest.approx(PI / 4.0)
 
 
 def test_optimal_theta1_sweep_oracle():
@@ -437,6 +403,12 @@ def test_sample_shots_edge_branches_pinned(transparent, p_a, probe, n_shots, see
     )
     keys = ("click_and_photon", "click_no_photon", "no_click_photon", "no_click_no_photon")
     assert result == dict(zip(keys, counts))
+
+
+def test_noisy_source_rejects_bad_efficiency():
+    for p in (math.nan, -0.1, 1.5, math.inf):
+        with pytest.raises(ConfigurationError):
+            NoisySource(p)
 
 
 def test_nan_phase_rejected_before_propagation():
