@@ -55,12 +55,9 @@ from .fock import (
 )
 from .loss import (
     LossParams,
-    LossyBranch,
     LossyHeraldReport,
-    attenuate_mean,
     lossy_click_probs,
     lossy_heralded_efficiency,
-    lossy_xpm,
     max_tolerable_loss,
 )
 from .mzi import (
@@ -75,7 +72,6 @@ from .mzi import (
     propagate_mzi,
     run_setup,
     sample_shots,
-    single_photon_click_prob,
     transparency_sign,
     transparent_via_angle_diff,
     transparent_via_angle_sum,
@@ -96,7 +92,6 @@ __all__ = [
     "EnumerationLimitError",
     "HeraldOutcome",
     "LossParams",
-    "LossyBranch",
     "LossyHeraldReport",
     "ModeMismatchError",
     "MultiModeKet",
@@ -108,7 +103,6 @@ __all__ = [
     "XpmParams",
     "apply_beam_splitter",
     "apply_xpm",
-    "attenuate_mean",
     "bs_coherent",
     "bs_unitary",
     "coherent_outputs",
@@ -118,7 +112,6 @@ __all__ = [
     "is_transparent",
     "lossy_click_probs",
     "lossy_heralded_efficiency",
-    "lossy_xpm",
     "make_coherent",
     "make_fock",
     "max_tolerable_loss",
@@ -132,7 +125,6 @@ __all__ = [
     "shared_probe_pn",
     "shared_probe_total",
     "simulate_cascade",
-    "single_photon_click_prob",
     "tensor",
     "transparency_sign",
     "transparent_via_angle_diff",

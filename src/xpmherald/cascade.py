@@ -88,7 +88,7 @@ def reused_probe_pn(n: int, alpha: complex, phi_chi: float) -> float:
     click and shrank the probe amplitude once.
     """
     if n < 1:
-        raise ValueError("setup index starts at 1")
+        raise ConfigurationError("setup index starts at 1")
     a2, s2, c2 = _xpm_factors(alpha, phi_chi)
     survive = 1.0
     for i in range(n - 1):
@@ -103,7 +103,7 @@ def reused_probe_total(
     weighted by the source efficiency.  Approaches p for a bright probe and
     many setups."""
     if n_setups < 1:
-        raise ValueError("a cascade needs at least one setup")
+        raise ConfigurationError("a cascade needs at least one setup")
     return p * sum(reused_probe_pn(n, alpha, phi_chi) for n in range(1, n_setups + 1))
 
 
@@ -135,7 +135,7 @@ def shared_probe_pn(n: int, alpha: complex, phi_chi: float, p: float) -> float:
     a photon and click.
     """
     if n < 1:
-        raise ValueError("setup index starts at 1")
+        raise ConfigurationError("setup index starts at 1")
     a2, s2, c2 = _xpm_factors(alpha, phi_chi)
     total = 0.0
     for k in range(n):
@@ -152,7 +152,7 @@ def shared_probe_total(
     """Probability that the shared-probe chain heralds at least one photon.
     Tends to one for a bright probe and many setups."""
     if n_setups < 1:
-        raise ValueError("a cascade needs at least one setup")
+        raise ConfigurationError("a cascade needs at least one setup")
     return sum(
         shared_probe_pn(n, alpha, phi_chi, p) for n in range(1, n_setups + 1)
     )
@@ -246,9 +246,9 @@ def simulate_cascade(
         per, total = exact(cfg)
     else:
         if seed is None:
-            raise ValueError("Monte Carlo cascade simulation requires a seed")
+            raise ConfigurationError("Monte Carlo cascade simulation requires a seed")
         if shots < 1:
-            raise ValueError("shots must be at least 1")
+            raise ConfigurationError("shots must be at least 1")
         per, total = _monte_carlo(cfg, shots, seed)
     residual = abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
     return CascadeResult(per, total, residual)

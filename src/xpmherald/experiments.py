@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,14 @@ class ExperimentConfig:
             )
         if not isinstance(self.params, dict):
             raise ConfigurationError("field 'params' must be a table of values")
-        if not (math.isfinite(self.trunc_tol) and self.trunc_tol > 0.0):
+        if self.seed is not None and (
+            isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
+        ):
+            raise ConfigurationError(f"field 'seed' must be an integer, got {self.seed!r}")
+        tol = self.trunc_tol
+        if not (_is_number(tol) and math.isfinite(tol) and tol > 0.0):
             raise ConfigurationError(
-                f"field 'trunc_tol' must be finite and positive, got {self.trunc_tol}"
+                f"field 'trunc_tol' must be finite and positive, got {tol!r}"
             )
 
     @classmethod
@@ -130,11 +136,34 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _is_number(value) -> bool:
+    """A real number; a JSON ``true`` or ``false`` is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _param(cfg: ExperimentConfig, name: str, default):
+    """Scalar parameter ``name``, or ``default`` when the config omits it."""
+    value = cfg.params.get(name, default)
+    if value is not None and not _is_number(value):
+        raise ConfigurationError(f"parameter {name!r} must be a number, got {value!r}")
+    return value
+
+
+def _param_list(cfg: ExperimentConfig, name: str, default) -> list[float]:
+    """List parameter ``name`` as floats, or ``default`` when omitted."""
+    values = cfg.params.get(name, default)
+    if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
+        raise ConfigurationError(
+            f"parameter {name!r} must be a list of numbers, got {values!r}"
+        )
+    return [float(v) for v in values]
+
+
 def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     """Detection-efficiency curves versus cross-phase shift for a handful of
     coherent probe amplitudes, at the optimal symmetric splitter."""
-    betas = [float(b) for b in cfg.params.get("beta", DEFAULT_FIG4_BETAS)]
-    num = int(cfg.params.get("phi_chi_points", 121))
+    betas = _param_list(cfg, "beta", DEFAULT_FIG4_BETAS)
+    num = int(_param(cfg, "phi_chi_points", 121))
     if num < 2 or not betas:
         raise ConfigurationError("fig4 needs a non-empty beta list and >= 2 grid points")
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
@@ -168,14 +197,14 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
 def _run_loss_bounds(cfg: ExperimentConfig) -> ResultTable:
     """Maximum tolerable absorption across phase shifts and probe powers,
     with reference bounds and deviations where reference values exist."""
-    phi_chis = [float(x) for x in cfg.params.get("phi_chi", (0.010, math.pi))]
-    beta_sqs = [float(x) for x in cfg.params.get("beta_sq", (1.0, 1e2, 1e4, 1e6))]
+    phi_chis = _param_list(cfg, "phi_chi", (0.010, math.pi))
+    beta_sqs = _param_list(cfg, "beta_sq", (1.0, 1e2, 1e4, 1e6))
     for beta_sq in beta_sqs:
         if not (math.isfinite(beta_sq) and beta_sq > 0.0):
             raise ConfigurationError(
                 f"parameter 'beta_sq' entries must be finite and positive, got {beta_sq}"
             )
-    fixed_p = cfg.params.get("fixed_p")
+    fixed_p = _param(cfg, "fixed_p", None)
     if fixed_p is not None:
         fixed_p = float(fixed_p)
     references = {
@@ -213,11 +242,11 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
     a transparent setup must never produce."""
     if cfg.seed is None:
         raise ConfigurationError("purity-audit samples shots and requires a seed")
-    shots = int(cfg.params.get("shots", 100_000))
-    p_a = float(cfg.params.get("p_a", 0.3))
-    phi_chi = float(cfg.params.get("phi_chi", math.pi))
-    beta = cfg.params.get("beta")
-    p_b = cfg.params.get("p_b")
+    shots = int(_param(cfg, "shots", 100_000))
+    p_a = float(_param(cfg, "p_a", 0.3))
+    phi_chi = float(_param(cfg, "phi_chi", math.pi))
+    beta = _param(cfg, "beta", None)
+    p_b = _param(cfg, "p_b", None)
     if beta is not None and p_b is not None:
         raise ConfigurationError("choose one probe: 'beta' or 'p_b'")
     if beta is not None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -74,8 +75,13 @@ class TruncationPolicy:
             raise ConfigurationError(
                 f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}"
             )
-        if self.fixed_cutoff is not None and not self.fixed_cutoff >= 0:
-            raise ConfigurationError("fixed_cutoff must be non-negative")
+        cutoff = self.fixed_cutoff
+        if cutoff is not None and (
+            isinstance(cutoff, bool) or not isinstance(cutoff, Integral) or cutoff < 0
+        ):
+            raise ConfigurationError(
+                f"fixed_cutoff must be a non-negative integer, got {cutoff!r}"
+            )
 
 
 def _mass(amps: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import CoherentAmplitudes, XpmParams, bs_coherent, bs_unitary
+from .elements import CoherentAmplitudes, bs_coherent, bs_unitary
 from .errors import ConditioningError, ConfigurationError
 from .mzi import MziConfig, is_transparent
 
@@ -46,16 +46,6 @@ class LossParams:
 
 
 @dataclass(frozen=True)
-class LossyBranch:
-    """One branch of the absorb-or-survive model: weight, photons left in
-    the signal mode, and the probe's coherent amplitude."""
-
-    weight: float
-    signal_photons: int
-    probe_amplitude: complex
-
-
-@dataclass(frozen=True)
 class LossyHeraldReport:
     """Click probabilities per branch kind and the resulting source quality.
 
@@ -69,39 +59,6 @@ class LossyHeraldReport:
     q0: float
     p_prime: float
     improvement: bool
-
-
-def attenuate_mean(n_in: float, loss: LossParams) -> float:
-    """Mean photon number after one pass through the absorbing medium."""
-    if n_in < 0.0:
-        raise ValueError("mean photon number must be non-negative")
-    return (1.0 - loss.p_absorb) * n_in
-
-
-def lossy_xpm(
-    signal_photon: bool,
-    beta_arm: complex,
-    loss: LossParams,
-    xpm: XpmParams,
-) -> list[LossyBranch]:
-    """Absorb-or-survive branches of the cross-phase gate under loss.
-
-    A present photon either survives (full phase on the probe) or is
-    absorbed (no phase); the probe attenuates in both branches, and also
-    when the signal mode is empty.  No partial-phase branches exist in this
-    model.
-    """
-    u = loss.survival_amplitude
-    attenuated = u * complex(beta_arm)
-    if not signal_photon:
-        return [LossyBranch(1.0, 0, attenuated)]
-    phase = complex(math.cos(xpm.phi_chi), math.sin(xpm.phi_chi))
-    branches = []
-    if 1.0 - loss.p_absorb > 0.0:
-        branches.append(LossyBranch(1.0 - loss.p_absorb, 1, phase * attenuated))
-    if loss.p_absorb > 0.0:
-        branches.append(LossyBranch(loss.p_absorb, 0, attenuated))
-    return branches
 
 
 def _lossy_clicks(
@@ -152,7 +109,7 @@ def lossy_heralded_efficiency(
     photon never emitted (both click with q0, nothing at the output).
     """
     if not 0.0 < p_a <= 1.0:
-        raise ValueError(f"source efficiency must lie in (0, 1], got {p_a}")
+        raise ConfigurationError(f"source efficiency must lie in (0, 1], got {p_a}")
     q1, q0 = lossy_click_probs(cfg, beta, loss)
     survive = 1.0 - loss.p_absorb
     numerator = p_a * survive * q1
@@ -207,11 +164,11 @@ def max_tolerable_loss(
     a diagnostic warning) when no positive absorption improves the source.
     """
     if not cfg.xpm.working:
-        raise ValueError("inert cross-phase medium: no click mechanism exists")
+        raise ConfigurationError("inert cross-phase medium: no click mechanism exists")
     if not cmath.isfinite(beta):
         raise ConfigurationError(f"probe amplitude must be finite, got {beta}")
     if abs(beta) <= 0.0:
-        raise ValueError("probe amplitude must be nonzero")
+        raise ConfigurationError("probe amplitude must be nonzero")
     if fixed_p is not None and not 0.0 <= fixed_p <= 1.0:
         raise ConfigurationError(
             f"fixed source efficiency must lie in [0, 1], got {fixed_p}"

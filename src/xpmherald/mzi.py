@@ -383,14 +383,6 @@ def _coherent_efficiency(theta1: float, phi_chi: float, beta: complex) -> float:
     return 1.0 - math.exp(-abs(beta) ** 2 * _single_photon_factor(theta1, phi_chi))
 
 
-def single_photon_click_prob(cfg: MziConfig) -> float:
-    """Closed-form click probability with one photon in each of signal and
-    probe: sin^2(phi_chi / 2) * sin^2(2 theta1).  Transparent setups only."""
-    if not is_transparent(cfg):
-        raise ConfigurationError("closed form assumes a transparent configuration")
-    return _single_photon_factor(cfg.bs1.theta, cfg.xpm.phi_chi)
-
-
 def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     """Closed-form probability that a photon present in the signal mode
     triggers the herald, for either probe choice."""
@@ -419,7 +411,7 @@ def sample_shots(
     given seed and shot count; splitting a run into batches changes them.
     """
     if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
+        raise ConfigurationError("n_shots must be at least 1")
     policy = policy or TruncationPolicy()
     if require_transparent and not is_transparent(cfg):
         raise ConfigurationError("configuration is not transparent")

@@ -4,8 +4,10 @@ The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
 for coherent probes), Monte Carlo frequencies within four binomial standard
 deviations.  The ``fast`` suite uses small grids and finishes in well under
-a minute; ``full`` densifies every grid and raises the Monte Carlo campaign
-to a million shots.
+a minute; ``full`` runs every check at the sizes of the acceptance criteria
+(``tests/test_acceptance.py`` asserts on its named checks) and raises the
+Monte Carlo campaign to a million shots.  Each group draws from its own
+generator, so a group run alone reproduces its part of the whole suite.
 """
 
 from __future__ import annotations
@@ -44,16 +46,13 @@ class CheckResult:
 
 
 def _record(results, module, name, passed, params="", observed="", expected=""):
-    results.append(
-        CheckResult(
-            module=module,
-            name=name,
-            params=params,
-            observed=observed,
-            expected=expected,
-            passed=bool(passed),
-        )
-    )
+    results.append(CheckResult(module, name, params, observed, expected, bool(passed)))
+
+
+def _record_worst(results, module, name, worst, tol, params, label="max dev"):
+    """Record a worst-case deviation against the tolerance it must not exceed."""
+    observed = f"{label} {worst:.2e}"
+    _record(results, module, name, worst <= tol, params, observed, f"<= {tol}")
 
 
 def random_ket(rng, cutoffs, max_total=None) -> fk.MultiModeKet:
@@ -83,30 +82,27 @@ def random_transparent(rng, phi_chi=None) -> mzi.MziConfig:
 
 def _random_nontransparent(rng) -> mzi.MziConfig:
     while True:
-        cfg = mzi.MziConfig(
-            bs1=el.BeamSplitterParams(
+        bs1, bs2 = (
+            el.BeamSplitterParams(
                 float(rng.uniform(0.1, math.pi - 0.1)),
                 float(rng.uniform(0.0, 2.0 * math.pi)),
-            ),
-            bs2=el.BeamSplitterParams(
-                float(rng.uniform(0.1, math.pi - 0.1)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-            ),
-            xpm=el.XpmParams(float(rng.uniform(0.2, 2.0 * math.pi - 0.2))),
+            )
+            for _ in range(2)
         )
-        if not mzi.is_transparent(cfg) and abs(mzi.vacuum_leak_amplitude(cfg)) > 1e-3:
+        xpm = el.XpmParams(float(rng.uniform(0.2, 2.0 * math.pi - 0.2)))
+        cfg = mzi.MziConfig(bs1, bs2, xpm)
+        if not mzi.is_transparent(cfg):
             return cfg
 
 
-def _signed_identity_deviation(cfg: mzi.MziConfig, ket: fk.MultiModeKet) -> float:
-    """Max amplitude deviation between the propagated ket and the input,
-    after accounting for the transparent interferometer's overall operator
-    sign (a (-1)^(photon number) phase in the odd constraint instances)."""
-    sign = mzi.transparency_sign(cfg)
-    out = mzi.propagate_mzi(ket, cfg)
-    occ = np.indices(ket.amps.shape)
-    expected = ket.amps * sign ** (occ[1] + occ[2])
-    return float(np.max(np.abs(out.amps - expected)))
+def _random_probe(rng) -> mzi.Probe:
+    """Noisy-photon or coherent probe with even odds, random efficiency or
+    random complex amplitude."""
+    if rng.random() < 0.5:
+        return mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.0, 1.0))))
+    ang = float(rng.uniform(0.0, 2.0 * math.pi))
+    mag = float(rng.uniform(0.05, 2.0))
+    return mzi.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +118,20 @@ def _check_fock(results, rng, dense: bool):
         k2 = random_ket(rng, (2,))
         prod = fk.tensor([k1, k2])
         worst = max(worst, abs(prod.norm() - k1.norm() * k2.norm()))
-    _record(
-        results, "fock", "tensor-norm-product", worst <= ALGEBRA_TOL,
-        f"{n} random kets", f"max dev {worst:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "fock", "tensor-norm-product", worst, ALGEBRA_TOL, f"{n} random kets"
     )
 
     worst = 0.0
     for _ in range(n):
-        branches = []
         weights = rng.dirichlet(np.ones(3))
-        for w in weights:
-            branches.append((float(w), random_ket(rng, (1, 2))))
-        ens = fk.Ensemble(branches)
+        ens = fk.Ensemble([(float(w), random_ket(rng, (1, 2))) for w in weights])
         p_zero, _ = fk.condition(ens, 1, "zero")
         p_click, _ = fk.condition(ens, 1, "at_least_one")
         worst = max(worst, abs(p_zero + p_click - 1.0))
-    _record(
-        results, "fock", "condition-complementarity", worst <= ALGEBRA_TOL,
-        f"{n} random ensembles", f"max dev {worst:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "fock", "condition-complementarity", worst, ALGEBRA_TOL,
+        f"{n} random ensembles",
     )
 
     worst = 0.0
@@ -152,9 +144,8 @@ def _check_fock(results, rng, dense: bool):
         for k in range(len(dist)):
             worst = max(worst, abs(dist[k] * ket.squared_norm() - term))
             term *= mean / (k + 1)
-    _record(
-        results, "fock", "coherent-poisson-law", worst <= tol,
-        "beta in {0.5, 1+0.5j, 2}", f"max dev {worst:.2e}", f"<= {tol}",
+    _record_worst(
+        results, "fock", "coherent-poisson-law", worst, tol, "beta in {0.5, 1+0.5j, 2}"
     )
 
 
@@ -168,9 +159,9 @@ def _check_elements(results, rng, dense: bool):
         once = el.apply_beam_splitter(ket, (0, 1), el.BeamSplitterParams(theta, phi))
         back = el.apply_beam_splitter(once, (0, 1), el.BeamSplitterParams(-theta, phi))
         worst = max(worst, float(np.max(np.abs(back.amps - ket.amps))))
-    _record(
-        results, "elements", "bs-inverse-roundtrip", worst <= ALGEBRA_TOL,
-        f"{n} random (theta, phi, ket)", f"max dev {worst:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "elements", "bs-inverse-roundtrip", worst, ALGEBRA_TOL,
+        f"{n} random (theta, phi, ket)",
     )
 
     worst = 0.0
@@ -180,9 +171,8 @@ def _check_elements(results, rng, dense: bool):
         ket = random_ket(rng, (4, 4), max_total=4)
         out = el.apply_beam_splitter(ket, (0, 1), el.BeamSplitterParams(theta, phi))
         worst = max(worst, abs(out.squared_norm() - ket.squared_norm()))
-    _record(
-        results, "elements", "bs-unitarity", worst <= ALGEBRA_TOL,
-        f"{n} random kets", f"max dev {worst:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "elements", "bs-unitarity", worst, ALGEBRA_TOL, f"{n} random kets"
     )
 
     hom_in = fk.make_fock((1, 1), (2, 2))
@@ -194,9 +184,9 @@ def _check_elements(results, rng, dense: bool):
         abs(hom_out.amplitude((2, 0)) + 1.0 / math.sqrt(2.0)),
         abs(hom_out.amplitude((1, 1))),
     )
-    _record(
-        results, "elements", "two-photon-bunching-point", dev <= ALGEBRA_TOL,
-        "|1,1> at the symmetric splitter", f"max dev {dev:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "elements", "two-photon-bunching-point", dev, ALGEBRA_TOL,
+        "|1,1> at the symmetric splitter",
     )
 
     worst = 0.0
@@ -207,9 +197,8 @@ def _check_elements(results, rng, dense: bool):
             d_in = fk.mode_number_distribution(ket, mode)
             d_out = fk.mode_number_distribution(out, mode)
             worst = max(worst, float(np.max(np.abs(d_in - d_out))))
-    _record(
-        results, "elements", "xpm-number-preserving", worst <= ALGEBRA_TOL,
-        f"{n} random kets", f"max dev {worst:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "elements", "xpm-number-preserving", worst, ALGEBRA_TOL, f"{n} random kets"
     )
 
     # Classical coherent path against exact truncated propagation.  The
@@ -221,14 +210,11 @@ def _check_elements(results, rng, dense: bool):
         beta = complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
         b_ket = fk.make_coherent(beta, fk.TruncationPolicy(tail_tolerance=tol))
         cut = b_ket.cutoffs[0]
-        ket = fk.tensor(
-            [fk.make_fock((1,), (1,)), b_ket, fk.make_fock((0,), (cut,))]
-        )
+        ket = fk.tensor([fk.make_fock((1,), (1,)), b_ket, fk.make_fock((0,), (cut,))])
         classical = el.CoherentAmplitudes((beta, 0.0 + 0.0j))
         for _ in range(3):
             bsp = el.BeamSplitterParams(
-                float(rng.uniform(0.0, math.pi)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
+                float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
             )
             xp = el.XpmParams(float(rng.uniform(0.0, 2.0 * math.pi)))
             ket = el.apply_beam_splitter(ket, (1, 2), bsp)
@@ -236,18 +222,13 @@ def _check_elements(results, rng, dense: bool):
             if rng.random() < 0.5:
                 ket = el.apply_xpm(ket, (0, 1), xp)
                 classical = el.xpm_coherent_branch(classical, 0, True, xp)
-        target = fk.tensor(
-            [
-                fk.make_fock((1,), (1,)),
-                fk.make_coherent(classical[0], fk.TruncationPolicy(tol, cut)),
-                fk.make_coherent(classical[1], fk.TruncationPolicy(tol, cut)),
-            ]
-        )
+        arms = [fk.make_coherent(a, fk.TruncationPolicy(tol, cut)) for a in classical.amps]
+        target = fk.tensor([fk.make_fock((1,), (1,)), *arms])
         fidelity = abs(fk.inner(target, ket))
         worst = max(worst, abs(fidelity - 1.0))
-    _record(
-        results, "elements", "classical-vs-exact-path", worst <= 100 * tol,
-        "random BS/XPM sequences", f"max fidelity gap {worst:.2e}", f"<= {100 * tol}",
+    _record_worst(
+        results, "elements", "classical-vs-exact-path", worst, 100 * tol,
+        "random BS/XPM sequences", "max fidelity gap",
     )
 
 
@@ -271,33 +252,50 @@ def _check_mzi(results, rng, dense: bool):
         f"max p(click) {worst:.2e}", "< 1e-12",
     )
 
-    grid = 50 if dense else 15
-    thetas = np.linspace(0.03, math.pi - 0.03, grid)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid)
+    if dense:  # the optimal splitter theta1 = pi/4 is a grid point
+        thetas = np.sort(np.append(np.linspace(0.01, math.pi - 0.01, 49), math.pi / 4.0))
+    else:
+        thetas = np.linspace(0.03, math.pi - 0.03, 15)
+    phis = np.linspace(0.0, 2.0 * math.pi, len(thetas))
+    values = np.zeros((len(thetas), len(phis)))
     worst = 0.0
-    for theta1 in thetas:
-        for phi_chi in phis:
+    full_photon = mzi.NoisyPhotonProbe(mzi.NoisySource(1.0))
+    for i, theta1 in enumerate(thetas):
+        for j, phi_chi in enumerate(phis):
             cfg = mzi.transparent_via_angle_sum(float(theta1), 0.0, float(phi_chi))
-            outcome = mzi.run_setup(
-                cfg, mzi.NoisySource(1.0), mzi.NoisyPhotonProbe(mzi.NoisySource(1.0))
-            )
+            values[i, j] = mzi.run_setup(cfg, mzi.NoisySource(1.0), full_photon).p_click
             worst = max(
-                worst, abs(outcome.p_click - mzi.single_photon_click_prob(cfg))
+                worst, abs(values[i, j] - mzi.detection_efficiency(cfg, full_photon))
             )
-    _record(
-        results, "mzi", "closed-form-vs-exact-noisy", worst <= CLOSED_FORM_TOL,
-        f"{grid}x{grid} (theta1, phi_chi) grid", f"max dev {worst:.2e}",
-        f"<= {CLOSED_FORM_TOL}",
+    _record_worst(
+        results, "mzi", "closed-form-vs-exact-noisy", worst, CLOSED_FORM_TOL,
+        f"{len(thetas)}x{len(phis)} (theta1, phi_chi) grid",
     )
+    if dense:
+        quarter = int(np.argmin(np.abs(thetas - math.pi / 4.0)))
+        columns = [j for j, phi in enumerate(phis) if math.sin(phi / 2.0) ** 2 > 1e-2]
+        off = [j for j in columns if int(np.argmax(values[:, j])) != quarter]
+        _record(
+            results, "mzi", "noisy-exact-peak-at-quarter-pi", not off,
+            f"{len(columns)} phi_chi columns with sin^2(phi_chi/2) > 1e-2",
+            f"{len(off)} columns peaking elsewhere", "argmax theta1 = pi/4 in each",
+        )
 
     betas = (0.5, 1.0, 2.0) if dense else (1.0,)
-    pts = 12 if dense else 8
-    tol = 1e-10
+    thetas = np.linspace(0.1, math.pi / 2.0, 12 if dense else 8)
+    phis = np.linspace(0.0, 2.0 * math.pi, len(thetas))
+    if dense:  # the curve at the optimal splitter must reach phi_chi = pi
+        thetas = np.sort(np.append(thetas, math.pi / 4.0))
+        phis = np.sort(np.append(phis, math.pi))
+    quarter = int(np.argmin(np.abs(thetas - math.pi / 4.0)))
+    half = int(np.argmin(np.abs(phis - math.pi)))
+    policy = fk.TruncationPolicy(tail_tolerance=1e-10)
     worst = 0.0
+    curves = []
     for beta in betas:
-        policy = fk.TruncationPolicy(tail_tolerance=tol)
-        for theta1 in np.linspace(0.1, math.pi / 2.0, pts):
-            for phi_chi in np.linspace(0.0, 2.0 * math.pi, pts):
+        curves.append([])
+        for i, theta1 in enumerate(thetas):
+            for phi_chi in phis:
                 cfg = mzi.transparent_via_angle_sum(float(theta1), 0.0, float(phi_chi))
                 outcome = mzi.run_setup(
                     cfg, mzi.NoisySource(1.0), mzi.CoherentProbe(beta), policy
@@ -305,23 +303,56 @@ def _check_mzi(results, rng, dense: bool):
                 closed = mzi.detection_efficiency(cfg, mzi.CoherentProbe(beta))
                 allowed = 1e-8 + outcome.truncation_deficit
                 worst = max(worst, abs(outcome.p_click - closed) - allowed)
+                if i == quarter:
+                    curves[-1].append(outcome.p_click)
     _record(
         results, "mzi", "closed-form-vs-exact-coherent", worst <= 0.0,
-        f"beta in {betas}, {pts}x{pts} grid",
+        f"beta in {betas}, {len(thetas)}x{len(phis)} grid",
         f"max dev beyond allowance {worst:.2e}", "<= 0",
     )
+    if dense:  # an inert medium never clicks, pi is optimal, brightness helps
+        p_inert = max(curve[0] for curve in curves)
+        peaks = [float(phis[int(np.argmax(curve))]) for curve in curves]
+        p_e = [curve[half] for curve in curves]
+        _record(
+            results, "mzi", "coherent-curve-at-optimal-splitter",
+            p_inert < 1e-12 and set(peaks) == {math.pi} and p_e[0] < p_e[1] < p_e[2] > 0.98,
+            f"theta1 = pi/4, beta in {betas}",
+            f"max P(phi_chi=0) {p_inert:.2e}, argmax phi_chi "
+            + " ".join(f"{p:.4f}" for p in peaks) + ", P_E(pi) "
+            + " ".join(f"{p:.4f}" for p in p_e),
+            "< 1e-12, pi, increasing to > 0.98",
+        )
 
     n_cfg = 1000 if dense else 60
     worst = 0.0
+    worst_strict = 0.0
+    n_strict = 0
     for _ in range(n_cfg):
         cfg = random_transparent(rng)
         ket = fk.tensor([fk.make_fock((0,), (1,)), random_ket(rng, (3, 3), max_total=3)])
-        worst = max(worst, _signed_identity_deviation(cfg, ket))
-    _record(
-        results, "mzi", "transparency-generality", worst <= ALGEBRA_TOL,
-        f"{n_cfg} transparent configs, random entangled (B,C) inputs",
-        f"max amplitude dev {worst:.2e}", f"<= {ALGEBRA_TOL}",
+        # the odd constraint instances negate both field operators, a
+        # (-1)^(photons in B and C) phase on each basis state
+        sign = mzi.transparency_sign(cfg)
+        occ = np.indices(ket.amps.shape)
+        expected = ket.amps * sign ** (occ[1] + occ[2])
+        dev = float(np.max(np.abs(mzi.propagate_mzi(ket, cfg).amps - expected)))
+        worst = max(worst, dev)
+        if sign == 1:
+            worst_strict = max(worst_strict, dev)
+            n_strict += 1
+    _record_worst(
+        results, "mzi", "transparency-generality", worst, ALGEBRA_TOL,
+        f"{n_cfg} transparent configs, random entangled (B,C) inputs", "max amplitude dev",
     )
+    if dense:
+        _record(
+            results, "mzi", "transparency-strict-identity",
+            worst_strict <= ALGEBRA_TOL and n_strict > 200,
+            f"{n_cfg} transparent configs",
+            f"{n_strict} sign +1 configs, max dev {worst_strict:.2e}",
+            f"> 200 configs, <= {ALGEBRA_TOL}",
+        )
 
     n_cfg = 1000 if dense else 60
     found_all = True
@@ -340,12 +371,18 @@ def _check_mzi(results, rng, dense: bool):
         "single probe photon deviates",
     )
 
+    n_cfg = 60 if dense else 20
     worst_purity = 0.0
     worst_pt = 0.0
-    for _ in range(20):
-        cfg = random_transparent(rng, phi_chi=float(rng.uniform(0.5, 5.5)))
-        p_a = float(rng.uniform(0.1, 1.0))
-        probe = mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.3, 1.0))))
+    for _ in range(n_cfg):
+        # full draws wider phase and source ranges and both probe kinds
+        lo, hi, pa_lo = (0.4, 5.9, 0.05) if dense else (0.5, 5.5, 0.1)
+        cfg = random_transparent(rng, phi_chi=float(rng.uniform(lo, hi)))
+        p_a = float(rng.uniform(pa_lo, 1.0))
+        if dense:
+            probe = _random_probe(rng)
+        else:
+            probe = mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.3, 1.0))))
         outcome = mzi.run_setup(cfg, mzi.NoisySource(p_a), probe)
         if outcome.p_click > 1e-9:
             worst_purity = max(worst_purity, abs(outcome.purity_given_click - 1.0))
@@ -353,14 +390,13 @@ def _check_mzi(results, rng, dense: bool):
             worst_pt,
             abs(outcome.total_success - outcome.detection_efficiency * p_a),
         )
-    _record(
-        results, "mzi", "click-implies-pure-photon", worst_purity <= ALGEBRA_TOL,
-        "20 random transparent configs", f"max 1-purity {worst_purity:.2e}",
-        f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "mzi", "click-implies-pure-photon", worst_purity, ALGEBRA_TOL,
+        f"{n_cfg} random transparent configs", "max 1-purity",
     )
-    _record(
-        results, "mzi", "total-success-factorizes", worst_pt <= ALGEBRA_TOL,
-        "20 random transparent configs", f"max dev {worst_pt:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "mzi", "total-success-factorizes", worst_pt, ALGEBRA_TOL,
+        f"{n_cfg} random transparent configs",
     )
 
     sweep = np.linspace(0.02, math.pi - 0.02, 81)
@@ -387,6 +423,7 @@ def _check_mzi(results, rng, dense: bool):
     ok = True
     worst_z = 0.0
     zero_bad = 0
+    totals_ok = True
     for i in range(cases):
         cfg = random_transparent(rng, phi_chi=float(rng.uniform(1.0, 5.0)))
         p_a = float(rng.uniform(0.2, 0.9))
@@ -398,6 +435,7 @@ def _check_mzi(results, rng, dense: bool):
             cfg, mzi.NoisySource(p_a), probe, shots, seed=1000 + i
         )
         zero_bad += counts["click_no_photon"]
+        totals_ok = totals_ok and sum(counts.values()) == shots
         expected = mzi.detection_efficiency(cfg, probe) * p_a
         freq = counts["click_and_photon"] / shots
         sigma = math.sqrt(expected * (1.0 - expected) / shots)
@@ -410,8 +448,10 @@ def _check_mzi(results, rng, dense: bool):
         f"<= {MC_SIGMAS} sigma",
     )
     _record(
-        results, "mzi", "mc-click-without-photon", zero_bad == 0,
-        f"{cases} configs x {shots} shots", f"{zero_bad} events", "exactly 0",
+        results, "mzi", "mc-click-without-photon", zero_bad == 0 and totals_ok,
+        f"{cases} configs x {shots} shots",
+        f"{zero_bad} events" + ("" if totals_ok else ", counts not summing to shots"),
+        "exactly 0",
     )
 
 
@@ -428,42 +468,33 @@ def _check_loss(results, rng, dense: bool):
             abs(q1 - mzi.detection_efficiency(cfg, mzi.CoherentProbe(beta))),
             q0,
         )
-    _record(
-        results, "loss", "lossless-limit-matches-ideal", worst <= ALGEBRA_TOL,
-        "10 random configs", f"max dev {worst:.2e}", f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "loss", "lossless-limit-matches-ideal", worst, ALGEBRA_TOL,
+        "10 random configs",
     )
 
     cfg = mzi.transparent_via_angle_sum(math.pi / 4.0, 0.0, 2.0)
-    ok = True
-    for pa in np.linspace(0.01, 0.99, 25):
-        _, q0 = ls.lossy_click_probs(cfg, 1.5, ls.LossParams(float(pa)))
-        ok = ok and q0 > 0.0
-    _, q0_zero = ls.lossy_click_probs(cfg, 1.5, ls.LossParams(0.0))
-    ok = ok and q0_zero == 0.0
+    q0 = [
+        ls.lossy_click_probs(cfg, 1.5, ls.LossParams(float(pa)))[1]
+        for pa in np.append(0.0, np.linspace(0.01, 0.99, 25))
+    ]
+    ok = q0[0] == 0.0 and min(q0[1:]) > 0.0
     _record(
         results, "loss", "faulty-clicks-iff-absorption", ok,
         "absorption grid at beta=1.5", "q0 > 0 iff p_absorb > 0", "same",
     )
 
-    worst = 0.0
-    monotone = True
+    agree = monotone = True
     for beta in (1.0, 4.0):
-        prev = None
+        prev = math.inf
         for pa in np.linspace(0.0, 0.95, 30):
-            report = ls.lossy_heralded_efficiency(
-                0.4, cfg, beta, ls.LossParams(float(pa))
-            )
-            lhs = report.improvement
-            rhs = (1.0 - pa) * report.q1 * (1.0 - 0.4) > (
-                0.4 * pa + 0.6
-            ) * report.q0
-            if lhs != rhs:
-                worst = max(worst, 1.0)
-            if prev is not None and report.p_prime > prev + 1e-12:
-                monotone = False
+            report = ls.lossy_heralded_efficiency(0.4, cfg, beta, ls.LossParams(float(pa)))
+            gain = (1.0 - pa) * report.q1 * (1.0 - 0.4) > (0.4 * pa + 0.6) * report.q0
+            agree = agree and report.improvement == gain
+            monotone = monotone and report.p_prime <= prev + 1e-12
             prev = report.p_prime
     _record(
-        results, "loss", "improvement-identity", worst == 0.0,
+        results, "loss", "improvement-identity", agree,
         "grid over (beta, p_absorb) at p=0.4",
         "inequality forms agree", "same",
     )
@@ -472,67 +503,63 @@ def _check_loss(results, rng, dense: bool):
         "grid over (beta, p_absorb)", "non-increasing", "non-increasing",
     )
 
-    targets = [(math.pi, 1.0, 0.80), (math.pi, 1e2, 0.35), (math.pi, 1e4, 0.06)]
-    worst = 0.0
-    for phi_chi, beta_sq, ref in targets:
+    def bound(phi_chi, beta_sq):
         c = mzi.transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
-        bound = ls.max_tolerable_loss(c, math.sqrt(beta_sq))
-        worst = max(worst, abs(bound - ref))
+        return ls.max_tolerable_loss(c, math.sqrt(beta_sq))
+
+    targets = [(math.pi, 1.0, 0.80), (math.pi, 1e2, 0.35), (math.pi, 1e4, 0.06)]
+    worst = max(abs(bound(phi_chi, beta_sq) - ref) for phi_chi, beta_sq, ref in targets)
     _record(
         results, "loss", "tolerable-loss-reference-values", worst <= 0.05,
         "strong-phase rows", f"max |dev| {worst:.3f}", "<= 0.05",
     )
 
     if dense:
-        rows = []
-        for phi_chi, beta_sq, ref in ls.REFERENCE_LOSS_BOUNDS[3:]:
-            c = mzi.transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
-            bound = ls.max_tolerable_loss(c, math.sqrt(beta_sq))
-            rows.append(f"beta_sq={beta_sq:g}: computed {bound:.4f} vs ref {ref}")
+        # the references' criterion is unstated: deviations are reported,
+        # only a proper bound strictly inside (0, 1) is enforced
+        weak = [(b, bound(p, b), ref) for p, b, ref in ls.REFERENCE_LOSS_BOUNDS[3:]]
+        rows = [f"beta_sq={b:g}: computed {pa:.4f} vs ref {ref}" for b, pa, ref in weak]
         _record(
-            results, "loss", "weak-phase-bounds-reported", True,
-            "informational, criterion unstated for references",
-            "; ".join(rows), "reported, not enforced",
+            results, "loss", "weak-phase-bounds-reported",
+            all(0.0 < pa < 1.0 for _, pa, _ in weak),
+            "weak-phase rows, reference deviation not enforced",
+            "; ".join(rows), "0 < bound < 1",
         )
 
 
 def _check_cascade(results, rng, dense: bool):
     worst = 0.0
-    grid = [(2.0, 1.2), (5.0, math.pi / 2.0), (25.0, 2.6)]
     if dense:
-        grid += [(0.5, 0.4), (9.0, 3.0)]
+        grid = [(a, phi) for a in (0.5, 4.0, 25.0) for phi in (0.7, math.pi / 2.0, 2.8)]
+    else:
+        grid = [(2.0, 1.2), (5.0, math.pi / 2.0), (25.0, 2.6)]
     for alpha_sq, phi_chi in grid:
         cfg = casc.CascadeConfig("reused_probe", 100, math.sqrt(alpha_sq), phi_chi, 0.7)
         sim = casc.simulate_cascade(cfg)
-        closed = np.array(
-            [casc.reused_probe_pn(n, cfg.alpha, phi_chi) for n in range(1, 101)]
-        )
+        closed = [casc.reused_probe_pn(n, cfg.alpha, phi_chi) for n in range(1, 101)]
         worst = max(worst, float(np.max(np.abs(sim.per_setup - closed))))
-    _record(
-        results, "cascade", "reused-closed-form-vs-recursion", worst <= ALGEBRA_TOL,
-        f"N=100, {len(grid)} parameter points", f"max dev {worst:.2e}",
-        f"<= {ALGEBRA_TOL}",
+    _record_worst(
+        results, "cascade", "reused-closed-form-vs-recursion", worst, ALGEBRA_TOL,
+        f"N=100, {len(grid)} parameter points",
     )
 
     worst = 0.0
     n_max = 12 if dense else 8
-    for p in (0.3, 0.8):
-        for alpha_sq in (1.0, 4.0):
-            for phi_chi in (0.8, math.pi / 2.0):
-                cfg = casc.CascadeConfig(
-                    "shared_probe", n_max, math.sqrt(alpha_sq), phi_chi, p
-                )
-                sim = casc.simulate_cascade(cfg)
-                closed = np.array(
-                    [
-                        casc.shared_probe_pn(n, cfg.alpha, phi_chi, p)
-                        for n in range(1, n_max + 1)
-                    ]
-                )
-                worst = max(worst, float(np.max(np.abs(sim.per_setup - closed))))
-    _record(
-        results, "cascade", "shared-closed-form-vs-enumeration", worst <= 1e-10,
-        f"N={n_max}, 8 parameter points", f"max dev {worst:.2e}", "<= 1e-10",
+    if dense:
+        axes = ((0.25, 0.5, 0.9), (1.0, 4.0, 9.0), (0.7, math.pi / 2.0, 2.4))
+    else:
+        axes = ((0.3, 0.8), (1.0, 4.0), (0.8, math.pi / 2.0))
+    points = [(p, a, phi) for p in axes[0] for a in axes[1] for phi in axes[2]]
+    for p, alpha_sq, phi_chi in points:
+        cfg = casc.CascadeConfig("shared_probe", n_max, math.sqrt(alpha_sq), phi_chi, p)
+        sim = casc.simulate_cascade(cfg)
+        closed = [
+            casc.shared_probe_pn(n, cfg.alpha, phi_chi, p) for n in range(1, n_max + 1)
+        ]
+        worst = max(worst, float(np.max(np.abs(sim.per_setup - closed))))
+    _record_worst(
+        results, "cascade", "shared-closed-form-vs-enumeration", worst, CLOSED_FORM_TOL,
+        f"N={n_max}, {len(points)} parameter points",
     )
 
     total = casc.reused_probe_total(100, 5.0, math.pi / 2.0, 0.6)
@@ -546,17 +573,11 @@ def _check_cascade(results, rng, dense: bool):
         "N=100, |alpha|^2=25, phi_chi=pi/2, p=0.3", f"{total2:.6f}", ">= 0.999",
     )
 
-    monotone = True
-    prev = 0.0
-    for n in (1, 2, 5, 10, 30):
-        val = casc.reused_probe_total(n, 1.5, 1.0, 0.5)
-        monotone = monotone and val >= prev - 1e-15
-        prev = val
-    prev = 0.0
-    for a in (0.5, 1.0, 2.0, 4.0):
-        val = casc.shared_probe_total(8, a, 1.0, 0.5)
-        monotone = monotone and val >= prev - 1e-15
-        prev = val
+    sweeps = (
+        [casc.reused_probe_total(n, 1.5, 1.0, 0.5) for n in (1, 2, 5, 10, 30)],
+        [casc.shared_probe_total(8, a, 1.0, 0.5) for a in (0.5, 1.0, 2.0, 4.0)],
+    )
+    monotone = all(b >= a - 1e-15 for v in sweeps for a, b in zip([0.0] + v, v))
     _record(
         results, "cascade", "totals-monotone", monotone,
         "N and alpha sweeps", "non-decreasing", "non-decreasing",
@@ -581,7 +602,6 @@ def run_suite(suite: str = "fast", modules: list[str] | None = None) -> list[Che
     if suite not in ("fast", "full"):
         raise ValueError(f"unknown suite {suite!r}")
     dense = suite == "full"
-    rng = np.random.default_rng(20250515)
     results: list[CheckResult] = []
     groups = {
         "fock": _check_fock,
@@ -590,8 +610,10 @@ def run_suite(suite: str = "fast", modules: list[str] | None = None) -> list[Che
         "loss": _check_loss,
         "cascade": _check_cascade,
     }
-    for name, group in groups.items():
+    for index, (name, group) in enumerate(groups.items()):
         if modules is None or name in modules:
+            # one generator per group, so a group run alone replays its draws
+            rng = np.random.default_rng((20250515, index))
             try:
                 group(results, rng, dense)
             except Exception as exc:  # a crashed check is a failed check

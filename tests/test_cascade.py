@@ -278,8 +278,10 @@ def test_simulate_monte_carlo_deterministic():
 
 def test_simulate_monte_carlo_requires_seed():
     cfg = CascadeConfig("shared_probe", 5, 1.0, 1.2, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         simulate_cascade(cfg, shots=100)
+    with pytest.raises(ConfigurationError):
+        simulate_cascade(cfg, shots=0, seed=1)
 
 
 def test_simulate_monte_carlo_matches_closed_form():
@@ -321,6 +323,18 @@ def test_cascade_config_validation():
         for scheme in ("reused_probe", "shared_probe"):
             with pytest.raises(ConfigurationError):
                 CascadeConfig(scheme, 5, alpha, phi_chi, 0.5)
+
+
+def test_closed_forms_reject_empty_chains():
+    for n in (0, -1):
+        for call in (
+            lambda: reused_probe_pn(n, 1.0, 1.0),
+            lambda: shared_probe_pn(n, 1.0, 1.0, 0.5),
+            lambda: reused_probe_total(n, 1.0, 1.0, 0.5),
+            lambda: shared_probe_total(n, 1.0, 1.0, 0.5),
+        ):
+            with pytest.raises(ConfigurationError):
+                call()
 
 
 def test_cascade_config_rejects_non_integer_setups():

@@ -366,6 +366,12 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [-1.0]}}],
         ["run", {"experiment": "loss-bounds", "params": {"fixed_p": math.nan}}],
         ["run", {"experiment": "fig4"}, "--trunc-tol", "nan"],
+        ["run", {"experiment": "purity-audit", "seed": 1.5}],
+        ["run", {"experiment": "purity-audit", "seed": "7"}],
+        ["run", {"experiment": "purity-audit", "seed": True}],
+        ["run", {"experiment": "fig4", "params": {"beta": 2.0}}],
+        ["run", {"experiment": "loss-bounds", "params": {"phi_chi": 3.0}}],
+        ["run", {"experiment": "purity-audit", "seed": 1, "params": {"beta": [1.0]}}],
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsys):
@@ -400,6 +406,14 @@ def test_cli_verify_fast_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_group_alone_reproduces_its_part_of_the_suite():
+    # each group seeds its own generator, so a failure seen in a whole run
+    # replays when its group runs alone
+    groups = ("fock", "elements", "mzi", "loss", "cascade")
+    alone = [r.line() for g in groups for r in run_suite("fast", modules=[g])]
+    assert alone == [r.line() for r in run_suite("fast")]
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_truncation_policy_rejects_bad_values():
     for tail in (math.nan, 0.0, 1.0, -1e-3, math.inf):
         with pytest.raises(ConfigurationError):
             TruncationPolicy(tail_tolerance=tail)
-    for cutoff in (-1, math.nan):
+    for cutoff in (-1, math.nan, 2.5, True):
         with pytest.raises(ConfigurationError):
             TruncationPolicy(fixed_cutoff=cutoff)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import xpmherald.loss as loss_module
-from xpmherald.elements import XpmParams, apply_beam_splitter
+from xpmherald.elements import apply_beam_splitter
 from xpmherald.errors import ConditioningError, ConfigurationError
 from xpmherald.fock import (
     Ensemble,
@@ -16,10 +16,8 @@ from xpmherald.fock import (
 )
 from xpmherald.loss import (
     LossParams,
-    attenuate_mean,
     lossy_click_probs,
     lossy_heralded_efficiency,
-    lossy_xpm,
     max_tolerable_loss,
 )
 from xpmherald.mzi import (
@@ -39,45 +37,6 @@ def test_loss_params_survival_identity():
     for pa in (0.0, 0.3, 1.0):
         loss = LossParams(pa)
         assert loss.survival_amplitude**2 + pa == pytest.approx(1.0, abs=1e-12)
-
-
-def test_attenuate_mean_examples():
-    assert attenuate_mean(4.0, LossParams(0.25)) == pytest.approx(3.0)
-    assert attenuate_mean(1.7, LossParams(0.0)) == 1.7
-    assert attenuate_mean(1.7, LossParams(1.0)) == 0.0
-
-
-def test_lossy_xpm_lossless_limit():
-    branches = lossy_xpm(True, 1.0 + 0.0j, LossParams(0.0), XpmParams(PI))
-    assert len(branches) == 1
-    assert branches[0].weight == 1.0
-    assert branches[0].signal_photons == 1
-    assert branches[0].probe_amplitude == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_lossy_xpm_vacuum_signal_still_attenuates():
-    branches = lossy_xpm(False, 2.0 + 0.0j, LossParams(0.36), XpmParams(1.0))
-    assert len(branches) == 1
-    assert branches[0].signal_photons == 0
-    assert branches[0].probe_amplitude == pytest.approx(2.0 * 0.8)
-
-
-def test_lossy_xpm_full_absorption():
-    branches = lossy_xpm(True, 2.0 + 0.0j, LossParams(1.0), XpmParams(1.0))
-    assert len(branches) == 1
-    assert branches[0].weight == 1.0
-    assert branches[0].signal_photons == 0
-    assert branches[0].probe_amplitude == 0.0
-
-
-def test_lossy_xpm_branch_weights():
-    branches = lossy_xpm(True, 1.0 + 0.0j, LossParams(0.3), XpmParams(1.0))
-    assert [b.signal_photons for b in branches] == [1, 0]
-    assert branches[0].weight == pytest.approx(0.7)
-    assert branches[1].weight == pytest.approx(0.3)
-    u = math.sqrt(0.7)
-    assert abs(branches[0].probe_amplitude) == pytest.approx(u)
-    assert branches[1].probe_amplitude == pytest.approx(u)
 
 
 def test_lossy_click_probs_lossless_recovers_ideal():
@@ -300,10 +259,16 @@ def test_loss_params_rejects_bad_absorption():
             LossParams(p_absorb)
 
 
+def test_lossy_heralded_efficiency_rejects_bad_source():
+    for p_a in (0.0, -0.2, 1.5, math.nan):
+        with pytest.raises(ConfigurationError):
+            lossy_heralded_efficiency(p_a, symmetric_cfg(PI), 1.0, LossParams(0.1))
+
+
 def test_max_tolerable_loss_rejects_inert_xpm():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         max_tolerable_loss(symmetric_cfg(0.0), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         max_tolerable_loss(symmetric_cfg(PI), 0.0)
 
 

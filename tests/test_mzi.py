@@ -16,7 +16,6 @@ from xpmherald.mzi import (
     propagate_mzi,
     run_setup,
     sample_shots,
-    single_photon_click_prob,
     transparency_sign,
     transparent_via_angle_diff,
     transparent_via_angle_sum,
@@ -169,20 +168,20 @@ def test_run_setup_degenerate_splitter_angle():
 
 
 def test_single_photon_click_prob_examples():
-    assert single_photon_click_prob(
-        transparent_via_angle_sum(PI / 4.0, 0.0, PI)
-    ) == pytest.approx(1.0)
-    assert single_photon_click_prob(
-        transparent_via_angle_sum(0.9, 0.0, 0.0)
-    ) == 0.0
-    assert single_photon_click_prob(
-        transparent_via_angle_sum(PI / 8.0, 0.0, PI / 2.0)
-    ) == pytest.approx(0.25, abs=1e-15)
+    # one photon in each of signal and probe: sin^2(phi_chi/2) sin^2(2 theta1)
+    one = NoisyPhotonProbe(NoisySource(1.0))
+    cfg = transparent_via_angle_sum(PI / 4.0, 0.0, PI)
+    assert detection_efficiency(cfg, one) == pytest.approx(1.0)
+    assert detection_efficiency(transparent_via_angle_sum(0.9, 0.0, 0.0), one) == 0.0
+    cfg = transparent_via_angle_sum(PI / 8.0, 0.0, PI / 2.0)
+    assert detection_efficiency(cfg, one) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_single_photon_click_prob_requires_transparency():
     with pytest.raises(ConfigurationError):
-        single_photon_click_prob(mzi_config(PI / 4.0, 0.0, PI / 4.0, 0.0))
+        detection_efficiency(
+            mzi_config(PI / 4.0, 0.0, PI / 4.0, 0.0), NoisyPhotonProbe(NoisySource(1.0))
+        )
 
 
 def test_detection_efficiency_noisy_examples():
@@ -409,6 +408,13 @@ def test_noisy_source_rejects_bad_efficiency():
     for p in (math.nan, -0.1, 1.5, math.inf):
         with pytest.raises(ConfigurationError):
             NoisySource(p)
+
+
+def test_sample_shots_rejects_empty_campaign():
+    cfg = transparent_via_angle_sum(PI / 4.0, 0.0, PI)
+    for n_shots in (0, -5):
+        with pytest.raises(ConfigurationError):
+            sample_shots(cfg, NoisySource(0.5), CoherentProbe(1.0), n_shots, seed=1)
 
 
 def test_nan_phase_rejected_before_propagation():
