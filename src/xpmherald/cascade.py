@@ -20,11 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationLimitError
+from .errors import ConfigurationError, EnumerationLimitError, check_count
 
 # Exact shared-probe enumeration holds 2^(N-1) patterns, O(2^N) work in all
 # and 53 MB peak at this cap.  Past it, use the closed form or Monte Carlo.
@@ -48,10 +47,7 @@ class CascadeConfig:
     def __post_init__(self):
         if self.scheme not in ("reused_probe", "shared_probe"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if isinstance(self.n_setups, bool) or not isinstance(self.n_setups, Integral):
-            raise ConfigurationError(f"n_setups must be an integer, got {self.n_setups!r}")
-        if self.n_setups < 1:
-            raise ConfigurationError("a cascade needs at least one setup")
+        check_count("n_setups", self.n_setups, 1)
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"source efficiency must lie in [0, 1], got {self.p}")
         if not (cmath.isfinite(self.alpha) and math.isfinite(self.phi_chi)):
@@ -247,8 +243,8 @@ def simulate_cascade(
     else:
         if seed is None:
             raise ConfigurationError("Monte Carlo cascade simulation requires a seed")
-        if shots < 1:
-            raise ConfigurationError("shots must be at least 1")
+        check_count("shots", shots, 1)
+        check_count("seed", seed)
         per, total = _monte_carlo(cfg, shots, seed)
     residual = abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
     return CascadeResult(per, total, residual)

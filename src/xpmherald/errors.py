@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class CutoffViolationError(ValueError):
     """An occupation number exceeds (or would exceed) a mode's cutoff."""
@@ -30,3 +32,10 @@ class ConfigurationError(ValueError):
 
 class EnumerationLimitError(RuntimeError):
     """An exact enumeration would exceed the configured size cap."""
+
+
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer of at least
+    ``minimum``; a bool or a float such as 1000.0 is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

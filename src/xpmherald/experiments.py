@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 from .fock import TruncationPolicy
 from .loss import REFERENCE_LOSS_BOUNDS, max_tolerable_loss
 from .mzi import (
@@ -59,10 +59,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.params, dict):
             raise ConfigurationError("field 'params' must be a table of values")
-        if self.seed is not None and (
-            isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
-        ):
-            raise ConfigurationError(f"field 'seed' must be an integer, got {self.seed!r}")
+        if self.seed is not None:
+            check_count("field 'seed'", self.seed)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigurationError(f"field 'out' must be a path or null, got {self.out!r}")
         tol = self.trunc_tol
         if not (_is_number(tol) and math.isfinite(tol) and tol > 0.0):
             raise ConfigurationError(
@@ -149,6 +149,14 @@ def _param(cfg: ExperimentConfig, name: str, default):
     return value
 
 
+def _count_param(cfg: ExperimentConfig, name: str, default: int) -> int:
+    """Whole-number parameter ``name``, such as 1000 or 1000.0, as an int."""
+    value = _param(cfg, name, default)
+    if value is None or not (isinstance(value, Integral) or float(value).is_integer()):
+        raise ConfigurationError(f"parameter {name!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _param_list(cfg: ExperimentConfig, name: str, default) -> list[float]:
     """List parameter ``name`` as floats, or ``default`` when omitted."""
     values = cfg.params.get(name, default)
@@ -163,7 +171,7 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     """Detection-efficiency curves versus cross-phase shift for a handful of
     coherent probe amplitudes, at the optimal symmetric splitter."""
     betas = _param_list(cfg, "beta", DEFAULT_FIG4_BETAS)
-    num = int(_param(cfg, "phi_chi_points", 121))
+    num = _count_param(cfg, "phi_chi_points", 121)
     if num < 2 or not betas:
         raise ConfigurationError("fig4 needs a non-empty beta list and >= 2 grid points")
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
@@ -242,7 +250,7 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
     a transparent setup must never produce."""
     if cfg.seed is None:
         raise ConfigurationError("purity-audit samples shots and requires a seed")
-    shots = int(_param(cfg, "shots", 100_000))
+    shots = _count_param(cfg, "shots", 100_000)
     p_a = float(_param(cfg, "p_a", 0.3))
     phi_chi = float(_param(cfg, "phi_chi", math.pi))
     beta = _param(cfg, "beta", None)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import (
     CutoffViolationError,
     ModeMismatchError,
     TruncationError,
+    check_count,
 )
 
 NORM_TOL = 1e-12
@@ -75,13 +75,8 @@ class TruncationPolicy:
             raise ConfigurationError(
                 f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}"
             )
-        cutoff = self.fixed_cutoff
-        if cutoff is not None and (
-            isinstance(cutoff, bool) or not isinstance(cutoff, Integral) or cutoff < 0
-        ):
-            raise ConfigurationError(
-                f"fixed_cutoff must be a non-negative integer, got {cutoff!r}"
-            )
+        if self.fixed_cutoff is not None:
+            check_count("fixed_cutoff", self.fixed_cutoff)
 
 
 def _mass(amps: np.ndarray) -> float:

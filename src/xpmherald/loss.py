@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import CoherentAmplitudes, bs_coherent, bs_unitary
 from .errors import ConditioningError, ConfigurationError
-from .mzi import MziConfig, is_transparent
+from .mzi import MziConfig, _classical_clicks, is_transparent
 
 
 @dataclass(frozen=True)
@@ -61,29 +60,6 @@ class LossyHeraldReport:
     improvement: bool
 
 
-def _lossy_clicks(
-    cfg: MziConfig, beta: complex
-) -> Callable[[float], tuple[float, float]]:
-    """(q1, q0) as a function of the absorption probability, classical path.
-    The arms after the first splitter, the second splitter's detector row and
-    the XPM phase are computed once; each call attenuates the upper arm,
-    rotates it if the photon survives and mixes it onto the detector."""
-    arms = bs_coherent(CoherentAmplitudes((complex(beta), 0.0 + 0.0j)), (0, 1), cfg.bs1)
-    upper = complex(arms[0])
-    u2 = bs_unitary(cfg.bs2)
-    coupling, lower = u2[0, 1], u2[1, 1] * arms[1]
-    phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
-
-    def clicks(p_absorb: float) -> tuple[float, float]:
-        attenuated = math.sqrt(1.0 - p_absorb) * upper
-        q0 = 1.0 - math.exp(-abs(coupling * attenuated + lower) ** 2)
-        if p_absorb >= 1.0:
-            return q0, q0
-        return 1.0 - math.exp(-abs(coupling * (phase * attenuated) + lower) ** 2), q0
-
-    return clicks
-
-
 def lossy_click_probs(
     cfg: MziConfig, beta: complex, loss: LossParams
 ) -> tuple[float, float]:
@@ -95,7 +71,7 @@ def lossy_click_probs(
     """
     if not is_transparent(cfg):
         raise ConfigurationError("lossy click analysis assumes transparency")
-    return _lossy_clicks(cfg, beta)(loss.p_absorb)
+    return _classical_clicks(cfg, beta)(loss.p_absorb)
 
 
 def lossy_heralded_efficiency(
@@ -133,7 +109,7 @@ def _improvement_margin(
     to (1 - p_absorb) q1 > q0; a concrete ``fixed_p`` evaluates the full
     inequality at that source efficiency.
     """
-    clicks = _lossy_clicks(cfg, beta)
+    clicks = _classical_clicks(cfg, beta)
 
     def margin(p_absorb: float) -> float:
         q1, q0 = clicks(p_absorb)

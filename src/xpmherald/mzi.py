@@ -17,8 +17,8 @@ one-photon state in the signal mode.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +32,16 @@ from .elements import (
     bs_unitary,
     xpm_coherent_branch,
 )
-from .errors import ConditioningError, ConfigurationError
+from .errors import ConditioningError, ConfigurationError, check_count
 from .fock import (
     NORM_TOL,
     Ensemble,
     MultiModeKet,
     TruncationPolicy,
+    _mass,
     condition,
-    event_mass,
     make_coherent,
-    make_fock,
     mode_number_distribution,
-    tensor,
 )
 
 SIGNAL, PROBE, AUX = 0, 1, 2
@@ -104,8 +102,11 @@ Probe = NoisyPhotonProbe | CoherentProbe
 class HeraldOutcome:
     """Everything a single run of the setup yields.
 
-    ``truncation_deficit`` bounds the probability mass lost to coherent-state
-    truncation; all probabilities here under-count by at most that much.
+    ``detection_efficiency`` is the click probability given a photon in the
+    signal mode, for any source, a vacuum source included; ``total_success``
+    is it times the source efficiency.  ``truncation_deficit`` bounds the
+    probability mass lost to coherent-state truncation; all probabilities
+    here under-count by at most that much.
     ``purity_given_click`` is undefined when the click probability vanishes
     and raises on access in that case.
     """
@@ -197,7 +198,8 @@ def transparency_sign(cfg: MziConfig, tol: float = 1e-9) -> int:
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
-    """Exact propagation of a 3-mode ket through the full setup."""
+    """Exact propagation of a ket through the full setup: modes 0-2 as laid
+    out above, while any further axis, such as a branch label, rides along."""
     out = apply_beam_splitter(ket, (PROBE, AUX), cfg.bs1)
     out = apply_xpm(out, (SIGNAL, PROBE), cfg.xpm)
     return apply_beam_splitter(out, (PROBE, AUX), cfg.bs2)
@@ -208,8 +210,8 @@ def coherent_outputs(
 ) -> CoherentAmplitudes:
     """Classical-path (B, C) output amplitudes for a coherent probe.
 
-    Exact for any mean photon number; this is the default route when the
-    probe is too bright for truncated Fock propagation.
+    Exact for any mean photon number, like the click probabilities that
+    ``_classical_clicks`` reads off the same path for bright probes.
     """
     amps = CoherentAmplitudes((complex(beta), 0.0 + 0.0j))
     amps = bs_coherent(amps, (0, 1), cfg.bs1)
@@ -217,85 +219,66 @@ def coherent_outputs(
     return bs_coherent(amps, (0, 1), cfg.bs2)
 
 
-def _probe_branches(
-    probe: Probe, policy: TruncationPolicy
-) -> tuple[list[tuple[MultiModeKet, float]], int]:
-    """Weighted probe kets and the cutoff the B and C registers need."""
+def _classical_clicks(
+    cfg: MziConfig, beta: complex
+) -> Callable[[float], tuple[float, float]]:
+    """Click probabilities (q1, q0) with and without an unabsorbed signal
+    photon, classical path, as a function of the medium's absorption
+    probability (see ``loss``).  The arms after the first splitter, the
+    second splitter's detector row and the XPM phase are computed once;
+    each call attenuates the upper arm, rotates it if the photon survives
+    and mixes it onto the detector."""
+    arms = bs_coherent(CoherentAmplitudes((complex(beta), 0.0 + 0.0j)), (0, 1), cfg.bs1)
+    upper = complex(arms[0])
+    u2 = bs_unitary(cfg.bs2)
+    coupling, lower = u2[0, 1], u2[1, 1] * arms[1]
+    phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
+
+    def clicks(p_absorb: float) -> tuple[float, float]:
+        attenuated = math.sqrt(1.0 - p_absorb) * upper
+        q0 = 1.0 - math.exp(-abs(coupling * attenuated + lower) ** 2)
+        if p_absorb >= 1.0:
+            return q0, q0
+        return 1.0 - math.exp(-abs(coupling * (phase * attenuated) + lower) ** 2), q0
+
+    return clicks
+
+
+def _click_table(
+    cfg: MziConfig, probe: Probe, policy: TruncationPolicy
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray | None]:
+    """Probe-branch weights, the click probability per (signal 0/1, probe
+    branch), and the array every input branch was propagated in.
+
+    The array has the axes (signal A, probe B, auxiliary C, probe label).
+    The label has one entry for a coherent probe, and two (|1> then |0>)
+    for a noisy photon probe.  Each slice is one unweighted input branch:
+    the splitters act on B and C and XPM is diagonal, so no slice mixes
+    with another and one propagation serves them all.  A probe brighter
+    than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, and no
+    array is built.
+    """
+    if (
+        isinstance(probe, CoherentProbe)
+        and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS
+    ):
+        q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
+        return (1.0,), np.array([[q0], [q1]]), None
     if isinstance(probe, NoisyPhotonProbe):
-        pb = probe.source.p
-        branches = [
-            (make_fock((n,), (1,)), w)
-            for n, w in ((1, pb), (0, 1.0 - pb))
-            if w > 0.0
-        ]
-        return branches, 1
-    ket = make_coherent(probe.beta, policy)
-    return [(ket, 1.0)], ket.cutoffs[0]
-
-
-class _Branch(NamedTuple):
-    """One propagated input branch: its joint weight, the signal occupation,
-    the probe branch's index and weight, the output ket, and the ket's
-    squared norm and click mass (each computed once)."""
-
-    weight: float
-    signal: int
-    probe_index: int
-    probe_weight: float
-    ket: MultiModeKet
-    squared_norm: float
-    click_mass: float
-
-
-def _propagated_branches(
-    cfg: MziConfig,
-    source: NoisySource,
-    probe: Probe,
-    policy: TruncationPolicy,
-) -> list[_Branch]:
-    """Propagate every discrete input branch of positive weight once."""
-    probe_branches, cut = _probe_branches(probe, policy)
-    vac_c = make_fock((0,), (cut,))
-    signal_branches = [
-        (occ, w) for occ, w in ((1, source.p), (0, 1.0 - source.p)) if w > 0.0
-    ]
-    out = []
-    for a_occ, wa in signal_branches:
-        a_ket = make_fock((a_occ,), (1,))
-        for b_idx, (b_ket, wb) in enumerate(probe_branches):
-            ket = propagate_mzi(tensor([a_ket, b_ket, vac_c]), cfg)
-            sq = ket.squared_norm()
-            if not sq <= 1.0 + NORM_TOL:
-                raise ValueError(f"propagated squared norm {sq} exceeds 1")
-            click = event_mass(ket, AUX, "at_least_one")
-            out.append(_Branch(wa * wb, a_occ, b_idx, wb, ket, sq, click))
-    return out
-
-
-def _classical_click_probs(cfg: MziConfig, beta: complex) -> tuple[float, float]:
-    """Click probability with and without a signal photon, classical path."""
-    with_photon = coherent_outputs(cfg, beta, True)
-    without = coherent_outputs(cfg, beta, False)
-    q1 = 1.0 - math.exp(-abs(with_photon[1]) ** 2)
-    q0 = 1.0 - math.exp(-abs(without[1]) ** 2)
-    return q1, q0
-
-
-def _bright_probe_outcome(
-    cfg: MziConfig, source: NoisySource, beta: complex
-) -> HeraldOutcome:
-    q1, q0 = _classical_click_probs(cfg, beta)
-    p_click = source.p * q1 + (1.0 - source.p) * q0
-    purity = source.p * q1 / p_click if p_click > 0.0 else None
-    return HeraldOutcome(
-        p_click=p_click,
-        detection_efficiency=q1,
-        total_success=q1 * source.p,
-        truncation_deficit=0.0,
-        click_state=None,
-        no_click_state=None,
-        purity_value=purity,
-    )
+        weights = (probe.source.p, 1.0 - probe.source.p)
+        amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+        amps[:, 1, 0, 0] = amps[:, 0, 0, 1] = 1.0
+    else:
+        weights = (1.0,)
+        b_amps = make_coherent(probe.beta, policy).amps
+        amps = np.zeros((2, b_amps.size, b_amps.size, 1), dtype=np.complex128)
+        amps[:, :, 0, 0] = b_amps
+    cut = amps.shape[1] - 1
+    ket = MultiModeKet._unchecked(amps, (1, cut, cut, len(weights) - 1))
+    out = propagate_mzi(ket, cfg).amps
+    labels = range(len(weights))
+    click = np.array([[_mass(out[s, :, 1:, b]) for b in labels] for s in (0, 1)])
+    return weights, click, out
 
 
 def run_setup(
@@ -304,7 +287,6 @@ def run_setup(
     probe: Probe,
     policy: TruncationPolicy | None = None,
     require_transparent: bool = True,
-    force_exact: bool = False,
 ) -> HeraldOutcome:
     """Run the full heralding setup on a noisy signal and a chosen probe.
 
@@ -317,8 +299,7 @@ def run_setup(
     A coherent probe brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` is routed
     through the exact classical coherent path instead of truncated Fock
     propagation; probabilities are then truncation-free but the conditioned
-    branch ensembles are not materialized (``click_state`` is None).  Pass
-    ``force_exact=True`` to cross-check the truncated path regardless.
+    branch ensembles are not materialized (``click_state`` is None).
 
     ``require_transparent=False`` skips the transparency check, for
     exploring configurations without the heralding guarantee.
@@ -329,21 +310,30 @@ def run_setup(
             "configuration is not transparent; pass require_transparent=False "
             "to run it anyway (the heralding guarantee is void)"
         )
-    if (
-        isinstance(probe, CoherentProbe)
-        and not force_exact
-        and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS
-    ):
-        return _bright_probe_outcome(cfg, source, probe.beta)
-    branches = _propagated_branches(cfg, source, probe, policy)
-    deficit = 1.0 - sum(b.weight * b.squared_norm for b in branches)
-    deficit = max(0.0, deficit)
-
-    p_click = sum(b.weight * b.click_mass for b in branches)
-    detection_eff = sum(
-        b.probe_weight * b.click_mass for b in branches if b.signal == 1
-    )
-    ensemble = Ensemble([(b.weight, b.ket) for b in branches])
+    weights, table, out = _click_table(cfg, probe, policy)
+    click = table.tolist()
+    joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
+    p_click = sum(w * q for s in (1, 0) for w, q in zip(joint[s], click[s]))
+    detection_eff = sum(w * q for w, q in zip(weights, click[1]))
+    if out is None:
+        purity = source.p * click[1][0] / p_click if p_click > 0.0 else None
+        return HeraldOutcome(
+            p_click, detection_eff, detection_eff * source.p, 0.0, None, None, purity
+        )
+    # each positive-weight slice as a 3-mode branch ket, photon branches first
+    cut = out.shape[1] - 1
+    branches = []
+    for s in (1, 0):
+        for b, w in enumerate(joint[s]):
+            if w > 0.0:
+                amps = np.zeros(out.shape[:3], dtype=np.complex128)
+                amps[s] = out[s, ..., b]
+                branches.append((w, MultiModeKet._unchecked(amps, (1, cut, cut))))
+    squared_norms = [ket.squared_norm() for _, ket in branches]
+    if not max(squared_norms) <= 1.0 + NORM_TOL:
+        raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
+    deficit = max(0.0, 1.0 - sum(w * sq for (w, _), sq in zip(branches, squared_norms)))
+    ensemble = Ensemble(branches)
 
     try:
         _, click_state = condition(ensemble, AUX, "at_least_one")
@@ -404,38 +394,29 @@ def sample_shots(
 ) -> dict[str, int]:
     """Monte Carlo photodetection over repeated runs of the setup.
 
-    Each discrete input branch is propagated once for its click probability.
-    A counter-based generator then draws, each for all shots and in this
-    order, the source branch, the probe branch (noisy probe with two
-    branches only) and the detector outcome.  Counts are reproducible for a
-    given seed and shot count; splitting a run into batches changes them.
+    One propagation of every input branch gives the click probability per
+    (signal, probe branch).  A counter-based generator then draws, each for
+    all shots and in this order, the source branch, the probe branch (noisy
+    probe with two branches only) and the detector outcome.  Counts are
+    reproducible for a given seed and shot count, both non-negative
+    integers; splitting a run into batches changes them.
     """
-    if n_shots < 1:
-        raise ConfigurationError("n_shots must be at least 1")
+    check_count("n_shots", n_shots, 1)
+    check_count("seed", seed)
     policy = policy or TruncationPolicy()
     if require_transparent and not is_transparent(cfg):
         raise ConfigurationError("configuration is not transparent")
 
-    # Click probability per (signal occupation, probe branch index).
-    click_given = np.zeros((2, 2))
-    if (
-        isinstance(probe, CoherentProbe)
-        and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS
-    ):
-        click_given[1, 0], click_given[0, 0] = _classical_click_probs(cfg, probe.beta)
-    else:
-        for b in _propagated_branches(cfg, source, probe, policy):
-            click_given[b.signal, b.probe_index] = b.click_mass
-
+    weights, table, _ = _click_table(cfg, probe, policy)
     rng = np.random.Generator(np.random.Philox(seed))
     photon = rng.random(n_shots) < source.p
     signal = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
-    if isinstance(probe, NoisyPhotonProbe) and 0.0 < probe.source.p < 1.0:
-        # branch index 0 is the occupied probe ket, 1 the vacuum
-        probe_occupied = rng.random(n_shots) < probe.source.p
-        p_click = click_given[signal, (~probe_occupied).view(np.uint8)]
+    if 0.0 < weights[0] < 1.0:
+        # a noisy probe of two branches: label 0 is |1>, label 1 the vacuum
+        probe_occupied = rng.random(n_shots) < weights[0]
+        p_click = table[signal, (~probe_occupied).view(np.uint8)]
     else:
-        p_click = click_given[signal, 0]
+        p_click = table[signal, weights.index(1.0)]  # the one certain branch
     click = rng.random(n_shots) < p_click
     return {
         "click_and_photon": int(np.count_nonzero(click & photon)),

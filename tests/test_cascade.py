@@ -282,6 +282,9 @@ def test_simulate_monte_carlo_requires_seed():
         simulate_cascade(cfg, shots=100)
     with pytest.raises(ConfigurationError):
         simulate_cascade(cfg, shots=0, seed=1)
+    for shots, seed in ((1000.0, 1), (True, 1), (100, 1.5), (100, -1)):
+        with pytest.raises(ConfigurationError):
+            simulate_cascade(cfg, shots=shots, seed=seed)
 
 
 def test_simulate_monte_carlo_matches_closed_form():

@@ -372,6 +372,9 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "fig4", "params": {"beta": 2.0}}],
         ["run", {"experiment": "loss-bounds", "params": {"phi_chi": 3.0}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"beta": [1.0]}}],
+        ["run", {"experiment": "purity-audit", "seed": 1, "params": {"shots": math.inf}}],
+        ["run", {"experiment": "fig4", "params": {"phi_chi_points": math.inf}}],
+        ["run", {"experiment": "fig4", "out": 5}],
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsys):
@@ -438,3 +441,12 @@ def test_verify_catches_flipped_sign_convention(monkeypatch):
     failed_names = {r.name for r in results if not r.passed}
     assert "zero-false-click" in failed_names
     assert "zero-false-click" in report
+
+
+def test_whole_number_params_accept_integral_floats():
+    # JSON has one number type, so 5.0 is the count 5 and gives the same table
+    as_float = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5.0}))
+    as_int = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5}))
+    assert as_float.rows == as_int.rows
+    with pytest.raises(ConfigurationError, match="whole number"):
+        run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5.5}))

@@ -5,7 +5,16 @@ import pytest
 
 from xpmherald.elements import BeamSplitterParams, XpmParams
 from xpmherald.errors import ConditioningError, ConfigurationError
-from xpmherald.fock import TruncationPolicy, make_fock, tensor
+from xpmherald.fock import (
+    Ensemble,
+    TruncationPolicy,
+    condition,
+    event_mass,
+    make_coherent,
+    make_fock,
+    tensor,
+)
+from xpmherald.loss import LossParams, lossy_click_probs
 from xpmherald.mzi import (
     CoherentProbe,
     MziConfig,
@@ -270,18 +279,108 @@ def test_bright_and_exact_paths_agree_at_the_threshold():
     cfg = transparent_via_angle_sum(0.6, 0.3, 1.9)
     beta = 4.2  # mean photons 17.64, just past the switch
     bright = run_setup(cfg, NoisySource(0.7), CoherentProbe(beta))
-    exact = run_setup(
-        cfg,
-        NoisySource(0.7),
-        CoherentProbe(beta),
-        TruncationPolicy(tail_tolerance=1e-12),
-        force_exact=True,
-    )
-    assert bright.click_state is None and exact.click_state is not None
-    assert abs(bright.p_click - exact.p_click) <= 1e-10 + exact.truncation_deficit
-    assert abs(
-        bright.detection_efficiency - exact.detection_efficiency
-    ) <= 1e-10 + exact.truncation_deficit
+    # the exact side by hand: each signal branch propagated in truncated Fock
+    # space, past the brightness switch that run_setup applies
+    probe = make_coherent(beta, TruncationPolicy(tail_tolerance=1e-12))
+    cut = probe.cutoffs[0]
+    clicks, deficit = [], 0.0
+    for photons, weight in ((0, 0.3), (1, 0.7)):
+        ket = tensor([make_fock((photons,), (1,)), probe, make_fock((0,), (cut,))])
+        out = propagate_mzi(ket, cfg)
+        clicks.append(event_mass(out, 2, "at_least_one"))
+        deficit += weight * (1.0 - out.squared_norm())
+    p_click = 0.3 * clicks[0] + 0.7 * clicks[1]
+    assert bright.click_state is None
+    assert abs(bright.p_click - p_click) <= 1e-10 + deficit
+    assert abs(bright.detection_efficiency - clicks[1]) <= 1e-10 + deficit
+
+
+def test_bright_route_is_the_lossless_classical_click_function():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        cfg = random_transparent(rng)
+        beta = complex(*rng.uniform(-30.0, 30.0, 2))
+        if abs(beta) ** 2 <= 16.0:
+            continue
+        p = float(rng.uniform())
+        q1, q0 = lossy_click_probs(cfg, beta, LossParams(0.0))
+        out = run_setup(cfg, NoisySource(p), CoherentProbe(beta))
+        assert out.detection_efficiency == q1
+        assert out.p_click == p * q1 + (1.0 - p) * q0
+        assert out.total_success == q1 * p
+        assert out.truncation_deficit == 0.0 and out.click_state is None
+
+
+def _per_branch_outcome(cfg, source, probe):
+    """The independent route: each (signal, probe) branch as its own 3-mode
+    ket, propagated on its own.  Returns p_click, detection efficiency,
+    truncation deficit and both conditioned ensembles (None when empty)."""
+    if isinstance(probe, NoisyPhotonProbe):
+        pb = probe.source.p
+        probes = [(make_fock((1,), (1,)), pb), (make_fock((0,), (1,)), 1.0 - pb)]
+    else:
+        probes = [(make_coherent(probe.beta, TruncationPolicy()), 1.0)]
+    cut = probes[0][0].cutoffs[0]
+    p_click = det_eff = norm = 0.0
+    branches = []
+    for photons, wa in ((1, source.p), (0, 1.0 - source.p)):
+        for b_ket, wb in probes:
+            ket = tensor([make_fock((photons,), (1,)), b_ket, make_fock((0,), (cut,))])
+            out = propagate_mzi(ket, cfg)
+            click = event_mass(out, 2, "at_least_one")
+            p_click += wa * wb * click
+            det_eff += wb * click if photons else 0.0
+            norm += wa * wb * out.squared_norm()
+            if wa * wb > 0.0:
+                branches.append((wa * wb, out))
+    states = []
+    for event in ("at_least_one", "zero"):
+        try:
+            states.append(condition(Ensemble(branches), 2, event)[1])
+        except ConditioningError:
+            states.append(None)
+    return p_click, det_eff, max(0.0, 1.0 - norm), *states
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_one_propagation_matches_per_branch_propagation(noisy):
+    rng = np.random.default_rng(41 + noisy)
+    for i in range(30):
+        cfg = random_transparent(rng) if i % 3 else mzi_config(*rng.uniform(0.0, 6.0, 4))
+        p, pb = ([0.0, 1.0, float(rng.uniform())][k] for k in (i % 3, i // 3 % 3))
+        if noisy:
+            probe = NoisyPhotonProbe(NoisySource(pb))
+        else:
+            probe = CoherentProbe(complex(*rng.uniform(-2.5, 2.5, 2)))
+        out = run_setup(cfg, NoisySource(p), probe, require_transparent=False)
+        p_click, det_eff, deficit, clicked, unclicked = _per_branch_outcome(
+            cfg, NoisySource(p), probe
+        )
+        assert abs(out.p_click - p_click) <= 1e-15
+        assert abs(out.detection_efficiency - det_eff) <= 1e-15
+        assert abs(out.truncation_deficit - deficit) <= 1e-15
+        for got, want in ((out.click_state, clicked), (out.no_click_state, unclicked)):
+            assert (got is None) == (want is None)
+            if want is None:
+                continue
+            assert len(got.branches) == len(want.branches)
+            for (wg, kg), (ww, kw) in zip(got.branches, want.branches):
+                assert kg.cutoffs == kw.cutoffs
+                assert abs(wg - ww) <= 1e-15
+                assert np.max(np.abs(kg.amps - kw.amps)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "probe", [CoherentProbe(1.0), NoisyPhotonProbe(NoisySource(0.8))]
+)
+def test_vacuum_source_reports_conditional_detection_efficiency(probe):
+    # the detection efficiency is conditional on a photon, so a source that
+    # never emits one still has it; it used to read 0 here
+    cfg = transparent_via_angle_sum(PI / 4.0, 0.0, 2.0)
+    vacuum = run_setup(cfg, NoisySource(0.0), probe).detection_efficiency
+    assert isinstance(vacuum, float)
+    faint = run_setup(cfg, NoisySource(1e-300), probe).detection_efficiency
+    assert vacuum > 0.5 and abs(vacuum - faint) <= 1e-15
 
 
 def test_sample_shots_bright_probe():
@@ -412,9 +511,13 @@ def test_noisy_source_rejects_bad_efficiency():
 
 def test_sample_shots_rejects_empty_campaign():
     cfg = transparent_via_angle_sum(PI / 4.0, 0.0, PI)
-    for n_shots in (0, -5):
+    for n_shots in (0, -5, 1000.0, True):
         with pytest.raises(ConfigurationError):
             sample_shots(cfg, NoisySource(0.5), CoherentProbe(1.0), n_shots, seed=1)
+    # a seed must be given, as a non-negative integer, for reproducible counts
+    for seed in (None, 1.5, -1, True):
+        with pytest.raises(ConfigurationError):
+            sample_shots(cfg, NoisySource(0.5), CoherentProbe(1.0), 1000, seed=seed)
 
 
 def test_nan_phase_rejected_before_propagation():
