@@ -5,7 +5,7 @@ Subcommands: ``run <config>`` (named experiments from a JSON config: the
 and the ``purity-audit`` Monte Carlo shot campaign), ``verify`` (invariant
 suites) and ``cascade`` (chained setups).
 
-Exit codes: 0 success, 1 configuration error, 2 invariant failure,
+Exit codes: 0 success, 1 configuration or file error, 2 invariant failure,
 3 truncation failure.
 """
 
@@ -137,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TRUNCATION
     except (ConfigurationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationLimitError as exc:
         print(

@@ -14,7 +14,9 @@ The interferometer transparency constraints depend on this convention, so
 no other module builds its own matrix.  The exact path reads a
 Mach-Zehnder form off that matrix, two fixed real 50:50 splitters around
 phases, so the only number-conserving blocks it builds are the angle-free
-ones of the 50:50 splitter.
+ones of the 50:50 splitter.  Splitters and XPM phases all conserve the
+photon total of the splitter modes, so the interferometer of ``mzi`` runs
+as one gather, four batched real products and one scatter.
 """
 
 from __future__ import annotations
@@ -179,30 +181,42 @@ def _diagonal_index(
     return gather, scatter
 
 
-def apply_beam_splitter(
-    ket: MultiModeKet, modes: tuple[int, int], p: BeamSplitterParams
+def _apply_chain(
+    ket: MultiModeKet,
+    modes: tuple[int, int],
+    stages: tuple[BeamSplitterParams | XpmParams, ...],
+    partner: int | None = None,
 ) -> MultiModeKet:
-    """Apply the beam splitter to two modes of a Fock ket.
-
-    The splitter conserves the photon number n + m of the two modes, so it
-    acts on each anti-diagonal n + m = T of their occupation grid as one
-    (T+1) x (T+1) block.  With ``theta, psi = _mzi_angles(bs_unitary(p))``
-    that block is ``e^{-i theta T} P W_T L W_T P^-1``, with the diagonal
-    phases ``P[n] = e^{i psi n}`` and ``L[k] = e^{2 i theta k}``; all totals
-    up to the largest occupied one go through two batched real products.
-    A mixing splitter reaches every row of a block, so an occupied total
-    past a cutoff raises instead of dropping amplitude: silent leakage
-    would fake the very no-false-click guarantee this library checks.
-    """
+    """Apply, in order, beam splitters on ``modes`` and XPM phases on
+    ``(partner, modes[0])``.  Every stage conserves the photon total T of the
+    two modes, so the chain acts on each anti-diagonal n + m = T of their
+    grid as one (T+1) x (T+1) block.  With ``u = bs_unitary(p)`` and
+    ``theta, psi = _mzi_angles(u)``, a splitter's block is
+    ``e^{-i theta T} P W_T L W_T P^-1`` with ``P[n] = e^{i psi n}`` and
+    ``L[k] = e^{2 i theta k}``; XPM is the diagonal ``e^{i phi_chi n s}``,
+    s the partner occupation.  A splitter with ``u[1, 0] == 0`` is exactly
+    the identity and is skipped.  A mixing one reaches every row of a block,
+    so an occupied total past a cutoff raises instead of dropping amplitude,
+    which would fake the no-false-click guarantee."""
     ket.check_modes(*modes)
     i, j = modes
     if i == j:
         raise ValueError("beam splitter modes must be distinct")
-    u = bs_unitary(p)
-    occupied = ket.amps.any(axis=tuple(k for k in range(ket.n_modes) if k not in modes))
-    n, m = np.indices(occupied.shape, sparse=True)
-    t_max = int((n + m).max(where=occupied, initial=-1))
-    if u[1, 0] == 0 or t_max < 0:
+    # (theta, psi) per mixing splitter; each XPM phase with its slot among them
+    angles, xpms = [], []
+    for stage in stages:
+        if isinstance(stage, XpmParams):
+            xpms.append((len(angles), stage))
+        elif (u := bs_unitary(stage))[1, 0] != 0:
+            angles.append(_mzi_angles(u))
+    if not angles:
+        for _, p in xpms:
+            ket = apply_xpm(ket, (partner, i), p)
+        return ket
+    occupied = ket.amps.any(axis=tuple(a for a in range(ket.n_modes) if a not in modes))
+    n, m = occupied.nonzero()
+    t_max = int((n + m).max(initial=-1))
+    if t_max < 0:
         return ket
     cuts = (ket.cutoffs[i], ket.cutoffs[j])
     if t_max > min(cuts):
@@ -210,20 +224,47 @@ def apply_beam_splitter(
             f"beam splitter sends {t_max} occupied photons into one mode, "
             f"beyond cutoffs {cuts} on modes {modes}"
         )
-    theta, psi = _mzi_angles(u)
-    gather, scatter = _diagonal_index(ket.amps.shape, (i, j), t_max)
-    flat = np.zeros(ket.amps.size + 1, dtype=np.complex128)
-    flat[:-1] = ket.amps.ravel()
-    ph = np.exp(np.array((1j * psi, 1j * theta))[:, None] * np.arange(t_max + 1))
+    gather, scatter = _diagonal_index(ket.amps.shape, modes, t_max)
+    # every phase vector from one exp: rows e^{i theta n} and e^{i psi n} per
+    # mixing splitter, then e^{i phi_chi s n} per XPM phase and occupation s;
+    # lams holds each splitter's e^{-i theta T} L over (T, k)
+    k, size = len(angles), 1 if partner is None else ket.cutoffs[partner] + 1
+    rates = [a for pair in angles for a in pair]
+    rates += [p.phi_chi * s for _, p in xpms for s in range(size)]
+    ph = np.exp(1j * np.multiply.outer(rates, np.arange(t_max + 1)))
+    lams = ph[0 : 2 * k : 2, :, None, None].conj() * ph[0 : 2 * k : 2, None, :, None] ** 2
+    # the diagonals over (n, s) before, between and after the W pairs, in the
+    # layout (T, n, rest axes before the partner's, s, rest after): each P
+    # merges with the next splitter's P^-1 and the XPM phases between them
+    diags = np.ones((k + 1, t_max + 1, 1, size, 1), dtype=np.complex128)
+    diags[1:] *= ph[1 : 2 * k : 2, :, None, None, None]
+    diags[:-1] *= ph[1 : 2 * k : 2, :, None, None, None].conj()
+    for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1)):
+        diags[at] *= rows.T[:, None, :, None]
+    before = math.prod(ket.amps.shape[a] for a in range(partner or 0) if a not in modes)
+    x = np.concatenate((ket.amps.ravel(), [0]))[gather]
+    y = np.empty_like(x)
+    x_real, y_real = x.view(np.float64), y.view(np.float64)
+    x_split = x.reshape(t_max + 1, t_max + 1, before, size, -1)
     w = _hadamard_blocks(t_max)
-    x = flat[gather]
-    x *= ph[0].conj()[:, None]
-    y = np.matmul(w, x.view(np.float64))
-    y.view(np.complex128)[...] *= (ph[1].conj()[:, None] * ph[1] ** 2)[:, :, None]
-    np.matmul(w, y, out=x.view(np.float64))
-    out = np.zeros(x.size + 1, dtype=np.complex128)
-    np.multiply(x, ph[0][:, None], out=out[:-1].reshape(x.shape))
-    return MultiModeKet._unchecked(out[scatter].reshape(ket.amps.shape), ket.cutoffs)
+    for lam, d in zip(lams, diags):
+        x_split *= d
+        np.matmul(w, x_real, out=y_real)
+        y *= lam
+        np.matmul(w, y_real, out=x_real)
+    x_split *= diags[-1]
+    out = np.concatenate((x.ravel(), [0]))[scatter]
+    return MultiModeKet._unchecked(out.reshape(ket.amps.shape), ket.cutoffs)
+
+
+def apply_beam_splitter(
+    ket: MultiModeKet, modes: tuple[int, int], p: BeamSplitterParams
+) -> MultiModeKet:
+    """Apply the beam splitter to two modes of a Fock ket: one gather into
+    the number-conserving block layout, two batched real products and one
+    scatter.  An occupied total past a cutoff raises CutoffViolationError
+    unless the splitter is the identity (see ``_apply_chain``)."""
+    return _apply_chain(ket, modes, (p,))
 
 
 def apply_xpm(

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import math
 from numbers import Integral
 
 
@@ -39,3 +40,11 @@ def check_count(name: str, value, minimum: int = 0) -> None:
     ``minimum``; a bool or a float such as 1000.0 is not one."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_amplitude(name: str, value) -> None:
+    """Raise ConfigurationError unless the amplitude ``value`` has a finite
+    squared modulus, which a finite one above about 1.3e154 lacks."""
+    modulus = abs(complex(value))
+    if not math.isfinite(modulus * modulus):  # ** 2 would raise OverflowError
+        raise ConfigurationError(f"{name} {value} has no finite squared modulus")

@@ -40,6 +40,7 @@ from .errors import (
     CutoffViolationError,
     ModeMismatchError,
     TruncationError,
+    check_amplitude,
     check_count,
 )
 
@@ -255,6 +256,7 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     discarded Poisson tail and stays below the policy's tail tolerance.
     """
     policy = policy or TruncationPolicy()
+    check_amplitude("coherent amplitude", beta)
     beta = complex(beta)
     mean = abs(beta) ** 2
     n_max = coherent_cutoff(mean, policy)
@@ -321,6 +323,14 @@ def _event_slice(n_modes: int, mode: int, event: str) -> tuple:
     return tuple(index)
 
 
+def _event_ket(amps: np.ndarray, index: tuple, mass: float, cutoffs: tuple) -> MultiModeKet:
+    """The ket over ``cutoffs`` holding the event slice ``amps[index]`` of
+    squared-amplitude ``mass``, renormalized, and zero elsewhere."""
+    out = np.zeros(tuple(c + 1 for c in cutoffs), dtype=np.complex128)
+    out[index] = amps[index] * (1.0 / math.sqrt(mass))
+    return MultiModeKet._unchecked(out, cutoffs)
+
+
 def event_mass(ket: MultiModeKet, mode: int, event: str) -> float:
     """Unnormalized probability of a detector event in one mode: the squared
     amplitude mass with zero (``"zero"``) or at least one
@@ -352,9 +362,7 @@ def condition(ensemble: Ensemble, mode: int, event: str) -> tuple[float, Ensembl
         prob += contribution
         if contribution > 0.0:
             index = _event_slice(ket.n_modes, mode, event)
-            amps = np.zeros_like(ket.amps)
-            amps[index] = ket.amps[index] * (1.0 / math.sqrt(mass))
-            posterior.append((contribution, MultiModeKet._unchecked(amps, ket.cutoffs)))
+            posterior.append((contribution, _event_ket(ket.amps, index, mass, ket.cutoffs)))
     if prob <= 0.0:
         raise ConditioningError(
             f"event {event!r} on mode {mode} has probability 0"

@@ -13,7 +13,6 @@ improving on the raw source.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from collections.abc import Callable
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigurationError
+from .errors import ConditioningError, ConfigurationError, check_amplitude
 from .mzi import MziConfig, _classical_clicks, is_transparent
 
 
@@ -69,6 +68,7 @@ def lossy_click_probs(
     absorbed or absent (both leave the probe attenuated and unshifted, so
     they click alike).  Any q0 above zero is the faulty-click mechanism.
     """
+    check_amplitude("probe amplitude", beta)
     if not is_transparent(cfg):
         raise ConfigurationError("lossy click analysis assumes transparency")
     return _classical_clicks(cfg, beta)(loss.p_absorb)
@@ -141,8 +141,7 @@ def max_tolerable_loss(
     """
     if not cfg.xpm.working:
         raise ConfigurationError("inert cross-phase medium: no click mechanism exists")
-    if not cmath.isfinite(beta):
-        raise ConfigurationError(f"probe amplitude must be finite, got {beta}")
+    check_amplitude("probe amplitude", beta)
     if abs(beta) <= 0.0:
         raise ConfigurationError("probe amplitude must be nonzero")
     if fixed_p is not None and not 0.0 <= fixed_p <= 1.0:

@@ -26,22 +26,19 @@ from .elements import (
     BeamSplitterParams,
     CoherentAmplitudes,
     XpmParams,
-    apply_beam_splitter,
-    apply_xpm,
+    _apply_chain,
     bs_coherent,
     bs_unitary,
     xpm_coherent_branch,
 )
-from .errors import ConditioningError, ConfigurationError, check_count
+from .errors import ConditioningError, ConfigurationError, check_amplitude, check_count
 from .fock import (
     NORM_TOL,
     Ensemble,
     MultiModeKet,
     TruncationPolicy,
-    _mass,
-    condition,
+    _event_ket,
     make_coherent,
-    mode_number_distribution,
 )
 
 SIGNAL, PROBE, AUX = 0, 1, 2
@@ -88,11 +85,7 @@ class CoherentProbe:
     beta: complex
 
     def __post_init__(self):
-        beta = complex(self.beta)
-        if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
-            raise ConfigurationError(
-                f"coherent probe amplitude must be finite, got {self.beta}"
-            )
+        check_amplitude("coherent probe amplitude", self.beta)
 
 
 Probe = NoisyPhotonProbe | CoherentProbe
@@ -199,10 +192,10 @@ def transparency_sign(cfg: MziConfig, tol: float = 1e-9) -> int:
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
     """Exact propagation of a ket through the full setup: modes 0-2 as laid
-    out above, while any further axis, such as a branch label, rides along."""
-    out = apply_beam_splitter(ket, (PROBE, AUX), cfg.bs1)
-    out = apply_xpm(out, (SIGNAL, PROBE), cfg.xpm)
-    return apply_beam_splitter(out, (PROBE, AUX), cfg.bs2)
+    out above, while any further axis, such as a branch label, rides along.
+    One chain in the block layout of (B, C): one gather, four batched real
+    products and one scatter."""
+    return _apply_chain(ket, (PROBE, AUX), (cfg.bs1, cfg.xpm, cfg.bs2), SIGNAL)
 
 
 def coherent_outputs(
@@ -247,8 +240,9 @@ def _classical_clicks(
 def _click_table(
     cfg: MziConfig, probe: Probe, policy: TruncationPolicy
 ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray | None]:
-    """Probe-branch weights, the click probability per (signal 0/1, probe
-    branch), and the array every input branch was propagated in.
+    """Probe-branch weights, the detector-event probabilities per (event,
+    signal 0/1, probe branch), and the array every input branch was
+    propagated in.  Event 0 is no click and event 1 a click.
 
     The array has the axes (signal A, probe B, auxiliary C, probe label).
     The label has one entry for a coherent probe, and two (|1> then |0>)
@@ -263,7 +257,7 @@ def _click_table(
         and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS
     ):
         q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
-        return (1.0,), np.array([[q0], [q1]]), None
+        return (1.0,), np.array([[[1.0 - q0], [1.0 - q1]], [[q0], [q1]]]), None
     if isinstance(probe, NoisyPhotonProbe):
         weights = (probe.source.p, 1.0 - probe.source.p)
         amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
@@ -276,9 +270,8 @@ def _click_table(
     cut = amps.shape[1] - 1
     ket = MultiModeKet._unchecked(amps, (1, cut, cut, len(weights) - 1))
     out = propagate_mzi(ket, cfg).amps
-    labels = range(len(weights))
-    click = np.array([[_mass(out[s, :, 1:, b]) for b in labels] for s in (0, 1)])
-    return weights, click, out
+    probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label)
+    return weights, np.stack((probs[:, 0], probs[:, 1:].sum(axis=1))), out
 
 
 def run_setup(
@@ -310,56 +303,35 @@ def run_setup(
             "configuration is not transparent; pass require_transparent=False "
             "to run it anyway (the heralding guarantee is void)"
         )
-    weights, table, out = _click_table(cfg, probe, policy)
-    click = table.tolist()
+    weights, masses, out = _click_table(cfg, probe, policy)
+    zero, click = masses.tolist()
     joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
     p_click = sum(w * q for s in (1, 0) for w, q in zip(joint[s], click[s]))
     detection_eff = sum(w * q for w, q in zip(weights, click[1]))
+    # the click-posterior weight of the photon branches
+    photon_click = sum(w * q for w, q in zip(joint[1], click[1]))
+    purity = photon_click / p_click if p_click > 0.0 else None
     if out is None:
-        purity = source.p * click[1][0] / p_click if p_click > 0.0 else None
         return HeraldOutcome(
             p_click, detection_eff, detection_eff * source.p, 0.0, None, None, purity
         )
-    # each positive-weight slice as a 3-mode branch ket, photon branches first
-    cut = out.shape[1] - 1
-    branches = []
-    for s in (1, 0):
-        for b, w in enumerate(joint[s]):
-            if w > 0.0:
-                amps = np.zeros(out.shape[:3], dtype=np.complex128)
-                amps[s] = out[s, ..., b]
-                branches.append((w, MultiModeKet._unchecked(amps, (1, cut, cut))))
-    squared_norms = [ket.squared_norm() for _, ket in branches]
+    # the positive-weight (signal, label) slices, photon branches first
+    branches = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
+    squared_norms = [zero[s][b] + click[s][b] for _, s, b in branches]
     if not max(squared_norms) <= 1.0 + NORM_TOL:
         raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
-    deficit = max(0.0, 1.0 - sum(w * sq for (w, _), sq in zip(branches, squared_norms)))
-    ensemble = Ensemble(branches)
-
-    try:
-        _, click_state = condition(ensemble, AUX, "at_least_one")
-    except ConditioningError:
-        click_state = None
-    try:
-        _, no_click_state = condition(ensemble, AUX, "zero")
-    except ConditioningError:
-        no_click_state = None
-
-    purity = None
-    if click_state is not None:
-        purity = float(
-            sum(
-                w * mode_number_distribution(ket, SIGNAL)[1]
-                for w, ket in click_state.branches
-            )
-        )
+    deficit = max(0.0, 1.0 - sum(w * sq for (w, _, _), sq in zip(branches, squared_norms)))
+    # each conditioned branch: a 3-mode ket cut from its event slice
+    cuts = (1, out.shape[1] - 1, out.shape[2] - 1)
+    states = []
+    for event, aux in ((click, slice(1, None)), (zero, 0)):
+        posterior = [(w * event[s][b], s, b) for w, s, b in branches]
+        prob = sum(c for c, _, _ in posterior)
+        kets = [(c / prob, _event_ket(out[..., b], np.s_[s, :, aux], event[s][b], cuts))
+                for c, s, b in posterior if c > 0.0]
+        states.append(Ensemble(kets) if prob > 0.0 else None)
     return HeraldOutcome(
-        p_click=p_click,
-        detection_efficiency=detection_eff,
-        total_success=detection_eff * source.p,
-        truncation_deficit=deficit,
-        click_state=click_state,
-        no_click_state=no_click_state,
-        purity_value=purity,
+        p_click, detection_eff, detection_eff * source.p, deficit, *states, purity
     )
 
 
@@ -407,7 +379,7 @@ def sample_shots(
     if require_transparent and not is_transparent(cfg):
         raise ConfigurationError("configuration is not transparent")
 
-    weights, table, _ = _click_table(cfg, probe, policy)
+    weights, (_, table), _ = _click_table(cfg, probe, policy)
     rng = np.random.Generator(np.random.Philox(seed))
     photon = rng.random(n_shots) < source.p
     signal = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy

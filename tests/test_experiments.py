@@ -375,6 +375,8 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"shots": math.inf}}],
         ["run", {"experiment": "fig4", "params": {"phi_chi_points": math.inf}}],
         ["run", {"experiment": "fig4", "out": 5}],
+        ["run", {"experiment": "fig4", "params": {"beta": [1e200]}}],
+        ["run", {"experiment": "purity-audit", "seed": 1, "params": {"beta": 1e200}}],
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsys):
@@ -402,6 +404,18 @@ def test_cli_truncation_failure_exits_three(tmp_path, capsys):
         params={"shots": 10, "beta": 3.0},
     )
     assert main(["run", config]) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "cascade"])
+def test_cli_unwritable_output_exits_one(command, tmp_path, capsys):
+    # an --out path in a missing directory used to end in a traceback
+    out = tmp_path / "missing" / "out.csv"
+    argv = ["run", _config(tmp_path, experiment="fig4")] if command == "run" else [command]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert str(out) in err
 
 
 def test_cli_verify_fast_exit_zero(capsys):

@@ -3,18 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from xpmherald.elements import BeamSplitterParams, XpmParams
-from xpmherald.errors import ConditioningError, ConfigurationError
+from xpmherald.elements import (
+    BeamSplitterParams,
+    XpmParams,
+    apply_beam_splitter,
+    apply_xpm,
+)
+from xpmherald.errors import ConditioningError, ConfigurationError, CutoffViolationError
 from xpmherald.fock import (
     Ensemble,
+    MultiModeKet,
     TruncationPolicy,
     condition,
     event_mass,
     make_coherent,
     make_fock,
+    mode_number_distribution,
     tensor,
 )
-from xpmherald.loss import LossParams, lossy_click_probs
+from xpmherald.loss import LossParams, lossy_click_probs, max_tolerable_loss
 from xpmherald.mzi import (
     CoherentProbe,
     MziConfig,
@@ -311,6 +318,47 @@ def test_bright_route_is_the_lossless_classical_click_function():
         assert out.truncation_deficit == 0.0 and out.click_state is None
 
 
+def test_propagate_mzi_matches_element_chain():
+    # the fused chain against the elements one by one: seeded random kets
+    # with 0-2 label axes, on transparent and random configs, with either
+    # splitter, or both, at theta = 0
+    rng = np.random.default_rng(53)
+    identity = BeamSplitterParams(0.0, 0.4)
+    raised = compared = 0
+    for i in range(160):
+        shape = (2 + i % 2, *rng.integers(1, 7, 2), *rng.integers(1, 4, i % 3))
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if i % 4:  # keep every occupied probe-auxiliary total within both cutoffs
+            n, m = np.indices(shape[1:3])
+            amps[:, n + m >= min(shape[1:3])] = 0.0
+        amps = amps / np.linalg.norm(amps) if i % 9 else np.zeros(shape)
+        ket = MultiModeKet(amps, tuple(d - 1 for d in shape))
+        cfg = random_transparent(rng) if i % 2 else mzi_config(*rng.uniform(0.0, 6.0, 5))
+        if i % 5 in (1, 3):
+            cfg = MziConfig(identity, cfg.bs2, cfg.xpm)
+        if i % 5 in (2, 3):
+            cfg = MziConfig(cfg.bs1, identity, cfg.xpm)
+
+        def chain():
+            out = apply_beam_splitter(ket, (1, 2), cfg.bs1)
+            return apply_beam_splitter(apply_xpm(out, (0, 1), cfg.xpm), (1, 2), cfg.bs2)
+
+        results = []
+        for route in (lambda: propagate_mzi(ket, cfg), chain):
+            try:
+                results.append(route().amps)
+            except CutoffViolationError:
+                assert cfg.bs1 != identity or cfg.bs2 != identity
+                results.append(None)
+        assert (results[0] is None) == (results[1] is None)
+        if results[0] is None:
+            raised += 1
+        else:
+            compared += 1
+            assert np.max(np.abs(results[0] - results[1]), initial=0.0) <= 1e-14
+    assert raised > 10 and compared > 100
+
+
 def _per_branch_outcome(cfg, source, probe):
     """The independent route: each (signal, probe) branch as its own 3-mode
     ket, propagated on its own.  Returns p_click, detection efficiency,
@@ -359,6 +407,11 @@ def test_one_propagation_matches_per_branch_propagation(noisy):
         assert abs(out.p_click - p_click) <= 1e-15
         assert abs(out.detection_efficiency - det_eff) <= 1e-15
         assert abs(out.truncation_deficit - deficit) <= 1e-15
+        if clicked is None:
+            assert out.purity_value is None
+        else:
+            purity = sum(w * mode_number_distribution(k, 0)[1] for w, k in clicked.branches)
+            assert abs(out.purity_value - purity) <= 1e-15
         for got, want in ((out.click_state, clicked), (out.no_click_state, unclicked)):
             assert (got is None) == (want is None)
             if want is None:
@@ -538,6 +591,27 @@ def test_non_finite_coherent_probe_rejected_without_warnings():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for beta in (math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)):
+        for beta in (
+            math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0), 1e200, 1e200j
+        ):
             with pytest.raises(ConfigurationError):
                 CoherentProbe(beta)
+
+
+def test_amplitude_without_finite_square_rejected_without_warnings():
+    # |beta|^2 overflows above |beta| of about 1.3e154: make_coherent raised
+    # a bare OverflowError, the loss routines warned and reported q0 = 1
+    import warnings
+
+    cfg = transparent_via_angle_sum(PI / 4.0, 0.0, PI)
+    calls = (
+        make_coherent,
+        lambda beta: lossy_click_probs(cfg, beta, LossParams(0.0)),
+        lambda beta: max_tolerable_loss(cfg, beta),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (math.nan, math.inf, 1e200):
+            for call in calls:
+                with pytest.raises(ConfigurationError):
+                    call(beta)
