@@ -25,13 +25,10 @@ from .cascade import (
 )
 from .elements import (
     BeamSplitterParams,
-    CoherentAmplitudes,
     XpmParams,
     apply_beam_splitter,
     apply_xpm,
-    bs_coherent,
     bs_unitary,
-    xpm_coherent_branch,
 )
 from .errors import (
     ConditioningError,
@@ -83,7 +80,6 @@ __all__ = [
     "BeamSplitterParams",
     "CascadeConfig",
     "CascadeResult",
-    "CoherentAmplitudes",
     "CoherentProbe",
     "ConditioningError",
     "ConfigurationError",
@@ -103,7 +99,6 @@ __all__ = [
     "XpmParams",
     "apply_beam_splitter",
     "apply_xpm",
-    "bs_coherent",
     "bs_unitary",
     "coherent_outputs",
     "condition",
@@ -130,5 +125,4 @@ __all__ = [
     "transparent_via_angle_diff",
     "transparent_via_angle_sum",
     "vacuum_leak_amplitude",
-    "xpm_coherent_branch",
 ]

@@ -5,8 +5,8 @@ Subcommands: ``run <config>`` (named experiments from a JSON config: the
 and the ``purity-audit`` Monte Carlo shot campaign), ``verify`` (invariant
 suites) and ``cascade`` (chained setups).
 
-Exit codes: 0 success, 1 configuration or file error, 2 invariant failure,
-3 truncation failure.
+Exit codes: 0 success, 1 configuration or file error (a request too large
+to allocate included), 2 invariant failure, 3 truncation failure.
 """
 
 from __future__ import annotations
@@ -140,6 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: request too large to allocate ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationLimitError as exc:
         print(

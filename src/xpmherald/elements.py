@@ -1,11 +1,4 @@
-"""Beam-splitter and cross-phase-modulation primitives.
-
-Both elements exist on two representations:
-
-* the exact path, rewriting dense truncated Fock kets, and
-* the classical path, mapping one complex amplitude per mode for registers
-  known to hold coherent states (exact for arbitrary mean photon number,
-  no truncation involved).
+"""Beam-splitter and cross-phase-modulation primitives on dense Fock kets.
 
 Beam-splitter sign convention, fixed once and used everywhere: the creation
 operator of input 1 maps to ``cos(theta) a1' + exp(-i phi) sin(theta) a2'``
@@ -65,25 +58,9 @@ class XpmParams:
         return min(residue, 2.0 * math.pi - residue) > 1e-9
 
 
-@dataclass(frozen=True)
-class CoherentAmplitudes:
-    """One complex amplitude per mode, for modes in coherent states."""
-
-    amps: tuple[complex, ...]
-
-    def __getitem__(self, mode: int) -> complex:
-        return self.amps[mode]
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.amps)
-
-    def mean_photons(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps))
-
-
 def bs_unitary(p: BeamSplitterParams) -> np.ndarray:
-    """2x2 creation-operator substitution matrix of the beam splitter."""
+    """2x2 creation-operator substitution matrix of the beam splitter;
+    coherent amplitudes map by its transpose (see ``mzi.coherent_outputs``)."""
     c = math.cos(p.theta)
     s = math.sin(p.theta)
     ph = complex(math.cos(p.phi), math.sin(p.phi))
@@ -282,34 +259,3 @@ def apply_xpm(
     occ_j = np.arange(ket.cutoffs[j] + 1).reshape([-1 if k == j else 1 for k in axes])
     phases = np.exp(1j * (p.phi_chi * (occ_i * occ_j)))
     return MultiModeKet._unchecked(ket.amps * phases, ket.cutoffs)
-
-
-def bs_coherent(
-    amps: CoherentAmplitudes, modes: tuple[int, int], p: BeamSplitterParams
-) -> CoherentAmplitudes:
-    """Beam splitter on the classical path.
-
-    Coherent amplitudes transform with the transpose of the operator
-    substitution matrix; total mean photon number is conserved.
-    """
-    i, j = modes
-    u = bs_unitary(p)
-    new = list(amps.amps)
-    ai, aj = amps[i], amps[j]
-    new[i] = u[0, 0] * ai + u[1, 0] * aj
-    new[j] = u[0, 1] * ai + u[1, 1] * aj
-    return CoherentAmplitudes(tuple(new))
-
-
-def xpm_coherent_branch(
-    amps: CoherentAmplitudes, mode: int, photon_present: bool, p: XpmParams
-) -> CoherentAmplitudes:
-    """XPM acting on a coherent mode whose partner holds a definite photon
-    number: the coherent amplitude rotates by exp(i phi_chi) when a photon
-    is present and is untouched otherwise."""
-    if not photon_present:
-        return amps
-    phase = complex(math.cos(p.phi_chi), math.sin(p.phi_chi))
-    new = list(amps.amps)
-    new[mode] = phase * new[mode]
-    return CoherentAmplitudes(tuple(new))

@@ -126,7 +126,6 @@ def max_tolerable_loss(
     beta: complex,
     fixed_p: float | None = None,
     tol: float = 1e-6,
-    coarse_points: int = 201,
 ) -> float:
     """Largest absorption probability at which heralding still improves the
     source, located by bisection to ``tol``.
@@ -134,10 +133,11 @@ def max_tolerable_loss(
     Transparency is checked and the absorption-independent probe amplitudes
     are computed once per solve; each margin evaluation only applies the
     attenuation and the second splitter.  The margin is checked for
-    monotonicity on a coarse grid first; if it changes sign more than once
-    the solver falls back to a refined grid scan around the largest
-    improving point instead of trusting a single bracket.  Returns 0 (with
-    a diagnostic warning) when no positive absorption improves the source.
+    monotonicity on a coarse 201-point grid first; if it changes sign more
+    than once the solver falls back to a refined grid scan around the
+    largest improving point instead of trusting a single bracket.  Returns 0
+    (with a diagnostic warning) when no positive absorption improves the
+    source.
     """
     if not cfg.xpm.working:
         raise ConfigurationError("inert cross-phase medium: no click mechanism exists")
@@ -152,7 +152,7 @@ def max_tolerable_loss(
         raise ConfigurationError("loss bound assumes a transparent configuration")
 
     margin = _improvement_margin(cfg, beta, fixed_p)
-    grid = np.linspace(0.0, 1.0, coarse_points)
+    grid = np.linspace(0.0, 1.0, 201)
     values = [margin(x) for x in grid]
     signs = [v > 0.0 for v in values]
     if not any(signs):

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (
-    BeamSplitterParams,
-    CoherentAmplitudes,
-    XpmParams,
-    _apply_chain,
-    bs_coherent,
-    bs_unitary,
-    xpm_coherent_branch,
-)
+from .elements import BeamSplitterParams, XpmParams, _apply_chain, bs_unitary
 from .errors import ConditioningError, ConfigurationError, check_amplitude, check_count
 from .fock import (
     NORM_TOL,
@@ -147,19 +139,10 @@ def transparent_via_angle_diff(
 
 
 def vacuum_leak_amplitude(cfg: MziConfig) -> complex:
-    """Amplitude for a lone probe photon to exit toward the detector.
-
-    With vacuum in the signal mode, a single photon entering the probe arm
-    leaves in the auxiliary mode with this amplitude; transparency is
-    exactly its vanishing (for every input, see ``is_transparent``).
-    """
-    bs1, bs2 = cfg.bs1, cfg.bs2
-    e1 = complex(math.cos(bs1.phi), -math.sin(bs1.phi))
-    e2 = complex(math.cos(bs2.phi), -math.sin(bs2.phi))
-    return (
-        e2 * math.cos(bs1.theta) * math.sin(bs2.theta)
-        + e1 * math.sin(bs1.theta) * math.cos(bs2.theta)
-    )
+    """Amplitude for a lone probe photon, with vacuum in the signal mode, to
+    leave in the auxiliary mode toward the detector.  Transparency is
+    exactly its vanishing (for every input, see ``is_transparent``)."""
+    return complex(bc_transfer_matrix(cfg)[0, 1])
 
 
 def bc_transfer_matrix(cfg: MziConfig) -> np.ndarray:
@@ -167,7 +150,11 @@ def bc_transfer_matrix(cfg: MziConfig) -> np.ndarray:
     return bs_unitary(cfg.bs1) @ bs_unitary(cfg.bs2)
 
 
-def is_transparent(cfg: MziConfig, tol: float = 1e-9) -> bool:
+# Entrywise slack of the transparency test, far above 2x2-product rounding.
+TRANSPARENCY_TOL = 1e-9
+
+
+def is_transparent(cfg: MziConfig) -> bool:
     """Whether the empty interferometer leaves every (B, C) input unchanged.
 
     Checked at the operator level: the composite substitution matrix must be
@@ -177,15 +164,15 @@ def is_transparent(cfg: MziConfig, tol: float = 1e-9) -> bool:
     """
     t = bc_transfer_matrix(cfg)
     lam = t[0, 0]
-    if abs(abs(lam) - 1.0) > tol:
+    if abs(abs(lam) - 1.0) > TRANSPARENCY_TOL:
         return False
-    return bool(np.max(np.abs(t - lam * np.eye(2))) <= tol)
+    return bool(np.max(np.abs(t - lam * np.eye(2))) <= TRANSPARENCY_TOL)
 
 
-def transparency_sign(cfg: MziConfig, tol: float = 1e-9) -> int:
+def transparency_sign(cfg: MziConfig) -> int:
     """+1 when the empty interferometer is the strict identity, -1 when it
     negates both field operators (a per-basis-state phase (-1)^(photons))."""
-    if not is_transparent(cfg, tol):
+    if not is_transparent(cfg):
         raise ConfigurationError("configuration is not transparent")
     return 1 if bc_transfer_matrix(cfg)[0, 0].real > 0.0 else -1
 
@@ -200,16 +187,15 @@ def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
 
 def coherent_outputs(
     cfg: MziConfig, beta: complex, photon_present: bool
-) -> CoherentAmplitudes:
-    """Classical-path (B, C) output amplitudes for a coherent probe.
-
-    Exact for any mean photon number, like the click probabilities that
-    ``_classical_clicks`` reads off the same path for bright probes.
-    """
-    amps = CoherentAmplitudes((complex(beta), 0.0 + 0.0j))
-    amps = bs_coherent(amps, (0, 1), cfg.bs1)
-    amps = xpm_coherent_branch(amps, 0, photon_present, cfg.xpm)
-    return bs_coherent(amps, (0, 1), cfg.bs2)
+) -> np.ndarray:
+    """Classical-path (B, C) output amplitudes for a coherent probe, exact
+    at any mean photon number.  Coherent amplitudes map by the transposed
+    substitution matrix ``(u1 diag(e, 1) u2).T``, e the XPM phase when a
+    photon is present and 1 otherwise; ``_classical_clicks`` reads the same
+    entries."""
+    phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
+    arm = np.diag((phase if photon_present else 1.0, 1.0))
+    return (bs_unitary(cfg.bs1) @ arm @ bs_unitary(cfg.bs2)).T @ np.array((beta, 0.0))
 
 
 def _classical_clicks(
@@ -218,13 +204,12 @@ def _classical_clicks(
     """Click probabilities (q1, q0) with and without an unabsorbed signal
     photon, classical path, as a function of the medium's absorption
     probability (see ``loss``).  The arms after the first splitter, the
-    second splitter's detector row and the XPM phase are computed once;
+    second splitter's detector column and the XPM phase are computed once;
     each call attenuates the upper arm, rotates it if the photon survives
     and mixes it onto the detector."""
-    arms = bs_coherent(CoherentAmplitudes((complex(beta), 0.0 + 0.0j)), (0, 1), cfg.bs1)
-    upper = complex(arms[0])
-    u2 = bs_unitary(cfg.bs2)
-    coupling, lower = u2[0, 1], u2[1, 1] * arms[1]
+    u1, u2 = bs_unitary(cfg.bs1), bs_unitary(cfg.bs2)
+    upper = complex(u1[0, 0] * beta)
+    coupling, lower = u2[0, 1], u2[1, 1] * (u1[0, 1] * beta)
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
 
     def clicks(p_absorb: float) -> tuple[float, float]:

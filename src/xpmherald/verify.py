@@ -211,18 +211,19 @@ def _check_elements(results, rng, dense: bool):
         b_ket = fk.make_coherent(beta, fk.TruncationPolicy(tail_tolerance=tol))
         cut = b_ket.cutoffs[0]
         ket = fk.tensor([fk.make_fock((1,), (1,)), b_ket, fk.make_fock((0,), (cut,))])
-        classical = el.CoherentAmplitudes((beta, 0.0 + 0.0j))
+        # coherent amplitudes map by the transpose of each splitter's matrix
+        amps = np.array([beta, 0.0])
         for _ in range(3):
             bsp = el.BeamSplitterParams(
                 float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
             )
             xp = el.XpmParams(float(rng.uniform(0.0, 2.0 * math.pi)))
             ket = el.apply_beam_splitter(ket, (1, 2), bsp)
-            classical = el.bs_coherent(classical, (0, 1), bsp)
+            amps = el.bs_unitary(bsp).T @ amps
             if rng.random() < 0.5:
                 ket = el.apply_xpm(ket, (0, 1), xp)
-                classical = el.xpm_coherent_branch(classical, 0, True, xp)
-        arms = [fk.make_coherent(a, fk.TruncationPolicy(tol, cut)) for a in classical.amps]
+                amps[0] *= complex(math.cos(xp.phi_chi), math.sin(xp.phi_chi))
+        arms = [fk.make_coherent(a, fk.TruncationPolicy(tol, cut)) for a in amps]
         target = fk.tensor([fk.make_fock((1,), (1,)), *arms])
         fidelity = abs(fk.inner(target, ket))
         worst = max(worst, abs(fidelity - 1.0))

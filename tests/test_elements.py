@@ -6,25 +6,15 @@ import pytest
 import xpmherald.elements as el
 from xpmherald.elements import (
     BeamSplitterParams,
-    CoherentAmplitudes,
     XpmParams,
     apply_beam_splitter,
     apply_xpm,
-    bs_coherent,
     bs_unitary,
-    xpm_coherent_branch,
 )
 from xpmherald.errors import ConfigurationError, CutoffViolationError
-from xpmherald.fock import (
-    MultiModeKet,
-    TruncationPolicy,
-    inner,
-    make_coherent,
-    make_fock,
-    mode_number_distribution,
-    tensor,
-)
-from xpmherald.verify import random_ket
+from xpmherald.fock import MultiModeKet, make_fock, mode_number_distribution
+from xpmherald.mzi import MziConfig, coherent_outputs
+from xpmherald.verify import random_ket, random_transparent
 
 SQRT2 = math.sqrt(2.0)
 
@@ -322,71 +312,72 @@ def test_bs_unitary_is_unitary():
 
 
 def test_bs_coherent_splits_probe():
+    # the first splitter alone: reflected cos(theta), transmitted
+    # exp(-i phi) sin(theta), as bs_unitary(bs1).T @ (beta, 0)
     theta1, phi1 = 0.6, 1.1
-    out = bs_coherent(
-        CoherentAmplitudes((2.0 + 0.0j, 0.0j)), (0, 1), BeamSplitterParams(theta1, phi1)
+    identity = BeamSplitterParams(0.0)
+    split = MziConfig(BeamSplitterParams(theta1, phi1), identity, XpmParams(0.0))
+    expected = 2.0 * np.array(
+        [math.cos(theta1), complex(math.cos(phi1), -math.sin(phi1)) * math.sin(theta1)]
     )
-    assert out[0] == pytest.approx(2.0 * math.cos(theta1))
-    assert out[1] == pytest.approx(
-        2.0 * complex(math.cos(-phi1), math.sin(-phi1)) * math.sin(theta1)
-    )
+    assert np.max(np.abs(coherent_outputs(split, 2.0, True) - expected)) < 1e-14
 
 
 def test_bs_coherent_identity():
-    out = bs_coherent(
-        CoherentAmplitudes((1.5 + 0.5j, 0.0j)), (0, 1), BeamSplitterParams(0.0, 2.0)
-    )
+    # a transparent empty interferometer returns the probe, up to the sign
+    identity = BeamSplitterParams(0.0, 2.0)
+    out = coherent_outputs(MziConfig(identity, identity, XpmParams(0.0)), 1.5 + 0.5j, False)
     assert out[0] == pytest.approx(1.5 + 0.5j)
     assert out[1] == 0.0
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        cfg = random_transparent(rng)
+        beta = complex(rng.normal(), rng.normal())
+        out = coherent_outputs(cfg, beta, False)
+        assert abs(out[1]) < 1e-14
+        assert min(abs(out[0] - beta), abs(out[0] + beta)) < 1e-14
 
 
 def test_bs_coherent_conserves_mean_photons():
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        amps = CoherentAmplitudes(
-            (
-                complex(rng.normal(), rng.normal()),
-                complex(rng.normal(), rng.normal()),
-            )
-        )
-        out = bs_coherent(
-            amps,
-            (0, 1),
+    for _ in range(50):
+        cfg = MziConfig(
             BeamSplitterParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 7))),
+            BeamSplitterParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 7))),
+            XpmParams(float(rng.uniform(0, 7))),
         )
-        assert out.mean_photons() == pytest.approx(amps.mean_photons(), abs=1e-12)
+        beta = complex(rng.normal(), rng.normal())
+        for present in (True, False):
+            out = coherent_outputs(cfg, beta, present)
+            assert abs(np.sum(np.abs(out) ** 2) - abs(beta) ** 2) < 1e-14 * (
+                1.0 + abs(beta) ** 2
+            )
 
 
 def test_xpm_coherent_branch_phase_flip():
-    out = xpm_coherent_branch(
-        CoherentAmplitudes((1.2 + 0.0j,)), 0, True, XpmParams(math.pi)
-    )
-    assert out[0] == pytest.approx(-1.2, abs=1e-15)
+    # at phi_chi = pi a photon flips the upper arm
+    identity = BeamSplitterParams(0.0)
+    empty = MziConfig(identity, identity, XpmParams(math.pi))
+    assert np.max(np.abs(coherent_outputs(empty, 1.2, True) - [-1.2, 0.0])) < 1e-15
 
 
 def test_xpm_coherent_branch_absent_photon():
-    out = xpm_coherent_branch(
-        CoherentAmplitudes((1.2 + 0.0j,)), 0, False, XpmParams(math.pi)
-    )
-    assert out[0] == 1.2
-
-
-def test_xpm_coherent_branch_agrees_with_exact():
-    # classical path against exact truncated propagation on |1> x |beta>
-    eps = 1e-10
-    for beta in (0.5, 1.0, 2.0):
-        coh = make_coherent(beta, TruncationPolicy(tail_tolerance=eps))
-        ket = tensor([make_fock((1,), (1,)), coh])
-        phi_chi = 1.3
-        exact = apply_xpm(ket, (0, 1), XpmParams(phi_chi))
-        rotated = xpm_coherent_branch(
-            CoherentAmplitudes((complex(beta),)), 0, True, XpmParams(phi_chi)
+    # coherent amplitudes map by u1^T, then the XPM phase on the upper arm
+    # only when the photon is present, then u2^T
+    identity = BeamSplitterParams(0.0)
+    empty = MziConfig(identity, identity, XpmParams(math.pi))
+    assert np.array_equal(coherent_outputs(empty, 1.2, False), [1.2, 0.0])
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        bs1, bs2 = (
+            BeamSplitterParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 7)))
+            for _ in range(2)
         )
-        target = tensor(
-            [
-                make_fock((1,), (1,)),
-                make_coherent(rotated[0], TruncationPolicy(eps, coh.cutoffs[0])),
-            ]
-        )
-        fidelity = abs(inner(target, exact))
-        assert fidelity >= 1.0 - eps * 10
+        cfg = MziConfig(bs1, bs2, XpmParams(float(rng.uniform(0, 7))))
+        beta = complex(rng.normal(), rng.normal())
+        phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
+        for present in (True, False):
+            arms = bs_unitary(bs1).T @ np.array([beta, 0.0])
+            arms[0] *= phase if present else 1.0
+            out = coherent_outputs(cfg, beta, present)
+            assert np.max(np.abs(out - bs_unitary(bs2).T @ arms)) < 1e-14

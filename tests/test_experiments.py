@@ -377,6 +377,9 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "fig4", "out": 5}],
         ["run", {"experiment": "fig4", "params": {"beta": [1e200]}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"beta": 1e200}}],
+        # sizes past any address space, so the allocation fails at once
+        ["cascade", "--setups", "5", "--shots", "1000000000000000", "--seed", "1"],
+        ["run", {"experiment": "fig4", "params": {"phi_chi_points": 1e15}}],
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsys):

@@ -27,6 +27,8 @@ from xpmherald.mzi import (
     MziConfig,
     NoisyPhotonProbe,
     NoisySource,
+    _classical_clicks,
+    coherent_outputs,
     detection_efficiency,
     is_transparent,
     propagate_mzi,
@@ -37,7 +39,7 @@ from xpmherald.mzi import (
     transparent_via_angle_sum,
     vacuum_leak_amplitude,
 )
-from xpmherald.verify import random_ket, random_transparent
+from xpmherald.verify import _random_nontransparent, random_ket, random_transparent
 
 PI = math.pi
 
@@ -451,7 +453,6 @@ def test_no_click_probe_state_matches_amplitude_recursion():
     # amplitude the classical path predicts; this is the per-pass recursion
     # the cascade schemes build on
     from xpmherald.fock import make_coherent, same_state
-    from xpmherald.mzi import coherent_outputs
 
     beta, phi_chi = 1.2, 1.9
     cfg = transparent_via_angle_sum(PI / 4.0, 0.0, phi_chi)
@@ -480,6 +481,19 @@ def test_no_click_probe_state_matches_amplitude_recursion():
         ]
     )
     assert not same_state(flipped, branch, tol=1e-2)
+
+
+def test_classical_clicks_read_coherent_outputs():
+    # the bright-probe click function and the classical output amplitudes
+    # are one 2x2 map: the click probabilities are 1 - exp(-|detector arm|^2)
+    rng = np.random.default_rng(41)
+    for i in range(400):
+        cfg = random_transparent(rng) if i % 2 else _random_nontransparent(rng)
+        beta = complex(rng.normal(0.0, 3.0), rng.normal(0.0, 3.0))
+        q1, q0 = _classical_clicks(cfg, beta)(0.0)
+        for q, present in ((q1, True), (q0, False)):
+            arm = coherent_outputs(cfg, beta, present)[1]
+            assert abs(q - (1.0 - math.exp(-abs(arm) ** 2))) < 1e-14
 
 
 def test_coherent_deficit_is_recorded():
