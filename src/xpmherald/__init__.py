@@ -47,7 +47,6 @@ from .fock import (
     make_coherent,
     make_fock,
     mode_number_distribution,
-    same_state,
     tensor,
 )
 from .loss import (
@@ -115,7 +114,6 @@ __all__ = [
     "reused_probe_pn",
     "reused_probe_total",
     "run_setup",
-    "same_state",
     "sample_shots",
     "shared_probe_pn",
     "shared_probe_total",

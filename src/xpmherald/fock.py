@@ -159,9 +159,6 @@ class MultiModeKet:
     def norm(self) -> float:
         return math.sqrt(self.squared_norm())
 
-    def scaled(self, factor: complex) -> "MultiModeKet":
-        return MultiModeKet(self.amps * factor, self.cutoffs)
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -177,10 +174,6 @@ class Ensemble:
     @property
     def total_weight(self) -> float:
         return float(sum(w for w, _ in self.branches))
-
-    @classmethod
-    def pure(cls, ket: MultiModeKet) -> "Ensemble":
-        return cls([(1.0, ket)])
 
 
 def make_fock(occupations: tuple[int, ...], cutoffs: tuple[int, ...]) -> MultiModeKet:
@@ -288,17 +281,6 @@ def inner(a: MultiModeKet, b: MultiModeKet) -> complex:
             f"mode structures differ: cutoffs {a.cutoffs} vs {b.cutoffs}"
         )
     return complex(np.vdot(a.amps, b.amps))
-
-
-def same_state(a: MultiModeKet, b: MultiModeKet, tol: float = 1e-9) -> bool:
-    """Physical (global-phase-insensitive) state equality.
-
-    True when ``|<a|b>| >= (1 - tol) * |a| * |b|``.
-    """
-    na, nb = a.norm(), b.norm()
-    if na == 0.0 or nb == 0.0:
-        return na == nb
-    return abs(inner(a, b)) >= (1.0 - tol) * na * nb
 
 
 def mode_number_distribution(ket: MultiModeKet, mode: int) -> np.ndarray:

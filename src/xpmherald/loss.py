@@ -36,12 +36,6 @@ class LossParams:
                 f"absorption probability must lie in [0, 1], got {self.p_absorb}"
             )
 
-    @property
-    def survival_amplitude(self) -> float:
-        """Field-amplitude attenuation factor; its square plus the
-        absorption probability is one."""
-        return math.sqrt(1.0 - self.p_absorb)
-
 
 @dataclass(frozen=True)
 class LossyHeraldReport:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .fock import (
     Ensemble,
     MultiModeKet,
     TruncationPolicy,
-    _event_ket,
+    condition,
     make_coherent,
 )
 
@@ -94,15 +94,23 @@ class HeraldOutcome:
     here under-count by at most that much.
     ``purity_given_click`` is undefined when the click probability vanishes
     and raises on access in that case.
+
+    ``click_state`` and ``no_click_state`` are the conditioned branch
+    ensembles, built by ``fock.condition`` on each read from the array the
+    run propagated; they are None for an event of probability zero and on
+    the classical path, which propagates no array.
     """
 
     p_click: float
     detection_efficiency: float
     total_success: float
     truncation_deficit: float
-    click_state: Ensemble | None
-    no_click_state: Ensemble | None
     purity_value: float | None = None
+    # the propagated array and its positive-weight (weight, signal, label)
+    # slices, photon branches first
+    _branches: tuple[np.ndarray, list[tuple[float, int, int]]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def purity_given_click(self) -> float:
@@ -112,6 +120,25 @@ class HeraldOutcome:
                 "state is undefined"
             )
         return self.purity_value
+
+    click_state = property(lambda self: self._conditioned("at_least_one"))
+    no_click_state = property(lambda self: self._conditioned("zero"))
+
+    def _conditioned(self, event: str) -> Ensemble | None:
+        """Each slice as a zero-padded 3-mode ket, conditioned on ``event``."""
+        if self._branches is None:
+            return None
+        out, branches = self._branches
+        cuts = (1, out.shape[1] - 1, out.shape[2] - 1)
+        kets = []
+        for w, s, b in branches:
+            amps = np.zeros(out.shape[:3], dtype=np.complex128)
+            amps[s] = out[s, ..., b]
+            kets.append((w, MultiModeKet._unchecked(amps, cuts)))
+        try:
+            return condition(Ensemble(kets), AUX, event)[1]
+        except ConditioningError:
+            return None
 
 
 def transparent_via_angle_sum(
@@ -274,10 +301,12 @@ def run_setup(
     one-photon state (up to the truncation deficit) and the total success
     probability factors into detection efficiency times source efficiency.
 
-    A coherent probe brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` is routed
-    through the exact classical coherent path instead of truncated Fock
-    propagation; probabilities are then truncation-free but the conditioned
-    branch ensembles are not materialized (``click_state`` is None).
+    Only scalars are computed here; the conditioned branch ensembles are
+    built when ``click_state`` or ``no_click_state`` is read.  A coherent
+    probe brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` is routed through the
+    exact classical coherent path instead of truncated Fock propagation;
+    probabilities are then truncation-free but there are no branch kets
+    (``click_state`` is None).
 
     ``require_transparent=False`` skips the transparency check, for
     exploring configurations without the heralding guarantee.
@@ -296,28 +325,16 @@ def run_setup(
     # the click-posterior weight of the photon branches
     photon_click = sum(w * q for w, q in zip(joint[1], click[1]))
     purity = photon_click / p_click if p_click > 0.0 else None
+    total = detection_eff * source.p
     if out is None:
-        return HeraldOutcome(
-            p_click, detection_eff, detection_eff * source.p, 0.0, None, None, purity
-        )
+        return HeraldOutcome(p_click, detection_eff, total, 0.0, purity)
     # the positive-weight (signal, label) slices, photon branches first
     branches = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
     squared_norms = [zero[s][b] + click[s][b] for _, s, b in branches]
     if not max(squared_norms) <= 1.0 + NORM_TOL:
         raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
     deficit = max(0.0, 1.0 - sum(w * sq for (w, _, _), sq in zip(branches, squared_norms)))
-    # each conditioned branch: a 3-mode ket cut from its event slice
-    cuts = (1, out.shape[1] - 1, out.shape[2] - 1)
-    states = []
-    for event, aux in ((click, slice(1, None)), (zero, 0)):
-        posterior = [(w * event[s][b], s, b) for w, s, b in branches]
-        prob = sum(c for c, _, _ in posterior)
-        kets = [(c / prob, _event_ket(out[..., b], np.s_[s, :, aux], event[s][b], cuts))
-                for c, s, b in posterior if c > 0.0]
-        states.append(Ensemble(kets) if prob > 0.0 else None)
-    return HeraldOutcome(
-        p_click, detection_eff, detection_eff * source.p, deficit, *states, purity
-    )
+    return HeraldOutcome(p_click, detection_eff, total, deficit, purity, (out, branches))
 
 
 def _single_photon_factor(theta1: float, phi_chi: float) -> float:

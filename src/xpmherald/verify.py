@@ -374,7 +374,6 @@ def _check_mzi(results, rng, dense: bool):
 
     n_cfg = 60 if dense else 20
     worst_purity = 0.0
-    worst_pt = 0.0
     for _ in range(n_cfg):
         # full draws wider phase and source ranges and both probe kinds
         lo, hi, pa_lo = (0.4, 5.9, 0.05) if dense else (0.5, 5.5, 0.1)
@@ -387,17 +386,9 @@ def _check_mzi(results, rng, dense: bool):
         outcome = mzi.run_setup(cfg, mzi.NoisySource(p_a), probe)
         if outcome.p_click > 1e-9:
             worst_purity = max(worst_purity, abs(outcome.purity_given_click - 1.0))
-        worst_pt = max(
-            worst_pt,
-            abs(outcome.total_success - outcome.detection_efficiency * p_a),
-        )
     _record_worst(
         results, "mzi", "click-implies-pure-photon", worst_purity, ALGEBRA_TOL,
         f"{n_cfg} random transparent configs", "max 1-purity",
-    )
-    _record_worst(
-        results, "mzi", "total-success-factorizes", worst_pt, ALGEBRA_TOL,
-        f"{n_cfg} random transparent configs",
     )
 
     sweep = np.linspace(0.02, math.pi - 0.02, 81)

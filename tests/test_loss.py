@@ -34,9 +34,15 @@ def symmetric_cfg(phi_chi):
 
 
 def test_loss_params_survival_identity():
+    # a transparent config's unshifted arms cancel at the detector up to
+    # (1 - a) times the lower arm's amplitude, |beta| / 2 here, with a the
+    # field amplitude that survives the medium: q0 = 1 - exp(-((1 - a)
+    # |beta| / 2)^2), so the faulty-click probability measures a
+    beta = 1.3
     for pa in (0.0, 0.3, 1.0):
-        loss = LossParams(pa)
-        assert loss.survival_amplitude**2 + pa == pytest.approx(1.0, abs=1e-12)
+        _, q0 = lossy_click_probs(symmetric_cfg(2.0), beta, LossParams(pa))
+        survival = 1.0 - math.sqrt(-math.log1p(-q0)) / (beta / 2.0)
+        assert survival**2 + pa == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lossy_click_probs_lossless_recovers_ideal():
@@ -107,7 +113,7 @@ def test_lossy_click_probs_cross_checked_against_exact_propagation():
         n, m = np.indices(product.amps.shape)
         ket = MultiModeKet(np.where(n + m <= cut, product.amps, 0.0), product.cutoffs)
         out = apply_beam_splitter(ket, (0, 1), cfg.bs2)
-        prob, _ = condition(Ensemble.pure(out), 1, "at_least_one")
+        prob, _ = condition(Ensemble([(1.0, out)]), 1, "at_least_one")
         assert prob == pytest.approx(expected, abs=1e-8)
 
 

@@ -1,4 +1,5 @@
-"""The README's CLI block, run line by line, so a stale example fails."""
+"""Names users reach: the README's CLI block, run line by line, the names
+its prose cites and the package's ``__all__``, so a stale name fails."""
 
 import functools
 import importlib
@@ -72,3 +73,12 @@ def test_readme_names_resolve():
     assert {"p_b", "fixed_p"} <= params
     stale = sorted(n for n in set(code_names()) - params if not resolves(n, roots))
     assert not stale, stale
+
+
+def test_all_names_resolve():
+    # a deleted name left in __all__ breaks `from xpmherald import *`
+    namespace = {}
+    exec("from xpmherald import *", namespace)
+    missing = [n for n in xpmherald.__all__ if not hasattr(xpmherald, n)]
+    assert not missing, missing
+    assert set(xpmherald.__all__) <= set(namespace)
