@@ -4,8 +4,9 @@ Scheme A retries a single noisy photon against the reused probe until a
 click: the success probability climbs toward the source efficiency itself.
 Scheme B threads one probe through setups fed by independent noisy
 photons: the probability of heralding at least one pure photon climbs
-toward certainty.  Both closed forms are audited here against the exact
-sequential simulator and a seeded Monte Carlo run.
+toward certainty.  The exact simulator answers scheme A from its closed
+form and scheme B by the exhaustive pattern enumeration; both are set
+against a seeded Monte Carlo run.
 """
 
 import math
@@ -23,7 +24,7 @@ cfg = xh.CascadeConfig("reused_probe", 8, alpha, phi_chi, p)
 exact = xh.simulate_cascade(cfg)
 mc = xh.simulate_cascade(cfg, shots=200_000, seed=31)
 print("retrying one noisy photon against the reused probe:")
-print(f"{'setup':>6s} {'closed form':>12s} {'sequential':>12s} {'monte carlo':>12s}")
+print(f"{'setup':>6s} {'closed form':>12s} {'simulate':>12s} {'monte carlo':>12s}")
 for n in range(1, 9):
     closed = xh.reused_probe_pn(n, alpha, phi_chi)
     print(

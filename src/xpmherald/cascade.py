@@ -10,9 +10,13 @@ setup, all of them at the optimal symmetric splitter:
 * ``shared_probe``: every setup gets its own noisy photon and the probe
   chains through all of them; the first click heralds one purified photon.
 
-Closed-form first-click probabilities are provided next to an exact
-sequential simulator (for the shared probe an O(2^N) array enumeration) and
-a Monte Carlo sampler, so each route can audit the others.
+Every number is read off one per-rank table: the click probability of a
+photon-bearing setup whose probe was attenuated k times, and the no-click
+exponent after k attenuations.  The closed forms are O(N).  They are audited
+by routes that do not share their algebra: the O(2^N) pattern enumeration
+of the shared probe, seeded Monte Carlo of both schemes, and (in
+``verify``) a setup-by-setup recursion through the interferometer's own
+coherent outputs.
 """
 
 from __future__ import annotations
@@ -70,11 +74,46 @@ class CascadeResult:
     residual_amp: float
 
 
-def _xpm_factors(alpha: complex, phi_chi: float) -> tuple[float, float, float]:
-    """(|alpha|^2, sin^2(phi_chi / 2), cos^2(phi_chi / 2)): the probe's mean
-    photon number, the share a photon-bearing setup can click on and the
-    share of the probe intensity it leaves for the next setup."""
-    return abs(alpha) ** 2, math.sin(phi_chi / 2.0) ** 2, math.cos(phi_chi / 2.0) ** 2
+def _rank_table(alpha: complex, phi_chi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank table of a chain of n setups.
+
+    With x_k = |alpha|^2 sin^2(phi_chi/2) cos^(2k)(phi_chi/2), the click
+    exponent of a photon-bearing setup whose probe was attenuated k times:
+    the click probabilities 1 - exp(-x_k) for k < n and the no-click
+    exponents S_k = x_0 + ... + x_(k-1) for k <= n.  Scalar libm entries,
+    so the enumeration matches a per-pattern loop bit for bit."""
+    if n < 1:
+        raise ConfigurationError(f"setups are counted from 1, got {n}")
+    a2s2 = abs(alpha) ** 2 * math.sin(phi_chi / 2.0) ** 2
+    c2 = math.cos(phi_chi / 2.0) ** 2
+    x = [a2s2 * c2**k for k in range(n)]
+    click = np.array([-math.expm1(-xk) for xk in x])
+    return click, np.concatenate(([0.0], np.cumsum(x)))
+
+
+def _binomial_pmfs(m: int, p: float) -> np.ndarray:
+    """C(m, k) p^k (1-p)^(m-k) for k = 0..m.  The log term ratios are summed
+    outward from the mode and the weights normalised, so neither the binomial
+    coefficient (past the float range from m = 1030) nor the rounding of
+    log-factorials near 10^4 enters."""
+    k = np.arange(m + 1)
+    if p == 0.0 or p == 1.0:
+        return (k == (m if p == 1.0 else 0)).astype(float)
+    step = np.log((m - k[:-1]) / k[1:]) + (math.log(p) - math.log1p(-p))
+    mode = min(m, int((m + 1) * p))
+    log_w = np.zeros(m + 1)
+    log_w[mode + 1:] = np.cumsum(step[mode:])
+    log_w[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    pmf = np.exp(log_w)
+    return pmf / pmf.sum()
+
+
+def _reused(alpha: complex, phi_chi: float, n: int, p: float) -> tuple[np.ndarray, float]:
+    """First-click probabilities of a retried photon at setups 1..n, given
+    it is present, and the heralding probability p (1 - exp(-S_n)): the
+    no-click survivals telescope."""
+    click, s = _rank_table(alpha, phi_chi, n)
+    return np.exp(-s[:-1]) * click, p * -math.expm1(-s[-1])
 
 
 def reused_probe_pn(n: int, alpha: complex, phi_chi: float) -> float:
@@ -83,13 +122,7 @@ def reused_probe_pn(n: int, alpha: complex, phi_chi: float) -> float:
     Conditional on the photon being present; each earlier setup failed to
     click and shrank the probe amplitude once.
     """
-    if n < 1:
-        raise ConfigurationError("setup index starts at 1")
-    a2, s2, c2 = _xpm_factors(alpha, phi_chi)
-    survive = 1.0
-    for i in range(n - 1):
-        survive *= math.exp(-a2 * s2 * c2**i)
-    return survive * -math.expm1(-a2 * s2 * c2 ** (n - 1))
+    return float(_reused(alpha, phi_chi, n, 1.0)[0][-1])
 
 
 def reused_probe_total(
@@ -98,78 +131,29 @@ def reused_probe_total(
     """Probability of heralding the retried photon within n_setups tries,
     weighted by the source efficiency.  Approaches p for a bright probe and
     many setups."""
-    if n_setups < 1:
-        raise ConfigurationError("a cascade needs at least one setup")
-    return p * sum(reused_probe_pn(n, alpha, phi_chi) for n in range(1, n_setups + 1))
-
-
-def _attenuation_sum(c2: float, k: int) -> float:
-    """Geometric sum 1 + c2 + ... + c2^(k-1), safe at c2 == 1."""
-    if abs(c2 - 1.0) < 1e-15:
-        return float(k)
-    return (1.0 - c2**k) / (1.0 - c2)
-
-
-def _binomial_pmf(m: int, k: int, p: float) -> float:
-    """C(m, k) p^k (1-p)^(m-k), formed in log space: the binomial
-    coefficient alone overflows a float from m = 1030."""
-    if p == 0.0 or p == 1.0:
-        return float(k == (m if p == 1.0 else 0))
-    return math.exp(
-        math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-        + k * math.log(p) + (m - k) * math.log1p(-p)
-    )
+    return _reused(alpha, phi_chi, n_setups, p)[1]
 
 
 def shared_probe_pn(n: int, alpha: complex, phi_chi: float, p: float) -> float:
-    """Probability that the first click of the shared-probe chain happens at
-    setup n.
+    """Probability that the shared-probe chain first clicks at setup n.
 
-    Sums over how many of the n-1 earlier setups carried a photon: only
+    Sums over how many (k) of the n-1 earlier setups carried a photon: only
     those attenuated the probe (vacuum setups are transparent), and each
     had to not click given its attenuation rank.  Setup n itself must carry
     a photon and click.
     """
-    if n < 1:
-        raise ConfigurationError("setup index starts at 1")
-    a2, s2, c2 = _xpm_factors(alpha, phi_chi)
-    total = 0.0
-    for k in range(n):
-        pattern_weight = _binomial_pmf(n - 1, k, p)
-        no_click_before = math.exp(-a2 * s2 * _attenuation_sum(c2, k))
-        click_now = -p * math.expm1(-a2 * c2**k * s2)
-        total += pattern_weight * no_click_before * click_now
-    return total
+    click, s = _rank_table(alpha, phi_chi, n)
+    return p * float(np.sum(_binomial_pmfs(n - 1, p) * np.exp(-s[:-1]) * click))
 
 
 def shared_probe_total(
     n_setups: int, alpha: complex, phi_chi: float, p: float
 ) -> float:
-    """Probability that the shared-probe chain heralds at least one photon.
+    """Probability that the shared-probe chain heralds at least one photon:
+    it stays dark only if all K ~ Bin(N, p) photon-bearing setups do.
     Tends to one for a bright probe and many setups."""
-    if n_setups < 1:
-        raise ConfigurationError("a cascade needs at least one setup")
-    return sum(
-        shared_probe_pn(n, alpha, phi_chi, p) for n in range(1, n_setups + 1)
-    )
-
-
-def _click_prob(a2: float, s2: float, c2: float, rank: int) -> float:
-    """Click probability of a photon-bearing setup whose probe was already
-    attenuated ``rank`` times."""
-    return 1.0 - math.exp(-a2 * s2 * c2**rank)
-
-
-def _exact_reused(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
-    """Sequential amplitude recursion; linear in the number of setups."""
-    a2, s2, c2 = _xpm_factors(cfg.alpha, cfg.phi_chi)
-    per = np.zeros(cfg.n_setups)
-    survive = 1.0
-    for n in range(cfg.n_setups):
-        q = _click_prob(a2, s2, c2, n)
-        per[n] = survive * q
-        survive *= 1.0 - q
-    return per, cfg.p * float(per.sum())
+    s = _rank_table(alpha, phi_chi, n_setups)[1]
+    return float(-np.sum(_binomial_pmfs(n_setups, p) * np.expm1(-s)))
 
 
 def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
@@ -182,8 +166,7 @@ def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
             f"exact shared-probe enumeration is capped at {ENUMERATION_CAP} "
             f"setups; {cfg.n_setups} requested"
         )
-    a2, s2, c2 = _xpm_factors(cfg.alpha, cfg.phi_chi)
-    q = np.array([_click_prob(a2, s2, c2, r) for r in range(cfg.n_setups)])
+    q = _rank_table(cfg.alpha, cfg.phi_chi, cfg.n_setups)[0]
     carry = cfg.p * (1.0 - q)
     weight, rank = np.ones(1), np.zeros(1, dtype=np.int8)
     per = np.zeros(cfg.n_setups)
@@ -197,49 +180,41 @@ def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
 
 
 def _monte_carlo(cfg: CascadeConfig, shots: int, seed: int) -> tuple[np.ndarray, float]:
-    a2, s2, c2 = _xpm_factors(cfg.alpha, cfg.phi_chi)
+    q = _rank_table(cfg.alpha, cfg.phi_chi, cfg.n_setups)[0]
     rng = np.random.Generator(np.random.Philox(seed))
     first_click = np.zeros(cfg.n_setups, dtype=np.int64)
     alive = np.ones(shots, dtype=bool)
     rank = np.zeros(shots, dtype=np.int64)
-    if cfg.scheme == "reused_probe":
-        photon_chain = rng.random(shots) < cfg.p
+    # the reused probe draws its one photon once; the shared one per setup
+    photon = rng.random(shots) < cfg.p
     for n in range(cfg.n_setups):
-        if cfg.scheme == "reused_probe":
-            photon = photon_chain
-        else:
+        if n and cfg.scheme == "shared_probe":
             photon = rng.random(shots) < cfg.p
-        q = 1.0 - np.exp(-a2 * s2 * c2 ** rank.astype(float))
-        click = alive & photon & (rng.random(shots) < q)
+        click = alive & photon & (rng.random(shots) < q[rank])
         first_click[n] = int(np.count_nonzero(click))
-        attenuated = alive & photon & ~click
-        rank[attenuated] += 1
+        rank[alive & photon & ~click] += 1
         alive &= ~click
-    if cfg.scheme == "reused_probe":
-        photon_shots = int(np.count_nonzero(photon_chain))
-        per = (
-            first_click / photon_shots if photon_shots else np.zeros(cfg.n_setups)
-        )
-    else:
-        per = first_click / shots
-    return np.asarray(per, dtype=float), float(first_click.sum()) / shots
+    norm = int(np.count_nonzero(photon)) if cfg.scheme == "reused_probe" else shots
+    return first_click / max(norm, 1), float(first_click.sum()) / shots
 
 
 def simulate_cascade(
     cfg: CascadeConfig, shots: int | None = None, seed: int | None = None
 ) -> CascadeResult:
-    """Sequential oracle for the cascade closed forms.
+    """First-click distribution of a chain, exact or sampled.
 
-    With ``shots=None`` the chain is evaluated exactly: an amplitude
-    recursion for the reused probe, a full pattern enumeration for the
-    shared probe (capped; see ``ENUMERATION_CAP``).  Otherwise a seeded
-    Monte Carlo run of that many shots estimates the same distribution.
-    ``per_setup`` follows the closed-form conventions: conditional on the
-    photon being present for the reused probe, absolute for the shared one.
+    With ``shots=None`` the chain is evaluated exactly: the closed form for
+    the reused probe, a full pattern enumeration for the shared probe
+    (capped; see ``ENUMERATION_CAP``), which audits the shared closed form.
+    Otherwise a seeded Monte Carlo run of that many shots estimates the same
+    distribution for either scheme.  ``per_setup`` follows the closed-form
+    conventions: conditional on the photon being present for the reused
+    probe, absolute for the shared one.
     """
-    if shots is None:
-        exact = _exact_reused if cfg.scheme == "reused_probe" else _exact_shared
-        per, total = exact(cfg)
+    if shots is None and cfg.scheme == "reused_probe":
+        per, total = _reused(cfg.alpha, cfg.phi_chi, cfg.n_setups, cfg.p)
+    elif shots is None:
+        per, total = _exact_shared(cfg)
     else:
         if seed is None:
             raise ConfigurationError("Monte Carlo cascade simulation requires a seed")

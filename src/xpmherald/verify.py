@@ -526,10 +526,18 @@ def _check_cascade(results, rng, dense: bool):
     else:
         grid = [(2.0, 1.2), (5.0, math.pi / 2.0), (25.0, 2.6)]
     for alpha_sq, phi_chi in grid:
-        cfg = casc.CascadeConfig("reused_probe", 100, math.sqrt(alpha_sq), phi_chi, 0.7)
-        sim = casc.simulate_cascade(cfg)
-        closed = [casc.reused_probe_pn(n, cfg.alpha, phi_chi) for n in range(1, 101)]
-        worst = max(worst, float(np.max(np.abs(sim.per_setup - closed))))
+        # setup by setup through the interferometer: a photon-bearing setup
+        # clicks with -expm1(-|c beta|^2) and passes b beta on to the next
+        setup = mzi.transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
+        b, c = mzi.coherent_outputs(setup, 1.0, True)
+        alpha = math.sqrt(alpha_sq)
+        beta, survive, recursion = alpha, 1.0, []
+        for _ in range(100):
+            recursion.append(survive * -math.expm1(-abs(c * beta) ** 2))
+            survive *= math.exp(-abs(c * beta) ** 2)
+            beta *= b
+        closed = [casc.reused_probe_pn(n, alpha, phi_chi) for n in range(1, 101)]
+        worst = max(worst, float(np.max(np.abs(np.subtract(recursion, closed)))))
     _record_worst(
         results, "cascade", "reused-closed-form-vs-recursion", worst, ALGEBRA_TOL,
         f"N=100, {len(grid)} parameter points",

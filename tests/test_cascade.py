@@ -13,7 +13,12 @@ from xpmherald.cascade import (
     simulate_cascade,
 )
 from xpmherald.errors import ConfigurationError, EnumerationLimitError
-from xpmherald.mzi import CoherentProbe, detection_efficiency, transparent_via_angle_sum
+from xpmherald.mzi import (
+    CoherentProbe,
+    coherent_outputs,
+    detection_efficiency,
+    transparent_via_angle_sum,
+)
 
 PI = math.pi
 
@@ -26,7 +31,7 @@ def loop_exact_shared(cfg):
     c2 = math.cos(cfg.phi_chi / 2.0) ** 2
 
     def click(rank):
-        return 1.0 - math.exp(-a2 * s2 * c2**rank)
+        return -math.expm1(-a2 * s2 * c2**rank)
 
     per = np.zeros(cfg.n_setups)
     for n in range(1, cfg.n_setups + 1):
@@ -58,13 +63,26 @@ def test_reused_pn_full_phase_depletes_probe():
     assert reused_probe_pn(2, 2.0, PI) == pytest.approx(0.0, abs=1e-30)
 
 
+def interferometer_first_clicks(n_setups, alpha, phi_chi):
+    """Test-local sequential oracle through the interferometer itself: a
+    photon-bearing setup clicks with -expm1(-|c beta|^2) at its detector
+    output c and passes b beta on to the next setup."""
+    b, c = coherent_outputs(transparent_via_angle_sum(PI / 4.0, 0.0, phi_chi), 1.0, True)
+    beta, survive, per = alpha, 1.0, []
+    for _ in range(n_setups):
+        per.append(survive * -math.expm1(-abs(c * beta) ** 2))
+        survive *= math.exp(-abs(c * beta) ** 2)
+        beta *= b
+    return np.array(per)
+
+
 def test_reused_pn_matches_sequential_oracle():
     cfg = CascadeConfig("reused_probe", 10, 2.0, PI / 2.0, 1.0)
+    oracle = interferometer_first_clicks(10, 2.0, PI / 2.0)
     sim = simulate_cascade(cfg)
     for n in range(1, 11):
-        assert sim.per_setup[n - 1] == pytest.approx(
-            reused_probe_pn(n, 2.0, PI / 2.0), abs=1e-12
-        )
+        assert reused_probe_pn(n, 2.0, PI / 2.0) == pytest.approx(oracle[n - 1], abs=1e-12)
+        assert sim.per_setup[n - 1] == pytest.approx(oracle[n - 1], abs=1e-12)
 
 
 def test_reused_pn_survives_click_exponent_underflow():
@@ -78,6 +96,13 @@ def test_reused_pn_survives_click_exponent_underflow():
     expected = math.exp(log_survive + log_click)
     assert expected == pytest.approx(2.93e-38, rel=1e-3)
     assert reused_probe_pn(n, alpha, phi_chi) == pytest.approx(expected, rel=1e-12)
+
+
+def test_simulate_reused_survives_click_exponent_underflow():
+    # the exact reused route once took 1 - exp(-x) and returned 0.0 here
+    sim = simulate_cascade(CascadeConfig("reused_probe", 400, 1.2, 0.9, 1.0))
+    assert sim.per_setup[-1] == reused_probe_pn(400, 1.2, 0.9)
+    assert sim.per_setup[-1] > 0.0
 
 
 def test_reused_partial_sums_telescope():
@@ -206,9 +231,9 @@ def test_shared_total_monotone():
 def test_simulate_exact_reused_equals_closed_form():
     cfg = CascadeConfig("reused_probe", 100, 5.0, 2.6, 0.7)
     sim = simulate_cascade(cfg)
-    closed = np.array([reused_probe_pn(n, 5.0, 2.6) for n in range(1, 101)])
-    assert np.max(np.abs(sim.per_setup - closed)) < 1e-12
-    assert sim.total == pytest.approx(0.7 * closed.sum(), abs=1e-12)
+    oracle = interferometer_first_clicks(100, 5.0, 2.6)
+    assert np.max(np.abs(sim.per_setup - oracle)) < 1e-12
+    assert sim.total == pytest.approx(0.7 * oracle.sum(), abs=1e-12)
 
 
 def test_simulate_full_phase_only_first_setup_clicks():
@@ -350,3 +375,77 @@ def test_cascade_config_rejects_non_integer_setups():
     direct = simulate_cascade(CascadeConfig("shared_probe", 3, 1.2, 0.9, 1.0))
     numpy_count = simulate_cascade(CascadeConfig("shared_probe", np.int64(3), 1.2, 0.9, 1.0))
     assert np.array_equal(direct.per_setup, numpy_count.per_setup)
+
+
+def test_first_click_sums_equal_totals():
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        n_setups = int(rng.integers(1, 201))
+        alpha = math.sqrt(rng.uniform(0.1, 16.0))
+        phi_chi, p = float(rng.uniform(0.05, 3.1)), float(rng.uniform(0.0, 1.0))
+        pns = range(1, n_setups + 1)
+        assert p * sum(reused_probe_pn(n, alpha, phi_chi) for n in pns) == pytest.approx(
+            reused_probe_total(n_setups, alpha, phi_chi, p), rel=1e-12, abs=1e-300
+        )
+        assert sum(shared_probe_pn(n, alpha, phi_chi, p) for n in pns) == pytest.approx(
+            shared_probe_total(n_setups, alpha, phi_chi, p), rel=1e-12, abs=1e-300
+        )
+
+
+def mp_reference(n, alpha, phi_chi, p):
+    """The four closed forms at chain length (or setup) n, in 50 digits from
+    the same float inputs: reused pn, reused total, shared pn, shared total."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a2s2 = mp.mpf(alpha) ** 2 * mp.sin(mp.mpf(phi_chi) / 2) ** 2
+        c2, p = mp.cos(mp.mpf(phi_chi) / 2) ** 2, mp.mpf(p)
+        x = [a2s2 * c2**k for k in range(n + 1)]
+        s = [mp.mpf(0)]
+        for xk in x[:n]:
+            s.append(s[-1] + xk)
+        click = [-mp.expm1(-xk) for xk in x]
+
+        def pmf(m):
+            # exact term ratios; mpmath's exponent range holds (1 - p)^m
+            if p == 1:
+                return [mp.mpf(0)] * m + [mp.mpf(1)]
+            out = [(1 - p) ** m]
+            for k in range(m):
+                out.append(out[-1] * (m - k) / (k + 1) * p / (1 - p))
+            return out
+
+        shared_pn = mp.fsum(w * mp.exp(-s[k]) * click[k] for k, w in enumerate(pmf(n - 1)))
+        return [
+            float(v)
+            for v in (
+                mp.exp(-s[n - 1]) * click[n - 1],
+                -p * mp.expm1(-s[n]),
+                p * shared_pn,
+                -mp.fsum(w * mp.expm1(-s[k]) for k, w in enumerate(pmf(n))),
+            )
+        ]
+
+
+def test_closed_forms_match_50_digit_reference():
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2000)
+    # the click-exponent underflow case, a full-length chain, then random ones
+    grid = [(400, 1.2, 0.9, 1.0), (2000, 1.5, 1.1, 0.4)]
+    for _ in range(6):
+        grid.append(
+            (
+                int(rng.integers(1, 2001)),
+                math.sqrt(rng.uniform(0.1, 25.0)),
+                float(rng.uniform(0.05, 3.1)),
+                float(rng.uniform(0.02, 0.98)),
+            )
+        )
+    for n, alpha, phi_chi, p in grid:
+        got = [
+            reused_probe_pn(n, alpha, phi_chi),
+            reused_probe_total(n, alpha, phi_chi, p),
+            shared_probe_pn(n, alpha, phi_chi, p),
+            shared_probe_total(n, alpha, phi_chi, p),
+        ]
+        reference = mp_reference(n, alpha, phi_chi, p)
+        assert got == pytest.approx(reference, rel=1e-12, abs=1e-300), (n, alpha, phi_chi, p)

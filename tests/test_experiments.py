@@ -114,7 +114,7 @@ def test_purity_audit_csv_bytes_golden(params, seed, digest):
 def test_shared_probe_cascade_csv_bytes_golden(capsys):
     assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
     assert _data_digest(capsys.readouterr().out) == (
-        "180ba376c578b908a522cc4ea558fbfd294c7c189bf7f4b2e863a687f8246036"
+        "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
     )
 
 

@@ -1,5 +1,6 @@
 """Names users reach: the README's CLI block, run line by line, the names
-its prose cites and the package's ``__all__``, so a stale name fails."""
+its prose cites and the package's ``__all__``, so a stale name fails; and
+the version, which the package and its pyproject must agree on."""
 
 import functools
 import importlib
@@ -8,6 +9,8 @@ import pkgutil
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 import xpmherald
 from xpmherald import experiments
@@ -82,3 +85,10 @@ def test_all_names_resolve():
     missing = [n for n in xpmherald.__all__ if not hasattr(xpmherald, n)]
     assert not missing, missing
     assert set(xpmherald.__all__) <= set(namespace)
+
+
+def test_version_matches_pyproject():
+    # the manifests carry __version__; the installed metadata carries this
+    tomllib = pytest.importorskip("tomllib")
+    with open(README.parent / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == xpmherald.__version__
