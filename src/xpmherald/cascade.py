@@ -21,13 +21,18 @@ coherent outputs.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationLimitError, check_count
+from .errors import (
+    ConfigurationError,
+    EnumerationLimitError,
+    check_amplitude,
+    check_count,
+    check_real,
+)
 
 # Exact shared-probe enumeration holds 2^(N-1) patterns, O(2^N) work in all
 # and 53 MB peak at this cap.  Past it, use the closed form or Monte Carlo.
@@ -52,13 +57,9 @@ class CascadeConfig:
         if self.scheme not in ("reused_probe", "shared_probe"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         check_count("n_setups", self.n_setups, 1)
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigurationError(f"source efficiency must lie in [0, 1], got {self.p}")
-        if not (cmath.isfinite(self.alpha) and math.isfinite(self.phi_chi)):
-            raise ConfigurationError(
-                f"probe amplitude and XPM phase must be finite, got "
-                f"alpha={self.alpha}, phi_chi={self.phi_chi}"
-            )
+        check_amplitude("probe amplitude", self.alpha)
+        check_real("XPM phase", self.phi_chi)
+        check_real("source efficiency", self.p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,18 @@ class CascadeResult:
     residual_amp: float
 
 
-def _rank_table(alpha: complex, phi_chi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank table of a chain of n setups.
+def _rank_table(cfg: CascadeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank table of a chain of n setups, read off a ``CascadeConfig``,
+    whose construction checks every input of the closed forms.
 
     With x_k = |alpha|^2 sin^2(phi_chi/2) cos^(2k)(phi_chi/2), the click
     exponent of a photon-bearing setup whose probe was attenuated k times:
     the click probabilities 1 - exp(-x_k) for k < n and the no-click
     exponents S_k = x_0 + ... + x_(k-1) for k <= n.  Scalar libm entries,
     so the enumeration matches a per-pattern loop bit for bit."""
-    if n < 1:
-        raise ConfigurationError(f"setups are counted from 1, got {n}")
-    a2s2 = abs(alpha) ** 2 * math.sin(phi_chi / 2.0) ** 2
-    c2 = math.cos(phi_chi / 2.0) ** 2
-    x = [a2s2 * c2**k for k in range(n)]
+    a2s2 = abs(cfg.alpha) ** 2 * math.sin(cfg.phi_chi / 2.0) ** 2
+    c2 = math.cos(cfg.phi_chi / 2.0) ** 2
+    x = [a2s2 * c2**k for k in range(cfg.n_setups)]
     click = np.array([-math.expm1(-xk) for xk in x])
     return click, np.concatenate(([0.0], np.cumsum(x)))
 
@@ -108,12 +108,12 @@ def _binomial_pmfs(m: int, p: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _reused(alpha: complex, phi_chi: float, n: int, p: float) -> tuple[np.ndarray, float]:
+def _reused(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
     """First-click probabilities of a retried photon at setups 1..n, given
     it is present, and the heralding probability p (1 - exp(-S_n)): the
     no-click survivals telescope."""
-    click, s = _rank_table(alpha, phi_chi, n)
-    return np.exp(-s[:-1]) * click, p * -math.expm1(-s[-1])
+    click, s = _rank_table(cfg)
+    return np.exp(-s[:-1]) * click, cfg.p * -math.expm1(-s[-1])
 
 
 def reused_probe_pn(n: int, alpha: complex, phi_chi: float) -> float:
@@ -122,7 +122,7 @@ def reused_probe_pn(n: int, alpha: complex, phi_chi: float) -> float:
     Conditional on the photon being present; each earlier setup failed to
     click and shrank the probe amplitude once.
     """
-    return float(_reused(alpha, phi_chi, n, 1.0)[0][-1])
+    return float(_reused(CascadeConfig("reused_probe", n, alpha, phi_chi, 1.0))[0][-1])
 
 
 def reused_probe_total(
@@ -131,7 +131,7 @@ def reused_probe_total(
     """Probability of heralding the retried photon within n_setups tries,
     weighted by the source efficiency.  Approaches p for a bright probe and
     many setups."""
-    return _reused(alpha, phi_chi, n_setups, p)[1]
+    return _reused(CascadeConfig("reused_probe", n_setups, alpha, phi_chi, p))[1]
 
 
 def shared_probe_pn(n: int, alpha: complex, phi_chi: float, p: float) -> float:
@@ -142,7 +142,7 @@ def shared_probe_pn(n: int, alpha: complex, phi_chi: float, p: float) -> float:
     had to not click given its attenuation rank.  Setup n itself must carry
     a photon and click.
     """
-    click, s = _rank_table(alpha, phi_chi, n)
+    click, s = _rank_table(CascadeConfig("shared_probe", n, alpha, phi_chi, p))
     return p * float(np.sum(_binomial_pmfs(n - 1, p) * np.exp(-s[:-1]) * click))
 
 
@@ -152,7 +152,7 @@ def shared_probe_total(
     """Probability that the shared-probe chain heralds at least one photon:
     it stays dark only if all K ~ Bin(N, p) photon-bearing setups do.
     Tends to one for a bright probe and many setups."""
-    s = _rank_table(alpha, phi_chi, n_setups)[1]
+    s = _rank_table(CascadeConfig("shared_probe", n_setups, alpha, phi_chi, p))[1]
     return float(-np.sum(_binomial_pmfs(n_setups, p) * np.expm1(-s)))
 
 
@@ -166,7 +166,7 @@ def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
             f"exact shared-probe enumeration is capped at {ENUMERATION_CAP} "
             f"setups; {cfg.n_setups} requested"
         )
-    q = _rank_table(cfg.alpha, cfg.phi_chi, cfg.n_setups)[0]
+    q = _rank_table(cfg)[0]
     carry = cfg.p * (1.0 - q)
     weight, rank = np.ones(1), np.zeros(1, dtype=np.int8)
     per = np.zeros(cfg.n_setups)
@@ -180,7 +180,7 @@ def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
 
 
 def _monte_carlo(cfg: CascadeConfig, shots: int, seed: int) -> tuple[np.ndarray, float]:
-    q = _rank_table(cfg.alpha, cfg.phi_chi, cfg.n_setups)[0]
+    q = _rank_table(cfg)[0]
     rng = np.random.Generator(np.random.Philox(seed))
     first_click = np.zeros(cfg.n_setups, dtype=np.int64)
     alive = np.ones(shots, dtype=bool)
@@ -212,7 +212,7 @@ def simulate_cascade(
     probe, absolute for the shared one.
     """
     if shots is None and cfg.scheme == "reused_probe":
-        per, total = _reused(cfg.alpha, cfg.phi_chi, cfg.n_setups, cfg.p)
+        per, total = _reused(cfg)
     elif shots is None:
         per, total = _exact_shared(cfg)
     else:

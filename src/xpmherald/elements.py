@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, CutoffViolationError
+from .errors import CutoffViolationError, check_real
 from .fock import MultiModeKet
 
 
@@ -34,11 +34,8 @@ class BeamSplitterParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ConfigurationError(
-                f"beam splitter angles must be finite, got theta={self.theta}, "
-                f"phi={self.phi}"
-            )
+        check_real("beam splitter angle theta", self.theta)
+        check_real("beam splitter phase phi", self.phi)
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,7 @@ class XpmParams:
     phi_chi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phi_chi):
-            raise ConfigurationError(f"XPM phase must be finite, got {self.phi_chi}")
+        check_real("XPM phase", self.phi_chi)
 
     @property
     def working(self) -> bool:

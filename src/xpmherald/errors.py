@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class CutoffViolationError(ValueError):
@@ -42,9 +42,31 @@ def check_count(name: str, value, minimum: int = 0) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_real(
+    name: str, value, low: float = -math.inf, high: float = math.inf, open_low: bool = False
+) -> None:
+    """Raise ConfigurationError unless ``value`` is a finite real number, not
+    a bool or a string, in [low, high], or in (low, high] with ``open_low``."""
+    if (
+        not isinstance(value, Real)
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or not (low < value if open_low else low <= value)
+        or value > high
+    ):
+        left, right = "(" if open_low else "[", ")" if math.isinf(high) else "]"
+        bounded = (low, high) != (-math.inf, math.inf)
+        where = f" in {left}{low:g}, {high:g}{right}" if bounded else ""
+        raise ConfigurationError(f"{name} must be a finite real{where}, got {value!r}")
+
+
 def check_amplitude(name: str, value) -> None:
-    """Raise ConfigurationError unless the amplitude ``value`` has a finite
-    squared modulus, which a finite one above about 1.3e154 lacks."""
-    modulus = abs(complex(value))
+    """Raise ConfigurationError unless the amplitude ``value`` is a number
+    with a finite squared modulus, which a finite one above about 1.3e154
+    lacks."""
+    try:
+        modulus = float(abs(value))  # a string or None has no abs()
+    except TypeError:
+        raise ConfigurationError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(modulus * modulus):  # ** 2 would raise OverflowError
         raise ConfigurationError(f"{name} {value} has no finite squared modulus")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigurationError, check_amplitude
+from .errors import ConditioningError, ConfigurationError, check_amplitude, check_real
 from .mzi import MziConfig, _classical_clicks, is_transparent
 
 
@@ -31,10 +31,7 @@ class LossParams:
     p_absorb: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_absorb <= 1.0:
-            raise ConfigurationError(
-                f"absorption probability must lie in [0, 1], got {self.p_absorb}"
-            )
+        check_real("absorption probability", self.p_absorb, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -78,8 +75,7 @@ def lossy_heralded_efficiency(
     (clicks with q1, photon present at the output), photon absorbed, and
     photon never emitted (both click with q0, nothing at the output).
     """
-    if not 0.0 < p_a <= 1.0:
-        raise ConfigurationError(f"source efficiency must lie in (0, 1], got {p_a}")
+    check_real("source efficiency", p_a, 0.0, 1.0, open_low=True)
     q1, q0 = lossy_click_probs(cfg, beta, loss)
     survive = 1.0 - loss.p_absorb
     numerator = p_a * survive * q1
@@ -97,92 +93,67 @@ def lossy_heralded_efficiency(
 def _improvement_margin(
     cfg: MziConfig, beta: complex, fixed_p: float | None
 ) -> Callable[[float], float]:
-    """Margin over the absorption, positive while clicks improve the source.
-
-    ``fixed_p=None`` uses the weak-source limit, where improvement reduces
-    to (1 - p_absorb) q1 > q0; a concrete ``fixed_p`` evaluates the full
-    inequality at that source efficiency.
+    """Margin over the absorption, positive while clicks improve the source:
+    (1 - p_absorb) q1 (1 - p) - (p p_absorb + 1 - p) q0 at source efficiency
+    p = ``fixed_p``.  ``fixed_p=None`` is the weak-source limit p = 0, where
+    the margin is exactly (1 - p_absorb) q1 - q0.
     """
     clicks = _classical_clicks(cfg, beta)
+    p = 0.0 if fixed_p is None else fixed_p
 
     def margin(p_absorb: float) -> float:
         q1, q0 = clicks(p_absorb)
-        survive = 1.0 - p_absorb
-        if fixed_p is None:
-            return survive * q1 - q0
-        return survive * q1 * (1.0 - fixed_p) - (fixed_p * p_absorb + 1.0 - fixed_p) * q0
+        return (1.0 - p_absorb) * q1 * (1.0 - p) - (p * p_absorb + 1.0 - p) * q0
 
     return margin
 
 
 def max_tolerable_loss(
-    cfg: MziConfig,
-    beta: complex,
-    fixed_p: float | None = None,
-    tol: float = 1e-6,
+    cfg: MziConfig, beta: complex, fixed_p: float | None = None, tol: float = 1e-6
 ) -> float:
     """Largest absorption probability at which heralding still improves the
     source, located by bisection to ``tol``.
 
     Transparency is checked and the absorption-independent probe amplitudes
     are computed once per solve; each margin evaluation only applies the
-    attenuation and the second splitter.  The margin is checked for
-    monotonicity on a coarse 201-point grid first; if it changes sign more
-    than once the solver falls back to a refined grid scan around the
-    largest improving point instead of trusting a single bracket.  Returns 0
-    (with a diagnostic warning) when no positive absorption improves the
-    source.
+    attenuation and the second splitter.  The margin is evaluated on a
+    201-point grid over [0, 1].  At full absorption q1 equals q0 and the
+    margin is not positive, so the last improving grid point is followed by
+    a non-improving one, and the two bracket the bound.  Bisection halves
+    the bracket until it is at most ``tol`` wide, or until its midpoint is
+    no longer strictly inside it, and returns the midpoint.  Returns 0 (with
+    a diagnostic warning) when no grid point improves the source.
     """
     if not cfg.xpm.working:
         raise ConfigurationError("inert cross-phase medium: no click mechanism exists")
     check_amplitude("probe amplitude", beta)
     if abs(beta) <= 0.0:
         raise ConfigurationError("probe amplitude must be nonzero")
-    if fixed_p is not None and not 0.0 <= fixed_p <= 1.0:
-        raise ConfigurationError(
-            f"fixed source efficiency must lie in [0, 1], got {fixed_p}"
-        )
+    if fixed_p is not None:
+        check_real("fixed source efficiency", fixed_p, 0.0, 1.0)
+    check_real("bisection tolerance", tol, 0.0, math.inf, open_low=True)
     if not is_transparent(cfg):
         raise ConfigurationError("loss bound assumes a transparent configuration")
 
     margin = _improvement_margin(cfg, beta, fixed_p)
     grid = np.linspace(0.0, 1.0, 201)
-    values = [margin(x) for x in grid]
-    signs = [v > 0.0 for v in values]
-    if not any(signs):
+    improving = [i for i, x in enumerate(grid) if margin(x) > 0.0]
+    if not improving:
         warnings.warn(
             "no positive absorption keeps the heralded efficiency above the "
             "raw source; returning 0",
             stacklevel=2,
         )
         return 0.0
-    transitions = [
-        i for i in range(len(signs) - 1) if signs[i] and not signs[i + 1]
-    ]
-    if len(transitions) == 1:
-        lo, hi = grid[transitions[0]], grid[transitions[0] + 1]
-    else:
-        # Non-monotone margin: refine a scan around the largest improving point.
-        last_improving = max(i for i, s in enumerate(signs) if s)
-        lo = grid[last_improving]
-        hi = grid[min(last_improving + 1, len(grid) - 1)]
-        step = (hi - lo) / 100.0
-        while step > tol and hi - lo > tol:
-            fine = np.arange(lo, hi + step, step)
-            fine_signs = [margin(x) > 0.0 for x in fine]
-            if not any(fine_signs):
-                break
-            idx = max(i for i, s in enumerate(fine_signs) if s)
-            lo = fine[idx]
-            hi = fine[min(idx + 1, len(fine) - 1)]
-            step /= 100.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    lo, hi = grid[improving[-1]], grid[improving[-1] + 1]
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         if margin(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return float(0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+    return float(mid)
 
 
 # Independently reported upper bounds used as comparison targets by the

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import BeamSplitterParams, XpmParams, _apply_chain, bs_unitary
-from .errors import ConditioningError, ConfigurationError, check_amplitude, check_count
+from .errors import (
+    ConditioningError,
+    ConfigurationError,
+    check_amplitude,
+    check_count,
+    check_real,
+)
 from .fock import (
     NORM_TOL,
     Ensemble,
@@ -59,8 +65,7 @@ class NoisySource:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigurationError(f"source efficiency must lie in [0, 1], got {self.p}")
+        check_real("source efficiency", self.p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -242,8 +247,6 @@ def _classical_clicks(
     def clicks(p_absorb: float) -> tuple[float, float]:
         attenuated = math.sqrt(1.0 - p_absorb) * upper
         q0 = 1.0 - math.exp(-abs(coupling * attenuated + lower) ** 2)
-        if p_absorb >= 1.0:
-            return q0, q0
         return 1.0 - math.exp(-abs(coupling * (phase * attenuated) + lower) ** 2), q0
 
     return clicks
@@ -264,16 +267,15 @@ def _click_table(
     than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, and no
     array is built.
     """
-    if (
-        isinstance(probe, CoherentProbe)
-        and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS
-    ):
-        q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
-        return (1.0,), np.array([[[1.0 - q0], [1.0 - q1]], [[q0], [q1]]]), None
     if isinstance(probe, NoisyPhotonProbe):
         weights = (probe.source.p, 1.0 - probe.source.p)
         amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
         amps[:, 1, 0, 0] = amps[:, 0, 0, 1] = 1.0
+    elif not isinstance(probe, CoherentProbe):
+        raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
+    elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
+        q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
+        return (1.0,), np.array([[[1.0 - q0], [1.0 - q1]], [[q0], [q1]]]), None
     else:
         weights = (1.0,)
         b_amps = make_coherent(probe.beta, policy).amps
@@ -354,6 +356,8 @@ def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
         raise ConfigurationError("closed form assumes a transparent configuration")
     if isinstance(probe, NoisyPhotonProbe):
         return _single_photon_factor(cfg.bs1.theta, cfg.xpm.phi_chi) * probe.source.p
+    if not isinstance(probe, CoherentProbe):
+        raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
     return _coherent_efficiency(cfg.bs1.theta, cfg.xpm.phi_chi, probe.beta)
 
 

@@ -241,10 +241,8 @@ def _check_mzi(results, rng, dense: bool):
         if i % 2 == 0:
             probe = mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0, 1))))
         else:
-            probe = mzi.CoherentProbe(
-                float(rng.uniform(0.2, 2.0))
-                * complex(math.cos(rng.uniform(0, 6.28)), math.sin(rng.uniform(0, 6.28)))
-            )
+            mag, ang = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 2.0 * math.pi))
+            probe = mzi.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang)))
         outcome = mzi.run_setup(cfg, mzi.NoisySource(0.0), probe)
         worst = max(worst, outcome.p_click)
     _record(

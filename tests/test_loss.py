@@ -292,3 +292,95 @@ def test_max_tolerable_loss_degenerate_angle_returns_zero():
     cfg = transparent_via_angle_sum(0.0, 0.0, PI, l=0)
     with pytest.warns(UserWarning):
         assert max_tolerable_loss(cfg, 1.0) == 0.0
+
+
+def old_max_tolerable_loss(cfg, beta, fixed_p=None, tol=1e-6):
+    """Test-local copy of the solver before its simplification: the
+    weak-source margin as a formula of its own, the early return of the
+    classical clicks at full absorption, a 201-point grid, a refined scan
+    when the grid margin changes sign more than once, then bisection."""
+    clicks = loss_module._classical_clicks(cfg, beta)
+
+    def margin(p_absorb):
+        q1, q0 = clicks(p_absorb)
+        if p_absorb >= 1.0:
+            q1 = q0
+        survive = 1.0 - p_absorb
+        if fixed_p is None:
+            return survive * q1 - q0
+        return survive * q1 * (1.0 - fixed_p) - (fixed_p * p_absorb + 1.0 - fixed_p) * q0
+
+    grid = np.linspace(0.0, 1.0, 201)
+    signs = [margin(x) > 0.0 for x in grid]
+    if not any(signs):
+        return 0.0
+    transitions = [i for i in range(len(signs) - 1) if signs[i] and not signs[i + 1]]
+    if len(transitions) == 1:
+        lo, hi = grid[transitions[0]], grid[transitions[0] + 1]
+    else:
+        last_improving = max(i for i, s in enumerate(signs) if s)
+        lo = grid[last_improving]
+        hi = grid[min(last_improving + 1, len(grid) - 1)]
+        step = (hi - lo) / 100.0
+        while step > tol and hi - lo > tol:
+            fine = np.arange(lo, hi + step, step)
+            fine_signs = [margin(x) > 0.0 for x in fine]
+            if not any(fine_signs):
+                break
+            idx = max(i for i, s in enumerate(fine_signs) if s)
+            lo = fine[idx]
+            hi = fine[min(idx + 1, len(fine) - 1)]
+            step /= 100.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
+SOLVER_THETAS = (0.2, PI / 8.0, PI / 4.0, 1.2)
+SOLVER_FIXED_P = (None, 0.0, 1e-6, 0.3, 0.7, 0.99)
+
+
+def random_solver_inputs(rng, count):
+    """Seeded (theta1, phi_chi, |beta|^2, fixed_p) draws over the solver's
+    domain: phi_chi in (0, 2 pi) with the reference rows' 0.010 and pi
+    mixed in, |beta|^2 log-uniform from 1e-2 to 1e7."""
+    for i in range(count):
+        theta1 = SOLVER_THETAS[i % len(SOLVER_THETAS)]
+        phi_chi = float(rng.uniform(1e-3, 2.0 * PI - 1e-3))
+        if i % 10 < 2:
+            phi_chi = (0.010, PI)[i % 10]
+        beta_sq = 10.0 ** float(rng.uniform(-2.0, 7.0))
+        yield theta1, phi_chi, beta_sq, SOLVER_FIXED_P[int(rng.integers(len(SOLVER_FIXED_P)))]
+
+
+def test_max_tolerable_loss_equals_the_previous_solver_exactly():
+    rng = np.random.default_rng(2024)
+    for i, (theta1, phi_chi, beta_sq, fixed_p) in enumerate(random_solver_inputs(rng, 1000)):
+        cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
+        beta, tol = math.sqrt(beta_sq), (1e-6, 1e-8)[i % 2]
+        assert max_tolerable_loss(cfg, beta, fixed_p, tol) == old_max_tolerable_loss(
+            cfg, beta, fixed_p, tol
+        ), (theta1, phi_chi, beta_sq, fixed_p, tol)
+
+
+def test_margin_changes_sign_once_on_a_fine_grid():
+    # the evidence that one bracket suffices: over the solver's domain the
+    # margin, from the closed-form click probabilities of the angle-sum
+    # family (as in test_lossy_click_probs_general_formula), is positive up
+    # to one absorption and not positive beyond it
+    rng = np.random.default_rng(7)
+    absorb = np.linspace(0.0, 1.0, 20_001)
+    u = np.sqrt(1.0 - absorb)
+    for theta1, phi_chi, beta_sq, fixed_p in random_solver_inputs(rng, 500):
+        scale = beta_sq / 4.0 * math.sin(2.0 * theta1) ** 2
+        q1 = -np.expm1(-scale * np.abs(u * np.exp(1j * phi_chi) - 1.0) ** 2)
+        q0 = -np.expm1(-scale * (1.0 - u) ** 2)
+        p = fixed_p or 0.0
+        improving = (1.0 - absorb) * q1 * (1.0 - p) - (p * absorb + 1.0 - p) * q0 > 0.0
+        assert improving[0] and np.count_nonzero(np.diff(improving)) == 1, (
+            theta1, phi_chi, beta_sq, fixed_p,
+        )
