@@ -411,6 +411,43 @@ def test_propagate_mzi_matches_element_chain():
     assert raised > 10 and compared > 100
 
 
+def test_propagate_mzi_amplitudes_golden():
+    # the propagated array bit for bit: the sha256 of every output's bytes
+    # over 63 seeded (config, ket) pairs, transparent and not, on the
+    # noisy-photon and coherent inputs of _click_table (|beta| up to the
+    # bright-probe threshold) and on random entangled (B, C) kets, with and
+    # without a label axis; the last three have one or both splitters at
+    # theta = 0
+    rng = np.random.default_rng(61)
+    identity = BeamSplitterParams(0.0, 1.3)
+    digest = hashlib.sha256()
+    for i in range(63):
+        cfg = random_transparent(rng) if i % 2 == 0 else _random_nontransparent(rng)
+        if i >= 60:
+            bs1, bs2 = (identity, cfg.bs2) if i == 60 else (cfg.bs1, identity)
+            cfg = MziConfig(*((identity, identity) if i == 62 else (bs1, bs2)), cfg.xpm)
+        kind = i // 2 % 3
+        if kind == 0:
+            amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+            amps[:, 1, 0, 0] = amps[:, 0, 0, 1] = 1.0
+        elif kind == 1:
+            size = 4.0 if i == 3 else rng.uniform(0.0, 4.0)
+            beta = complex(size * np.exp(1j * rng.uniform(0.0, 2.0 * PI)))
+            b_amps = make_coherent(beta, TruncationPolicy()).amps
+            amps = np.zeros((2, b_amps.size, b_amps.size, 1), dtype=np.complex128)
+            amps[:, :, 0, 0] = b_amps
+        else:
+            cut = int(rng.integers(1, 13))
+            labels = (int(rng.integers(1, 4)),) if i % 4 == 1 else ()
+            amps = random_ket(rng, (1, cut, cut, *labels), max_total=cut).amps
+        # one unweighted input branch per (signal, label) slice, as in _click_table
+        ket = MultiModeKet._unchecked(amps, tuple(d - 1 for d in amps.shape))
+        digest.update(propagate_mzi(ket, cfg).amps.tobytes())
+    assert digest.hexdigest() == (
+        "0cf7c73f926307a06bc4e704d2939bf0ae93e01a70eedcb79114e6862da55965"
+    )
+
+
 def _per_branch_outcome(cfg, source, probe):
     """The independent route: each (signal, probe) branch as its own 3-mode
     ket, propagated on its own.  Returns p_click, detection efficiency,
