@@ -5,11 +5,11 @@ operator of input 1 maps to ``cos(theta) a1' + exp(-i phi) sin(theta) a2'``
 and that of input 2 to ``-exp(i phi) sin(theta) a1' + cos(theta) a2'``.
 The interferometer transparency constraints depend on this convention, so
 no other module builds its own matrix.  The exact path reads a
-Mach-Zehnder form off that matrix, two fixed real 50:50 splitters around
-phases, so the only number-conserving blocks it builds are the angle-free
-ones of the 50:50 splitter.  Splitters and XPM phases all conserve the
-photon total of the splitter modes, so the interferometer of ``mzi`` runs
-as one gather, four batched real products and one scatter.
+Mach-Zehnder form, two fixed real 50:50 splitters around phases, off its
+entries (``_bs_entries``), so the only number-conserving blocks it builds
+are the angle-free ones of the 50:50 splitter.  Splitters and XPM phases
+all conserve the photon total of the splitter modes, so the interferometer
+of ``mzi`` runs as one gather, four batched real products and one scatter.
 """
 
 from __future__ import annotations
@@ -54,13 +54,16 @@ class XpmParams:
         return min(residue, 2.0 * math.pi - residue) > 1e-9
 
 
+def _bs_entries(p: BeamSplitterParams) -> tuple[tuple[complex, complex], ...]:
+    """The entries of ``bs_unitary(p)`` as nested tuples of Python numbers."""
+    c, s, ph = math.cos(p.theta), math.sin(p.theta), cmath.rect(1.0, p.phi)
+    return ((c, s / ph), (-s * ph, c))
+
+
 def bs_unitary(p: BeamSplitterParams) -> np.ndarray:
     """2x2 creation-operator substitution matrix of the beam splitter;
     coherent amplitudes map by its transpose (see ``mzi.coherent_outputs``)."""
-    c = math.cos(p.theta)
-    s = math.sin(p.theta)
-    ph = complex(math.cos(p.phi), math.sin(p.phi))
-    return np.array([[c, s / ph], [-s * ph, c]], dtype=complex)
+    return np.array(_bs_entries(p), dtype=complex)
 
 
 def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
@@ -106,6 +109,7 @@ def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
 # are the only ones built, once per process; each W_T is its own inverse.
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _hadamard_stack = np.zeros((0, 0, 0))
+_ZERO = np.zeros(1, dtype=np.complex128)  # the pad slot of ``_diagonal_index``
 
 
 def _hadamard_blocks(t_max: int) -> np.ndarray:
@@ -118,11 +122,11 @@ def _hadamard_blocks(t_max: int) -> np.ndarray:
     return _hadamard_stack[: t_max + 1, : t_max + 1, : t_max + 1]
 
 
-def _mzi_angles(u: np.ndarray) -> tuple[float, float]:
+def _mzi_angles(u) -> tuple[float, float]:
     """(theta, psi) with ``u = D H diag(e^{i theta}, e^{-i theta}) H D^-1``,
     ``H = _HADAMARD`` and ``D = diag(1, e^{i psi})``, read off
-    ``u[0, 0] = cos(theta)`` and ``u[1, 0] = i sin(theta) e^{i psi}``."""
-    return math.atan2(abs(u[1, 0]), u[0, 0].real), cmath.phase(-1j * u[1, 0])
+    ``u[0][0] = cos(theta)`` and ``u[1][0] = i sin(theta) e^{i psi}``."""
+    return math.atan2(abs(u[1][0]), u[0][0].real), cmath.phase(-1j * u[1][0])
 
 
 @lru_cache(maxsize=64)
@@ -163,11 +167,11 @@ def _apply_chain(
     """Apply, in order, beam splitters on ``modes`` and XPM phases on
     ``(partner, modes[0])``.  Every stage conserves the photon total T of the
     two modes, so the chain acts on each anti-diagonal n + m = T of their
-    grid as one (T+1) x (T+1) block.  With ``u = bs_unitary(p)`` and
+    grid as one (T+1) x (T+1) block.  With ``u = _bs_entries(p)`` and
     ``theta, psi = _mzi_angles(u)``, a splitter's block is
     ``e^{-i theta T} P W_T L W_T P^-1`` with ``P[n] = e^{i psi n}`` and
     ``L[k] = e^{2 i theta k}``; XPM is the diagonal ``e^{i phi_chi n s}``,
-    s the partner occupation.  A splitter with ``u[1, 0] == 0`` is exactly
+    s the partner occupation.  A splitter with ``u[1][0] == 0`` is exactly
     the identity and is skipped.  A mixing one reaches every row of a block,
     so an occupied total past a cutoff raises instead of dropping amplitude,
     which would fake the no-false-click guarantee."""
@@ -180,7 +184,7 @@ def _apply_chain(
     for stage in stages:
         if isinstance(stage, XpmParams):
             xpms.append((len(angles), stage))
-        elif (u := bs_unitary(stage))[1, 0] != 0:
+        elif (u := _bs_entries(stage))[1][0] != 0:
             angles.append(_mzi_angles(u))
     if not angles:
         for _, p in xpms:
@@ -205,17 +209,18 @@ def _apply_chain(
     rates = [a for pair in angles for a in pair]
     rates += [p.phi_chi * s for _, p in xpms for s in range(size)]
     ph = np.exp(1j * np.multiply.outer(rates, np.arange(t_max + 1)))
-    lams = ph[0 : 2 * k : 2, :, None, None].conj() * ph[0 : 2 * k : 2, None, :, None] ** 2
+    th, p = ph[0 : 2 * k : 2, None, :, None], ph[1 : 2 * k : 2, :, None, None, None]
+    lams = ph[0 : 2 * k : 2, :, None, None].conj() * (th * th)
     # the diagonals over (n, s) before, between and after the W pairs, in the
     # layout (T, n, rest axes before the partner's, s, rest after): each P
     # merges with the next splitter's P^-1 and the XPM phases between them
-    diags = np.ones((k + 1, t_max + 1, 1, size, 1), dtype=np.complex128)
-    diags[1:] *= ph[1 : 2 * k : 2, :, None, None, None]
-    diags[:-1] *= ph[1 : 2 * k : 2, :, None, None, None].conj()
+    diags = np.empty((k + 1, t_max + 1, 1, size, 1), dtype=np.complex128)
+    diags[0], diags[-1] = p[0].conj(), p[-1]
+    np.multiply(p[:-1], p[1:].conj(), out=diags[1:-1])
     for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1)):
         diags[at] *= rows.T[:, None, :, None]
     before = math.prod(ket.amps.shape[a] for a in range(partner or 0) if a not in modes)
-    x = np.concatenate((ket.amps.ravel(), [0]))[gather]
+    x = np.concatenate((ket.amps.ravel(), _ZERO))[gather]
     y = np.empty_like(x)
     x_real, y_real = x.view(np.float64), y.view(np.float64)
     x_split = x.reshape(t_max + 1, t_max + 1, before, size, -1)
@@ -226,7 +231,7 @@ def _apply_chain(
         y *= lam
         np.matmul(w, y_real, out=x_real)
     x_split *= diags[-1]
-    out = np.concatenate((x.ravel(), [0]))[scatter]
+    out = np.concatenate((x.ravel(), _ZERO))[scatter]
     return MultiModeKet._unchecked(out.reshape(ket.amps.shape), ket.cutoffs)
 
 

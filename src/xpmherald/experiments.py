@@ -111,7 +111,7 @@ class ResultTable:
         lines = [f"# {key} = {value}" for key, value in self.manifest.items()]
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
+            lines.append(",".join([_format_cell(v) for v in row]))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:
@@ -129,7 +129,7 @@ class ResultTable:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
+    if type(value) is float or isinstance(value, (float, np.floating)):  # cheap test first
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))

@@ -259,7 +259,7 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     for n in range(1, n_max + 1):
         a = a * beta / math.sqrt(n)
         amps[n] = a
-    return MultiModeKet(amps, (n_max,))
+    return MultiModeKet._unchecked(amps, (n_max,))
 
 
 def tensor(kets: list[MultiModeKet]) -> MultiModeKet:

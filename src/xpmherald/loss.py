@@ -60,6 +60,8 @@ def lossy_click_probs(
     they click alike).  Any q0 above zero is the faulty-click mechanism.
     """
     check_amplitude("probe amplitude", beta)
+    if not isinstance(loss, LossParams):
+        raise ConfigurationError(f"not a LossParams: {loss!r}")
     if not is_transparent(cfg):
         raise ConfigurationError("lossy click analysis assumes transparency")
     return _classical_clicks(cfg, beta)(loss.p_absorb)
@@ -124,6 +126,8 @@ def max_tolerable_loss(
     no longer strictly inside it, and returns the midpoint.  Returns 0 (with
     a diagnostic warning) when no grid point improves the source.
     """
+    if not is_transparent(cfg):  # is_transparent also checks cfg's type
+        raise ConfigurationError("loss bound assumes a transparent configuration")
     if not cfg.xpm.working:
         raise ConfigurationError("inert cross-phase medium: no click mechanism exists")
     check_amplitude("probe amplitude", beta)
@@ -132,8 +136,6 @@ def max_tolerable_loss(
     if fixed_p is not None:
         check_real("fixed source efficiency", fixed_p, 0.0, 1.0)
     check_real("bisection tolerance", tol, 0.0, math.inf, open_low=True)
-    if not is_transparent(cfg):
-        raise ConfigurationError("loss bound assumes a transparent configuration")
 
     margin = _improvement_margin(cfg, beta, fixed_p)
     grid = np.linspace(0.0, 1.0, 201)

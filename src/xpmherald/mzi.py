@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import BeamSplitterParams, XpmParams, _apply_chain, bs_unitary
+from .elements import BeamSplitterParams, XpmParams, _apply_chain, _bs_entries, bs_unitary
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -73,6 +73,10 @@ class NoisyPhotonProbe:
     """Probe arm fed by a second noisy single-photon source."""
 
     source: NoisySource
+
+    def __post_init__(self):
+        if not isinstance(self.source, NoisySource):
+            raise ConfigurationError(f"not a NoisySource: {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -170,16 +174,20 @@ def transparent_via_angle_diff(
     )
 
 
+def _bc_product(cfg: MziConfig) -> tuple[complex, complex, complex, complex]:
+    """Entries t00, t01, t10, t11 of the empty interferometer's substitution matrix."""
+    if not isinstance(cfg, MziConfig):
+        raise ConfigurationError(f"not an MziConfig: {cfg!r}")
+    (a, b), (c, d) = _bs_entries(cfg.bs1)
+    (e, f), (g, h) = _bs_entries(cfg.bs2)
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def vacuum_leak_amplitude(cfg: MziConfig) -> complex:
     """Amplitude for a lone probe photon, with vacuum in the signal mode, to
     leave in the auxiliary mode toward the detector.  Transparency is
     exactly its vanishing (for every input, see ``is_transparent``)."""
-    return complex(bc_transfer_matrix(cfg)[0, 1])
-
-
-def bc_transfer_matrix(cfg: MziConfig) -> np.ndarray:
-    """Composite substitution matrix of the empty interferometer on (B, C)."""
-    return bs_unitary(cfg.bs1) @ bs_unitary(cfg.bs2)
+    return complex(_bc_product(cfg)[1])
 
 
 # Entrywise slack of the transparency test, far above 2x2-product rounding.
@@ -194,11 +202,9 @@ def is_transparent(cfg: MziConfig) -> bool:
     multiple is +1 or -1; the -1 case flips the sign of both field operators,
     which changes no photon statistics anywhere (see ``transparency_sign``).
     """
-    t = bc_transfer_matrix(cfg)
-    lam = t[0, 0]
-    if abs(abs(lam) - 1.0) > TRANSPARENCY_TOL:
-        return False
-    return bool(np.max(np.abs(t - lam * np.eye(2))) <= TRANSPARENCY_TOL)
+    t00, t01, t10, t11 = _bc_product(cfg)
+    unit = abs(abs(t00) - 1.0) <= TRANSPARENCY_TOL
+    return unit and max(abs(t01), abs(t10), abs(t11 - t00)) <= TRANSPARENCY_TOL
 
 
 def transparency_sign(cfg: MziConfig) -> int:
@@ -206,7 +212,7 @@ def transparency_sign(cfg: MziConfig) -> int:
     negates both field operators (a per-basis-state phase (-1)^(photons))."""
     if not is_transparent(cfg):
         raise ConfigurationError("configuration is not transparent")
-    return 1 if bc_transfer_matrix(cfg)[0, 0].real > 0.0 else -1
+    return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
@@ -253,11 +259,12 @@ def _classical_clicks(
 
 
 def _click_table(
-    cfg: MziConfig, probe: Probe, policy: TruncationPolicy
-) -> tuple[tuple[float, ...], np.ndarray, np.ndarray | None]:
-    """Probe-branch weights, the detector-event probabilities per (event,
-    signal 0/1, probe branch), and the array every input branch was
-    propagated in.  Event 0 is no click and event 1 a click.
+    cfg: MziConfig, source: NoisySource, probe: Probe, policy, require_transparent: bool
+) -> tuple[tuple[float, ...], tuple[list, list], np.ndarray | None]:
+    """Check the arguments of ``run_setup`` and ``sample_shots``, and return
+    the probe-branch weights, the detector-event probabilities as the rows
+    ``[signal 0/1][probe branch]`` of the events no click and click, and
+    the array every input branch was propagated in.
 
     The array has the axes (signal A, probe B, auxiliary C, probe label).
     The label has one entry for a coherent probe, and two (|1> then |0>)
@@ -267,6 +274,13 @@ def _click_table(
     than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, and no
     array is built.
     """
+    if not isinstance(source, NoisySource):
+        raise ConfigurationError(f"not a NoisySource: {source!r}")
+    if not is_transparent(cfg) and require_transparent:  # is_transparent checks cfg's type
+        raise ConfigurationError(
+            "configuration is not transparent; pass require_transparent=False "
+            "to run it anyway (the heralding guarantee is void)"
+        )
     if isinstance(probe, NoisyPhotonProbe):
         weights = (probe.source.p, 1.0 - probe.source.p)
         amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
@@ -275,7 +289,7 @@ def _click_table(
         raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
     elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
         q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
-        return (1.0,), np.array([[[1.0 - q0], [1.0 - q1]], [[q0], [q1]]]), None
+        return (1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None
     else:
         weights = (1.0,)
         b_amps = make_coherent(probe.beta, policy).amps
@@ -285,7 +299,7 @@ def _click_table(
     ket = MultiModeKet._unchecked(amps, (1, cut, cut, len(weights) - 1))
     out = propagate_mzi(ket, cfg).amps
     probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label)
-    return weights, np.stack((probs[:, 0], probs[:, 1:].sum(axis=1))), out
+    return weights, (probs[:, 0].tolist(), probs[:, 1:].sum(axis=1).tolist()), out
 
 
 def run_setup(
@@ -310,17 +324,10 @@ def run_setup(
     probabilities are then truncation-free but there are no branch kets
     (``click_state`` is None).
 
-    ``require_transparent=False`` skips the transparency check, for
+    ``require_transparent=False`` drops the transparency requirement, for
     exploring configurations without the heralding guarantee.
     """
-    policy = policy or TruncationPolicy()
-    if require_transparent and not is_transparent(cfg):
-        raise ConfigurationError(
-            "configuration is not transparent; pass require_transparent=False "
-            "to run it anyway (the heralding guarantee is void)"
-        )
-    weights, masses, out = _click_table(cfg, probe, policy)
-    zero, click = masses.tolist()
+    weights, (zero, click), out = _click_table(cfg, source, probe, policy, require_transparent)
     joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
     p_click = sum(w * q for s in (1, 0) for w, q in zip(joint[s], click[s]))
     detection_eff = sum(w * q for w, q in zip(weights, click[1]))
@@ -381,20 +388,16 @@ def sample_shots(
     """
     check_count("n_shots", n_shots, 1)
     check_count("seed", seed)
-    policy = policy or TruncationPolicy()
-    if require_transparent and not is_transparent(cfg):
-        raise ConfigurationError("configuration is not transparent")
-
-    weights, (_, table), _ = _click_table(cfg, probe, policy)
+    weights, (_, clicks), _ = _click_table(cfg, source, probe, policy, require_transparent)
     rng = np.random.Generator(np.random.Philox(seed))
     photon = rng.random(n_shots) < source.p
     signal = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
     if 0.0 < weights[0] < 1.0:
         # a noisy probe of two branches: label 0 is |1>, label 1 the vacuum
-        probe_occupied = rng.random(n_shots) < weights[0]
-        p_click = table[signal, (~probe_occupied).view(np.uint8)]
+        label = (rng.random(n_shots) >= weights[0]).view(np.uint8)
+        p_click = np.ravel(clicks)[2 * signal + label]  # one gather from the flat table
     else:
-        p_click = table[signal, weights.index(1.0)]  # the one certain branch
+        p_click = np.array(clicks)[:, weights.index(1.0)][signal]  # the one certain branch
     click = rng.random(n_shots) < p_click
     return {
         "click_and_photon": int(np.count_nonzero(click & photon)),

@@ -19,11 +19,18 @@ from xpmherald.cascade import (
 )
 from xpmherald.elements import BeamSplitterParams, XpmParams
 from xpmherald.errors import ConfigurationError, check_real
-from xpmherald.loss import LossParams, lossy_heralded_efficiency
+from xpmherald.loss import (
+    LossParams,
+    lossy_click_probs,
+    lossy_heralded_efficiency,
+    max_tolerable_loss,
+)
 from xpmherald.mzi import (
     CoherentProbe,
+    NoisyPhotonProbe,
     NoisySource,
     detection_efficiency,
+    is_transparent,
     run_setup,
     sample_shots,
     transparent_via_angle_sum,
@@ -56,6 +63,18 @@ HOSTILE = {
     "run_setup probe=None": lambda: run_setup(CFG, NoisySource(0.5), None),
     "sample_shots probe=None": lambda: sample_shots(CFG, NoisySource(0.5), None, 10, 1),
     'detection_efficiency probe="x"': lambda: detection_efficiency(CFG, "x"),
+    # arguments of the wrong kind, not only of the wrong value
+    "run_setup source=None": lambda: run_setup(CFG, None, CoherentProbe(1.0)),
+    "run_setup cfg=None": lambda: run_setup(None, NoisySource(0.5), CoherentProbe(1.0)),
+    "run_setup cfg=None unchecked": lambda: run_setup(
+        None, NoisySource(0.5), CoherentProbe(1.0), require_transparent=False
+    ),
+    "sample_shots source=0.5": lambda: sample_shots(CFG, 0.5, CoherentProbe(1.0), 10, 1),
+    "detection_efficiency cfg=None": lambda: detection_efficiency(None, CoherentProbe(1.0)),
+    'is_transparent("x")': lambda: is_transparent("x"),
+    "lossy_click_probs loss=None": lambda: lossy_click_probs(CFG, 1.0, None),
+    "max_tolerable_loss cfg=None": lambda: max_tolerable_loss(None, 1.0),
+    "NoisyPhotonProbe(0.5)": lambda: NoisyPhotonProbe(0.5),
 }
 
 

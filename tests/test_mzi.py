@@ -10,6 +10,7 @@ from xpmherald.elements import (
     XpmParams,
     apply_beam_splitter,
     apply_xpm,
+    bs_unitary,
 )
 from xpmherald.errors import ConditioningError, ConfigurationError, CutoffViolationError
 from xpmherald.fock import (
@@ -82,6 +83,52 @@ def test_constructors_always_transparent():
         cfg = random_transparent(rng)
         assert is_transparent(cfg)
         assert transparency_sign(cfg) in (-1, 1)
+
+
+def _matrix_transparency(cfg):
+    """The transparency test on the numpy product of both splitters' matrices:
+    (transparent, sign of the multiple of the identity, leak amplitude)."""
+    t = bs_unitary(cfg.bs1) @ bs_unitary(cfg.bs2)
+    lam = t[0, 0]
+    unit = abs(abs(lam) - 1.0) <= mzi.TRANSPARENCY_TOL
+    ok = unit and np.max(np.abs(t - lam * np.eye(2))) <= mzi.TRANSPARENCY_TOL
+    return bool(ok), (1 if lam.real > 0.0 else -1), complex(t[0, 1])
+
+
+def test_scalar_transparency_matches_matrix_definition():
+    # both constraint families at every k and l, random splitter pairs, and
+    # transparent configs with the second splitter's angle or phase moved
+    # by delta, on both sides of TRANSPARENCY_TOL
+    rng = np.random.default_rng(71)
+    configs = []
+    for family in (transparent_via_angle_sum, transparent_via_angle_diff):
+        for k in (-1, 0, 1):
+            for l in (-1, 0, 1, 2):
+                for _ in range(40):
+                    theta1, phi1, phi_chi = rng.uniform(0.0, 2.0 * PI, 3)
+                    configs.append(family(theta1, phi1, phi_chi, k=k, l=l))
+    configs += [mzi_config(*rng.uniform(-PI, 2.0 * PI, 5)) for _ in range(500)]
+    perturbed = []
+    for delta in (1e-11, 5e-10, 2e-9, 1e-7):
+        for i in range(150):
+            cfg = random_transparent(rng)
+            theta, phi = cfg.bs2.theta, cfg.bs2.phi
+            moved = (theta + delta, phi) if i % 2 else (theta, phi + delta)
+            perturbed.append(MziConfig(cfg.bs1, BeamSplitterParams(*moved), cfg.xpm))
+    seen = set()
+    for shifted, group in ((False, configs), (True, perturbed)):
+        for cfg in group:
+            transparent, sign, leak = _matrix_transparency(cfg)
+            assert is_transparent(cfg) is transparent
+            assert abs(vacuum_leak_amplitude(cfg) - leak) <= 1e-15
+            if transparent:
+                assert transparency_sign(cfg) == sign
+            else:
+                with pytest.raises(ConfigurationError):
+                    transparency_sign(cfg)
+            seen.add((shifted, transparent))
+    assert len(configs) + len(perturbed) >= 2000
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_transparency_sign_tracks_angle_parity():
