@@ -43,7 +43,6 @@ from .fock import (
     MultiModeKet,
     TruncationPolicy,
     condition,
-    inner,
     make_coherent,
     make_fock,
     mode_number_distribution,
@@ -102,7 +101,6 @@ __all__ = [
     "coherent_outputs",
     "condition",
     "detection_efficiency",
-    "inner",
     "is_transparent",
     "lossy_click_probs",
     "lossy_heralded_efficiency",

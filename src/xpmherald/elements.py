@@ -190,22 +190,23 @@ def _apply_chain(
         for _, p in xpms:
             ket = apply_xpm(ket, (partner, i), p)
         return ket
-    occupied = ket.amps.any(axis=tuple(a for a in range(ket.n_modes) if a not in modes))
+    shape = ket.amps.shape
+    occupied = ket.amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes))
     n, m = occupied.nonzero()
     t_max = int((n + m).max(initial=-1))
     if t_max < 0:
         return ket
-    cuts = (ket.cutoffs[i], ket.cutoffs[j])
+    cuts = (shape[i] - 1, shape[j] - 1)
     if t_max > min(cuts):
         raise CutoffViolationError(
             f"beam splitter sends {t_max} occupied photons into one mode, "
             f"beyond cutoffs {cuts} on modes {modes}"
         )
-    gather, scatter = _diagonal_index(ket.amps.shape, modes, t_max)
+    gather, scatter = _diagonal_index(shape, modes, t_max)
     # every phase vector from one exp: rows e^{i theta n} and e^{i psi n} per
     # mixing splitter, then e^{i phi_chi s n} per XPM phase and occupation s;
     # lams holds each splitter's e^{-i theta T} L over (T, k)
-    k, size = len(angles), 1 if partner is None else ket.cutoffs[partner] + 1
+    k, size = len(angles), 1 if partner is None else shape[partner]
     rates = [a for pair in angles for a in pair]
     rates += [p.phi_chi * s for _, p in xpms for s in range(size)]
     ph = np.exp(1j * np.multiply.outer(rates, np.arange(t_max + 1)))
@@ -219,7 +220,7 @@ def _apply_chain(
     np.multiply(p[:-1], p[1:].conj(), out=diags[1:-1])
     for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1)):
         diags[at] *= rows.T[:, None, :, None]
-    before = math.prod(ket.amps.shape[a] for a in range(partner or 0) if a not in modes)
+    before = math.prod(shape[a] for a in range(partner or 0) if a not in modes)
     x = np.concatenate((ket.amps.ravel(), _ZERO))[gather]
     y = np.empty_like(x)
     x_real, y_real = x.view(np.float64), y.view(np.float64)
@@ -232,7 +233,7 @@ def _apply_chain(
         np.matmul(w, y_real, out=x_real)
     x_split *= diags[-1]
     out = np.concatenate((x.ravel(), _ZERO))[scatter]
-    return MultiModeKet._unchecked(out.reshape(ket.amps.shape), ket.cutoffs)
+    return MultiModeKet._unchecked(out.reshape(shape))
 
 
 def apply_beam_splitter(
@@ -255,8 +256,8 @@ def apply_xpm(
     i, j = modes
     if i == j:
         raise ValueError("XPM modes must be distinct")
-    axes = range(ket.n_modes)
-    occ_i = np.arange(ket.cutoffs[i] + 1).reshape([-1 if k == i else 1 for k in axes])
-    occ_j = np.arange(ket.cutoffs[j] + 1).reshape([-1 if k == j else 1 for k in axes])
+    shape, axes = ket.amps.shape, range(ket.amps.ndim)
+    occ_i = np.arange(shape[i]).reshape([-1 if k == i else 1 for k in axes])
+    occ_j = np.arange(shape[j]).reshape([-1 if k == j else 1 for k in axes])
     phases = np.exp(1j * (p.phi_chi * (occ_i * occ_j)))
-    return MultiModeKet._unchecked(ket.amps * phases, ket.cutoffs)
+    return MultiModeKet._unchecked(ket.amps * phases)

@@ -1,8 +1,8 @@
 """Dense truncated Fock-space states for few-mode photonic simulation.
 
-A state is a ``complex128`` array of shape ``tuple(c + 1 for c in cutoffs)``
-holding the amplitude of every occupation tuple ``(n_1, ..., n_M)``, with an
-independent cutoff per mode.  The heralding setup has three modes, one of
+A state is a ``complex128`` array with one axis per mode, holding the
+amplitude of every occupation tuple ``(n_1, ..., n_M)``; a mode's cutoff is
+its axis length minus one.  The heralding setup has three modes, one of
 them a single-photon register, so even at the bright-probe threshold a ket
 holds only 2 x 48 x 48 = 4,608 amplitudes.  At that size a dense array is
 cheaper than any sparse map: every operation below is a few whole-array
@@ -20,8 +20,8 @@ is never redistributed over the retained amplitudes.  Downstream
 probabilities therefore under-count by at most the tail mass, which callers
 report as an error bar instead of silently biasing results.
 
-Kets are checked (shape against cutoffs, finite norm at most one) where
-they are built from outside data; the operations of this package return
+Kets are checked (no empty axis, finite norm at most one) where they are
+built from outside data; the operations of this package return
 unchecked kets, since each of them preserves both properties by
 construction.  Amplitude arrays are read-only and all operations are pure
 functions, so states can be shared freely across workers.
@@ -42,6 +42,7 @@ from .errors import (
     TruncationError,
     check_amplitude,
     check_count,
+    check_real,
 )
 
 NORM_TOL = 1e-12
@@ -62,22 +63,17 @@ EVENTS = ("zero", "at_least_one")
 class TruncationPolicy:
     """How infinite-dimensional (coherent) states are truncated.
 
-    tail_tolerance: maximum photon-number probability mass allowed beyond
-        the retained cutoff.
-    fixed_cutoff: retain occupations ``0..fixed_cutoff``.  ``None`` selects
-        the smallest cutoff whose Poisson tail is below ``tail_tolerance``.
+    tail_tolerance: maximum photon-number probability mass beyond the
+        retained cutoff, a real in (0, 1); the cutoff is the smallest whose
+        Poisson tail is below it (``np.pad`` the amplitudes for a larger one).
     """
 
     tail_tolerance: float = 1e-10
-    fixed_cutoff: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tail_tolerance < 1.0:
-            raise ConfigurationError(
-                f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}"
-            )
-        if self.fixed_cutoff is not None:
-            check_count("fixed_cutoff", self.fixed_cutoff)
+        check_real("tail_tolerance", self.tail_tolerance, 0.0, 1.0, open_low=True)
+        if self.tail_tolerance == 1.0:  # check_real's range is closed above
+            raise ConfigurationError("tail_tolerance must lie in (0, 1), got 1.0")
 
 
 def _mass(amps: np.ndarray) -> float:
@@ -90,31 +86,20 @@ class MultiModeKet:
     """Pure state over a truncated multimode Fock basis.
 
     ``amps[n_1, ..., n_M]`` is the amplitude of the occupation tuple
-    ``(n_1, ..., n_M)``; ``cutoffs`` gives the largest retained occupation
-    per mode, so ``amps.shape == tuple(c + 1 for c in cutoffs)``.  Kets may
-    be sub-normalized (squared norm below one) when they represent
+    ``(n_1, ..., n_M)``.  The array is the whole ket: ``n_modes`` is its
+    ``ndim`` and ``cutoffs``, the largest retained occupations, its shape
+    minus one.  Kets may be sub-normalized (squared norm below one) for
     truncated or conditioned branches, but never super-normalized.
     """
 
     amps: np.ndarray
-    cutoffs: tuple[int, ...]
 
     def __post_init__(self):
-        cutoffs = tuple(int(c) for c in self.cutoffs)
-        if any(c < 0 for c in cutoffs):
-            raise ValueError("cutoffs must be non-negative")
         amps = np.array(self.amps, dtype=np.complex128)
-        if amps.ndim != len(cutoffs):
-            raise ModeMismatchError(
-                f"amplitudes have {amps.ndim} modes, cutoffs give {len(cutoffs)}"
-            )
-        if amps.shape != tuple(c + 1 for c in cutoffs):
-            raise CutoffViolationError(
-                f"amplitude shape {amps.shape} does not match cutoffs {cutoffs}"
-            )
+        if 0 in amps.shape:
+            raise CutoffViolationError(f"amplitude shape {amps.shape} has an empty axis")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "cutoffs", cutoffs)
         sq = self.squared_norm()
         if not math.isfinite(sq):
             raise ValueError(f"squared norm {sq} is not finite")
@@ -122,34 +107,38 @@ class MultiModeKet:
             raise ValueError(f"squared norm {sq} exceeds 1")
 
     @classmethod
-    def _unchecked(cls, amps: np.ndarray, cutoffs: tuple[int, ...]) -> "MultiModeKet":
+    def _unchecked(cls, amps: np.ndarray) -> "MultiModeKet":
         """Wrap an amplitude array an operation of this package produced;
-        its shape and norm are correct by construction."""
+        its dtype and norm are correct by construction."""
         ket = object.__new__(cls)
         amps.flags.writeable = False
         object.__setattr__(ket, "amps", amps)
-        object.__setattr__(ket, "cutoffs", cutoffs)
         return ket
 
     @property
+    def cutoffs(self) -> tuple[int, ...]:
+        return tuple(n - 1 for n in self.amps.shape)
+
+    @property
     def n_modes(self) -> int:
-        return len(self.cutoffs)
+        return self.amps.ndim
 
     def check_modes(self, *modes: int) -> None:
-        """Raise unless every mode index lies in 0..n_modes-1 (a negative
-        index would silently pick a mode from the end)."""
+        """Raise unless every mode is an integer index in 0..n_modes-1 (a
+        negative index would silently pick a mode from the end)."""
         for mode in modes:
-            if not 0 <= mode < self.n_modes:
-                raise ModeMismatchError(f"mode {mode} is outside 0..{self.n_modes - 1}")
+            integer = isinstance(mode, (int, np.integer)) and not isinstance(mode, bool)
+            if not (integer and 0 <= mode < self.amps.ndim):
+                raise ModeMismatchError(f"mode {mode!r} is outside 0..{self.n_modes - 1}")
 
     def amplitude(self, occ: tuple[int, ...]) -> complex:
         """Amplitude of one occupation tuple; zero beyond the cutoffs."""
         occ = tuple(occ)
-        if len(occ) != len(self.cutoffs):
+        if len(occ) != self.amps.ndim:
             raise ModeMismatchError(
-                f"occupation {occ} has {len(occ)} modes, expected {len(self.cutoffs)}"
+                f"occupation {occ} has {len(occ)} modes, expected {self.amps.ndim}"
             )
-        if any(n < 0 or n > c for n, c in zip(occ, self.cutoffs)):
+        if any(n < 0 or n >= size for n, size in zip(occ, self.amps.shape)):
             return 0.0 + 0.0j
         return complex(self.amps[occ])
 
@@ -168,8 +157,7 @@ class Ensemble:
 
     def __post_init__(self):
         for w, _ in self.branches:
-            if w < 0.0:
-                raise ValueError(f"branch weight {w} is negative")
+            check_real("branch weight", w, 0.0, math.inf)
 
     @property
     def total_weight(self) -> float:
@@ -178,29 +166,16 @@ class Ensemble:
 
 def make_fock(occupations: tuple[int, ...], cutoffs: tuple[int, ...]) -> MultiModeKet:
     """Unit-norm basis ket with amplitude 1 on the given occupation tuple."""
-    occ = tuple(int(n) for n in occupations)
-    cut = tuple(int(c) for c in cutoffs)
+    occ, cut = tuple(occupations), tuple(cutoffs)
+    for n in occ + cut:
+        check_count("each occupation and cutoff", n)
     if len(occ) != len(cut):
-        raise ModeMismatchError(
-            f"{len(occ)} occupations given for {len(cut)} cutoffs"
-        )
-    if any(n < 0 or n > c for n, c in zip(occ, cut)):
+        raise ModeMismatchError(f"{len(occ)} occupations given for {len(cut)} cutoffs")
+    if any(n > c for n, c in zip(occ, cut)):
         raise CutoffViolationError(f"occupation {occ} exceeds cutoffs {cut}")
     amps = np.zeros(tuple(c + 1 for c in cut), dtype=np.complex128)
     amps[occ] = 1.0
-    return MultiModeKet(amps, cut)
-
-
-def _poisson_tail(mean: float, n_max: int) -> float:
-    """Probability mass of a Poisson(mean) variable above n_max."""
-    if mean == 0.0:
-        return 0.0
-    term = math.exp(-mean)
-    cum = term
-    for k in range(1, n_max + 1):
-        term *= mean / k
-        cum += term
-    return max(0.0, 1.0 - cum)
+    return MultiModeKet(amps)
 
 
 def coherent_cutoff(mean_photons: float, policy: TruncationPolicy) -> int:
@@ -215,15 +190,6 @@ def coherent_cutoff(mean_photons: float, policy: TruncationPolicy) -> int:
             f"double-precision certification floor {CERTIFIABLE_TAIL:.0e}",
             tail=CERTIFIABLE_TAIL,
         )
-    if policy.fixed_cutoff is not None:
-        tail = _poisson_tail(mean_photons, policy.fixed_cutoff)
-        if tail >= policy.tail_tolerance:
-            raise TruncationError(
-                f"fixed cutoff {policy.fixed_cutoff} leaves tail mass {tail:.3e} "
-                f">= tolerance {policy.tail_tolerance:.3e}",
-                tail=tail,
-            )
-        return policy.fixed_cutoff
     if mean_photons == 0.0:
         return 0
     term = math.exp(-mean_photons)
@@ -248,7 +214,9 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     The ket is deliberately NOT renormalized; its norm deficit equals the
     discarded Poisson tail and stays below the policy's tail tolerance.
     """
-    policy = policy or TruncationPolicy()
+    policy = TruncationPolicy() if policy is None else policy
+    if not isinstance(policy, TruncationPolicy):
+        raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
     check_amplitude("coherent amplitude", beta)
     beta = complex(beta)
     mean = abs(beta) ** 2
@@ -259,7 +227,7 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     for n in range(1, n_max + 1):
         a = a * beta / math.sqrt(n)
         amps[n] = a
-    return MultiModeKet._unchecked(amps, (n_max,))
+    return MultiModeKet._unchecked(amps)
 
 
 def tensor(kets: list[MultiModeKet]) -> MultiModeKet:
@@ -267,20 +235,9 @@ def tensor(kets: list[MultiModeKet]) -> MultiModeKet:
     if not kets:
         raise ValueError("tensor of zero kets is undefined")
     amps = kets[0].amps
-    cutoffs = kets[0].cutoffs
     for ket in kets[1:]:
         amps = np.multiply.outer(amps, ket.amps)
-        cutoffs = cutoffs + ket.cutoffs
-    return MultiModeKet._unchecked(amps, cutoffs)
-
-
-def inner(a: MultiModeKet, b: MultiModeKet) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    if a.cutoffs != b.cutoffs:
-        raise ModeMismatchError(
-            f"mode structures differ: cutoffs {a.cutoffs} vs {b.cutoffs}"
-        )
-    return complex(np.vdot(a.amps, b.amps))
+    return MultiModeKet._unchecked(amps)
 
 
 def mode_number_distribution(ket: MultiModeKet, mode: int) -> np.ndarray:
@@ -305,12 +262,12 @@ def _event_slice(n_modes: int, mode: int, event: str) -> tuple:
     return tuple(index)
 
 
-def _event_ket(amps: np.ndarray, index: tuple, mass: float, cutoffs: tuple) -> MultiModeKet:
-    """The ket over ``cutoffs`` holding the event slice ``amps[index]`` of
-    squared-amplitude ``mass``, renormalized, and zero elsewhere."""
-    out = np.zeros(tuple(c + 1 for c in cutoffs), dtype=np.complex128)
+def _event_ket(amps: np.ndarray, index: tuple, mass: float) -> MultiModeKet:
+    """The ket holding the event slice ``amps[index]`` of squared-amplitude
+    ``mass``, renormalized, and zero elsewhere."""
+    out = np.zeros_like(amps)
     out[index] = amps[index] * (1.0 / math.sqrt(mass))
-    return MultiModeKet._unchecked(out, cutoffs)
+    return MultiModeKet._unchecked(out)
 
 
 def event_mass(ket: MultiModeKet, mode: int, event: str) -> float:
@@ -344,7 +301,7 @@ def condition(ensemble: Ensemble, mode: int, event: str) -> tuple[float, Ensembl
         prob += contribution
         if contribution > 0.0:
             index = _event_slice(ket.n_modes, mode, event)
-            posterior.append((contribution, _event_ket(ket.amps, index, mass, ket.cutoffs)))
+            posterior.append((contribution, _event_ket(ket.amps, index, mass)))
     if prob <= 0.0:
         raise ConditioningError(
             f"event {event!r} on mode {mode} has probability 0"

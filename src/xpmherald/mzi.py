@@ -138,12 +138,11 @@ class HeraldOutcome:
         if self._branches is None:
             return None
         out, branches = self._branches
-        cuts = (1, out.shape[1] - 1, out.shape[2] - 1)
         kets = []
         for w, s, b in branches:
             amps = np.zeros(out.shape[:3], dtype=np.complex128)
             amps[s] = out[s, ..., b]
-            kets.append((w, MultiModeKet._unchecked(amps, cuts)))
+            kets.append((w, MultiModeKet._unchecked(amps)))
         try:
             return condition(Ensemble(kets), AUX, event)[1]
         except ConditioningError:
@@ -220,6 +219,9 @@ def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
     out above, while any further axis, such as a branch label, rides along.
     One chain in the block layout of (B, C): one gather, four batched real
     products and one scatter."""
+    if not isinstance(ket, MultiModeKet) or not isinstance(cfg, MziConfig):
+        kinds = f"{type(ket).__name__} and {type(cfg).__name__}"
+        raise ConfigurationError(f"not a MultiModeKet and an MziConfig: {kinds}")
     return _apply_chain(ket, (PROBE, AUX), (cfg.bs1, cfg.xpm, cfg.bs2), SIGNAL)
 
 
@@ -231,6 +233,8 @@ def coherent_outputs(
     substitution matrix ``(u1 diag(e, 1) u2).T``, e the XPM phase when a
     photon is present and 1 otherwise; ``_classical_clicks`` reads the same
     entries."""
+    if not isinstance(cfg, MziConfig):
+        raise ConfigurationError(f"not an MziConfig: {cfg!r}")
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
     arm = np.diag((phase if photon_present else 1.0, 1.0))
     return (bs_unitary(cfg.bs1) @ arm @ bs_unitary(cfg.bs2)).T @ np.array((beta, 0.0))
@@ -276,6 +280,8 @@ def _click_table(
     """
     if not isinstance(source, NoisySource):
         raise ConfigurationError(f"not a NoisySource: {source!r}")
+    if policy is not None and not isinstance(policy, TruncationPolicy):
+        raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
     if not is_transparent(cfg) and require_transparent:  # is_transparent checks cfg's type
         raise ConfigurationError(
             "configuration is not transparent; pass require_transparent=False "
@@ -295,9 +301,7 @@ def _click_table(
         b_amps = make_coherent(probe.beta, policy).amps
         amps = np.zeros((2, b_amps.size, b_amps.size, 1), dtype=np.complex128)
         amps[:, :, 0, 0] = b_amps
-    cut = amps.shape[1] - 1
-    ket = MultiModeKet._unchecked(amps, (1, cut, cut, len(weights) - 1))
-    out = propagate_mzi(ket, cfg).amps
+    out = propagate_mzi(MultiModeKet._unchecked(amps), cfg).amps
     probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label)
     return weights, (probs[:, 0].tolist(), probs[:, 1:].sum(axis=1).tolist()), out
 

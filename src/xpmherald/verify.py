@@ -64,7 +64,7 @@ def random_ket(rng, cutoffs, max_total=None) -> fk.MultiModeKet:
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     amps = np.zeros(keep.shape, dtype=complex)
     amps[keep] = vec / np.linalg.norm(vec)
-    return fk.MultiModeKet(amps, tuple(cutoffs))
+    return fk.MultiModeKet(amps)
 
 
 def random_transparent(rng, phi_chi=None) -> mzi.MziConfig:
@@ -223,9 +223,10 @@ def _check_elements(results, rng, dense: bool):
             if rng.random() < 0.5:
                 ket = el.apply_xpm(ket, (0, 1), xp)
                 amps[0] *= complex(math.cos(xp.phi_chi), math.sin(xp.phi_chi))
-        arms = [fk.make_coherent(a, fk.TruncationPolicy(tol, cut)) for a in amps]
-        target = fk.tensor([fk.make_fock((1,), (1,)), *arms])
-        fidelity = abs(fk.inner(target, ket))
+        # each arm at its own cutoff, against the overlapping block of the
+        # propagated ket: the same as zero-padding the arms to its cutoffs
+        b, c = (fk.make_coherent(a, fk.TruncationPolicy(tol)).amps[: cut + 1] for a in amps)
+        fidelity = abs(np.vdot(np.multiply.outer(b, c), ket.amps[1, : b.size, : c.size]))
         worst = max(worst, abs(fidelity - 1.0))
     _record_worst(
         results, "elements", "classical-vs-exact-path", worst, 100 * tol,

@@ -142,7 +142,7 @@ def splitter_block(theta, phi, t):
     n = np.arange(t + 1)
     amps = np.zeros((t + 1,) * 3, dtype=complex)
     amps[n, t - n, n] = 1.0 / math.sqrt(t + 1)
-    ket = MultiModeKet(amps, (t,) * 3)
+    ket = MultiModeKet(amps)
     out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi)).amps
     p, q = np.indices(out.shape[:2])
     assert not out[p + q != t].any()
@@ -210,11 +210,11 @@ def test_beam_splitter_on_outer_modes_of_three():
     vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     n0, _, n2 = np.indices(shape)
     vec[n0 + n2 > 3] = 0.0
-    ket = MultiModeKet(vec / np.linalg.norm(vec), (3, 2, 3))
+    ket = MultiModeKet(vec / np.linalg.norm(vec))
     params = BeamSplitterParams(0.9, 0.4)
     out = apply_beam_splitter(ket, (2, 0), params)
     for k in range(3):
-        pair = MultiModeKet(ket.amps[:, k, :].T.copy(), (3, 3))
+        pair = MultiModeKet(ket.amps[:, k, :].T.copy())
         expected = apply_beam_splitter(pair, (0, 1), params)
         assert max_dev(out.amps[:, k, :].T, expected.amps) <= 1e-15
 

@@ -19,6 +19,7 @@ from xpmherald.cascade import (
 )
 from xpmherald.elements import BeamSplitterParams, XpmParams
 from xpmherald.errors import ConfigurationError, check_real
+from xpmherald.fock import Ensemble, TruncationPolicy, make_coherent, make_fock
 from xpmherald.loss import (
     LossParams,
     lossy_click_probs,
@@ -29,8 +30,10 @@ from xpmherald.mzi import (
     CoherentProbe,
     NoisyPhotonProbe,
     NoisySource,
+    coherent_outputs,
     detection_efficiency,
     is_transparent,
+    propagate_mzi,
     run_setup,
     sample_shots,
     transparent_via_angle_sum,
@@ -75,6 +78,29 @@ HOSTILE = {
     "lossy_click_probs loss=None": lambda: lossy_click_probs(CFG, 1.0, None),
     "max_tolerable_loss cfg=None": lambda: max_tolerable_loss(None, 1.0),
     "NoisyPhotonProbe(0.5)": lambda: NoisyPhotonProbe(0.5),
+    # a truncation policy of the wrong kind, on every route that takes one
+    'run_setup policy="x" coherent': lambda: run_setup(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), policy="x"
+    ),
+    'run_setup policy="x" noisy probe': lambda: run_setup(
+        CFG, NoisySource(0.5), NoisyPhotonProbe(NoisySource(0.5)), policy="x"
+    ),
+    "sample_shots policy=0.1": lambda: sample_shots(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), 10, 1, policy=0.1
+    ),
+    "make_coherent policy=1e-3": lambda: make_coherent(1.0, 1e-3),
+    'TruncationPolicy("x")': lambda: TruncationPolicy(tail_tolerance="x"),
+    "TruncationPolicy(None)": lambda: TruncationPolicy(tail_tolerance=None),
+    "propagate_mzi ket=None": lambda: propagate_mzi(None, CFG),
+    "propagate_mzi cfg=None": lambda: propagate_mzi(make_fock((0, 0, 0), (1, 1, 1)), None),
+    "coherent_outputs cfg=None": lambda: coherent_outputs(None, 1.0, True),
+    # non-integer occupations and cutoffs used to be truncated silently
+    "make_fock occupation=1.5": lambda: make_fock((1.5,), (2,)),
+    "make_fock cutoff=2.7": lambda: make_fock((1,), (2.7,)),
+    # a non-finite branch weight used to condition to (nan, Ensemble([]))
+    "Ensemble weight=-0.5": lambda: Ensemble([(-0.5, make_fock((1,), (1,)))]),
+    "Ensemble weight=nan": lambda: Ensemble([(math.nan, make_fock((1,), (1,)))]),
+    "Ensemble weight=inf": lambda: Ensemble([(math.inf, make_fock((1,), (1,)))]),
 }
 
 

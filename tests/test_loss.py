@@ -12,7 +12,6 @@ from xpmherald.fock import (
     TruncationPolicy,
     condition,
     make_coherent,
-    tensor,
 )
 from xpmherald.loss import (
     LossParams,
@@ -100,18 +99,15 @@ def test_lossy_click_probs_cross_checked_against_exact_propagation():
     q1_cf, q0_cf = lossy_click_probs(cfg, beta, LossParams(pa))
     for survived, expected in ((True, q1_cf), (False, q0_cf)):
         phase = complex(math.cos(phi_chi), math.sin(phi_chi)) if survived else 1.0
-        cut = make_coherent(beta, TruncationPolicy(tail_tolerance=eps)).cutoffs[0]
-        policy = TruncationPolicy(tail_tolerance=eps, fixed_cutoff=cut)
-        product = tensor(
-            [
-                make_coherent(u * arm_b * phase, policy),
-                make_coherent(arm_c, policy),
-            ]
-        )
+        policy = TruncationPolicy(tail_tolerance=eps)
+        cut = make_coherent(beta, policy).cutoffs[0]
+        # each arm at its own cutoff, zero-padded to the input's
+        arms = [make_coherent(a, policy).amps for a in (u * arm_b * phase, arm_c)]
+        product = np.multiply.outer(*(np.pad(a, (0, cut + 1 - a.size)) for a in arms))
         # truncate by total photons: the splitter conserves the total, and
         # the joint Poisson tail above the cut is below the tolerance
-        n, m = np.indices(product.amps.shape)
-        ket = MultiModeKet(np.where(n + m <= cut, product.amps, 0.0), product.cutoffs)
+        n, m = np.indices(product.shape)
+        ket = MultiModeKet(np.where(n + m <= cut, product, 0.0))
         out = apply_beam_splitter(ket, (0, 1), cfg.bs2)
         prob, _ = condition(Ensemble([(1.0, out)]), 1, "at_least_one")
         assert prob == pytest.approx(expected, abs=1e-8)

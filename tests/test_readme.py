@@ -1,13 +1,19 @@
 """Names users reach: the README's CLI block, run line by line, the names
-its prose cites and the package's ``__all__``, so a stale name fails; and
-the version, which the package and its pyproject must agree on."""
+its prose cites, the package's ``__all__`` and the names the benchmark in
+``perfbench/`` imports, so a stale name fails; the demo scripts, run
+end to end; and the version, which the package and its pyproject must
+agree on."""
 
+import ast
 import functools
 import importlib
 import inspect
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +22,8 @@ import xpmherald
 from xpmherald import experiments
 from xpmherald.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def cli_block_lines():
@@ -85,6 +92,38 @@ def test_all_names_resolve():
     missing = [n for n in xpmherald.__all__ if not hasattr(xpmherald, n)]
     assert not missing, missing
     assert set(xpmherald.__all__) <= set(namespace)
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark stays fixed while the package changes, so a name it
+    # imports that the package drops must fail here, before a benchmark run
+    imported = 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("xpmherald"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (path.name, node.module, alias.name)
+                    imported += 1
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("xpmherald"):
+                        importlib.import_module(alias.name)
+    assert imported >= 10
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(script, tmp_path):
+    # each demo as a user runs it, with warnings as errors; the CSVs some
+    # of them write land in the temporary directory
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "demos" / script)],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version_matches_pyproject():
