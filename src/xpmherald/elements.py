@@ -10,6 +10,8 @@ entries (``_bs_entries``), so the only number-conserving blocks it builds
 are the angle-free ones of the 50:50 splitter.  Splitters and XPM phases
 all conserve the photon total of the splitter modes, so the interferometer
 of ``mzi`` runs as one gather, four batched real products and one scatter.
+The angles and phases enter only as diagonals around those blocks, so
+configurations on the slots of a trailing axis share that whole chain.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CutoffViolationError, check_real
+from .errors import ConfigurationError, CutoffViolationError, check_real
 from .fock import MultiModeKet
 
 
@@ -125,7 +127,10 @@ def _hadamard_blocks(t_max: int) -> np.ndarray:
 def _mzi_angles(u) -> tuple[float, float]:
     """(theta, psi) with ``u = D H diag(e^{i theta}, e^{-i theta}) H D^-1``,
     ``H = _HADAMARD`` and ``D = diag(1, e^{i psi})``, read off
-    ``u[0][0] = cos(theta)`` and ``u[1][0] = i sin(theta) e^{i psi}``."""
+    ``u[0][0] = cos(theta)`` and ``u[1][0] = i sin(theta) e^{i psi}``.
+    Both are 0 for the identity, ``u[1][0] == 0``, the one case of theta 0."""
+    if u[1][0] == 0:
+        return 0.0, 0.0
     return math.atan2(abs(u[1][0]), u[0][0].real), cmath.phase(-1j * u[1][0])
 
 
@@ -158,44 +163,43 @@ def _diagonal_index(
     return gather, scatter
 
 
-def _apply_chain(
-    ket: MultiModeKet,
-    modes: tuple[int, int],
-    stages: tuple[BeamSplitterParams | XpmParams, ...],
-    partner: int | None = None,
-) -> MultiModeKet:
+def _apply_chain(amps: np.ndarray, modes: tuple[int, int], stages: tuple, partner=None):
     """Apply, in order, beam splitters on ``modes`` and XPM phases on
-    ``(partner, modes[0])``.  Every stage conserves the photon total T of the
-    two modes, so the chain acts on each anti-diagonal n + m = T of their
-    grid as one (T+1) x (T+1) block.  With ``u = _bs_entries(p)`` and
-    ``theta, psi = _mzi_angles(u)``, a splitter's block is
-    ``e^{-i theta T} P W_T L W_T P^-1`` with ``P[n] = e^{i psi n}`` and
-    ``L[k] = e^{2 i theta k}``; XPM is the diagonal ``e^{i phi_chi n s}``,
-    s the partner occupation.  A splitter with ``u[1][0] == 0`` is exactly
-    the identity and is skipped.  A mixing one reaches every row of a block,
-    so an occupied total past a cutoff raises instead of dropping amplitude,
-    which would fake the no-false-click guarantee."""
-    ket.check_modes(*modes)
+    ``(partner, modes[0])`` to an amplitude array.  Each stage is a tuple of
+    one BeamSplitterParams or XpmParams per slot: one slot acts on the whole
+    array, and S > 1 slots are the last axis of ``amps``, of length S.
+    Every stage conserves the photon total T of the two modes, so the chain
+    acts on each anti-diagonal n + m = T of their grid as one (T+1) x (T+1)
+    block.  With ``theta, psi = _mzi_angles(_bs_entries(p))`` a splitter's
+    block is ``e^{-i theta T} P W_T L W_T P^-1``, ``P[n] = e^{i psi n}`` and
+    ``L[k] = e^{2 i theta k}``; XPM is the diagonal ``e^{i phi_chi n s}``, s
+    the partner occupation.  Only these diagonals carry a slot index.  A
+    stage of identity splitters (theta = 0) is skipped.  A mixing stage
+    reaches every row of a block, so an occupied total past a cutoff raises
+    instead of dropping amplitude, which would fake the no-false-click
+    guarantee."""
     i, j = modes
-    if i == j:
-        raise ValueError("beam splitter modes must be distinct")
-    # (theta, psi) per mixing splitter; each XPM phase with its slot among them
-    angles, xpms = [], []
+    # the theta and psi rows of each mixing stage, flat; the phase row of
+    # each XPM stage with the number k of mixing stages before it
+    rates, k, xpms = [], 0, []
     for stage in stages:
-        if isinstance(stage, XpmParams):
-            xpms.append((len(angles), stage))
-        elif (u := _bs_entries(stage))[1][0] != 0:
-            angles.append(_mzi_angles(u))
-    if not angles:
-        for _, p in xpms:
-            ket = apply_xpm(ket, (partner, i), p)
-        return ket
-    shape = ket.amps.shape
-    occupied = ket.amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes))
+        if isinstance(stage[0], XpmParams):
+            xpms.append((k, [p.phi_chi for p in stage]))
+            continue
+        thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in stage])
+        if any(thetas):  # a stage of identities is skipped
+            rates += thetas + psis
+            k += 1
+    if not k:
+        for _, phis in xpms:
+            amps = _xpm(amps, (partner, i), np.array(phis))
+        return amps
+    shape = amps.shape
+    occupied = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes))
     n, m = occupied.nonzero()
     t_max = int((n + m).max(initial=-1))
     if t_max < 0:
-        return ket
+        return amps
     cuts = (shape[i] - 1, shape[j] - 1)
     if t_max > min(cuts):
         raise CutoffViolationError(
@@ -203,37 +207,59 @@ def _apply_chain(
             f"beyond cutoffs {cuts} on modes {modes}"
         )
     gather, scatter = _diagonal_index(shape, modes, t_max)
-    # every phase vector from one exp: rows e^{i theta n} and e^{i psi n} per
-    # mixing splitter, then e^{i phi_chi s n} per XPM phase and occupation s;
-    # lams holds each splitter's e^{-i theta T} L over (T, k)
-    k, size = len(angles), 1 if partner is None else shape[partner]
-    rates = [a for pair in angles for a in pair]
-    rates += [p.phi_chi * s for _, p in xpms for s in range(size)]
-    ph = np.exp(1j * np.multiply.outer(rates, np.arange(t_max + 1)))
+    # every phase from one exp over (rate, occupation, slot): e^{i theta n}
+    # and e^{i psi n} per mixing stage, then e^{i phi_chi s n} per XPM phase
+    # and partner occupation s; inv: the splitter rows' conjugates; lams:
+    # each stage's e^{-i theta T} L
+    size, slots = 1 if partner is None else shape[partner], len(stages[0])
+    rates += [a * s for _, phis in xpms for s in range(size) for a in phis]
+    rates = np.array(rates).reshape(-1, slots)
+    ph = np.exp(1j * (rates[:, None, :] * np.arange(t_max + 1)[:, None]))
     th, p = ph[0 : 2 * k : 2, None, :, None], ph[1 : 2 * k : 2, :, None, None, None]
-    lams = ph[0 : 2 * k : 2, :, None, None].conj() * (th * th)
-    # the diagonals over (n, s) before, between and after the W pairs, in the
-    # layout (T, n, rest axes before the partner's, s, rest after): each P
-    # merges with the next splitter's P^-1 and the XPM phases between them
-    diags = np.empty((k + 1, t_max + 1, 1, size, 1), dtype=np.complex128)
-    diags[0], diags[-1] = p[0].conj(), p[-1]
-    np.multiply(p[:-1], p[1:].conj(), out=diags[1:-1])
-    for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1)):
-        diags[at] *= rows.T[:, None, :, None]
+    inv = ph[: 2 * k].conj()
+    lams = inv[0::2, :, None, None] * (th * th)
+    # the diagonals before, between and after the W pairs, in the layout (T,
+    # n, rest axes before the partner's, s, rest after, slot): each P merges
+    # with the next splitter's P^-1 and the XPM phases between them
+    diags = np.empty((k + 1, t_max + 1, 1, size, 1, slots), dtype=np.complex128)
+    diags[0], diags[-1] = inv[1, :, None, None, None], p[-1]
+    np.multiply(p[:-1], inv[3::2, :, None, None, None], out=diags[1:-1])
+    for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1, slots)):
+        diags[at] *= rows.transpose(1, 0, 2)[:, None, :, None]
     before = math.prod(shape[a] for a in range(partner or 0) if a not in modes)
-    x = np.concatenate((ket.amps.ravel(), _ZERO))[gather]
+    x = np.concatenate((amps.ravel(), _ZERO))[gather]
     y = np.empty_like(x)
     x_real, y_real = x.view(np.float64), y.view(np.float64)
-    x_split = x.reshape(t_max + 1, t_max + 1, before, size, -1)
+    x_split = x.reshape(t_max + 1, t_max + 1, before, size, -1, slots)
+    y_split = y.reshape(t_max + 1, t_max + 1, -1, slots)
     w = _hadamard_blocks(t_max)
     for lam, d in zip(lams, diags):
         x_split *= d
         np.matmul(w, x_real, out=y_real)
-        y *= lam
+        y_split *= lam
         np.matmul(w, y_real, out=x_real)
     x_split *= diags[-1]
-    out = np.concatenate((x.ravel(), _ZERO))[scatter]
-    return MultiModeKet._unchecked(out.reshape(shape))
+    return np.concatenate((x.ravel(), _ZERO))[scatter].reshape(shape)
+
+
+def _xpm(amps: np.ndarray, modes: tuple[int, int], phi_chi) -> np.ndarray:
+    """``amps`` times exp(i phi_chi n m), (n, m) the occupations of ``modes``;
+    ``phi_chi`` is one phase or an array of one per slot of the last axis."""
+    shape, axes = amps.shape, range(amps.ndim)
+    i, j = modes
+    occ_i = np.arange(shape[i]).reshape([-1 if k == i else 1 for k in axes])
+    occ_j = np.arange(shape[j]).reshape([-1 if k == j else 1 for k in axes])
+    return amps * np.exp(1j * (phi_chi * (occ_i * occ_j)))
+
+
+def _check_element(ket, modes: tuple[int, int], p, kind: type) -> None:
+    """Raise unless ``ket`` is a ket, ``p`` a ``kind`` and ``modes`` two of its modes."""
+    if not isinstance(ket, MultiModeKet) or not isinstance(p, kind):
+        kinds = f"{type(ket).__name__} and {type(p).__name__}"
+        raise ConfigurationError(f"expected MultiModeKet and {kind.__name__}, got {kinds}")
+    ket.check_modes(*modes)
+    if modes[0] == modes[1]:
+        raise ValueError(f"{kind.__name__} modes must be distinct")
 
 
 def apply_beam_splitter(
@@ -243,7 +269,8 @@ def apply_beam_splitter(
     the number-conserving block layout, two batched real products and one
     scatter.  An occupied total past a cutoff raises CutoffViolationError
     unless the splitter is the identity (see ``_apply_chain``)."""
-    return _apply_chain(ket, modes, (p,))
+    _check_element(ket, modes, p, BeamSplitterParams)
+    return MultiModeKet._unchecked(_apply_chain(ket.amps, modes, ((p,),)))
 
 
 def apply_xpm(
@@ -252,12 +279,5 @@ def apply_xpm(
     """Cross-phase gate: each basis amplitude with occupations (n, m) on the
     given modes picks up exp(i phi_chi * n * m).  Diagonal, norm and photon
     numbers preserved."""
-    ket.check_modes(*modes)
-    i, j = modes
-    if i == j:
-        raise ValueError("XPM modes must be distinct")
-    shape, axes = ket.amps.shape, range(ket.amps.ndim)
-    occ_i = np.arange(shape[i]).reshape([-1 if k == i else 1 for k in axes])
-    occ_j = np.arange(shape[j]).reshape([-1 if k == j else 1 for k in axes])
-    phases = np.exp(1j * (p.phi_chi * (occ_i * occ_j)))
-    return MultiModeKet._unchecked(ket.amps * phases)
+    _check_element(ket, modes, p, XpmParams)
+    return MultiModeKet._unchecked(_xpm(ket.amps, modes, p.phi_chi))

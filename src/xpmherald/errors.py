@@ -3,6 +3,8 @@
 import math
 from numbers import Integral, Real
 
+import numpy as np
+
 
 class CutoffViolationError(ValueError):
     """An occupation number exceeds (or would exceed) a mode's cutoff."""
@@ -40,6 +42,12 @@ def check_count(name: str, value, minimum: int = 0) -> None:
     ``minimum``; a bool or a float such as 1000.0 is not one."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    """Raise ConfigurationError unless ``value`` is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{name} must be True or False, got {value!r}")
 
 
 def check_real(

@@ -76,6 +76,9 @@ class TruncationPolicy:
             raise ConfigurationError("tail_tolerance must lie in (0, 1), got 1.0")
 
 
+_DEFAULT_POLICY = TruncationPolicy()  # built once: its checks cost a few us per call
+
+
 def _mass(amps: np.ndarray) -> float:
     """Sum of squared amplitude moduli."""
     return float(np.vdot(amps, amps).real)
@@ -149,6 +152,11 @@ class MultiModeKet:
         return math.sqrt(self.squared_norm())
 
 
+def _check_ket(ket) -> None:
+    if not isinstance(ket, MultiModeKet):
+        raise ConfigurationError(f"not a MultiModeKet: {ket!r}")
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Weighted list of pure branches representing a (diagonal) mixed state."""
@@ -156,8 +164,9 @@ class Ensemble:
     branches: list[tuple[float, MultiModeKet]]
 
     def __post_init__(self):
-        for w, _ in self.branches:
+        for w, ket in self.branches:
             check_real("branch weight", w, 0.0, math.inf)
+            _check_ket(ket)
 
     @property
     def total_weight(self) -> float:
@@ -214,7 +223,7 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     The ket is deliberately NOT renormalized; its norm deficit equals the
     discarded Poisson tail and stays below the policy's tail tolerance.
     """
-    policy = TruncationPolicy() if policy is None else policy
+    policy = _DEFAULT_POLICY if policy is None else policy
     if not isinstance(policy, TruncationPolicy):
         raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
     check_amplitude("coherent amplitude", beta)
@@ -234,6 +243,8 @@ def tensor(kets: list[MultiModeKet]) -> MultiModeKet:
     """Tensor product: occupation tuples concatenate, amplitudes multiply."""
     if not kets:
         raise ValueError("tensor of zero kets is undefined")
+    for ket in kets:
+        _check_ket(ket)
     amps = kets[0].amps
     for ket in kets[1:]:
         amps = np.multiply.outer(amps, ket.amps)
@@ -246,6 +257,7 @@ def mode_number_distribution(ket: MultiModeKet, mode: int) -> np.ndarray:
     Entry n gives the probability of finding n photons in ``mode``,
     normalized by the ket's squared norm.
     """
+    _check_ket(ket)
     ket.check_modes(mode)
     sq = ket.squared_norm()
     if sq <= 0.0:

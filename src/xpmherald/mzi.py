@@ -12,6 +12,11 @@ the two beam splitters invert each other the empty interferometer is
 transparent: with vacuum in A no photon can ever reach the detector, so a
 click certifies a photon in A.  Conditioning on clicks then leaves a pure
 one-photon state in the signal mode.
+
+The exact route runs batches: ``_propagate`` takes one configuration per
+slot of a trailing axis, ``_click_table`` propagates many setups grouped by
+input shape, and ``_run_setups`` makes each slot's outcome.
+``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import (
     ConfigurationError,
     check_amplitude,
     check_count,
+    check_flag,
     check_real,
 )
 from .fock import (
@@ -214,15 +220,21 @@ def transparency_sign(cfg: MziConfig) -> int:
     return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
+def _propagate(amps: np.ndarray, cfgs) -> np.ndarray:
+    """Exact propagation of an array with the mode axes laid out above: one
+    configuration propagates it whole, S > 1 each propagate one slot of the
+    last axis, of length S.  One chain (``_apply_chain``) serves them all."""
+    stages = tuple(zip(*[(cfg.bs1, cfg.xpm, cfg.bs2) for cfg in cfgs]))
+    return _apply_chain(amps, (PROBE, AUX), stages, SIGNAL)
+
+
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
     """Exact propagation of a ket through the full setup: modes 0-2 as laid
-    out above, while any further axis, such as a branch label, rides along.
-    One chain in the block layout of (B, C): one gather, four batched real
-    products and one scatter."""
+    out above, while any further axis, such as a branch label, rides along."""
     if not isinstance(ket, MultiModeKet) or not isinstance(cfg, MziConfig):
         kinds = f"{type(ket).__name__} and {type(cfg).__name__}"
         raise ConfigurationError(f"not a MultiModeKet and an MziConfig: {kinds}")
-    return _apply_chain(ket, (PROBE, AUX), (cfg.bs1, cfg.xpm, cfg.bs2), SIGNAL)
+    return MultiModeKet._unchecked(_propagate(ket.amps, (cfg,)))
 
 
 def coherent_outputs(
@@ -235,6 +247,8 @@ def coherent_outputs(
     entries."""
     if not isinstance(cfg, MziConfig):
         raise ConfigurationError(f"not an MziConfig: {cfg!r}")
+    check_amplitude("coherent probe amplitude", beta)
+    check_flag("photon_present", photon_present)
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
     arm = np.diag((phase if photon_present else 1.0, 1.0))
     return (bs_unitary(cfg.bs1) @ arm @ bs_unitary(cfg.bs2)).T @ np.array((beta, 0.0))
@@ -262,48 +276,84 @@ def _classical_clicks(
     return clicks
 
 
-def _click_table(
-    cfg: MziConfig, source: NoisySource, probe: Probe, policy, require_transparent: bool
-) -> tuple[tuple[float, ...], tuple[list, list], np.ndarray | None]:
-    """Check the arguments of ``run_setup`` and ``sample_shots``, and return
+def _click_table(cfgs, sources, probes, policy, require_transparent: bool) -> list[tuple]:
+    """Check the arguments of ``run_setup`` and ``sample_shots`` for a batch
+    of setups, one (config, source, probe) per slot, and return per slot
     the probe-branch weights, the detector-event probabilities as the rows
     ``[signal 0/1][probe branch]`` of the events no click and click, and
-    the array every input branch was propagated in.
+    the array every input branch of the slot was propagated in.
 
     The array has the axes (signal A, probe B, auxiliary C, probe label).
     The label has one entry for a coherent probe, and two (|1> then |0>)
     for a noisy photon probe.  Each slice is one unweighted input branch:
     the splitters act on B and C and XPM is diagonal, so no slice mixes
-    with another and one propagation serves them all.  A probe brighter
-    than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, and no
-    array is built.
+    with another.  Slots of one input shape (noisy photon probes, coherent
+    probes of one cutoff) are one ``_propagate`` batch.  A probe brighter
+    than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, no array.
     """
-    if not isinstance(source, NoisySource):
-        raise ConfigurationError(f"not a NoisySource: {source!r}")
+    check_flag("require_transparent", require_transparent)
     if policy is not None and not isinstance(policy, TruncationPolicy):
         raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
-    if not is_transparent(cfg) and require_transparent:  # is_transparent checks cfg's type
-        raise ConfigurationError(
-            "configuration is not transparent; pass require_transparent=False "
-            "to run it anyway (the heralding guarantee is void)"
-        )
-    if isinstance(probe, NoisyPhotonProbe):
-        weights = (probe.source.p, 1.0 - probe.source.p)
-        amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
-        amps[:, 1, 0, 0] = amps[:, 0, 0, 1] = 1.0
-    elif not isinstance(probe, CoherentProbe):
-        raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
-    elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
-        q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
-        return (1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None
-    else:
-        weights = (1.0,)
-        b_amps = make_coherent(probe.beta, policy).amps
-        amps = np.zeros((2, b_amps.size, b_amps.size, 1), dtype=np.complex128)
-        amps[:, :, 0, 0] = b_amps
-    out = propagate_mzi(MultiModeKet._unchecked(amps), cfg).amps
-    probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label)
-    return weights, (probs[:, 0].tolist(), probs[:, 1:].sum(axis=1).tolist()), out
+    tables: list = [None] * len(cfgs)
+    groups: dict = {}  # coherent cutoff or None: (slot, weights, column) per member
+    for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
+        if not isinstance(source, NoisySource):
+            raise ConfigurationError(f"not a NoisySource: {source!r}")
+        if not is_transparent(cfg) and require_transparent:  # is_transparent checks cfg's type
+            raise ConfigurationError(
+                "configuration is not transparent; pass require_transparent=False "
+                "to run it anyway (the heralding guarantee is void)"
+            )
+        if isinstance(probe, NoisyPhotonProbe):
+            groups.setdefault(None, []).append((slot, (probe.source.p, 1.0 - probe.source.p), None))
+        elif not isinstance(probe, CoherentProbe):
+            raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
+        elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
+            q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
+            tables[slot] = ((1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None)
+        else:
+            column = make_coherent(probe.beta, policy).amps
+            groups.setdefault(column.size - 1, []).append((slot, (1.0,), column))
+    for cut, members in groups.items():
+        if cut is None:
+            amps = np.zeros((2, 2, 2, 2, len(members)), dtype=np.complex128)
+            amps[:, 1, 0, 0] = amps[:, 0, 0, 1] = 1.0
+        else:
+            amps = np.zeros((2, cut + 1, cut + 1, 1, len(members)), dtype=np.complex128)
+            for at, (_, _, column) in enumerate(members):
+                amps[:, :, 0, 0, at] = column
+        out = _propagate(amps, [cfgs[slot] for slot, _, _ in members])
+        probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
+        zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
+        click = probs[:, 1:].sum(axis=1).transpose(2, 0, 1).tolist()
+        for at, (slot, weights, _) in enumerate(members):
+            tables[slot] = (weights, (zero[at], click[at]), out[..., at])
+    return tables
+
+
+def _run_setups(cfgs, sources, probes, policy=None, require_transparent=True) -> list:
+    """``run_setup`` of every slot of a batch, from one ``_click_table``."""
+    outcomes = []
+    tables = _click_table(cfgs, sources, probes, policy, require_transparent)
+    for source, (weights, (zero, click), out) in zip(sources, tables):
+        joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
+        p_click = sum(w * q for s in (1, 0) for w, q in zip(joint[s], click[s]))
+        detection_eff = sum(w * q for w, q in zip(weights, click[1]))
+        # the click-posterior weight of the photon branches
+        photon_click = sum(w * q for w, q in zip(joint[1], click[1]))
+        purity = photon_click / p_click if p_click > 0.0 else None
+        deficit, kept = 0.0, None
+        if out is not None:
+            # the positive-weight (signal, label) slices, photon branches first
+            branches = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
+            squared_norms = [zero[s][b] + click[s][b] for _, s, b in branches]
+            if not max(squared_norms) <= 1.0 + NORM_TOL:
+                raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
+            weighted = sum(w * sq for (w, _, _), sq in zip(branches, squared_norms))
+            deficit, kept = max(0.0, 1.0 - weighted), (out, branches)
+        total = detection_eff * source.p
+        outcomes.append(HeraldOutcome(p_click, detection_eff, total, deficit, purity, kept))
+    return outcomes
 
 
 def run_setup(
@@ -331,23 +381,7 @@ def run_setup(
     ``require_transparent=False`` drops the transparency requirement, for
     exploring configurations without the heralding guarantee.
     """
-    weights, (zero, click), out = _click_table(cfg, source, probe, policy, require_transparent)
-    joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
-    p_click = sum(w * q for s in (1, 0) for w, q in zip(joint[s], click[s]))
-    detection_eff = sum(w * q for w, q in zip(weights, click[1]))
-    # the click-posterior weight of the photon branches
-    photon_click = sum(w * q for w, q in zip(joint[1], click[1]))
-    purity = photon_click / p_click if p_click > 0.0 else None
-    total = detection_eff * source.p
-    if out is None:
-        return HeraldOutcome(p_click, detection_eff, total, 0.0, purity)
-    # the positive-weight (signal, label) slices, photon branches first
-    branches = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
-    squared_norms = [zero[s][b] + click[s][b] for _, s, b in branches]
-    if not max(squared_norms) <= 1.0 + NORM_TOL:
-        raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
-    deficit = max(0.0, 1.0 - sum(w * sq for (w, _, _), sq in zip(branches, squared_norms)))
-    return HeraldOutcome(p_click, detection_eff, total, deficit, purity, (out, branches))
+    return _run_setups((cfg,), (source,), (probe,), policy, require_transparent)[0]
 
 
 def _single_photon_factor(theta1: float, phi_chi: float) -> float:
@@ -372,6 +406,9 @@ def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     return _coherent_efficiency(cfg.bs1.theta, cfg.xpm.phi_chi, probe.beta)
 
 
+_SHOT_CHUNK = 1 << 16  # shots per round of sample_shots, its arrays 0.5 MB each
+
+
 def sample_shots(
     cfg: MziConfig,
     source: NoisySource,
@@ -388,24 +425,36 @@ def sample_shots(
     all shots and in this order, the source branch, the probe branch (noisy
     probe with two branches only) and the detector outcome.  Counts are
     reproducible for a given seed and shot count, both non-negative
-    integers; splitting a run into batches changes them.
+    integers; splitting a run into batches changes them.  Each of the
+    three draws runs on its own copy of the generator, started where the
+    one generator would reach it, in rounds of ``_SHOT_CHUNK`` shots.
     """
     check_count("n_shots", n_shots, 1)
     check_count("seed", seed)
-    weights, (_, clicks), _ = _click_table(cfg, source, probe, policy, require_transparent)
-    rng = np.random.Generator(np.random.Philox(seed))
-    photon = rng.random(n_shots) < source.p
-    signal = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
-    if 0.0 < weights[0] < 1.0:
-        # a noisy probe of two branches: label 0 is |1>, label 1 the vacuum
-        label = (rng.random(n_shots) >= weights[0]).view(np.uint8)
-        p_click = np.ravel(clicks)[2 * signal + label]  # one gather from the flat table
-    else:
-        p_click = np.array(clicks)[:, weights.index(1.0)][signal]  # the one certain branch
-    click = rng.random(n_shots) < p_click
+    setup = ((cfg,), (source,), (probe,))
+    weights, (_, clicks), _ = _click_table(*setup, policy, require_transparent)[0]
+    labelled = 0.0 < weights[0] < 1.0  # two probe branches, |1> (label 0) and vacuum
+    table = np.ravel(clicks) if labelled else np.array(clicks)[:, weights.index(1.0)]
+    streams = []
+    for offset in range(0, (3 if labelled else 2) * n_shots, n_shots):
+        bits = np.random.Philox(seed)
+        bits.advance(offset // 4)  # a counter yields four words, a double takes one
+        streams.append(np.random.Generator(bits))
+        streams[-1].random(offset % 4)
+    photons = clicks_total = click_and_photon = 0
+    for start in range(0, n_shots, _SHOT_CHUNK):
+        size = min(_SHOT_CHUNK, n_shots - start)
+        photon = streams[0].random(size) < source.p
+        row = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
+        if labelled:
+            row = 2 * row + (streams[1].random(size) >= weights[0]).view(np.uint8)
+        click = streams[-1].random(size) < table[row]
+        photons += int(np.count_nonzero(photon))
+        clicks_total += int(np.count_nonzero(click))
+        click_and_photon += int(np.count_nonzero(click & photon))
     return {
-        "click_and_photon": int(np.count_nonzero(click & photon)),
-        "click_no_photon": int(np.count_nonzero(click & ~photon)),
-        "no_click_photon": int(np.count_nonzero(~click & photon)),
-        "no_click_no_photon": int(np.count_nonzero(~click & ~photon)),
+        "click_and_photon": click_and_photon,
+        "click_no_photon": clicks_total - click_and_photon,
+        "no_click_photon": photons - click_and_photon,
+        "no_click_no_photon": n_shots - photons - clicks_total + click_and_photon,
     }

@@ -235,17 +235,19 @@ def _check_elements(results, rng, dense: bool):
 
 
 def _check_mzi(results, rng, dense: bool):
+    # each check draws its configs in the order of a config-by-config loop,
+    # then runs them as a few batches (mzi._run_setups, mzi._propagate)
     n_cfg = 1000 if dense else 120
-    worst = 0.0
+    cfgs, probes = [], []
     for i in range(n_cfg):
-        cfg = random_transparent(rng)
+        cfgs.append(random_transparent(rng))
         if i % 2 == 0:
-            probe = mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0, 1))))
+            probes.append(mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0, 1)))))
         else:
             mag, ang = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 2.0 * math.pi))
-            probe = mzi.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang)))
-        outcome = mzi.run_setup(cfg, mzi.NoisySource(0.0), probe)
-        worst = max(worst, outcome.p_click)
+            probes.append(mzi.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang))))
+    vacuum = [mzi.NoisySource(0.0)] * n_cfg
+    worst = max(outcome.p_click for outcome in mzi._run_setups(cfgs, vacuum, probes))
     _record(
         results, "mzi", "zero-false-click", worst < 1e-12,
         f"{n_cfg} random transparent configs, vacuum signal",
@@ -257,16 +259,14 @@ def _check_mzi(results, rng, dense: bool):
     else:
         thetas = np.linspace(0.03, math.pi - 0.03, 15)
     phis = np.linspace(0.0, 2.0 * math.pi, len(thetas))
-    values = np.zeros((len(thetas), len(phis)))
-    worst = 0.0
     full_photon = mzi.NoisyPhotonProbe(mzi.NoisySource(1.0))
-    for i, theta1 in enumerate(thetas):
-        for j, phi_chi in enumerate(phis):
-            cfg = mzi.transparent_via_angle_sum(float(theta1), 0.0, float(phi_chi))
-            values[i, j] = mzi.run_setup(cfg, mzi.NoisySource(1.0), full_photon).p_click
-            worst = max(
-                worst, abs(values[i, j] - mzi.detection_efficiency(cfg, full_photon))
-            )
+    cfgs = [mzi.transparent_via_angle_sum(float(t), 0.0, float(p)) for t in thetas for p in phis]
+    outcomes = mzi._run_setups(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), [full_photon] * len(cfgs))
+    values = np.reshape([outcome.p_click for outcome in outcomes], (len(thetas), -1))
+    worst = max(
+        abs(outcome.p_click - mzi.detection_efficiency(cfg, full_photon))
+        for cfg, outcome in zip(cfgs, outcomes)
+    )
     _record_worst(
         results, "mzi", "closed-form-vs-exact-noisy", worst, CLOSED_FORM_TOL,
         f"{len(thetas)}x{len(phis)} (theta1, phi_chi) grid",
@@ -290,21 +290,16 @@ def _check_mzi(results, rng, dense: bool):
     quarter = int(np.argmin(np.abs(thetas - math.pi / 4.0)))
     half = int(np.argmin(np.abs(phis - math.pi)))
     policy = fk.TruncationPolicy(tail_tolerance=1e-10)
-    worst = 0.0
-    curves = []
-    for beta in betas:
-        curves.append([])
-        for i, theta1 in enumerate(thetas):
-            for phi_chi in phis:
-                cfg = mzi.transparent_via_angle_sum(float(theta1), 0.0, float(phi_chi))
-                outcome = mzi.run_setup(
-                    cfg, mzi.NoisySource(1.0), mzi.CoherentProbe(beta), policy
-                )
-                closed = mzi.detection_efficiency(cfg, mzi.CoherentProbe(beta))
-                allowed = 1e-8 + outcome.truncation_deficit
-                worst = max(worst, abs(outcome.p_click - closed) - allowed)
-                if i == quarter:
-                    curves[-1].append(outcome.p_click)
+    grid = [mzi.transparent_via_angle_sum(float(t), 0.0, float(p)) for t in thetas for p in phis]
+    cfgs = grid * len(betas)
+    probes = [mzi.CoherentProbe(beta) for beta in betas for _ in grid]
+    outcomes = mzi._run_setups(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes, policy)
+    closed = [mzi.detection_efficiency(cfg, probe) for cfg, probe in zip(cfgs, probes)]
+    devs = [abs(o.p_click - c) - (1e-8 + o.truncation_deficit) for o, c in zip(outcomes, closed)]
+    worst = max(0.0, *devs)
+    # the curve over phi_chi at theta1 = pi/4, per beta
+    p_clicks = [outcome.p_click for outcome in outcomes]
+    curves = np.reshape(p_clicks, (len(betas), len(thetas), -1))[:, quarter]
     _record(
         results, "mzi", "closed-form-vs-exact-coherent", worst <= 0.0,
         f"beta in {betas}, {len(thetas)}x{len(phis)} grid",
@@ -324,23 +319,20 @@ def _check_mzi(results, rng, dense: bool):
             "< 1e-12, pi, increasing to > 0.98",
         )
 
+    # random entangled (B, C) inputs with vacuum in A, one per slot
     n_cfg = 1000 if dense else 60
-    worst = 0.0
-    worst_strict = 0.0
-    n_strict = 0
-    for _ in range(n_cfg):
-        cfg = random_transparent(rng)
-        ket = fk.tensor([fk.make_fock((0,), (1,)), random_ket(rng, (3, 3), max_total=3)])
-        # the odd constraint instances negate both field operators, a
-        # (-1)^(photons in B and C) phase on each basis state
-        sign = mzi.transparency_sign(cfg)
-        occ = np.indices(ket.amps.shape)
-        expected = ket.amps * sign ** (occ[1] + occ[2])
-        dev = float(np.max(np.abs(mzi.propagate_mzi(ket, cfg).amps - expected)))
-        worst = max(worst, dev)
-        if sign == 1:
-            worst_strict = max(worst_strict, dev)
-            n_strict += 1
+    cfgs, amps = [], np.zeros((2, 4, 4, n_cfg), dtype=complex)
+    for slot in range(n_cfg):
+        cfgs.append(random_transparent(rng))
+        amps[0, ..., slot] = random_ket(rng, (3, 3), max_total=3).amps
+    # the odd constraint instances negate both field operators, a
+    # (-1)^(photons in B and C) phase on each basis state
+    signs = np.array([mzi.transparency_sign(cfg) for cfg in cfgs])
+    occ = np.indices((4, 4)).sum(axis=0)[None, :, :, None]
+    devs = np.abs(mzi._propagate(amps, cfgs) - amps * signs**occ).max(axis=(0, 1, 2))
+    worst = float(devs.max())
+    worst_strict = float(devs[signs == 1].max(initial=0.0))
+    n_strict = int(np.count_nonzero(signs == 1))
     _record_worst(
         results, "mzi", "transparency-generality", worst, ALGEBRA_TOL,
         f"{n_cfg} transparent configs, random entangled (B,C) inputs", "max amplitude dev",
@@ -354,16 +346,13 @@ def _check_mzi(results, rng, dense: bool):
             f"> 200 configs, <= {ALGEBRA_TOL}",
         )
 
+    # one probe photon, vacuum in A and C, through each non-transparent config
     n_cfg = 1000 if dense else 60
-    found_all = True
-    for _ in range(n_cfg):
-        cfg = _random_nontransparent(rng)
-        probe_ket = fk.tensor(
-            [fk.make_fock((0,), (1,)), fk.make_fock((1,), (3,)), fk.make_fock((0,), (3,))]
-        )
-        out = mzi.propagate_mzi(probe_ket, cfg)
-        deviates = bool(np.any(np.abs(out.amps - probe_ket.amps) > 1e-12))
-        found_all = found_all and deviates
+    cfgs = [_random_nontransparent(rng) for _ in range(n_cfg)]
+    amps = np.zeros((2, 4, 4, n_cfg), dtype=complex)
+    amps[0, 1, 0] = 1.0
+    deviates = np.abs(mzi._propagate(amps, cfgs) - amps) > 1e-12
+    found_all = bool(deviates.any(axis=(0, 1, 2)).all())
     _record(
         results, "mzi", "nontransparent-violation-found", found_all,
         f"{n_cfg} random non-transparent configs",
@@ -372,19 +361,19 @@ def _check_mzi(results, rng, dense: bool):
     )
 
     n_cfg = 60 if dense else 20
-    worst_purity = 0.0
+    cfgs, sources, probes = [], [], []
     for _ in range(n_cfg):
         # full draws wider phase and source ranges and both probe kinds
         lo, hi, pa_lo = (0.4, 5.9, 0.05) if dense else (0.5, 5.5, 0.1)
-        cfg = random_transparent(rng, phi_chi=float(rng.uniform(lo, hi)))
-        p_a = float(rng.uniform(pa_lo, 1.0))
+        cfgs.append(random_transparent(rng, phi_chi=float(rng.uniform(lo, hi))))
+        sources.append(mzi.NoisySource(float(rng.uniform(pa_lo, 1.0))))
         if dense:
-            probe = _random_probe(rng)
+            probes.append(_random_probe(rng))
         else:
-            probe = mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.3, 1.0))))
-        outcome = mzi.run_setup(cfg, mzi.NoisySource(p_a), probe)
-        if outcome.p_click > 1e-9:
-            worst_purity = max(worst_purity, abs(outcome.purity_given_click - 1.0))
+            probes.append(mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.3, 1.0)))))
+    outcomes = mzi._run_setups(cfgs, sources, probes)
+    impure = [abs(out.purity_given_click - 1.0) for out in outcomes if out.p_click > 1e-9]
+    worst_purity = max(impure, default=0.0)
     _record_worst(
         results, "mzi", "click-implies-pure-photon", worst_purity, ALGEBRA_TOL,
         f"{n_cfg} random transparent configs", "max 1-purity",

@@ -106,3 +106,140 @@ def test_acceptance_8_determinism_and_performance(tmp_path, capsys):
         f"ACCEPTANCE 8 PASS: verify fast suite exit 0 in {elapsed:.1f} s; "
         f"identical seeds give bit-identical CSVs"
     )
+
+
+# every check of each suite as (module/name, params, expected), in report
+# order: a refactor of verify may not rename, resize or drop one unnoticed
+FAST_INVENTORY = [
+    ('fock/tensor-norm-product', '15 random kets', '<= 1e-12'),
+    ('fock/condition-complementarity', '15 random ensembles', '<= 1e-12'),
+    ('fock/coherent-poisson-law', 'beta in {0.5, 1+0.5j, 2}', '<= 1e-10'),
+    ('elements/bs-inverse-roundtrip', '15 random (theta, phi, ket)', '<= 1e-12'),
+    ('elements/bs-unitarity', '15 random kets', '<= 1e-12'),
+    ('elements/two-photon-bunching-point', '|1,1> at the symmetric splitter', '<= 1e-12'),
+    ('elements/xpm-number-preserving', '15 random kets', '<= 1e-12'),
+    ('elements/classical-vs-exact-path', 'random BS/XPM sequences', '<= 1e-08'),
+    ('mzi/zero-false-click', '120 random transparent configs, vacuum signal', '< 1e-12'),
+    ('mzi/closed-form-vs-exact-noisy', '15x15 (theta1, phi_chi) grid', '<= 1e-10'),
+    ('mzi/closed-form-vs-exact-coherent', 'beta in (1.0,), 8x8 grid', '<= 0'),
+    (
+        'mzi/transparency-generality',
+        '60 transparent configs, random entangled (B,C) inputs',
+        '<= 1e-12',
+    ),
+    (
+        'mzi/nontransparent-violation-found',
+        '60 random non-transparent configs',
+        'single probe photon deviates',
+    ),
+    ('mzi/click-implies-pure-photon', '20 random transparent configs', '<= 1e-12'),
+    (
+        'mzi/optimal-splitter-sweep',
+        'probe NoisyPhotonProbe, 81-point sweep',
+        'pi/4 within grid step',
+    ),
+    ('mzi/optimal-splitter-sweep', 'probe CoherentProbe, 81-point sweep', 'pi/4 within grid step'),
+    ('mzi/mc-click-frequency', '3 configs x 100000 shots', '<= 4.0 sigma'),
+    ('mzi/mc-click-without-photon', '3 configs x 100000 shots', 'exactly 0'),
+    ('loss/lossless-limit-matches-ideal', '10 random configs', '<= 1e-12'),
+    ('loss/faulty-clicks-iff-absorption', 'absorption grid at beta=1.5', 'same'),
+    ('loss/improvement-identity', 'grid over (beta, p_absorb) at p=0.4', 'same'),
+    ('loss/heralded-efficiency-monotone-in-loss', 'grid over (beta, p_absorb)', 'non-increasing'),
+    ('loss/tolerable-loss-reference-values', 'strong-phase rows', '<= 0.05'),
+    ('cascade/reused-closed-form-vs-recursion', 'N=100, 3 parameter points', '<= 1e-12'),
+    ('cascade/shared-closed-form-vs-enumeration', 'N=8, 8 parameter points', '<= 1e-10'),
+    (
+        'cascade/reused-limit-approaches-p',
+        'N=100, |alpha|^2=25, phi_chi=pi/2, p=0.6',
+        '0.6 +- 1e-6',
+    ),
+    (
+        'cascade/shared-limit-approaches-one',
+        'N=100, |alpha|^2=25, phi_chi=pi/2, p=0.3',
+        '>= 0.999',
+    ),
+    ('cascade/totals-monotone', 'N and alpha sweeps', 'non-decreasing'),
+    ('cascade/mc-first-click-histogram', '20000 shots', '<= 4.0 sigma'),
+]
+FULL_INVENTORY = [
+    ('fock/tensor-norm-product', '40 random kets', '<= 1e-12'),
+    ('fock/condition-complementarity', '40 random ensembles', '<= 1e-12'),
+    ('fock/coherent-poisson-law', 'beta in {0.5, 1+0.5j, 2}', '<= 1e-10'),
+    ('elements/bs-inverse-roundtrip', '40 random (theta, phi, ket)', '<= 1e-12'),
+    ('elements/bs-unitarity', '40 random kets', '<= 1e-12'),
+    ('elements/two-photon-bunching-point', '|1,1> at the symmetric splitter', '<= 1e-12'),
+    ('elements/xpm-number-preserving', '40 random kets', '<= 1e-12'),
+    ('elements/classical-vs-exact-path', 'random BS/XPM sequences', '<= 1e-08'),
+    ('mzi/zero-false-click', '1000 random transparent configs, vacuum signal', '< 1e-12'),
+    ('mzi/closed-form-vs-exact-noisy', '50x50 (theta1, phi_chi) grid', '<= 1e-10'),
+    (
+        'mzi/noisy-exact-peak-at-quarter-pi',
+        '46 phi_chi columns with sin^2(phi_chi/2) > 1e-2',
+        'argmax theta1 = pi/4 in each',
+    ),
+    ('mzi/closed-form-vs-exact-coherent', 'beta in (0.5, 1.0, 2.0), 13x13 grid', '<= 0'),
+    (
+        'mzi/coherent-curve-at-optimal-splitter',
+        'theta1 = pi/4, beta in (0.5, 1.0, 2.0)',
+        '< 1e-12, pi, increasing to > 0.98',
+    ),
+    (
+        'mzi/transparency-generality',
+        '1000 transparent configs, random entangled (B,C) inputs',
+        '<= 1e-12',
+    ),
+    ('mzi/transparency-strict-identity', '1000 transparent configs', '> 200 configs, <= 1e-12'),
+    (
+        'mzi/nontransparent-violation-found',
+        '1000 random non-transparent configs',
+        'single probe photon deviates',
+    ),
+    ('mzi/click-implies-pure-photon', '60 random transparent configs', '<= 1e-12'),
+    (
+        'mzi/optimal-splitter-sweep',
+        'probe NoisyPhotonProbe, 81-point sweep',
+        'pi/4 within grid step',
+    ),
+    ('mzi/optimal-splitter-sweep', 'probe CoherentProbe, 81-point sweep', 'pi/4 within grid step'),
+    ('mzi/mc-click-frequency', '6 configs x 1000000 shots', '<= 4.0 sigma'),
+    ('mzi/mc-click-without-photon', '6 configs x 1000000 shots', 'exactly 0'),
+    ('loss/lossless-limit-matches-ideal', '10 random configs', '<= 1e-12'),
+    ('loss/faulty-clicks-iff-absorption', 'absorption grid at beta=1.5', 'same'),
+    ('loss/improvement-identity', 'grid over (beta, p_absorb) at p=0.4', 'same'),
+    ('loss/heralded-efficiency-monotone-in-loss', 'grid over (beta, p_absorb)', 'non-increasing'),
+    ('loss/tolerable-loss-reference-values', 'strong-phase rows', '<= 0.05'),
+    (
+        'loss/weak-phase-bounds-reported',
+        'weak-phase rows, reference deviation not enforced',
+        '0 < bound < 1',
+    ),
+    ('cascade/reused-closed-form-vs-recursion', 'N=100, 9 parameter points', '<= 1e-12'),
+    ('cascade/shared-closed-form-vs-enumeration', 'N=12, 27 parameter points', '<= 1e-10'),
+    (
+        'cascade/reused-limit-approaches-p',
+        'N=100, |alpha|^2=25, phi_chi=pi/2, p=0.6',
+        '0.6 +- 1e-6',
+    ),
+    (
+        'cascade/shared-limit-approaches-one',
+        'N=100, |alpha|^2=25, phi_chi=pi/2, p=0.3',
+        '>= 0.999',
+    ),
+    ('cascade/totals-monotone', 'N and alpha sweeps', 'non-decreasing'),
+    ('cascade/mc-first-click-histogram', '100000 shots', '<= 4.0 sigma'),
+]
+
+
+def test_verify_fast_inventory_pinned():
+    results = run_suite("fast")
+    assert [(f"{r.module}/{r.name}", r.params, r.expected) for r in results] == FAST_INVENTORY
+    failed = [r.line() for r in results if not r.passed]
+    assert not failed
+
+
+def test_verify_full_inventory_pinned(full_suite):
+    checks, _ = full_suite
+    rows = [(key, r.params, r.expected) for key, found in checks.items() for r in found]
+    assert rows == FULL_INVENTORY
+    failed = [r.line() for found in checks.values() for r in found if not r.passed]
+    assert not failed

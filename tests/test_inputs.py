@@ -17,9 +17,17 @@ from xpmherald.cascade import (
     shared_probe_pn,
     shared_probe_total,
 )
-from xpmherald.elements import BeamSplitterParams, XpmParams
+from xpmherald.elements import BeamSplitterParams, XpmParams, apply_beam_splitter, apply_xpm
 from xpmherald.errors import ConfigurationError, check_real
-from xpmherald.fock import Ensemble, TruncationPolicy, make_coherent, make_fock
+from xpmherald.fock import (
+    Ensemble,
+    TruncationPolicy,
+    condition,
+    make_coherent,
+    make_fock,
+    mode_number_distribution,
+    tensor,
+)
 from xpmherald.loss import (
     LossParams,
     lossy_click_probs,
@@ -40,6 +48,7 @@ from xpmherald.mzi import (
 )
 
 CFG = transparent_via_angle_sum(math.pi / 4.0, 0.0, math.pi)
+KET = make_fock((0, 1), (1, 1))
 
 HOSTILE = {
     # cascade closed forms: out-of-range or non-finite p, amplitude, phase
@@ -101,6 +110,39 @@ HOSTILE = {
     "Ensemble weight=-0.5": lambda: Ensemble([(-0.5, make_fock((1,), (1,)))]),
     "Ensemble weight=nan": lambda: Ensemble([(math.nan, make_fock((1,), (1,)))]),
     "Ensemble weight=inf": lambda: Ensemble([(math.inf, make_fock((1,), (1,)))]),
+    # require_transparent was read by truthiness: None and 0 ran a leaky
+    # setup without the heralding guarantee, and "no" counted as True
+    "run_setup require_transparent=None": lambda: run_setup(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), require_transparent=None
+    ),
+    'run_setup require_transparent="no"': lambda: run_setup(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), require_transparent="no"
+    ),
+    "run_setup require_transparent=0": lambda: run_setup(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), require_transparent=0
+    ),
+    "sample_shots require_transparent=None": lambda: sample_shots(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), 10, 1, require_transparent=None
+    ),
+    'sample_shots require_transparent="no"': lambda: sample_shots(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), 10, 1, require_transparent="no"
+    ),
+    "sample_shots require_transparent=0": lambda: sample_shots(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), 10, 1, require_transparent=0
+    ),
+    # wrong-kind arguments that raised TypeError, AttributeError or a
+    # RuntimeWarning with NaN output
+    "coherent_outputs beta=None": lambda: coherent_outputs(CFG, None, True),
+    "coherent_outputs beta=inf": lambda: coherent_outputs(CFG, math.inf, True),
+    'coherent_outputs photon_present="x"': lambda: coherent_outputs(CFG, 1.0, "x"),
+    "apply_beam_splitter params=None": lambda: apply_beam_splitter(KET, (0, 1), None),
+    "apply_xpm params=None": lambda: apply_xpm(KET, (0, 1), None),
+    "apply_beam_splitter ket=None": lambda: apply_beam_splitter(
+        None, (0, 1), BeamSplitterParams(0.3)
+    ),
+    "tensor([None])": lambda: tensor([None]),
+    "condition ket=None": lambda: condition(Ensemble([(1.0, None)]), 0, "zero"),
+    "mode_number_distribution(None)": lambda: mode_number_distribution(None, 0),
 }
 
 

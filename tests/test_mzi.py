@@ -754,3 +754,86 @@ def test_amplitude_without_finite_square_rejected_without_warnings():
             for call in calls:
                 with pytest.raises(ConfigurationError):
                     call(beta)
+
+
+def test_batched_slots_match_single_runs():
+    # one mixed batch through _click_table and _run_setups against each
+    # slot run alone: noisy and coherent probes of several cutoffs, bright
+    # ones, transparent and leaky configs, theta = 0 splitters in either
+    # place and an inert phi_chi = 2 pi; random kets through _propagate
+    rng = np.random.default_rng(89)
+    identity = BeamSplitterParams(0.0, 0.7)
+    cfgs, sources, probes = [], [], []
+    for i in range(64):
+        cfg = random_transparent(rng) if i % 3 else _random_nontransparent(rng)
+        bs1, bs2, xpm = cfg.bs1, cfg.bs2, cfg.xpm
+        if i % 8 in (1, 3):
+            bs1 = identity
+        if i % 8 in (2, 3):
+            bs2 = identity
+        if i % 8 == 5:
+            xpm = XpmParams(2.0 * PI)
+        cfgs.append(MziConfig(bs1, bs2, xpm))
+        sources.append(NoisySource((0.0, 1.0, float(rng.uniform()))[i % 3]))
+        if i % 4 == 0:
+            probes.append(NoisyPhotonProbe(NoisySource(float(rng.uniform()))))
+        else:  # |beta| in four bands: a few cutoffs each, and the bright route
+            size = (0.3, 1.0, 2.5, 4.5)[i // 4 % 4] + 0.2 * rng.uniform()
+            probes.append(CoherentProbe(complex(size * np.exp(1j * rng.uniform(0.0, 2.0 * PI)))))
+    tables = mzi._click_table(cfgs, sources, probes, None, False)
+    outcomes = mzi._run_setups(cfgs, sources, probes, None, False)
+    assert len({t[2].shape for t in tables if t[2] is not None}) > 4
+    for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
+        weights, rows, out = mzi._click_table((cfg,), (source,), (probe,), None, False)[0]
+        assert tables[slot][0] == weights
+        assert np.max(np.abs(np.subtract(tables[slot][1], rows))) <= 1e-14
+        assert (tables[slot][2] is None) == (out is None)
+        if out is not None:
+            assert np.max(np.abs(tables[slot][2] - out)) <= 1e-14
+        single = run_setup(cfg, source, probe, require_transparent=False)
+        for name in ("p_click", "detection_efficiency", "total_success", "truncation_deficit"):
+            assert abs(getattr(outcomes[slot], name) - getattr(single, name)) <= 1e-14
+    # one random (A, B, C) ket per slot, B + C <= 5
+    amps = np.stack([random_ket(rng, (1, 5, 5), max_total=6).amps for _ in cfgs], axis=-1)
+    amps[:, np.add.outer(range(6), range(6)) > 5] = 0.0
+    batched = mzi._propagate(amps, cfgs)
+    for slot, cfg in enumerate(cfgs):
+        alone = propagate_mzi(MultiModeKet._unchecked(amps[..., slot]), cfg).amps
+        assert np.max(np.abs(batched[..., slot] - alone)) <= 1e-14
+
+
+def _whole_array_counts(cfg, source, probe, n_shots, seed):
+    """The sampler as documented, drawing each of its arrays whole from one
+    generator: the source branches, the probe labels and the detector."""
+    weights, (_, clicks), _ = mzi._click_table((cfg,), (source,), (probe,), None, True)[0]
+    rng = np.random.Generator(np.random.Philox(seed))
+    photon = rng.random(n_shots) < source.p
+    row = photon.astype(np.intp)
+    if 0.0 < weights[0] < 1.0:
+        table = np.ravel(clicks)
+        row = 2 * row + (rng.random(n_shots) >= weights[0])
+    else:
+        table = np.array(clicks)[:, weights.index(1.0)]
+    click = rng.random(n_shots) < table[row]
+    return {
+        "click_and_photon": int(np.sum(click & photon)),
+        "click_no_photon": int(np.sum(click & ~photon)),
+        "no_click_photon": int(np.sum(~click & photon)),
+        "no_click_no_photon": int(np.sum(~click & ~photon)),
+    }
+
+
+@pytest.mark.parametrize(
+    "n_shots", [1, 3, mzi._SHOT_CHUNK - 1, mzi._SHOT_CHUNK + 1, 200_001]
+)
+def test_sample_shots_streams_equal_whole_array_draws(n_shots):
+    # the streamed draws start each generator copy where the whole arrays
+    # would: every count equals the whole-array route's
+    cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
+    for seed, probe in enumerate(
+        (NoisyPhotonProbe(NoisySource(0.7)), CoherentProbe(1.3 + 0.4j),
+         NoisyPhotonProbe(NoisySource(1.0)), CoherentProbe(4.5 - 1.0j))
+    ):
+        source = NoisySource(0.45)
+        got = sample_shots(cfg, source, probe, n_shots, seed=seed + 3)
+        assert got == _whole_array_counts(cfg, source, probe, n_shots, seed + 3)
