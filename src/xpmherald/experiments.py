@@ -63,11 +63,7 @@ class ExperimentConfig:
             check_count("field 'seed'", self.seed)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"field 'out' must be a path or null, got {self.out!r}")
-        tol = self.trunc_tol
-        if not (_is_number(tol) and math.isfinite(tol) and tol > 0.0):
-            raise ConfigurationError(
-                f"field 'trunc_tol' must be finite and positive, got {tol!r}"
-            )
+        TruncationPolicy(tail_tolerance=self.trunc_tol)  # the range every run accepts
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -142,9 +138,10 @@ def _is_number(value) -> bool:
 
 
 def _param(cfg: ExperimentConfig, name: str, default):
-    """Scalar parameter ``name``, or ``default`` when the config omits it."""
+    """Scalar parameter ``name``, or ``default`` when the config omits it;
+    a null value stands for an omitted one only where ``default`` is None."""
     value = cfg.params.get(name, default)
-    if value is not None and not _is_number(value):
+    if (value is not None or default is not None) and not _is_number(value):
         raise ConfigurationError(f"parameter {name!r} must be a number, got {value!r}")
     return value
 
@@ -152,7 +149,7 @@ def _param(cfg: ExperimentConfig, name: str, default):
 def _count_param(cfg: ExperimentConfig, name: str, default: int) -> int:
     """Whole-number parameter ``name``, such as 1000 or 1000.0, as an int."""
     value = _param(cfg, name, default)
-    if value is None or not (isinstance(value, Integral) or float(value).is_integer()):
+    if not (isinstance(value, Integral) or float(value).is_integer()):
         raise ConfigurationError(f"parameter {name!r} must be a whole number, got {value!r}")
     return int(value)
 

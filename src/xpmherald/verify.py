@@ -1,4 +1,12 @@
-"""Self-audit: runs every module's invariants and reports violations.
+"""Self-audit of the scheme: the paper's guarantees over random setups.
+
+The ``mzi`` group checks zero false clicks for transparent setups,
+click-conditioned purity 1, the closed forms against exact propagation and
+transparency for any probe input; ``loss`` and ``cascade`` check the
+absorption model and the chained-setup closed forms; ``elements`` checks
+the classical coherent path that bright probes take against exact
+propagation.  The Fock and element algebra underneath is tested in
+``tests/test_fock.py`` and ``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
@@ -110,123 +118,34 @@ def _random_probe(rng) -> mzi.Probe:
 # ---------------------------------------------------------------------------
 
 
-def _check_fock(results, rng, dense: bool):
-    n = 40 if dense else 15
-    worst = 0.0
-    for _ in range(n):
-        k1 = random_ket(rng, (2, 2))
-        k2 = random_ket(rng, (2,))
-        prod = fk.tensor([k1, k2])
-        worst = max(worst, abs(prod.norm() - k1.norm() * k2.norm()))
-    _record_worst(
-        results, "fock", "tensor-norm-product", worst, ALGEBRA_TOL, f"{n} random kets"
-    )
-
-    worst = 0.0
-    for _ in range(n):
-        weights = rng.dirichlet(np.ones(3))
-        ens = fk.Ensemble([(float(w), random_ket(rng, (1, 2))) for w in weights])
-        p_zero, _ = fk.condition(ens, 1, "zero")
-        p_click, _ = fk.condition(ens, 1, "at_least_one")
-        worst = max(worst, abs(p_zero + p_click - 1.0))
-    _record_worst(
-        results, "fock", "condition-complementarity", worst, ALGEBRA_TOL,
-        f"{n} random ensembles",
-    )
-
-    worst = 0.0
-    tol = 1e-10
-    for beta in (0.5, 1.0 + 0.5j, 2.0):
-        ket = fk.make_coherent(beta, fk.TruncationPolicy(tail_tolerance=tol))
-        dist = fk.mode_number_distribution(ket, 0)
-        mean = abs(beta) ** 2
-        term = math.exp(-mean)
-        for k in range(len(dist)):
-            worst = max(worst, abs(dist[k] * ket.squared_norm() - term))
-            term *= mean / (k + 1)
-    _record_worst(
-        results, "fock", "coherent-poisson-law", worst, tol, "beta in {0.5, 1+0.5j, 2}"
-    )
-
-
 def _check_elements(results, rng, dense: bool):
-    n = 40 if dense else 15
-    worst = 0.0
-    for _ in range(n):
-        theta = float(rng.uniform(0.0, math.pi))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        ket = random_ket(rng, (4, 4), max_total=4)
-        once = el.apply_beam_splitter(ket, (0, 1), el.BeamSplitterParams(theta, phi))
-        back = el.apply_beam_splitter(once, (0, 1), el.BeamSplitterParams(-theta, phi))
-        worst = max(worst, float(np.max(np.abs(back.amps - ket.amps))))
-    _record_worst(
-        results, "elements", "bs-inverse-roundtrip", worst, ALGEBRA_TOL,
-        f"{n} random (theta, phi, ket)",
-    )
-
-    worst = 0.0
-    for _ in range(n):
-        theta = float(rng.uniform(0.0, math.pi))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        ket = random_ket(rng, (4, 4), max_total=4)
-        out = el.apply_beam_splitter(ket, (0, 1), el.BeamSplitterParams(theta, phi))
-        worst = max(worst, abs(out.squared_norm() - ket.squared_norm()))
-    _record_worst(
-        results, "elements", "bs-unitarity", worst, ALGEBRA_TOL, f"{n} random kets"
-    )
-
-    hom_in = fk.make_fock((1, 1), (2, 2))
-    hom_out = el.apply_beam_splitter(
-        hom_in, (0, 1), el.BeamSplitterParams(math.pi / 4.0, 0.0)
-    )
-    dev = max(
-        abs(hom_out.amplitude((0, 2)) - 1.0 / math.sqrt(2.0)),
-        abs(hom_out.amplitude((2, 0)) + 1.0 / math.sqrt(2.0)),
-        abs(hom_out.amplitude((1, 1))),
-    )
-    _record_worst(
-        results, "elements", "two-photon-bunching-point", dev, ALGEBRA_TOL,
-        "|1,1> at the symmetric splitter",
-    )
-
-    worst = 0.0
-    for _ in range(n):
-        ket = random_ket(rng, (3, 3))
-        out = el.apply_xpm(ket, (0, 1), el.XpmParams(float(rng.uniform(0, 7))))
-        for mode in (0, 1):
-            d_in = fk.mode_number_distribution(ket, mode)
-            d_out = fk.mode_number_distribution(out, mode)
-            worst = max(worst, float(np.max(np.abs(d_in - d_out))))
-    _record_worst(
-        results, "elements", "xpm-number-preserving", worst, ALGEBRA_TOL, f"{n} random kets"
-    )
-
-    # Classical coherent path against exact truncated propagation.  The
-    # exact side carries an extra ancilla mode holding the definite photon
-    # that drives the cross-phase gate.
+    # Classical coherent path against exact truncated propagation, through
+    # the engine calls the element wrappers make.  The exact side carries an
+    # ancilla mode 0 holding the definite photon that drives the cross-phase
+    # gate; the coherent probe starts in mode 1, vacuum in mode 2.
     tol = 1e-10
     worst = 0.0
     for _ in range(5 if not dense else 10):
         beta = complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
-        b_ket = fk.make_coherent(beta, fk.TruncationPolicy(tail_tolerance=tol))
-        cut = b_ket.cutoffs[0]
-        ket = fk.tensor([fk.make_fock((1,), (1,)), b_ket, fk.make_fock((0,), (cut,))])
+        probe = fk.make_coherent(beta, fk.TruncationPolicy(tail_tolerance=tol)).amps
+        amps = np.zeros((2, probe.size, probe.size), dtype=complex)
+        amps[1, :, 0] = probe
         # coherent amplitudes map by the transpose of each splitter's matrix
-        amps = np.array([beta, 0.0])
+        arms = np.array([beta, 0.0])
         for _ in range(3):
             bsp = el.BeamSplitterParams(
                 float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
             )
-            xp = el.XpmParams(float(rng.uniform(0.0, 2.0 * math.pi)))
-            ket = el.apply_beam_splitter(ket, (1, 2), bsp)
-            amps = el.bs_unitary(bsp).T @ amps
+            phi = float(rng.uniform(0.0, 2.0 * math.pi))
+            amps = el._apply_chain(amps, (1, 2), ((bsp,),))
+            arms = el.bs_unitary(bsp).T @ arms
             if rng.random() < 0.5:
-                ket = el.apply_xpm(ket, (0, 1), xp)
-                amps[0] *= complex(math.cos(xp.phi_chi), math.sin(xp.phi_chi))
+                amps = el._xpm(amps, (0, 1), phi)
+                arms[0] *= complex(math.cos(phi), math.sin(phi))
         # each arm at its own cutoff, against the overlapping block of the
-        # propagated ket: the same as zero-padding the arms to its cutoffs
-        b, c = (fk.make_coherent(a, fk.TruncationPolicy(tol)).amps[: cut + 1] for a in amps)
-        fidelity = abs(np.vdot(np.multiply.outer(b, c), ket.amps[1, : b.size, : c.size]))
+        # propagated array: the same as zero-padding the arms to its cutoffs
+        b, c = (fk.make_coherent(a, fk.TruncationPolicy(tol)).amps[: probe.size] for a in arms)
+        fidelity = abs(np.vdot(np.multiply.outer(b, c), amps[1, : b.size, : c.size]))
         worst = max(worst, abs(fidelity - 1.0))
     _record_worst(
         results, "elements", "classical-vs-exact-path", worst, 100 * tol,
@@ -592,13 +511,13 @@ def run_suite(suite: str = "fast", modules: list[str] | None = None) -> list[Che
     dense = suite == "full"
     results: list[CheckResult] = []
     groups = {
-        "fock": _check_fock,
         "elements": _check_elements,
         "mzi": _check_mzi,
         "loss": _check_loss,
         "cascade": _check_cascade,
     }
-    for index, (name, group) in enumerate(groups.items()):
+    # index 0 seeded the retired ``fock`` group, which now selects nothing
+    for index, (name, group) in enumerate(groups.items(), start=1):
         if modules is None or name in modules:
             # one generator per group, so a group run alone replays its draws
             rng = np.random.default_rng((20250515, index))

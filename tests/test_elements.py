@@ -98,12 +98,12 @@ def test_beam_splitter_matches_dense_exponential_oracle():
         ket = random_ket(rng, (cutoff, cutoff), max_total=cutoff)
         out = apply_beam_splitter(ket, (0, 1), BeamSplitterParams(theta, phi))
         dense_out = dense_bs_unitary(theta, phi, cutoff) @ ket.amps.ravel()
-        assert np.allclose(out.amps.ravel(), dense_out, atol=1e-10)
+        assert max_dev(out.amps.ravel(), dense_out) <= 1e-10
 
 
 def test_beam_splitter_norm_preserved():
     rng = np.random.default_rng(9)
-    for _ in range(20):
+    for _ in range(40):
         ket = random_ket(rng, (4, 4), max_total=4)
         out = apply_beam_splitter(
             ket,
@@ -116,7 +116,7 @@ def test_beam_splitter_norm_preserved():
 def test_beam_splitter_inverse_roundtrip():
     # the inverse map is the same splitter with negated mixing angle
     rng = np.random.default_rng(31)
-    for _ in range(20):
+    for _ in range(40):
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         ket = random_ket(rng, (4, 4), max_total=4)
@@ -290,14 +290,12 @@ def test_xpm_matches_phase_per_occupation():
 
 def test_xpm_preserves_number_distributions():
     rng = np.random.default_rng(17)
-    ket = random_ket(rng, (3, 3), max_total=6)
-    out = apply_xpm(ket, (0, 1), XpmParams(1.7))
-    for mode in (0, 1):
-        assert np.allclose(
-            mode_number_distribution(ket, mode),
-            mode_number_distribution(out, mode),
-            atol=1e-12,
-        )
+    for _ in range(40):
+        ket = random_ket(rng, (3, 3))
+        out = apply_xpm(ket, (0, 1), XpmParams(float(rng.uniform(0.0, 7.0))))
+        for mode in (0, 1):
+            d_in, d_out = (mode_number_distribution(k, mode) for k in (ket, out))
+            assert max_dev(d_in, d_out) <= 1e-12
 
 
 def test_xpm_working_flag():

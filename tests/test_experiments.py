@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import xpmherald.elements as el
+import xpmherald.verify
 from xpmherald.cli import main
 from xpmherald.errors import ConfigurationError
 from xpmherald.experiments import (
@@ -380,6 +382,10 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         # sizes past any address space, so the allocation fails at once
         ["cascade", "--setups", "5", "--shots", "1000000000000000", "--seed", "1"],
         ["run", {"experiment": "fig4", "params": {"phi_chi_points": 1e15}}],
+        # a tail tolerance the truncation policy refuses, and null for a number
+        ["run", {"experiment": "fig4"}, "--trunc-tol", "2"],
+        ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_a": None}}],
+        ["run", {"experiment": "purity-audit", "seed": 1, "params": {"phi_chi": None}}],
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsys):
@@ -431,9 +437,23 @@ def test_cli_verify_fast_exit_zero(capsys):
 def test_verify_group_alone_reproduces_its_part_of_the_suite():
     # each group seeds its own generator, so a failure seen in a whole run
     # replays when its group runs alone
-    groups = ("fock", "elements", "mzi", "loss", "cascade")
+    groups = ("elements", "mzi", "loss", "cascade")
     alone = [r.line() for g in groups for r in run_suite("fast", modules=[g])]
     assert alone == [r.line() for r in run_suite("fast")]
+    assert run_suite("fast", modules=["fock"]) == []  # retired group name
+
+
+def test_verify_stays_off_the_fock_toolkit():
+    # verify audits the scheme through the engine; the toolkit's algebra is
+    # tested in test_fock.py and test_elements.py, so these names may go
+    toolkit = {"tensor", "make_fock", "condition", "Ensemble", "mode_number_distribution",
+               "apply_beam_splitter", "apply_xpm"}
+    tree = ast.parse(Path(xpmherald.verify.__file__).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert not used & toolkit, sorted(used & toolkit)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_tensor_bilinearity():
 
 def test_tensor_norm_is_product_of_norms():
     rng = np.random.default_rng(7)
-    for _ in range(25):
+    for _ in range(40):
         k1 = random_ket(rng, (2, 2))
         k2 = random_ket(rng, (3,))
         assert tensor([k1, k2]).norm() == pytest.approx(
@@ -189,13 +189,15 @@ def test_mode_number_distribution_basis():
 
 def test_mode_number_distribution_poisson():
     eps = 1e-10
-    ket = make_coherent(1.0, TruncationPolicy(tail_tolerance=eps))
-    dist = mode_number_distribution(ket, 0)
-    term = math.exp(-1.0)
-    for n in range(len(dist)):
-        # distribution renormalizes by the (sub-unit) ket norm
-        assert dist[n] * ket.squared_norm() == pytest.approx(term, abs=eps)
-        term /= n + 1
+    for beta in (0.5, 1.0 + 0.5j, 2.0):
+        ket = make_coherent(beta, TruncationPolicy(tail_tolerance=eps))
+        dist = mode_number_distribution(ket, 0)
+        mean = abs(beta) ** 2
+        term = math.exp(-mean)
+        for n in range(len(dist)):
+            # distribution renormalizes by the (sub-unit) ket norm
+            assert dist[n] * ket.squared_norm() == pytest.approx(term, abs=eps)
+            term *= mean / (n + 1)
 
 
 def test_mode_number_distribution_superposition():
@@ -243,7 +245,7 @@ def test_condition_coherent_click_probability():
 
 def test_condition_complementarity():
     rng = np.random.default_rng(11)
-    for _ in range(20):
+    for _ in range(40):
         weights = rng.dirichlet(np.ones(3))
         ens = Ensemble(
             [(float(w), random_ket(rng, (1, 2))) for w in weights]
