@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .cascade import CascadeConfig, simulate_cascade
-from .errors import ConfigurationError, EnumerationLimitError, TruncationError
+from .errors import ConfigurationError, EnumerationLimitError, TruncationError, check_real
 from .experiments import ExperimentConfig, ResultTable, run_experiment
 from .verify import all_passed, format_report, run_suite
 
@@ -88,10 +88,7 @@ def _cmd_verify(args) -> int:
 def _cmd_cascade(args) -> int:
     if args.shots is not None and args.seed is None:
         raise ConfigurationError("--shots requires --seed")
-    if not (math.isfinite(args.alpha_sq) and args.alpha_sq >= 0.0):
-        raise ConfigurationError(
-            f"--alpha-sq must be finite and non-negative, got {args.alpha_sq}"
-        )
+    check_real("--alpha-sq", args.alpha_sq, 0.0)
     scheme = args.scheme.replace("-", "_")
     cfg = CascadeConfig(
         scheme, args.setups, math.sqrt(args.alpha_sq), args.phi_chi, args.p

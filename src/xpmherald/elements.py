@@ -4,11 +4,12 @@ Beam-splitter sign convention, fixed once and used everywhere: the creation
 operator of input 1 maps to ``cos(theta) a1' + exp(-i phi) sin(theta) a2'``
 and that of input 2 to ``-exp(i phi) sin(theta) a1' + cos(theta) a2'``.
 The interferometer transparency constraints depend on this convention, so
-no other module builds its own matrix.  The exact path reads a
-Mach-Zehnder form, two fixed real 50:50 splitters around phases, off its
-entries (``_bs_entries``), so the only number-conserving blocks it builds
-are the angle-free ones of the 50:50 splitter.  Splitters and XPM phases
-all conserve the photon total of the splitter modes, so the interferometer
+its entries (``_bs_entries``) are the one source of the splitter algebra
+and ``bs_unitary`` is their matrix form.  The exact path reads a
+Mach-Zehnder form, two fixed real 50:50 splitters around phases, off the
+same entries, so the only number-conserving blocks it builds are the
+angle-free ones of the 50:50 splitter.  Splitters and XPM phases all
+conserve the photon total of the splitter modes, so the interferometer
 of ``mzi`` runs as one gather, four batched real products and one scatter.
 The angles and phases enter only as diagonals around those blocks, so
 configurations on the slots of a trailing axis share that whole chain.
@@ -57,14 +58,18 @@ class XpmParams:
 
 
 def _bs_entries(p: BeamSplitterParams) -> tuple[tuple[complex, complex], ...]:
-    """The entries of ``bs_unitary(p)`` as nested tuples of Python numbers."""
+    """The splitter's 2x2 creation-operator substitution matrix as nested
+    tuples of Python numbers."""
     c, s, ph = math.cos(p.theta), math.sin(p.theta), cmath.rect(1.0, p.phi)
     return ((c, s / ph), (-s * ph, c))
 
 
 def bs_unitary(p: BeamSplitterParams) -> np.ndarray:
-    """2x2 creation-operator substitution matrix of the beam splitter;
-    coherent amplitudes map by its transpose (see ``mzi.coherent_outputs``)."""
+    """2x2 creation-operator substitution matrix of the beam splitter, the
+    entries of ``_bs_entries`` as an array; coherent amplitudes map by its
+    transpose (see ``mzi.coherent_outputs``)."""
+    if not isinstance(p, BeamSplitterParams):
+        raise ConfigurationError(f"not a BeamSplitterParams: {p!r}")
     return np.array(_bs_entries(p), dtype=complex)
 
 

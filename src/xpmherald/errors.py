@@ -51,18 +51,19 @@ def check_flag(name: str, value) -> None:
 
 
 def check_real(
-    name: str, value, low: float = -math.inf, high: float = math.inf, open_low: bool = False
+    name: str, value, low: float = -math.inf, high: float = math.inf,
+    open_low: bool = False, open_high: bool = False,
 ) -> None:
     """Raise ConfigurationError unless ``value`` is a finite real number, not
-    a bool or a string, in [low, high], or in (low, high] with ``open_low``."""
+    a bool or a string, in [low, high] less each end flagged open."""
     if (
         not isinstance(value, Real)
         or isinstance(value, bool)
         or not math.isfinite(value)
         or not (low < value if open_low else low <= value)
-        or value > high
+        or not (value < high if open_high else value <= high)
     ):
-        left, right = "(" if open_low else "[", ")" if math.isinf(high) else "]"
+        left, right = "(" if open_low else "[", ")" if open_high or math.isinf(high) else "]"
         bounded = (low, high) != (-math.inf, math.inf)
         where = f" in {left}{low:g}, {high:g}{right}" if bounded else ""
         raise ConfigurationError(f"{name} must be a finite real{where}, got {value!r}")

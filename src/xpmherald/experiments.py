@@ -20,15 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, check_count
-from .fock import TruncationPolicy
+from .errors import ConfigurationError, check_count, check_real
+from .fock import TruncationPolicy, _check_tail_tolerance
 from .loss import REFERENCE_LOSS_BOUNDS, max_tolerable_loss
 from .mzi import (
     CoherentProbe,
     NoisyPhotonProbe,
     NoisySource,
     _coherent_efficiency,
-    is_transparent,
     sample_shots,
     transparent_via_angle_sum,
 )
@@ -48,7 +47,7 @@ class ExperimentConfig:
     experiment: str
     params: dict = field(default_factory=dict)
     seed: int | None = None
-    trunc_tol: float = 1e-10
+    trunc_tol: float = TruncationPolicy.tail_tolerance
     out: str | None = None
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ class ExperimentConfig:
             check_count("field 'seed'", self.seed)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"field 'out' must be a path or null, got {self.out!r}")
-        TruncationPolicy(tail_tolerance=self.trunc_tol)  # the range every run accepts
+        _check_tail_tolerance("field 'trunc_tol'", self.trunc_tol)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -172,14 +171,11 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     if num < 2 or not betas:
         raise ConfigurationError("fig4 needs a non-empty beta list and >= 2 grid points")
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
-    # transparency depends on the splitter pair alone, not on phi_chi
-    mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, 0.0)
-    if not is_transparent(mzi):
-        raise ConfigurationError("closed form assumes a transparent configuration")
+    theta1 = math.pi / 4.0  # the symmetric splitter; pi - theta1 makes it transparent
     for beta in betas:
         CoherentProbe(beta)  # rejects a non-finite amplitude
     rows = [
-        (phi, beta, _coherent_efficiency(mzi.bs1.theta, phi, beta), 0.0)
+        (phi, beta, _coherent_efficiency(theta1, phi, beta), 0.0)
         for beta in betas for phi in phis
     ]
     manifest = {
@@ -190,7 +186,7 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
         if "beta" not in cfg.params
         else "user supplied",
         "phi_chi_points": num,
-        "theta1": repr(math.pi / 4.0),
+        "theta1": repr(theta1),
     }
     return ResultTable(
         columns=["phi_chi", "beta_abs", "detection_efficiency", "error_bar"],
@@ -205,10 +201,7 @@ def _run_loss_bounds(cfg: ExperimentConfig) -> ResultTable:
     phi_chis = _param_list(cfg, "phi_chi", (0.010, math.pi))
     beta_sqs = _param_list(cfg, "beta_sq", (1.0, 1e2, 1e4, 1e6))
     for beta_sq in beta_sqs:
-        if not (math.isfinite(beta_sq) and beta_sq > 0.0):
-            raise ConfigurationError(
-                f"parameter 'beta_sq' entries must be finite and positive, got {beta_sq}"
-            )
+        check_real("parameter 'beta_sq' entries", beta_sq, 0.0, open_low=True)
     fixed_p = _param(cfg, "fixed_p", None)
     if fixed_p is not None:
         fixed_p = float(fixed_p)
@@ -267,22 +260,10 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
         cfg.seed,
         policy=TruncationPolicy(tail_tolerance=cfg.trunc_tol),
     )
-    clicks = counts["click_and_photon"] + counts["click_no_photon"]
+    clicks = sum(n for event, n in counts.items() if event.startswith("click"))
     freq = clicks / shots
     sigma = math.sqrt(max(freq * (1.0 - freq), 1.0 / shots) / shots)
-    rows = [
-        (
-            shots,
-            cfg.seed,
-            p_a,
-            counts["click_and_photon"],
-            counts["click_no_photon"],
-            counts["no_click_photon"],
-            counts["no_click_no_photon"],
-            freq,
-            sigma,
-        )
-    ]
+    rows = [(shots, cfg.seed, p_a, *counts.values(), freq, sigma)]
     manifest = {
         "experiment": "purity-audit",
         "version": __version__,
@@ -290,17 +271,7 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
         "phi_chi": repr(phi_chi),
     }
     return ResultTable(
-        columns=[
-            "shots",
-            "seed",
-            "p_a",
-            "click_and_photon",
-            "click_no_photon",
-            "no_click_photon",
-            "no_click_no_photon",
-            "click_frequency",
-            "click_sigma",
-        ],
+        columns=["shots", "seed", "p_a", *counts, "click_frequency", "click_sigma"],
         rows=rows,
         manifest=manifest,
     )

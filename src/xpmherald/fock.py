@@ -71,9 +71,13 @@ class TruncationPolicy:
     tail_tolerance: float = 1e-10
 
     def __post_init__(self):
-        check_real("tail_tolerance", self.tail_tolerance, 0.0, 1.0, open_low=True)
-        if self.tail_tolerance == 1.0:  # check_real's range is closed above
-            raise ConfigurationError("tail_tolerance must lie in (0, 1), got 1.0")
+        _check_tail_tolerance("tail_tolerance", self.tail_tolerance)
+
+
+def _check_tail_tolerance(name: str, value) -> None:
+    """Raise ConfigurationError unless a tail tolerance lies in (0, 1): the
+    policy and the experiment config state the range through this check."""
+    check_real(name, value, 0.0, 1.0, open_low=True, open_high=True)
 
 
 _DEFAULT_POLICY = TruncationPolicy()  # built once: its checks cost a few us per call
@@ -187,56 +191,45 @@ def make_fock(occupations: tuple[int, ...], cutoffs: tuple[int, ...]) -> MultiMo
     return MultiModeKet(amps)
 
 
-def coherent_cutoff(mean_photons: float, policy: TruncationPolicy) -> int:
-    """Cutoff a truncated coherent state of given mean photon number needs.
-
-    Raises TruncationError when the policy cannot reach its tail tolerance,
-    carrying the achieved tail mass.
-    """
-    if policy.tail_tolerance < CERTIFIABLE_TAIL:
-        raise TruncationError(
-            f"tail tolerance {policy.tail_tolerance:.3e} is below the "
-            f"double-precision certification floor {CERTIFIABLE_TAIL:.0e}",
-            tail=CERTIFIABLE_TAIL,
-        )
-    if mean_photons == 0.0:
-        return 0
-    term = math.exp(-mean_photons)
-    cum = term
-    for n in range(MAX_AUTO_CUTOFF + 1):
-        if 1.0 - cum < policy.tail_tolerance:
-            return n
-        term *= mean_photons / (n + 1)
-        cum += term
-    raise TruncationError(
-        f"no cutoff <= {MAX_AUTO_CUTOFF} meets tail tolerance "
-        f"{policy.tail_tolerance:.3e} at mean photon number {mean_photons:.3e}; "
-        "use the classical coherent-amplitude path instead",
-        tail=max(0.0, 1.0 - cum),
-    )
-
-
 def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> MultiModeKet:
     """Truncated single-mode coherent state.
 
-    Amplitudes are ``exp(-|beta|^2/2) beta^n / sqrt(n!)`` for retained n.
-    The ket is deliberately NOT renormalized; its norm deficit equals the
-    discarded Poisson tail and stays below the policy's tail tolerance.
+    Amplitudes are ``exp(-|beta|^2/2) beta^n / sqrt(n!)`` for n up to the
+    first cutoff whose Poisson tail is below the policy's tolerance; one
+    pass builds them and sums the masses.  The ket is deliberately NOT
+    renormalized: its norm deficit is that tail.  Raises TruncationError,
+    carrying the achieved tail, past ``MAX_AUTO_CUTOFF`` or below
+    ``CERTIFIABLE_TAIL``.
     """
     policy = _DEFAULT_POLICY if policy is None else policy
     if not isinstance(policy, TruncationPolicy):
         raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
     check_amplitude("coherent amplitude", beta)
+    tol = policy.tail_tolerance
+    if tol < CERTIFIABLE_TAIL:
+        raise TruncationError(
+            f"tail tolerance {tol:.3e} is below the "
+            f"double-precision certification floor {CERTIFIABLE_TAIL:.0e}",
+            tail=CERTIFIABLE_TAIL,
+        )
     beta = complex(beta)
     mean = abs(beta) ** 2
-    n_max = coherent_cutoff(mean, policy)
-    amps = np.empty(n_max + 1, dtype=np.complex128)
     a = complex(math.exp(-mean / 2.0))
-    amps[0] = a
-    for n in range(1, n_max + 1):
+    amps = [a]
+    term = cum = math.exp(-mean)
+    for n in range(1, MAX_AUTO_CUTOFF + 2):
+        if 1.0 - cum < tol:
+            return MultiModeKet._unchecked(np.array(amps))
+        term *= mean / n
+        cum += term
         a = a * beta / math.sqrt(n)
-        amps[n] = a
-    return MultiModeKet._unchecked(amps)
+        amps.append(a)
+    raise TruncationError(
+        f"no cutoff <= {MAX_AUTO_CUTOFF} meets tail tolerance "
+        f"{tol:.3e} at mean photon number {mean:.3e}; "
+        "use the classical coherent-amplitude path instead",
+        tail=max(0.0, 1.0 - cum),
+    )
 
 
 def tensor(kets: list[MultiModeKet]) -> MultiModeKet:

@@ -17,6 +17,11 @@ The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, ``_click_table`` propagates many setups grouped by
 input shape, and ``_run_setups`` makes each slot's outcome.
 ``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
+
+The transparency test and the classical route of bright probes read the
+splitter algebra as Python numbers off its one source, the entries of
+``elements._bs_entries``: ``_bc_product`` for the interferometer's
+substitution matrix, ``_classical_clicks`` for the entries a click needs.
 """
 
 from __future__ import annotations
@@ -24,13 +29,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .elements import BeamSplitterParams, XpmParams, _apply_chain, _bs_entries, bs_unitary
+from .elements import BeamSplitterParams, XpmParams, _apply_chain, _bs_entries
 from .errors import (
     ConditioningError,
     ConfigurationError,
+    ModeMismatchError,
     check_amplitude,
     check_count,
     check_flag,
@@ -61,6 +68,11 @@ class MziConfig:
     bs1: BeamSplitterParams
     bs2: BeamSplitterParams
     xpm: XpmParams
+
+    def __post_init__(self):
+        kinds = (BeamSplitterParams, BeamSplitterParams, XpmParams)
+        if not all(map(isinstance, (self.bs1, self.bs2, self.xpm), kinds)):
+            raise ConfigurationError(f"not two BeamSplitterParams and an XpmParams: {self!r}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +172,7 @@ def transparent_via_angle_sum(
 ) -> MziConfig:
     """Transparent configuration from the equal-phase constraint family:
     phi1 - phi2 a multiple of 2*pi and theta1 + theta2 a multiple of pi."""
-    return MziConfig(
-        bs1=BeamSplitterParams(theta1, phi1),
-        bs2=BeamSplitterParams(l * math.pi - theta1, phi1 - 2.0 * k * math.pi),
-        xpm=XpmParams(phi_chi),
-    )
+    return _transparent_pair(theta1, phi1, phi_chi, k, l, opposite=False)
 
 
 def transparent_via_angle_diff(
@@ -172,19 +180,35 @@ def transparent_via_angle_diff(
 ) -> MziConfig:
     """Transparent configuration from the opposite-phase constraint family:
     phi1 - phi2 an odd multiple of pi and theta1 - theta2 a multiple of pi."""
-    return MziConfig(
-        bs1=BeamSplitterParams(theta1, phi1),
-        bs2=BeamSplitterParams(theta1 - l * math.pi, phi1 - (2 * k + 1) * math.pi),
-        xpm=XpmParams(phi_chi),
-    )
+    return _transparent_pair(theta1, phi1, phi_chi, k, l, opposite=True)
 
 
-def _bc_product(cfg: MziConfig) -> tuple[complex, complex, complex, complex]:
-    """Entries t00, t01, t10, t11 of the empty interferometer's substitution matrix."""
+def _transparent_pair(theta1, phi1, phi_chi, k, l, opposite: bool) -> MziConfig:
+    """Either family: the second splitter has the angle l*pi - theta1,
+    negated when ``opposite``, and the phase phi1 - (2k + opposite)*pi.
+    k and l are integers (no bool or float) small enough for the pair to
+    stay transparent in double precision."""
+    bs1 = BeamSplitterParams(theta1, phi1)
+    for name, n in (("k", k), ("l", l)):
+        if isinstance(n, bool) or not isinstance(n, Integral) or abs(n) > 2**53:
+            raise ConfigurationError(f"{name} must be an integer in [-2**53, 2**53], got {n!r}")
+    theta2 = theta1 - l * math.pi if opposite else l * math.pi - theta1
+    bs2 = BeamSplitterParams(theta2, phi1 - (2 * k + opposite) * math.pi)
+    cfg = MziConfig(bs1, bs2, XpmParams(phi_chi))
+    if not is_transparent(cfg):
+        raise ConfigurationError(f"theta1 {theta1}, k {k}, l {l}: rounding spoils transparency")
+    return cfg
+
+
+def _bc_product(cfg: MziConfig, upper: complex = 1.0) -> tuple[complex, complex, complex, complex]:
+    """Entries t00, t01, t10, t11 of ``u1 diag(upper, 1) u2``, the
+    substitution matrix of the interferometer whose upper arm multiplies
+    by ``upper``: 1 for the empty one, the XPM phase with a signal photon."""
     if not isinstance(cfg, MziConfig):
         raise ConfigurationError(f"not an MziConfig: {cfg!r}")
     (a, b), (c, d) = _bs_entries(cfg.bs1)
     (e, f), (g, h) = _bs_entries(cfg.bs2)
+    a, c = a * upper, c * upper
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
@@ -234,6 +258,8 @@ def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
     if not isinstance(ket, MultiModeKet) or not isinstance(cfg, MziConfig):
         kinds = f"{type(ket).__name__} and {type(cfg).__name__}"
         raise ConfigurationError(f"not a MultiModeKet and an MziConfig: {kinds}")
+    if ket.n_modes < 3:
+        raise ModeMismatchError(f"the setup needs modes 0-2, the ket has {ket.n_modes}")
     return MultiModeKet._unchecked(_propagate(ket.amps, (cfg,)))
 
 
@@ -243,15 +269,15 @@ def coherent_outputs(
     """Classical-path (B, C) output amplitudes for a coherent probe, exact
     at any mean photon number.  Coherent amplitudes map by the transposed
     substitution matrix ``(u1 diag(e, 1) u2).T``, e the XPM phase when a
-    photon is present and 1 otherwise; ``_classical_clicks`` reads the same
-    entries."""
+    photon is present and 1 otherwise, so a probe (beta, 0) leaves as
+    beta times the first row of ``_bc_product(cfg, e)``."""
     if not isinstance(cfg, MziConfig):
         raise ConfigurationError(f"not an MziConfig: {cfg!r}")
     check_amplitude("coherent probe amplitude", beta)
     check_flag("photon_present", photon_present)
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
-    arm = np.diag((phase if photon_present else 1.0, 1.0))
-    return (bs_unitary(cfg.bs1) @ arm @ bs_unitary(cfg.bs2)).T @ np.array((beta, 0.0))
+    t00, t01, _, _ = _bc_product(cfg, phase if photon_present else 1.0)
+    return np.array((t00 * beta, t01 * beta))
 
 
 def _classical_clicks(
@@ -263,9 +289,10 @@ def _classical_clicks(
     second splitter's detector column and the XPM phase are computed once;
     each call attenuates the upper arm, rotates it if the photon survives
     and mixes it onto the detector."""
-    u1, u2 = bs_unitary(cfg.bs1), bs_unitary(cfg.bs2)
-    upper = complex(u1[0, 0] * beta)
-    coupling, lower = u2[0, 1], u2[1, 1] * (u1[0, 1] * beta)
+    (a, b), _ = _bs_entries(cfg.bs1)
+    (_, coupling), (_, h) = _bs_entries(cfg.bs2)
+    upper = complex(a * beta)
+    lower = h * (b * beta)
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
 
     def clicks(p_absorb: float) -> tuple[float, float]:

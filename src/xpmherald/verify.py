@@ -208,11 +208,10 @@ def _check_mzi(results, rng, dense: bool):
         phis = np.sort(np.append(phis, math.pi))
     quarter = int(np.argmin(np.abs(thetas - math.pi / 4.0)))
     half = int(np.argmin(np.abs(phis - math.pi)))
-    policy = fk.TruncationPolicy(tail_tolerance=1e-10)
     grid = [mzi.transparent_via_angle_sum(float(t), 0.0, float(p)) for t in thetas for p in phis]
     cfgs = grid * len(betas)
     probes = [mzi.CoherentProbe(beta) for beta in betas for _ in grid]
-    outcomes = mzi._run_setups(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes, policy)
+    outcomes = mzi._run_setups(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes)
     closed = [mzi.detection_efficiency(cfg, probe) for cfg, probe in zip(cfgs, probes)]
     devs = [abs(o.p_click - c) - (1e-8 + o.truncation_deficit) for o, c in zip(outcomes, closed)]
     worst = max(0.0, *devs)
@@ -406,8 +405,8 @@ def _check_loss(results, rng, dense: bool):
         c = mzi.transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
         return ls.max_tolerable_loss(c, math.sqrt(beta_sq))
 
-    targets = [(math.pi, 1.0, 0.80), (math.pi, 1e2, 0.35), (math.pi, 1e4, 0.06)]
-    worst = max(abs(bound(phi_chi, beta_sq) - ref) for phi_chi, beta_sq, ref in targets)
+    strong = ls.REFERENCE_LOSS_BOUNDS[:3]
+    worst = max(abs(bound(phi_chi, beta_sq) - ref) for phi_chi, beta_sq, ref in strong)
     _record(
         results, "loss", "tolerable-loss-reference-values", worst <= 0.05,
         "strong-phase rows", f"max |dev| {worst:.3f}", "<= 0.05",

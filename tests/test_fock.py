@@ -14,8 +14,11 @@ from xpmherald.errors import (
     ConfigurationError,
     CutoffViolationError,
     ModeMismatchError,
+    TruncationError,
 )
 from xpmherald.fock import (
+    CERTIFIABLE_TAIL,
+    MAX_AUTO_CUTOFF,
     Ensemble,
     MultiModeKet,
     TruncationPolicy,
@@ -99,6 +102,58 @@ def test_coherent_amplitudes_and_minimal_cutoff():
     for n in range(n_max + 1):
         expected = math.exp(-0.5) / math.sqrt(math.factorial(n))
         assert ket.amplitude((n,)) == pytest.approx(expected, rel=1e-12)
+
+
+def two_pass_coherent(beta, tol):
+    """The two-pass truncated coherent state that make_coherent builds in
+    one pass: the cutoff from a running Poisson sum, then the amplitudes by
+    their recurrence.  Returns the amplitudes, or the tail mass the
+    TruncationError carries when no cutoff qualifies."""
+    if tol < CERTIFIABLE_TAIL:
+        return CERTIFIABLE_TAIL
+    beta = complex(beta)
+    mean = abs(beta) ** 2
+    term = cum = math.exp(-mean)
+    n_max = 0
+    if mean != 0.0:
+        for n_max in range(MAX_AUTO_CUTOFF + 1):
+            if 1.0 - cum < tol:
+                break
+            term *= mean / (n_max + 1)
+            cum += term
+        else:
+            return max(0.0, 1.0 - cum)
+    amps = np.empty(n_max + 1, dtype=np.complex128)
+    a = complex(math.exp(-mean / 2.0))
+    amps[0] = a
+    for n in range(1, n_max + 1):
+        a = a * beta / math.sqrt(n)
+        amps[n] = a
+    return amps
+
+
+def test_coherent_one_pass_equals_two_pass_oracle():
+    # the vacuum, a complex amplitude, the bright-probe threshold |beta|^2 =
+    # 16, tolerances at and below the certification floor, a mean whose
+    # cutoff would pass MAX_AUTO_CUTOFF, then seeded random draws
+    cases = [(0.0, 1e-10), (1.5 - 0.7j, 1e-10), (4.0, 1e-10), (4.0, 1e-15), (2.0, 1e-16)]
+    cases.append((math.sqrt(1e5), 1e-10))
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        beta = complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0))
+        cases.append((beta, float(10.0 ** rng.uniform(-15.0, -0.5))))
+    raised = 0
+    for beta, tol in cases:
+        expected = two_pass_coherent(beta, tol)
+        if isinstance(expected, float):
+            with pytest.raises(TruncationError) as err:
+                make_coherent(beta, TruncationPolicy(tol))
+            assert err.value.tail == expected, (beta, tol)
+            raised += 1
+        else:
+            amps = make_coherent(beta, TruncationPolicy(tol)).amps
+            assert amps.dtype == expected.dtype and np.array_equal(amps, expected), (beta, tol)
+    assert raised == 2
 
 
 def test_coherent_amplitude_recurrence():

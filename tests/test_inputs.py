@@ -17,8 +17,16 @@ from xpmherald.cascade import (
     shared_probe_pn,
     shared_probe_total,
 )
-from xpmherald.elements import BeamSplitterParams, XpmParams, apply_beam_splitter, apply_xpm
-from xpmherald.errors import ConfigurationError, check_real
+from xpmherald.cli import main
+from xpmherald.elements import (
+    BeamSplitterParams,
+    XpmParams,
+    apply_beam_splitter,
+    apply_xpm,
+    bs_unitary,
+)
+from xpmherald.errors import ConfigurationError, ModeMismatchError, check_real
+from xpmherald.experiments import ExperimentConfig
 from xpmherald.fock import (
     Ensemble,
     TruncationPolicy,
@@ -36,6 +44,7 @@ from xpmherald.loss import (
 )
 from xpmherald.mzi import (
     CoherentProbe,
+    MziConfig,
     NoisyPhotonProbe,
     NoisySource,
     coherent_outputs,
@@ -44,6 +53,7 @@ from xpmherald.mzi import (
     propagate_mzi,
     run_setup,
     sample_shots,
+    transparent_via_angle_diff,
     transparent_via_angle_sum,
 )
 
@@ -143,6 +153,27 @@ HOSTILE = {
     "tensor([None])": lambda: tensor([None]),
     "condition ket=None": lambda: condition(Ensemble([(1.0, None)]), 0, "zero"),
     "mode_number_distribution(None)": lambda: mode_number_distribution(None, 0),
+    # a config of missing or wrong-kind fields died in is_transparent,
+    # run_setup or detection_efficiency with an AttributeError
+    "MziConfig(None, None, None)": lambda: MziConfig(None, None, None),
+    "MziConfig xpm=1.0": lambda: MziConfig(CFG.bs1, CFG.bs2, 1.0),
+    "MziConfig bs2=XpmParams": lambda: MziConfig(CFG.bs1, CFG.xpm, CFG.xpm),
+    "bs_unitary(None)": lambda: bs_unitary(None),
+    # the transparent constructors returned a config is_transparent
+    # rejects (a fractional or huge k or l), or raised TypeError and
+    # OverflowError; an integral float or a bool is no integer either
+    "angle_sum k=1.5": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k=1.5),
+    "angle_sum l=1.5": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, l=1.5),
+    "angle_sum l=0.5": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, l=0.5),
+    "angle_sum k=2.0": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k=2.0),
+    "angle_sum l=True": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, l=True),
+    'angle_sum k="a"': lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k="a"),
+    "angle_sum k=10**400": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k=10**400),
+    "angle_sum k=10**8": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k=10**8),
+    "angle_diff k=1.5": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, k=1.5),
+    "angle_diff l=0.5": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, l=0.5),
+    "angle_diff l=10**400": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, l=10**400),
+    "angle_diff k=10**8": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, k=10**8),
 }
 
 
@@ -150,6 +181,33 @@ HOSTILE = {
 def test_hostile_input_raises_configuration_error(name):
     with pytest.raises(ConfigurationError):
         HOSTILE[name]()
+
+
+MISMATCHED_MODES = {
+    # a 2-mode ket raised a bare "not enough values to unpack"
+    "propagate_mzi 2-mode ket": lambda: propagate_mzi(KET, CFG),
+}
+
+
+@pytest.mark.parametrize("name", list(MISMATCHED_MODES))
+def test_mode_mismatch_raises_mode_mismatch_error(name):
+    with pytest.raises(ModeMismatchError):
+        MISMATCHED_MODES[name]()
+
+
+@pytest.mark.parametrize("tol", [0, 1.0, 2, math.nan])
+def test_tail_tolerance_range_has_one_message(tol, tmp_path, capsys):
+    # (0, 1) is stated once: 1.0 used to get a second message, and the
+    # experiment config reported the policy's field name for its own
+    message = rf"must be a finite real in \(0, 1\), got {tol!r}$"
+    with pytest.raises(ConfigurationError, match="^tail_tolerance " + message):
+        TruncationPolicy(tail_tolerance=tol)
+    with pytest.raises(ConfigurationError, match="^field 'trunc_tol' " + message):
+        ExperimentConfig("fig4", trunc_tol=tol)
+    config = tmp_path / "fig4.json"
+    config.write_text('{"experiment": "fig4"}')
+    assert main(["run", str(config), "--trunc-tol", repr(tol)]) == 1
+    assert "field 'trunc_tol' must be a finite real in (0, 1)" in capsys.readouterr().err
 
 
 def test_check_real_bounds_and_types():

@@ -49,15 +49,28 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
 
 
 
-def code_names():
-    """Leading dotted name of every inline code span outside the fenced
-    blocks that looks like a package name: it holds ``_`` or ``.`` or
-    starts upper-case.  Spans starting with ``.`` are file suffixes."""
+def code_spans():
+    """Every inline code span outside the fenced blocks."""
     text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
-    for span in re.findall(r"`([^`]+)`", text):
+    return re.findall(r"`([^`]+)`", text)
+
+
+def code_names():
+    """Leading dotted name of every code span that looks like a package
+    name: it holds ``_`` or ``.`` or starts upper-case, and no ``/``, which
+    makes it a path.  Spans starting with ``.`` are file suffixes."""
+    for span in code_spans():
         name = re.match(r"[A-Za-z_][\w.]*", span)
-        if name and ("_" in span or "." in span or span[0].isupper()):
+        if "/" not in span and name and ("_" in span or "." in span or span[0].isupper()):
             yield name.group().rstrip(".")
+
+
+def test_readme_paths_exist():
+    # a span holding "/" is a path under the repository root, such as
+    # tests/test_fock.py, and must exist there
+    paths = [span for span in code_spans() if "/" in span]
+    missing = [path for path in paths if not (ROOT / path).exists()]
+    assert "tests/test_fock.py" in paths and not missing, missing
 
 
 def resolves(name, roots) -> bool:
