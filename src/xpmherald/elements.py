@@ -13,6 +13,10 @@ conserve the photon total of the splitter modes, so the interferometer
 of ``mzi`` runs as one gather, four batched real products and one scatter.
 The angles and phases enter only as diagonals around those blocks, so
 configurations on the slots of a trailing axis share that whole chain.
+The chain can hand out its state after a mixing first stage, read-only
+and a function of the input and that stage alone, and later resume from it
+(``mzi`` memoizes it) by the same floating-point operations on the same
+shapes as an unbroken run, so the output bytes cannot differ.
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def _diagonal_index(
     return gather, scatter
 
 
-def _apply_chain(amps: np.ndarray, modes: tuple[int, int], stages: tuple, partner=None):
+def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_max=None, first=None):
     """Apply, in order, beam splitters on ``modes`` and XPM phases on
     ``(partner, modes[0])`` to an amplitude array.  Each stage is a tuple of
     one BeamSplitterParams or XpmParams per slot: one slot acts on the whole
@@ -182,7 +186,9 @@ def _apply_chain(amps: np.ndarray, modes: tuple[int, int], stages: tuple, partne
     stage of identity splitters (theta = 0) is skipped.  A mixing stage
     reaches every row of a block, so an occupied total past a cutoff raises
     instead of dropping amplitude, which would fake the no-false-click
-    guarantee."""
+    guarantee.  A given ``t_max``, the largest occupied total, spares its
+    search.  ``first=[]`` receives ``(shape, t_max, state)`` after a mixing
+    first stage, and ``first=[(shape, t_max, state)]`` resumes from it."""
     i, j = modes
     # the theta and psi rows of each mixing stage, flat; the phase row of
     # each XPM stage with the number k of mixing stages before it
@@ -190,19 +196,22 @@ def _apply_chain(amps: np.ndarray, modes: tuple[int, int], stages: tuple, partne
     for stage in stages:
         if isinstance(stage[0], XpmParams):
             xpms.append((k, [p.phi_chi for p in stage]))
-            continue
-        thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in stage])
-        if any(thetas):  # a stage of identities is skipped
-            rates += thetas + psis
-            k += 1
+        else:
+            thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in stage])
+            if any(thetas):  # a stage of identities is skipped
+                rates += thetas + psis
+                k += 1
+        if not k:  # the first stage does not mix: no state to keep
+            first = None
     if not k:
         for _, phis in xpms:
             amps = _xpm(amps, (partner, i), np.array(phis))
         return amps
-    shape = amps.shape
-    occupied = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes))
-    n, m = occupied.nonzero()
-    t_max = int((n + m).max(initial=-1))
+    shape, t_max, held = first[0] if first else (amps.shape, t_max, None)
+    if t_max is None:
+        occupied = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes))
+        n, m = occupied.nonzero()
+        t_max = int((n + m).max(initial=-1))
     if t_max < 0:
         return amps
     cuts = (shape[i] - 1, shape[j] - 1)
@@ -232,18 +241,25 @@ def _apply_chain(amps: np.ndarray, modes: tuple[int, int], stages: tuple, partne
     for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1, slots)):
         diags[at] *= rows.transpose(1, 0, 2)[:, None, :, None]
     before = math.prod(shape[a] for a in range(partner or 0) if a not in modes)
-    x = np.concatenate((amps.ravel(), _ZERO))[gather]
+    split = (t_max + 1, t_max + 1, before, size, -1, slots)
+    if held is None:
+        x_split = np.concatenate((amps.ravel(), _ZERO))[gather].reshape(split)
+        x_split *= diags[0]
+    else:  # out of place: the held state is never written
+        x_split = np.multiply(held, diags[1])
+    x = x_split.reshape(t_max + 1, t_max + 1, -1)
     y = np.empty_like(x)
     x_real, y_real = x.view(np.float64), y.view(np.float64)
-    x_split = x.reshape(t_max + 1, t_max + 1, before, size, -1, slots)
     y_split = y.reshape(t_max + 1, t_max + 1, -1, slots)
     w = _hadamard_blocks(t_max)
-    for lam, d in zip(lams, diags):
-        x_split *= d
+    for at in range(0 if held is None else 1, k):
         np.matmul(w, x_real, out=y_real)
-        y_split *= lam
+        y_split *= lams[at]
         np.matmul(w, y_real, out=x_real)
-    x_split *= diags[-1]
+        if first == [] and not at:
+            first.append((shape, t_max, x_split.copy()))
+            first[0][2].flags.writeable = False
+        x_split *= diags[at + 1]
     return np.concatenate((x.ravel(), _ZERO))[scatter].reshape(shape)
 
 

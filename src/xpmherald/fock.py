@@ -23,8 +23,8 @@ report as an error bar instead of silently biasing results.
 Kets are checked (no empty axis, finite norm at most one) where they are
 built from outside data; the operations of this package return
 unchecked kets, since each of them preserves both properties by
-construction.  Amplitude arrays are read-only and all operations are pure
-functions, so states can be shared freely across workers.
+construction.  Amplitude arrays are read-only, and so is every state the
+memo of ``mzi`` holds, so states can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     first cutoff whose Poisson tail is below the policy's tolerance; one
     pass builds them and sums the masses.  The ket is deliberately NOT
     renormalized: its norm deficit is that tail.  Raises TruncationError,
-    carrying the achieved tail, past ``MAX_AUTO_CUTOFF`` or below
-    ``CERTIFIABLE_TAIL``.
+    carrying the achieved tail, past ``MAX_AUTO_CUTOFF``, below
+    ``CERTIFIABLE_TAIL``, or at once when ``exp(-|beta|^2)`` underflows to 0.
     """
     policy = _DEFAULT_POLICY if policy is None else policy
     if not isinstance(policy, TruncationPolicy):
@@ -217,7 +217,7 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     a = complex(math.exp(-mean / 2.0))
     amps = [a]
     term = cum = math.exp(-mean)
-    for n in range(1, MAX_AUTO_CUTOFF + 2):
+    for n in range(1, MAX_AUTO_CUTOFF + 2 if cum else 0):  # a sum from 0 never grows
         if 1.0 - cum < tol:
             return MultiModeKet._unchecked(np.array(amps))
         term *= mean / n
@@ -225,8 +225,8 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
         a = a * beta / math.sqrt(n)
         amps.append(a)
     raise TruncationError(
-        f"no cutoff <= {MAX_AUTO_CUTOFF} meets tail tolerance "
-        f"{tol:.3e} at mean photon number {mean:.3e}; "
+        (f"no cutoff <= {MAX_AUTO_CUTOFF}" if cum else "exp(-|beta|^2) underflows, so no cutoff")
+        + f" meets tail tolerance {tol:.3e} at mean photon number {mean:.3e}; "
         "use the classical coherent-amplitude path instead",
         tail=max(0.0, 1.0 - cum),
     )

@@ -17,6 +17,12 @@ The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, ``_click_table`` propagates many setups grouped by
 input shape, and ``_run_setups`` makes each slot's outcome.
 ``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
+The last two run ``_propagate_one``: along a phi_chi sweep the first
+splitter meets one input again and again, so ``_memo`` keeps the read-only
+state after it, keyed by the exact bits of bs1's (theta, phi) and of a
+coherent probe's beta, its tail tolerance and the blocks function, and
+stored when a key comes back, 8 keys at most.  A hit skips ``make_coherent``,
+the input array, the gather and the first splitter, same bytes out (``elements``).
 
 The transparency test and the classical route of bright probes read the
 splitter algebra as Python numbers off its one source, the entries of
@@ -27,12 +33,14 @@ substitution matrix, ``_classical_clicks`` for the entries a click needs.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
+from . import elements
 from .elements import BeamSplitterParams, XpmParams, _apply_chain, _bs_entries
 from .errors import (
     ConditioningError,
@@ -53,6 +61,8 @@ from .fock import (
 )
 
 SIGNAL, PROBE, AUX = 0, 1, 2
+_PHOTON_OR_VACUUM = np.eye(2)[::-1]  # a noisy photon probe's (B, label) input: |1>, |0>
+_memo: dict = {}  # the post-first-splitter states of ``_propagate_one``, 8 at most
 
 # Above this probe mean photon number the classical coherent path is the
 # default: truncation would need cutoffs far beyond what truncated Fock
@@ -244,12 +254,12 @@ def transparency_sign(cfg: MziConfig) -> int:
     return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
-def _propagate(amps: np.ndarray, cfgs) -> np.ndarray:
+def _propagate(amps, cfgs, t_max=None, first=None) -> np.ndarray:
     """Exact propagation of an array with the mode axes laid out above: one
     configuration propagates it whole, S > 1 each propagate one slot of the
     last axis, of length S.  One chain (``_apply_chain``) serves them all."""
     stages = tuple(zip(*[(cfg.bs1, cfg.xpm, cfg.bs2) for cfg in cfgs]))
-    return _apply_chain(amps, (PROBE, AUX), stages, SIGNAL)
+    return _apply_chain(amps, (PROBE, AUX), stages, SIGNAL, t_max, first)
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
@@ -322,7 +332,7 @@ def _click_table(cfgs, sources, probes, policy, require_transparent: bool) -> li
     if policy is not None and not isinstance(policy, TruncationPolicy):
         raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
     tables: list = [None] * len(cfgs)
-    groups: dict = {}  # coherent cutoff or None: (slot, weights, column) per member
+    groups: dict = {}  # input shape: (slot, weights, (B, label) amplitudes) per member
     for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
         if not isinstance(source, NoisySource):
             raise ConfigurationError(f"not a NoisySource: {source!r}")
@@ -332,30 +342,54 @@ def _click_table(cfgs, sources, probes, policy, require_transparent: bool) -> li
                 "to run it anyway (the heralding guarantee is void)"
             )
         if isinstance(probe, NoisyPhotonProbe):
-            groups.setdefault(None, []).append((slot, (probe.source.p, 1.0 - probe.source.p), None))
+            weights, column = (probe.source.p, 1.0 - probe.source.p), _PHOTON_OR_VACUUM
         elif not isinstance(probe, CoherentProbe):
             raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
         elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
             q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
             tables[slot] = ((1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None)
+            continue
+        elif len(cfgs) == 1:  # _propagate_one makes its column, on a memo miss only
+            weights, column = (1.0,), None
         else:
-            column = make_coherent(probe.beta, policy).amps
-            groups.setdefault(column.size - 1, []).append((slot, (1.0,), column))
-    for cut, members in groups.items():
-        if cut is None:
-            amps = np.zeros((2, 2, 2, 2, len(members)), dtype=np.complex128)
-            amps[:, 1, 0, 0] = amps[:, 0, 0, 1] = 1.0
-        else:
-            amps = np.zeros((2, cut + 1, cut + 1, 1, len(members)), dtype=np.complex128)
-            for at, (_, _, column) in enumerate(members):
-                amps[:, :, 0, 0, at] = column
-        out = _propagate(amps, [cfgs[slot] for slot, _, _ in members])
+            weights, column = (1.0,), make_coherent(probe.beta, policy).amps[:, None]
+        groups.setdefault(getattr(column, "shape", None), []).append((slot, weights, column))
+    for members in groups.values():
+        out = (_propagate_one(cfgs[0], probes[0], policy) if len(cfgs) == 1 else
+               _propagate(_inputs([c for _, _, c in members]), [cfgs[s] for s, _, _ in members]))
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
         click = probs[:, 1:].sum(axis=1).transpose(2, 0, 1).tolist()
         for at, (slot, weights, _) in enumerate(members):
             tables[slot] = (weights, (zero[at], click[at]), out[..., at])
     return tables
+
+
+def _inputs(columns) -> np.ndarray:
+    """The input array of slots of one shape, from their (B, label) amplitudes."""
+    size, labels = columns[0].shape
+    amps = np.zeros((2, size, size, labels, len(columns)), dtype=np.complex128)
+    for at, column in enumerate(columns):
+        amps[:, :, 0, :, at] = column
+    return amps
+
+
+def _propagate_one(cfg: MziConfig, probe, policy) -> np.ndarray:
+    """``_propagate`` of one slot through ``_memo`` (module docstring)."""
+    tol = (policy or TruncationPolicy).tail_tolerance if isinstance(probe, CoherentProbe) else None
+    beta = 0j if tol is None else complex(probe.beta)
+    bits = struct.pack("4d", cfg.bs1.theta, cfg.bs1.phi, beta.real, beta.imag)
+    key = bits, type(tol), tol, elements._hadamard_blocks
+    held = _memo.get(key)
+    if held is not None:
+        return _propagate(None, (cfg,), first=[held])
+    column = _PHOTON_OR_VACUUM if tol is None else make_coherent(probe.beta, policy).amps[:, None]
+    first = [] if key in _memo else None
+    out = _propagate(_inputs([column]), (cfg,), len(column) - 1, first)
+    _memo[key] = first[0] if first else None
+    for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
+        _memo.pop(old, None)
+    return out
 
 
 def _run_setups(cfgs, sources, probes, policy=None, require_transparent=True) -> list:

@@ -156,6 +156,18 @@ def test_coherent_one_pass_equals_two_pass_oracle():
     assert raised == 2
 
 
+def test_coherent_underflow_fails_at_once():
+    # exp(-27.5^2) underflows to 0, so the Poisson sum can never grow: the
+    # error names the underflow and the classical path, with tail 1, instead
+    # of claiming that no cutoff up to MAX_AUTO_CUTOFF meets the tolerance
+    with pytest.raises(TruncationError) as err:
+        make_coherent(27.5)
+    assert err.value.tail == 1.0
+    assert "underflows" in str(err.value) and "classical" in str(err.value)
+    assert str(MAX_AUTO_CUTOFF) not in str(err.value)
+    assert make_coherent(27.0).cutoffs == (885,)  # exp(-729) is still above 0
+
+
 def test_coherent_amplitude_recurrence():
     beta = 2.0j
     ket = make_coherent(beta)

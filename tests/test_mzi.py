@@ -1,9 +1,12 @@
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xpmherald.elements as el
 import xpmherald.mzi as mzi
 from xpmherald.elements import (
     BeamSplitterParams,
@@ -837,3 +840,201 @@ def test_sample_shots_streams_equal_whole_array_draws(n_shots):
         source = NoisySource(0.45)
         got = sample_shots(cfg, source, probe, n_shots, seed=seed + 3)
         assert got == _whole_array_counts(cfg, source, probe, n_shots, seed + 3)
+
+
+# --- the memo of mzi._propagate_one ---------------------------------------
+
+
+def _conditioned_bytes(state):
+    """Weights and amplitude bytes of a conditioned ensemble, or None."""
+    if state is None:
+        return None
+    return [(w, ket.amps.tobytes()) for w, ket in state.branches]
+
+
+def _outcome_bytes(cfg, source, probe, transparent):
+    out = run_setup(cfg, source, probe, require_transparent=transparent)
+    scalars = (out.p_click, out.detection_efficiency, out.total_success,
+               out.truncation_deficit, out.purity_value)
+    return scalars, _conditioned_bytes(out.click_state), _conditioned_bytes(out.no_click_state)
+
+
+def _spy_propagate(monkeypatch):
+    """Record (amps, t_max, resumed) of every mzi._propagate call."""
+    calls, real = [], mzi._propagate
+
+    def spy(amps, cfgs, t_max=None, first=None):
+        calls.append((amps, t_max, bool(first)))
+        return real(amps, cfgs, t_max, first)
+
+    monkeypatch.setattr(mzi, "_propagate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["transparent", "leaky", "identity first"])
+def test_memo_sweep_equals_runs_with_memo_cleared(monkeypatch, kind):
+    # a phi_chi sweep resumes from the stored post-first-splitter state; every
+    # scalar, both conditioned ensembles' bytes and the shot counts equal a
+    # run with the memo cleared before each call.  A first splitter at
+    # theta = 0 is skipped, so there is no state after it to keep.
+    transparent = kind == "transparent"
+    monkeypatch.setattr(mzi, "_memo", {})
+    calls = _spy_propagate(monkeypatch)
+    source = NoisySource(0.7)
+    probes = [NoisyPhotonProbe(NoisySource(0.6))]
+    probes += [CoherentProbe(size * complex(math.cos(0.4), math.sin(0.4))) for size in (0.5, 2.0, 4.0)]
+    runs = []
+    for clear in (False, True):
+        rows = []
+        for probe in probes:
+            for phi_chi in np.linspace(0.3, 2.0 * PI - 0.3, 12):
+                if transparent:
+                    cfg = transparent_via_angle_sum(0.7, 0.3, float(phi_chi))
+                else:
+                    cfg = mzi_config(0.0 if kind == "identity first" else 0.7, 0.3, 0.4, 1.1, float(phi_chi))
+                if clear:
+                    mzi._memo.clear()
+                rows.append(_outcome_bytes(cfg, source, probe, transparent))
+                if clear:
+                    mzi._memo.clear()
+                rows.append(sample_shots(cfg, source, probe, 3000, seed=4, require_transparent=transparent))
+        runs.append(rows)
+    assert runs[0] == runs[1]
+    # the warm sweep resumed on all but its first two calls per probe
+    resumed = sum(resumed for _, _, resumed in calls)
+    assert resumed == (0 if kind == "identity first" else len(probes) * 22)
+
+
+def test_memo_never_shares_an_entry(monkeypatch):
+    # inputs whose states may differ get their own entries: probes differing
+    # only in phase or in the sign of a zero imaginary part, tail tolerances,
+    # and first splitters differing only in phi
+    monkeypatch.setattr(mzi, "_memo", {})
+    calls = _spy_propagate(monkeypatch)
+    cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
+    other_phi = transparent_via_angle_sum(0.7, 0.3 + 2.0 * PI, 2.1)
+    pairs = [
+        ((cfg, CoherentProbe(2.0), None), (cfg, CoherentProbe(2.0j), None)),
+        ((cfg, CoherentProbe(complex(2.0, 0.0)), None), (cfg, CoherentProbe(complex(2.0, -0.0)), None)),
+        ((cfg, CoherentProbe(2.0), TruncationPolicy(1e-10)),
+         (cfg, CoherentProbe(2.0), TruncationPolicy(1e-11))),
+        ((cfg, CoherentProbe(2.0), None), (other_phi, CoherentProbe(2.0), None)),
+        ((cfg, NoisyPhotonProbe(NoisySource(0.5)), None),
+         (other_phi, NoisyPhotonProbe(NoisySource(0.5)), None)),
+        ((cfg, NoisyPhotonProbe(NoisySource(0.5)), None), (cfg, CoherentProbe(0.0), None)),
+    ]
+    for (cfg_a, probe_a, policy_a), (cfg_b, probe_b, policy_b) in pairs:
+        mzi._memo.clear()
+        for _ in range(2):  # stores the first input's state
+            run_setup(cfg_a, NoisySource(0.7), probe_a, policy_a)
+        del calls[:]
+        for _ in range(2):
+            run_setup(cfg_b, NoisySource(0.7), probe_b, policy_b)
+        assert [resumed for _, _, resumed in calls] == [False, False]
+        assert len(mzi._memo) == 2
+
+
+def test_memo_holds_at_most_eight_read_only_states(monkeypatch):
+    monkeypatch.setattr(mzi, "_memo", {})
+    for theta1 in np.linspace(0.2, 1.2, 12):
+        cfg = transparent_via_angle_sum(float(theta1), 0.3, 2.1)
+        for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
+            for _ in range(2):
+                run_setup(cfg, NoisySource(0.7), probe)
+            assert len(mzi._memo) <= 8
+    states = [entry[2] for entry in mzi._memo.values()]
+    assert len(states) == 8
+    for state in states:
+        assert not state.flags.writeable
+        with pytest.raises(ValueError):
+            state[0] = 0.0
+
+
+def test_batches_bypass_the_memo(monkeypatch):
+    # verify's batches and propagate_mzi neither store nor resume
+    monkeypatch.setattr(mzi, "_memo", {})
+    calls = _spy_propagate(monkeypatch)
+    cfgs = [transparent_via_angle_sum(0.7, 0.3, phi) for phi in (1.0, 2.0, 3.0)]
+    sources = [NoisySource(0.7)] * 3
+    for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
+        for _ in range(3):
+            mzi._run_setups(cfgs, sources, [probe] * 3)
+            propagate_mzi(MultiModeKet._unchecked(mzi._inputs([mzi._PHOTON_OR_VACUUM])[..., 0]), cfgs[0])
+    assert mzi._memo == {}
+    # a stored state is not read by a batch holding the same setup
+    batch = [cfgs[:1] * 2, sources[:2], [CoherentProbe(1.5)] * 2]
+    before = mzi._run_setups(*batch)
+    for _ in range(2):
+        run_setup(cfgs[0], sources[0], CoherentProbe(1.5))
+    del calls[:]
+    assert mzi._run_setups(*batch) == before
+    assert [resumed for _, _, resumed in calls] == [False]
+
+
+def test_memo_keys_on_the_blocks_function(monkeypatch):
+    # a swapped _hadamard_blocks (as in the flipped-sign verify test) never
+    # resumes from a state built with the real blocks
+    monkeypatch.setattr(mzi, "_memo", {})
+    calls = _spy_propagate(monkeypatch)
+    cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
+    probe = CoherentProbe(1.5)
+    for _ in range(2):
+        real_out = run_setup(cfg, NoisySource(0.0), probe)
+    assert real_out.p_click < 1e-20
+    rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+    monkeypatch.setattr(el, "_hadamard_blocks", lambda t_max: el._block_recurrence(rotation, t_max))
+    del calls[:]
+    swapped = run_setup(cfg, NoisySource(0.0), probe, require_transparent=False)
+    assert calls[0][2] is False
+    assert swapped.p_click > 1e-3  # the rotated blocks leak: no false-click guarantee
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [CoherentProbe(0.0), CoherentProbe(1e-6), NoisyPhotonProbe(NoisySource(0.4)),
+     CoherentProbe(4.0), CoherentProbe(-4.0j), CoherentProbe(1.3 + 0.4j)],
+    ids=["beta0", "one-entry", "noisy", "beta4", "beta-4j", "complex"],
+)
+def test_passed_occupied_total_equals_search(monkeypatch, probe):
+    # the total _click_table passes on a memo miss is the one the chain's
+    # occupancy search finds in the input it built
+    monkeypatch.setattr(mzi, "_memo", {})
+    calls = _spy_propagate(monkeypatch)
+    run_setup(transparent_via_angle_sum(0.7, 0.3, 2.1), NoisySource(0.7), probe)
+    ((amps, t_max, resumed),) = calls
+    assert not resumed
+    n, m = amps.any(axis=(0, 3, 4)).nonzero()
+    assert t_max == int((n + m).max(initial=-1))
+    if isinstance(probe, CoherentProbe) and abs(probe.beta) < 1e-3:
+        assert t_max == 0  # a one-entry column
+
+
+def test_benchmark_traffic_equal_with_memo_warm_and_cleared(monkeypatch):
+    # the benchmark's own exact-grid and exact-cold blocks (perfbench/workloads.py,
+    # imported as is) give equal scalars with the memo warm and cleared
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = [op for block in workloads.exact_grid(1, 2) + workloads.exact_cold(1, 3) for op in block]
+    monkeypatch.setattr(mzi, "_memo", {})
+    runs = []
+    for clear in (False, True):
+        rows = []
+        for op in ops:
+            family = transparent_via_angle_sum if op["family"] == "sum" else transparent_via_angle_diff
+            cfg = family(op["theta1"], op["phi1"], op["phi_chi"], k=op["k"], l=op["l"])
+            spec_probe = op["probe"]
+            if spec_probe["kind"] == "coherent":
+                probe = CoherentProbe(complex(spec_probe["re"], spec_probe["im"]))
+            else:
+                probe = NoisyPhotonProbe(NoisySource(spec_probe["p"]))
+            if clear:
+                mzi._memo.clear()
+            out = run_setup(cfg, NoisySource(op["p"]), probe)
+            rows.append((out.p_click, out.detection_efficiency, out.total_success,
+                         out.truncation_deficit, out.purity_value))
+        runs.append(rows)
+    assert len(runs[0]) == 2 * 18 + 3 * 20
+    assert runs[0] == runs[1]
