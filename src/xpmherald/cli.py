@@ -6,7 +6,9 @@ and the ``purity-audit`` Monte Carlo shot campaign), ``verify`` (invariant
 suites) and ``cascade`` (chained setups).
 
 Exit codes: 0 success, 1 configuration or file error (a request too large
-to allocate included), 2 invariant failure, 3 truncation failure.
+to allocate included), 2 invariant failure, 3 truncation failure.  Every
+route truncates at the one default tolerance, which no probe below the
+bright-probe threshold fails, so no input reaches code 3; it stays as a guard.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="JSON config file")
     p_run.add_argument("--out", help="output CSV path (overrides config)")
     p_run.add_argument("--seed", type=int, help="seed (overrides config)")
-    p_run.add_argument("--trunc-tol", type=float, help="truncation tail tolerance")
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--suite", choices=("fast", "full"), default="fast")
@@ -69,9 +70,7 @@ def _emit(table: ResultTable, out: str | None) -> None:
 
 def _cmd_run(args) -> int:
     overrides = {
-        name: getattr(args, name)
-        for name in ("out", "seed", "trunc_tol")
-        if getattr(args, name) is not None
+        name: getattr(args, name) for name in ("out", "seed") if getattr(args, name) is not None
     }
     # replace() runs the config's validation on the overridden fields too
     cfg = dataclasses.replace(ExperimentConfig.from_file(args.config), **overrides)

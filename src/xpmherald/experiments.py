@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, check_count, check_real
-from .fock import TruncationPolicy, _check_tail_tolerance
+from .fock import TruncationPolicy
 from .loss import REFERENCE_LOSS_BOUNDS, max_tolerable_loss
 from .mzi import (
     CoherentProbe,
@@ -47,7 +47,6 @@ class ExperimentConfig:
     experiment: str
     params: dict = field(default_factory=dict)
     seed: int | None = None
-    trunc_tol: float = TruncationPolicy.tail_tolerance
     out: str | None = None
 
     def __post_init__(self):
@@ -62,7 +61,6 @@ class ExperimentConfig:
             check_count("field 'seed'", self.seed)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"field 'out' must be a path or null, got {self.out!r}")
-        _check_tail_tolerance("field 'trunc_tol'", self.trunc_tol)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -80,7 +78,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"config file {path}: top level must be a table")
         if "experiment" not in raw:
             raise ConfigurationError(f"config file {path}: missing field 'experiment'")
-        known = {"experiment", "params", "seed", "trunc_tol", "out"}
+        known = {"experiment", "params", "seed", "out"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(
@@ -252,14 +250,7 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
     else:
         probe = NoisyPhotonProbe(NoisySource(float(p_b if p_b is not None else 0.8)))
     mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
-    counts = sample_shots(
-        mzi,
-        NoisySource(p_a),
-        probe,
-        shots,
-        cfg.seed,
-        policy=TruncationPolicy(tail_tolerance=cfg.trunc_tol),
-    )
+    counts = sample_shots(mzi, NoisySource(p_a), probe, shots, cfg.seed)
     clicks = sum(n for event, n in counts.items() if event.startswith("click"))
     freq = clicks / shots
     sigma = math.sqrt(max(freq * (1.0 - freq), 1.0 / shots) / shots)
@@ -291,7 +282,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     table.manifest.setdefault(
         "config_params", json.dumps(cfg.params, sort_keys=True)
     )
-    table.manifest.setdefault("trunc_tol", repr(cfg.trunc_tol))
+    # the scheme routes' one truncation; the line stays until output 0.3.0
+    table.manifest.setdefault("trunc_tol", repr(TruncationPolicy.tail_tolerance))
     if cfg.seed is not None:
         table.manifest.setdefault("seed", cfg.seed)
     if cfg.out:

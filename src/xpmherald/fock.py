@@ -66,18 +66,15 @@ class TruncationPolicy:
     tail_tolerance: maximum photon-number probability mass beyond the
         retained cutoff, a real in (0, 1); the cutoff is the smallest whose
         Poisson tail is below it (``np.pad`` the amplitudes for a larger one).
+
+    The scheme routes (``run_setup``, ``sample_shots``) always truncate at
+    the default, 1e-10; ``make_coherent(beta, policy)`` takes another.
     """
 
     tail_tolerance: float = 1e-10
 
     def __post_init__(self):
-        _check_tail_tolerance("tail_tolerance", self.tail_tolerance)
-
-
-def _check_tail_tolerance(name: str, value) -> None:
-    """Raise ConfigurationError unless a tail tolerance lies in (0, 1): the
-    policy and the experiment config state the range through this check."""
-    check_real(name, value, 0.0, 1.0, open_low=True, open_high=True)
+        check_real("tail_tolerance", self.tail_tolerance, 0.0, 1.0, open_low=True, open_high=True)
 
 
 _DEFAULT_POLICY = TruncationPolicy()  # built once: its checks cost a few us per call

@@ -8,7 +8,9 @@ breaks the no-false-click guarantee, because an attenuated-but-unshifted
 probe no longer cancels exactly at the second beam splitter.  This module
 quantifies the damage: the faulty-click probability, the degraded heralded
 efficiency, and the largest absorption the scheme tolerates while still
-improving on the raw source.
+improving on the raw source.  Its classical path truncates nothing, while
+the exact routes of ``mzi`` truncate at ``TruncationPolicy.tail_tolerance``
+(1e-10; only ``make_coherent(beta, policy)`` takes another tolerance).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, check_amplitude, check_real
 from .mzi import MziConfig, _classical_clicks, is_transparent
+
+BISECTION_TOL = 1e-6  # max_tolerable_loss's bracket width, far below every audit's tolerance
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,9 @@ def _improvement_margin(
     return margin
 
 
-def max_tolerable_loss(
-    cfg: MziConfig, beta: complex, fixed_p: float | None = None, tol: float = 1e-6
-) -> float:
+def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = None) -> float:
     """Largest absorption probability at which heralding still improves the
-    source, located by bisection to ``tol``.
+    source, located by bisection to ``BISECTION_TOL``.
 
     Transparency is checked and the absorption-independent probe amplitudes
     are computed once per solve; each margin evaluation only applies the
@@ -122,9 +124,9 @@ def max_tolerable_loss(
     201-point grid over [0, 1].  At full absorption q1 equals q0 and the
     margin is not positive, so the last improving grid point is followed by
     a non-improving one, and the two bracket the bound.  Bisection halves
-    the bracket until it is at most ``tol`` wide, or until its midpoint is
-    no longer strictly inside it, and returns the midpoint.  Returns 0 (with
-    a diagnostic warning) when no grid point improves the source.
+    the bracket, 0.005 wide, until it is at most ``BISECTION_TOL`` wide and
+    returns the midpoint, which is always strictly inside it.  Returns 0
+    (with a diagnostic warning) when no grid point improves the source.
     """
     if not is_transparent(cfg):  # is_transparent also checks cfg's type
         raise ConfigurationError("loss bound assumes a transparent configuration")
@@ -135,7 +137,6 @@ def max_tolerable_loss(
         raise ConfigurationError("probe amplitude must be nonzero")
     if fixed_p is not None:
         check_real("fixed source efficiency", fixed_p, 0.0, 1.0)
-    check_real("bisection tolerance", tol, 0.0, math.inf, open_low=True)
 
     margin = _improvement_margin(cfg, beta, fixed_p)
     grid = np.linspace(0.0, 1.0, 201)
@@ -149,7 +150,7 @@ def max_tolerable_loss(
         return 0.0
     lo, hi = grid[improving[-1]], grid[improving[-1] + 1]
     mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:
+    while hi - lo > BISECTION_TOL:
         if margin(mid) > 0.0:
             lo = mid
         else:

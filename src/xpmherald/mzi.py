@@ -20,9 +20,12 @@ input shape, and ``_run_setups`` makes each slot's outcome.
 The last two run ``_propagate_one``: along a phi_chi sweep the first
 splitter meets one input again and again, so ``_memo`` keeps the read-only
 state after it, keyed by the exact bits of bs1's (theta, phi) and of a
-coherent probe's beta, its tail tolerance and the blocks function, and
-stored when a key comes back, 8 keys at most.  A hit skips ``make_coherent``,
-the input array, the gather and the first splitter, same bytes out (``elements``).
+coherent probe's beta, the probe kind and the blocks function, and stored
+when a key comes back, 8 keys at most.  A hit skips ``make_coherent``, the
+input array, the gather and the first splitter, same bytes out (``elements``).
+Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
+far below every tolerance the audits apply; ``make_coherent(beta, policy)``
+is where a caller can still choose another.
 
 The transparency test and the classical route of bright probes read the
 splitter algebra as Python numbers off its one source, the entries of
@@ -51,14 +54,7 @@ from .errors import (
     check_flag,
     check_real,
 )
-from .fock import (
-    NORM_TOL,
-    Ensemble,
-    MultiModeKet,
-    TruncationPolicy,
-    condition,
-    make_coherent,
-)
+from .fock import NORM_TOL, Ensemble, MultiModeKet, condition, make_coherent
 
 SIGNAL, PROBE, AUX = 0, 1, 2
 _PHOTON_OR_VACUUM = np.eye(2)[::-1]  # a noisy photon probe's (B, label) input: |1>, |0>
@@ -313,7 +309,7 @@ def _classical_clicks(
     return clicks
 
 
-def _click_table(cfgs, sources, probes, policy, require_transparent: bool) -> list[tuple]:
+def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple]:
     """Check the arguments of ``run_setup`` and ``sample_shots`` for a batch
     of setups, one (config, source, probe) per slot, and return per slot
     the probe-branch weights, the detector-event probabilities as the rows
@@ -329,8 +325,6 @@ def _click_table(cfgs, sources, probes, policy, require_transparent: bool) -> li
     than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, no array.
     """
     check_flag("require_transparent", require_transparent)
-    if policy is not None and not isinstance(policy, TruncationPolicy):
-        raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
     tables: list = [None] * len(cfgs)
     groups: dict = {}  # input shape: (slot, weights, (B, label) amplitudes) per member
     for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
@@ -352,10 +346,10 @@ def _click_table(cfgs, sources, probes, policy, require_transparent: bool) -> li
         elif len(cfgs) == 1:  # _propagate_one makes its column, on a memo miss only
             weights, column = (1.0,), None
         else:
-            weights, column = (1.0,), make_coherent(probe.beta, policy).amps[:, None]
+            weights, column = (1.0,), make_coherent(probe.beta).amps[:, None]
         groups.setdefault(getattr(column, "shape", None), []).append((slot, weights, column))
     for members in groups.values():
-        out = (_propagate_one(cfgs[0], probes[0], policy) if len(cfgs) == 1 else
+        out = (_propagate_one(cfgs[0], probes[0]) if len(cfgs) == 1 else
                _propagate(_inputs([c for _, _, c in members]), [cfgs[s] for s, _, _ in members]))
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
@@ -374,16 +368,16 @@ def _inputs(columns) -> np.ndarray:
     return amps
 
 
-def _propagate_one(cfg: MziConfig, probe, policy) -> np.ndarray:
+def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
     """``_propagate`` of one slot through ``_memo`` (module docstring)."""
-    tol = (policy or TruncationPolicy).tail_tolerance if isinstance(probe, CoherentProbe) else None
-    beta = 0j if tol is None else complex(probe.beta)
+    coherent = isinstance(probe, CoherentProbe)
+    beta = complex(probe.beta) if coherent else 0j
     bits = struct.pack("4d", cfg.bs1.theta, cfg.bs1.phi, beta.real, beta.imag)
-    key = bits, type(tol), tol, elements._hadamard_blocks
+    key = bits, coherent, elements._hadamard_blocks
     held = _memo.get(key)
     if held is not None:
         return _propagate(None, (cfg,), first=[held])
-    column = _PHOTON_OR_VACUUM if tol is None else make_coherent(probe.beta, policy).amps[:, None]
+    column = make_coherent(beta).amps[:, None] if coherent else _PHOTON_OR_VACUUM
     first = [] if key in _memo else None
     out = _propagate(_inputs([column]), (cfg,), len(column) - 1, first)
     _memo[key] = first[0] if first else None
@@ -392,10 +386,10 @@ def _propagate_one(cfg: MziConfig, probe, policy) -> np.ndarray:
     return out
 
 
-def _run_setups(cfgs, sources, probes, policy=None, require_transparent=True) -> list:
+def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
     """``run_setup`` of every slot of a batch, from one ``_click_table``."""
     outcomes = []
-    tables = _click_table(cfgs, sources, probes, policy, require_transparent)
+    tables = _click_table(cfgs, sources, probes, require_transparent)
     for source, (weights, (zero, click), out) in zip(sources, tables):
         joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
         p_click = sum(w * q for s in (1, 0) for w, q in zip(joint[s], click[s]))
@@ -421,7 +415,6 @@ def run_setup(
     cfg: MziConfig,
     source: NoisySource,
     probe: Probe,
-    policy: TruncationPolicy | None = None,
     require_transparent: bool = True,
 ) -> HeraldOutcome:
     """Run the full heralding setup on a noisy signal and a chosen probe.
@@ -442,7 +435,7 @@ def run_setup(
     ``require_transparent=False`` drops the transparency requirement, for
     exploring configurations without the heralding guarantee.
     """
-    return _run_setups((cfg,), (source,), (probe,), policy, require_transparent)[0]
+    return _run_setups((cfg,), (source,), (probe,), require_transparent)[0]
 
 
 def _single_photon_factor(theta1: float, phi_chi: float) -> float:
@@ -476,7 +469,6 @@ def sample_shots(
     probe: Probe,
     n_shots: int,
     seed: int,
-    policy: TruncationPolicy | None = None,
     require_transparent: bool = True,
 ) -> dict[str, int]:
     """Monte Carlo photodetection over repeated runs of the setup.
@@ -493,7 +485,7 @@ def sample_shots(
     check_count("n_shots", n_shots, 1)
     check_count("seed", seed)
     setup = ((cfg,), (source,), (probe,))
-    weights, (_, clicks), _ = _click_table(*setup, policy, require_transparent)[0]
+    weights, (_, clicks), _ = _click_table(*setup, require_transparent)[0]
     labelled = 0.0 < weights[0] < 1.0  # two probe branches, |1> (label 0) and vacuum
     table = np.ravel(clicks) if labelled else np.array(clicks)[:, weights.index(1.0)]
     streams = []

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import xpmherald.elements as el
+import xpmherald.mzi as mzi
 import xpmherald.verify
 from xpmherald.cli import main
-from xpmherald.errors import ConfigurationError
+from xpmherald.errors import ConfigurationError, TruncationError
 from xpmherald.experiments import (
     DEFAULT_FIG4_BETAS,
     ExperimentConfig,
@@ -92,32 +93,52 @@ def test_loss_bounds_csv_bytes_golden(fixed_p, digest):
     assert _data_digest(table.to_csv_text()) == digest
 
 
+def _text_digest(csv_text):
+    """sha256 of a whole CSV, manifest block included."""
+    return hashlib.sha256(csv_text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "params, seed, digest",
+    "experiment, digest",
+    [
+        ("fig4", "815beb23427bdabcd2b2a59cff9eb8500ccee086c12ac934e9c60372be239124"),
+        ("loss-bounds", "67ee4cdd8368c36bfbd5dd61b3a7961752352d361d315f4c79f15e01fe483a4b"),
+    ],
+)
+def test_default_csv_full_text_golden(experiment, digest):
+    assert _text_digest(run_experiment(ExperimentConfig(experiment)).to_csv_text()) == digest
+
+
+@pytest.mark.parametrize(
+    "params, seed, digest, text_digest",
     [
         (
             {"p_a": 0.7260402951959974, "p_b": 0.7308769845622459, "phi_chi": 1.764629736151154},
             1517124863,
             "1e936cc48efa3b6ae15bfd045c62777042a1a077b15697ec0fae3f988d81d55b",
+            "0074ae34ce7a53a9f2018482c34493e7e91bb2ab578ebfae379ea6bf7994cff3",
         ),
         (
             {"beta": 1.3, "p_a": 0.45, "phi_chi": 2.1},
             6,
             "7d72981abd521d11c3d0be010ae9c78a7fdb6a3c06ecaae831e22211db68c038",
+            "401e204f6a01f7e1889327a3776441c4d7bd51d9ead44d2fa3070ba10e0349f1",
         ),
     ],
     ids=["noisy-probe", "coherent-probe"],
 )
-def test_purity_audit_csv_bytes_golden(params, seed, digest):
+def test_purity_audit_csv_bytes_golden(params, seed, digest, text_digest):
     config = ExperimentConfig("purity-audit", params=dict(params, shots=200_000), seed=seed)
-    assert _data_digest(run_experiment(config).to_csv_text()) == digest
+    text = run_experiment(config).to_csv_text()
+    assert _data_digest(text) == digest
+    assert _text_digest(text) == text_digest
 
 
 def test_shared_probe_cascade_csv_bytes_golden(capsys):
     assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
-    assert _data_digest(capsys.readouterr().out) == (
-        "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
-    )
+    text = capsys.readouterr().out
+    assert _data_digest(text) == "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
+    assert _text_digest(text) == "6647c78c49a9ffe2af52e39659eec3533106771aa1ef23631f82ad584d0afb2a"
 
 
 def test_loss_bounds_table_has_reference_columns():
@@ -189,12 +210,6 @@ def test_purity_audit_requires_seed():
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigurationError):
         ExperimentConfig("not-an-experiment")
-
-
-def test_config_rejects_non_finite_trunc_tol():
-    for tol in (math.nan, math.inf, 0.0, -1e-10):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig("fig4", trunc_tol=tol)
 
 
 def test_csv_bit_identical_for_same_config(tmp_path):
@@ -367,7 +382,7 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [math.nan]}}],
         ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [-1.0]}}],
         ["run", {"experiment": "loss-bounds", "params": {"fixed_p": math.nan}}],
-        ["run", {"experiment": "fig4"}, "--trunc-tol", "nan"],
+        ["run", {"experiment": "fig4", "params": {"beta": [math.nan]}}],
         ["run", {"experiment": "purity-audit", "seed": 1.5}],
         ["run", {"experiment": "purity-audit", "seed": "7"}],
         ["run", {"experiment": "purity-audit", "seed": True}],
@@ -382,8 +397,8 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         # sizes past any address space, so the allocation fails at once
         ["cascade", "--setups", "5", "--shots", "1000000000000000", "--seed", "1"],
         ["run", {"experiment": "fig4", "params": {"phi_chi_points": 1e15}}],
-        # a tail tolerance the truncation policy refuses, and null for a number
-        ["run", {"experiment": "fig4"}, "--trunc-tol", "2"],
+        # a source efficiency past 1, and null for a number
+        ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_b": 2.0}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_a": None}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"phi_chi": None}}],
     ],
@@ -402,17 +417,18 @@ def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsy
     assert not out.exists()
 
 
-def test_cli_truncation_failure_exits_three(tmp_path, capsys):
-    # a tail tolerance no cutoff can certify is a truncation failure,
-    # distinct from a config error
-    config = _config(
-        tmp_path,
-        experiment="purity-audit",
-        seed=1,
-        trunc_tol=1e-300,
-        params={"shots": 10, "beta": 3.0},
-    )
+def test_cli_truncation_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # no input fails the fixed truncation, so the exit-3 guard is reached by
+    # a truncation failing on purpose; it stays distinct from a config error
+    def fail(beta, policy=None):
+        raise TruncationError("no cutoff meets the tail tolerance", tail=1.0)
+
+    monkeypatch.setattr(mzi, "make_coherent", fail)
+    monkeypatch.setattr(mzi, "_memo", {})
+    config = _config(tmp_path, experiment="purity-audit", seed=1, params={"shots": 10, "beta": 3.0})
     assert main(["run", config]) == 3
+    err = capsys.readouterr().err
+    assert err == "truncation failure: no cutoff meets the tail tolerance\n"
 
 
 @pytest.mark.parametrize("command", ["run", "cascade"])

@@ -14,6 +14,7 @@ from xpmherald.fock import (
     make_coherent,
 )
 from xpmherald.loss import (
+    BISECTION_TOL,
     LossParams,
     lossy_click_probs,
     lossy_heralded_efficiency,
@@ -182,16 +183,18 @@ def test_max_tolerable_loss_strong_phase_reference_values():
 
 
 def test_max_tolerable_loss_is_a_root_of_the_margin():
-    # independent root check: the weak-source margin changes sign at the bound
+    # independent root check: the weak-source margin changes sign within
+    # the bisection width of the bound
     cfg = symmetric_cfg(PI)
-    bound = max_tolerable_loss(cfg, 1.0, tol=1e-8)
+    bound = max_tolerable_loss(cfg, 1.0)
+    assert BISECTION_TOL == 1e-6
 
     def margin(pa):
         q1, q0 = lossy_click_probs(cfg, 1.0, LossParams(pa))
         return (1.0 - pa) * q1 - q0
 
-    assert margin(bound - 1e-6) > 0.0
-    assert margin(bound + 1e-6) < 0.0
+    assert margin(bound - BISECTION_TOL) > 0.0
+    assert margin(bound + BISECTION_TOL) < 0.0
 
 
 def test_max_tolerable_loss_checks_transparency_once(monkeypatch):
@@ -355,12 +358,12 @@ def random_solver_inputs(rng, count):
 
 def test_max_tolerable_loss_equals_the_previous_solver_exactly():
     rng = np.random.default_rng(2024)
-    for i, (theta1, phi_chi, beta_sq, fixed_p) in enumerate(random_solver_inputs(rng, 1000)):
+    for theta1, phi_chi, beta_sq, fixed_p in random_solver_inputs(rng, 1000):
         cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
-        beta, tol = math.sqrt(beta_sq), (1e-6, 1e-8)[i % 2]
-        assert max_tolerable_loss(cfg, beta, fixed_p, tol) == old_max_tolerable_loss(
-            cfg, beta, fixed_p, tol
-        ), (theta1, phi_chi, beta_sq, fixed_p, tol)
+        beta = math.sqrt(beta_sq)
+        assert max_tolerable_loss(cfg, beta, fixed_p) == old_max_tolerable_loss(
+            cfg, beta, fixed_p, BISECTION_TOL
+        ), (theta1, phi_chi, beta_sq, fixed_p)
 
 
 def test_margin_changes_sign_once_on_a_fine_grid():
