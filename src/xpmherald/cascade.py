@@ -38,6 +38,10 @@ from .errors import (
 # and 53 MB peak at this cap.  Past it, use the closed form or Monte Carlo.
 ENUMERATION_CAP = 22
 
+# The per-rank table holds one Python entry per setup, so chains are bounded
+# before any work starts; the O(N) closed forms take about 0.5 s at this cap.
+MAX_SETUPS = 10**6
+
 
 @dataclass(frozen=True)
 class CascadeConfig:
@@ -57,6 +61,8 @@ class CascadeConfig:
         if self.scheme not in ("reused_probe", "shared_probe"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         check_count("n_setups", self.n_setups, 1)
+        if self.n_setups > MAX_SETUPS:
+            raise ConfigurationError(f"n_setups is capped at {MAX_SETUPS}, got {self.n_setups}")
         check_amplitude("probe amplitude", self.alpha)
         check_real("XPM phase", self.phi_chi)
         check_real("source efficiency", self.p, 0.0, 1.0)
@@ -151,9 +157,10 @@ def shared_probe_total(
 ) -> float:
     """Probability that the shared-probe chain heralds at least one photon:
     it stays dark only if all K ~ Bin(N, p) photon-bearing setups do.
-    Tends to one for a bright probe and many setups."""
+    Tends to one for a bright probe and many setups; capped at one, which
+    the weighted sum of saturated terms can pass by an ulp."""
     s = _rank_table(CascadeConfig("shared_probe", n_setups, alpha, phi_chi, p))[1]
-    return float(-np.sum(_binomial_pmfs(n_setups, p) * np.expm1(-s)))
+    return min(1.0, float(-np.sum(_binomial_pmfs(n_setups, p) * np.expm1(-s))))
 
 
 def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:

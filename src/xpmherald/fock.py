@@ -14,6 +14,8 @@ Mixed states are ensembles of pure kets (weighted branch lists).  Every
 mixture that occurs in this problem, such as a noisy photon source or the
 absorb-or-survive loss model, is diagonal in a small set of branch kets, so
 ensembles are exact and cheap; no density-matrix calculus is needed.
+A threshold detector on one mode has two events, no click and click, and
+``condition`` is the one function that checks, weighs and projects them.
 
 Truncated coherent states are kept sub-normalized: the missing Poisson tail
 is never redistributed over the retained amplitudes.  Downstream
@@ -56,8 +58,6 @@ MAX_AUTO_CUTOFF = 100_000
 # saturating to 1.0 says nothing about a 1e-300 request.
 CERTIFIABLE_TAIL = 1e-15
 
-EVENTS = ("zero", "at_least_one")
-
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -90,10 +90,11 @@ class MultiModeKet:
     """Pure state over a truncated multimode Fock basis.
 
     ``amps[n_1, ..., n_M]`` is the amplitude of the occupation tuple
-    ``(n_1, ..., n_M)``.  The array is the whole ket: ``n_modes`` is its
-    ``ndim`` and ``cutoffs``, the largest retained occupations, its shape
-    minus one.  Kets may be sub-normalized (squared norm below one) for
-    truncated or conditioned branches, but never super-normalized.
+    ``(n_1, ..., n_M)``.  The array is the whole ket and is read directly:
+    the mode count is its ``ndim``, an amplitude is ``amps[occ]``, and
+    ``cutoffs``, the largest retained occupations, is its shape minus one.
+    Kets may be sub-normalized (squared norm below one) for truncated or
+    conditioned branches, but never super-normalized.
     """
 
     amps: np.ndarray
@@ -123,34 +124,16 @@ class MultiModeKet:
     def cutoffs(self) -> tuple[int, ...]:
         return tuple(n - 1 for n in self.amps.shape)
 
-    @property
-    def n_modes(self) -> int:
-        return self.amps.ndim
-
     def check_modes(self, *modes: int) -> None:
-        """Raise unless every mode is an integer index in 0..n_modes-1 (a
-        negative index would silently pick a mode from the end)."""
+        """Raise unless every mode is an integer index into the array's axes
+        (a negative index would silently pick a mode from the end)."""
         for mode in modes:
             integer = isinstance(mode, (int, np.integer)) and not isinstance(mode, bool)
             if not (integer and 0 <= mode < self.amps.ndim):
-                raise ModeMismatchError(f"mode {mode!r} is outside 0..{self.n_modes - 1}")
-
-    def amplitude(self, occ: tuple[int, ...]) -> complex:
-        """Amplitude of one occupation tuple; zero beyond the cutoffs."""
-        occ = tuple(occ)
-        if len(occ) != self.amps.ndim:
-            raise ModeMismatchError(
-                f"occupation {occ} has {len(occ)} modes, expected {self.amps.ndim}"
-            )
-        if any(n < 0 or n >= size for n, size in zip(occ, self.amps.shape)):
-            return 0.0 + 0.0j
-        return complex(self.amps[occ])
+                raise ModeMismatchError(f"mode {mode!r} is outside 0..{self.amps.ndim - 1}")
 
     def squared_norm(self) -> float:
         return _mass(self.amps)
-
-    def norm(self) -> float:
-        return math.sqrt(self.squared_norm())
 
 
 def _check_ket(ket) -> None:
@@ -168,10 +151,6 @@ class Ensemble:
         for w, ket in self.branches:
             check_real("branch weight", w, 0.0, math.inf)
             _check_ket(ket)
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(w for w, _ in self.branches))
 
 
 def make_fock(occupations: tuple[int, ...], cutoffs: tuple[int, ...]) -> MultiModeKet:
@@ -253,31 +232,8 @@ def mode_number_distribution(ket: MultiModeKet, mode: int) -> np.ndarray:
     if sq <= 0.0:
         raise ValueError("zero-norm ket has no number distribution")
     probs = ket.amps.real**2 + ket.amps.imag**2
-    others = tuple(ax for ax in range(ket.n_modes) if ax != mode)
+    others = tuple(ax for ax in range(ket.amps.ndim) if ax != mode)
     return probs.sum(axis=others) / sq
-
-
-def _event_slice(n_modes: int, mode: int, event: str) -> tuple:
-    """Index selecting the occupations of ``mode`` an event keeps."""
-    index = [slice(None)] * n_modes
-    index[mode] = 0 if event == "zero" else slice(1, None)
-    return tuple(index)
-
-
-def _event_ket(amps: np.ndarray, index: tuple, mass: float) -> MultiModeKet:
-    """The ket holding the event slice ``amps[index]`` of squared-amplitude
-    ``mass``, renormalized, and zero elsewhere."""
-    out = np.zeros_like(amps)
-    out[index] = amps[index] * (1.0 / math.sqrt(mass))
-    return MultiModeKet._unchecked(out)
-
-
-def event_mass(ket: MultiModeKet, mode: int, event: str) -> float:
-    """Unnormalized probability of a detector event in one mode: the squared
-    amplitude mass with zero (``"zero"``) or at least one
-    (``"at_least_one"``) photon in ``mode``."""
-    ket.check_modes(mode)
-    return _mass(ket.amps[_event_slice(ket.n_modes, mode, event)])
 
 
 def condition(ensemble: Ensemble, mode: int, event: str) -> tuple[float, Ensemble]:
@@ -285,27 +241,29 @@ def condition(ensemble: Ensemble, mode: int, event: str) -> tuple[float, Ensembl
 
     ``event`` is ``"zero"`` (no photon seen) or ``"at_least_one"`` (click;
     the effect operator summing every occupied number state of the mode).
+    Each branch keeps the slice of ``mode`` the event selects, renormalized.
     Returns the total event probability and the renormalized
     post-measurement ensemble.  Probabilities are raw squared-amplitude
     masses, so sub-normalized branch kets under-count by at most their
     truncation deficit.
     """
-    if event not in EVENTS:
+    if event not in ("zero", "at_least_one"):
         raise ValueError(f"unknown event {event!r}")
-    total = ensemble.total_weight
+    total = float(sum(w for w, _ in ensemble.branches))
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
     prob = 0.0
     posterior: list[tuple[float, MultiModeKet]] = []
     for w, ket in ensemble.branches:
-        mass = event_mass(ket, mode, event)
+        ket.check_modes(mode)
+        index = (slice(None),) * mode + (0 if event == "zero" else slice(1, None),)
+        mass = _mass(ket.amps[index])
         contribution = w * mass
         prob += contribution
         if contribution > 0.0:
-            index = _event_slice(ket.n_modes, mode, event)
-            posterior.append((contribution, _event_ket(ket.amps, index, mass)))
+            out = np.zeros_like(ket.amps)
+            out[index] = ket.amps[index] * (1.0 / math.sqrt(mass))
+            posterior.append((contribution, MultiModeKet._unchecked(out)))
     if prob <= 0.0:
-        raise ConditioningError(
-            f"event {event!r} on mode {mode} has probability 0"
-        )
+        raise ConditioningError(f"event {event!r} on mode {mode} has probability 0")
     return prob, Ensemble([(w / prob, k) for w, k in posterior])

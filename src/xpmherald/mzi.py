@@ -264,8 +264,8 @@ def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
     if not isinstance(ket, MultiModeKet) or not isinstance(cfg, MziConfig):
         kinds = f"{type(ket).__name__} and {type(cfg).__name__}"
         raise ConfigurationError(f"not a MultiModeKet and an MziConfig: {kinds}")
-    if ket.n_modes < 3:
-        raise ModeMismatchError(f"the setup needs modes 0-2, the ket has {ket.n_modes}")
+    if ket.amps.ndim < 3:
+        raise ModeMismatchError(f"the setup needs modes 0-2, the ket has {ket.amps.ndim}")
     return MultiModeKet._unchecked(_propagate(ket.amps, (cfg,)))
 
 

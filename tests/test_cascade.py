@@ -6,6 +6,7 @@ import pytest
 from xpmherald.cascade import (
     CascadeConfig,
     ENUMERATION_CAP,
+    MAX_SETUPS,
     reused_probe_pn,
     reused_probe_total,
     shared_probe_pn,
@@ -375,6 +376,20 @@ def test_cascade_config_rejects_non_integer_setups():
     direct = simulate_cascade(CascadeConfig("shared_probe", 3, 1.2, 0.9, 1.0))
     numpy_count = simulate_cascade(CascadeConfig("shared_probe", np.int64(3), 1.2, 0.9, 1.0))
     assert np.array_equal(direct.per_setup, numpy_count.per_setup)
+
+
+def test_closed_forms_reject_chains_past_the_setup_cap():
+    # the per-rank table holds one entry per setup, so an unbounded count
+    # would grow a list until the process is stopped; the cap is checked
+    # before any work and named in the message
+    for n in (MAX_SETUPS + 1, 10**20):
+        for call in (
+            lambda: reused_probe_total(n, 1.0, 1.0, 0.5),
+            lambda: shared_probe_pn(n, 1.0, 1.0, 0.5),
+        ):
+            with pytest.raises(ConfigurationError, match=str(MAX_SETUPS)):
+                call()
+    assert CascadeConfig("reused_probe", MAX_SETUPS, 1.0, 1.0, 0.5).n_setups == MAX_SETUPS
 
 
 def test_first_click_sums_equal_totals():

@@ -396,6 +396,8 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"beta": 1e200}}],
         # sizes past any address space, so the allocation fails at once
         ["cascade", "--setups", "5", "--shots", "1000000000000000", "--seed", "1"],
+        # a chain past the setup cap, whose per-rank table would never finish
+        ["cascade", "--setups", "99999999999999999999"],
         ["run", {"experiment": "fig4", "params": {"phi_chi_points": 1e15}}],
         # a source efficiency past 1, and null for a number
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_b": 2.0}}],

@@ -1,6 +1,8 @@
-"""Seeded property loops over the scheme API: for any transparent setup of
+"""Seeded property loops over the public API: for any transparent setup of
 either family, any source efficiency and either probe, bright or not, the
-figures of merit are finite probabilities."""
+figures of merit are finite probabilities; so are the loss model's and
+those of both cascade schemes, whose totals grow with the chain and whose
+shared-probe enumeration equals its closed form."""
 
 import math
 
@@ -12,7 +14,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from xpmherald import loss  # noqa: E402
-from xpmherald.errors import ConfigurationError  # noqa: E402
+from xpmherald.cascade import (  # noqa: E402
+    CascadeConfig,
+    reused_probe_pn,
+    reused_probe_total,
+    shared_probe_pn,
+    shared_probe_total,
+    simulate_cascade,
+)
+from xpmherald.errors import ConditioningError, ConfigurationError  # noqa: E402
 from xpmherald.fock import TruncationPolicy  # noqa: E402
 from xpmherald.mzi import (  # noqa: E402
     BRIGHT_PROBE_MEAN_PHOTONS,
@@ -76,14 +86,83 @@ def test_sample_shots_counts_sum_to_the_shots(cfg, p, probe, n_shots, seed):
 @SEEDED
 @given(transparent_configs(), coherent_probes(), st.one_of(st.none(), unit))
 def test_max_tolerable_loss_is_a_probability(cfg, probe, fixed_p):
-    if not cfg.xpm.working or probe.beta == 0:
+    _assert_loss_bound(cfg, probe.beta, fixed_p)
+
+
+def _assert_loss_bound(cfg, beta, fixed_p):
+    if not cfg.xpm.working or beta == 0:
         with pytest.raises(ConfigurationError):
-            loss.max_tolerable_loss(cfg, probe.beta, fixed_p)
+            loss.max_tolerable_loss(cfg, beta, fixed_p)
         return
-    margin = loss._improvement_margin(cfg, probe.beta, fixed_p)
+    margin = loss._improvement_margin(cfg, beta, fixed_p)
     if not any(margin(x) > 0.0 for x in np.linspace(0.0, 1.0, 201)):
         # the documented zero bound: no grid point improves the source
         with pytest.warns(UserWarning, match="returning 0"):
-            assert loss.max_tolerable_loss(cfg, probe.beta, fixed_p) == 0.0
+            assert loss.max_tolerable_loss(cfg, beta, fixed_p) == 0.0
     else:
-        assert 0.0 < loss.max_tolerable_loss(cfg, probe.beta, fixed_p) < 1.0
+        assert 0.0 < loss.max_tolerable_loss(cfg, beta, fixed_p) < 1.0
+
+
+def _in_unit(values) -> bool:
+    return all(math.isfinite(x) and 0.0 <= x <= 1.0 for x in values)
+
+
+@SEEDED
+@given(transparent_configs(), st.floats(0.0, 1e6), angle, st.floats(0.0, 1.0, exclude_min=True), unit)
+def test_loss_model_figures_are_probabilities(cfg, beta_sq, phase, p_a, p_absorb):
+    # bright probes as in the loss-bounds table, any absorption
+    beta = complex(math.sqrt(beta_sq) * np.exp(1j * phase))
+    _assert_loss_bound(cfg, beta, p_a)
+    try:
+        report = loss.lossy_heralded_efficiency(p_a, cfg, beta, loss.LossParams(p_absorb))
+    except ConditioningError:
+        return  # no click at all, so no heralded efficiency
+    assert _in_unit((report.q1, report.q0, report.p_prime)), (report, cfg)
+
+
+@st.composite
+def cascades(draw, max_setups):
+    """(n_setups, alpha, phi_chi, p) with |alpha|^2 up to 100."""
+    alpha = complex(math.sqrt(draw(st.floats(0.0, 100.0))) * np.exp(1j * draw(angle)))
+    return draw(st.integers(1, max_setups)), alpha, draw(angle), draw(unit)
+
+
+@SEEDED
+@given(cascades(500), st.data())
+def test_cascade_figures_are_probabilities(chain, data):
+    n_setups, alpha, phi_chi, p = chain
+    n = data.draw(st.integers(1, n_setups))
+    exact = simulate_cascade(CascadeConfig("reused_probe", n_setups, alpha, phi_chi, p))
+    values = [
+        reused_probe_pn(n, alpha, phi_chi),
+        shared_probe_pn(n, alpha, phi_chi, p),
+        reused_probe_total(n_setups, alpha, phi_chi, p),
+        shared_probe_total(n_setups, alpha, phi_chi, p),
+        exact.total,
+        *exact.per_setup,
+    ]
+    assert _in_unit(values), chain
+
+
+@SEEDED
+@given(cascades(499), st.integers(1, 500))
+def test_cascade_totals_grow_with_the_chain(chain, more):
+    # up to rounding: once a total saturates at 1 - exp(-|alpha|^2), the
+    # shared-probe closed form wanders by an ulp (18 -> 20 setups at
+    # |alpha|^2 = 1, phi_chi = 3, p = 0.89 lose one)
+    n_setups, alpha, phi_chi, p = chain
+    longer = min(500, n_setups + more)
+    for total in (reused_probe_total, shared_probe_total):
+        shorter = total(n_setups, alpha, phi_chi, p)
+        assert total(longer, alpha, phi_chi, p) >= shorter - 4 * math.ulp(shorter), chain
+
+
+@SEEDED
+@given(cascades(12))
+def test_shared_enumeration_equals_its_closed_form(chain):
+    n_setups, alpha, phi_chi, p = chain
+    exact = simulate_cascade(CascadeConfig("shared_probe", n_setups, alpha, phi_chi, p))
+    assert _in_unit([exact.total, *exact.per_setup]), chain
+    closed = [shared_probe_pn(n, alpha, phi_chi, p) for n in range(1, n_setups + 1)]
+    assert np.max(np.abs(exact.per_setup - closed)) <= 1e-10, chain
+    assert abs(exact.total - shared_probe_total(n_setups, alpha, phi_chi, p)) <= 1e-10, chain

@@ -125,6 +125,53 @@ def test_benchmark_imports_resolve():
     assert imported >= 10
 
 
+def _load_perfbench(name, monkeypatch):
+    """A benchmark module, read as is and registered under its own name for
+    this test only, as the worker's own imports find it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_runtime_contract(monkeypatch, tmp_path):
+    # beyond its imports, the benchmark reads outcome states, ket cutoffs and
+    # norms, the k=/l= and require_transparent= keywords and cli.run_suite at
+    # run time; one block of each exact workload, run and replayed, and one
+    # traced CLI command must pass the benchmark's own checks
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    names = ("checks", "reference", "tracing", "workloads", "worker")
+    _, reference, tracing, workloads, worker = (_load_perfbench(n, monkeypatch) for n in names)
+    tracer = tracing.Tracer()
+    layers = worker.ExactLayers(tracer)
+    seen = set()
+    descr = {"bs_calls": 0, "bs_new": 0, "cutoff_max": 0, "dense_basis_max": 0, "deficit_max": 0.0}
+    ops = workloads.exact_cold(1, 1)[0] + workloads.exact_grid(1, 1)[0]
+    for op_id, op in enumerate(ops):
+        *_, why, p_click = worker.run_exact_op(op, seen, descr)
+        *_, why_replay, p_replay = worker.replay_exact_op(op, op_id, layers, tracer)
+        assert (why, why_replay) == ("", ""), op
+        assert abs(p_replay - p_click) <= 1e-12, op
+    assert descr["cutoff_max"] > 1 and descr["dense_basis_max"] > 8
+
+    # instrument_cli patches names of these namespaces; each is restored after
+    cli = importlib.import_module("xpmherald.cli")
+    for owner in (cli, experiments, experiments.ResultTable):
+        for attr, value in list(vars(owner).items()):
+            if not attr.startswith("__"):
+                monkeypatch.setattr(owner, attr, value)
+    spec = workloads.cli_inputs(1)["cascade_enum"]
+    out = tmp_path / "cascade.csv"
+    job = {
+        "command": "cascade_enum", "out": str(out), "params": spec["params"],
+        "argv": [a.replace("{out}", str(out)) for a in spec["argv"]],
+    }
+    result = worker.run_cli(job, tracer, reference.Sampler())
+    assert result["why"] == "" and result["sha256"] is not None
+    assert {"cli.main", "cascade.enumeration"} <= {span[0] for span in tracer.spans}
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(script, tmp_path):
     # each demo as a user runs it, with warnings as errors; the CSVs some
