@@ -28,7 +28,6 @@ from .elements import (
     XpmParams,
     apply_beam_splitter,
     apply_xpm,
-    bs_unitary,
 )
 from .errors import (
     ConditioningError,
@@ -97,7 +96,6 @@ __all__ = [
     "XpmParams",
     "apply_beam_splitter",
     "apply_xpm",
-    "bs_unitary",
     "coherent_outputs",
     "condition",
     "detection_efficiency",

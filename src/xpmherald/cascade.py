@@ -41,6 +41,8 @@ ENUMERATION_CAP = 22
 # The per-rank table holds one Python entry per setup, so chains are bounded
 # before any work starts; the O(N) closed forms take about 0.5 s at this cap.
 MAX_SETUPS = 10**6
+# Monte Carlo holds a few arrays of one entry per shot, about 40 B a shot.
+MAX_SHOTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,8 @@ def _exact_shared(cfg: CascadeConfig) -> tuple[np.ndarray, float]:
     and the in-order sum follow a per-pattern loop bit for bit."""
     if cfg.n_setups > ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"exact shared-probe enumeration is capped at {ENUMERATION_CAP} "
-            f"setups; {cfg.n_setups} requested"
+            f"exact shared-probe enumeration is capped at {ENUMERATION_CAP} setups; "
+            f"{cfg.n_setups} requested; sample instead with --shots N --seed S"
         )
     q = _rank_table(cfg)[0]
     carry = cfg.p * (1.0 - q)
@@ -227,6 +229,8 @@ def simulate_cascade(
             raise ConfigurationError("Monte Carlo cascade simulation requires a seed")
         check_count("shots", shots, 1)
         check_count("seed", seed)
+        if shots > MAX_SHOTS:
+            raise ConfigurationError(f"shots is capped at {MAX_SHOTS}, got {shots}")
         per, total = _monte_carlo(cfg, shots, seed)
     residual = abs(cfg.alpha) * abs(math.cos(cfg.phi_chi / 2.0)) ** cfg.n_setups
     return CascadeResult(per, total, residual)

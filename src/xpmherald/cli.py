@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .cascade import CascadeConfig, simulate_cascade
-from .errors import ConfigurationError, EnumerationLimitError, TruncationError, check_real
+from .errors import ConfigurationError, TruncationError, check_real
 from .experiments import ExperimentConfig, ResultTable, run_experiment
 from .verify import all_passed, format_report, run_suite
 
@@ -139,12 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"config error: request too large to allocate ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
-    except EnumerationLimitError as exc:
-        print(
-            f"config error: {exc}; sample instead with --shots N --seed S",
-            file=sys.stderr,
-        )
         return EXIT_CONFIG
 
 

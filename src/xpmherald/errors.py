@@ -33,7 +33,7 @@ class ConfigurationError(ValueError):
     """An interferometer or experiment configuration is invalid for the request."""
 
 
-class EnumerationLimitError(RuntimeError):
+class EnumerationLimitError(ConfigurationError):
     """An exact enumeration would exceed the configured size cap."""
 
 

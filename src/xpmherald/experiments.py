@@ -38,6 +38,8 @@ EXPERIMENTS = ("fig4", "loss-bounds", "purity-audit")
 # defaults chosen for illustration, not authoritative values; the manifest
 # flags them as such.
 DEFAULT_FIG4_BETAS = (0.5, 1.0, 2.0)
+# fig4 builds its whole table in memory, about 330 B per (beta, phi_chi) row.
+MAX_FIG4_ROWS = 10**6
 
 
 @dataclass
@@ -168,6 +170,8 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     num = _count_param(cfg, "phi_chi_points", 121)
     if num < 2 or not betas:
         raise ConfigurationError("fig4 needs a non-empty beta list and >= 2 grid points")
+    if len(betas) * num > MAX_FIG4_ROWS:
+        raise ConfigurationError(f"fig4 is capped at {MAX_FIG4_ROWS} rows, got {len(betas) * num}")
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
     theta1 = math.pi / 4.0  # the symmetric splitter; pi - theta1 makes it transparent
     for beta in betas:

@@ -4,9 +4,11 @@ The ``mzi`` group checks zero false clicks for transparent setups,
 click-conditioned purity 1, the closed forms against exact propagation and
 transparency for any probe input; ``loss`` and ``cascade`` check the
 absorption model and the chained-setup closed forms; ``elements`` checks
-the classical coherent path that bright probes take against exact
-propagation.  The Fock and element algebra underneath is tested in
-``tests/test_fock.py`` and ``tests/test_elements.py``, not here.
+the classical coherent path that bright probes take, the arms of
+``mzi.coherent_outputs`` and the clicks of ``mzi._classical_clicks``,
+against one exact ``mzi._propagate`` batch of the same probes.  The Fock
+and element algebra underneath is tested in ``tests/test_fock.py`` and
+``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
@@ -119,37 +121,30 @@ def _random_probe(rng) -> mzi.Probe:
 
 
 def _check_elements(results, rng, dense: bool):
-    # Classical coherent path against exact truncated propagation, through
-    # the engine calls the element wrappers make.  The exact side carries an
-    # ancilla mode 0 holding the definite photon that drives the cross-phase
-    # gate; the coherent probe starts in mode 1, vacuum in mode 2.
-    tol = 1e-10
+    # the classical path of bright probes against one exact batch of the same
+    # truncated probes: per signal slice, the fidelity with the product of
+    # the ``coherent_outputs`` arms and the click mass of ``_classical_clicks``
+    tol = 100 * fk.TruncationPolicy.tail_tolerance
+    cfgs, betas = [], []
+    for i in range(10 if dense else 5):
+        cfgs.append(_random_nontransparent(rng) if i % 2 else random_transparent(rng))
+        betas.append(complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5)))
+    columns = [fk.make_coherent(beta).amps for beta in betas]
+    size = max(column.size for column in columns)
+    padded = [np.pad(column, (0, size - column.size))[:, None] for column in columns]
+    out = mzi._propagate(mzi._inputs(padded), cfgs)[..., 0, :]  # (A, B, C, slot)
     worst = 0.0
-    for _ in range(5 if not dense else 10):
-        beta = complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
-        probe = fk.make_coherent(beta, fk.TruncationPolicy(tail_tolerance=tol)).amps
-        amps = np.zeros((2, probe.size, probe.size), dtype=complex)
-        amps[1, :, 0] = probe
-        # coherent amplitudes map by the transpose of each splitter's matrix
-        arms = np.array([beta, 0.0])
-        for _ in range(3):
-            bsp = el.BeamSplitterParams(
-                float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
-            )
-            phi = float(rng.uniform(0.0, 2.0 * math.pi))
-            amps = el._apply_chain(amps, (1, 2), ((bsp,),))
-            arms = el.bs_unitary(bsp).T @ arms
-            if rng.random() < 0.5:
-                amps = el._xpm(amps, (0, 1), phi)
-                arms[0] *= complex(math.cos(phi), math.sin(phi))
-        # each arm at its own cutoff, against the overlapping block of the
-        # propagated array: the same as zero-padding the arms to its cutoffs
-        b, c = (fk.make_coherent(a, fk.TruncationPolicy(tol)).amps[: probe.size] for a in arms)
-        fidelity = abs(np.vdot(np.multiply.outer(b, c), amps[1, : b.size, : c.size]))
-        worst = max(worst, abs(fidelity - 1.0))
+    for at, (cfg, beta) in enumerate(zip(cfgs, betas)):
+        for signal, q in enumerate(mzi._classical_clicks(cfg, beta)(0.0)[::-1]):
+            arms = mzi.coherent_outputs(cfg, beta, bool(signal))
+            b, c = (fk.make_coherent(a).amps[:size] for a in arms)
+            exact = out[signal, ..., at]
+            fidelity = abs(np.vdot(np.multiply.outer(b, c), exact[: b.size, : c.size]))
+            clicks = float(np.sum(np.abs(exact[:, 1:]) ** 2))
+            worst = max(worst, abs(fidelity - 1.0), abs(clicks - q))
     _record_worst(
-        results, "elements", "classical-vs-exact-path", worst, 100 * tol,
-        "random BS/XPM sequences", "max fidelity gap",
+        results, "elements", "classical-vs-exact-path", worst, tol,
+        f"{len(cfgs)} random configs, |beta| <= 1.3, signal 0 and 1", "max gap",
     )
 
 

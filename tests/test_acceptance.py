@@ -111,7 +111,11 @@ def test_acceptance_8_determinism_and_performance(tmp_path, capsys):
 # every check of each suite as (module/name, params, expected), in report
 # order: a refactor of verify may not rename, resize or drop one unnoticed
 FAST_INVENTORY = [
-    ('elements/classical-vs-exact-path', 'random BS/XPM sequences', '<= 1e-08'),
+    (
+        'elements/classical-vs-exact-path',
+        '5 random configs, |beta| <= 1.3, signal 0 and 1',
+        '<= 1e-08',
+    ),
     ('mzi/zero-false-click', '120 random transparent configs, vacuum signal', '< 1e-12'),
     ('mzi/closed-form-vs-exact-noisy', '15x15 (theta1, phi_chi) grid', '<= 1e-10'),
     ('mzi/closed-form-vs-exact-coherent', 'beta in (1.0,), 8x8 grid', '<= 0'),
@@ -155,7 +159,11 @@ FAST_INVENTORY = [
     ('cascade/mc-first-click-histogram', '20000 shots', '<= 4.0 sigma'),
 ]
 FULL_INVENTORY = [
-    ('elements/classical-vs-exact-path', 'random BS/XPM sequences', '<= 1e-08'),
+    (
+        'elements/classical-vs-exact-path',
+        '10 random configs, |beta| <= 1.3, signal 0 and 1',
+        '<= 1e-08',
+    ),
     ('mzi/zero-false-click', '1000 random transparent configs, vacuum signal', '< 1e-12'),
     ('mzi/closed-form-vs-exact-noisy', '50x50 (theta1, phi_chi) grid', '<= 1e-10'),
     (

@@ -7,6 +7,7 @@ from xpmherald.cascade import (
     CascadeConfig,
     ENUMERATION_CAP,
     MAX_SETUPS,
+    MAX_SHOTS,
     reused_probe_pn,
     reused_probe_total,
     shared_probe_pn,
@@ -390,6 +391,15 @@ def test_closed_forms_reject_chains_past_the_setup_cap():
             with pytest.raises(ConfigurationError, match=str(MAX_SETUPS)):
                 call()
     assert CascadeConfig("reused_probe", MAX_SETUPS, 1.0, 1.0, 0.5).n_setups == MAX_SETUPS
+
+
+def test_monte_carlo_rejects_shots_past_the_cap():
+    # a shot holds a few per-shot array entries, so the count is checked
+    # before any is allocated and the cap is named in the message
+    cfg = CascadeConfig("shared_probe", 3, 1.0, 1.0, 0.5)
+    for shots in (MAX_SHOTS + 1, 10**20):
+        with pytest.raises(ConfigurationError, match=str(MAX_SHOTS)):
+            simulate_cascade(cfg, shots=shots, seed=1)
 
 
 def test_first_click_sums_equal_totals():

@@ -13,10 +13,12 @@ import pytest
 import xpmherald.elements as el
 import xpmherald.mzi as mzi
 import xpmherald.verify
+from xpmherald.cascade import MAX_SHOTS
 from xpmherald.cli import main
 from xpmherald.errors import ConfigurationError, TruncationError
 from xpmherald.experiments import (
     DEFAULT_FIG4_BETAS,
+    MAX_FIG4_ROWS,
     ExperimentConfig,
     ResultTable,
     run_experiment,
@@ -394,11 +396,15 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "fig4", "out": 5}],
         ["run", {"experiment": "fig4", "params": {"beta": [1e200]}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"beta": 1e200}}],
-        # sizes past any address space, so the allocation fails at once
+        # sizes far past the shot and row caps, checked before any allocation
         ["cascade", "--setups", "5", "--shots", "1000000000000000", "--seed", "1"],
         # a chain past the setup cap, whose per-rank table would never finish
         ["cascade", "--setups", "99999999999999999999"],
         ["run", {"experiment": "fig4", "params": {"phi_chi_points": 1e15}}],
+        # one past each cap, a size that would run out of memory further on
+        ["cascade", "--setups", "5", "--shots", str(MAX_SHOTS + 1), "--seed", "1"],
+        ["run", {"experiment": "fig4",
+                 "params": {"beta": [1.0], "phi_chi_points": MAX_FIG4_ROWS + 1}}],
         # a source efficiency past 1, and null for a number
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_b": 2.0}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_a": None}}],
@@ -496,6 +502,34 @@ def test_verify_catches_flipped_sign_convention(monkeypatch):
     failed_names = {r.name for r in results if not r.passed}
     assert "zero-false-click" in failed_names
     assert "zero-false-click" in report
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [
+        # the bright route's clicks with and without a signal photon exchanged
+        ("_classical_clicks",
+         lambda clicks: lambda cfg, beta: lambda p_absorb: clicks(cfg, beta)(p_absorb)[::-1]),
+        # the classical arms of the other signal branch
+        ("coherent_outputs",
+         lambda outputs: lambda cfg, beta, photon: outputs(cfg, beta, not photon)),
+    ],
+    ids=["swapped-classical-clicks", "flipped-photon-in-coherent-outputs"],
+)
+def test_verify_catches_faults_in_the_classical_path(monkeypatch, name, mutant):
+    # the elements check reads the package's own classical path, so a fault
+    # there must surface as its failure against exact propagation
+    monkeypatch.setattr(mzi, name, mutant(getattr(mzi, name)))
+    (result,) = run_suite("fast", modules=["elements"])
+    assert result.name == "classical-vs-exact-path"
+    assert not result.passed, result.line()
+
+
+def test_fig4_rejects_tables_past_the_row_cap():
+    # the rows are beta values times grid points, counted before any is built
+    past = {"beta": [0.5, 1.0], "phi_chi_points": MAX_FIG4_ROWS // 2 + 1}
+    with pytest.raises(ConfigurationError, match=str(MAX_FIG4_ROWS)):
+        run_experiment(ExperimentConfig("fig4", params=past))
 
 
 def test_whole_number_params_accept_integral_floats():

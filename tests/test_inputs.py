@@ -21,7 +21,6 @@ from xpmherald.elements import (
     XpmParams,
     apply_beam_splitter,
     apply_xpm,
-    bs_unitary,
 )
 from xpmherald.errors import ConfigurationError, ModeMismatchError, check_real
 from xpmherald.fock import (
@@ -146,7 +145,6 @@ HOSTILE = {
     "MziConfig(None, None, None)": lambda: MziConfig(None, None, None),
     "MziConfig xpm=1.0": lambda: MziConfig(CFG.bs1, CFG.bs2, 1.0),
     "MziConfig bs2=XpmParams": lambda: MziConfig(CFG.bs1, CFG.xpm, CFG.xpm),
-    "bs_unitary(None)": lambda: bs_unitary(None),
     # the transparent constructors returned a config is_transparent
     # rejects (a fractional or huge k or l), or raised TypeError and
     # OverflowError; an integral float or a bool is no integer either
