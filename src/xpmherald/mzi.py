@@ -31,12 +31,18 @@ The transparency test and the classical route of bright probes read the
 splitter algebra as Python numbers off its one source, the entries of
 ``elements._bs_entries``: ``_bc_product`` for the interferometer's
 substitution matrix, ``_classical_clicks`` for the entries a click needs.
+
+``sample_shots`` counts contiguous shards of its shot range on up to 4
+threads, one generator copy per draw and shard, so counts do not depend on
+the shard or core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -461,6 +467,8 @@ def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
 
 
 _SHOT_CHUNK = 1 << 16  # shots per round of sample_shots, its arrays 0.5 MB each
+MAX_SAMPLE_SHOTS = 10**9  # under half a minute of sampling on two cores; more is a config error
+_cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))  # CPUs available
 
 
 def sample_shots(
@@ -478,33 +486,58 @@ def sample_shots(
     all shots and in this order, the source branch, the probe branch (noisy
     probe with two branches only) and the detector outcome.  Counts are
     reproducible for a given seed and shot count, both non-negative
-    integers; splitting a run into batches changes them.  Each of the
-    three draws runs on its own copy of the generator, started where the
-    one generator would reach it, in rounds of ``_SHOT_CHUNK`` shots.
+    integers, at most ``MAX_SAMPLE_SHOTS`` shots; splitting a run into
+    batches changes them.  Up to min(4, CPUs) threads count contiguous
+    shards of the shot range in rounds of ``_SHOT_CHUNK`` shots, each draw
+    of each shard on its own copy of the generator, started where the one
+    generator would reach it: counts do not depend on the shard count.
     """
     check_count("n_shots", n_shots, 1)
+    if n_shots > MAX_SAMPLE_SHOTS:
+        raise ConfigurationError(f"n_shots is capped at {MAX_SAMPLE_SHOTS}, got {n_shots}")
     check_count("seed", seed)
-    setup = ((cfg,), (source,), (probe,))
-    weights, (_, clicks), _ = _click_table(*setup, require_transparent)[0]
+    weights, (_, clicks), _ = _click_table((cfg,), (source,), (probe,), require_transparent)[0]
     labelled = 0.0 < weights[0] < 1.0  # two probe branches, |1> (label 0) and vacuum
     table = np.ravel(clicks) if labelled else np.array(clicks)[:, weights.index(1.0)]
-    streams = []
-    for offset in range(0, (3 if labelled else 2) * n_shots, n_shots):
-        bits = np.random.Philox(seed)
-        bits.advance(offset // 4)  # a counter yields four words, a double takes one
-        streams.append(np.random.Generator(bits))
-        streams[-1].random(offset % 4)
-    photons = clicks_total = click_and_photon = 0
-    for start in range(0, n_shots, _SHOT_CHUNK):
-        size = min(_SHOT_CHUNK, n_shots - start)
-        photon = streams[0].random(size) < source.p
-        row = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
-        if labelled:
-            row = 2 * row + (streams[1].random(size) >= weights[0]).view(np.uint8)
-        click = streams[-1].random(size) < table[row]
-        photons += int(np.count_nonzero(photon))
-        clicks_total += int(np.count_nonzero(click))
-        click_and_photon += int(np.count_nonzero(click & photon))
+    shards = min(4, len(_cpus(0)), -(-n_shots // _SHOT_CHUNK))  # a round each at least
+    cuts = [n_shots * at // shards for at in range(shards + 1)]
+    totals: list = [None] * shards  # (photons, clicks, click_and_photon) or a fault
+
+    def shard(at: int) -> None:
+        try:
+            streams = []  # draw k of shot i is double k * n_shots + i of the one generator
+            for offset in range(cuts[at], (3 if labelled else 2) * n_shots, n_shots):
+                # a counter yields four words, a double takes one
+                streams.append(np.random.Generator(np.random.Philox(seed).advance(offset // 4)))
+                streams[-1].random(offset % 4)
+            photons = clicks_total = click_and_photon = 0
+            for start in range(cuts[at], cuts[at + 1], _SHOT_CHUNK):
+                size = min(_SHOT_CHUNK, cuts[at + 1] - start)
+                photon = streams[0].random(size) < source.p
+                row = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
+                if labelled:
+                    row = 2 * row + (streams[1].random(size) >= weights[0]).view(np.uint8)
+                click = streams[-1].random(size) < table[row]
+                photons += int(np.count_nonzero(photon))
+                clicks_total += int(np.count_nonzero(click))
+                click_and_photon += int(np.count_nonzero(click & photon))
+            totals[at] = photons, clicks_total, click_and_photon
+        except BaseException as exc:  # kept for the calling thread to raise
+            totals[at] = exc
+
+    threads = [threading.Thread(target=shard, args=(at,)) for at in range(1, shards)]
+    try:  # the caller counts shard 0 and joins every thread it started
+        for thread in threads:
+            thread.start()
+        shard(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for total in totals:
+        if isinstance(total, BaseException):
+            raise total
+    photons, clicks_total, click_and_photon = map(sum, zip(*totals))
     return {
         "click_and_photon": click_and_photon,
         "click_no_photon": clicks_total - click_and_photon,

@@ -23,7 +23,12 @@ from xpmherald.experiments import (
     ResultTable,
     run_experiment,
 )
-from xpmherald.mzi import CoherentProbe, detection_efficiency, transparent_via_angle_sum
+from xpmherald.mzi import (
+    MAX_SAMPLE_SHOTS,
+    CoherentProbe,
+    detection_efficiency,
+    transparent_via_angle_sum,
+)
 from xpmherald.verify import all_passed, format_report, run_suite
 
 
@@ -401,10 +406,13 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         # a chain past the setup cap, whose per-rank table would never finish
         ["cascade", "--setups", "99999999999999999999"],
         ["run", {"experiment": "fig4", "params": {"phi_chi_points": 1e15}}],
+        ["run", {"experiment": "purity-audit", "seed": 1, "params": {"shots": 1e15}}],
         # one past each cap, a size that would run out of memory further on
         ["cascade", "--setups", "5", "--shots", str(MAX_SHOTS + 1), "--seed", "1"],
         ["run", {"experiment": "fig4",
                  "params": {"beta": [1.0], "phi_chi_points": MAX_FIG4_ROWS + 1}}],
+        ["run", {"experiment": "purity-audit", "seed": 1,
+                 "params": {"shots": MAX_SAMPLE_SHOTS + 1}}],
         # a source efficiency past 1, and null for a number
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_b": 2.0}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"p_a": None}}],

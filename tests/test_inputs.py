@@ -39,6 +39,7 @@ from xpmherald.loss import (
     max_tolerable_loss,
 )
 from xpmherald.mzi import (
+    MAX_SAMPLE_SHOTS,
     CoherentProbe,
     MziConfig,
     NoisyPhotonProbe,
@@ -88,6 +89,10 @@ HOSTILE = {
         None, NoisySource(0.5), CoherentProbe(1.0), require_transparent=False
     ),
     "sample_shots source=0.5": lambda: sample_shots(CFG, 0.5, CoherentProbe(1.0), 10, 1),
+    # a campaign past the shot cap would sample for hours before any output
+    "sample_shots n_shots past the cap": lambda: sample_shots(
+        CFG, NoisySource(0.5), CoherentProbe(1.0), MAX_SAMPLE_SHOTS + 1, 1
+    ),
     "detection_efficiency cfg=None": lambda: detection_efficiency(None, CoherentProbe(1.0)),
     'is_transparent("x")': lambda: is_transparent("x"),
     "lossy_click_probs loss=None": lambda: lossy_click_probs(CFG, 1.0, None),

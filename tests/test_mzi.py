@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -900,6 +901,10 @@ def _whole_array_counts(cfg, source, probe, n_shots, seed):
 def test_sample_shots_streams_equal_whole_array_draws(n_shots):
     # the streamed draws start each generator copy where the whole arrays
     # would: every count equals the whole-array route's
+    _assert_streams_equal_whole_array_draws(n_shots)
+
+
+def _assert_streams_equal_whole_array_draws(n_shots):
     cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
     for seed, probe in enumerate(
         (NoisyPhotonProbe(NoisySource(0.7)), CoherentProbe(1.3 + 0.4j),
@@ -908,6 +913,57 @@ def test_sample_shots_streams_equal_whole_array_draws(n_shots):
         source = NoisySource(0.45)
         got = sample_shots(cfg, source, probe, n_shots, seed=seed + 3)
         assert got == _whole_array_counts(cfg, source, probe, n_shots, seed + 3)
+
+
+def _spy_on_threads(monkeypatch, cpus):
+    """Make ``cpus`` CPUs available to sample_shots; the list fills with
+    each thread it starts."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            super().start()
+            started.append(self)
+
+    monkeypatch.setattr(mzi, "_cpus", lambda _: range(cpus))
+    monkeypatch.setattr(mzi.threading, "Thread", Spy)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "n_shots", [1, 3, mzi._SHOT_CHUNK + 1, 2 * mzi._SHOT_CHUNK + 5, 200_001]
+)
+def test_sample_shots_counts_do_not_depend_on_the_shard_count(monkeypatch, cpus, n_shots):
+    # a shard per CPU, 4 at most and a round of shots each at least; cuts
+    # such as 200_001 // 3 fall inside a Philox counter (the % 4 discard)
+    started = _spy_on_threads(monkeypatch, cpus)
+    _assert_streams_equal_whole_array_draws(n_shots)
+    shards = min(cpus, -(-n_shots // mzi._SHOT_CHUNK))
+    assert len(started) == 4 * (shards - 1)  # four probes; one round starts no thread
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("faulty", ["one", "all"])
+def test_sample_shots_raises_a_fault_of_any_shard_in_the_caller(monkeypatch, faulty):
+    # a shard's error reaches the calling thread with its type, after every
+    # thread is joined, and leaves no unhandled thread exception behind
+    started = _spy_on_threads(monkeypatch, 4)
+    philox, hooked = np.random.Philox, []
+
+    def failing(seed):
+        if threading.current_thread() is not threading.main_thread() or faulty == "all":
+            raise MemoryError("shard out of memory")
+        return philox(seed)
+
+    monkeypatch.setattr(np.random, "Philox", failing)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="shard out of memory"):
+        sample_shots(cfg, NoisySource(0.45), CoherentProbe(1.3), 4 * mzi._SHOT_CHUNK, seed=1)
+    assert len(started) == 3 and threading.active_count() == before
+    assert hooked == []
 
 
 # --- the memo of mzi._propagate_one ---------------------------------------
