@@ -13,10 +13,9 @@ conserve the photon total of the splitter modes, so the interferometer
 of ``mzi`` runs as one gather, four batched real products and one scatter.
 The angles and phases enter only as diagonals around those blocks, so
 configurations on the slots of a trailing axis share that whole chain.
-The chain can hand out its state after a mixing first stage, read-only
-and a function of the input and that stage alone, and later resume from it
-(``mzi`` memoizes it) by the same floating-point operations on the same
-shapes as an unbroken run, so the output bytes cannot differ.
+The chain returns its state after a mixing first stage, read-only and a
+function of the input and that stage alone; no stage writes a state, so a run
+resumed from it (``mzi`` memoizes it) repeats every operation of an unbroken one.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def _diagonal_index(
     return gather, scatter
 
 
-def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_max=None, first=None):
+def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_max=None, held=None):
     """Apply, in order, beam splitters on ``modes`` and XPM phases on
     ``(partner, modes[0])`` to an amplitude array.  Each stage is a tuple of
     one BeamSplitterParams or XpmParams per slot: one slot acts on the whole
@@ -178,12 +177,13 @@ def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_ma
     reaches every row of a block, so an occupied total past a cutoff raises
     instead of dropping amplitude, which would fake the no-false-click
     guarantee.  A given ``t_max``, the largest occupied total, spares its
-    search.  ``first=[]`` receives ``(shape, t_max, state)`` after a mixing
-    first stage, and ``first=[(shape, t_max, state)]`` resumes from it."""
+    search.  Returns ``(out, held)``, ``held`` the ``(shape, t_max, state)``
+    after a mixing first stage, else None; passed back in place of ``amps``,
+    it resumes the chain, whose stages write no state (each is read-only)."""
     i, j = modes
     # the theta and psi rows of each mixing stage, flat; the phase row of
     # each XPM stage with the number k of mixing stages before it
-    rates, k, xpms = [], 0, []
+    rates, k, xpms, keep = [], 0, [], True
     for stage in stages:
         if isinstance(stage[0], XpmParams):
             xpms.append((k, [p.phi_chi for p in stage]))
@@ -192,19 +192,18 @@ def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_ma
             if any(thetas):  # a stage of identities is skipped
                 rates += thetas + psis
                 k += 1
-        if not k:  # the first stage does not mix: no state to keep
-            first = None
+        keep = keep and k > 0  # the state after the first stage is handed out if it mixes
     if not k:
         for _, phis in xpms:
             amps = _xpm(amps, (partner, i), np.array(phis))
-        return amps
-    shape, t_max, held = first[0] if first else (amps.shape, t_max, None)
+        return amps, None
+    shape, t_max, state = held or (amps.shape, t_max, None)
     if t_max is None:
         occupied = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes))
         n, m = occupied.nonzero()
         t_max = int((n + m).max(initial=-1))
     if t_max < 0:
-        return amps
+        return amps, None
     cuts = (shape[i] - 1, shape[j] - 1)
     if t_max > min(cuts):
         raise CutoffViolationError(
@@ -220,9 +219,9 @@ def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_ma
     rates += [a * s for _, phis in xpms for s in range(size) for a in phis]
     rates = np.array(rates).reshape(-1, slots)
     ph = np.exp(1j * (rates[:, None, :] * np.arange(t_max + 1)[:, None]))
-    th, p = ph[0 : 2 * k : 2, None, :, None], ph[1 : 2 * k : 2, :, None, None, None]
+    th, p = ph[0 : 2 * k : 2, None, :, None, None, None], ph[1 : 2 * k : 2, :, None, None, None]
     inv = ph[: 2 * k].conj()
-    lams = inv[0::2, :, None, None] * (th * th)
+    lams = inv[0::2, :, None, None, None, None] * (th * th)
     # the diagonals before, between and after the W pairs, in the layout (T,
     # n, rest axes before the partner's, s, rest after, slot): each P merges
     # with the next splitter's P^-1 and the XPM phases between them
@@ -232,26 +231,22 @@ def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_ma
     for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1, slots)):
         diags[at] *= rows.transpose(1, 0, 2)[:, None, :, None]
     before = math.prod(shape[a] for a in range(partner or 0) if a not in modes)
-    split = (t_max + 1, t_max + 1, before, size, -1, slots)
-    if held is None:
-        x_split = np.concatenate((amps.ravel(), _ZERO))[gather].reshape(split)
+    if state is None:  # the gathered input, which the first stage mixes in place
+        x_split = np.concatenate((amps.ravel(), _ZERO))[gather]
+        x_split = x_split.reshape(t_max + 1, t_max + 1, before, size, -1, slots)
         x_split *= diags[0]
-    else:  # out of place: the held state is never written
-        x_split = np.multiply(held, diags[1])
-    x = x_split.reshape(t_max + 1, t_max + 1, -1)
-    y = np.empty_like(x)
-    x_real, y_real = x.view(np.float64), y.view(np.float64)
-    y_split = y.reshape(t_max + 1, t_max + 1, -1, slots)
-    w = _hadamard_blocks(t_max)
-    for at in range(0 if held is None else 1, k):
-        np.matmul(w, x_real, out=y_real)
-        y_split *= lams[at]
-        np.matmul(w, y_real, out=x_real)
-        if first == [] and not at:
-            first.append((shape, t_max, x_split.copy()))
-            first[0][2].flags.writeable = False
-        x_split *= diags[at + 1]
-    return np.concatenate((x.ravel(), _ZERO))[scatter].reshape(shape)
+    w, flat = _hadamard_blocks(t_max), lambda a: a.reshape(t_max + 1, t_max + 1, -1).view(float)
+    y = np.empty_like(state if held else x_split)
+    for at in range(0 if state is None else 1, k):
+        if at:  # out of place: the state is never written
+            x_split = state * diags[at]
+        np.matmul(w, flat(x_split), out=flat(y))
+        y *= lams[at]  # in place on the array itself: a reshape would add a setitem copy
+        np.matmul(w, flat(y), out=flat(x_split))
+        state, x_split.flags.writeable = x_split, False
+        held = (shape, t_max, state) if keep and not at else held
+    out = np.multiply(state, diags[k], out=y).ravel()  # y is free after the last stage
+    return np.concatenate((out, _ZERO))[scatter].reshape(shape), held
 
 
 def _xpm(amps: np.ndarray, modes: tuple[int, int], phi_chi) -> np.ndarray:
@@ -282,7 +277,7 @@ def apply_beam_splitter(
     scatter.  An occupied total past a cutoff raises CutoffViolationError
     unless the splitter is the identity (see ``_apply_chain``)."""
     _check_element(ket, modes, p, BeamSplitterParams)
-    return MultiModeKet._unchecked(_apply_chain(ket.amps, modes, ((p,),)))
+    return MultiModeKet._unchecked(_apply_chain(ket.amps, modes, ((p,),))[0])
 
 
 def apply_xpm(

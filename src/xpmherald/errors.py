@@ -70,10 +70,12 @@ def check_real(
 
 
 def check_amplitude(name: str, value) -> None:
-    """Raise ConfigurationError unless the amplitude ``value`` is a number
-    with a finite squared modulus, which a finite one above about 1.3e154
-    lacks."""
+    """Raise ConfigurationError unless the amplitude ``value`` is a number,
+    not a bool, with a finite squared modulus, which a finite one above
+    about 1.3e154 lacks."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # abs(True) would read as 1
+            raise TypeError
         modulus = float(abs(value))  # a string or None has no abs()
     except TypeError:
         raise ConfigurationError(f"{name} must be a number, got {value!r}") from None

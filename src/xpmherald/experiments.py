@@ -154,11 +154,11 @@ def _count_param(cfg: ExperimentConfig, name: str, default: int) -> int:
 
 
 def _param_list(cfg: ExperimentConfig, name: str, default) -> list[float]:
-    """List parameter ``name`` as floats, or ``default`` when omitted."""
+    """Non-empty list parameter ``name`` as floats, or ``default`` when omitted."""
     values = cfg.params.get(name, default)
-    if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
+    if not (isinstance(values, (list, tuple)) and values and all(map(_is_number, values))):
         raise ConfigurationError(
-            f"parameter {name!r} must be a list of numbers, got {values!r}"
+            f"parameter {name!r} must be a non-empty list of numbers, got {values!r}"
         )
     return [float(v) for v in values]
 
@@ -168,8 +168,8 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     coherent probe amplitudes, at the optimal symmetric splitter."""
     betas = _param_list(cfg, "beta", DEFAULT_FIG4_BETAS)
     num = _count_param(cfg, "phi_chi_points", 121)
-    if num < 2 or not betas:
-        raise ConfigurationError("fig4 needs a non-empty beta list and >= 2 grid points")
+    if num < 2:
+        raise ConfigurationError("fig4 needs >= 2 grid points")
     if len(betas) * num > MAX_FIG4_ROWS:
         raise ConfigurationError(f"fig4 is capped at {MAX_FIG4_ROWS} rows, got {len(betas) * num}")
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()

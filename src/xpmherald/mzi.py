@@ -20,9 +20,9 @@ input shape, and ``_run_setups`` makes each slot's outcome.
 The last two run ``_propagate_one``: along a phi_chi sweep the first
 splitter meets one input again and again, so ``_memo`` keeps the read-only
 state after it, keyed by the exact bits of bs1's (theta, phi) and of a
-coherent probe's beta, the probe kind and the blocks function, and stored
-when a key comes back, 8 keys at most.  A hit skips ``make_coherent``, the
-input array, the gather and the first splitter, same bytes out (``elements``).
+coherent probe's beta, the probe kind and the blocks function, stored on a
+key's first miss, 8 keys at most.  A hit skips ``make_coherent``, the input
+array, the gather and the first splitter, same bytes out (``elements``).
 Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
 far below every tolerance the audits apply; ``make_coherent(beta, policy)``
 is where a caller can still choose another.
@@ -256,12 +256,12 @@ def transparency_sign(cfg: MziConfig) -> int:
     return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
-def _propagate(amps, cfgs, t_max=None, first=None) -> np.ndarray:
+def _propagate(amps, cfgs, t_max=None, held=None) -> tuple:
     """Exact propagation of an array with the mode axes laid out above: one
     configuration propagates it whole, S > 1 each propagate one slot of the
-    last axis, of length S.  One chain (``_apply_chain``) serves them all."""
+    last axis, of length S.  One chain, ``_apply_chain``, gives (out, held)."""
     stages = tuple(zip(*[(cfg.bs1, cfg.xpm, cfg.bs2) for cfg in cfgs]))
-    return _apply_chain(amps, (PROBE, AUX), stages, SIGNAL, t_max, first)
+    return _apply_chain(amps, (PROBE, AUX), stages, SIGNAL, t_max, held)
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
@@ -272,7 +272,7 @@ def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
         raise ConfigurationError(f"not a MultiModeKet and an MziConfig: {kinds}")
     if ket.amps.ndim < 3:
         raise ModeMismatchError(f"the setup needs modes 0-2, the ket has {ket.amps.ndim}")
-    return MultiModeKet._unchecked(_propagate(ket.amps, (cfg,)))
+    return MultiModeKet._unchecked(_propagate(ket.amps, (cfg,))[0])
 
 
 def coherent_outputs(
@@ -356,7 +356,7 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
         groups.setdefault(getattr(column, "shape", None), []).append((slot, weights, column))
     for members in groups.values():
         out = (_propagate_one(cfgs[0], probes[0]) if len(cfgs) == 1 else
-               _propagate(_inputs([c for _, _, c in members]), [cfgs[s] for s, _, _ in members]))
+               _propagate(_inputs([c for _, _, c in members]), [cfgs[s] for s, _, _ in members])[0])
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
         click = probs[:, 1:].sum(axis=1).transpose(2, 0, 1).tolist()
@@ -382,13 +382,13 @@ def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
     key = bits, coherent, elements._hadamard_blocks
     held = _memo.get(key)
     if held is not None:
-        return _propagate(None, (cfg,), first=[held])
+        return _propagate(None, (cfg,), held=held)[0]
     column = make_coherent(beta).amps[:, None] if coherent else _PHOTON_OR_VACUUM
-    first = [] if key in _memo else None
-    out = _propagate(_inputs([column]), (cfg,), len(column) - 1, first)
-    _memo[key] = first[0] if first else None
-    for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
-        _memo.pop(old, None)
+    out, held = _propagate(_inputs([column]), (cfg,), len(column) - 1)
+    if held is not None:
+        _memo[key] = held
+        for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
+            _memo.pop(old, None)
     return out
 
 

@@ -121,24 +121,22 @@ def _random_probe(rng) -> mzi.Probe:
 
 
 def _check_elements(results, rng, dense: bool):
-    # the classical path of bright probes against one exact batch of the same
-    # truncated probes: per signal slice, the fidelity with the product of
-    # the ``coherent_outputs`` arms and the click mass of ``_classical_clicks``
+    # the classical path of bright probes against the scheme's exact batch of
+    # the same truncated probes: per signal slice, the fidelity with the product
+    # of the ``coherent_outputs`` arms and the click mass of ``_classical_clicks``
     tol = 100 * fk.TruncationPolicy.tail_tolerance
     cfgs, betas = [], []
     for i in range(10 if dense else 5):
         cfgs.append(_random_nontransparent(rng) if i % 2 else random_transparent(rng))
         betas.append(complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5)))
-    columns = [fk.make_coherent(beta).amps for beta in betas]
-    size = max(column.size for column in columns)
-    padded = [np.pad(column, (0, size - column.size))[:, None] for column in columns]
-    out = mzi._propagate(mzi._inputs(padded), cfgs)[..., 0, :]  # (A, B, C, slot)
+    probes = [mzi.CoherentProbe(beta) for beta in betas]
+    tables = mzi._click_table(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes, False)
     worst = 0.0
-    for at, (cfg, beta) in enumerate(zip(cfgs, betas)):
+    for cfg, beta, (_, _, out) in zip(cfgs, betas, tables):
         for signal, q in enumerate(mzi._classical_clicks(cfg, beta)(0.0)[::-1]):
             arms = mzi.coherent_outputs(cfg, beta, bool(signal))
-            b, c = (fk.make_coherent(a).amps[:size] for a in arms)
-            exact = out[signal, ..., at]
+            exact = out[signal, ..., 0]  # (B, C)
+            b, c = (fk.make_coherent(a).amps[: len(exact)] for a in arms)
             fidelity = abs(np.vdot(np.multiply.outer(b, c), exact[: b.size, : c.size]))
             clicks = float(np.sum(np.abs(exact[:, 1:]) ** 2))
             worst = max(worst, abs(fidelity - 1.0), abs(clicks - q))
@@ -242,7 +240,7 @@ def _check_mzi(results, rng, dense: bool):
     # (-1)^(photons in B and C) phase on each basis state
     signs = np.array([mzi.transparency_sign(cfg) for cfg in cfgs])
     occ = np.indices((4, 4)).sum(axis=0)[None, :, :, None]
-    devs = np.abs(mzi._propagate(amps, cfgs) - amps * signs**occ).max(axis=(0, 1, 2))
+    devs = np.abs(mzi._propagate(amps, cfgs)[0] - amps * signs**occ).max(axis=(0, 1, 2))
     worst = float(devs.max())
     worst_strict = float(devs[signs == 1].max(initial=0.0))
     n_strict = int(np.count_nonzero(signs == 1))
@@ -264,7 +262,7 @@ def _check_mzi(results, rng, dense: bool):
     cfgs = [_random_nontransparent(rng) for _ in range(n_cfg)]
     amps = np.zeros((2, 4, 4, n_cfg), dtype=complex)
     amps[0, 1, 0] = 1.0
-    deviates = np.abs(mzi._propagate(amps, cfgs) - amps) > 1e-12
+    deviates = np.abs(mzi._propagate(amps, cfgs)[0] - amps) > 1e-12
     found_all = bool(deviates.any(axis=(0, 1, 2)).all())
     _record(
         results, "mzi", "nontransparent-violation-found", found_all,

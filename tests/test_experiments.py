@@ -141,6 +141,31 @@ def test_purity_audit_csv_bytes_golden(params, seed, digest, text_digest):
     assert _text_digest(text) == text_digest
 
 
+# the whole CSV of a small Monte Carlo cascade run, manifest block included
+MONTE_CARLO_CASCADE_CSV = """\
+# experiment = cascade
+# version = 0.2.0
+# scheme = reused_probe
+# alpha_sq = 4.0
+# phi_chi = 1.5707963267948966
+# p = 0.6
+# total = 0.5899
+# residual_amp = 0.5000000000000001
+# shots = 20000
+# seed = 5
+setup,p_first_click
+1,0.8689026915113872
+2,0.08265010351966874
+3,0.019296066252587993
+4,0.006211180124223602
+"""
+
+
+def test_monte_carlo_cascade_csv_full_text_golden(capsys):
+    assert main(["cascade", "--setups", "4", "--shots", "20000", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == MONTE_CARLO_CASCADE_CSV
+
+
 def test_shared_probe_cascade_csv_bytes_golden(capsys):
     assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
     text = capsys.readouterr().out
@@ -169,6 +194,14 @@ def test_loss_bounds_rejects_bad_beta_sq(beta_sq):
         "loss-bounds", params={"phi_chi": [3.14], "beta_sq": [1.0, beta_sq]}
     )
     with pytest.raises(ConfigurationError, match="beta_sq"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("name", ["phi_chi", "beta_sq"])
+def test_loss_bounds_rejects_an_empty_list(name):
+    # an empty list used to give a header-only CSV and exit 0
+    cfg = ExperimentConfig("loss-bounds", params={name: []})
+    with pytest.raises(ConfigurationError, match=f"parameter '{name}' must be a non-empty list"):
         run_experiment(cfg)
 
 
@@ -395,6 +428,9 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "purity-audit", "seed": True}],
         ["run", {"experiment": "fig4", "params": {"beta": 2.0}}],
         ["run", {"experiment": "loss-bounds", "params": {"phi_chi": 3.0}}],
+        ["run", {"experiment": "loss-bounds", "params": {"phi_chi": []}}],
+        ["run", {"experiment": "loss-bounds", "params": {"beta_sq": []}}],
+        ["run", {"experiment": "fig4", "params": {"beta": []}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"beta": [1.0]}}],
         ["run", {"experiment": "purity-audit", "seed": 1, "params": {"shots": math.inf}}],
         ["run", {"experiment": "fig4", "params": {"phi_chi_points": math.inf}}],
@@ -473,6 +509,16 @@ def test_verify_group_alone_reproduces_its_part_of_the_suite():
     alone = [r.line() for g in groups for r in run_suite("fast", modules=[g])]
     assert alone == [r.line() for r in run_suite("fast")]
     assert run_suite("fast", modules=["fock"]) == []  # retired group name
+
+
+def test_verify_records_a_crashed_group_as_a_failed_check(monkeypatch):
+    def crash(results, rng, dense):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(xpmherald.verify, "_check_loss", crash)
+    (result,) = run_suite("fast", modules=["loss"])
+    assert (result.module, result.name, result.passed) == ("loss", "check-group-crashed", False)
+    assert result.observed == "RuntimeError: boom"
 
 
 def test_verify_stays_off_the_fock_toolkit():

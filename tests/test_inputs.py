@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from xpmherald.cascade import (
@@ -25,6 +26,7 @@ from xpmherald.elements import (
 from xpmherald.errors import ConfigurationError, ModeMismatchError, check_real
 from xpmherald.fock import (
     Ensemble,
+    MultiModeKet,
     TruncationPolicy,
     condition,
     make_coherent,
@@ -53,8 +55,10 @@ from xpmherald.mzi import (
     transparent_via_angle_diff,
     transparent_via_angle_sum,
 )
+from xpmherald.verify import run_suite
 
 CFG = transparent_via_angle_sum(math.pi / 4.0, 0.0, math.pi)
+LEAKY = MziConfig(BeamSplitterParams(0.3), BeamSplitterParams(0.3), XpmParams(math.pi))
 KET = make_fock((0, 1), (1, 1))
 
 HOSTILE = {
@@ -165,6 +169,15 @@ HOSTILE = {
     "angle_diff l=0.5": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, l=0.5),
     "angle_diff l=10**400": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, l=10**400),
     "angle_diff k=10**8": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, k=10**8),
+    # a bool amplitude was read as 1 (abs(True) == 1)
+    "CoherentProbe(True)": lambda: CoherentProbe(True),
+    "coherent_outputs beta=True": lambda: coherent_outputs(CFG, True, True),
+    "CascadeConfig alpha=True": lambda: CascadeConfig("reused_probe", 3, True, 1.0, 0.5),
+    "lossy_click_probs beta=True": lambda: lossy_click_probs(CFG, True, LossParams(0.1)),
+    "make_coherent(np.True_)": lambda: make_coherent(np.True_),
+    # the loss model assumes transparency
+    "lossy_click_probs leaky cfg": lambda: lossy_click_probs(LEAKY, 1.0, LossParams(0.1)),
+    "max_tolerable_loss leaky cfg": lambda: max_tolerable_loss(LEAKY, 1.0),
 }
 
 
@@ -177,6 +190,7 @@ def test_hostile_input_raises_configuration_error(name):
 MISMATCHED_MODES = {
     # a 2-mode ket raised a bare "not enough values to unpack"
     "propagate_mzi 2-mode ket": lambda: propagate_mzi(KET, CFG),
+    "make_fock 2 occupations, 3 cutoffs": lambda: make_fock((0, 1), (1, 1, 1)),
 }
 
 
@@ -184,6 +198,29 @@ MISMATCHED_MODES = {
 def test_mode_mismatch_raises_mode_mismatch_error(name):
     with pytest.raises(ModeMismatchError):
         MISMATCHED_MODES[name]()
+
+
+UNDEFINED = {
+    # requests with no defined answer: a plain ValueError naming the cause
+    "tensor([])": (lambda: tensor([]), "zero kets"),
+    "mode_number_distribution of a zero ket": (
+        lambda: mode_number_distribution(MultiModeKet(np.zeros((2, 2))), 0), "zero-norm"
+    ),
+    "condition weights summing to 0.5": (
+        lambda: condition(Ensemble([(0.5, KET)]), 0, "zero"), "sum to 0.5"
+    ),
+    "apply_beam_splitter on one mode twice": (
+        lambda: apply_beam_splitter(KET, (1, 1), BeamSplitterParams(0.3)), "distinct"
+    ),
+    'run_suite("bogus")': (lambda: run_suite("bogus"), "unknown suite 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("name", list(UNDEFINED))
+def test_undefined_request_raises_value_error(name):
+    call, message = UNDEFINED[name]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("tol", [0, 1.0, 2, math.nan])

@@ -868,7 +868,7 @@ def test_batched_slots_match_single_runs():
     # one random (A, B, C) ket per slot, B + C <= 5
     amps = np.stack([random_ket(rng, (1, 5, 5), max_total=6).amps for _ in cfgs], axis=-1)
     amps[:, np.add.outer(range(6), range(6)) > 5] = 0.0
-    batched = mzi._propagate(amps, cfgs)
+    batched = mzi._propagate(amps, cfgs)[0]
     for slot, cfg in enumerate(cfgs):
         alone = propagate_mzi(MultiModeKet._unchecked(amps[..., slot]), cfg).amps
         assert np.max(np.abs(batched[..., slot] - alone)) <= 1e-14
@@ -987,9 +987,9 @@ def _spy_propagate(monkeypatch):
     """Record (amps, t_max, resumed) of every mzi._propagate call."""
     calls, real = [], mzi._propagate
 
-    def spy(amps, cfgs, t_max=None, first=None):
-        calls.append((amps, t_max, bool(first)))
-        return real(amps, cfgs, t_max, first)
+    def spy(amps, cfgs, t_max=None, held=None):
+        calls.append((amps, t_max, held is not None))
+        return real(amps, cfgs, t_max, held)
 
     monkeypatch.setattr(mzi, "_propagate", spy)
     return calls
@@ -1024,9 +1024,10 @@ def test_memo_sweep_equals_runs_with_memo_cleared(monkeypatch, kind):
                 rows.append(sample_shots(cfg, source, probe, 3000, seed=4, require_transparent=transparent))
         runs.append(rows)
     assert runs[0] == runs[1]
-    # the warm sweep resumed on all but its first two calls per probe
+    # the warm sweep resumed on all but its first call per probe
     resumed = sum(resumed for _, _, resumed in calls)
-    assert resumed == (0 if kind == "identity first" else len(probes) * 22)
+    assert resumed == (0 if kind == "identity first" else len(probes) * 23)
+    assert (mzi._memo == {}) == (kind == "identity first")  # no state to store
 
 
 def test_memo_never_shares_an_entry(monkeypatch):
@@ -1049,9 +1050,9 @@ def test_memo_never_shares_an_entry(monkeypatch):
         for _ in range(2):  # stores the first input's state
             run_setup(cfg_a, NoisySource(0.7), probe_a)
         del calls[:]
-        for _ in range(2):
+        for _ in range(2):  # misses, stores its own state, then resumes from it
             run_setup(cfg_b, NoisySource(0.7), probe_b)
-        assert [resumed for _, _, resumed in calls] == [False, False]
+        assert [resumed for _, _, resumed in calls] == [False, True]
         assert len(mzi._memo) == 2
 
 
@@ -1063,6 +1064,7 @@ def test_memo_holds_at_most_eight_read_only_states(monkeypatch):
             for _ in range(2):
                 run_setup(cfg, NoisySource(0.7), probe)
             assert len(mzi._memo) <= 8
+    assert all(entry is not None for entry in mzi._memo.values())
     states = [entry[2] for entry in mzi._memo.values()]
     assert len(states) == 8
     for state in states:
