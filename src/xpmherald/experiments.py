@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, check_count, check_real
-from .fock import TruncationPolicy
 from .loss import REFERENCE_LOSS_BOUNDS, max_tolerable_loss
 from .mzi import (
     CoherentProbe,
@@ -286,8 +285,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     table.manifest.setdefault(
         "config_params", json.dumps(cfg.params, sort_keys=True)
     )
-    # the scheme routes' one truncation; the line stays until output 0.3.0
-    table.manifest.setdefault("trunc_tol", repr(TruncationPolicy.tail_tolerance))
     if cfg.seed is not None:
         table.manifest.setdefault("seed", cfg.seed)
     if cfg.out:

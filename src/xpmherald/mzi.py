@@ -32,17 +32,15 @@ splitter algebra as Python numbers off its one source, the entries of
 ``elements._bs_entries``: ``_bc_product`` for the interferometer's
 substitution matrix, ``_classical_clicks`` for the entries a click needs.
 
-``sample_shots`` counts contiguous shards of its shot range on up to 4
-threads, one generator copy per draw and shard, so counts do not depend on
-the shard or core count.
+``sample_shots`` reads the same table: every shot falls in one of four
+(click, photon) cells of fixed probability, so its counts are one
+multinomial draw.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -121,6 +119,8 @@ class CoherentProbe:
 
 Probe = NoisyPhotonProbe | CoherentProbe
 
+_ROUNDING_FLOOR = 1e-20  # over the ~1e-29 rounding leaves a vacuum signal; 10**9 shots resolve 1e-9
+
 
 @dataclass(frozen=True)
 class HeraldOutcome:
@@ -130,8 +130,11 @@ class HeraldOutcome:
     signal mode, for any source, a vacuum source included; ``total_success``
     is it times the source efficiency.  ``truncation_deficit`` bounds the
     probability mass lost to coherent-state truncation; all probabilities
-    here under-count by at most that much.
-    ``purity_given_click`` is undefined when the click probability vanishes
+    here under-count by at most that much.  A vacuum signal's click mass at
+    or below that deficit plus ``_ROUNDING_FLOOR`` is rounding noise, as on
+    a transparent setup, and ``p_click`` leaves it out: a vacuum source's
+    ``p_click`` is then 0.
+    ``purity_given_click`` is undefined when the click probability is 0
     and raises on access in that case.
 
     ``click_state`` and ``no_click_state`` are the conditioned branch
@@ -165,7 +168,7 @@ class HeraldOutcome:
 
     def _conditioned(self, event: str) -> Ensemble | None:
         """Each slice as a zero-padded 3-mode ket, conditioned on ``event``."""
-        if self._branches is None:
+        if self._branches is None or (event == "at_least_one" and self.p_click == 0.0):
             return None
         out, branches = self._branches
         kets = []
@@ -402,7 +405,6 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
         detection_eff = sum(w * q for w, q in zip(weights, click[1]))
         # the click-posterior weight of the photon branches
         photon_click = sum(w * q for w, q in zip(joint[1], click[1]))
-        purity = photon_click / p_click if p_click > 0.0 else None
         deficit, kept = 0.0, None
         if out is not None:
             # the positive-weight (signal, label) slices, photon branches first
@@ -412,6 +414,9 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
                 raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
             weighted = sum(w * sq for (w, _, _), sq in zip(branches, squared_norms))
             deficit, kept = max(0.0, 1.0 - weighted), (out, branches)
+        if p_click - photon_click <= deficit + _ROUNDING_FLOOR:  # vacuum clicks: rounding noise
+            p_click = photon_click
+        purity = photon_click / p_click if p_click > 0.0 else None
         total = detection_eff * source.p
         outcomes.append(HeraldOutcome(p_click, detection_eff, total, deficit, purity, kept))
     return outcomes
@@ -466,9 +471,9 @@ def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     return _coherent_efficiency(cfg.bs1.theta, cfg.xpm.phi_chi, probe.beta)
 
 
-_SHOT_CHUNK = 1 << 16  # shots per round of sample_shots, its arrays 0.5 MB each
-MAX_SAMPLE_SHOTS = 10**9  # under half a minute of sampling on two cores; more is a config error
-_cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))  # CPUs available
+# n shots resolve rates down to about 1 / n: at the cap, ten times the 1e-10
+# tail tolerance to which the cells are exact.  More is a config error.
+MAX_SAMPLE_SHOTS = 10**9
 
 
 def sample_shots(
@@ -481,66 +486,22 @@ def sample_shots(
 ) -> dict[str, int]:
     """Monte Carlo photodetection over repeated runs of the setup.
 
-    One propagation of every input branch gives the click probability per
-    (signal, probe branch).  A counter-based generator then draws, each for
-    all shots and in this order, the source branch, the probe branch (noisy
-    probe with two branches only) and the detector outcome.  Counts are
-    reproducible for a given seed and shot count, both non-negative
-    integers, at most ``MAX_SAMPLE_SHOTS`` shots; splitting a run into
-    batches changes them.  Up to min(4, CPUs) threads count contiguous
-    shards of the shot range in rounds of ``_SHOT_CHUNK`` shots, each draw
-    of each shard on its own copy of the generator, started where the one
-    generator would reach it: counts do not depend on the shard count.
+    ``_click_table`` gives q_s, the click probability with s signal photons,
+    a noisy probe's branches folded in by their weights.  With p the source
+    efficiency, each shot falls in the four cells of the counts with the
+    probabilities p q1, (1 - p) q0, p (1 - q1) and (1 - p) (1 - q0), so the
+    counts are one multinomial draw of a Philox generator: reproducible for
+    a given seed and shot count, both non-negative integers, at most
+    ``MAX_SAMPLE_SHOTS`` shots.  Splitting a run into batches changes them.
     """
     check_count("n_shots", n_shots, 1)
     if n_shots > MAX_SAMPLE_SHOTS:
         raise ConfigurationError(f"n_shots is capped at {MAX_SAMPLE_SHOTS}, got {n_shots}")
     check_count("seed", seed)
     weights, (_, clicks), _ = _click_table((cfg,), (source,), (probe,), require_transparent)[0]
-    labelled = 0.0 < weights[0] < 1.0  # two probe branches, |1> (label 0) and vacuum
-    table = np.ravel(clicks) if labelled else np.array(clicks)[:, weights.index(1.0)]
-    shards = min(4, len(_cpus(0)), -(-n_shots // _SHOT_CHUNK))  # a round each at least
-    cuts = [n_shots * at // shards for at in range(shards + 1)]
-    totals: list = [None] * shards  # (photons, clicks, click_and_photon) or a fault
-
-    def shard(at: int) -> None:
-        try:
-            streams = []  # draw k of shot i is double k * n_shots + i of the one generator
-            for offset in range(cuts[at], (3 if labelled else 2) * n_shots, n_shots):
-                # a counter yields four words, a double takes one
-                streams.append(np.random.Generator(np.random.Philox(seed).advance(offset // 4)))
-                streams[-1].random(offset % 4)
-            photons = clicks_total = click_and_photon = 0
-            for start in range(cuts[at], cuts[at + 1], _SHOT_CHUNK):
-                size = min(_SHOT_CHUNK, cuts[at + 1] - start)
-                photon = streams[0].random(size) < source.p
-                row = photon.view(np.uint8)  # the 0/1 table row of each shot, no copy
-                if labelled:
-                    row = 2 * row + (streams[1].random(size) >= weights[0]).view(np.uint8)
-                click = streams[-1].random(size) < table[row]
-                photons += int(np.count_nonzero(photon))
-                clicks_total += int(np.count_nonzero(click))
-                click_and_photon += int(np.count_nonzero(click & photon))
-            totals[at] = photons, clicks_total, click_and_photon
-        except BaseException as exc:  # kept for the calling thread to raise
-            totals[at] = exc
-
-    threads = [threading.Thread(target=shard, args=(at,)) for at in range(1, shards)]
-    try:  # the caller counts shard 0 and joins every thread it started
-        for thread in threads:
-            thread.start()
-        shard(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-    for total in totals:
-        if isinstance(total, BaseException):
-            raise total
-    photons, clicks_total, click_and_photon = map(sum, zip(*totals))
-    return {
-        "click_and_photon": click_and_photon,
-        "click_no_photon": clicks_total - click_and_photon,
-        "no_click_photon": photons - click_and_photon,
-        "no_click_no_photon": n_shots - photons - clicks_total + click_and_photon,
-    }
+    q0, q1 = (sum(w * q for w, q in zip(weights, row)) for row in clicks)
+    p = source.p
+    cells = (p * q1, (1.0 - p) * q0, p * (1.0 - q1), (1.0 - p) * (1.0 - q0))
+    counts = np.random.Generator(np.random.Philox(seed)).multinomial(n_shots, cells)
+    keys = ("click_and_photon", "click_no_photon", "no_click_photon", "no_click_no_photon")
+    return dict(zip(keys, counts.tolist()))

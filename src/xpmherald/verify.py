@@ -158,8 +158,9 @@ def _check_mzi(results, rng, dense: bool):
         else:
             mag, ang = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 2.0 * math.pi))
             probes.append(mzi.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang))))
-    vacuum = [mzi.NoisySource(0.0)] * n_cfg
-    worst = max(outcome.p_click for outcome in mzi._run_setups(cfgs, vacuum, probes))
+    # the click mass as propagated: p_click leaves out a vacuum mass within the deficit
+    tables = mzi._click_table(cfgs, [mzi.NoisySource(0.0)] * n_cfg, probes, True)
+    worst = max(sum(w * q for w, q in zip(weights, click[0])) for weights, (_, click), _ in tables)
     _record(
         results, "mzi", "zero-false-click", worst < 1e-12,
         f"{n_cfg} random transparent configs, vacuum signal",

@@ -108,9 +108,10 @@ def _text_digest(csv_text):
 @pytest.mark.parametrize(
     "experiment, digest",
     [
-        ("fig4", "815beb23427bdabcd2b2a59cff9eb8500ccee086c12ac934e9c60372be239124"),
-        ("loss-bounds", "67ee4cdd8368c36bfbd5dd61b3a7961752352d361d315f4c79f15e01fe483a4b"),
+        ("fig4", "43f9ef49668d5b693ca72f3542cbedbe8dab255d19634dfccefa4b275ec4ff92"),
+        ("loss-bounds", "ab790f46bea24daf44bca8b4979e5e9da0ef13102dfa4957021fdcb379b1f295"),
     ],
+    ids=["fig4", "loss-bounds"],
 )
 def test_default_csv_full_text_golden(experiment, digest):
     assert _text_digest(run_experiment(ExperimentConfig(experiment)).to_csv_text()) == digest
@@ -122,14 +123,14 @@ def test_default_csv_full_text_golden(experiment, digest):
         (
             {"p_a": 0.7260402951959974, "p_b": 0.7308769845622459, "phi_chi": 1.764629736151154},
             1517124863,
-            "1e936cc48efa3b6ae15bfd045c62777042a1a077b15697ec0fae3f988d81d55b",
-            "0074ae34ce7a53a9f2018482c34493e7e91bb2ab578ebfae379ea6bf7994cff3",
+            "36d29eceb47599242ccb17d7dce9a6d85ce1e8baa17aee460fd34ba979501d34",
+            "5a705bd9f95228ef4a9b22de804c47ff1f3dca20a0cfacd8c98434471da0cc57",
         ),
         (
             {"beta": 1.3, "p_a": 0.45, "phi_chi": 2.1},
             6,
-            "7d72981abd521d11c3d0be010ae9c78a7fdb6a3c06ecaae831e22211db68c038",
-            "401e204f6a01f7e1889327a3776441c4d7bd51d9ead44d2fa3070ba10e0349f1",
+            "caf8dd971a136f5c91b4706efb55a36e80aa21a5fec2be06da42ae4183021c02",
+            "4aecf02544575a69f0d874602337808f529bd8fedf9d0521b6f3686e29c809bd",
         ),
     ],
     ids=["noisy-probe", "coherent-probe"],
@@ -144,7 +145,7 @@ def test_purity_audit_csv_bytes_golden(params, seed, digest, text_digest):
 # the whole CSV of a small Monte Carlo cascade run, manifest block included
 MONTE_CARLO_CASCADE_CSV = """\
 # experiment = cascade
-# version = 0.2.0
+# version = 0.3.0
 # scheme = reused_probe
 # alpha_sq = 4.0
 # phi_chi = 1.5707963267948966
@@ -170,7 +171,7 @@ def test_shared_probe_cascade_csv_bytes_golden(capsys):
     assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
     text = capsys.readouterr().out
     assert _data_digest(text) == "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
-    assert _text_digest(text) == "6647c78c49a9ffe2af52e39659eec3533106771aa1ef23631f82ad584d0afb2a"
+    assert _text_digest(text) == "df014b3fa90260953400288a4cd2d589d55cc0dd264d07fe3330bffd5b7c09aa"
 
 
 def test_loss_bounds_table_has_reference_columns():

@@ -6,7 +6,6 @@ import os
 import platform
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,7 @@ from xpmherald.fock import (
 )
 from xpmherald.loss import LossParams, lossy_click_probs, max_tolerable_loss
 from xpmherald.mzi import (
+    MAX_SAMPLE_SHOTS,
     CoherentProbe,
     MziConfig,
     NoisyPhotonProbe,
@@ -59,23 +59,23 @@ PI = math.pi
 # one the library reports; OPENBLAS_CORETYPE=Prescott reports "Katmai".
 GOLDEN_DIGESTS = {
     "SkylakeX": (
-        "32dfdbc7bfcdc1b2b540ed9268703594015d1084513543f2963d6a477328e373",
+        "56b2cf00f18193ab4d9c42186958d801f17f20276094c68fb63c363a0726aa7b",
         "0cf7c73f926307a06bc4e704d2939bf0ae93e01a70eedcb79114e6862da55965",
     ),
     "Haswell": (
-        "1b4660e4136c7a5c73d5e6910f2e06ea6b3b1e94b3077eea4962d95c0e121e09",
+        "8a4d5ad91a7df83dd8244b64734c585ccdb7d0fc3a93fea924604a572a570657",
         "7fbbb7e7b8185df1d0183d263d581353cba89a16b18050b0b65e950b014b6897",
     ),
     "Sandybridge": (
-        "6cc20ab714aa10f985dbee30d8dec4210f68f29c55c2acfe0408c28bbbc144ff",
+        "4442773627b04aa264931cc0a6fb24a4cd476cc83f4099e61de9c8137f4c148e",
         "bd1701b2923597feec839b081a03ed2743975a2c2680ea3428f4976dcfe0161b",
     ),
     "Nehalem": (
-        "33857fa7a5ca18c186a18d726b7f2465b6e5aec533dd0609d43d6b6b72e9a032",
+        "4442773627b04aa264931cc0a6fb24a4cd476cc83f4099e61de9c8137f4c148e",
         "e27d5ea379cf9f40c7c7dc8dc987343db448f85c993b54ed66da3e4ca611f583",
     ),
     "Katmai": (
-        "cbcf912524f9ff4e7cbaf77c951ef9864b8f5d1f6bab1842906dacdca8048193",
+        "4442773627b04aa264931cc0a6fb24a4cd476cc83f4099e61de9c8137f4c148e",
         "5653999798bca603c8ed4ee0b8faf267f51d9aaf701d578892c1c17ddfcce6f3",
     ),
 }
@@ -222,6 +222,24 @@ def test_run_setup_vacuum_source_never_clicks():
         cfg = random_transparent(rng)
         out = run_setup(cfg, NoisySource(0.0), CoherentProbe(1.5))
         assert out.p_click < 1e-12
+
+
+def test_vacuum_source_click_mass_is_zero_not_rounding_noise():
+    # a vacuum signal's propagated click mass is rounding noise (about
+    # 2e-32), within the truncation deficit: no click, so no click state
+    # and no purity
+    cfg = transparent_via_angle_sum(PI / 4.0, 0.0, 2.2)
+    out = run_setup(cfg, NoisySource(0.0), CoherentProbe(1.0))
+    _, (_, click), _ = mzi._click_table((cfg,), (NoisySource(0.0),), (CoherentProbe(1.0),), True)[0]
+    assert 0.0 < click[0][0] <= out.truncation_deficit
+    assert out.p_click == 0.0 and out.click_state is None
+    assert out.no_click_state is not None and out.detection_efficiency > 0.5
+    with pytest.raises(ConditioningError):
+        out.purity_given_click
+    # a faint source's photon clicks lie below the deficit too, and stay
+    faint = run_setup(cfg, NoisySource(1e-10), CoherentProbe(1.0))
+    assert faint.p_click == faint.total_success < faint.truncation_deficit
+    assert faint.purity_given_click == 1.0 and faint.click_state is not None
 
 
 def test_run_setup_two_photons_matches_closed_form():
@@ -707,64 +725,94 @@ def test_coherent_deficit_is_recorded():
 
 
 def test_sample_shots_counts_pinned():
-    # counts recorded from the propagation route before the dense engine;
-    # any drift in the per-branch click probabilities or in the order of
-    # the random draws changes them
+    # counts of the one multinomial draw, recorded at output version 0.3.0;
+    # any drift in the per-branch click probabilities or in the draw
+    # changes them (test_sample_shots_cells_within_four_sigma bounds them)
     cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
     assert sample_shots(
         cfg, NoisySource(0.45), NoisyPhotonProbe(NoisySource(0.7)), 200_000, seed=5
     ) == {
-        "click_and_photon": 40967,
+        "click_and_photon": 41331,
         "click_no_photon": 0,
-        "no_click_photon": 49143,
-        "no_click_no_photon": 109890,
+        "no_click_photon": 48966,
+        "no_click_no_photon": 109703,
     }
     assert sample_shots(
         cfg, NoisySource(0.45), CoherentProbe(1.3 + 0.4j), 200_000, seed=6
     ) == {
-        "click_and_photon": 63246,
+        "click_and_photon": 63189,
         "click_no_photon": 0,
-        "no_click_photon": 26859,
-        "no_click_no_photon": 109895,
+        "no_click_photon": 26765,
+        "no_click_no_photon": 110046,
     }
     assert sample_shots(
         cfg, NoisySource(1.0), NoisyPhotonProbe(NoisySource(1.0)), 50_000, seed=7
     ) == {
-        "click_and_photon": 32694,
+        "click_and_photon": 32637,
         "click_no_photon": 0,
-        "no_click_photon": 17306,
+        "no_click_photon": 17363,
         "no_click_no_photon": 0,
     }
 
 
-@pytest.mark.parametrize(
-    "transparent, p_a, probe, n_shots, seed, counts",
-    [
-        (False, 0.0, NoisyPhotonProbe(NoisySource(0.7)), 20_000, 11, (0, 7075, 0, 12925)),
-        (False, 1.0, NoisyPhotonProbe(NoisySource(0.7)), 20_000, 12, (2786, 0, 17214, 0)),
-        (False, 0.0, CoherentProbe(1.3 + 0.4j), 20_000, 13, (0, 12189, 0, 7811)),
-        (True, 1.0, CoherentProbe(1.3 + 0.4j), 20_000, 14, (14019, 0, 5981, 0)),
-        (False, 0.45, NoisyPhotonProbe(NoisySource(0.0)), 20_000, 15, (0, 0, 9076, 10924)),
-        (False, 0.45, NoisyPhotonProbe(NoisySource(1.0)), 20_000, 16, (1787, 5598, 7180, 5435)),
-        (True, 0.45, CoherentProbe(4.5 - 1.0j), 20_000, 17, (8960, 0, 0, 11040)),
-        (False, 0.45, CoherentProbe(4.5 - 1.0j), 20_000, 18, (8734, 11139, 127, 0)),
-        (False, 0.45, NoisyPhotonProbe(NoisySource(0.7)), 1, 1, (1, 0, 0, 0)),
-        (False, 0.45, NoisyPhotonProbe(NoisySource(0.7)), 1, 7, (0, 1, 0, 0)),
-        (True, 0.45, CoherentProbe(4.5 - 1.0j), 1, 0, (1, 0, 0, 0)),
-    ],
-)
+# sources and probes at 0 and 1, a leaky setup so that q0 is not 0, noisy
+# probes of mixed weights, the classical path of a bright probe
+# (|beta|^2 = 21.25), one shot; the counts of output version 0.3.0
+EDGE_CASES = [
+    (False, 0.0, NoisyPhotonProbe(NoisySource(0.7)), 20_000, 11, (0, 7090, 0, 12910)),
+    (False, 1.0, NoisyPhotonProbe(NoisySource(0.7)), 20_000, 12, (2757, 0, 17243, 0)),
+    (False, 0.0, CoherentProbe(1.3 + 0.4j), 20_000, 13, (0, 12218, 0, 7782)),
+    (True, 1.0, CoherentProbe(1.3 + 0.4j), 20_000, 14, (13986, 0, 6014, 0)),
+    (False, 0.45, NoisyPhotonProbe(NoisySource(0.0)), 20_000, 15, (0, 0, 8920, 11080)),
+    (False, 0.45, NoisyPhotonProbe(NoisySource(1.0)), 20_000, 16, (1777, 5645, 7095, 5483)),
+    (True, 0.45, CoherentProbe(4.5 - 1.0j), 20_000, 17, (8950, 0, 0, 11050)),
+    (False, 0.45, CoherentProbe(4.5 - 1.0j), 20_000, 18, (8947, 10909, 144, 0)),
+    (False, 0.45, NoisyPhotonProbe(NoisySource(0.7)), 1, 1, (0, 0, 1, 0)),
+    (False, 0.45, NoisyPhotonProbe(NoisySource(0.7)), 1, 7, (0, 0, 1, 0)),
+    (True, 0.45, CoherentProbe(4.5 - 1.0j), 1, 0, (0, 0, 0, 1)),
+]
+SHOT_KEYS = ("click_and_photon", "click_no_photon", "no_click_photon", "no_click_no_photon")
+
+
+def _edge_setup(transparent):
+    if transparent:
+        return transparent_via_angle_sum(0.6, 0.3, 2.1)
+    return mzi_config(0.6, 0.3, 0.2, 0.0, phi_chi=2.1)
+
+
+@pytest.mark.parametrize("transparent, p_a, probe, n_shots, seed, counts", EDGE_CASES)
 def test_sample_shots_edge_branches_pinned(transparent, p_a, probe, n_shots, seed, counts):
-    # counts recorded before the click lookup table; the cases reach every
-    # cell of it: sources and probes at 0 and 1, a leaky setup so that q0 is
-    # not 0, the classical path of a bright probe (|beta|^2 = 21.25), one shot
-    cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
-    if not transparent:
-        cfg = mzi_config(0.6, 0.3, 0.2, 0.0, phi_chi=2.1)
     result = sample_shots(
-        cfg, NoisySource(p_a), probe, n_shots, seed=seed, require_transparent=transparent
+        _edge_setup(transparent), NoisySource(p_a), probe, n_shots, seed=seed,
+        require_transparent=transparent,
     )
-    keys = ("click_and_photon", "click_no_photon", "no_click_photon", "no_click_no_photon")
-    assert result == dict(zip(keys, counts))
+    assert result == dict(zip(SHOT_KEYS, counts))
+
+
+@pytest.mark.parametrize("transparent, p_a, probe, n_shots, seed, _", EDGE_CASES)
+def test_sample_shots_cells_within_four_sigma(transparent, p_a, probe, n_shots, seed, _):
+    # each count against its cell probability, read off run_setup: q1 is the
+    # detection efficiency and p_click = p q1 + (1 - p) q0; a cell of
+    # probability 0 or 1 (sigma 0) must be met exactly: the 1e-6 only absorbs
+    # the rounding of such a cell
+    cfg = _edge_setup(transparent)
+    out = run_setup(cfg, NoisySource(p_a), probe, require_transparent=transparent)
+    photon_click = p_a * out.detection_efficiency
+    cells = (photon_click, out.p_click - photon_click, p_a - photon_click,
+             1.0 - out.p_click - p_a + photon_click)
+    for shots in (n_shots, 10**6):
+        counts = sample_shots(cfg, NoisySource(p_a), probe, shots, seed, transparent)
+        assert sum(counts.values()) == shots
+        for key, cell in zip(SHOT_KEYS, cells):
+            sigma = math.sqrt(shots * max(cell * (1.0 - cell), 0.0))
+            assert abs(counts[key] - shots * cell) <= 4.0 * sigma + 1e-6, (key, cell, counts)
+
+
+def test_sample_shots_at_the_cap_never_clicks_without_a_photon():
+    cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
+    counts = sample_shots(cfg, NoisySource(0.45), CoherentProbe(1.3 + 0.4j), MAX_SAMPLE_SHOTS, 9)
+    assert counts["click_no_photon"] == 0
+    assert sum(counts.values()) == MAX_SAMPLE_SHOTS
 
 
 def test_noisy_source_rejects_bad_efficiency():
@@ -872,98 +920,6 @@ def test_batched_slots_match_single_runs():
     for slot, cfg in enumerate(cfgs):
         alone = propagate_mzi(MultiModeKet._unchecked(amps[..., slot]), cfg).amps
         assert np.max(np.abs(batched[..., slot] - alone)) <= 1e-14
-
-
-def _whole_array_counts(cfg, source, probe, n_shots, seed):
-    """The sampler as documented, drawing each of its arrays whole from one
-    generator: the source branches, the probe labels and the detector."""
-    weights, (_, clicks), _ = mzi._click_table((cfg,), (source,), (probe,), True)[0]
-    rng = np.random.Generator(np.random.Philox(seed))
-    photon = rng.random(n_shots) < source.p
-    row = photon.astype(np.intp)
-    if 0.0 < weights[0] < 1.0:
-        table = np.ravel(clicks)
-        row = 2 * row + (rng.random(n_shots) >= weights[0])
-    else:
-        table = np.array(clicks)[:, weights.index(1.0)]
-    click = rng.random(n_shots) < table[row]
-    return {
-        "click_and_photon": int(np.sum(click & photon)),
-        "click_no_photon": int(np.sum(click & ~photon)),
-        "no_click_photon": int(np.sum(~click & photon)),
-        "no_click_no_photon": int(np.sum(~click & ~photon)),
-    }
-
-
-@pytest.mark.parametrize(
-    "n_shots", [1, 3, mzi._SHOT_CHUNK - 1, mzi._SHOT_CHUNK + 1, 200_001]
-)
-def test_sample_shots_streams_equal_whole_array_draws(n_shots):
-    # the streamed draws start each generator copy where the whole arrays
-    # would: every count equals the whole-array route's
-    _assert_streams_equal_whole_array_draws(n_shots)
-
-
-def _assert_streams_equal_whole_array_draws(n_shots):
-    cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
-    for seed, probe in enumerate(
-        (NoisyPhotonProbe(NoisySource(0.7)), CoherentProbe(1.3 + 0.4j),
-         NoisyPhotonProbe(NoisySource(1.0)), CoherentProbe(4.5 - 1.0j))
-    ):
-        source = NoisySource(0.45)
-        got = sample_shots(cfg, source, probe, n_shots, seed=seed + 3)
-        assert got == _whole_array_counts(cfg, source, probe, n_shots, seed + 3)
-
-
-def _spy_on_threads(monkeypatch, cpus):
-    """Make ``cpus`` CPUs available to sample_shots; the list fills with
-    each thread it starts."""
-    started = []
-
-    class Spy(threading.Thread):
-        def start(self):
-            super().start()
-            started.append(self)
-
-    monkeypatch.setattr(mzi, "_cpus", lambda _: range(cpus))
-    monkeypatch.setattr(mzi.threading, "Thread", Spy)
-    return started
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-@pytest.mark.parametrize(
-    "n_shots", [1, 3, mzi._SHOT_CHUNK + 1, 2 * mzi._SHOT_CHUNK + 5, 200_001]
-)
-def test_sample_shots_counts_do_not_depend_on_the_shard_count(monkeypatch, cpus, n_shots):
-    # a shard per CPU, 4 at most and a round of shots each at least; cuts
-    # such as 200_001 // 3 fall inside a Philox counter (the % 4 discard)
-    started = _spy_on_threads(monkeypatch, cpus)
-    _assert_streams_equal_whole_array_draws(n_shots)
-    shards = min(cpus, -(-n_shots // mzi._SHOT_CHUNK))
-    assert len(started) == 4 * (shards - 1)  # four probes; one round starts no thread
-    assert not any(thread.is_alive() for thread in started)
-
-
-@pytest.mark.parametrize("faulty", ["one", "all"])
-def test_sample_shots_raises_a_fault_of_any_shard_in_the_caller(monkeypatch, faulty):
-    # a shard's error reaches the calling thread with its type, after every
-    # thread is joined, and leaves no unhandled thread exception behind
-    started = _spy_on_threads(monkeypatch, 4)
-    philox, hooked = np.random.Philox, []
-
-    def failing(seed):
-        if threading.current_thread() is not threading.main_thread() or faulty == "all":
-            raise MemoryError("shard out of memory")
-        return philox(seed)
-
-    monkeypatch.setattr(np.random, "Philox", failing)
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="shard out of memory"):
-        sample_shots(cfg, NoisySource(0.45), CoherentProbe(1.3), 4 * mzi._SHOT_CHUNK, seed=1)
-    assert len(started) == 3 and threading.active_count() == before
-    assert hooked == []
 
 
 # --- the memo of mzi._propagate_one ---------------------------------------
