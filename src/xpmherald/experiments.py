@@ -26,7 +26,8 @@ from .mzi import (
     CoherentProbe,
     NoisyPhotonProbe,
     NoisySource,
-    _coherent_efficiency,
+    _click_scale,
+    _transparent_clicks,
     sample_shots,
     transparent_via_angle_sum,
 )
@@ -173,12 +174,10 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigurationError(f"fig4 is capped at {MAX_FIG4_ROWS} rows, got {len(betas) * num}")
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
     theta1 = math.pi / 4.0  # the symmetric splitter; pi - theta1 makes it transparent
+    rows = []
     for beta in betas:
-        CoherentProbe(beta)  # rejects a non-finite amplitude
-    rows = [
-        (phi, beta, _coherent_efficiency(theta1, phi, beta), 0.0)
-        for beta in betas for phi in phis
-    ]
+        y = _click_scale(theta1, CoherentProbe(beta).beta)  # rejects a non-finite amplitude
+        rows += [(phi, beta, _transparent_clicks(y, phi)[0], 0.0) for phi in phis]
     manifest = {
         "experiment": "fig4",
         "version": __version__,

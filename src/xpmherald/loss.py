@@ -8,24 +8,23 @@ breaks the no-false-click guarantee, because an attenuated-but-unshifted
 probe no longer cancels exactly at the second beam splitter.  This module
 quantifies the damage: the faulty-click probability, the degraded heralded
 efficiency, and the largest absorption the scheme tolerates while still
-improving on the raw source.  Its classical path truncates nothing, while
-the exact routes of ``mzi`` truncate at ``TruncationPolicy.tail_tolerance``
-(1e-10; only ``make_coherent(beta, policy)`` takes another tolerance).
+improving on the raw source.  All three read one click law,
+``mzi._transparent_clicks``, which truncates nothing, while the exact
+routes of ``mzi`` truncate at ``TruncationPolicy.tail_tolerance`` (1e-10).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, check_amplitude, check_real
-from .mzi import MziConfig, _classical_clicks, is_transparent
+from .mzi import MziConfig, _click_scale, _transparent_clicks, is_transparent
 
-BISECTION_TOL = 1e-6  # max_tolerable_loss's bracket width, far below every audit's tolerance
+BISECTION_TOL = 1e-6  # max_tolerable_loss's bracket width (per 0.005 of bound below 0.005)
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def lossy_click_probs(
         raise ConfigurationError(f"not a LossParams: {loss!r}")
     if not is_transparent(cfg):
         raise ConfigurationError("lossy click analysis assumes transparency")
-    return _classical_clicks(cfg, beta)(loss.p_absorb)
+    return _transparent_clicks(_click_scale(cfg.bs1.theta, beta), cfg.xpm.phi_chi, loss.p_absorb)
 
 
 def lossy_heralded_efficiency(
@@ -96,37 +95,21 @@ def lossy_heralded_efficiency(
     )
 
 
-def _improvement_margin(
-    cfg: MziConfig, beta: complex, fixed_p: float | None
-) -> Callable[[float], float]:
-    """Margin over the absorption, positive while clicks improve the source:
-    (1 - p_absorb) q1 (1 - p) - (p p_absorb + 1 - p) q0 at source efficiency
-    p = ``fixed_p``.  ``fixed_p=None`` is the weak-source limit p = 0, where
-    the margin is exactly (1 - p_absorb) q1 - q0.
-    """
-    clicks = _classical_clicks(cfg, beta)
-    p = 0.0 if fixed_p is None else fixed_p
-
-    def margin(p_absorb: float) -> float:
-        q1, q0 = clicks(p_absorb)
-        return (1.0 - p_absorb) * q1 * (1.0 - p) - (p * p_absorb + 1.0 - p) * q0
-
-    return margin
-
-
 def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = None) -> float:
     """Largest absorption probability at which heralding still improves the
-    source, located by bisection to ``BISECTION_TOL``.
+    source, located by bisection.
 
-    Transparency is checked and the absorption-independent probe amplitudes
-    are computed once per solve; each margin evaluation only applies the
-    attenuation and the second splitter.  The margin is evaluated on a
-    201-point grid over [0, 1].  At full absorption q1 equals q0 and the
-    margin is not positive, so the last improving grid point is followed by
-    a non-improving one, and the two bracket the bound.  Bisection halves
-    the bracket, 0.005 wide, until it is at most ``BISECTION_TOL`` wide and
-    returns the midpoint, which is always strictly inside it.  Returns 0
-    (with a diagnostic warning) when no grid point improves the source.
+    The margin (1 - p_absorb) q1 (1 - p) - (p p_absorb + 1 - p) q0 is
+    positive while clicks improve a source of efficiency p = ``fixed_p``
+    (None: the weak-source limit p = 0).  It is evaluated on a 201-point
+    grid over [0, 1].  At full absorption q1 equals q0 and the margin is
+    not positive, so the last improving grid point and the next one bracket
+    the bound.  Bisection halves the bracket, 0.005 wide, until it is at
+    most ``BISECTION_TOL`` wide, scaled by hi / 0.005 when its upper end hi
+    is below 0.005 so that a tiny bound stays accurate relative to itself,
+    or until no float lies strictly inside, and returns the midpoint.
+    Returns 0 (with a diagnostic warning) when no grid point improves the
+    source.
     """
     if not is_transparent(cfg):  # is_transparent also checks cfg's type
         raise ConfigurationError("loss bound assumes a transparent configuration")
@@ -137,8 +120,13 @@ def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = No
         raise ConfigurationError("probe amplitude must be nonzero")
     if fixed_p is not None:
         check_real("fixed source efficiency", fixed_p, 0.0, 1.0)
+    y, phi_chi = _click_scale(cfg.bs1.theta, beta), cfg.xpm.phi_chi
+    p = 0.0 if fixed_p is None else fixed_p
 
-    margin = _improvement_margin(cfg, beta, fixed_p)
+    def margin(p_absorb: float) -> float:
+        q1, q0 = _transparent_clicks(y, phi_chi, p_absorb)
+        return (1.0 - p_absorb) * q1 * (1.0 - p) - (p * p_absorb + 1.0 - p) * q0
+
     grid = np.linspace(0.0, 1.0, 201)
     improving = [i for i, x in enumerate(grid) if margin(x) > 0.0]
     if not improving:
@@ -150,7 +138,7 @@ def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = No
         return 0.0
     lo, hi = grid[improving[-1]], grid[improving[-1] + 1]
     mid = 0.5 * (lo + hi)
-    while hi - lo > BISECTION_TOL:
+    while hi - lo > BISECTION_TOL * min(1.0, hi / grid[1]) and lo < mid < hi:
         if margin(mid) > 0.0:
             lo = mid
         else:

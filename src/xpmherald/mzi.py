@@ -31,6 +31,9 @@ The transparency test and the classical route of bright probes read the
 splitter algebra as Python numbers off its one source, the entries of
 ``elements._bs_entries``: ``_bc_product`` for the interferometer's
 substitution matrix, ``_classical_clicks`` for the entries a click needs.
+A transparent setup with a coherent probe clicks by one law,
+``_transparent_clicks`` of y = |beta|^2 sin^2(2 theta1) / 4, the phase and
+the absorption; ``detection_efficiency``, fig4 and ``loss`` read it.
 
 ``sample_shots`` reads the same table: every shot falls in one of four
 (click, photon) cells of fixed probability, so its counts are one
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -295,27 +297,36 @@ def coherent_outputs(
     return np.array((t00 * beta, t01 * beta))
 
 
-def _classical_clicks(
-    cfg: MziConfig, beta: complex
-) -> Callable[[float], tuple[float, float]]:
-    """Click probabilities (q1, q0) with and without an unabsorbed signal
-    photon, classical path, as a function of the medium's absorption
-    probability (see ``loss``).  The arms after the first splitter, the
-    second splitter's detector column and the XPM phase are computed once;
-    each call attenuates the upper arm, rotates it if the photon survives
-    and mixes it onto the detector."""
+def _classical_clicks(cfg: MziConfig, beta: complex) -> tuple[float, float]:
+    """Click probabilities (q1, q0) with and without a signal photon on the
+    classical path, for any configuration: 1 - exp(-|detector arm|^2), the
+    arm mixed from the two arms after the first splitter by the second
+    splitter's detector column, the upper one rotated by the XPM phase."""
     (a, b), _ = _bs_entries(cfg.bs1)
     (_, coupling), (_, h) = _bs_entries(cfg.bs2)
-    upper = complex(a * beta)
-    lower = h * (b * beta)
+    upper, lower = complex(a * beta), h * (b * beta)
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
+    q0 = -math.expm1(-abs(coupling * upper + lower) ** 2)
+    return -math.expm1(-abs(coupling * (phase * upper) + lower) ** 2), q0
 
-    def clicks(p_absorb: float) -> tuple[float, float]:
-        attenuated = math.sqrt(1.0 - p_absorb) * upper
-        q0 = 1.0 - math.exp(-abs(coupling * attenuated + lower) ** 2)
-        return 1.0 - math.exp(-abs(coupling * (phase * attenuated) + lower) ** 2), q0
 
-    return clicks
+def _click_scale(theta1: float, beta: complex) -> float:
+    """y = |beta|^2 sin^2(2 theta1) / 4, the one brightness the clicks of a
+    transparent setup with a coherent probe depend on."""
+    return abs(beta) ** 2 * math.sin(2.0 * theta1) ** 2 / 4.0
+
+
+def _transparent_clicks(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
+    """(q1, q0) of a transparent setup with a coherent probe of click scale
+    y (``_click_scale``): q1 = 1 - exp(-y |u e^{i phi_chi} - 1|^2) with an
+    unabsorbed signal photon, q0 = 1 - exp(-y (1 - u)^2) without, where
+    u = sqrt(1 - p_absorb).  Nothing cancels: 1 - u is p_absorb / (1 + u),
+    |u e^{i phi_chi} - 1|^2 is (1 - u)^2 + 4 u sin^2(phi_chi / 2), and
+    1 - exp(-x) is -expm1(-x)."""
+    u = math.sqrt(1.0 - p_absorb)
+    dim = p_absorb / (1.0 + u)  # 1 - u
+    s = math.sin(phi_chi / 2.0)
+    return -math.expm1(-y * (dim * dim + 4.0 * u * (s * s))), -math.expm1(-y * (dim * dim))
 
 
 def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple]:
@@ -349,7 +360,7 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
         elif not isinstance(probe, CoherentProbe):
             raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
         elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
-            q1, q0 = _classical_clicks(cfg, probe.beta)(0.0)
+            q1, q0 = _classical_clicks(cfg, probe.beta)
             tables[slot] = ((1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None)
             continue
         elif len(cfgs) == 1:  # _propagate_one makes its column, on a memo miss only
@@ -449,26 +460,17 @@ def run_setup(
     return _run_setups((cfg,), (source,), (probe,), require_transparent)[0]
 
 
-def _single_photon_factor(theta1: float, phi_chi: float) -> float:
-    """sin^2(phi_chi / 2) * sin^2(2 theta1); the caller checks transparency."""
-    return math.sin(phi_chi / 2.0) ** 2 * math.sin(2.0 * theta1) ** 2
-
-
-def _coherent_efficiency(theta1: float, phi_chi: float, beta: complex) -> float:
-    """Coherent-probe detection efficiency; the caller checks transparency."""
-    return 1.0 - math.exp(-abs(beta) ** 2 * _single_photon_factor(theta1, phi_chi))
-
-
 def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     """Closed-form probability that a photon present in the signal mode
     triggers the herald, for either probe choice."""
     if not is_transparent(cfg):
         raise ConfigurationError("closed form assumes a transparent configuration")
     if isinstance(probe, NoisyPhotonProbe):
-        return _single_photon_factor(cfg.bs1.theta, cfg.xpm.phi_chi) * probe.source.p
+        single = math.sin(cfg.xpm.phi_chi / 2.0) ** 2 * math.sin(2.0 * cfg.bs1.theta) ** 2
+        return single * probe.source.p
     if not isinstance(probe, CoherentProbe):
         raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
-    return _coherent_efficiency(cfg.bs1.theta, cfg.xpm.phi_chi, probe.beta)
+    return _transparent_clicks(_click_scale(cfg.bs1.theta, probe.beta), cfg.xpm.phi_chi)[0]
 
 
 # n shots resolve rates down to about 1 / n: at the cap, ten times the 1e-10

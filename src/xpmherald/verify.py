@@ -3,10 +3,11 @@
 The ``mzi`` group checks zero false clicks for transparent setups,
 click-conditioned purity 1, the closed forms against exact propagation and
 transparency for any probe input; ``loss`` and ``cascade`` check the
-absorption model and the chained-setup closed forms; ``elements`` checks
-the classical coherent path that bright probes take, the arms of
-``mzi.coherent_outputs`` and the clicks of ``mzi._classical_clicks``,
-against one exact ``mzi._propagate`` batch of the same probes.  The Fock
+absorption model, whose click law ``mzi._transparent_clicks`` must match
+the 2x2 clicks of ``mzi._classical_clicks`` without absorption, and the
+chained-setup closed forms; ``elements`` checks the classical coherent path
+that bright probes take, the arms of ``mzi.coherent_outputs`` and those
+clicks, against one exact ``mzi._propagate`` batch of the same probes.  The Fock
 and element algebra underneath is tested in ``tests/test_fock.py`` and
 ``tests/test_elements.py``, not here.
 
@@ -133,7 +134,7 @@ def _check_elements(results, rng, dense: bool):
     tables = mzi._click_table(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes, False)
     worst = 0.0
     for cfg, beta, (_, _, out) in zip(cfgs, betas, tables):
-        for signal, q in enumerate(mzi._classical_clicks(cfg, beta)(0.0)[::-1]):
+        for signal, q in enumerate(mzi._classical_clicks(cfg, beta)[::-1]):
             arms = mzi.coherent_outputs(cfg, beta, bool(signal))
             exact = out[signal, ..., 0]  # (B, C)
             b, c = (fk.make_coherent(a).amps[: len(exact)] for a in arms)
@@ -348,18 +349,15 @@ def _check_mzi(results, rng, dense: bool):
 
 
 def _check_loss(results, rng, dense: bool):
-    worst = 0.0
+    worst = 0.0  # the click law at no absorption against the 2x2 clicks; q0 exactly 0
     for _ in range(10):
         phi_chi = float(rng.uniform(0.3, 6.0))
         theta1 = float(rng.uniform(0.1, math.pi / 2.0 - 0.1))
         beta = float(rng.uniform(0.3, 3.0))
         cfg = mzi.transparent_via_angle_sum(theta1, 0.0, phi_chi)
         q1, q0 = ls.lossy_click_probs(cfg, beta, ls.LossParams(0.0))
-        worst = max(
-            worst,
-            abs(q1 - mzi.detection_efficiency(cfg, mzi.CoherentProbe(beta))),
-            q0,
-        )
+        c1, c0 = mzi._classical_clicks(cfg, beta)
+        worst = max(worst, abs(q1 - c1), abs(q0 - c0), 0.0 if q0 == 0.0 else math.inf)
     _record_worst(
         results, "loss", "lossless-limit-matches-ideal", worst, ALGEBRA_TOL,
         "10 random configs",

@@ -74,8 +74,27 @@ def _data_digest(csv_text):
 def test_fig4_csv_bytes_golden():
     table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5000}))
     assert _data_digest(table.to_csv_text()) == (
-        "b8d0b336343d1abaf0606a7bde6367ad2274852c09af489dfb6e13716a761d54"
+        "00484212b7ee0b662d84fe4911541125628e296f45b986efdd0508ab85f8db64"
     )
+
+
+def test_fig4_within_four_ulp_of_50_digit_reference():
+    # the golden grid against 1 - exp(-|beta|^2 sin^2(phi_chi / 2)) to 50
+    # digits from the same floats (1 - exp(-x) in output 0.3.0 was up to
+    # 5.5e15 ulp off near phi_chi = 0 and 2 pi)
+    mp = pytest.importorskip("mpmath")
+    table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5000}))
+    worst, sin_sq = 0.0, {}
+    with mp.workdps(50):
+        for phi_chi, beta, value, _ in table.rows:
+            if phi_chi not in sin_sq:
+                sin_sq[phi_chi] = mp.sin(mp.mpf(phi_chi) / 2) ** 2
+            ref = -mp.expm1(-mp.mpf(beta) ** 2 * sin_sq[phi_chi])
+            if ref == 0:
+                assert value == 0.0
+            else:
+                worst = max(worst, float(abs(value - ref)) / math.ulp(float(ref)))
+    assert worst <= 4.0
 
 
 # the loss-bounds grid of the benchmark's seed-1 cli pass
@@ -108,8 +127,8 @@ def _text_digest(csv_text):
 @pytest.mark.parametrize(
     "experiment, digest",
     [
-        ("fig4", "43f9ef49668d5b693ca72f3542cbedbe8dab255d19634dfccefa4b275ec4ff92"),
-        ("loss-bounds", "ab790f46bea24daf44bca8b4979e5e9da0ef13102dfa4957021fdcb379b1f295"),
+        ("fig4", "3f8dde37d056922ae02f65bccd83303d8a3b2f3e2ae54c09b4c93c48266b0bb5"),
+        ("loss-bounds", "5d159f5282be18cc6358479830277068f3188f082e8ac060bf998116758b7b10"),
     ],
     ids=["fig4", "loss-bounds"],
 )
@@ -124,13 +143,13 @@ def test_default_csv_full_text_golden(experiment, digest):
             {"p_a": 0.7260402951959974, "p_b": 0.7308769845622459, "phi_chi": 1.764629736151154},
             1517124863,
             "36d29eceb47599242ccb17d7dce9a6d85ce1e8baa17aee460fd34ba979501d34",
-            "5a705bd9f95228ef4a9b22de804c47ff1f3dca20a0cfacd8c98434471da0cc57",
+            "41af32be95839cc348e5547460d1ecf8ed940a4b6ad78913be88c07878309669",
         ),
         (
             {"beta": 1.3, "p_a": 0.45, "phi_chi": 2.1},
             6,
             "caf8dd971a136f5c91b4706efb55a36e80aa21a5fec2be06da42ae4183021c02",
-            "4aecf02544575a69f0d874602337808f529bd8fedf9d0521b6f3686e29c809bd",
+            "f4928ccca029aef369d34dded403e573677c647bba6b545b8a231072a00c5c0a",
         ),
     ],
     ids=["noisy-probe", "coherent-probe"],
@@ -145,7 +164,7 @@ def test_purity_audit_csv_bytes_golden(params, seed, digest, text_digest):
 # the whole CSV of a small Monte Carlo cascade run, manifest block included
 MONTE_CARLO_CASCADE_CSV = """\
 # experiment = cascade
-# version = 0.3.0
+# version = 0.4.0
 # scheme = reused_probe
 # alpha_sq = 4.0
 # phi_chi = 1.5707963267948966
@@ -171,7 +190,7 @@ def test_shared_probe_cascade_csv_bytes_golden(capsys):
     assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
     text = capsys.readouterr().out
     assert _data_digest(text) == "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
-    assert _text_digest(text) == "df014b3fa90260953400288a4cd2d589d55cc0dd264d07fe3330bffd5b7c09aa"
+    assert _text_digest(text) == "8d8434e438b8326f76fdabaf8f46b012593fede56ecc32a04fcc58fd692143ec"
 
 
 def test_loss_bounds_table_has_reference_columns():
@@ -564,7 +583,7 @@ def test_verify_catches_flipped_sign_convention(monkeypatch):
     [
         # the bright route's clicks with and without a signal photon exchanged
         ("_classical_clicks",
-         lambda clicks: lambda cfg, beta: lambda p_absorb: clicks(cfg, beta)(p_absorb)[::-1]),
+         lambda clicks: lambda cfg, beta: clicks(cfg, beta)[::-1]),
         # the classical arms of the other signal branch
         ("coherent_outputs",
          lambda outputs: lambda cfg, beta, photon: outputs(cfg, beta, not photon)),

@@ -1,10 +1,12 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import xpmherald.loss as loss_module
-from xpmherald.elements import apply_beam_splitter
+from xpmherald.elements import _bs_entries, apply_beam_splitter
 from xpmherald.errors import ConditioningError, ConfigurationError
 from xpmherald.fock import (
     Ensemble,
@@ -22,9 +24,13 @@ from xpmherald.loss import (
 )
 from xpmherald.mzi import (
     CoherentProbe,
+    NoisyPhotonProbe,
+    NoisySource,
+    _classical_clicks,
     detection_efficiency,
     transparent_via_angle_sum,
 )
+from xpmherald.verify import random_transparent
 
 PI = math.pi
 
@@ -216,10 +222,17 @@ def test_max_tolerable_loss_checks_transparency_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_solver_margin_equals_public_click_probs_exactly():
-    # the solver evaluates its margin from amplitudes computed once per
-    # solve; it must equal, bit for bit, the margin formed from the public
-    # lossy_click_probs at every absorption, including 0 and 1
+def test_solver_margin_equals_public_click_probs_exactly(monkeypatch):
+    # the solver forms its margin from the click law at every absorption it
+    # evaluates, the 201 grid points (0 and 1 among them) and each midpoint;
+    # those clicks must equal, bit for bit, the public lossy_click_probs there
+    law, seen = loss_module._transparent_clicks, []
+
+    def recording_law(y, phi_chi, p_absorb):
+        seen.append((p_absorb, law(y, phi_chi, p_absorb)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(loss_module, "_transparent_clicks", recording_law)
     rng = np.random.default_rng(17)
     for _ in range(60):
         cfg = transparent_via_angle_sum(
@@ -228,18 +241,15 @@ def test_solver_margin_equals_public_click_probs_exactly():
         beta = 10.0 ** rng.uniform(-1.0, 3.0) * complex(
             math.cos(rng.uniform(0.0, 2.0 * PI)), math.sin(rng.uniform(0.0, 2.0 * PI))
         )
-        points = [0.0, 1.0, *rng.uniform(0.0, 1.0, 8), *np.linspace(0.0, 1.0, 5)]
         for fixed_p in (None, float(rng.uniform(0.0, 1.0))):
-            margin = loss_module._improvement_margin(cfg, beta, fixed_p)
-            for pa in points:
-                q1, q0 = lossy_click_probs(cfg, beta, LossParams(pa))
-                if fixed_p is None:
-                    expected = (1.0 - pa) * q1 - q0
-                else:
-                    expected = (1.0 - pa) * q1 * (1.0 - fixed_p) - (
-                        fixed_p * pa + 1.0 - fixed_p
-                    ) * q0
-                assert margin(pa) == expected
+            seen.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a documented zero bound
+                max_tolerable_loss(cfg, beta, fixed_p)
+            solver_clicks = list(seen)
+            assert len(solver_clicks) >= 201
+            for pa, clicks in solver_clicks:
+                assert lossy_click_probs(cfg, beta, LossParams(float(pa))) == clicks
 
 
 def test_max_tolerable_loss_weak_phase_reported_values():
@@ -293,12 +303,46 @@ def test_max_tolerable_loss_degenerate_angle_returns_zero():
         assert max_tolerable_loss(cfg, 1.0) == 0.0
 
 
+def old_absorption_clicks(cfg, beta):
+    """Test-local copy of the click function the loss model read before the
+    click law: the classical path's 2x2 map, with the upper arm attenuated
+    by the square-root survival factor."""
+    (a, b), _ = _bs_entries(cfg.bs1)
+    (_, coupling), (_, h) = _bs_entries(cfg.bs2)
+    upper, lower = complex(a * beta), h * (b * beta)
+    phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
+
+    def clicks(p_absorb):
+        attenuated = math.sqrt(1.0 - p_absorb) * upper
+        q0 = 1.0 - math.exp(-abs(coupling * attenuated + lower) ** 2)
+        return 1.0 - math.exp(-abs(coupling * (phase * attenuated) + lower) ** 2), q0
+
+    return clicks
+
+
+def test_click_law_is_the_attenuated_2x2_map_on_both_families():
+    # the law reads a transparent setup only through theta1, the phase and
+    # the absorption; the 2x2 map with the upper arm attenuated reads every
+    # splitter entry, so over both families, any splitter phase and complex
+    # probes the two agree to their rounding (about 1e-16 |beta| for the map)
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for _ in range(3000):
+        cfg = random_transparent(rng)
+        beta = 10.0 ** rng.uniform(-1.0, 3.0) * complex(*rng.normal(size=2))
+        pa = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        law = lossy_click_probs(cfg, beta, LossParams(pa))
+        worst = max(worst, *(abs(a - b) for a, b in zip(law, old_absorption_clicks(cfg, beta)(pa))))
+    assert worst <= 1e-12
+
+
 def old_max_tolerable_loss(cfg, beta, fixed_p=None, tol=1e-6):
     """Test-local copy of the solver before its simplification: the
     weak-source margin as a formula of its own, the early return of the
     classical clicks at full absorption, a 201-point grid, a refined scan
-    when the grid margin changes sign more than once, then bisection."""
-    clicks = loss_module._classical_clicks(cfg, beta)
+    when the grid margin changes sign more than once, then bisection to an
+    absolute width."""
+    clicks = old_absorption_clicks(cfg, beta)
 
     def margin(p_absorb):
         q1, q0 = clicks(p_absorb)
@@ -356,14 +400,43 @@ def random_solver_inputs(rng, count):
         yield theta1, phi_chi, beta_sq, SOLVER_FIXED_P[int(rng.integers(len(SOLVER_FIXED_P)))]
 
 
-def test_max_tolerable_loss_equals_the_previous_solver_exactly():
+@functools.cache
+def solver_table():
+    """((theta1, phi_chi, beta, fixed_p), bound) of 1,000 seeded inputs."""
     rng = np.random.default_rng(2024)
+    table = []
     for theta1, phi_chi, beta_sq, fixed_p in random_solver_inputs(rng, 1000):
-        cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
         beta = math.sqrt(beta_sq)
-        assert max_tolerable_loss(cfg, beta, fixed_p) == old_max_tolerable_loss(
+        cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
+        table.append(((theta1, phi_chi, beta, fixed_p), max_tolerable_loss(cfg, beta, fixed_p)))
+    return table
+
+
+def test_max_tolerable_loss_equals_the_previous_solver_exactly():
+    # bit for bit wherever the bound is at least the first grid step, 0.005;
+    # below it the solver stops relative to the bound, and those are checked
+    # against a 60-digit root in test_small_loss_bounds_match_reference
+    small = 0
+    for (theta1, phi_chi, beta, fixed_p), bound in solver_table():
+        if bound < 0.005:
+            small += 1
+            continue
+        cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
+        assert bound == old_max_tolerable_loss(
             cfg, beta, fixed_p, BISECTION_TOL
-        ), (theta1, phi_chi, beta_sq, fixed_p)
+        ), (theta1, phi_chi, beta, fixed_p)
+    assert small == 32
+
+
+def test_small_loss_bounds_match_reference():
+    # the bounds below 0.005 of the inputs above, each within half its
+    # final bracket, BISECTION_TOL * hi / 0.005 wide, of the 60-digit root
+    mp = pytest.importorskip("mpmath")
+    small = [(args, bound) for args, bound in solver_table() if bound < 0.005]
+    for args, bound in small:
+        ref = reference_bound(mp, *args)
+        assert abs(bound - ref) <= SMALL_BOUND_REL * ref, (args, bound, ref)
+    assert len(small) == 32
 
 
 def test_margin_changes_sign_once_on_a_fine_grid():
@@ -383,3 +456,140 @@ def test_margin_changes_sign_once_on_a_fine_grid():
         assert improving[0] and np.count_nonzero(np.diff(improving)) == 1, (
             theta1, phi_chi, beta_sq, fixed_p,
         )
+
+
+# ---------------------------------------------------------------------------
+# the click law and the loss bound against mpmath references, from the same
+# float inputs, over the weak-phase domain of real cross-Kerr media
+# ---------------------------------------------------------------------------
+
+REF_THETAS = (PI / 4.0, 0.3)
+REF_PHI_CHIS = (1e-8, 1e-6, 1e-4, 0.01, 1.0, PI)
+REF_BETA_SQS = (1e-2, 1.0, 1e2, 1e4, 1e6, 1e8)
+REF_ABSORPTIONS = (0.0, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0)
+REF_SOURCES = (1e-6, 0.5, 1.0)
+# A bound below 0.005 is the midpoint of a bracket at most
+# BISECTION_TOL * hi / 0.005 wide around the root r, so hi <= r / (1 -
+# BISECTION_TOL / 0.005) and the midpoint is within this share of r.
+SMALL_BOUND_REL = 0.5 * BISECTION_TOL / (0.005 - BISECTION_TOL)
+# Bounds of the table, about twice the largest deviation seen over it
+# (in parentheses).  In ulp of the reference:
+DETECTION_ULP = 6.0  # coherent-probe detection_efficiency (2.6)
+NOISY_DETECTION_ULP = 5.0  # noisy-probe detection_efficiency (2.2)
+CLICK_LAW_ULP = 8.0  # lossy_click_probs, q1 and q0 (3.8)
+HERALDED_ULP = 5.0  # lossy_heralded_efficiency's p_prime (2.0)
+# Absolute, per unit of max(1, |beta|): _classical_clicks (7.3e-17).
+CLASSICAL_ABS = 1.5e-16
+
+
+def ref_setups(thetas=REF_THETAS):
+    for theta1 in thetas:
+        for phi_chi in REF_PHI_CHIS:
+            for beta_sq in REF_BETA_SQS:
+                yield theta1, phi_chi, math.sqrt(beta_sq)
+
+
+def reference_law(mp, theta1, phi_chi, beta):
+    """(q1, q0) as a function of the absorption, at mpmath's working
+    precision, in the textbook form of the click law:
+    1 - exp(-y |u e^{i phi_chi} - 1|^2) and 1 - exp(-y (1 - u)^2), with
+    y = |beta|^2 sin^2(2 theta1) / 4 and u = sqrt(1 - p_absorb)."""
+    y = mp.mpf(beta) ** 2 * mp.sin(2 * mp.mpf(theta1)) ** 2 / 4
+    phase = mp.expj(phi_chi)
+
+    def clicks(p_absorb):
+        u = mp.sqrt(1 - mp.mpf(p_absorb))
+        return -mp.expm1(-y * abs(u * phase - 1) ** 2), -mp.expm1(-y * (1 - u) ** 2)
+
+    return clicks
+
+
+def reference_bound(mp, theta1, phi_chi, beta, fixed_p):
+    """The loss bound as the 60-digit root of the margin, bisected on
+    [0, 1] to 1e-17 relative; the margin changes sign once there
+    (test_margin_changes_sign_once_on_a_fine_grid)."""
+    p = 0.0 if fixed_p is None else fixed_p
+    with mp.workdps(60):
+        clicks = reference_law(mp, theta1, phi_chi, beta)
+
+        def margin(x):
+            q1, q0 = clicks(x)
+            return (1 - x) * q1 * (1 - p) - (p * x + 1 - p) * q0
+
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        while hi - lo > hi * mp.mpf(10) ** -17:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if margin(mid) > 0 else (lo, mid)
+        return lo
+
+
+def ulp_error(mp, value, ref):
+    """|value - ref| in ulp of the reference; 0 only for an exact 0."""
+    if ref == 0:
+        return 0.0 if value == 0.0 else math.inf
+    return float(abs(mp.mpf(value) - ref)) / math.ulp(float(ref))
+
+
+def test_click_law_matches_50_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    worst = dict.fromkeys(("detection", "noisy", "law", "heralded", "classical"), 0.0)
+    for theta1, phi_chi, beta in ref_setups():
+        cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
+        with mp.workdps(50):
+            clicks = reference_law(mp, theta1, phi_chi, beta)
+            ref1, ref0 = clicks(0.0)
+            assert ref0 == 0
+            value = detection_efficiency(cfg, CoherentProbe(beta))
+            worst["detection"] = max(worst["detection"], ulp_error(mp, value, ref1))
+            value = detection_efficiency(cfg, NoisyPhotonProbe(NoisySource(0.5)))
+            single = mp.sin(mp.mpf(phi_chi) / 2) ** 2 * mp.sin(2 * mp.mpf(theta1)) ** 2 / 2
+            worst["noisy"] = max(worst["noisy"], ulp_error(mp, value, single))
+            # the bright route's 2x2 map cancels the probe's arms by design, so
+            # its error is absolute, in units of the probe amplitude
+            for value, ref in zip(_classical_clicks(cfg, beta), (ref1, ref0)):
+                dev = float(abs(mp.mpf(value) - ref)) / max(1.0, beta)
+                worst["classical"] = max(worst["classical"], dev)
+            for p_absorb in REF_ABSORPTIONS:
+                refs = clicks(p_absorb)
+                loss = LossParams(p_absorb)
+                for value, ref in zip(lossy_click_probs(cfg, beta, loss), refs):
+                    worst["law"] = max(worst["law"], ulp_error(mp, value, ref))
+                for p in REF_SOURCES:
+                    photon = p * (1 - mp.mpf(p_absorb)) * refs[0]
+                    ref = photon / (photon + (p * mp.mpf(p_absorb) + 1 - p) * refs[1])
+                    value = lossy_heralded_efficiency(p, cfg, beta, loss).p_prime
+                    worst["heralded"] = max(worst["heralded"], ulp_error(mp, value, ref))
+    assert worst["detection"] <= DETECTION_ULP, worst
+    assert worst["noisy"] <= NOISY_DETECTION_ULP, worst
+    assert worst["law"] <= CLICK_LAW_ULP, worst
+    assert worst["heralded"] <= HERALDED_ULP, worst
+    assert worst["classical"] <= CLASSICAL_ABS, worst
+
+
+@pytest.mark.parametrize("fixed_p", [None, 0.3])
+def test_loss_bound_matches_60_digit_reference(fixed_p):
+    # every bound of the table, without a warning: at phi_chi = 1e-8 and
+    # |beta|^2 = 1 it is 7.37e-6, where 1 - exp(-x) once read q1 = 0; at
+    # theta1 = pi/4 only, as theta1 and |beta| enter through y alone
+    mp = pytest.importorskip("mpmath")
+    for theta1, phi_chi, beta in ref_setups(REF_THETAS[:1]):
+        bound = max_tolerable_loss(transparent_via_angle_sum(theta1, 0.0, phi_chi), beta, fixed_p)
+        ref = reference_bound(mp, theta1, phi_chi, beta, fixed_p)
+        tol = 0.5 * BISECTION_TOL if ref >= 0.005 else SMALL_BOUND_REL * ref
+        assert abs(bound - ref) <= tol, (theta1, phi_chi, beta, fixed_p, bound, ref)
+
+
+def test_bisection_terminates_at_a_bound_near_the_smallest_float(monkeypatch):
+    # a stand-in law that improves the source only below 1e-320, a subnormal:
+    # there the relative stop's width rounds to 0 before the bracket can
+    # shrink to it, and the loop must end once no float lies between its ends
+    calls = []
+
+    def law(y, phi_chi, p_absorb):
+        calls.append(p_absorb)
+        assert len(calls) < 5000, "the bisection does not terminate"
+        return (1.0, 0.0) if p_absorb < 1e-320 else (1.0, 1.0)
+
+    monkeypatch.setattr(loss_module, "_transparent_clicks", law)
+    bound = max_tolerable_loss(symmetric_cfg(PI), 1.0)
+    assert bound == pytest.approx(1e-320, rel=0.0, abs=2 * 5e-324)

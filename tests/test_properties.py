@@ -94,7 +94,12 @@ def _assert_loss_bound(cfg, beta, fixed_p):
         with pytest.raises(ConfigurationError):
             loss.max_tolerable_loss(cfg, beta, fixed_p)
         return
-    margin = loss._improvement_margin(cfg, beta, fixed_p)
+    p = 0.0 if fixed_p is None else fixed_p
+
+    def margin(x):  # the solver's margin, on the public click probabilities
+        q1, q0 = loss.lossy_click_probs(cfg, beta, loss.LossParams(float(x)))
+        return (1.0 - x) * q1 * (1.0 - p) - (p * x + 1.0 - p) * q0
+
     if not any(margin(x) > 0.0 for x in np.linspace(0.0, 1.0, 201)):
         # the documented zero bound: no grid point improves the source
         with pytest.warns(UserWarning, match="returning 0"):

@@ -107,6 +107,23 @@ def test_all_names_resolve():
     assert set(xpmherald.__all__) <= set(namespace)
 
 
+# 1 - exp(-x) loses all relative accuracy once x is below the rounding of 1,
+# as click probabilities are at weak phases; -expm1(-x) keeps it
+OLD_CLICK_FORM = re.compile(r"\b1(\.0)?\s*-\s*(math|np|numpy)\.exp\(")
+
+
+def test_src_has_no_one_minus_exp_click_form():
+    for line in ("q = 1 - math.exp(-x)", "1.0 - np.exp(-x)", "1.0-numpy.exp(x)"):
+        assert OLD_CLICK_FORM.search(line), line
+    found = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if OLD_CLICK_FORM.search(line)
+    ]
+    assert not found, found
+
+
 def test_benchmark_imports_resolve():
     # the benchmark stays fixed while the package changes, so a name it
     # imports that the package drops must fail here, before a benchmark run
