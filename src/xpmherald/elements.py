@@ -9,13 +9,14 @@ The exact path reads a Mach-Zehnder form, two fixed real 50:50 splitters
 around phases, off the same entries, and the classical path of ``mzi``
 multiplies them out as numbers, so the only number-conserving blocks built
 are the angle-free ones of the 50:50 splitter.  Splitters and XPM phases all
-conserve the photon total of the splitter modes, so the interferometer
-of ``mzi`` runs as one gather, four batched real products and one scatter.
-The angles and phases enter only as diagonals around those blocks, so
-configurations on the slots of a trailing axis share that whole chain.
-The chain returns its state after a mixing first stage, read-only and a
-function of the input and that stage alone; no stage writes a state, so a run
-resumed from it (``mzi`` memoizes it) repeats every operation of an unbroken one.
+conserve the photon total of the splitter modes, so ``mzi``'s interferometer,
+splitter, XPM, splitter, is one fixed-shape chain of four batched real
+products between one gather and one scatter; for the scheme's inputs, whose
+auxiliary mode is in vacuum, one column of each W_T replaces the gather and
+the first product.  The angles and phases enter only as diagonals, so the
+slots of a trailing axis share the chain; its read-only state after a mixing
+first splitter resumes a run (``mzi`` memoizes it) with every operation of
+an unbroken one.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
 # are the only ones built, once per process; each W_T is its own inverse.
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _hadamard_stack = np.zeros((0, 0, 0))
-_ZERO = np.zeros(1, dtype=np.complex128)  # the pad slot of ``_diagonal_index``
+_ZERO = np.zeros(1, dtype=np.complex128)  # the pad slot of ``_layout``
 
 
 def _hadamard_blocks(t_max: int) -> np.ndarray:
@@ -133,74 +134,81 @@ def _mzi_angles(u) -> tuple[float, float]:
     return math.atan2(abs(u[1][0]), u[0][0].real), cmath.phase(-1j * u[1][0])
 
 
-@lru_cache(maxsize=64)
-def _diagonal_index(
-    shape: tuple[int, ...], modes: tuple[int, int], t_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps between a flat ket of the given shape and the padded
-    ``(T, n, rest)`` block layout of the mode pair, where n is the
-    occupation of ``modes[0]`` and T <= t_max <= both cutoffs.  Both flat
-    layouts end in one zero slot that unused entries point to.
-
-    Returns (gather, scatter): ``ket_flat[gather]`` is the block-layout
-    input and ``blocks_flat[scatter]`` the flat output ket.
-    """
+@lru_cache(maxsize=128)
+def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: int) -> tuple:
+    """The read-only, angle-free pieces of a chain on ``shape``: (gather,
+    scatter, i n, block, flat).  ``ket_flat[gather]`` is the input in the
+    padded block layout ``block`` = (T, n, axes before the partner's,
+    partner, axes after it, slot) of the mode pair, n the occupation of
+    ``modes[0]`` and T <= t_max, and ``blocks_flat[scatter]`` the output
+    ket; both flat arrays end in one zero slot that unused entries point to.
+    i n: the occupations 0..t_max times i, a column; flat: the (T, n, rest)
+    shape the W products take."""
     size = math.prod(shape)
     flat = np.moveaxis(np.arange(size).reshape(shape), modes, (0, 1))
     flat = flat.reshape(flat.shape[0], flat.shape[1], -1)
     rest = flat.shape[2]
     t, n = np.ogrid[: t_max + 1, : t_max + 1]
-    gather = np.where((n <= t)[:, :, None], flat[n, np.maximum(t - n, 0)], size)
+    before = math.prod(shape[a] for a in range(partner or 0) if a not in modes)
+    block = (t_max + 1, t_max + 1, before, 1 if partner is None else shape[partner], -1, slots)
+    gather = np.where((n <= t)[:, :, None], flat[n, np.maximum(t - n, 0)], size).reshape(block)
     p, q = np.indices(flat.shape[:2])
     slot = ((p + q) * (t_max + 1) + p)[:, :, None] * rest + np.arange(rest)
     scatter = np.empty(size, dtype=np.intp)
     scatter[flat.ravel()] = np.where(
         (p + q <= t_max)[:, :, None], slot, (t_max + 1) ** 2 * rest
     ).ravel()
-    for arr in (gather, scatter):
+    scatter, occ = scatter.reshape(shape), 1j * np.arange(t_max + 1)[:, None]
+    for arr in (gather, scatter, occ):
         arr.flags.writeable = False
-    return gather, scatter
+    return gather, scatter, occ, block, (t_max + 1, t_max + 1, -1)
 
 
-def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_max=None, held=None):
-    """Apply, in order, beam splitters on ``modes`` and XPM phases on
-    ``(partner, modes[0])`` to an amplitude array.  Each stage is a tuple of
-    one BeamSplitterParams or XpmParams per slot: one slot acts on the whole
-    array, and S > 1 slots are the last axis of ``amps``, of length S.
-    Every stage conserves the photon total T of the two modes, so the chain
-    acts on each anti-diagonal n + m = T of their grid as one (T+1) x (T+1)
-    block.  With ``theta, psi = _mzi_angles(_bs_entries(p))`` a splitter's
-    block is ``e^{-i theta T} P W_T L W_T P^-1``, ``P[n] = e^{i psi n}`` and
+def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, t_max=None, held=None, shape=None):
+    """The chain of every caller, on an amplitude array: a beam splitter on
+    ``modes``, then optionally XPM phases on ``(partner, modes[0])`` and a
+    second beam splitter.  ``bs1``, ``xpm`` and ``bs2`` hold one parameter
+    object per slot: one slot acts on the whole array, S > 1 slots are the
+    last axis of ``amps``, of length S.  Every stage conserves the photon
+    total T of the two modes, so the chain acts on each anti-diagonal
+    n + m = T of their grid as one (T+1) x (T+1) block.  With
+    ``theta, psi = _mzi_angles(_bs_entries(p))`` a splitter's block is
+    ``e^{-i theta T} P W_T L W_T P^-1``, ``P[n] = e^{i psi n}`` and
     ``L[k] = e^{2 i theta k}``; XPM is the diagonal ``e^{i phi_chi n s}``, s
-    the partner occupation.  Only these diagonals carry a slot index.  A
-    stage of identity splitters (theta = 0) is skipped.  A mixing stage
-    reaches every row of a block, so an occupied total past a cutoff raises
-    instead of dropping amplitude, which would fake the no-false-click
-    guarantee.  A given ``t_max``, the largest occupied total, spares its
-    search.  Returns ``(out, held)``, ``held`` the ``(shape, t_max, state)``
-    after a mixing first stage, else None; passed back in place of ``amps``,
-    it resumes the chain, whose stages write no state (each is read-only)."""
+    the partner occupation.  Only these diagonals carry a slot index, and
+    one exp makes them all.  A splitter of identities (theta = 0 on every
+    slot) is skipped.  A mixing splitter reaches every row of a block, so an
+    occupied total past a cutoff raises instead of dropping amplitude, which
+    would fake the no-false-click guarantee.  A given ``t_max``, the largest
+    occupied total, spares its search.
+
+    With ``shape``, ``amps`` is the column of an input of that shape whose
+    ``modes[1]`` is empty, laid out as its blocks without n and with a
+    partner axis of one, and ``t_max`` is its last row.  Block T then holds
+    one amplitude, at n = T, so the first W product is W_T's column T times
+    it: no input array, no gather.  Returns ``(out, held)``, ``held`` the
+    ``(shape, t_max, state)`` after a mixing first splitter, else None;
+    passed back in place of ``amps``, it resumes the chain, which writes no
+    state (each is read-only)."""
     i, j = modes
-    # the theta and psi rows of each mixing stage, flat; the phase row of
-    # each XPM stage with the number k of mixing stages before it
-    rates, k, xpms, keep = [], 0, [], True
-    for stage in stages:
-        if isinstance(stage[0], XpmParams):
-            xpms.append((k, [p.phi_chi for p in stage]))
-        else:
-            thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in stage])
-            if any(thetas):  # a stage of identities is skipped
-                rates += thetas + psis
-                k += 1
-        keep = keep and k > 0  # the state after the first stage is handed out if it mixes
+    rates, mixes = [], []  # the theta and psi rows of each mixing splitter
+    for bs in (bs1, bs2):
+        thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in bs]) if bs else ((), ())
+        mixes.append(any(thetas))  # a splitter of identities is skipped
+        rates += thetas + psis if mixes[-1] else ()
+    k, at = mixes.count(True), int(mixes[0])  # at: the mixing splitters before the XPM
+    if shape is not None and not k:  # nothing mixes: build the input the column stands for
+        amps, column = np.zeros(shape, dtype=np.complex128), amps
+        others = [1 if a == partner else n for a, n in enumerate(shape) if a not in modes]
+        np.moveaxis(amps, modes, (0, 1))[: t_max + 1, 0] = column.reshape(t_max + 1, *others)
     if not k:
-        for _, phis in xpms:
-            amps = _xpm(amps, (partner, i), np.array(phis))
+        if xpm:
+            amps = _xpm(amps, (partner, i), np.array([p.phi_chi for p in xpm]))
         return amps, None
-    shape, t_max, state = held or (amps.shape, t_max, None)
+    column = None if shape is None else amps
+    shape, t_max, state = held or (shape or amps.shape, t_max, None)
     if t_max is None:
-        occupied = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes))
-        n, m = occupied.nonzero()
+        n, m = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes)).nonzero()
         t_max = int((n + m).max(initial=-1))
     if t_max < 0:
         return amps, None
@@ -210,43 +218,47 @@ def _apply_chain(amps, modes: tuple[int, int], stages: tuple, partner=None, t_ma
             f"beam splitter sends {t_max} occupied photons into one mode, "
             f"beyond cutoffs {cuts} on modes {modes}"
         )
-    gather, scatter = _diagonal_index(shape, modes, t_max)
+    gather, scatter, iocc, block, flat = _layout(shape, modes, partner, t_max, len(bs1))
     # every phase from one exp over (rate, occupation, slot): e^{i theta n}
-    # and e^{i psi n} per mixing stage, then e^{i phi_chi s n} per XPM phase
-    # and partner occupation s; inv: the splitter rows' conjugates; lams:
-    # each stage's e^{-i theta T} L
-    size, slots = 1 if partner is None else shape[partner], len(stages[0])
-    rates += [a * s for _, phis in xpms for s in range(size) for a in phis]
-    rates = np.array(rates).reshape(-1, slots)
-    ph = np.exp(1j * (rates[:, None, :] * np.arange(t_max + 1)[:, None]))
-    th, p = ph[0 : 2 * k : 2, None, :, None, None, None], ph[1 : 2 * k : 2, :, None, None, None]
-    inv = ph[: 2 * k].conj()
-    lams = inv[0::2, :, None, None, None, None] * (th * th)
-    # the diagonals before, between and after the W pairs, in the layout (T,
-    # n, rest axes before the partner's, s, rest after, slot): each P merges
-    # with the next splitter's P^-1 and the XPM phases between them
-    diags = np.empty((k + 1, t_max + 1, 1, size, 1, slots), dtype=np.complex128)
-    diags[0], diags[-1] = inv[1, :, None, None, None], p[-1]
-    np.multiply(p[:-1], inv[3::2, :, None, None, None], out=diags[1:-1])
-    for (at, _), rows in zip(xpms, ph[2 * k :].reshape(-1, size, t_max + 1, slots)):
-        diags[at] *= rows.transpose(1, 0, 2)[:, None, :, None]
-    before = math.prod(shape[a] for a in range(partner or 0) if a not in modes)
-    if state is None:  # the gathered input, which the first stage mixes in place
-        x_split = np.concatenate((amps.ravel(), _ZERO))[gather]
-        x_split = x_split.reshape(t_max + 1, t_max + 1, before, size, -1, slots)
-        x_split *= diags[0]
-    w, flat = _hadamard_blocks(t_max), lambda a: a.reshape(t_max + 1, t_max + 1, -1).view(float)
-    y = np.empty_like(state if held else x_split)
-    for at in range(0 if state is None else 1, k):
-        if at:  # out of place: the state is never written
-            x_split = state * diags[at]
-        np.matmul(w, flat(x_split), out=flat(y))
-        y *= lams[at]  # in place on the array itself: a reshape would add a setitem copy
-        np.matmul(w, flat(y), out=flat(x_split))
-        state, x_split.flags.writeable = x_split, False
-        held = (shape, t_max, state) if keep and not at else held
-    out = np.multiply(state, diags[k], out=y).ravel()  # y is free after the last stage
-    return np.concatenate((out, _ZERO))[scatter].reshape(shape), held
+    # and e^{i psi n} per mixing splitter, then e^{i phi_chi s n} per partner
+    # occupation s; inv: their conjugates; lams: each splitter's e^{-i theta T} L
+    rates += [p.phi_chi * s for s in range(block[3] if xpm else 0) for p in xpm]
+    ph = np.exp(np.array(rates).reshape(-1, 1, len(bs1)) * iocc)
+    first = 0 if state is None else 2  # a resumed run needs no first-splitter L
+    inv, th = ph.conj(), ph[first : 2 * k : 2, None, :, None, None, None]
+    lams = inv[first : 2 * k : 2, :, None, None, None, None] * (th * th)
+    # the diagonals before, between and after the W pairs, over (n, rest
+    # axes before the partner's, s, rest after, slot): each P merges with
+    # the next splitter's P^-1, and the XPM phases with the one at their place
+    diags = np.empty((k + 1, t_max + 1, 1, block[3], 1, len(bs1)), dtype=np.complex128)
+    diags[0], diags[-1] = inv[1, :, None, None, None], ph[2 * k - 1, :, None, None, None]
+    if k == 2:
+        np.multiply(ph[1, :, None, None, None], inv[3, :, None, None, None], out=diags[1])
+    if xpm:
+        diags[at] *= ph[2 * k :].transpose(1, 0, 2)[:, None, :, None]
+    w, y = _hadamard_blocks(t_max), None  # products run on float views, (T, n, 2 x rest)
+    if state is None:
+        if column is None:  # the gathered input
+            x = np.concatenate((amps.ravel(), _ZERO))[gather]
+            x *= diags[0]
+            yf = np.matmul(w, x.reshape(flat).view(float))
+        else:  # W_T's column T times block T's one amplitude
+            x = (column * diags[0]).reshape(t_max + 1, 1, -1).view(float)
+            yf = np.matmul(w.diagonal(0, 0, 2).T[:, :, None], x)
+        y = yf.view(complex).reshape(block)
+        y *= lams[0]  # in place: the next product reads the same memory through yf
+        state = np.matmul(w, yf).view(complex).reshape(block)
+        state.flags.writeable = False
+        held = (shape, t_max, state) if at else None
+    x = state * diags[1]  # out of place: the state is never written
+    if k == 2:
+        xf = x.reshape(flat).view(float)
+        yf = np.matmul(w, xf, out=None if y is None else yf)  # the first splitter's buffer
+        y = yf.view(complex).reshape(block) if y is None else y
+        y *= lams[-1]
+        np.matmul(w, yf, out=xf)
+        x *= diags[2]
+    return np.concatenate((x.ravel(), _ZERO))[scatter], held
 
 
 def _xpm(amps: np.ndarray, modes: tuple[int, int], phi_chi) -> np.ndarray:
@@ -277,7 +289,7 @@ def apply_beam_splitter(
     scatter.  An occupied total past a cutoff raises CutoffViolationError
     unless the splitter is the identity (see ``_apply_chain``)."""
     _check_element(ket, modes, p, BeamSplitterParams)
-    return MultiModeKet._unchecked(_apply_chain(ket.amps, modes, ((p,),))[0])
+    return MultiModeKet._unchecked(_apply_chain(ket.amps, modes, (p,))[0])
 
 
 def apply_xpm(

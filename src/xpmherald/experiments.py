@@ -98,15 +98,20 @@ class ResultTable:
     manifest: dict
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match column count")
+        if any(len(row) != len(self.columns) for row in self.rows):
+            raise ValueError("row width does not match column count")
 
     def to_csv_text(self) -> str:
+        """The CSV, column by column: each distinct cell object (rows share
+        them) is formatted once, keyed by identity, as 0.0 == -0.0."""
         lines = [f"# {key} = {value}" for key, value in self.manifest.items()]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join([_format_cell(v) for v in row]))
+        texts = []
+        for column in zip(*self.rows):
+            unique = {id(v): v for v in column}
+            cells = {key: _format_cell(v) for key, v in unique.items()}
+            texts.append([cells[id(v)] for v in column])
+        lines += map(",".join, zip(*texts))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:

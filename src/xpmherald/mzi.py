@@ -15,14 +15,15 @@ one-photon state in the signal mode.
 
 The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, ``_click_table`` propagates many setups grouped by
-input shape, and ``_run_setups`` makes each slot's outcome.
+input shape, as probe columns rather than input arrays (C is in vacuum,
+``elements._apply_chain``), and ``_run_setups`` makes each slot's outcome.
 ``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
 The last two run ``_propagate_one``: along a phi_chi sweep the first
 splitter meets one input again and again, so ``_memo`` keeps the read-only
 state after it, keyed by the exact bits of bs1's (theta, phi) and of a
 coherent probe's beta, the probe kind and the blocks function, stored on a
-key's first miss, 8 keys at most.  A hit skips ``make_coherent``, the input
-array, the gather and the first splitter, same bytes out (``elements``).
+key's first miss, 8 keys at most.  A hit skips ``make_coherent`` and the
+first splitter, same bytes out (``elements``).
 Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
 far below every tolerance the audits apply; ``make_coherent(beta, policy)``
 is where a caller can still choose another.
@@ -46,6 +47,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from numbers import Integral
+from operator import mul
 
 import numpy as np
 
@@ -63,7 +65,7 @@ from .errors import (
 from .fock import NORM_TOL, Ensemble, MultiModeKet, condition, make_coherent
 
 SIGNAL, PROBE, AUX = 0, 1, 2
-_PHOTON_OR_VACUUM = np.eye(2)[::-1]  # a noisy photon probe's (B, label) input: |1>, |0>
+_PHOTON_OR_VACUUM = np.eye(2)[::-1, None, None, :, None]  # a noisy photon probe's column: |1>, |0>
 _memo: dict = {}  # the post-first-splitter states of ``_propagate_one``, 8 at most
 
 # Above this probe mean photon number the classical coherent path is the
@@ -261,12 +263,15 @@ def transparency_sign(cfg: MziConfig) -> int:
     return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
-def _propagate(amps, cfgs, t_max=None, held=None) -> tuple:
-    """Exact propagation of an array with the mode axes laid out above: one
+def _propagate(amps, cfgs, t_max=None, held=None, column=False) -> tuple:
+    """Exact propagation of an array with the mode axes laid out above, or
+    with ``column`` of the probe columns (B, 1, 1, label, slot) of inputs
+    with a signal axis of two and C in vacuum, ``t_max`` their last row.  One
     configuration propagates it whole, S > 1 each propagate one slot of the
-    last axis, of length S.  One chain, ``_apply_chain``, gives (out, held)."""
-    stages = tuple(zip(*[(cfg.bs1, cfg.xpm, cfg.bs2) for cfg in cfgs]))
-    return _apply_chain(amps, (PROBE, AUX), stages, SIGNAL, t_max, held)
+    last axis, of length S.  ``_apply_chain`` gives (out, held)."""
+    shape = (2, len(amps), len(amps), *amps.shape[3:]) if column else None
+    bs1, xpm, bs2 = zip(*[(cfg.bs1, cfg.xpm, cfg.bs2) for cfg in cfgs])
+    return _apply_chain(amps, (PROBE, AUX), bs1, xpm, bs2, SIGNAL, t_max, held, shape)
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
@@ -366,26 +371,20 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
         elif len(cfgs) == 1:  # _propagate_one makes its column, on a memo miss only
             weights, column = (1.0,), None
         else:
-            weights, column = (1.0,), make_coherent(probe.beta).amps[:, None]
+            weights, column = (1.0,), make_coherent(probe.beta).amps[:, None, None, None, None]
         groups.setdefault(getattr(column, "shape", None), []).append((slot, weights, column))
     for members in groups.values():
-        out = (_propagate_one(cfgs[0], probes[0]) if len(cfgs) == 1 else
-               _propagate(_inputs([c for _, _, c in members]), [cfgs[s] for s, _, _ in members])[0])
+        if len(cfgs) == 1:
+            out = _propagate_one(cfgs[0], probes[0])
+        else:
+            cols = np.concatenate([c for _, _, c in members], axis=-1)
+            out = _propagate(cols, [cfgs[s] for s, _, _ in members], len(cols) - 1, column=True)[0]
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
         click = probs[:, 1:].sum(axis=1).transpose(2, 0, 1).tolist()
         for at, (slot, weights, _) in enumerate(members):
             tables[slot] = (weights, (zero[at], click[at]), out[..., at])
     return tables
-
-
-def _inputs(columns) -> np.ndarray:
-    """The input array of slots of one shape, from their (B, label) amplitudes."""
-    size, labels = columns[0].shape
-    amps = np.zeros((2, size, size, labels, len(columns)), dtype=np.complex128)
-    for at, column in enumerate(columns):
-        amps[:, :, 0, :, at] = column
-    return amps
 
 
 def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
@@ -397,8 +396,8 @@ def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
     held = _memo.get(key)
     if held is not None:
         return _propagate(None, (cfg,), held=held)[0]
-    column = make_coherent(beta).amps[:, None] if coherent else _PHOTON_OR_VACUUM
-    out, held = _propagate(_inputs([column]), (cfg,), len(column) - 1)
+    column = make_coherent(beta).amps[:, None, None, None, None] if coherent else _PHOTON_OR_VACUUM
+    out, held = _propagate(column, (cfg,), len(column) - 1, column=True)
     if held is not None:
         _memo[key] = held
         for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
@@ -412,10 +411,9 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
     tables = _click_table(cfgs, sources, probes, require_transparent)
     for source, (weights, (zero, click), out) in zip(sources, tables):
         joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
-        p_click = sum(w * q for s in (1, 0) for w, q in zip(joint[s], click[s]))
-        detection_eff = sum(w * q for w, q in zip(weights, click[1]))
-        # the click-posterior weight of the photon branches
-        photon_click = sum(w * q for w, q in zip(joint[1], click[1]))
+        p_click = sum(map(mul, joint[1] + joint[0], click[1] + click[0]))
+        detection_eff = sum(map(mul, weights, click[1]))
+        photon_click = sum(map(mul, joint[1], click[1]))  # the photon branches' click weight
         deficit, kept = 0.0, None
         if out is not None:
             # the positive-weight (signal, label) slices, photon branches first
@@ -423,7 +421,7 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
             squared_norms = [zero[s][b] + click[s][b] for _, s, b in branches]
             if not max(squared_norms) <= 1.0 + NORM_TOL:
                 raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
-            weighted = sum(w * sq for (w, _, _), sq in zip(branches, squared_norms))
+            weighted = sum(map(mul, [w for w, _, _ in branches], squared_norms))
             deficit, kept = max(0.0, 1.0 - weighted), (out, branches)
         if p_click - photon_click <= deficit + _ROUNDING_FLOOR:  # vacuum clicks: rounding noise
             p_click = photon_click

@@ -434,7 +434,7 @@ def _check_cascade(results, rng, dense: bool):
             recursion.append(survive * -math.expm1(-abs(c * beta) ** 2))
             survive *= math.exp(-abs(c * beta) ** 2)
             beta *= b
-        closed = [casc.reused_probe_pn(n, alpha, phi_chi) for n in range(1, 101)]
+        closed = casc._reused(casc.CascadeConfig("reused_probe", 100, alpha, phi_chi, 1.0))[0]
         worst = max(worst, float(np.max(np.abs(np.subtract(recursion, closed)))))
     _record_worst(
         results, "cascade", "reused-closed-form-vs-recursion", worst, ALGEBRA_TOL,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import xpmherald.cascade as cascade
 from xpmherald.cascade import (
     CascadeConfig,
     ENUMERATION_CAP,
@@ -85,6 +86,17 @@ def test_reused_pn_matches_sequential_oracle():
     for n in range(1, 11):
         assert reused_probe_pn(n, 2.0, PI / 2.0) == pytest.approx(oracle[n - 1], abs=1e-12)
         assert sim.per_setup[n - 1] == pytest.approx(oracle[n - 1], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, phi_chi", [(math.sqrt(2.0), 1.2), (5.0, PI / 2.0), (5.0, 2.6), (0.7, 2.8)]
+)
+def test_reused_pn_is_one_entry_of_the_whole_chain(alpha, phi_chi):
+    # verify reads the first 100 first-click probabilities off one _reused
+    # call; each equals the per-n closed form bit for bit
+    per_setup = cascade._reused(CascadeConfig("reused_probe", 100, alpha, phi_chi, 1.0))[0]
+    for n in (1, 37, 100):
+        assert reused_probe_pn(n, alpha, phi_chi) == per_setup[n - 1]
 
 
 def test_reused_pn_survives_click_exponent_underflow():

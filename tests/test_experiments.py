@@ -613,3 +613,22 @@ def test_whole_number_params_accept_integral_floats():
     assert as_float.rows == as_int.rows
     with pytest.raises(ConfigurationError, match="whole number"):
         run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5.5}))
+
+
+def test_csv_formats_each_cell_object_as_the_per_cell_formatter_does():
+    # to_csv_text formats each distinct cell object of a column once; cells
+    # that compare equal but print apart (0.0 and -0.0, 1 and 1.0) and
+    # numpy scalars keep the per-cell text
+    from xpmherald.experiments import _format_cell
+
+    zero, one = 0.0, 1.0
+    rows = [
+        (zero, 1, "x"), (-0.0, one, "x"), (zero, True, ""), (np.float64(-0.0), np.int64(1), "x"),
+        (np.float32(0.1), one, None), (zero, 1, "x"),
+    ]
+    table = ResultTable(columns=["a", "b", "c"], rows=rows, manifest={"k": "v"})
+    expected = ["# k = v", "a,b,c"] + [",".join(map(_format_cell, row)) for row in rows]
+    assert table.to_csv_text() == "\n".join(expected) + "\n"
+    assert table.to_csv_text().splitlines()[2:4] == ["0.0,1,x", "-0.0,1.0,x"]
+    with pytest.raises(ValueError):
+        ResultTable(columns=["a", "b"], rows=[(1.0, 2.0), (1.0,)], manifest={})

@@ -569,11 +569,12 @@ def test_propagate_mzi_amplitudes_golden():
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 kernels only")
-def test_goldens_hold_under_a_second_blas_kernel():
+@pytest.mark.parametrize("core", sorted(GOLDEN_DIGESTS))
+def test_goldens_hold_under_a_second_blas_kernel(core):
     # a kernel-dependent change shows at once: both goldens again, in a
-    # child process on the common AVX2 kernel
+    # child process on each kernel a digest pair is recorded for
     here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott" if core == "Katmai" else core)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
     script = (
         "import test_mzi as t; t.test_run_setup_scalars_golden(); "
@@ -584,7 +585,7 @@ def test_goldens_hold_under_a_second_blas_kernel():
         cwd=here, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "Haswell\n"
+    assert proc.stdout == f"{core}\n"
 
 
 def _per_branch_outcome(cfg, source, probe):
@@ -922,6 +923,70 @@ def test_batched_slots_match_single_runs():
         assert np.max(np.abs(batched[..., slot] - alone)) <= 1e-14
 
 
+def _column_cases(rng):
+    """Configs for the column-path checks: both families and leaky ones,
+    theta = 0 first splitters (the XPM then precedes the first mixing
+    splitter, so that splitter's diagonal depends on the signal
+    occupation), theta = 0 second splitters, both, and phi_chi = 2 pi."""
+    identity = BeamSplitterParams(0.0, 0.4)
+    cfgs = []
+    for i in range(30):
+        cfg = random_transparent(rng) if i % 2 else _random_nontransparent(rng)
+        bs1 = identity if i % 6 in (1, 5) else cfg.bs1
+        bs2 = identity if i % 6 in (2, 5) else cfg.bs2
+        cfgs.append(MziConfig(bs1, bs2, XpmParams(2.0 * PI) if i % 6 == 3 else cfg.xpm))
+    return cfgs
+
+
+COLUMN_BETAS = (0.0, 1e-6, 0.3, complex(1.0, -0.0), 1.0 + 0.5j, 2.5j, -3.9)
+
+
+def test_column_path_equals_array_path_bit_for_bit():
+    # the scheme routes hand _apply_chain probe columns; the input array
+    # they stand for takes the gather path.  Amplitudes and the held state
+    # are byte-identical, signed zeros included, for noisy and coherent
+    # columns, single slots and one batch per column shape
+    cfgs = _column_cases(np.random.default_rng(31))
+    columns = [mzi._PHOTON_OR_VACUUM]
+    columns += [make_coherent(beta).amps[:, None, None, None, None] for beta in COLUMN_BETAS]
+    for column in columns:
+        for cfg in cfgs:
+            out, held = mzi._propagate(column, (cfg,), len(column) - 1, column=True)
+            ref, ref_held = mzi._propagate(_input_array(column), (cfg,))
+            assert out.tobytes() == ref.tobytes()
+            assert (held is None) == (ref_held is None) == (cfg.bs1.theta == 0.0)
+            if held is not None:
+                assert held[2].tobytes() == ref_held[2].tobytes()
+        batch = np.concatenate([column] * len(cfgs), axis=-1)
+        out = mzi._propagate(batch, cfgs, len(column) - 1, column=True)[0]
+        assert out.tobytes() == mzi._propagate(_input_array(batch), cfgs)[0].tobytes()
+
+
+def test_mixed_cutoff_batch_equals_array_path_bit_for_bit():
+    # _click_table splits a batch of noisy and coherent probes of several
+    # cutoffs into one column batch per shape; every slot's propagated array
+    # equals that of its shape's batch run on the array path
+    cfgs = _column_cases(np.random.default_rng(37))
+    probes = [
+        NoisyPhotonProbe(NoisySource(0.5)) if i % 4 == 0 else CoherentProbe(COLUMN_BETAS[i % 7])
+        for i in range(len(cfgs))
+    ]
+    tables = mzi._click_table(cfgs, [NoisySource(0.7)] * len(cfgs), probes, False)
+    shapes = {}
+    for slot, probe in enumerate(probes):
+        column = (
+            mzi._PHOTON_OR_VACUUM if isinstance(probe, NoisyPhotonProbe)
+            else make_coherent(probe.beta).amps[:, None, None, None, None]
+        )
+        shapes.setdefault(column.shape, []).append((slot, column))
+    assert len(shapes) > 4
+    for members in shapes.values():
+        batch = np.concatenate([column for _, column in members], axis=-1)
+        ref = mzi._propagate(_input_array(batch), [cfgs[slot] for slot, _ in members])[0]
+        for at, (slot, _) in enumerate(members):
+            assert tables[slot][2].tobytes() == ref[..., at].tobytes()
+
+
 # --- the memo of mzi._propagate_one ---------------------------------------
 
 
@@ -939,13 +1004,21 @@ def _outcome_bytes(cfg, source, probe, transparent):
     return scalars, _conditioned_bytes(out.click_state), _conditioned_bytes(out.no_click_state)
 
 
+def _input_array(columns):
+    """The (signal, B, C, label, slot) input that probe columns (B, 1, 1,
+    label, slot) stand for: C in vacuum, both signal rows the column."""
+    amps = np.zeros((2, len(columns), len(columns), *columns.shape[3:]), dtype=np.complex128)
+    amps[:, :, 0] = columns[:, 0, 0]
+    return amps
+
+
 def _spy_propagate(monkeypatch):
-    """Record (amps, t_max, resumed) of every mzi._propagate call."""
+    """Record (input array, t_max, resumed) of every mzi._propagate call."""
     calls, real = [], mzi._propagate
 
-    def spy(amps, cfgs, t_max=None, held=None):
-        calls.append((amps, t_max, held is not None))
-        return real(amps, cfgs, t_max, held)
+    def spy(amps, cfgs, t_max=None, held=None, column=False):
+        calls.append((_input_array(amps) if column else amps, t_max, held is not None))
+        return real(amps, cfgs, t_max, held, column)
 
     monkeypatch.setattr(mzi, "_propagate", spy)
     return calls
@@ -1038,7 +1111,8 @@ def test_batches_bypass_the_memo(monkeypatch):
     for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
         for _ in range(3):
             mzi._run_setups(cfgs, sources, [probe] * 3)
-            propagate_mzi(MultiModeKet._unchecked(mzi._inputs([mzi._PHOTON_OR_VACUUM])[..., 0]), cfgs[0])
+            ket = MultiModeKet._unchecked(_input_array(mzi._PHOTON_OR_VACUUM)[..., 0])
+            propagate_mzi(ket, cfgs[0])
     assert mzi._memo == {}
     # a stored state is not read by a batch holding the same setup
     batch = [cfgs[:1] * 2, sources[:2], [CoherentProbe(1.5)] * 2]
