@@ -164,7 +164,7 @@ def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: in
     return gather, scatter, occ, block, (t_max + 1, t_max + 1, -1)
 
 
-def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, t_max=None, held=None, shape=None):
+def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, held=None, shape=None):
     """The chain of every caller, on an amplitude array: a beam splitter on
     ``modes``, then optionally XPM phases on ``(partner, modes[0])`` and a
     second beam splitter.  ``bs1``, ``xpm`` and ``bs2`` hold one parameter
@@ -179,17 +179,17 @@ def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, t_max=None, hel
     one exp makes them all.  A splitter of identities (theta = 0 on every
     slot) is skipped.  A mixing splitter reaches every row of a block, so an
     occupied total past a cutoff raises instead of dropping amplitude, which
-    would fake the no-false-click guarantee.  A given ``t_max``, the largest
-    occupied total, spares its search.
+    would fake the no-false-click guarantee.
 
     With ``shape``, ``amps`` is the column of an input of that shape whose
     ``modes[1]`` is empty, laid out as its blocks without n and with a
-    partner axis of one, and ``t_max`` is its last row.  Block T then holds
-    one amplitude, at n = T, so the first W product is W_T's column T times
-    it: no input array, no gather.  Returns ``(out, held)``, ``held`` the
+    partner axis of one, and its last row is the largest occupied total
+    t_max, which an array's occupancy search finds.  Block T then holds one
+    amplitude, at n = T, so the first W product is W_T's column T times it:
+    no input array, no gather.  Returns ``(out, held)``, ``held`` the
     ``(shape, t_max, state)`` after a mixing first splitter, else None;
     passed back in place of ``amps``, it resumes the chain, which writes no
-    state (each is read-only)."""
+    state (each is read-only) and takes t_max from it."""
     i, j = modes
     rates, mixes = [], []  # the theta and psi rows of each mixing splitter
     for bs in (bs1, bs2):
@@ -200,14 +200,14 @@ def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, t_max=None, hel
     if shape is not None and not k:  # nothing mixes: build the input the column stands for
         amps, column = np.zeros(shape, dtype=np.complex128), amps
         others = [1 if a == partner else n for a, n in enumerate(shape) if a not in modes]
-        np.moveaxis(amps, modes, (0, 1))[: t_max + 1, 0] = column.reshape(t_max + 1, *others)
+        np.moveaxis(amps, modes, (0, 1))[: len(column), 0] = column.reshape(len(column), *others)
     if not k:
         if xpm:
             amps = _xpm(amps, (partner, i), np.array([p.phi_chi for p in xpm]))
         return amps, None
-    column = None if shape is None else amps
+    column, t_max = (None, None) if shape is None else (amps, len(amps) - 1)  # a column's last row
     shape, t_max, state = held or (shape or amps.shape, t_max, None)
-    if t_max is None:
+    if t_max is None:  # an array: its largest occupied total
         n, m = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes)).nonzero()
         t_max = int((n + m).max(initial=-1))
     if t_max < 0:

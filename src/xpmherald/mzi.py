@@ -28,13 +28,13 @@ Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
 far below every tolerance the audits apply; ``make_coherent(beta, policy)``
 is where a caller can still choose another.
 
-The transparency test and the classical route of bright probes read the
-splitter algebra as Python numbers off its one source, the entries of
-``elements._bs_entries``: ``_bc_product`` for the interferometer's
-substitution matrix, ``_classical_clicks`` for the entries a click needs.
-A transparent setup with a coherent probe clicks by one law,
-``_transparent_clicks`` of y = |beta|^2 sin^2(2 theta1) / 4, the phase and
-the absorption; ``detection_efficiency``, fig4 and ``loss`` read it.
+The splitter algebra is read as Python numbers off the entries of
+``elements._bs_entries``, multiplied out only by ``_bc_product``: the
+transparency test and the classical route of bright probes read its
+substitution matrix, ``_classical_clicks`` the ``coherent_outputs`` arm C.
+Transparent setups click by one law, ``_click_exponents`` of
+y = |beta|^2 sin^2(2 theta1) / 4, the phase and the absorption: fig4,
+``loss``, ``detection_efficiency`` and ``cascade`` read it.
 
 ``sample_shots`` reads the same table: every shot falls in one of four
 (click, photon) cells of fixed probability, so its counts are one
@@ -263,15 +263,15 @@ def transparency_sign(cfg: MziConfig) -> int:
     return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
-def _propagate(amps, cfgs, t_max=None, held=None, column=False) -> tuple:
+def _propagate(amps, cfgs, held=None, column=False) -> tuple:
     """Exact propagation of an array with the mode axes laid out above, or
     with ``column`` of the probe columns (B, 1, 1, label, slot) of inputs
-    with a signal axis of two and C in vacuum, ``t_max`` their last row.  One
-    configuration propagates it whole, S > 1 each propagate one slot of the
-    last axis, of length S.  ``_apply_chain`` gives (out, held)."""
+    with a signal axis of two and C in vacuum.  One configuration
+    propagates it whole, S > 1 each propagate one slot of the last axis, of
+    length S.  ``_apply_chain`` gives (out, held)."""
     shape = (2, len(amps), len(amps), *amps.shape[3:]) if column else None
     bs1, xpm, bs2 = zip(*[(cfg.bs1, cfg.xpm, cfg.bs2) for cfg in cfgs])
-    return _apply_chain(amps, (PROBE, AUX), bs1, xpm, bs2, SIGNAL, t_max, held, shape)
+    return _apply_chain(amps, (PROBE, AUX), bs1, xpm, bs2, SIGNAL, held, shape)
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
@@ -304,15 +304,8 @@ def coherent_outputs(
 
 def _classical_clicks(cfg: MziConfig, beta: complex) -> tuple[float, float]:
     """Click probabilities (q1, q0) with and without a signal photon on the
-    classical path, for any configuration: 1 - exp(-|detector arm|^2), the
-    arm mixed from the two arms after the first splitter by the second
-    splitter's detector column, the upper one rotated by the XPM phase."""
-    (a, b), _ = _bs_entries(cfg.bs1)
-    (_, coupling), (_, h) = _bs_entries(cfg.bs2)
-    upper, lower = complex(a * beta), h * (b * beta)
-    phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
-    q0 = -math.expm1(-abs(coupling * upper + lower) ** 2)
-    return -math.expm1(-abs(coupling * (phase * upper) + lower) ** 2), q0
+    classical path of any configuration: 1 - exp(-|``coherent_outputs`` C|^2)."""
+    return tuple(-math.expm1(-abs(coherent_outputs(cfg, beta, s)[1]) ** 2) for s in (True, False))
 
 
 def _click_scale(theta1: float, beta: complex) -> float:
@@ -321,17 +314,23 @@ def _click_scale(theta1: float, beta: complex) -> float:
     return abs(beta) ** 2 * math.sin(2.0 * theta1) ** 2 / 4.0
 
 
-def _transparent_clicks(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
-    """(q1, q0) of a transparent setup with a coherent probe of click scale
-    y (``_click_scale``): q1 = 1 - exp(-y |u e^{i phi_chi} - 1|^2) with an
-    unabsorbed signal photon, q0 = 1 - exp(-y (1 - u)^2) without, where
-    u = sqrt(1 - p_absorb).  Nothing cancels: 1 - u is p_absorb / (1 + u),
-    |u e^{i phi_chi} - 1|^2 is (1 - u)^2 + 4 u sin^2(phi_chi / 2), and
-    1 - exp(-x) is -expm1(-x)."""
+def _click_exponents(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
+    """Click exponents of a transparent setup at click scale y (``_click_scale``):
+    x1 = y |u e^{i phi_chi} - 1|^2 with an unabsorbed signal photon, x0 =
+    y (1 - u)^2 without, u = sqrt(1 - p_absorb).  Nothing cancels: 1 - u is
+    p_absorb / (1 + u), |u e^{i phi_chi} - 1|^2 is (1 - u)^2 + 4 u
+    sin^2(phi_chi / 2).  A coherent probe clicks with 1 - exp(-x), a lone
+    photon with the x1 of |beta| = 1, the cascade's at theta1 = pi / 4."""
     u = math.sqrt(1.0 - p_absorb)
     dim = p_absorb / (1.0 + u)  # 1 - u
     s = math.sin(phi_chi / 2.0)
-    return -math.expm1(-y * (dim * dim + 4.0 * u * (s * s))), -math.expm1(-y * (dim * dim))
+    return y * (dim * dim + 4.0 * u * (s * s)), y * (dim * dim)
+
+
+def _transparent_clicks(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
+    """(q1, q0) = 1 - exp(-x) of the ``_click_exponents``, as -expm1(-x)."""
+    x1, x0 = _click_exponents(y, phi_chi, p_absorb)
+    return -math.expm1(-x1), -math.expm1(-x0)
 
 
 def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple]:
@@ -378,7 +377,7 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
             out = _propagate_one(cfgs[0], probes[0])
         else:
             cols = np.concatenate([c for _, _, c in members], axis=-1)
-            out = _propagate(cols, [cfgs[s] for s, _, _ in members], len(cols) - 1, column=True)[0]
+            out = _propagate(cols, [cfgs[s] for s, _, _ in members], column=True)[0]
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
         click = probs[:, 1:].sum(axis=1).transpose(2, 0, 1).tolist()
@@ -397,7 +396,7 @@ def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
     if held is not None:
         return _propagate(None, (cfg,), held=held)[0]
     column = make_coherent(beta).amps[:, None, None, None, None] if coherent else _PHOTON_OR_VACUUM
-    out, held = _propagate(column, (cfg,), len(column) - 1, column=True)
+    out, held = _propagate(column, (cfg,), column=True)
     if held is not None:
         _memo[key] = held
         for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
@@ -463,9 +462,9 @@ def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     triggers the herald, for either probe choice."""
     if not is_transparent(cfg):
         raise ConfigurationError("closed form assumes a transparent configuration")
-    if isinstance(probe, NoisyPhotonProbe):
-        single = math.sin(cfg.xpm.phi_chi / 2.0) ** 2 * math.sin(2.0 * cfg.bs1.theta) ** 2
-        return single * probe.source.p
+    if isinstance(probe, NoisyPhotonProbe):  # a lone photon clicks with |arm|^2: x1 at |beta| = 1
+        y = _click_scale(cfg.bs1.theta, 1.0)
+        return probe.source.p * _click_exponents(y, cfg.xpm.phi_chi)[0]
     if not isinstance(probe, CoherentProbe):
         raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
     return _transparent_clicks(_click_scale(cfg.bs1.theta, probe.beta), cfg.xpm.phi_chi)[0]

@@ -3,13 +3,13 @@
 The ``mzi`` group checks zero false clicks for transparent setups,
 click-conditioned purity 1, the closed forms against exact propagation and
 transparency for any probe input; ``loss`` and ``cascade`` check the
-absorption model, whose click law ``mzi._transparent_clicks`` must match
-the 2x2 clicks of ``mzi._classical_clicks`` without absorption, and the
-chained-setup closed forms; ``elements`` checks the classical coherent path
-that bright probes take, the arms of ``mzi.coherent_outputs`` and those
-clicks, against one exact ``mzi._propagate`` batch of the same probes.  The Fock
-and element algebra underneath is tested in ``tests/test_fock.py`` and
-``tests/test_elements.py``, not here.
+absorption model, whose click law ``mzi._click_exponents`` must match
+``mzi._classical_clicks`` without absorption, and the chained-setup closed
+forms built on the same law; ``elements`` checks the classical path that
+bright probes take, the arms of ``mzi.coherent_outputs`` and the clicks
+read off its arm C, against one exact ``mzi._propagate`` batch of the same
+probes.  The Fock and element algebra underneath is tested in
+``tests/test_fock.py`` and ``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit

@@ -30,7 +30,8 @@ def loop_exact_shared(cfg):
     """Test-local exhaustive oracle, the per-pattern enumeration loop: pattern
     bits in setup order, factors multiplied one by one, summed in order."""
     a2 = abs(cfg.alpha) ** 2
-    s2 = math.sin(cfg.phi_chi / 2.0) ** 2
+    s = math.sin(cfg.phi_chi / 2.0)
+    s2 = s * s  # squared as the click law squares it, not as libm's s ** 2
     c2 = math.cos(cfg.phi_chi / 2.0) ** 2
 
     def click(rank):
@@ -270,6 +271,38 @@ def test_simulate_residual_amplitude_matches_arm_recursion():
     shrink = abs(coherent_outputs(setup, 1.0, True)[0])
     assert shrink == pytest.approx(abs(math.cos(phi_chi / 2.0)), abs=1e-12)
     assert sim.residual_amp == pytest.approx(1.5 * shrink**7, abs=1e-12)
+
+
+def _old_rank_table(cfg, square):
+    """The per-rank formula from before the table read the click law, with
+    sin^2(phi_chi/2) as ``square`` of the sine."""
+    a2s2 = abs(cfg.alpha) ** 2 * square(math.sin(cfg.phi_chi / 2.0))
+    c2 = math.cos(cfg.phi_chi / 2.0) ** 2
+    x = [a2s2 * c2**k for k in range(cfg.n_setups)]
+    return np.array([-math.expm1(-xk) for xk in x]), np.concatenate(([0.0], np.cumsum(x)))
+
+
+def test_rank_table_is_the_old_formula_through_the_click_law():
+    # x_0 comes from mzi._click_exponents, which squares the sine as s * s
+    # where the old formula took libm's s ** 2.  The table is the old formula
+    # bit for bit with that one square swapped, and the old formula itself
+    # wherever the two squares agree; they round apart on about 0.1% of
+    # phases, where the table moves by a few ulp
+    rng = np.random.default_rng(11)
+    apart = 0
+    for _ in range(2000):
+        phi_chi = math.exp(rng.uniform(math.log(1e-10), math.log(2.0 * PI)))
+        size = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        alpha = complex(size * np.exp(1j * rng.uniform(0.0, 2.0 * PI)))
+        cfg = CascadeConfig("shared_probe", int(rng.integers(1, 61)), alpha, phi_chi, 0.5)
+        table = [part.tobytes() for part in cascade._rank_table(cfg)]
+        assert table == [part.tobytes() for part in _old_rank_table(cfg, lambda s: s * s)], cfg
+        s = math.sin(phi_chi / 2.0)
+        if s**2 == s * s:
+            assert table == [part.tobytes() for part in _old_rank_table(cfg, lambda s: s**2)], cfg
+        else:
+            apart += 1
+    assert apart <= 20
 
 
 def test_simulate_shared_bit_identical_to_pattern_loop():

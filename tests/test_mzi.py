@@ -54,31 +54,59 @@ from xpmherald.verify import _random_nontransparent, random_ket, random_transpar
 PI = math.pi
 
 # The exact engine's block products run on OpenBLAS dgemm, whose kernels sum
-# in different orders, so a bit-for-bit golden holds one digest per kernel:
-# {core name: (run_setup scalars, propagate_mzi amplitudes)}.  The name is the
-# one the library reports; OPENBLAS_CORETYPE=Prescott reports "Katmai".
+# in different orders, and its splitter entries on glibc's libm, whose FMA and
+# SSE2 builds of sin, cos and exp round some inputs apart, so a bit-for-bit
+# golden holds one digest pair per (kernel, libm variant): (run_setup scalars,
+# propagate_mzi amplitudes).  The kernel name is the one the library reports;
+# OPENBLAS_CORETYPE=Prescott reports "Katmai".  GLIBC_TUNABLES=
+# glibc.cpu.hwcaps=-FMA selects the SSE2 libm on a CPU with FMA, as on one
+# without (Sandybridge, Nehalem and older).
 GOLDEN_DIGESTS = {
-    "SkylakeX": (
-        "26fcafff906152dc0aa44edf37ec3718d110d9c1e06b8b7916fb681de09566ad",
+    ("SkylakeX", "fma"): (
+        "9e6d55e1502a745eafa449247988cf553ac1a731081804c46df99fcec8b7428d",
         "0cf7c73f926307a06bc4e704d2939bf0ae93e01a70eedcb79114e6862da55965",
     ),
-    "Haswell": (
-        "4651774f52e52bb06fa75c92f46187337c21fe9c2753b36e4c096ad9f4dfa15b",
+    ("SkylakeX", "sse2"): (
+        "100923d57da0fbf311bc2a2122385ee54e63c64393136449238bdb3a6fbcabe6",
+        "f33f0404266dbc3a2fb8c16384d223ff885492af0582e7609ee2f6207918e504",
+    ),
+    ("Haswell", "fma"): (
+        "a024bfac6a7ee0ccc2fa8253b6bc4b635eff537b4a5cb6c6bf8f63680c340c6d",
         "7fbbb7e7b8185df1d0183d263d581353cba89a16b18050b0b65e950b014b6897",
     ),
-    "Sandybridge": (
-        "b00d0a3993e174a0e6e7b26480c0460d9c7a90fa493f4391cdb44ca86a105025",
+    ("Haswell", "sse2"): (
+        "a190050543d1fc44ceb1da64c65969a6d7ee9b06bb86bd27e2df6469294ab1ae",
+        "52029d77c46eeae0c6fcdf188402fd736cc28232d313ddb5eda95f35f4c4b9c6",
+    ),
+    ("Sandybridge", "fma"): (
+        "1ac75f6e1df5c37bcb6dd9e8eacc85fa017fd749bbb5c650c37005ed92a995d6",
         "bd1701b2923597feec839b081a03ed2743975a2c2680ea3428f4976dcfe0161b",
     ),
-    "Nehalem": (
-        "b00d0a3993e174a0e6e7b26480c0460d9c7a90fa493f4391cdb44ca86a105025",
+    ("Sandybridge", "sse2"): (
+        "1b851b4dc33f103ec0c7feb1c52b67e70f8297bd0632c2e270f4c71399046fb2",
+        "e26fa7b0d3fce1cafa8269a02de001a528103cc2414f96119f2ca8fb7ca8fd4d",
+    ),
+    ("Nehalem", "fma"): (
+        "1ac75f6e1df5c37bcb6dd9e8eacc85fa017fd749bbb5c650c37005ed92a995d6",
         "e27d5ea379cf9f40c7c7dc8dc987343db448f85c993b54ed66da3e4ca611f583",
     ),
-    "Katmai": (
-        "b00d0a3993e174a0e6e7b26480c0460d9c7a90fa493f4391cdb44ca86a105025",
+    ("Nehalem", "sse2"): (
+        "1b851b4dc33f103ec0c7feb1c52b67e70f8297bd0632c2e270f4c71399046fb2",
+        "bf406b86df6e1d853e3fe33e30998c6b79ee094b3fcfd58b14b32e14e1bb3dba",
+    ),
+    ("Katmai", "fma"): (
+        "1ac75f6e1df5c37bcb6dd9e8eacc85fa017fd749bbb5c650c37005ed92a995d6",
         "5653999798bca603c8ed4ee0b8faf267f51d9aaf701d578892c1c17ddfcce6f3",
     ),
+    ("Katmai", "sse2"): (
+        "1b851b4dc33f103ec0c7feb1c52b67e70f8297bd0632c2e270f4c71399046fb2",
+        "acd01c9323df2988f6be5ae16e01f3ce9bb7644cca730565e267dfd415ff7ace",
+    ),
 }
+
+# sin at this input rounds one ulp apart in the two libm variants
+LIBM_FINGERPRINT = float.fromhex("0x1.720dc197cadc0p-1")
+LIBM_VARIANTS = {"0x1.52aaa0ebe1262p-1": "fma", "0x1.52aaa0ebe1261p-1": "sse2"}
 
 
 def openblas_core() -> str:
@@ -95,10 +123,16 @@ def openblas_core() -> str:
     return corename().decode()
 
 
+def libm_variant() -> str:
+    """The libm variant the fingerprint input reads, or its unknown value."""
+    value = math.sin(LIBM_FINGERPRINT).hex()
+    return LIBM_VARIANTS.get(value, f"unknown: sin({LIBM_FINGERPRINT.hex()}) = {value}")
+
+
 def golden_digest(which: int) -> str:
-    core = openblas_core()
-    assert core in GOLDEN_DIGESTS, f"no golden digest recorded for OpenBLAS core {core!r}"
-    return GOLDEN_DIGESTS[core][which]
+    key = openblas_core(), libm_variant()
+    assert key in GOLDEN_DIGESTS, f"no golden digest recorded for (OpenBLAS core, libm) {key!r}"
+    return GOLDEN_DIGESTS[key][which]
 
 
 def mzi_config(theta1, phi1, theta2, phi2, phi_chi=1.0):
@@ -361,6 +395,20 @@ def test_single_photon_click_prob_examples():
     assert detection_efficiency(cfg, one) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_photon_probe_efficiency_reads_the_click_law():
+    # a lone probe photon clicks with the coherent click exponent x1 at
+    # |beta| = 1, bit for bit, which is within 3 ulp of the formula it
+    # replaced: libm's sin(x) ** 2 and the law's s * s round apart at times
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        theta1, phi_chi, p_b = rng.uniform(0.0, PI), rng.uniform(-7.0, 7.0), rng.uniform()
+        cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
+        got = detection_efficiency(cfg, NoisyPhotonProbe(NoisySource(p_b)))
+        assert got == p_b * mzi._click_exponents(mzi._click_scale(theta1, 1.0), phi_chi)[0]
+        old = math.sin(phi_chi / 2.0) ** 2 * math.sin(2.0 * theta1) ** 2 * p_b
+        assert abs(got - old) <= 3.0 * math.ulp(old)
+
+
 def test_single_photon_click_prob_requires_transparency():
     with pytest.raises(ConfigurationError):
         detection_efficiency(
@@ -569,23 +617,31 @@ def test_propagate_mzi_amplitudes_golden():
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 kernels only")
-@pytest.mark.parametrize("core", sorted(GOLDEN_DIGESTS))
-def test_goldens_hold_under_a_second_blas_kernel(core):
-    # a kernel-dependent change shows at once: both goldens again, in a
-    # child process on each kernel a digest pair is recorded for
+@pytest.mark.parametrize(
+    "core, libm", sorted(GOLDEN_DIGESTS),
+    ids=[core if libm == "fma" else f"{core}-{libm}" for core, libm in sorted(GOLDEN_DIGESTS)],
+)
+def test_goldens_hold_under_a_second_blas_kernel(core, libm):
+    # a kernel- or libm-dependent change shows at once: both goldens again,
+    # in a child process on each (kernel, libm variant) a digest pair is
+    # recorded for; the libm mask is set in the child's environment only,
+    # and the FMA pairs keep the bare kernel name as their id
     here = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott" if core == "Katmai" else core)
+    env.pop("GLIBC_TUNABLES", None)
+    if libm == "sse2":
+        env["GLIBC_TUNABLES"] = "glibc.cpu.hwcaps=-FMA"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
     script = (
         "import test_mzi as t; t.test_run_setup_scalars_golden(); "
-        "t.test_propagate_mzi_amplitudes_golden(); print(t.openblas_core())"
+        "t.test_propagate_mzi_amplitudes_golden(); print(t.openblas_core(), t.libm_variant())"
     )
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", script],
         cwd=here, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{core}\n"
+    assert proc.stdout == f"{core} {libm}\n"
 
 
 def _per_branch_outcome(cfg, source, probe):
@@ -713,6 +769,7 @@ def test_classical_clicks_read_coherent_outputs():
         q1, q0 = _classical_clicks(cfg, beta)
         for q, present in ((q1, True), (q0, False)):
             arm = coherent_outputs(cfg, beta, present)[1]
+            assert q == -math.expm1(-abs(arm) ** 2)  # bit for bit: no products of its own
             assert abs(q - (1.0 - math.exp(-abs(arm) ** 2))) < 1e-14
 
 
@@ -951,14 +1008,14 @@ def test_column_path_equals_array_path_bit_for_bit():
     columns += [make_coherent(beta).amps[:, None, None, None, None] for beta in COLUMN_BETAS]
     for column in columns:
         for cfg in cfgs:
-            out, held = mzi._propagate(column, (cfg,), len(column) - 1, column=True)
+            out, held = mzi._propagate(column, (cfg,), column=True)
             ref, ref_held = mzi._propagate(_input_array(column), (cfg,))
             assert out.tobytes() == ref.tobytes()
             assert (held is None) == (ref_held is None) == (cfg.bs1.theta == 0.0)
             if held is not None:
                 assert held[2].tobytes() == ref_held[2].tobytes()
         batch = np.concatenate([column] * len(cfgs), axis=-1)
-        out = mzi._propagate(batch, cfgs, len(column) - 1, column=True)[0]
+        out = mzi._propagate(batch, cfgs, column=True)[0]
         assert out.tobytes() == mzi._propagate(_input_array(batch), cfgs)[0].tobytes()
 
 
@@ -1013,12 +1070,14 @@ def _input_array(columns):
 
 
 def _spy_propagate(monkeypatch):
-    """Record (input array, t_max, resumed) of every mzi._propagate call."""
+    """Record (input array, a column's last row, resumed) of every
+    mzi._propagate call."""
     calls, real = [], mzi._propagate
 
-    def spy(amps, cfgs, t_max=None, held=None, column=False):
-        calls.append((_input_array(amps) if column else amps, t_max, held is not None))
-        return real(amps, cfgs, t_max, held, column)
+    def spy(amps, cfgs, held=None, column=False):
+        last = len(amps) - 1 if column else None
+        calls.append((_input_array(amps) if column else amps, last, held is not None))
+        return real(amps, cfgs, held, column)
 
     monkeypatch.setattr(mzi, "_propagate", spy)
     return calls
@@ -1149,8 +1208,8 @@ def test_memo_keys_on_the_blocks_function(monkeypatch):
     ids=["beta0", "one-entry", "noisy", "beta4", "beta-4j", "complex"],
 )
 def test_passed_occupied_total_equals_search(monkeypatch, probe):
-    # the total _click_table passes on a memo miss is the one the chain's
-    # occupancy search finds in the input it built
+    # the total the chain reads off a memo miss's column, its last row, is
+    # the one the occupancy search finds in the input the column stands for
     monkeypatch.setattr(mzi, "_memo", {})
     calls = _spy_propagate(monkeypatch)
     run_setup(transparent_via_angle_sum(0.7, 0.3, 2.1), NoisySource(0.7), probe)
