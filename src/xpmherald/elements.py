@@ -15,8 +15,8 @@ products between one gather and one scatter; for the scheme's inputs, whose
 auxiliary mode is in vacuum, one column of each W_T replaces the gather and
 the first product.  The angles and phases enter only as diagonals, so the
 slots of a trailing axis share the chain; its read-only state after a mixing
-first splitter resumes a run (``mzi`` memoizes it) with every operation of
-an unbroken one.
+first splitter and the second stage's phi_chi-free tables resume a run
+(``mzi`` memoizes them) with every operation of an unbroken one.
 """
 
 from __future__ import annotations
@@ -187,16 +187,21 @@ def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, held=None, shap
     t_max, which an array's occupancy search finds.  Block T then holds one
     amplitude, at n = T, so the first W product is W_T's column T times it:
     no input array, no gather.  Returns ``(out, held)``, ``held`` the
-    ``(shape, t_max, state)`` after a mixing first splitter, else None;
-    passed back in place of ``amps``, it resumes the chain, which writes no
-    state (each is read-only) and takes t_max from it."""
+    ``(shape, t_max, state, layout, w, tee, ell, diags)`` after a mixing
+    first splitter, else None: the state with its layout and W blocks, each
+    splitter's e^{-i theta T} and L factors and the diagonals before the XPM
+    phases, all read-only.  Passed back in place of ``amps``, it resumes the
+    chain with the same operations: the XPM phases and the products after
+    the state.  The first resume keeps the second splitter's e^{-i theta T} L
+    too (a miss keeping it would deny the next miss the warm memory it frees)."""
     i, j = modes
     rates, mixes = [], []  # the theta and psi rows of each mixing splitter
-    for bs in (bs1, bs2):
+    for bs in (bs1, bs2) if held is None else ():  # a resumed run reads its tables
         thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in bs]) if bs else ((), ())
         mixes.append(any(thetas))  # a splitter of identities is skipped
         rates += thetas + psis if mixes[-1] else ()
-    k, at = mixes.count(True), int(mixes[0])  # at: the mixing splitters before the XPM
+    # at: the mixing splitters before the XPM
+    k, at = (mixes.count(True), int(mixes[0])) if mixes else (len(held[7]) - 1, 1)
     if shape is not None and not k:  # nothing mixes: build the input the column stands for
         amps, column = np.zeros(shape, dtype=np.complex128), amps
         others = [1 if a == partner else n for a, n in enumerate(shape) if a not in modes]
@@ -206,7 +211,7 @@ def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, held=None, shap
             amps = _xpm(amps, (partner, i), np.array([p.phi_chi for p in xpm]))
         return amps, None
     column, t_max = (None, None) if shape is None else (amps, len(amps) - 1)  # a column's last row
-    shape, t_max, state = held or (shape or amps.shape, t_max, None)
+    shape, t_max, state = held[:3] if held else (shape or amps.shape, t_max, None)
     if t_max is None:  # an array: its largest occupied total
         n, m = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes)).nonzero()
         t_max = int((n + m).max(initial=-1))
@@ -218,39 +223,50 @@ def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, held=None, shap
             f"beam splitter sends {t_max} occupied photons into one mode, "
             f"beyond cutoffs {cuts} on modes {modes}"
         )
-    gather, scatter, iocc, block, flat = _layout(shape, modes, partner, t_max, len(bs1))
+    layout = held[3] if held else _layout(shape, modes, partner, t_max, len(bs1))
+    gather, scatter, iocc, block, flat = layout
     # every phase from one exp over (rate, occupation, slot): e^{i theta n}
     # and e^{i psi n} per mixing splitter, then e^{i phi_chi s n} per partner
-    # occupation s; inv: their conjugates; lams: each splitter's e^{-i theta T} L
+    # occupation s; inv: their conjugates; lams = tee ell, each splitter's e^{-i theta T} L
     rates += [p.phi_chi * s for s in range(block[3] if xpm else 0) for p in xpm]
     ph = np.exp(np.array(rates).reshape(-1, 1, len(bs1)) * iocc)
-    first = 0 if state is None else 2  # a resumed run needs no first-splitter L
-    inv, th = ph.conj(), ph[first : 2 * k : 2, None, :, None, None, None]
-    lams = inv[first : 2 * k : 2, :, None, None, None, None] * (th * th)
-    # the diagonals before, between and after the W pairs, over (n, rest
-    # axes before the partner's, s, rest after, slot): each P merges with
-    # the next splitter's P^-1, and the XPM phases with the one at their place
-    diags = np.empty((k + 1, t_max + 1, 1, block[3], 1, len(bs1)), dtype=np.complex128)
-    diags[0], diags[-1] = inv[1, :, None, None, None], ph[2 * k - 1, :, None, None, None]
-    if k == 2:
-        np.multiply(ph[1, :, None, None, None], inv[3, :, None, None, None], out=diags[1])
+    if held:  # a resumed run's ph holds only the XPM rows; it needs the second L
+        tee, ell, diags = held[5:8]
+        if len(held) == 8:  # the first resume computes that L and keeps it
+            held += (tee[1:] * ell[1:],)
+            held[8].setflags(write=False)
+        lams = held[8]
+    else:
+        inv, th = ph.conj(), ph[: 2 * k : 2, None, :, None, None, None]
+        tee, ell = inv[: 2 * k : 2, :, None, None, None, None], th * th
+        lams = tee * ell
+        # the diagonals before, between and after the W pairs, over (n, rest
+        # axes before the partner's, s, rest after, slot): each P merges with
+        # the next splitter's P^-1, and the XPM phases with the one at their place
+        diags = np.empty((k + 1, t_max + 1, 1, block[3], 1, len(bs1)), dtype=np.complex128)
+        diags[0], diags[-1] = inv[1, :, None, None, None], ph[2 * k - 1, :, None, None, None]
+        if k == 2:
+            np.multiply(ph[1, :, None, None, None], inv[3, :, None, None, None], out=diags[1])
+    phased = diags[at]  # times the XPM phases out of place: a resumed run reads diags
     if xpm:
-        diags[at] *= ph[2 * k :].transpose(1, 0, 2)[:, None, :, None]
-    w, y = _hadamard_blocks(t_max), None  # products run on float views, (T, n, 2 x rest)
+        phased = phased * ph[0 if held else 2 * k :].transpose(1, 0, 2)[:, None, :, None]
+    d0, d1 = (diags[0], phased) if at else (phased, diags[1])
+    w, y = held[4] if held else _hadamard_blocks(t_max), None  # float views: (T, n, 2 x rest)
     if state is None:
         if column is None:  # the gathered input
             x = np.concatenate((amps.ravel(), _ZERO))[gather]
-            x *= diags[0]
+            x *= d0
             yf = np.matmul(w, x.reshape(flat).view(float))
         else:  # W_T's column T times block T's one amplitude
-            x = (column * diags[0]).reshape(t_max + 1, 1, -1).view(float)
+            x = (column * d0).reshape(t_max + 1, 1, -1).view(float)
             yf = np.matmul(w.diagonal(0, 0, 2).T[:, :, None], x)
         y = yf.view(complex).reshape(block)
         y *= lams[0]  # in place: the next product reads the same memory through yf
         state = np.matmul(w, yf).view(complex).reshape(block)
-        state.flags.writeable = False
-        held = (shape, t_max, state) if at else None
-    x = state * diags[1]  # out of place: the state is never written
+        for table in (state, tee, ell, diags):
+            table.setflags(write=False)
+        held = (shape, t_max, state, layout, w, tee, ell, diags) if at else None
+    x = state * d1  # out of place: the state is never written
     if k == 2:
         xf = x.reshape(flat).view(float)
         yf = np.matmul(w, xf, out=None if y is None else yf)  # the first splitter's buffer

@@ -5,11 +5,12 @@ block (experiment name, package version, seed, full parameter echo), then a
 snake_case header row, then data rows.  Complex quantities occupy two
 columns (re, im).  The manifest block contains only deterministic fields so
 identical (config, seed, version) runs produce bit-identical files; the
-wall clock and other run metadata go to a JSON sidecar next to the CSV.
+wall clock, run metadata and ``_platform`` go to a JSON sidecar next to the CSV.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import time
@@ -40,6 +41,24 @@ EXPERIMENTS = ("fig4", "loss-bounds", "purity-audit")
 DEFAULT_FIG4_BETAS = (0.5, 1.0, 2.0)
 # fig4 builds its whole table in memory, about 330 B per (beta, phi_chi) row.
 MAX_FIG4_ROWS = 10**6
+# sin at this input rounds one ulp apart in glibc's FMA and SSE2 libm builds
+LIBM_FINGERPRINT = float.fromhex("0x1.720dc197cadc0p-1")
+_LIBM_VARIANTS = {"0x1.52aaa0ebe1262p-1": "fma", "0x1.52aaa0ebe1261p-1": "sse2"}
+
+
+def _platform() -> dict:
+    """The libm variant ``LIBM_FINGERPRINT`` reads, numpy's version and the
+    kernel its bundled OpenBLAS reports, or why none could be read."""
+    try:
+        (lib,) = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (ValueError, OSError, AttributeError) as exc:
+        core = f"unreadable: {exc!r}"
+    value = math.sin(LIBM_FINGERPRINT).hex()
+    libm = _LIBM_VARIANTS.get(value, f"unknown: sin({LIBM_FINGERPRINT.hex()}) = {value}")
+    return {"libm": libm, "numpy": np.__version__, "openblas_core": core}
 
 
 @dataclass
@@ -122,6 +141,7 @@ class ResultTable:
             "manifest": {k: str(v) for k, v in self.manifest.items()},
             "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "rows": len(self.rows),
+            "platform": _platform(),
         }
         path.with_suffix(path.suffix + ".manifest.json").write_text(
             json.dumps(sidecar, indent=2) + "\n"

@@ -18,12 +18,13 @@ slot of a trailing axis, ``_click_table`` propagates many setups grouped by
 input shape, as probe columns rather than input arrays (C is in vacuum,
 ``elements._apply_chain``), and ``_run_setups`` makes each slot's outcome.
 ``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
-The last two run ``_propagate_one``: along a phi_chi sweep the first
-splitter meets one input again and again, so ``_memo`` keeps the read-only
-state after it, keyed by the exact bits of bs1's (theta, phi) and of a
-coherent probe's beta, the probe kind and the blocks function, stored on a
-key's first miss, 8 keys at most.  A hit skips ``make_coherent`` and the
-first splitter, same bytes out (``elements``).
+The last two run ``_propagate_one``: along a phi_chi sweep the splitters
+meet one input again and again, so ``_memo`` keeps the state after the first
+splitter and the second stage's phi_chi-free tables, read-only, keyed by the
+exact bits of both splitters' (theta, phi) and of a coherent probe's beta,
+the probe kind and the blocks function, 8 keys at most.  A hit computes only
+the XPM phase row and the products after it, same bytes out (``elements``),
+and no splitter algebra: a config keeps its transparency verdict.
 Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
 far below every tolerance the audits apply; ``make_coherent(beta, policy)``
 is where a caller can still choose another.
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from operator import mul
 
@@ -87,6 +89,13 @@ class MziConfig:
         kinds = (BeamSplitterParams, BeamSplitterParams, XpmParams)
         if not all(map(isinstance, (self.bs1, self.bs2, self.xpm), kinds)):
             raise ConfigurationError(f"not two BeamSplitterParams and an XpmParams: {self!r}")
+
+    @cached_property
+    def _transparent(self) -> bool:
+        """``is_transparent``'s verdict, computed on first use and kept."""
+        t00, t01, t10, t11 = _bc_product(self)
+        unit = abs(abs(t00) - 1.0) <= TRANSPARENCY_TOL
+        return unit and max(abs(t01), abs(t10), abs(t11 - t00)) <= TRANSPARENCY_TOL
 
 
 @dataclass(frozen=True)
@@ -250,9 +259,9 @@ def is_transparent(cfg: MziConfig) -> bool:
     multiple is +1 or -1; the -1 case flips the sign of both field operators,
     which changes no photon statistics anywhere (see ``transparency_sign``).
     """
-    t00, t01, t10, t11 = _bc_product(cfg)
-    unit = abs(abs(t00) - 1.0) <= TRANSPARENCY_TOL
-    return unit and max(abs(t01), abs(t10), abs(t11 - t00)) <= TRANSPARENCY_TOL
+    if not isinstance(cfg, MziConfig):
+        raise ConfigurationError(f"not an MziConfig: {cfg!r}")
+    return cfg._transparent
 
 
 def transparency_sign(cfg: MziConfig) -> int:
@@ -297,15 +306,21 @@ def coherent_outputs(
         raise ConfigurationError(f"not an MziConfig: {cfg!r}")
     check_amplitude("coherent probe amplitude", beta)
     check_flag("photon_present", photon_present)
+    return np.array(_arms(cfg, beta, photon_present))
+
+
+def _arms(cfg: MziConfig, beta: complex, photon_present: bool) -> tuple[complex, complex]:
+    """``coherent_outputs``' (B, C) amplitudes, unchecked, as Python numbers."""
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
     t00, t01, _, _ = _bc_product(cfg, phase if photon_present else 1.0)
-    return np.array((t00 * beta, t01 * beta))
+    return t00 * beta, t01 * beta
 
 
 def _classical_clicks(cfg: MziConfig, beta: complex) -> tuple[float, float]:
     """Click probabilities (q1, q0) with and without a signal photon on the
-    classical path of any configuration: 1 - exp(-|``coherent_outputs`` C|^2)."""
-    return tuple(-math.expm1(-abs(coherent_outputs(cfg, beta, s)[1]) ** 2) for s in (True, False))
+    classical path of any configuration: 1 - exp(-|``coherent_outputs`` C|^2),
+    read off ``_arms``: its callers pass a checked config and amplitude."""
+    return tuple(-math.expm1(-abs(_arms(cfg, beta, s)[1]) ** 2) for s in (True, False))
 
 
 def _click_scale(theta1: float, beta: complex) -> float:
@@ -390,11 +405,15 @@ def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
     """``_propagate`` of one slot through ``_memo`` (module docstring)."""
     coherent = isinstance(probe, CoherentProbe)
     beta = complex(probe.beta) if coherent else 0j
-    bits = struct.pack("4d", cfg.bs1.theta, cfg.bs1.phi, beta.real, beta.imag)
+    splitters = cfg.bs1.theta, cfg.bs1.phi, cfg.bs2.theta, cfg.bs2.phi
+    bits = struct.pack("6d", *splitters, beta.real, beta.imag)
     key = bits, coherent, elements._hadamard_blocks
     held = _memo.get(key)
     if held is not None:
-        return _propagate(None, (cfg,), held=held)[0]
+        out, kept = _propagate(None, (cfg,), held=held)
+        if kept is not held:  # the first resume adds the second splitter's L
+            _memo[key] = kept
+        return out
     column = make_coherent(beta).amps[:, None, None, None, None] if coherent else _PHOTON_OR_VACUUM
     out, held = _propagate(column, (cfg,), column=True)
     if held is not None:

@@ -21,6 +21,7 @@ from xpmherald.experiments import (
     MAX_FIG4_ROWS,
     ExperimentConfig,
     ResultTable,
+    _platform,
     run_experiment,
 )
 from xpmherald.mzi import (
@@ -71,11 +72,22 @@ def _data_digest(csv_text):
     return hashlib.sha256(data.encode()).hexdigest()
 
 
+# fig4 prints repr of math.sin and math.expm1, which glibc's FMA and SSE2
+# libm builds round apart on a few inputs (GLIBC_TUNABLES=
+# glibc.cpu.hwcaps=-FMA selects the SSE2 one), so its digests are keyed by
+# the libm variant the sidecar records
+def _by_libm(digests):
+    variant = _platform()["libm"]
+    assert variant in digests, f"no fig4 digest recorded for libm {variant!r}"
+    return digests[variant]
+
+
 def test_fig4_csv_bytes_golden():
     table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5000}))
-    assert _data_digest(table.to_csv_text()) == (
-        "00484212b7ee0b662d84fe4911541125628e296f45b986efdd0508ab85f8db64"
-    )
+    assert _data_digest(table.to_csv_text()) == _by_libm({
+        "fma": "00484212b7ee0b662d84fe4911541125628e296f45b986efdd0508ab85f8db64",
+        "sse2": "72a870a72c41d1be9cb27e09e5b527a428f28e88e408ed64decee6119c9543bb",
+    })
 
 
 def test_fig4_within_four_ulp_of_50_digit_reference():
@@ -127,12 +139,17 @@ def _text_digest(csv_text):
 @pytest.mark.parametrize(
     "experiment, digest",
     [
-        ("fig4", "3f8dde37d056922ae02f65bccd83303d8a3b2f3e2ae54c09b4c93c48266b0bb5"),
+        ("fig4", {
+            "fma": "3f8dde37d056922ae02f65bccd83303d8a3b2f3e2ae54c09b4c93c48266b0bb5",
+            "sse2": "9ee1b6da4955af99a66486fb2c344343cbb6f2b880c44515c936310143e213f7",
+        }),
         ("loss-bounds", "5d159f5282be18cc6358479830277068f3188f082e8ac060bf998116758b7b10"),
     ],
     ids=["fig4", "loss-bounds"],
 )
 def test_default_csv_full_text_golden(experiment, digest):
+    if isinstance(digest, dict):
+        digest = _by_libm(digest)
     assert _text_digest(run_experiment(ExperimentConfig(experiment)).to_csv_text()) == digest
 
 
@@ -288,6 +305,11 @@ def test_csv_bit_identical_for_same_config(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     sidecar = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert "wall_clock_utc" in sidecar
+    # the platform the bytes depend on goes to the sidecar, never the CSV
+    assert sidecar["platform"] == _platform()
+    assert set(sidecar["platform"]) == {"libm", "numpy", "openblas_core"}
+    assert sidecar["platform"]["numpy"] == np.__version__
+    assert "libm" not in paths[0].read_text() and "openblas" not in paths[0].read_text()
 
 
 def test_csv_manifest_block_prefixed():

@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import importlib.util
 import math
@@ -6,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from xpmherald.elements import (
     apply_xpm,
 )
 from xpmherald.errors import ConditioningError, ConfigurationError, CutoffViolationError
+from xpmherald.experiments import _platform
 from xpmherald.fock import (
     Ensemble,
     MultiModeKet,
@@ -104,29 +105,15 @@ GOLDEN_DIGESTS = {
     ),
 }
 
-# sin at this input rounds one ulp apart in the two libm variants
-LIBM_FINGERPRINT = float.fromhex("0x1.720dc197cadc0p-1")
-LIBM_VARIANTS = {"0x1.52aaa0ebe1262p-1": "fma", "0x1.52aaa0ebe1261p-1": "sse2"}
-
 
 def openblas_core() -> str:
-    """The kernel name numpy's bundled OpenBLAS reports, or why none could
-    be read."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    if not libs:
-        return "unreadable: no numpy.libs/libscipy_openblas64_*.so"
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (OSError, AttributeError) as exc:
-        return f"unreadable: {exc}"
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
+    """The kernel name numpy's bundled OpenBLAS reports, as the sidecar has it."""
+    return _platform()["openblas_core"]
 
 
 def libm_variant() -> str:
-    """The libm variant the fingerprint input reads, or its unknown value."""
-    value = math.sin(LIBM_FINGERPRINT).hex()
-    return LIBM_VARIANTS.get(value, f"unknown: sin({LIBM_FINGERPRINT.hex()}) = {value}")
+    """The libm variant the fingerprint input reads, as the sidecar has it."""
+    return _platform()["libm"]
 
 
 def golden_digest(which: int) -> str:
@@ -622,10 +609,10 @@ def test_propagate_mzi_amplitudes_golden():
     ids=[core if libm == "fma" else f"{core}-{libm}" for core, libm in sorted(GOLDEN_DIGESTS)],
 )
 def test_goldens_hold_under_a_second_blas_kernel(core, libm):
-    # a kernel- or libm-dependent change shows at once: both goldens again,
-    # in a child process on each (kernel, libm variant) a digest pair is
-    # recorded for; the libm mask is set in the child's environment only,
-    # and the FMA pairs keep the bare kernel name as their id
+    # a kernel- or libm-dependent change shows at once: both goldens and the
+    # resumed sweeps again, in a child process on each (kernel, libm variant)
+    # a digest pair is recorded for; the libm mask is set in the child's
+    # environment only, and the FMA pairs keep the bare kernel name as their id
     here = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott" if core == "Katmai" else core)
     env.pop("GLIBC_TUNABLES", None)
@@ -634,7 +621,8 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
     script = (
         "import test_mzi as t; t.test_run_setup_scalars_golden(); "
-        "t.test_propagate_mzi_amplitudes_golden(); print(t.openblas_core(), t.libm_variant())"
+        "t.test_propagate_mzi_amplitudes_golden(); t.test_resumed_sweeps_equal_cleared_runs(); "
+        "print(t.openblas_core(), t.libm_variant())"
     )
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", script],
@@ -642,6 +630,32 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{core} {libm}\n"
+
+
+def test_resumed_sweeps_equal_cleared_runs():
+    # a warm phi_chi sweep, which resumes from the memo, equals the same sweep
+    # with the memo cleared before each call bit for bit, in the scalars and
+    # the propagated array: the noisy probe and |beta| = 2 and 4, transparent
+    # and leaky; the child processes above run it under every kernel and libm
+    probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(2.0 * complex(0.6, 0.8)),
+              CoherentProbe(-4.0j)]
+    setups = [lambda phi: transparent_via_angle_sum(0.7, 0.3, phi),
+              lambda phi: mzi_config(0.7, 0.3, 0.4, 1.1, phi)]
+    runs = []
+    for clear in (False, True):
+        mzi._memo.clear()
+        rows = []
+        for probe in probes:
+            for setup in setups:
+                for phi_chi in np.linspace(0.3, 2.0 * PI - 0.3, 6).tolist():
+                    if clear:
+                        mzi._memo.clear()
+                    out = run_setup(setup(phi_chi), NoisySource(0.7), probe, require_transparent=False)
+                    rows.append((out.p_click, out.detection_efficiency, out.total_success,
+                                 out.truncation_deficit, out.purity_value, out._branches[0].tobytes()))
+        runs.append(rows)
+    mzi._memo.clear()
+    assert runs[0] == runs[1]
 
 
 def _per_branch_outcome(cfg, source, probe):
@@ -1159,6 +1173,115 @@ def test_memo_holds_at_most_eight_read_only_states(monkeypatch):
         assert not state.flags.writeable
         with pytest.raises(ValueError):
             state[0] = 0.0
+    # every stored table, the state's and the second stage's, is read-only:
+    # the state, the W blocks, the L factors and the diagonals from the miss,
+    # and the second splitter's L from the first resume
+    for entry in mzi._memo.values():
+        tables = [table for table in entry if isinstance(table, np.ndarray)]
+        assert len(tables) == 6
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
+def test_only_a_resume_keeps_the_second_splitters_l(monkeypatch):
+    # a miss keeps no table of the state's size beyond the state, so traffic
+    # of misses only keeps what it did before the second stage was stored;
+    # the first resume adds the second splitter's L, and later ones reuse it
+    monkeypatch.setattr(mzi, "_memo", {})
+    probe = CoherentProbe(4.0)
+    run_setup(transparent_via_angle_sum(0.7, 0.3, 1.0), NoisySource(0.7), probe)
+    ((shape, t_max, state, layout, w, *tables),) = mzi._memo.values()
+    assert w.base is el._hadamard_stack  # the process-wide W blocks, no copy
+    assert len(tables) == 3 and all(table.size < state.size / 4 for table in tables)
+    run_setup(transparent_via_angle_sum(0.7, 0.3, 2.0), NoisySource(0.7), probe)
+    (entry,) = mzi._memo.values()
+    assert len(entry) == 9 and entry[8].shape[1:3] == (t_max + 1, t_max + 1)
+    run_setup(transparent_via_angle_sum(0.7, 0.3, 3.0), NoisySource(0.7), probe)
+    assert next(iter(mzi._memo.values())) is entry
+
+
+def test_memo_keeps_one_entry_per_second_splitter(monkeypatch):
+    # interleaved sweeps that share the first splitter and the probe but not
+    # the second splitter resume from entries of their own, and every call
+    # equals its run with the memo cleared, scalars and conditioned bytes
+    monkeypatch.setattr(mzi, "_memo", {})
+    calls = _spy_propagate(monkeypatch)
+    source = NoisySource(0.7)
+    sweeps = [
+        (lambda phi: mzi_config(0.7, 0.3, 0.4, 1.1, phi), False),
+        (lambda phi: mzi_config(0.7, 0.3, 0.4, 1.2, phi), False),
+        (lambda phi: transparent_via_angle_sum(0.7, 0.3, phi), True),
+        (lambda phi: transparent_via_angle_sum(0.7, 0.3, phi, k=1), True),  # bs2's phi - 2 pi
+    ]
+    phis = np.linspace(0.3, 2.0 * PI - 0.3, 5).tolist()
+    for probe in (CoherentProbe(2.0), NoisyPhotonProbe(NoisySource(0.6))):
+        mzi._memo.clear()
+        del calls[:]
+        warm = [_outcome_bytes(setup(phi), source, probe, t) for phi in phis for setup, t in sweeps]
+        assert len(mzi._memo) == len(sweeps)
+        assert [resumed for _, _, resumed in calls] == [False] * 4 + [True] * 16
+        cold = []
+        for phi in phis:
+            for setup, transparent in sweeps:
+                mzi._memo.clear()
+                cold.append(_outcome_bytes(setup(phi), source, probe, transparent))
+        assert warm == cold
+
+
+def _count_calls(monkeypatch, targets):
+    """A Counter of the calls to each (module, name) in ``targets``."""
+    counts = Counter()
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _key=f"{module.__name__}.{name}"):
+            counts[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+def test_resumed_call_does_no_splitter_algebra(monkeypatch):
+    # a memo hit on a config built by a constructor reads the config's kept
+    # transparency verdict and the stored tables, so it makes no splitter
+    # entry, angle or 2x2 product call; a miss makes them
+    monkeypatch.setattr(mzi, "_memo", {})
+    counts = _count_calls(monkeypatch, [
+        (el, "_bs_entries"), (el, "_mzi_angles"), (mzi, "_bs_entries"), (mzi, "_bc_product")
+    ])
+    source = NoisySource(0.7)
+    for probe in (NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(2.0), CoherentProbe(4.0)):
+        cfgs = [transparent_via_angle_sum(0.7, 0.3, phi) for phi in (0.5, 1.5, 2.5, 3.5)]
+        counts.clear()
+        run_setup(cfgs[0], source, probe)
+        assert counts["xpmherald.elements._mzi_angles"] == 2  # the miss
+        counts.clear()
+        for cfg in cfgs[1:]:
+            run_setup(cfg, source, probe)
+            sample_shots(cfg, source, probe, 100, seed=1)
+        assert counts == {}
+
+
+def test_transparency_is_computed_once_per_config(monkeypatch):
+    # the constructor's verdict is kept: run_setup, detection_efficiency
+    # and is_transparent read it; a config built directly computes it on
+    # first use, and the kept verdict changes neither equality nor hash
+    counts = _count_calls(monkeypatch, [(mzi, "_bc_product")])
+    cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
+    assert counts["xpmherald.mzi._bc_product"] == 1
+    for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
+        run_setup(cfg, NoisySource(0.7), probe)
+        detection_efficiency(cfg, probe)
+    assert is_transparent(cfg)
+    leaky = mzi_config(0.7, 0.3, 0.4, 1.1)
+    for _ in range(3):
+        assert not is_transparent(leaky)
+    assert counts["xpmherald.mzi._bc_product"] == 2
+    twin = MziConfig(cfg.bs1, cfg.bs2, cfg.xpm)
+    assert twin == cfg and hash(twin) == hash(cfg)
 
 
 def test_batches_bypass_the_memo(monkeypatch):
