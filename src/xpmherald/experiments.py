@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .mzi import (
     NoisyPhotonProbe,
     NoisySource,
     _click_scale,
-    _transparent_clicks,
+    _click_weights,
     sample_shots,
     transparent_via_angle_sum,
 )
@@ -117,19 +118,23 @@ class ResultTable:
     manifest: dict
 
     def __post_init__(self):
-        if any(len(row) != len(self.columns) for row in self.rows):
+        if not set(map(len, self.rows)) <= {len(self.columns)}:
             raise ValueError("row width does not match column count")
 
     def to_csv_text(self) -> str:
         """The CSV, column by column: each distinct cell object (rows share
-        them) is formatted once, keyed by identity, as 0.0 == -0.0."""
+        them) is formatted once, keyed by identity, as 0.0 == -0.0: by repr
+        in a column of plain floats, by ``_format_cell`` in any other."""
         lines = [f"# {key} = {value}" for key, value in self.manifest.items()]
         lines.append(",".join(self.columns))
         texts = []
         for column in zip(*self.rows):
-            unique = {id(v): v for v in column}
-            cells = {key: _format_cell(v) for key, v in unique.items()}
-            texts.append([cells[id(v)] for v in column])
+            unique = dict(zip(map(id, column), column))
+            fmt = repr if set(map(type, unique.values())) == {float} else _format_cell
+            if len(unique) < len(column):  # shared objects: format each once, look up by id
+                fmt = dict(zip(unique, map(fmt, unique.values()))).__getitem__
+                column = map(id, column)
+            texts.append(list(map(fmt, column)))
         lines += map(",".join, zip(*texts))
         return "\n".join(lines) + "\n"
 
@@ -190,7 +195,8 @@ def _param_list(cfg: ExperimentConfig, name: str, default) -> list[float]:
 
 def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     """Detection-efficiency curves versus cross-phase shift for a handful of
-    coherent probe amplitudes, at the optimal symmetric splitter."""
+    coherent probe amplitudes, at the optimal symmetric splitter: the click
+    law's y-free weight a once per phase, then -expm1(-(y a)) per point."""
     betas = _param_list(cfg, "beta", DEFAULT_FIG4_BETAS)
     num = _count_param(cfg, "phi_chi_points", 121)
     if num < 2:
@@ -199,10 +205,11 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigurationError(f"fig4 is capped at {MAX_FIG4_ROWS} rows, got {len(betas) * num}")
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
     theta1 = math.pi / 4.0  # the symmetric splitter; pi - theta1 makes it transparent
+    weights = [_click_weights(phi)[0] for phi in phis]
     rows = []
     for beta in betas:
         y = _click_scale(theta1, CoherentProbe(beta).beta)  # rejects a non-finite amplitude
-        rows += [(phi, beta, _transparent_clicks(y, phi)[0], 0.0) for phi in phis]
+        rows += zip(phis, repeat(beta), [-math.expm1(-(y * a)) for a in weights], repeat(0.0))
     manifest = {
         "experiment": "fig4",
         "version": __version__,

@@ -127,7 +127,7 @@ def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = No
         q1, q0 = _transparent_clicks(y, phi_chi, p_absorb)
         return (1.0 - p_absorb) * q1 * (1.0 - p) - (p * p_absorb + 1.0 - p) * q0
 
-    grid = np.linspace(0.0, 1.0, 201)
+    grid = np.linspace(0.0, 1.0, 201).tolist()
     improving = [i for i, x in enumerate(grid) if margin(x) > 0.0]
     if not improving:
         warnings.warn(
@@ -144,7 +144,7 @@ def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = No
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return float(mid)
+    return mid
 
 
 # Independently reported upper bounds used as comparison targets by the

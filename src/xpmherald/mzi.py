@@ -33,9 +33,9 @@ The splitter algebra is read as Python numbers off the entries of
 ``elements._bs_entries``, multiplied out only by ``_bc_product``: the
 transparency test and the classical route of bright probes read its
 substitution matrix, ``_classical_clicks`` the ``coherent_outputs`` arm C.
-Transparent setups click by one law, ``_click_exponents`` of
-y = |beta|^2 sin^2(2 theta1) / 4, the phase and the absorption: fig4,
-``loss``, ``detection_efficiency`` and ``cascade`` read it.
+Transparent setups click by one law, ``_click_exponents``: y = |beta|^2
+sin^2(2 theta1) / 4 times ``_click_weights`` of the phase and absorption.
+``loss``, ``detection_efficiency`` and ``cascade`` read it, fig4 the weights.
 
 ``sample_shots`` reads the same table: every shot falls in one of four
 (click, photon) cells of fixed probability, so its counts are one
@@ -218,7 +218,8 @@ def _transparent_pair(theta1, phi1, phi_chi, k, l, opposite: bool) -> MziConfig:
     stay transparent in double precision."""
     bs1 = BeamSplitterParams(theta1, phi1)
     for name, n in (("k", k), ("l", l)):
-        if isinstance(n, bool) or not isinstance(n, Integral) or abs(n) > 2**53:
+        integer = type(n) is int or isinstance(n, Integral) and not isinstance(n, bool)
+        if not integer or abs(n) > 2**53:
             raise ConfigurationError(f"{name} must be an integer in [-2**53, 2**53], got {n!r}")
     theta2 = theta1 - l * math.pi if opposite else l * math.pi - theta1
     bs2 = BeamSplitterParams(theta2, phi1 - (2 * k + opposite) * math.pi)
@@ -331,15 +332,21 @@ def _click_scale(theta1: float, beta: complex) -> float:
 
 def _click_exponents(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
     """Click exponents of a transparent setup at click scale y (``_click_scale``):
-    x1 = y |u e^{i phi_chi} - 1|^2 with an unabsorbed signal photon, x0 =
-    y (1 - u)^2 without, u = sqrt(1 - p_absorb).  Nothing cancels: 1 - u is
-    p_absorb / (1 + u), |u e^{i phi_chi} - 1|^2 is (1 - u)^2 + 4 u
-    sin^2(phi_chi / 2).  A coherent probe clicks with 1 - exp(-x), a lone
+    (x1, x0) = y times the ``_click_weights``, x1 with an unabsorbed signal
+    photon, x0 without.  A coherent probe clicks with 1 - exp(-x), a lone
     photon with the x1 of |beta| = 1, the cascade's at theta1 = pi / 4."""
+    a1, a0 = _click_weights(phi_chi, p_absorb)
+    return y * a1, y * a0
+
+
+def _click_weights(phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
+    """The y-free factors |u e^{i phi_chi} - 1|^2 and (1 - u)^2 of the click
+    exponents, u = sqrt(1 - p_absorb).  Nothing cancels: 1 - u is p_absorb /
+    (1 + u), |u e^{i phi_chi} - 1|^2 is (1 - u)^2 + 4 u sin^2(phi_chi / 2)."""
     u = math.sqrt(1.0 - p_absorb)
     dim = p_absorb / (1.0 + u)  # 1 - u
     s = math.sin(phi_chi / 2.0)
-    return y * (dim * dim + 4.0 * u * (s * s)), y * (dim * dim)
+    return dim * dim + 4.0 * u * (s * s), dim * dim
 
 
 def _transparent_clicks(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:

@@ -59,6 +59,38 @@ def test_fig4_rows_equal_per_point_detection_efficiency():
         assert value == detection_efficiency(mzi, CoherentProbe(beta))
 
 
+def test_fig4_efficiency_is_the_click_law_bit_for_bit():
+    # the sweep reads the law's y-free weight once per phase; every value
+    # must still be the first click probability of mzi._transparent_clicks
+    table = run_experiment(
+        ExperimentConfig("fig4", params={"phi_chi_points": 2001, "beta": [0.3, 1.0, 4.0, 37.5]})
+    )
+    for phi_chi, beta, value, _ in table.rows:
+        y = mzi._click_scale(math.pi / 4.0, beta)
+        assert value.hex() == mzi._transparent_clicks(y, phi_chi)[0].hex()
+
+
+def test_fig4_reads_the_click_weights_once_per_phase(monkeypatch):
+    # one _click_weights call per grid point, whichever module it is read
+    # through, and no per-point call into the click probabilities
+    calls = []
+
+    def counted(phi_chi, p_absorb=0.0):
+        calls.append(phi_chi)
+        return weights(phi_chi, p_absorb)
+
+    def forbidden(*args):
+        raise AssertionError("fig4 called _transparent_clicks")
+
+    weights = mzi._click_weights
+    monkeypatch.setattr(mzi, "_click_weights", counted)
+    monkeypatch.setattr(xpmherald.experiments, "_click_weights", counted)
+    monkeypatch.setattr(mzi, "_transparent_clicks", forbidden)
+    table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 37}))
+    assert len(table.rows) == 37 * len(DEFAULT_FIG4_BETAS)
+    assert calls == np.linspace(0.0, 2.0 * math.pi, 37).tolist()
+
+
 def test_fig4_rejects_non_finite_beta():
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentConfig("fig4", params={"beta": [1.0, float("nan")]}))
@@ -116,13 +148,16 @@ GOLDEN_LOSS_PARAMS = {
 }
 
 
-@pytest.mark.parametrize(
-    "fixed_p, digest",
-    [
-        (None, "5403e6a196f3ddd82d55a02bdca863ab993a9ff2f978ca9aa181242a6a473c1c"),
-        (0.3, "240bee7b55ef099c74d0db1a145e9387d7a36abb4403afe4f6c40f4fa514a24c"),
-    ],
-)
+# (fixed_p, digest); the child processes of test_mzi's second-kernel test
+# run these, DEFAULT_CSV_GOLDENS and test_fig4_csv_bytes_golden under every
+# (kernel, libm variant)
+LOSS_BOUNDS_GOLDENS = [
+    (None, "5403e6a196f3ddd82d55a02bdca863ab993a9ff2f978ca9aa181242a6a473c1c"),
+    (0.3, "240bee7b55ef099c74d0db1a145e9387d7a36abb4403afe4f6c40f4fa514a24c"),
+]
+
+
+@pytest.mark.parametrize("fixed_p, digest", LOSS_BOUNDS_GOLDENS)
 def test_loss_bounds_csv_bytes_golden(fixed_p, digest):
     params = dict(GOLDEN_LOSS_PARAMS)
     if fixed_p is not None:
@@ -136,17 +171,17 @@ def _text_digest(csv_text):
     return hashlib.sha256(csv_text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "experiment, digest",
-    [
-        ("fig4", {
-            "fma": "3f8dde37d056922ae02f65bccd83303d8a3b2f3e2ae54c09b4c93c48266b0bb5",
-            "sse2": "9ee1b6da4955af99a66486fb2c344343cbb6f2b880c44515c936310143e213f7",
-        }),
-        ("loss-bounds", "5d159f5282be18cc6358479830277068f3188f082e8ac060bf998116758b7b10"),
-    ],
-    ids=["fig4", "loss-bounds"],
-)
+# (experiment, digest or digests by libm variant)
+DEFAULT_CSV_GOLDENS = [
+    ("fig4", {
+        "fma": "3f8dde37d056922ae02f65bccd83303d8a3b2f3e2ae54c09b4c93c48266b0bb5",
+        "sse2": "9ee1b6da4955af99a66486fb2c344343cbb6f2b880c44515c936310143e213f7",
+    }),
+    ("loss-bounds", "5d159f5282be18cc6358479830277068f3188f082e8ac060bf998116758b7b10"),
+]
+
+
+@pytest.mark.parametrize("experiment, digest", DEFAULT_CSV_GOLDENS, ids=["fig4", "loss-bounds"])
 def test_default_csv_full_text_golden(experiment, digest):
     if isinstance(digest, dict):
         digest = _by_libm(digest)
@@ -654,3 +689,31 @@ def test_csv_formats_each_cell_object_as_the_per_cell_formatter_does():
     assert table.to_csv_text().splitlines()[2:4] == ["0.0,1,x", "-0.0,1.0,x"]
     with pytest.raises(ValueError):
         ResultTable(columns=["a", "b"], rows=[(1.0, 2.0), (1.0,)], manifest={})
+
+
+def test_csv_columns_of_every_kind_equal_the_per_cell_formatter():
+    # each column takes one of to_csv_text's routes: plain floats by repr,
+    # with and without shared objects, and mixed kinds by _format_cell, with
+    # and without shared objects; every byte equals the per-cell reference
+    from xpmherald.experiments import _format_cell
+
+    shared, zero, negative_zero = 0.1, float("0.0"), -float("0.0")
+    n = 7
+    columns = {
+        "plain": [float(i) / 3.0 for i in range(n)],
+        "shared": [shared, 2.5, shared, zero, negative_zero, shared, 1e-300],
+        "zeros": [zero, negative_zero, float("-0.0"), zero, float("0.0"), negative_zero, zero],
+        "np_float": [np.float64(i) / 3.0 for i in range(n)],
+        "np_int": [np.int64(i - 3) for i in range(n)],
+        "mixed": [shared, np.float64(0.1), 3, np.int64(-4), True, "s", shared],
+        "distinct": [1.5, np.float64(-0.0), 2**70, False, "", None, -7],
+        "ints": [1, 1, 0, -5, 10**20, 1, 0],
+    }
+    rows = list(zip(*columns.values()))
+    assert zero is not negative_zero and zero == negative_zero
+    table = ResultTable(columns=list(columns), rows=rows, manifest={})
+    expected = [",".join(columns)] + [",".join(map(_format_cell, row)) for row in rows]
+    assert table.to_csv_text() == "\n".join(expected) + "\n"
+    assert table.to_csv_text().splitlines()[1:3] == [
+        "0.0,0.1,0.0,0.0,-3,0.1,1.5,1", "0.3333333333333333,2.5,-0.0,0.3333333333333333,-2,0.1,-0.0,1",
+    ]

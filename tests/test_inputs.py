@@ -161,6 +161,9 @@ HOSTILE = {
     "angle_sum l=1.5": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, l=1.5),
     "angle_sum l=0.5": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, l=0.5),
     "angle_sum k=2.0": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k=2.0),
+    "angle_sum k=1.0": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k=1.0),
+    "angle_diff k=True": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, k=True),
+    "angle_diff l=2**53 + 1": lambda: transparent_via_angle_diff(0.3, 0.2, 1.0, l=2**53 + 1),
     "angle_sum l=True": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, l=True),
     'angle_sum k="a"': lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k="a"),
     "angle_sum k=10**400": lambda: transparent_via_angle_sum(0.3, 0.2, 1.0, k=10**400),
@@ -185,6 +188,12 @@ HOSTILE = {
 def test_hostile_input_raises_configuration_error(name):
     with pytest.raises(ConfigurationError):
         HOSTILE[name]()
+
+
+def test_transparent_pair_takes_numpy_integers_as_ints():
+    # an int skips the Integral test, which still admits numpy integers
+    for family in (transparent_via_angle_sum, transparent_via_angle_diff):
+        assert family(0.3, 0.2, 1.0, np.int64(1), np.int64(1)) == family(0.3, 0.2, 1.0, 1, 1)
 
 
 MISMATCHED_MODES = {

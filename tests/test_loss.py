@@ -252,6 +252,26 @@ def test_solver_margin_equals_public_click_probs_exactly(monkeypatch):
                 assert lossy_click_probs(cfg, beta, LossParams(float(pa))) == clicks
 
 
+def test_solver_runs_on_plain_floats(monkeypatch):
+    # the grid, the midpoints and the bound are Python floats, no numpy
+    # scalars, with and without a fixed source and for a zero bound
+    law, seen = loss_module._transparent_clicks, []
+
+    def recording_law(y, phi_chi, p_absorb):
+        seen.append((y, phi_chi, p_absorb))
+        return law(y, phi_chi, p_absorb)
+
+    monkeypatch.setattr(loss_module, "_transparent_clicks", recording_law)
+    for phi_chi, beta, fixed_p in ((PI, 10.0, None), (0.01, 100.0, 0.3), (PI, 1.0, 1.0)):
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a documented zero bound
+            bound = max_tolerable_loss(symmetric_cfg(phi_chi), beta, fixed_p)
+        assert type(bound) is float
+        assert len(seen) >= 201
+        assert {type(x) for call in seen for x in call} == {float}
+
+
 def test_max_tolerable_loss_weak_phase_reported_values():
     # the reference criterion for these rows is unstated; computed values
     # are compared loosely for order of magnitude and reported elsewhere

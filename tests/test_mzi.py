@@ -396,6 +396,31 @@ def test_photon_probe_efficiency_reads_the_click_law():
         assert abs(got - old) <= 3.0 * math.ulp(old)
 
 
+def _inline_click_exponents(y, phi_chi, p_absorb):
+    """The click exponents as the law wrote them inline before its y-free
+    factor had a name: the reference the factored law must keep bit for bit."""
+    u = math.sqrt(1.0 - p_absorb)
+    dim = p_absorb / (1.0 + u)
+    s = math.sin(phi_chi / 2.0)
+    return y * (dim * dim + 4.0 * u * (s * s)), y * (dim * dim)
+
+
+def test_click_exponents_are_y_times_the_y_free_weights_bit_for_bit():
+    # 10,000 seeded draws plus the edges: no, subnormal-small and full
+    # absorption, and phases near 0, pi and 2 pi and at 1e-10
+    rng = np.random.default_rng(32)
+    draws = [(10.0 ** rng.uniform(-12.0, 8.0), rng.uniform(-7.0, 7.0), rng.uniform())
+             for _ in range(10_000)]
+    edges = [0.0, 1e-10, PI, 2.0 * PI, math.nextafter(0.0, 1.0)]
+    edges += [math.nextafter(x, d) for x in (PI, 2.0 * PI) for d in (0.0, 7.0)]
+    draws += [(y, phi, p_a) for y in (0.0, 0.3, 1e6) for phi in edges for p_a in (0.0, 1e-300, 1.0)]
+    for y, phi_chi, p_absorb in draws:
+        a1, a0 = mzi._click_weights(phi_chi, p_absorb)
+        got = mzi._click_exponents(y, phi_chi, p_absorb)
+        assert [x.hex() for x in got] == [x.hex() for x in _inline_click_exponents(y, phi_chi, p_absorb)]
+        assert [x.hex() for x in got] == [(y * a1).hex(), (y * a0).hex()]
+
+
 def test_single_photon_click_prob_requires_transparency():
     with pytest.raises(ConfigurationError):
         detection_efficiency(
@@ -609,8 +634,9 @@ def test_propagate_mzi_amplitudes_golden():
     ids=[core if libm == "fma" else f"{core}-{libm}" for core, libm in sorted(GOLDEN_DIGESTS)],
 )
 def test_goldens_hold_under_a_second_blas_kernel(core, libm):
-    # a kernel- or libm-dependent change shows at once: both goldens and the
-    # resumed sweeps again, in a child process on each (kernel, libm variant)
+    # a kernel- or libm-dependent change shows at once: both goldens, the
+    # resumed sweeps and the CSV goldens of test_experiments again, in a
+    # child process on each (kernel, libm variant)
     # a digest pair is recorded for; the libm mask is set in the child's
     # environment only, and the FMA pairs keep the bare kernel name as their id
     here = Path(__file__).resolve().parent
@@ -622,6 +648,9 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     script = (
         "import test_mzi as t; t.test_run_setup_scalars_golden(); "
         "t.test_propagate_mzi_amplitudes_golden(); t.test_resumed_sweeps_equal_cleared_runs(); "
+        "import test_experiments as e; e.test_fig4_csv_bytes_golden(); "
+        "[e.test_loss_bounds_csv_bytes_golden(*g) for g in e.LOSS_BOUNDS_GOLDENS]; "
+        "[e.test_default_csv_full_text_golden(*g) for g in e.DEFAULT_CSV_GOLDENS]; "
         "print(t.openblas_core(), t.libm_variant())"
     )
     proc = subprocess.run(
