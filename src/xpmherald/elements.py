@@ -6,29 +6,28 @@ and that of input 2 to ``-exp(i phi) sin(theta) a1' + cos(theta) a2'``.
 The interferometer transparency constraints depend on this convention, so
 its entries (``_bs_entries``) are the one source of the splitter algebra.
 The exact path reads a Mach-Zehnder form, two fixed real 50:50 splitters
-around phases, off the same entries, and the classical path of ``mzi``
-multiplies them out as numbers, so the only number-conserving blocks built
-are the angle-free ones of the 50:50 splitter.  Splitters and XPM phases all
-conserve the photon total of the splitter modes, so ``mzi``'s interferometer,
-splitter, XPM, splitter, is one fixed-shape chain of four batched real
-products between one gather and one scatter; for the scheme's inputs, whose
-auxiliary mode is in vacuum, one column of each W_T replaces the gather and
-the first product.  The angles and phases enter only as diagonals, so the
-slots of a trailing axis share the chain; its read-only state after a mixing
-first splitter and the second stage's phi_chi-free tables resume a run
-(``mzi`` memoizes them) with every operation of an unbroken one.
+around phases, off the same entries, so the only number-conserving blocks
+built are the angle-free ones of the 50:50 splitter.  ``mzi``'s splitter,
+XPM, splitter conserve the photon total of the splitter modes: one chain of
+four batched real products between one gather and one scatter, whose
+angles and phases enter only as diagonals, shared by the slots of a
+trailing axis.  XPM is its one phi_chi-dependent factor: ``_first_stage``
+runs all before it, read-only, and ``_second_stage`` the rest, so ``mzi``
+memoizes first stages (8 at most) along phi_chi sweeps.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, CutoffViolationError, check_real
+from .errors import ConfigurationError, CutoffViolationError, ModeMismatchError, check_real
 from .fock import MultiModeKet
 
 
@@ -142,8 +141,7 @@ def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: in
     partner, axes after it, slot) of the mode pair, n the occupation of
     ``modes[0]`` and T <= t_max, and ``blocks_flat[scatter]`` the output
     ket; both flat arrays end in one zero slot that unused entries point to.
-    i n: the occupations 0..t_max times i, a column; flat: the (T, n, rest)
-    shape the W products take."""
+    i n: i times 0..t_max, shaped as a diagonal's n axis; flat: (T, n, rest)."""
     size = math.prod(shape)
     flat = np.moveaxis(np.arange(size).reshape(shape), modes, (0, 1))
     flat = flat.reshape(flat.shape[0], flat.shape[1], -1)
@@ -158,123 +156,116 @@ def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: in
     scatter[flat.ravel()] = np.where(
         (p + q <= t_max)[:, :, None], slot, (t_max + 1) ** 2 * rest
     ).ravel()
-    scatter, occ = scatter.reshape(shape), 1j * np.arange(t_max + 1)[:, None]
+    scatter, occ = scatter.reshape(shape), 1j * np.arange(t_max + 1).reshape(-1, 1, 1, 1, 1)
     for arr in (gather, scatter, occ):
         arr.flags.writeable = False
     return gather, scatter, occ, block, (t_max + 1, t_max + 1, -1)
 
 
-def _apply_chain(amps, modes, bs1, xpm=(), bs2=(), partner=None, held=None, shape=None):
-    """The chain of every caller, on an amplitude array: a beam splitter on
-    ``modes``, then optionally XPM phases on ``(partner, modes[0])`` and a
-    second beam splitter.  ``bs1``, ``xpm`` and ``bs2`` hold one parameter
-    object per slot: one slot acts on the whole array, S > 1 slots are the
-    last axis of ``amps``, of length S.  Every stage conserves the photon
-    total T of the two modes, so the chain acts on each anti-diagonal
-    n + m = T of their grid as one (T+1) x (T+1) block.  With
-    ``theta, psi = _mzi_angles(_bs_entries(p))`` a splitter's block is
-    ``e^{-i theta T} P W_T L W_T P^-1``, ``P[n] = e^{i psi n}`` and
-    ``L[k] = e^{2 i theta k}``; XPM is the diagonal ``e^{i phi_chi n s}``, s
-    the partner occupation.  Only these diagonals carry a slot index, and
-    one exp makes them all.  A splitter of identities (theta = 0 on every
-    slot) is skipped.  A mixing splitter reaches every row of a block, so an
-    occupied total past a cutoff raises instead of dropping amplitude, which
-    would fake the no-false-click guarantee.
+_FirstStage = namedtuple(
+    "_FirstStage", "state axes layout w lams diags column", defaults=(None,) * 4 + (False,))
+
+
+def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstStage:
+    """All that phi_chi does not enter of the chain of every caller: a beam
+    splitter on ``modes``, then optionally XPM phases on ``(partner,
+    modes[0])`` and a second beam splitter.  ``bs1`` and ``bs2`` hold one
+    parameter object per slot: one slot acts on the whole array ``amps``,
+    S > 1 slots are its last axis.  Every stage conserves the photon total T
+    of the two modes, so the chain acts on each anti-diagonal n + m = T of
+    their grid as one (T+1) x (T+1) block.  With ``theta, psi =
+    _mzi_angles(_bs_entries(p))`` a splitter's block is ``e^{-i theta T} P
+    W_T L W_T P^-1``, ``P[n] = e^{i psi n}`` and ``L[k] = e^{2 i theta k}``;
+    XPM is the diagonal ``e^{i phi_chi n s}``, s the partner occupation.  A
+    splitter of identities (theta = 0 on every slot) is skipped; a mixing
+    one reaches every row of a block, so an occupied total past a cutoff
+    raises: dropping amplitude would fake the no-false-click guarantee.
 
     With ``shape``, ``amps`` is the column of an input of that shape whose
     ``modes[1]`` is empty, laid out as its blocks without n and with a
-    partner axis of one, and its last row is the largest occupied total
-    t_max, which an array's occupancy search finds.  Block T then holds one
-    amplitude, at n = T, so the first W product is W_T's column T times it:
-    no input array, no gather.  Returns ``(out, held)``, ``held`` the
-    ``(shape, t_max, state, layout, w, tee, ell, diags)`` after a mixing
-    first splitter, else None: the state with its layout and W blocks, each
-    splitter's e^{-i theta T} and L factors and the diagonals before the XPM
-    phases, all read-only.  Passed back in place of ``amps``, it resumes the
-    chain with the same operations: the XPM phases and the products after
-    the state.  The first resume keeps the second splitter's e^{-i theta T} L
-    too (a miss keeping it would deny the next miss the warm memory it frees)."""
-    i, j = modes
+    partner axis of one; its last row is the largest occupied total t_max,
+    which an array's occupancy search finds.  Block T holds one amplitude,
+    at n = T, so the first W product is W_T's column T times it.  Returns
+    the ``state`` the XPM phases reach (after the first W pair if the first
+    splitter mixes, else the gathered input or the ``column``), ``w`` and
+    the L factors ``lams`` and diagonals ``diags`` after it, the phases
+    multiplying ``diags[0]``; with ``layout`` None, the input, which only an
+    XPM on ``axes`` changes (none on a zero ket).  Every array the stage
+    makes is read-only, so a stored stage serves any number of phases."""
     rates, mixes = [], []  # the theta and psi rows of each mixing splitter
-    for bs in (bs1, bs2) if held is None else ():  # a resumed run reads its tables
+    for bs in (bs1, bs2):
         thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in bs]) if bs else ((), ())
         mixes.append(any(thetas))  # a splitter of identities is skipped
         rates += thetas + psis if mixes[-1] else ()
-    # at: the mixing splitters before the XPM
-    k, at = (mixes.count(True), int(mixes[0])) if mixes else (len(held[7]) - 1, 1)
-    if shape is not None and not k:  # nothing mixes: build the input the column stands for
-        amps, column = np.zeros(shape, dtype=np.complex128), amps
+    k, at, column = mixes.count(True), int(mixes[0]), shape is not None  # at: mixes before XPM
+    if column and not k:  # nothing mixes: build the input the column stands for
+        amps, col = np.zeros(shape, dtype=np.complex128), amps
         others = [1 if a == partner else n for a, n in enumerate(shape) if a not in modes]
-        np.moveaxis(amps, modes, (0, 1))[: len(column), 0] = column.reshape(len(column), *others)
+        np.moveaxis(amps, modes, (0, 1))[: len(col), 0] = col.reshape(len(col), *others)
+        amps.setflags(write=False)
     if not k:
-        if xpm:
-            amps = _xpm(amps, (partner, i), np.array([p.phi_chi for p in xpm]))
-        return amps, None
-    column, t_max = (None, None) if shape is None else (amps, len(amps) - 1)  # a column's last row
-    shape, t_max, state = held[:3] if held else (shape or amps.shape, t_max, None)
-    if t_max is None:  # an array: its largest occupied total
+        return _FirstStage(amps, (partner, modes[0]))
+    t_max, shape = len(amps) - 1, shape or amps.shape  # a column's last row
+    if not column:  # an array: its largest occupied total
         n, m = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes)).nonzero()
         t_max = int((n + m).max(initial=-1))
-    if t_max < 0:
-        return amps, None
-    cuts = (shape[i] - 1, shape[j] - 1)
+        if t_max < 0:
+            return _FirstStage(amps, None)
+    cuts = tuple(shape[a] - 1 for a in modes)
     if t_max > min(cuts):
         raise CutoffViolationError(
             f"beam splitter sends {t_max} occupied photons into one mode, "
             f"beyond cutoffs {cuts} on modes {modes}"
         )
-    layout = held[3] if held else _layout(shape, modes, partner, t_max, len(bs1))
-    gather, scatter, iocc, block, flat = layout
-    # every phase from one exp over (rate, occupation, slot): e^{i theta n}
-    # and e^{i psi n} per mixing splitter, then e^{i phi_chi s n} per partner
-    # occupation s; inv: their conjugates; lams = tee ell, each splitter's e^{-i theta T} L
-    rates += [p.phi_chi * s for s in range(block[3] if xpm else 0) for p in xpm]
-    ph = np.exp(np.array(rates).reshape(-1, 1, len(bs1)) * iocc)
-    if held:  # a resumed run's ph holds only the XPM rows; it needs the second L
-        tee, ell, diags = held[5:8]
-        if len(held) == 8:  # the first resume computes that L and keeps it
-            held += (tee[1:] * ell[1:],)
-            held[8].setflags(write=False)
-        lams = held[8]
-    else:
-        inv, th = ph.conj(), ph[: 2 * k : 2, None, :, None, None, None]
-        tee, ell = inv[: 2 * k : 2, :, None, None, None, None], th * th
-        lams = tee * ell
-        # the diagonals before, between and after the W pairs, over (n, rest
-        # axes before the partner's, s, rest after, slot): each P merges with
-        # the next splitter's P^-1, and the XPM phases with the one at their place
-        diags = np.empty((k + 1, t_max + 1, 1, block[3], 1, len(bs1)), dtype=np.complex128)
-        diags[0], diags[-1] = inv[1, :, None, None, None], ph[2 * k - 1, :, None, None, None]
-        if k == 2:
-            np.multiply(ph[1, :, None, None, None], inv[3, :, None, None, None], out=diags[1])
-    phased = diags[at]  # times the XPM phases out of place: a resumed run reads diags
-    if xpm:
-        phased = phased * ph[0 if held else 2 * k :].transpose(1, 0, 2)[:, None, :, None]
-    d0, d1 = (diags[0], phased) if at else (phased, diags[1])
-    w, y = held[4] if held else _hadamard_blocks(t_max), None  # float views: (T, n, 2 x rest)
-    if state is None:
-        if column is None:  # the gathered input
-            x = np.concatenate((amps.ravel(), _ZERO))[gather]
-            x *= d0
-            yf = np.matmul(w, x.reshape(flat).view(float))
-        else:  # W_T's column T times block T's one amplitude
-            x = (column * d0).reshape(t_max + 1, 1, -1).view(float)
-            yf = np.matmul(w.diagonal(0, 0, 2).T[:, :, None], x)
-        y = yf.view(complex).reshape(block)
-        y *= lams[0]  # in place: the next product reads the same memory through yf
-        state = np.matmul(w, yf).view(complex).reshape(block)
-        for table in (state, tee, ell, diags):
-            table.setflags(write=False)
-        held = (shape, t_max, state, layout, w, tee, ell, diags) if at else None
-    x = state * d1  # out of place: the state is never written
+    layout = _layout(shape, modes, partner, t_max, len(bs1))
+    gather, _, iocc, block, _ = layout
+    # every splitter phase from one exp over (rate, occupation, slot):
+    # e^{i theta n} and e^{i psi n} per mixing splitter; inv: their conjugates
+    ph = np.exp(np.array(rates).reshape(-1, 1, 1, 1, 1, len(bs1)) * iocc)
+    inv, th = ph.conj(), ph[: 2 * k : 2, None]
+    lams = inv[: 2 * k : 2, :, None] * (th * th)  # each splitter's e^{-i theta T} L
+    # the diagonals before, between and after the W pairs, over (n, rest
+    # axes before the partner's, s, rest after, slot): each P merges with
+    # the next splitter's P^-1
+    diags = np.empty((k + 1, t_max + 1, 1, block[3], 1, len(bs1)), dtype=np.complex128)
+    diags[0], diags[-1] = inv[1], ph[2 * k - 1]
     if k == 2:
-        xf = x.reshape(flat).view(float)
-        yf = np.matmul(w, xf, out=None if y is None else yf)  # the first splitter's buffer
-        y = yf.view(complex).reshape(block) if y is None else y
-        y *= lams[-1]
-        np.matmul(w, yf, out=xf)
-        x *= diags[2]
-    return np.concatenate((x.ravel(), _ZERO))[scatter], held
+        np.multiply(ph[1], inv[3], out=diags[1])
+    w = _hadamard_blocks(t_max)
+    state = amps if column else np.concatenate((amps.ravel(), _ZERO))[gather]
+    if at:
+        state = _w_pair(state * diags[0], w, lams[0], layout, column)
+    for table in (state, lams, diags):
+        table.setflags(write=False)
+    return _FirstStage(state, None, layout, w, lams[at:], diags[at:], column and not at)
+
+
+def _w_pair(x, w, lam, layout, column: bool) -> np.ndarray:
+    """W_T lam W_T on each block of ``x``, a block-layout ``x`` taking the result, or a column."""
+    block, flat = layout[3:]
+    xf = (x.reshape(len(x), 1, -1) if column else x.reshape(flat)).view(float)  # (T, n, 2 x rest)
+    yf = np.matmul(w.diagonal(0, 0, 2).T[:, :, None] if column else w, xf)
+    y = yf.view(complex).reshape(block)
+    y *= lam  # in place: the next product reads the same memory through yf
+    return np.matmul(w, yf, out=None if column else xf).view(complex).reshape(block)
+
+
+def _second_stage(first: _FirstStage, xpm) -> np.ndarray:
+    """The rest of the chain after ``first``, which it only reads: the XPM
+    phases of ``xpm`` (one per slot), the W pair after them, the scatter."""
+    state, axes, layout, w, lams, diags, column = first
+    if layout is None:
+        return _xpm(state, axes, np.array([p.phi_chi for p in xpm])) if xpm and axes else state
+    _, scatter, iocc, block, _ = layout
+    phased = diags[0]  # times the XPM phases, e^{i phi_chi s n} per partner occupation s
+    if xpm:
+        rates = np.array([p.phi_chi * s for s in range(block[3]) for p in xpm])
+        phased = phased * np.exp(rates.reshape(-1, 1, len(xpm)) * iocc)
+    x = state * phased  # out of place: the state is never written
+    for lam, diag in zip(lams, diags[1:]):  # the W pair after the XPM, if any
+        x = _w_pair(x, w, lam, layout, column)
+        x *= diag
+    return np.concatenate((x.ravel(), _ZERO))[scatter]
 
 
 def _xpm(amps: np.ndarray, modes: tuple[int, int], phi_chi) -> np.ndarray:
@@ -287,25 +278,27 @@ def _xpm(amps: np.ndarray, modes: tuple[int, int], phi_chi) -> np.ndarray:
     return amps * np.exp(1j * (phi_chi * (occ_i * occ_j)))
 
 
-def _check_element(ket, modes: tuple[int, int], p, kind: type) -> None:
-    """Raise unless ``ket`` is a ket, ``p`` a ``kind`` and ``modes`` two of its modes."""
+def _check_element(ket, modes, p, kind: type) -> tuple[int, int]:
+    """``modes`` as a tuple: two distinct modes of the ket ``ket``, with ``p`` a ``kind``."""
     if not isinstance(ket, MultiModeKet) or not isinstance(p, kind):
         kinds = f"{type(ket).__name__} and {type(p).__name__}"
         raise ConfigurationError(f"expected MultiModeKet and {kind.__name__}, got {kinds}")
-    ket.check_modes(*modes)
-    if modes[0] == modes[1]:
-        raise ValueError(f"{kind.__name__} modes must be distinct")
+    pair = tuple(modes) if isinstance(modes, Sequence) else (modes,)
+    ket.check_modes(*pair)
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ModeMismatchError(f"{kind.__name__} needs two distinct modes, got {modes!r}")
+    return pair
 
 
 def apply_beam_splitter(
     ket: MultiModeKet, modes: tuple[int, int], p: BeamSplitterParams
 ) -> MultiModeKet:
-    """Apply the beam splitter to two modes of a Fock ket: one gather into
-    the number-conserving block layout, two batched real products and one
-    scatter.  An occupied total past a cutoff raises CutoffViolationError
-    unless the splitter is the identity (see ``_apply_chain``)."""
-    _check_element(ket, modes, p, BeamSplitterParams)
-    return MultiModeKet._unchecked(_apply_chain(ket.amps, modes, (p,))[0])
+    """Apply the beam splitter to two modes of a Fock ket, both stages of a
+    chain without XPM: one gather into the number-conserving block layout,
+    two batched real products and one scatter.  An occupied total past a
+    cutoff raises CutoffViolationError unless the splitter is the identity."""
+    modes = _check_element(ket, modes, p, BeamSplitterParams)
+    return MultiModeKet._unchecked(_second_stage(_first_stage(ket.amps, modes, (p,)), ()))
 
 
 def apply_xpm(
@@ -314,5 +307,5 @@ def apply_xpm(
     """Cross-phase gate: each basis amplitude with occupations (n, m) on the
     given modes picks up exp(i phi_chi * n * m).  Diagonal, norm and photon
     numbers preserved."""
-    _check_element(ket, modes, p, XpmParams)
+    modes = _check_element(ket, modes, p, XpmParams)
     return MultiModeKet._unchecked(_xpm(ket.amps, modes, p.phi_chi))

@@ -25,7 +25,7 @@ report as an error bar instead of silently biasing results.
 Kets are checked (no empty axis, finite norm at most one) where they are
 built from outside data; the operations of this package return
 unchecked kets, since each of them preserves both properties by
-construction.  Amplitude arrays are read-only, and so is every state the
+construction.  Amplitude arrays are read-only, and so is every array the
 memo of ``mzi`` holds, so states can be shared freely across workers.
 """
 

@@ -16,13 +16,14 @@ routes of ``mzi`` truncate at ``TruncationPolicy.tail_tolerance`` (1e-10).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, check_amplitude, check_real
-from .mzi import MziConfig, _click_scale, _transparent_clicks, is_transparent
+from .mzi import MziConfig, _click_exponents, _click_scale, _transparent_clicks, is_transparent
 
 BISECTION_TOL = 1e-6  # max_tolerable_loss's bracket width (per 0.005 of bound below 0.005)
 
@@ -70,6 +71,19 @@ def lossy_click_probs(
     return _transparent_clicks(_click_scale(cfg.bs1.theta, beta), cfg.xpm.phi_chi, loss.p_absorb)
 
 
+def _normal_click_scale(cfg: MziConfig, beta: complex) -> float:
+    """y of a checked transparent ``cfg`` and ``beta``; ConfigurationError if
+    the lossless click exponent x1 is positive but subnormal, where q1 and q0
+    keep few digits or none (x1 is 0 only at a zero beta, theta1 or phi_chi)."""
+    theta1, phi_chi = cfg.bs1.theta, cfg.xpm.phi_chi
+    y = _click_scale(theta1, beta)
+    x1 = _click_exponents(y, phi_chi)[0]
+    if x1 < sys.float_info.min and beta and math.sin(2.0 * theta1) and math.sin(phi_chi / 2.0):
+        raise ConfigurationError(
+            f"probe amplitude {beta!r}: click exponent {x1:.3g} is below the normal range")
+    return y
+
+
 def lossy_heralded_efficiency(
     p_a: float, cfg: MziConfig, beta: complex, loss: LossParams
 ) -> LossyHeraldReport:
@@ -82,17 +96,13 @@ def lossy_heralded_efficiency(
     """
     check_real("source efficiency", p_a, 0.0, 1.0, open_low=True)
     q1, q0 = lossy_click_probs(cfg, beta, loss)
-    survive = 1.0 - loss.p_absorb
-    numerator = p_a * survive * q1
+    _normal_click_scale(cfg, beta)
+    numerator = p_a * (1.0 - loss.p_absorb) * q1
     denominator = numerator + (p_a * loss.p_absorb + 1.0 - p_a) * q0
     if denominator <= 0.0:
-        raise ConditioningError(
-            "total click probability is zero; heralded efficiency undefined"
-        )
+        raise ConditioningError("total click probability is zero; heralded efficiency undefined")
     p_prime = numerator / denominator
-    return LossyHeraldReport(
-        q1=q1, q0=q0, p_prime=p_prime, improvement=p_prime > p_a
-    )
+    return LossyHeraldReport(q1=q1, q0=q0, p_prime=p_prime, improvement=p_prime > p_a)
 
 
 def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = None) -> float:
@@ -120,7 +130,7 @@ def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = No
         raise ConfigurationError("probe amplitude must be nonzero")
     if fixed_p is not None:
         check_real("fixed source efficiency", fixed_p, 0.0, 1.0)
-    y, phi_chi = _click_scale(cfg.bs1.theta, beta), cfg.xpm.phi_chi
+    y, phi_chi = _normal_click_scale(cfg, beta), cfg.xpm.phi_chi
     p = 0.0 if fixed_p is None else fixed_p
 
     def margin(p_absorb: float) -> float:

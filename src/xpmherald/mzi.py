@@ -16,15 +16,14 @@ one-photon state in the signal mode.
 The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, ``_click_table`` propagates many setups grouped by
 input shape, as probe columns rather than input arrays (C is in vacuum,
-``elements._apply_chain``), and ``_run_setups`` makes each slot's outcome.
+``elements._first_stage``), and ``_run_setups`` makes each slot's outcome.
 ``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
 The last two run ``_propagate_one``: along a phi_chi sweep the splitters
-meet one input again and again, so ``_memo`` keeps the state after the first
-splitter and the second stage's phi_chi-free tables, read-only, keyed by the
-exact bits of both splitters' (theta, phi) and of a coherent probe's beta,
-the probe kind and the blocks function, 8 keys at most.  A hit computes only
-the XPM phase row and the products after it, same bytes out (``elements``),
-and no splitter algebra: a config keeps its transparency verdict.
+meet one input again and again, so ``_memo`` keeps each miss's read-only
+first stage, keyed by the exact bits of both splitters' (theta, phi) and of
+a coherent probe's beta, the probe kind and the blocks function, 8 keys at
+most.  Hits and misses run one second stage on it: same bytes, and a hit
+does no splitter algebra (a config keeps its transparency verdict).
 Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
 far below every tolerance the audits apply; ``make_coherent(beta, policy)``
 is where a caller can still choose another.
@@ -54,7 +53,7 @@ from operator import mul
 import numpy as np
 
 from . import elements
-from .elements import BeamSplitterParams, XpmParams, _apply_chain, _bs_entries
+from .elements import BeamSplitterParams, XpmParams, _bs_entries, _first_stage, _second_stage
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -68,7 +67,7 @@ from .fock import NORM_TOL, Ensemble, MultiModeKet, condition, make_coherent
 
 SIGNAL, PROBE, AUX = 0, 1, 2
 _PHOTON_OR_VACUUM = np.eye(2)[::-1, None, None, :, None]  # a noisy photon probe's column: |1>, |0>
-_memo: dict = {}  # the post-first-splitter states of ``_propagate_one``, 8 at most
+_memo: dict = {}  # the first stages of ``_propagate_one``, 8 at most
 
 # Above this probe mean photon number the classical coherent path is the
 # default: truncation would need cutoffs far beyond what truncated Fock
@@ -273,15 +272,19 @@ def transparency_sign(cfg: MziConfig) -> int:
     return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
-def _propagate(amps, cfgs, held=None, column=False) -> tuple:
-    """Exact propagation of an array with the mode axes laid out above, or
-    with ``column`` of the probe columns (B, 1, 1, label, slot) of inputs
-    with a signal axis of two and C in vacuum.  One configuration
-    propagates it whole, S > 1 each propagate one slot of the last axis, of
-    length S.  ``_apply_chain`` gives (out, held)."""
+def _first(amps, cfgs, column=False):
+    """``elements._first_stage`` of an array with the mode axes laid out
+    above, or with ``column`` of the probe columns (B, 1, 1, label, slot) of
+    inputs with a signal axis of two and C in vacuum: one configuration for
+    the whole input, or S > 1 for the S slots of its last axis."""
     shape = (2, len(amps), len(amps), *amps.shape[3:]) if column else None
-    bs1, xpm, bs2 = zip(*[(cfg.bs1, cfg.xpm, cfg.bs2) for cfg in cfgs])
-    return _apply_chain(amps, (PROBE, AUX), bs1, xpm, bs2, SIGNAL, held, shape)
+    bs1, bs2 = [cfg.bs1 for cfg in cfgs], [cfg.bs2 for cfg in cfgs]
+    return _first_stage(amps, (PROBE, AUX), bs1, bs2, SIGNAL, shape)
+
+
+def _propagate(amps, cfgs, column=False) -> np.ndarray:
+    """Exact propagation of ``_first``'s input, both stages."""
+    return _second_stage(_first(amps, cfgs, column), [cfg.xpm for cfg in cfgs])
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
@@ -292,7 +295,7 @@ def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
         raise ConfigurationError(f"not a MultiModeKet and an MziConfig: {kinds}")
     if ket.amps.ndim < 3:
         raise ModeMismatchError(f"the setup needs modes 0-2, the ket has {ket.amps.ndim}")
-    return MultiModeKet._unchecked(_propagate(ket.amps, (cfg,))[0])
+    return MultiModeKet._unchecked(_propagate(ket.amps, (cfg,)))
 
 
 def coherent_outputs(
@@ -399,7 +402,7 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
             out = _propagate_one(cfgs[0], probes[0])
         else:
             cols = np.concatenate([c for _, _, c in members], axis=-1)
-            out = _propagate(cols, [cfgs[s] for s, _, _ in members], column=True)[0]
+            out = _propagate(cols, [cfgs[s] for s, _, _ in members], column=True)
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
         click = probs[:, 1:].sum(axis=1).transpose(2, 0, 1).tolist()
@@ -415,19 +418,13 @@ def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
     splitters = cfg.bs1.theta, cfg.bs1.phi, cfg.bs2.theta, cfg.bs2.phi
     bits = struct.pack("6d", *splitters, beta.real, beta.imag)
     key = bits, coherent, elements._hadamard_blocks
-    held = _memo.get(key)
-    if held is not None:
-        out, kept = _propagate(None, (cfg,), held=held)
-        if kept is not held:  # the first resume adds the second splitter's L
-            _memo[key] = kept
-        return out
-    column = make_coherent(beta).amps[:, None, None, None, None] if coherent else _PHOTON_OR_VACUUM
-    out, held = _propagate(column, (cfg,), column=True)
-    if held is not None:
-        _memo[key] = held
+    first = _memo.get(key)
+    if first is None:
+        col = make_coherent(beta).amps.reshape(-1, 1, 1, 1, 1) if coherent else _PHOTON_OR_VACUUM
+        first = _memo[key] = _first(col, (cfg,), column=True)
         for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
             _memo.pop(old, None)
-    return out
+    return _second_stage(first, (cfg.xpm,))
 
 
 def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:

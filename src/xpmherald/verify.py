@@ -242,7 +242,7 @@ def _check_mzi(results, rng, dense: bool):
     # (-1)^(photons in B and C) phase on each basis state
     signs = np.array([mzi.transparency_sign(cfg) for cfg in cfgs])
     occ = np.indices((4, 4)).sum(axis=0)[None, :, :, None]
-    devs = np.abs(mzi._propagate(amps, cfgs)[0] - amps * signs**occ).max(axis=(0, 1, 2))
+    devs = np.abs(mzi._propagate(amps, cfgs) - amps * signs**occ).max(axis=(0, 1, 2))
     worst = float(devs.max())
     worst_strict = float(devs[signs == 1].max(initial=0.0))
     n_strict = int(np.count_nonzero(signs == 1))
@@ -264,7 +264,7 @@ def _check_mzi(results, rng, dense: bool):
     cfgs = [_random_nontransparent(rng) for _ in range(n_cfg)]
     amps = np.zeros((2, 4, 4, n_cfg), dtype=complex)
     amps[0, 1, 0] = 1.0
-    deviates = np.abs(mzi._propagate(amps, cfgs)[0] - amps) > 1e-12
+    deviates = np.abs(mzi._propagate(amps, cfgs) - amps) > 1e-12
     found_all = bool(deviates.any(axis=(0, 1, 2)).all())
     _record(
         results, "mzi", "nontransparent-violation-found", found_all,

@@ -498,6 +498,8 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["cascade", "--alpha-sq", "-1"],
         ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [math.nan]}}],
         ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [-1.0]}}],
+        # a click exponent below the normal float range, whose bound drifted
+        ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [1e-320]}}],
         ["run", {"experiment": "loss-bounds", "params": {"fixed_p": math.nan}}],
         ["run", {"experiment": "fig4", "params": {"beta": [math.nan]}}],
         ["run", {"experiment": "purity-audit", "seed": 1.5}],

@@ -58,6 +58,7 @@ from xpmherald.mzi import (
 from xpmherald.verify import run_suite
 
 CFG = transparent_via_angle_sum(math.pi / 4.0, 0.0, math.pi)
+WEAK = transparent_via_angle_sum(math.pi / 4.0, 0.0, 0.01)
 LEAKY = MziConfig(BeamSplitterParams(0.3), BeamSplitterParams(0.3), XpmParams(math.pi))
 KET = make_fock((0, 1), (1, 1))
 
@@ -181,6 +182,19 @@ HOSTILE = {
     # the loss model assumes transparency
     "lossy_click_probs leaky cfg": lambda: lossy_click_probs(LEAKY, 1.0, LossParams(0.1)),
     "max_tolerable_loss leaky cfg": lambda: max_tolerable_loss(LEAKY, 1.0),
+    # a click exponent below the normal float range: the bound and p' drifted,
+    # and an exponent rounded to 0 read as a zero click probability
+    "max_tolerable_loss |beta| = 1e-155": lambda: max_tolerable_loss(CFG, 1e-155),
+    "max_tolerable_loss |beta|^2 = 1e-320": lambda: max_tolerable_loss(WEAK, math.sqrt(1e-320)),
+    "lossy_heralded_efficiency |beta| = 1e-159": lambda: lossy_heralded_efficiency(
+        0.4, WEAK, 1e-159, LossParams(0.05)
+    ),
+    "lossy_heralded_efficiency |beta| = 1e-160": lambda: lossy_heralded_efficiency(
+        0.4, WEAK, 1e-160, LossParams(0.05)
+    ),
+    "lossy_heralded_efficiency |beta| = 1e-300j": lambda: lossy_heralded_efficiency(
+        0.4, CFG, 1e-300j, LossParams(0.05)
+    ),
 }
 
 
@@ -196,10 +210,20 @@ def test_transparent_pair_takes_numpy_integers_as_ints():
         assert family(0.3, 0.2, 1.0, np.int64(1), np.int64(1)) == family(0.3, 0.2, 1.0, 1, 1)
 
 
+KET3 = make_fock((0, 1, 0), (1, 2, 2))
 MISMATCHED_MODES = {
     # a 2-mode ket raised a bare "not enough values to unpack"
     "propagate_mzi 2-mode ket": lambda: propagate_mzi(KET, CFG),
     "make_fock 2 occupations, 3 cutoffs": lambda: make_fock((0, 1), (1, 1, 1)),
+    # malformed mode pairs raised TypeError, a bare ValueError or IndexError
+    "apply_beam_splitter modes=[1, 1]": lambda: apply_beam_splitter(
+        KET3, [1, 1], BeamSplitterParams(0.3)
+    ),
+    "apply_beam_splitter modes=(0, 1, 2)": lambda: apply_beam_splitter(
+        KET3, (0, 1, 2), BeamSplitterParams(0.3)
+    ),
+    "apply_beam_splitter modes=1": lambda: apply_beam_splitter(KET3, 1, BeamSplitterParams(0.3)),
+    "apply_xpm modes=(1,)": lambda: apply_xpm(KET3, (1,), XpmParams(0.3)),
 }
 
 
@@ -207,6 +231,15 @@ MISMATCHED_MODES = {
 def test_mode_mismatch_raises_mode_mismatch_error(name):
     with pytest.raises(ModeMismatchError):
         MISMATCHED_MODES[name]()
+
+
+def test_elements_take_modes_from_any_sequence():
+    # a list or range of two modes acts as the tuple does, byte for byte
+    elements = ((apply_beam_splitter, BeamSplitterParams(0.3, 0.2)), (apply_xpm, XpmParams(0.3)))
+    for modes in ([1, 2], range(1, 3), (np.int64(1), 2)):
+        for element, p in elements:
+            out = element(KET3, modes, p).amps
+            assert out.tobytes() == element(KET3, (1, 2), p).amps.tobytes()
 
 
 UNDEFINED = {

@@ -635,7 +635,8 @@ def test_propagate_mzi_amplitudes_golden():
 )
 def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     # a kernel- or libm-dependent change shows at once: both goldens, the
-    # resumed sweeps and the CSV goldens of test_experiments again, in a
+    # resumed sweeps, the column path against the gather path and the CSV
+    # goldens of test_experiments again, in a
     # child process on each (kernel, libm variant)
     # a digest pair is recorded for; the libm mask is set in the child's
     # environment only, and the FMA pairs keep the bare kernel name as their id
@@ -648,6 +649,7 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     script = (
         "import test_mzi as t; t.test_run_setup_scalars_golden(); "
         "t.test_propagate_mzi_amplitudes_golden(); t.test_resumed_sweeps_equal_cleared_runs(); "
+        "t.test_column_path_equals_array_path_bit_for_bit(); "
         "import test_experiments as e; e.test_fig4_csv_bytes_golden(); "
         "[e.test_loss_bounds_csv_bytes_golden(*g) for g in e.LOSS_BOUNDS_GOLDENS]; "
         "[e.test_default_csv_full_text_golden(*g) for g in e.DEFAULT_CSV_GOLDENS]; "
@@ -665,11 +667,13 @@ def test_resumed_sweeps_equal_cleared_runs():
     # a warm phi_chi sweep, which resumes from the memo, equals the same sweep
     # with the memo cleared before each call bit for bit, in the scalars and
     # the propagated array: the noisy probe and |beta| = 2 and 4, transparent
-    # and leaky; the child processes above run it under every kernel and libm
+    # and leaky, and a theta = 0 first splitter, whose stored stage is the
+    # probe column; the child processes above run it under every kernel and libm
     probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(2.0 * complex(0.6, 0.8)),
               CoherentProbe(-4.0j)]
     setups = [lambda phi: transparent_via_angle_sum(0.7, 0.3, phi),
-              lambda phi: mzi_config(0.7, 0.3, 0.4, 1.1, phi)]
+              lambda phi: mzi_config(0.7, 0.3, 0.4, 1.1, phi),
+              lambda phi: mzi_config(0.0, 0.3, 0.4, 1.1, phi)]
     runs = []
     for clear in (False, True):
         mzi._memo.clear()
@@ -1017,7 +1021,7 @@ def test_batched_slots_match_single_runs():
     # one random (A, B, C) ket per slot, B + C <= 5
     amps = np.stack([random_ket(rng, (1, 5, 5), max_total=6).amps for _ in cfgs], axis=-1)
     amps[:, np.add.outer(range(6), range(6)) > 5] = 0.0
-    batched = mzi._propagate(amps, cfgs)[0]
+    batched = mzi._propagate(amps, cfgs)
     for slot, cfg in enumerate(cfgs):
         alone = propagate_mzi(MultiModeKet._unchecked(amps[..., slot]), cfg).amps
         assert np.max(np.abs(batched[..., slot] - alone)) <= 1e-14
@@ -1042,24 +1046,31 @@ COLUMN_BETAS = (0.0, 1e-6, 0.3, complex(1.0, -0.0), 1.0 + 0.5j, 2.5j, -3.9)
 
 
 def test_column_path_equals_array_path_bit_for_bit():
-    # the scheme routes hand _apply_chain probe columns; the input array
-    # they stand for takes the gather path.  Amplitudes and the held state
-    # are byte-identical, signed zeros included, for noisy and coherent
-    # columns, single slots and one batch per column shape
+    # the scheme routes hand the first stage probe columns; the input array
+    # they stand for takes the gather path.  Amplitudes and the first
+    # stages' arrays are byte-identical, signed zeros included, for noisy
+    # and coherent columns, single slots and one batch per column shape; a
+    # theta = 0 first splitter keeps the column itself as the state
     cfgs = _column_cases(np.random.default_rng(31))
     columns = [mzi._PHOTON_OR_VACUUM]
     columns += [make_coherent(beta).amps[:, None, None, None, None] for beta in COLUMN_BETAS]
     for column in columns:
         for cfg in cfgs:
-            out, held = mzi._propagate(column, (cfg,), column=True)
-            ref, ref_held = mzi._propagate(_input_array(column), (cfg,))
+            first = mzi._first(column, (cfg,), column=True)
+            ref_first = mzi._first(_input_array(column), (cfg,))
+            out, ref = (el._second_stage(stage, (cfg.xpm,)) for stage in (first, ref_first))
             assert out.tobytes() == ref.tobytes()
-            assert (held is None) == (ref_held is None) == (cfg.bs1.theta == 0.0)
-            if held is not None:
-                assert held[2].tobytes() == ref_held[2].tobytes()
+            assert first.column == (cfg.bs1.theta == 0.0 != cfg.bs2.theta)
+            assert (first.state is column) == first.column
+            if cfg.bs1.theta != 0.0:
+                assert first.state.tobytes() == ref_first.state.tobytes()
+            assert (first.layout is None) == (ref_first.layout is None)
+            if first.layout is not None:
+                for name in ("lams", "diags"):
+                    assert getattr(first, name).tobytes() == getattr(ref_first, name).tobytes()
         batch = np.concatenate([column] * len(cfgs), axis=-1)
-        out = mzi._propagate(batch, cfgs, column=True)[0]
-        assert out.tobytes() == mzi._propagate(_input_array(batch), cfgs)[0].tobytes()
+        out = mzi._propagate(batch, cfgs, column=True)
+        assert out.tobytes() == mzi._propagate(_input_array(batch), cfgs).tobytes()
 
 
 def test_mixed_cutoff_batch_equals_array_path_bit_for_bit():
@@ -1082,7 +1093,7 @@ def test_mixed_cutoff_batch_equals_array_path_bit_for_bit():
     assert len(shapes) > 4
     for members in shapes.values():
         batch = np.concatenate([column for _, column in members], axis=-1)
-        ref = mzi._propagate(_input_array(batch), [cfgs[slot] for slot, _ in members])[0]
+        ref = mzi._propagate(_input_array(batch), [cfgs[slot] for slot, _ in members])
         for at, (slot, _) in enumerate(members):
             assert tables[slot][2].tobytes() == ref[..., at].tobytes()
 
@@ -1113,25 +1124,34 @@ def _input_array(columns):
 
 
 def _spy_propagate(monkeypatch):
-    """Record (input array, a column's last row, resumed) of every
-    mzi._propagate call."""
-    calls, real = [], mzi._propagate
+    """Record (input array, a column's last row, resumed) of every exact
+    propagation in mzi, a second stage: resumed when its first stage is
+    not the one the last mzi._first call made, and the input then None."""
+    calls, made = [], []
+    real_first, real_second = mzi._first, mzi._second_stage
 
-    def spy(amps, cfgs, held=None, column=False):
-        last = len(amps) - 1 if column else None
-        calls.append((_input_array(amps) if column else amps, last, held is not None))
-        return real(amps, cfgs, held, column)
+    def first(amps, cfgs, column=False):
+        made[:] = [(_input_array(amps) if column else amps, len(amps) - 1 if column else None,
+                    real_first(amps, cfgs, column))]
+        return made[0][2]
 
-    monkeypatch.setattr(mzi, "_propagate", spy)
+    def second(stage, xpm):
+        fresh = made and made[0][2] is stage
+        calls.append((made[0][0], made[0][1], False) if fresh else (None, None, True))
+        made.clear()
+        return real_second(stage, xpm)
+
+    monkeypatch.setattr(mzi, "_first", first)
+    monkeypatch.setattr(mzi, "_second_stage", second)
     return calls
 
 
 @pytest.mark.parametrize("kind", ["transparent", "leaky", "identity first"])
 def test_memo_sweep_equals_runs_with_memo_cleared(monkeypatch, kind):
-    # a phi_chi sweep resumes from the stored post-first-splitter state; every
-    # scalar, both conditioned ensembles' bytes and the shot counts equal a
-    # run with the memo cleared before each call.  A first splitter at
-    # theta = 0 is skipped, so there is no state after it to keep.
+    # a phi_chi sweep resumes from the stored first stage; every scalar,
+    # both conditioned ensembles' bytes and the shot counts equal a run
+    # with the memo cleared before each call.  A first splitter at theta = 0
+    # is skipped, and the stage keeps the probe column as its state.
     transparent = kind == "transparent"
     monkeypatch.setattr(mzi, "_memo", {})
     calls = _spy_propagate(monkeypatch)
@@ -1157,8 +1177,9 @@ def test_memo_sweep_equals_runs_with_memo_cleared(monkeypatch, kind):
     assert runs[0] == runs[1]
     # the warm sweep resumed on all but its first call per probe
     resumed = sum(resumed for _, _, resumed in calls)
-    assert resumed == (0 if kind == "identity first" else len(probes) * 23)
-    assert (mzi._memo == {}) == (kind == "identity first")  # no state to store
+    assert resumed == len(probes) * 23
+    (stage,) = mzi._memo.values()  # the last probe's, and its column when theta1 = 0
+    assert stage.column == (kind == "identity first")
 
 
 def test_memo_never_shares_an_entry(monkeypatch):
@@ -1188,47 +1209,31 @@ def test_memo_never_shares_an_entry(monkeypatch):
 
 
 def test_memo_holds_at_most_eight_read_only_states(monkeypatch):
+    # first splitters at theta = 0 included, whose stage holds the column,
+    # and a setup of two identity splitters, whose stage holds the input
     monkeypatch.setattr(mzi, "_memo", {})
-    for theta1 in np.linspace(0.2, 1.2, 12):
+    identity = BeamSplitterParams(0.0, 0.3)
+    for theta1 in np.linspace(0.0, 1.2, 12):
         cfg = transparent_via_angle_sum(float(theta1), 0.3, 2.1)
         for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
             for _ in range(2):
                 run_setup(cfg, NoisySource(0.7), probe)
             assert len(mzi._memo) <= 8
-    assert all(entry is not None for entry in mzi._memo.values())
-    states = [entry[2] for entry in mzi._memo.values()]
-    assert len(states) == 8
-    for state in states:
-        assert not state.flags.writeable
-        with pytest.raises(ValueError):
-            state[0] = 0.0
-    # every stored table, the state's and the second stage's, is read-only:
-    # the state, the W blocks, the L factors and the diagonals from the miss,
-    # and the second splitter's L from the first resume
-    for entry in mzi._memo.values():
-        tables = [table for table in entry if isinstance(table, np.ndarray)]
-        assert len(tables) == 6
+    run_setup(MziConfig(identity, identity, XpmParams(2.1)), NoisySource(0.7), CoherentProbe(1.5))
+    stages = list(mzi._memo.values())
+    assert len(stages) == 8 and all(isinstance(stage, el._FirstStage) for stage in stages)
+    assert stages[-1].layout is None
+    # every stored table is read-only: the state, the W blocks, the layout's
+    # maps and the L factors and diagonals of the second stage
+    for stage in stages:
+        assert stage.layout is None or stage.w.base is el._hadamard_stack  # the W blocks, no copy
+        tables = [stage.state, stage.w, stage.lams, stage.diags, *(stage.layout or ())]
+        tables = [table for table in tables if isinstance(table, np.ndarray)]
+        assert len(tables) == (1 if stage.layout is None else 7)
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
-                table[0] = 0.0
-
-
-def test_only_a_resume_keeps_the_second_splitters_l(monkeypatch):
-    # a miss keeps no table of the state's size beyond the state, so traffic
-    # of misses only keeps what it did before the second stage was stored;
-    # the first resume adds the second splitter's L, and later ones reuse it
-    monkeypatch.setattr(mzi, "_memo", {})
-    probe = CoherentProbe(4.0)
-    run_setup(transparent_via_angle_sum(0.7, 0.3, 1.0), NoisySource(0.7), probe)
-    ((shape, t_max, state, layout, w, *tables),) = mzi._memo.values()
-    assert w.base is el._hadamard_stack  # the process-wide W blocks, no copy
-    assert len(tables) == 3 and all(table.size < state.size / 4 for table in tables)
-    run_setup(transparent_via_angle_sum(0.7, 0.3, 2.0), NoisySource(0.7), probe)
-    (entry,) = mzi._memo.values()
-    assert len(entry) == 9 and entry[8].shape[1:3] == (t_max + 1, t_max + 1)
-    run_setup(transparent_via_angle_sum(0.7, 0.3, 3.0), NoisySource(0.7), probe)
-    assert next(iter(mzi._memo.values())) is entry
+                table[(0,) * table.ndim] = 0.0
 
 
 def test_memo_keeps_one_entry_per_second_splitter(monkeypatch):

@@ -5,6 +5,7 @@ those of both cascade schemes, whose totals grow with the chain and whose
 shared-probe enumeration equals its closed form."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from xpmherald import loss  # noqa: E402
+from xpmherald import loss, mzi  # noqa: E402
 from xpmherald.cascade import (  # noqa: E402
     CascadeConfig,
     reused_probe_pn,
@@ -89,8 +90,17 @@ def test_max_tolerable_loss_is_a_probability(cfg, probe, fixed_p):
     _assert_loss_bound(cfg, probe.beta, fixed_p)
 
 
+def _subnormal_click_exponent(cfg, beta) -> bool:
+    """Whether the lossless click exponent is positive but below the normal
+    float range, where the loss model refuses the probe."""
+    theta1, phi_chi = cfg.bs1.theta, cfg.xpm.phi_chi
+    positive = beta != 0 and math.sin(2.0 * theta1) != 0 and math.sin(phi_chi / 2.0) != 0
+    x1 = mzi._click_exponents(mzi._click_scale(theta1, beta), phi_chi)[0]
+    return positive and x1 < sys.float_info.min
+
+
 def _assert_loss_bound(cfg, beta, fixed_p):
-    if not cfg.xpm.working or beta == 0:
+    if not cfg.xpm.working or beta == 0 or _subnormal_click_exponent(cfg, beta):
         with pytest.raises(ConfigurationError):
             loss.max_tolerable_loss(cfg, beta, fixed_p)
         return
@@ -118,6 +128,10 @@ def test_loss_model_figures_are_probabilities(cfg, beta_sq, phase, p_a, p_absorb
     # bright probes as in the loss-bounds table, any absorption
     beta = complex(math.sqrt(beta_sq) * np.exp(1j * phase))
     _assert_loss_bound(cfg, beta, p_a)
+    if _subnormal_click_exponent(cfg, beta):
+        with pytest.raises(ConfigurationError):
+            loss.lossy_heralded_efficiency(p_a, cfg, beta, loss.LossParams(p_absorb))
+        return
     try:
         report = loss.lossy_heralded_efficiency(p_a, cfg, beta, loss.LossParams(p_absorb))
     except ConditioningError:
