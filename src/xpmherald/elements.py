@@ -162,8 +162,7 @@ def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: in
     return gather, scatter, occ, block, (t_max + 1, t_max + 1, -1)
 
 
-_FirstStage = namedtuple(
-    "_FirstStage", "state axes layout w lams diags column", defaults=(None,) * 4 + (False,))
+_FirstStage = namedtuple("_FirstStage", "state axes layout w lams diags", defaults=(None,) * 4)
 
 
 def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstStage:
@@ -184,25 +183,27 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
     With ``shape``, ``amps`` is the column of an input of that shape whose
     ``modes[1]`` is empty, laid out as its blocks without n and with a
     partner axis of one; its last row is the largest occupied total t_max,
-    which an array's occupancy search finds.  Block T holds one amplitude,
-    at n = T, so the first W product is W_T's column T times it.  Returns
-    the ``state`` the XPM phases reach (after the first W pair if the first
-    splitter mixes, else the gathered input or the ``column``), ``w`` and
-    the L factors ``lams`` and diagonals ``diags`` after it, the phases
-    multiplying ``diags[0]``; with ``layout`` None, the input, which only an
-    XPM on ``axes`` changes (none on a zero ket).  Every array the stage
-    makes is read-only, so a stored stage serves any number of phases."""
+    which an array's occupancy search finds.  A column feeds only a mixing
+    first splitter, block T holding one amplitude at n = T, so the first W
+    product is W_T's column T times it; before any other it becomes the
+    input it stands for.  Returns the ``state`` the XPM phases reach (after
+    the first W pair if the first splitter mixes, else the gathered input),
+    ``w`` and the L factors ``lams`` and diagonals ``diags`` after it, the
+    phases multiplying ``diags[0]``; with ``layout`` None, the input, which
+    only an XPM on ``axes`` changes (none on a zero ket).  Every array the
+    stage makes is read-only, so a stored stage serves any number of phases."""
     rates, mixes = [], []  # the theta and psi rows of each mixing splitter
     for bs in (bs1, bs2):
         thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in bs]) if bs else ((), ())
         mixes.append(any(thetas))  # a splitter of identities is skipped
         rates += thetas + psis if mixes[-1] else ()
-    k, at, column = mixes.count(True), int(mixes[0]), shape is not None  # at: mixes before XPM
-    if column and not k:  # nothing mixes: build the input the column stands for
-        amps, col = np.zeros(shape, dtype=np.complex128), amps
-        others = [1 if a == partner else n for a, n in enumerate(shape) if a not in modes]
+    k, at = mixes.count(True), int(mixes[0])  # at: mixes before XPM
+    if shape is not None and not at:  # build the input the column stands for
+        amps, col, shape = np.zeros(shape, dtype=np.complex128), amps, None
+        others = [1 if a == partner else n for a, n in enumerate(amps.shape) if a not in modes]
         np.moveaxis(amps, modes, (0, 1))[: len(col), 0] = col.reshape(len(col), *others)
         amps.setflags(write=False)
+    column = shape is not None
     if not k:
         return _FirstStage(amps, (partner, modes[0]))
     t_max, shape = len(amps) - 1, shape or amps.shape  # a column's last row
@@ -237,10 +238,10 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
         state = _w_pair(state * diags[0], w, lams[0], layout, column)
     for table in (state, lams, diags):
         table.setflags(write=False)
-    return _FirstStage(state, None, layout, w, lams[at:], diags[at:], column and not at)
+    return _FirstStage(state, None, layout, w, lams[at:], diags[at:])
 
 
-def _w_pair(x, w, lam, layout, column: bool) -> np.ndarray:
+def _w_pair(x, w, lam, layout, column=False) -> np.ndarray:
     """W_T lam W_T on each block of ``x``, a block-layout ``x`` taking the result, or a column."""
     block, flat = layout[3:]
     xf = (x.reshape(len(x), 1, -1) if column else x.reshape(flat)).view(float)  # (T, n, 2 x rest)
@@ -253,7 +254,7 @@ def _w_pair(x, w, lam, layout, column: bool) -> np.ndarray:
 def _second_stage(first: _FirstStage, xpm) -> np.ndarray:
     """The rest of the chain after ``first``, which it only reads: the XPM
     phases of ``xpm`` (one per slot), the W pair after them, the scatter."""
-    state, axes, layout, w, lams, diags, column = first
+    state, axes, layout, w, lams, diags = first
     if layout is None:
         return _xpm(state, axes, np.array([p.phi_chi for p in xpm])) if xpm and axes else state
     _, scatter, iocc, block, _ = layout
@@ -263,7 +264,7 @@ def _second_stage(first: _FirstStage, xpm) -> np.ndarray:
         phased = phased * np.exp(rates.reshape(-1, 1, len(xpm)) * iocc)
     x = state * phased  # out of place: the state is never written
     for lam, diag in zip(lams, diags[1:]):  # the W pair after the XPM, if any
-        x = _w_pair(x, w, lam, layout, column)
+        x = _w_pair(x, w, lam, layout)
         x *= diag
     return np.concatenate((x.ravel(), _ZERO))[scatter]
 

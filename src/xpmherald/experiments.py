@@ -208,6 +208,8 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     weights = [_click_weights(phi)[0] for phi in phis]
     rows = []
     for beta in betas:
+        if math.copysign(1.0, beta) < 0.0:  # a beta_abs cell with a sign, -0.0 included
+            raise ConfigurationError(f"parameter 'beta' entries must be unsigned, got {beta!r}")
         y = _click_scale(theta1, CoherentProbe(beta).beta)  # rejects a non-finite amplitude
         rows += zip(phis, repeat(beta), [-math.expm1(-(y * a)) for a in weights], repeat(0.0))
     manifest = {

@@ -11,7 +11,9 @@ second beam splitter on (B, C), then the click/no-click effect on C.  When
 the two beam splitters invert each other the empty interferometer is
 transparent: with vacuum in A no photon can ever reach the detector, so a
 click certifies a photon in A.  Conditioning on clicks then leaves a pure
-one-photon state in the signal mode.
+one-photon state in the signal mode.  So ``run_setup`` drops the vacuum
+branches' click mass, rounding, on a transparent setup and reports it as
+propagated on any other; the truncation deficit decides nothing.
 
 The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, ``_click_table`` propagates many setups grouped by
@@ -25,8 +27,7 @@ a coherent probe's beta, the probe kind and the blocks function, 8 keys at
 most.  Hits and misses run one second stage on it: same bytes, and a hit
 does no splitter algebra (a config keeps its transparency verdict).
 Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
-far below every tolerance the audits apply; ``make_coherent(beta, policy)``
-is where a caller can still choose another.
+far below every tolerance the audits apply.
 
 The splitter algebra is read as Python numbers off the entries of
 ``elements._bs_entries``, multiplied out only by ``_bc_product``: the
@@ -35,10 +36,6 @@ substitution matrix, ``_classical_clicks`` the ``coherent_outputs`` arm C.
 Transparent setups click by one law, ``_click_exponents``: y = |beta|^2
 sin^2(2 theta1) / 4 times ``_click_weights`` of the phase and absorption.
 ``loss``, ``detection_efficiency`` and ``cascade`` read it, fig4 the weights.
-
-``sample_shots`` reads the same table: every shot falls in one of four
-(click, photon) cells of fixed probability, so its counts are one
-multinomial draw.
 """
 
 from __future__ import annotations
@@ -67,6 +64,7 @@ from .fock import NORM_TOL, Ensemble, MultiModeKet, condition, make_coherent
 
 SIGNAL, PROBE, AUX = 0, 1, 2
 _PHOTON_OR_VACUUM = np.eye(2)[::-1, None, None, :, None]  # a noisy photon probe's column: |1>, |0>
+_PHOTON_OR_VACUUM.flags.writeable = False
 _memo: dict = {}  # the first stages of ``_propagate_one``, 8 at most
 
 # Above this probe mean photon number the classical coherent path is the
@@ -131,8 +129,6 @@ class CoherentProbe:
 
 Probe = NoisyPhotonProbe | CoherentProbe
 
-_ROUNDING_FLOOR = 1e-20  # over the ~1e-29 rounding leaves a vacuum signal; 10**9 shots resolve 1e-9
-
 
 @dataclass(frozen=True)
 class HeraldOutcome:
@@ -142,10 +138,10 @@ class HeraldOutcome:
     signal mode, for any source, a vacuum source included; ``total_success``
     is it times the source efficiency.  ``truncation_deficit`` bounds the
     probability mass lost to coherent-state truncation; all probabilities
-    here under-count by at most that much.  A vacuum signal's click mass at
-    or below that deficit plus ``_ROUNDING_FLOOR`` is rounding noise, as on
-    a transparent setup, and ``p_click`` leaves it out: a vacuum source's
-    ``p_click`` is then 0.
+    here under-count by at most that much, and no decision reads it.  On a
+    transparent setup a vacuum signal cannot click, so ``p_click`` drops
+    the vacuum branches' click mass (a vacuum source's ``p_click`` is 0);
+    otherwise it reports that mass as propagated.
     ``purity_given_click`` is undefined when the click probability is 0
     and raises on access in that case.
 
@@ -242,8 +238,9 @@ def _bc_product(cfg: MziConfig, upper: complex = 1.0) -> tuple[complex, complex,
 
 def vacuum_leak_amplitude(cfg: MziConfig) -> complex:
     """Amplitude for a lone probe photon, with vacuum in the signal mode, to
-    leave in the auxiliary mode toward the detector.  Transparency is
-    exactly its vanishing (for every input, see ``is_transparent``)."""
+    leave in the auxiliary mode toward the detector.  It vanishes on every
+    transparent setup but not only there: theta1 = theta2 = pi/2, phi2 =
+    phi1 + pi + a leaks rounding yet maps (B, C) by diag(e^{ia}, e^{-ia})."""
     return complex(_bc_product(cfg)[1])
 
 
@@ -412,7 +409,8 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
 
 
 def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
-    """``_propagate`` of one slot through ``_memo`` (module docstring)."""
+    """``_propagate`` of one slot through ``_memo`` (module docstring); the
+    probe column feeds only a mixing first splitter (``_first_stage``)."""
     coherent = isinstance(probe, CoherentProbe)
     beta = complex(probe.beta) if coherent else 0j
     splitters = cfg.bs1.theta, cfg.bs1.phi, cfg.bs2.theta, cfg.bs2.phi
@@ -431,11 +429,13 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
     """``run_setup`` of every slot of a batch, from one ``_click_table``."""
     outcomes = []
     tables = _click_table(cfgs, sources, probes, require_transparent)
-    for source, (weights, (zero, click), out) in zip(sources, tables):
+    for cfg, source, (weights, (zero, click), out) in zip(cfgs, sources, tables):
         joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
-        p_click = sum(map(mul, joint[1] + joint[0], click[1] + click[0]))
         detection_eff = sum(map(mul, weights, click[1]))
         photon_click = sum(map(mul, joint[1], click[1]))  # the photon branches' click weight
+        p_click = photon_click  # on a transparent setup a vacuum signal cannot click
+        if not cfg._transparent:
+            p_click = sum(map(mul, joint[1] + joint[0], click[1] + click[0]))
         deficit, kept = 0.0, None
         if out is not None:
             # the positive-weight (signal, label) slices, photon branches first
@@ -445,8 +445,6 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
                 raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
             weighted = sum(map(mul, [w for w, _, _ in branches], squared_norms))
             deficit, kept = max(0.0, 1.0 - weighted), (out, branches)
-        if p_click - photon_click <= deficit + _ROUNDING_FLOOR:  # vacuum clicks: rounding noise
-            p_click = photon_click
         purity = photon_click / p_click if p_click > 0.0 else None
         total = detection_eff * source.p
         outcomes.append(HeraldOutcome(p_click, detection_eff, total, deficit, purity, kept))
@@ -464,8 +462,10 @@ def run_setup(
     Propagates the complete input ensemble exactly, applies the detector
     effect on the auxiliary mode, and returns every figure of merit.  With a
     transparent configuration the click-conditioned signal state is the pure
-    one-photon state (up to the truncation deficit) and the total success
-    probability factors into detection efficiency times source efficiency.
+    one-photon state (up to rounding, which ``p_click`` drops as the vacuum
+    branches' click mass) and the total success probability factors into
+    detection efficiency times source efficiency.  Otherwise ``p_click``
+    reports the vacuum branches' click mass as propagated.
 
     Only scalars are computed here; the conditioned branch ensembles are
     built when ``click_state`` or ``no_click_state`` is read.  A coherent

@@ -1,15 +1,16 @@
 """Self-audit of the scheme: the paper's guarantees over random setups.
 
-The ``mzi`` group checks zero false clicks for transparent setups,
-click-conditioned purity 1, the closed forms against exact propagation and
-transparency for any probe input; ``loss`` and ``cascade`` check the
-absorption model, whose click law ``mzi._click_exponents`` must match
-``mzi._classical_clicks`` without absorption, and the chained-setup closed
-forms built on the same law; ``elements`` checks the classical path that
-bright probes take, the arms of ``mzi.coherent_outputs`` and the clicks
-read off its arm C, against one exact ``mzi._propagate`` batch of the same
-probes.  The Fock and element algebra underneath is tested in
-``tests/test_fock.py`` and ``tests/test_elements.py``, not here.
+The ``mzi`` group checks zero false clicks for transparent setups and
+click-conditioned purity 1, both read off the engine's click masses, the
+closed forms against exact propagation and transparency for any probe
+input; ``loss`` and ``cascade`` check the absorption model, whose click law
+``mzi._click_exponents`` must match ``mzi._classical_clicks`` without
+absorption, and the chained-setup closed forms built on the same law;
+``elements`` checks the classical path that bright probes take, the arms of
+``mzi.coherent_outputs`` and the clicks read off its arm C, against one
+exact ``mzi._propagate`` batch of the same probes.  The Fock and element
+algebra underneath is tested in ``tests/test_fock.py`` and
+``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
@@ -159,7 +160,7 @@ def _check_mzi(results, rng, dense: bool):
         else:
             mag, ang = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 2.0 * math.pi))
             probes.append(mzi.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang))))
-    # the click mass as propagated: p_click leaves out a vacuum mass within the deficit
+    # the click mass as propagated: p_click drops it on a transparent setup
     tables = mzi._click_table(cfgs, [mzi.NoisySource(0.0)] * n_cfg, probes, True)
     worst = max(sum(w * q for w, q in zip(weights, click[0])) for weights, (_, click), _ in tables)
     _record(
@@ -284,8 +285,11 @@ def _check_mzi(results, rng, dense: bool):
             probes.append(_random_probe(rng))
         else:
             probes.append(mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.3, 1.0)))))
-    outcomes = mzi._run_setups(cfgs, sources, probes)
-    impure = [abs(out.purity_given_click - 1.0) for out in outcomes if out.p_click > 1e-9]
+    # purity as the photon branches' share of the engine's click mass:
+    # run_setup's purity is 1 by construction on a transparent setup
+    tables = zip(sources, mzi._click_table(cfgs, sources, probes, True))
+    masses = [(s.p * np.dot(w, c[1]), (1 - s.p) * np.dot(w, c[0])) for s, (w, (_, c), _) in tables]
+    impure = [abs(one / (one + vac) - 1.0) for one, vac in masses if one + vac > 1e-9]
     worst_purity = max(impure, default=0.0)
     _record_worst(
         results, "mzi", "click-implies-pure-photon", worst_purity, ALGEBRA_TOL,
@@ -293,16 +297,9 @@ def _check_mzi(results, rng, dense: bool):
     )
 
     sweep = np.linspace(0.02, math.pi - 0.02, 81)
-    for probe in (
-        mzi.NoisyPhotonProbe(mzi.NoisySource(1.0)),
-        mzi.CoherentProbe(1.0),
-    ):
-        values = [
-            mzi.detection_efficiency(
-                mzi.transparent_via_angle_sum(float(t), 0.0, 1.0), probe
-            )
-            for t in sweep
-        ]
+    cfgs = [mzi.transparent_via_angle_sum(float(t), 0.0, 1.0) for t in sweep]
+    for probe in (mzi.NoisyPhotonProbe(mzi.NoisySource(1.0)), mzi.CoherentProbe(1.0)):
+        values = [mzi.detection_efficiency(cfg, probe) for cfg in cfgs]
         best = sweep[int(np.argmax(values))]
         ok = abs(best - math.pi / 4.0) <= (sweep[1] - sweep[0])
         _record(

@@ -502,6 +502,9 @@ def test_cli_cascade_past_enumeration_cap_exits_one():
         ["run", {"experiment": "loss-bounds", "params": {"beta_sq": [1e-320]}}],
         ["run", {"experiment": "loss-bounds", "params": {"fixed_p": math.nan}}],
         ["run", {"experiment": "fig4", "params": {"beta": [math.nan]}}],
+        # a beta_abs cell would print the sign
+        ["run", {"experiment": "fig4", "params": {"beta": [-1.0]}}],
+        ["run", {"experiment": "fig4", "params": {"beta": [1.0, -0.0]}}],
         ["run", {"experiment": "purity-audit", "seed": 1.5}],
         ["run", {"experiment": "purity-audit", "seed": "7"}],
         ["run", {"experiment": "purity-audit", "seed": True}],
@@ -635,6 +638,9 @@ def test_verify_catches_flipped_sign_convention(monkeypatch):
     failed_names = {r.name for r in results if not r.passed}
     assert "zero-false-click" in failed_names
     assert "zero-false-click" in report
+    # the purity audit reads the engine's click masses, not run_setup's
+    # purity, which is 1 by construction on a transparent setup
+    assert "click-implies-pure-photon" in failed_names
 
 
 @pytest.mark.parametrize(
@@ -656,6 +662,52 @@ def test_verify_catches_faults_in_the_classical_path(monkeypatch, name, mutant):
     (result,) = run_suite("fast", modules=["elements"])
     assert result.name == "classical-vs-exact-path"
     assert not result.passed, result.line()
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        # the click law's weights off by one part in a million
+        lambda weights: lambda *args: tuple(a * (1.0 + 1e-6) for a in weights(*args)),
+        # the weights with and without a signal photon exchanged
+        lambda weights: lambda *args: weights(*args)[::-1],
+    ],
+    ids=["scaled-click-weights", "swapped-click-weights"],
+)
+def test_verify_catches_faults_in_the_click_law(monkeypatch, mutant):
+    # the closed forms read the click law, the exact checks the engine, so a
+    # fault in the law must fail both closed-form-vs-exact checks
+    monkeypatch.setattr(mzi, "_click_weights", mutant(mzi._click_weights))
+    results = run_suite("fast", modules=["mzi"])
+    checks = {r.name: r for r in results if r.name.startswith("closed-form-vs-exact-")}
+    assert sorted(checks) == ["closed-form-vs-exact-coherent", "closed-form-vs-exact-noisy"]
+    assert not any(r.passed for r in checks.values()), format_report(results)
+
+
+# sha256 of the verify --suite fast report per (OpenBLAS kernel, libm
+# variant), keyed as test_mzi.GOLDEN_DIGESTS, whose child processes run
+# test_verify_fast_report_golden under each
+VERIFY_FAST_DIGESTS = {
+    ("SkylakeX", "fma"): "1d2062e7e090d8dcbfb96378f4d7091099cd2c1bd0afb8e40a7edb8cf7b38acd",
+    ("SkylakeX", "sse2"): "1d2062e7e090d8dcbfb96378f4d7091099cd2c1bd0afb8e40a7edb8cf7b38acd",
+    ("Haswell", "fma"): "58e50cfa79d84a5652ffb74e098e3c245f6d54da1e6ae8e26179b3fdf5e1c4b9",
+    ("Haswell", "sse2"): "58e50cfa79d84a5652ffb74e098e3c245f6d54da1e6ae8e26179b3fdf5e1c4b9",
+    ("Sandybridge", "fma"): "9135566070e1aec0acbdcc7c5bbf8db386936942977aeaf43335bef165cdfe31",
+    ("Sandybridge", "sse2"): "9135566070e1aec0acbdcc7c5bbf8db386936942977aeaf43335bef165cdfe31",
+    ("Nehalem", "fma"): "9135566070e1aec0acbdcc7c5bbf8db386936942977aeaf43335bef165cdfe31",
+    ("Nehalem", "sse2"): "9135566070e1aec0acbdcc7c5bbf8db386936942977aeaf43335bef165cdfe31",
+    ("Katmai", "fma"): "9135566070e1aec0acbdcc7c5bbf8db386936942977aeaf43335bef165cdfe31",
+    ("Katmai", "sse2"): "9135566070e1aec0acbdcc7c5bbf8db386936942977aeaf43335bef165cdfe31",
+}
+
+
+def test_verify_fast_report_golden():
+    # every line of the fast report, observed values included, is pinned
+    platform = _platform()
+    key = platform["openblas_core"], platform["libm"]
+    assert key in VERIFY_FAST_DIGESTS, f"no verify digest recorded for {key!r}"
+    report = format_report(run_suite("fast"))
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_FAST_DIGESTS[key]
 
 
 def test_fig4_rejects_tables_past_the_row_cap():

@@ -246,9 +246,9 @@ def test_run_setup_vacuum_source_never_clicks():
 
 
 def test_vacuum_source_click_mass_is_zero_not_rounding_noise():
-    # a vacuum signal's propagated click mass is rounding noise (about
-    # 2e-32), within the truncation deficit: no click, so no click state
-    # and no purity
+    # on a transparent setup a vacuum signal's propagated click mass is
+    # rounding noise (about 2e-32), which p_click drops: no click, so no
+    # click state and no purity
     cfg = transparent_via_angle_sum(PI / 4.0, 0.0, 2.2)
     out = run_setup(cfg, NoisySource(0.0), CoherentProbe(1.0))
     _, (_, click), _ = mzi._click_table((cfg,), (NoisySource(0.0),), (CoherentProbe(1.0),), True)[0]
@@ -261,6 +261,74 @@ def test_vacuum_source_click_mass_is_zero_not_rounding_noise():
     faint = run_setup(cfg, NoisySource(1e-10), CoherentProbe(1.0))
     assert faint.p_click == faint.total_success < faint.truncation_deficit
     assert faint.purity_given_click == 1.0 and faint.click_state is not None
+
+
+def _vacuum_clicks(cfg, probe, require_transparent=True):
+    """The vacuum signal's click mass as propagated in one ``_click_table``
+    slot, which ``run_setup`` drops on a transparent setup."""
+    args = (cfg,), (NoisySource(0.0),), (probe,), require_transparent
+    weights, (_, click), _ = mzi._click_table(*args)[0]
+    return sum(w * q for w, q in zip(weights, click[0]))
+
+
+@pytest.mark.parametrize(
+    "probe", [NoisyPhotonProbe(NoisySource(0.7)), CoherentProbe(1.5 + 0.2j)],
+    ids=["noisy", "coherent"],
+)
+def test_full_swaps_leak_only_rounding_yet_are_not_transparent(probe):
+    # theta1 = theta2 = pi/2 with phi2 = phi1 + pi + a routes the probe around
+    # the medium: the leak amplitude is rounding, but (B, C) maps by
+    # diag(e^{ia}, e^{-ia}), so the setup is not transparent and a vacuum
+    # source's p_click is the engine's vacuum click mass, however small
+    for phi1, a in ((0.0, 0.5), (0.3, 1.2), (1.0, -0.7), (2.0, 3.0)):
+        cfg = mzi_config(PI / 2.0, phi1, PI / 2.0, phi1 + PI + a, 1.3)
+        assert not is_transparent(cfg) and abs(vacuum_leak_amplitude(cfg)) < 1e-15
+        out = run_setup(cfg, NoisySource(0.0), probe, require_transparent=False)
+        assert 0.0 < out.p_click == _vacuum_clicks(cfg, probe, False) < 1e-30
+
+
+@pytest.mark.parametrize(
+    "probe", [NoisyPhotonProbe(NoisySource(1.0)), CoherentProbe(2.0), CoherentProbe(5.0)],
+    ids=["photon", "beta2", "bright"],
+)
+def test_vacuum_clicks_follow_the_transparency_verdict(monkeypatch, probe):
+    # one rule on every probe route: a transparent setup's p_click is the
+    # photon branches' click mass bit for bit; with theta2 off by eps the
+    # vacuum click mass, down to 1e-16 and often below the truncation
+    # deficit, joins p_click as sample_shots draws it, (1 - p) q0, and the
+    # purity is below 1.  At p = 0.5 the difference p_click - p q1 cancels,
+    # so the tolerance is relative to p_click
+    cells = []
+    real_generator = np.random.Generator
+
+    class Spy:  # records the cells sample_shots draws from
+        def __init__(self, bit_generator):
+            self.generator = real_generator(bit_generator)
+
+        def multinomial(self, n, pvals):
+            cells.append(list(pvals))
+            return self.generator.multinomial(n, pvals)
+
+    monkeypatch.setattr(np.random, "Generator", Spy)
+    for eps in (0.0, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        if eps == 0.0:
+            cfg = transparent_via_angle_sum(PI / 4.0, 0.0, PI)
+        else:
+            cfg = mzi_config(PI / 4.0, 0.0, 3.0 * PI / 4.0 + eps, 0.0, PI)
+        assert is_transparent(cfg) is (eps == 0.0)
+        for p in (0.0, 0.5):
+            out = run_setup(cfg, NoisySource(p), probe, require_transparent=False)
+            if eps == 0.0:
+                args = (cfg,), (NoisySource(p),), (probe,), True
+                weights, (_, click), _ = mzi._click_table(*args)[0]
+                assert out.p_click == sum(p * w * q for w, q in zip(weights, click[1]))
+                continue
+            sample_shots(cfg, NoisySource(p), probe, 1, seed=0, require_transparent=False)
+            photon, vacuum = cells[-1][:2]  # p q1, (1 - p) q0
+            assert math.isclose(out.p_click, photon + vacuum, rel_tol=1e-12, abs_tol=0.0)
+            assert out.purity_given_click < 1.0
+            if p == 0.0:
+                assert out.p_click == vacuum
 
 
 def test_run_setup_two_photons_matches_closed_form():
@@ -636,7 +704,7 @@ def test_propagate_mzi_amplitudes_golden():
 def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     # a kernel- or libm-dependent change shows at once: both goldens, the
     # resumed sweeps, the column path against the gather path and the CSV
-    # goldens of test_experiments again, in a
+    # and verify --suite fast goldens of test_experiments again, in a
     # child process on each (kernel, libm variant)
     # a digest pair is recorded for; the libm mask is set in the child's
     # environment only, and the FMA pairs keep the bare kernel name as their id
@@ -653,6 +721,7 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
         "import test_experiments as e; e.test_fig4_csv_bytes_golden(); "
         "[e.test_loss_bounds_csv_bytes_golden(*g) for g in e.LOSS_BOUNDS_GOLDENS]; "
         "[e.test_default_csv_full_text_golden(*g) for g in e.DEFAULT_CSV_GOLDENS]; "
+        "e.test_verify_fast_report_golden(); "
         "print(t.openblas_core(), t.libm_variant())"
     )
     proc = subprocess.run(
@@ -668,7 +737,7 @@ def test_resumed_sweeps_equal_cleared_runs():
     # with the memo cleared before each call bit for bit, in the scalars and
     # the propagated array: the noisy probe and |beta| = 2 and 4, transparent
     # and leaky, and a theta = 0 first splitter, whose stored stage is the
-    # probe column; the child processes above run it under every kernel and libm
+    # gathered input; the child processes above run it under every kernel and libm
     probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(2.0 * complex(0.6, 0.8)),
               CoherentProbe(-4.0j)]
     setups = [lambda phi: transparent_via_angle_sum(0.7, 0.3, phi),
@@ -1050,8 +1119,10 @@ def test_column_path_equals_array_path_bit_for_bit():
     # they stand for takes the gather path.  Amplitudes and the first
     # stages' arrays are byte-identical, signed zeros included, for noisy
     # and coherent columns, single slots and one batch per column shape; a
-    # theta = 0 first splitter keeps the column itself as the state
+    # column feeds only a mixing first splitter, so before a theta = 0 one
+    # the stage holds the input it stands for, never the column
     cfgs = _column_cases(np.random.default_rng(31))
+    assert not mzi._PHOTON_OR_VACUUM.flags.writeable  # read-only where it is defined
     columns = [mzi._PHOTON_OR_VACUUM]
     columns += [make_coherent(beta).amps[:, None, None, None, None] for beta in COLUMN_BETAS]
     for column in columns:
@@ -1060,10 +1131,8 @@ def test_column_path_equals_array_path_bit_for_bit():
             ref_first = mzi._first(_input_array(column), (cfg,))
             out, ref = (el._second_stage(stage, (cfg.xpm,)) for stage in (first, ref_first))
             assert out.tobytes() == ref.tobytes()
-            assert first.column == (cfg.bs1.theta == 0.0 != cfg.bs2.theta)
-            assert (first.state is column) == first.column
-            if cfg.bs1.theta != 0.0:
-                assert first.state.tobytes() == ref_first.state.tobytes()
+            assert "column" not in first._fields and first.state is not column
+            assert first.state.tobytes() == ref_first.state.tobytes()
             assert (first.layout is None) == (ref_first.layout is None)
             if first.layout is not None:
                 for name in ("lams", "diags"):
@@ -1151,7 +1220,7 @@ def test_memo_sweep_equals_runs_with_memo_cleared(monkeypatch, kind):
     # a phi_chi sweep resumes from the stored first stage; every scalar,
     # both conditioned ensembles' bytes and the shot counts equal a run
     # with the memo cleared before each call.  A first splitter at theta = 0
-    # is skipped, and the stage keeps the probe column as its state.
+    # is skipped, and the stage keeps the gathered input as its state.
     transparent = kind == "transparent"
     monkeypatch.setattr(mzi, "_memo", {})
     calls = _spy_propagate(monkeypatch)
@@ -1178,8 +1247,8 @@ def test_memo_sweep_equals_runs_with_memo_cleared(monkeypatch, kind):
     # the warm sweep resumed on all but its first call per probe
     resumed = sum(resumed for _, _, resumed in calls)
     assert resumed == len(probes) * 23
-    (stage,) = mzi._memo.values()  # the last probe's, and its column when theta1 = 0
-    assert stage.column == (kind == "identity first")
+    (stage,) = mzi._memo.values()  # the last probe's, in the block layout even at theta1 = 0
+    assert stage.state.ndim == len(stage.layout[3])
 
 
 def test_memo_never_shares_an_entry(monkeypatch):
@@ -1209,8 +1278,8 @@ def test_memo_never_shares_an_entry(monkeypatch):
 
 
 def test_memo_holds_at_most_eight_read_only_states(monkeypatch):
-    # first splitters at theta = 0 included, whose stage holds the column,
-    # and a setup of two identity splitters, whose stage holds the input
+    # first splitters at theta = 0 included, whose stage holds the gathered
+    # input, and a setup of two identity splitters, whose stage holds the input
     monkeypatch.setattr(mzi, "_memo", {})
     identity = BeamSplitterParams(0.0, 0.3)
     for theta1 in np.linspace(0.0, 1.2, 12):
@@ -1342,20 +1411,21 @@ def test_batches_bypass_the_memo(monkeypatch):
 
 def test_memo_keys_on_the_blocks_function(monkeypatch):
     # a swapped _hadamard_blocks (as in the flipped-sign verify test) never
-    # resumes from a state built with the real blocks
+    # resumes from a state built with the real blocks; the leak is read off
+    # the engine's vacuum click mass, which p_click drops on this setup
     monkeypatch.setattr(mzi, "_memo", {})
     calls = _spy_propagate(monkeypatch)
     cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
     probe = CoherentProbe(1.5)
     for _ in range(2):
-        real_out = run_setup(cfg, NoisySource(0.0), probe)
-    assert real_out.p_click < 1e-20
+        real_leak = _vacuum_clicks(cfg, probe)
+    assert real_leak < 1e-20
     rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
     monkeypatch.setattr(el, "_hadamard_blocks", lambda t_max: el._block_recurrence(rotation, t_max))
     del calls[:]
-    swapped = run_setup(cfg, NoisySource(0.0), probe, require_transparent=False)
+    swapped_leak = _vacuum_clicks(cfg, probe, require_transparent=False)
     assert calls[0][2] is False
-    assert swapped.p_click > 1e-3  # the rotated blocks leak: no false-click guarantee
+    assert swapped_leak > 1e-3  # the rotated blocks leak: no false-click guarantee
 
 
 @pytest.mark.parametrize(
