@@ -93,7 +93,7 @@ def _cmd_cascade(args) -> int:
         scheme, args.setups, math.sqrt(args.alpha_sq), args.phi_chi, args.p
     )
     result = simulate_cascade(cfg, shots=args.shots, seed=args.seed)
-    rows = [(n + 1, float(pn)) for n, pn in enumerate(result.per_setup)]
+    block = list(range(1, len(result.per_setup) + 1)), [float(pn) for pn in result.per_setup]
     manifest = {
         "experiment": "cascade",
         "version": __version__,
@@ -107,7 +107,7 @@ def _cmd_cascade(args) -> int:
     if args.shots is not None:
         manifest["shots"] = args.shots
         manifest["seed"] = args.seed
-    table = ResultTable(columns=["setup", "p_first_click"], rows=rows, manifest=manifest)
+    table = ResultTable(columns=["setup", "p_first_click"], blocks=[block], manifest=manifest)
     _emit(table, args.out)
     return EXIT_OK
 

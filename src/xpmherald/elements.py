@@ -67,7 +67,7 @@ def _bs_entries(p: BeamSplitterParams) -> tuple[tuple[complex, complex], ...]:
     return ((c, s / ph), (-s * ph, c))
 
 
-def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
+def _block_recurrence(u: np.ndarray, t_max: int, start: np.ndarray | None = None) -> np.ndarray:
     """Number-conserving blocks of the two-mode splitter with substitution
     matrix ``u``, for total photon numbers 0..t_max.
 
@@ -77,9 +77,14 @@ def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
     ``|n, T-n> = a1+ |n-1, T-n> / sqrt(n)`` or
     ``|n, T-n> = a2+ |n, T-n-1> / sqrt(T-n)``, where ``U ak+ U^-1 =
     u[k, 0] b1+ + u[k, 1] b2+`` and ``b1+ |p-1, q> = sqrt(p) |p, q>``.
+    ``start``, the blocks 0..k-1 of an earlier call on ``u`` (block 0 alone
+    by default), is copied and continued from block k, bit for bit.
     """
+    if start is None:
+        start = np.ones((1, 1, 1), dtype=u.dtype)
+    k = len(start)
     blocks = np.zeros((t_max + 1,) * 3, dtype=u.dtype)
-    blocks[0, 0, 0] = 1.0
+    blocks[:k, :k, :k] = start
     roots = np.sqrt(np.arange(t_max + 1, dtype=float))
     inv_roots = np.zeros(t_max + 1)
     inv_roots[1:] = 1.0 / roots[1:]
@@ -88,7 +93,7 @@ def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
     # 1/sqrt of the fed input occupation folded in
     w = u[:, :, None] * inv_roots
     scratch = np.empty((t_max, t_max), dtype=u.dtype)
-    for t in range(1, t_max + 1):
+    for t in range(k, t_max + 1):
         prev = blocks[t - 1, :t, :t]
         out = blocks[t, : t + 1, : t + 1]
         # Add the input photon to the fuller input mode, so the division is
@@ -109,16 +114,16 @@ def _block_recurrence(u: np.ndarray, t_max: int) -> np.ndarray:
 # around phases (Clements et al., Optica 3, 1460 (2016)), so its blocks W_T
 # are the only ones built, once per process; each W_T is its own inverse.
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_hadamard_stack = np.zeros((0, 0, 0))
+_hadamard_stack = np.ones((1, 1, 1))  # W_0
 _ZERO = np.zeros(1, dtype=np.complex128)  # the pad slot of ``_layout``
 
 
 def _hadamard_blocks(t_max: int) -> np.ndarray:
     """W_0..W_t_max, padded as in ``_block_recurrence``: one stack, sliced
-    for smaller totals and rebuilt when a larger one is asked for."""
+    for smaller totals and extended when a larger one is asked for."""
     global _hadamard_stack
     if _hadamard_stack.shape[0] <= t_max:
-        _hadamard_stack = _block_recurrence(_HADAMARD, t_max)
+        _hadamard_stack = _block_recurrence(_HADAMARD, t_max, _hadamard_stack)
         _hadamard_stack.flags.writeable = False
     return _hadamard_stack[: t_max + 1, : t_max + 1, : t_max + 1]
 

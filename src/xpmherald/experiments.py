@@ -6,6 +6,12 @@ snake_case header row, then data rows.  Complex quantities occupy two
 columns (re, im).  The manifest block contains only deterministic fields so
 identical (config, seed, version) runs produce bit-identical files; the
 wall clock, run metadata and ``_platform`` go to a JSON sidecar next to the CSV.
+
+A ``ResultTable`` stores its data as column blocks: per column, a list of
+cells or one cell that fills the block.  fig4's blocks, one per beta, share
+one phi_chi list and hold beta and the error bar as constants, so the CSV
+formats each phase once and no row tuple is built; the ``rows`` view is
+built only when read.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from numbers import Integral, Real
 from pathlib import Path
@@ -40,7 +47,8 @@ EXPERIMENTS = ("fig4", "loss-bounds", "purity-audit")
 # defaults chosen for illustration, not authoritative values; the manifest
 # flags them as such.
 DEFAULT_FIG4_BETAS = (0.5, 1.0, 2.0)
-# fig4 builds its whole table in memory, about 330 B per (beta, phi_chi) row.
+# fig4 holds its table in memory, about 45 B per (beta, phi_chi) row, and
+# peaks at about 340 B per row while its CSV text is formatted.
 MAX_FIG4_ROWS = 10**6
 # sin at this input rounds one ulp apart in glibc's FMA and SSE2 libm builds
 LIBM_FINGERPRINT = float.fromhex("0x1.720dc197cadc0p-1")
@@ -111,31 +119,48 @@ class ExperimentConfig:
 
 @dataclass
 class ResultTable:
-    """Columns, rows, and the deterministic manifest of one experiment."""
+    """Column blocks and the deterministic manifest of one experiment.
+
+    ``blocks`` is the one stored form of the data.  A block holds one entry
+    per column: a list of cells, or one cell (any value but a list) that
+    fills every row of the block.  Each block needs a list, and its lists
+    one length; the rows are the blocks' rows in order."""
 
     columns: list[str]
-    rows: list[tuple]
+    blocks: list[tuple]
     manifest: dict
 
     def __post_init__(self):
-        if not set(map(len, self.rows)) <= {len(self.columns)}:
-            raise ValueError("row width does not match column count")
+        for block in self.blocks:
+            lengths = {len(entry) for entry in block if type(entry) is list}
+            if len(block) != len(self.columns) or len(lengths) != 1:
+                raise ValueError("a block needs one entry per column and cell lists of one length")
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """The row tuples the blocks stand for, built on first read; the CSV
+        and the sidecar never read them."""
+        return tuple(
+            row
+            for block in self.blocks
+            for row in zip(*(e if type(e) is list else repeat(e) for e in block))
+        )
 
     def to_csv_text(self) -> str:
-        """The CSV, column by column: each distinct cell object (rows share
-        them) is formatted once, keyed by identity, as 0.0 == -0.0: by repr
-        in a column of plain floats, by ``_format_cell`` in any other."""
+        """The CSV, block by block: each cell list is formatted once, keyed
+        by identity, so a list that blocks share is formatted once, and each
+        block constant once; rows join those texts.  Lists of plain floats
+        print by repr, any other cell by ``_format_cell``."""
         lines = [f"# {key} = {value}" for key, value in self.manifest.items()]
         lines.append(",".join(self.columns))
-        texts = []
-        for column in zip(*self.rows):
-            unique = dict(zip(map(id, column), column))
-            fmt = repr if set(map(type, unique.values())) == {float} else _format_cell
-            if len(unique) < len(column):  # shared objects: format each once, look up by id
-                fmt = dict(zip(unique, map(fmt, unique.values()))).__getitem__
-                column = map(id, column)
-            texts.append(list(map(fmt, column)))
-        lines += map(",".join, zip(*texts))
+        texts = {}  # id of a cell list: the texts of its cells
+        for block in self.blocks:
+            for entry in block:
+                if type(entry) is list and id(entry) not in texts:
+                    fmt = repr if set(map(type, entry)) == {float} else _format_cell
+                    texts[id(entry)] = list(map(fmt, entry))
+            parts = [texts[id(e)] if type(e) is list else repeat(_format_cell(e)) for e in block]
+            lines += map(",".join, zip(*parts))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:
@@ -145,7 +170,7 @@ class ResultTable:
         sidecar = {
             "manifest": {k: str(v) for k, v in self.manifest.items()},
             "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "rows": len(self.rows),
+            "rows": sum(len(next(e for e in b if type(e) is list)) for b in self.blocks),
             "platform": _platform(),
         }
         path.with_suffix(path.suffix + ".manifest.json").write_text(
@@ -206,12 +231,12 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     phis = np.linspace(0.0, 2.0 * math.pi, num).tolist()
     theta1 = math.pi / 4.0  # the symmetric splitter; pi - theta1 makes it transparent
     weights = [_click_weights(phi)[0] for phi in phis]
-    rows = []
+    blocks = []  # one per beta, all sharing the one phis list
     for beta in betas:
         if math.copysign(1.0, beta) < 0.0:  # a beta_abs cell with a sign, -0.0 included
             raise ConfigurationError(f"parameter 'beta' entries must be unsigned, got {beta!r}")
         y = _click_scale(theta1, CoherentProbe(beta).beta)  # rejects a non-finite amplitude
-        rows += zip(phis, repeat(beta), [-math.expm1(-(y * a)) for a in weights], repeat(0.0))
+        blocks.append((phis, beta, [-math.expm1(-(y * a)) for a in weights], 0.0))
     manifest = {
         "experiment": "fig4",
         "version": __version__,
@@ -224,7 +249,7 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
     }
     return ResultTable(
         columns=["phi_chi", "beta_abs", "detection_efficiency", "error_bar"],
-        rows=rows,
+        blocks=blocks,
         manifest=manifest,
     )
 
@@ -264,7 +289,7 @@ def _run_loss_bounds(cfg: ExperimentConfig) -> ResultTable:
     }
     return ResultTable(
         columns=["phi_chi", "beta_sq", "pa_max", "reference_value", "abs_deviation"],
-        rows=rows,
+        blocks=[tuple(map(list, zip(*rows)))],
         manifest=manifest,
     )
 
@@ -290,7 +315,7 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
     clicks = sum(n for event, n in counts.items() if event.startswith("click"))
     freq = clicks / shots
     sigma = math.sqrt(max(freq * (1.0 - freq), 1.0 / shots) / shots)
-    rows = [(shots, cfg.seed, p_a, *counts.values(), freq, sigma)]
+    row = (shots, cfg.seed, p_a, *counts.values(), freq, sigma)
     manifest = {
         "experiment": "purity-audit",
         "version": __version__,
@@ -299,7 +324,7 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
     }
     return ResultTable(
         columns=["shots", "seed", "p_a", *counts, "click_frequency", "click_sigma"],
-        rows=rows,
+        blocks=[tuple([cell] for cell in row)],
         manifest=manifest,
     )
 

@@ -12,8 +12,9 @@ the two beam splitters invert each other the empty interferometer is
 transparent: with vacuum in A no photon can ever reach the detector, so a
 click certifies a photon in A.  Conditioning on clicks then leaves a pure
 one-photon state in the signal mode.  So ``run_setup`` drops the vacuum
-branches' click mass, rounding, on a transparent setup and reports it as
-propagated on any other; the truncation deficit decides nothing.
+branches' click mass, rounding, and their click-conditioned branches on a
+transparent setup and reports both as propagated on any other; the
+truncation deficit decides nothing.
 
 The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, ``_click_table`` propagates many setups grouped by
@@ -138,7 +139,8 @@ class HeraldOutcome:
     signal mode, for any source, a vacuum source included; ``total_success``
     is it times the source efficiency.  ``truncation_deficit`` bounds the
     probability mass lost to coherent-state truncation; all probabilities
-    here under-count by at most that much, and no decision reads it.  On a
+    here under-count by at most that much, and no decision reads it.  A
+    noisy photon probe truncates nothing, so its deficit is 0.0.  On a
     transparent setup a vacuum signal cannot click, so ``p_click`` drops
     the vacuum branches' click mass (a vacuum source's ``p_click`` is 0);
     otherwise it reports that mass as propagated.
@@ -148,7 +150,9 @@ class HeraldOutcome:
     ``click_state`` and ``no_click_state`` are the conditioned branch
     ensembles, built by ``fock.condition`` on each read from the array the
     run propagated; they are None for an event of probability zero and on
-    the classical path, which propagates no array.
+    the classical path, which propagates no array.  On a transparent setup
+    ``click_state`` holds the photon-signal branches only, renormalized, as
+    ``p_click`` counts them; ``no_click_state`` holds every branch.
     """
 
     p_click: float
@@ -156,9 +160,9 @@ class HeraldOutcome:
     total_success: float
     truncation_deficit: float
     purity_value: float | None = None
-    # the propagated array and its positive-weight (weight, signal, label)
-    # slices, photon branches first
-    _branches: tuple[np.ndarray, list[tuple[float, int, int]]] | None = field(
+    # the propagated array, its positive-weight (weight, signal, label)
+    # slices, photon branches first, and the config's transparency verdict
+    _branches: tuple[np.ndarray, list[tuple[float, int, int]], bool] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -175,10 +179,14 @@ class HeraldOutcome:
     no_click_state = property(lambda self: self._conditioned("zero"))
 
     def _conditioned(self, event: str) -> Ensemble | None:
-        """Each slice as a zero-padded 3-mode ket, conditioned on ``event``."""
+        """Each slice as a zero-padded 3-mode ket, conditioned on ``event``;
+        on a transparent setup a click conditions the photon slices alone."""
         if self._branches is None or (event == "at_least_one" and self.p_click == 0.0):
             return None
-        out, branches = self._branches
+        out, branches, transparent = self._branches
+        if event == "at_least_one" and transparent:  # a vacuum signal cannot click
+            total = sum(w for w, s, _ in branches if s)
+            branches = [(w / total, s, b) for w, s, b in branches if s]
         kets = []
         for w, s, b in branches:
             amps = np.zeros(out.shape[:3], dtype=np.complex128)
@@ -429,7 +437,7 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
     """``run_setup`` of every slot of a batch, from one ``_click_table``."""
     outcomes = []
     tables = _click_table(cfgs, sources, probes, require_transparent)
-    for cfg, source, (weights, (zero, click), out) in zip(cfgs, sources, tables):
+    for cfg, source, probe, (weights, (zero, click), out) in zip(cfgs, sources, probes, tables):
         joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
         detection_eff = sum(map(mul, weights, click[1]))
         photon_click = sum(map(mul, joint[1], click[1]))  # the photon branches' click weight
@@ -443,8 +451,10 @@ def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
             squared_norms = [zero[s][b] + click[s][b] for _, s, b in branches]
             if not max(squared_norms) <= 1.0 + NORM_TOL:
                 raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
-            weighted = sum(map(mul, [w for w, _, _ in branches], squared_norms))
-            deficit, kept = max(0.0, 1.0 - weighted), (out, branches)
+            if isinstance(probe, CoherentProbe):  # a photon probe truncates nothing
+                weighted = sum(map(mul, [w for w, _, _ in branches], squared_norms))
+                deficit = max(0.0, 1.0 - weighted)
+            kept = out, branches, cfg._transparent
         purity = photon_click / p_click if p_click > 0.0 else None
         total = detection_eff * source.p
         outcomes.append(HeraldOutcome(p_click, detection_eff, total, deficit, purity, kept))

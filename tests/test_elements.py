@@ -178,11 +178,11 @@ def test_blocks_unitary_to_bright_probe_cutoff():
 
 
 def test_block_cache_serves_any_total(monkeypatch):
-    # one 50:50 basis stack answers smaller totals by slicing and is rebuilt
-    # for larger ones; either way it equals a fresh build and each block is
-    # its own inverse
-    monkeypatch.setattr(el, "_hadamard_stack", np.zeros((0, 0, 0)))
-    for t_max, built in ((5, 6), (20, 21), (3, 21)):
+    # one 50:50 basis stack answers smaller totals by slicing and is
+    # extended from its last block for larger ones; either way it equals a
+    # fresh build bit for bit and each block is its own inverse
+    monkeypatch.setattr(el, "_hadamard_stack", np.ones((1, 1, 1)))
+    for t_max, built in ((0, 1), (5, 6), (20, 21), (3, 21), (47, 48)):
         blocks = el._hadamard_blocks(t_max)
         assert blocks.shape == (t_max + 1,) * 3
         assert el._hadamard_stack.shape[0] == built

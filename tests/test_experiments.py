@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -149,8 +151,7 @@ GOLDEN_LOSS_PARAMS = {
 
 
 # (fixed_p, digest); the child processes of test_mzi's second-kernel test
-# run these, DEFAULT_CSV_GOLDENS and test_fig4_csv_bytes_golden under every
-# (kernel, libm variant)
+# run these and every other CSV golden below under every (kernel, libm variant)
 LOSS_BOUNDS_GOLDENS = [
     (None, "5403e6a196f3ddd82d55a02bdca863ab993a9ff2f978ca9aa181242a6a473c1c"),
     (0.3, "240bee7b55ef099c74d0db1a145e9387d7a36abb4403afe4f6c40f4fa514a24c"),
@@ -188,23 +189,25 @@ def test_default_csv_full_text_golden(experiment, digest):
     assert _text_digest(run_experiment(ExperimentConfig(experiment)).to_csv_text()) == digest
 
 
+# (params, seed, data digest, whole-text digest)
+PURITY_AUDIT_GOLDENS = [
+    (
+        {"p_a": 0.7260402951959974, "p_b": 0.7308769845622459, "phi_chi": 1.764629736151154},
+        1517124863,
+        "36d29eceb47599242ccb17d7dce9a6d85ce1e8baa17aee460fd34ba979501d34",
+        "41af32be95839cc348e5547460d1ecf8ed940a4b6ad78913be88c07878309669",
+    ),
+    (
+        {"beta": 1.3, "p_a": 0.45, "phi_chi": 2.1},
+        6,
+        "caf8dd971a136f5c91b4706efb55a36e80aa21a5fec2be06da42ae4183021c02",
+        "f4928ccca029aef369d34dded403e573677c647bba6b545b8a231072a00c5c0a",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "params, seed, digest, text_digest",
-    [
-        (
-            {"p_a": 0.7260402951959974, "p_b": 0.7308769845622459, "phi_chi": 1.764629736151154},
-            1517124863,
-            "36d29eceb47599242ccb17d7dce9a6d85ce1e8baa17aee460fd34ba979501d34",
-            "41af32be95839cc348e5547460d1ecf8ed940a4b6ad78913be88c07878309669",
-        ),
-        (
-            {"beta": 1.3, "p_a": 0.45, "phi_chi": 2.1},
-            6,
-            "caf8dd971a136f5c91b4706efb55a36e80aa21a5fec2be06da42ae4183021c02",
-            "f4928ccca029aef369d34dded403e573677c647bba6b545b8a231072a00c5c0a",
-        ),
-    ],
-    ids=["noisy-probe", "coherent-probe"],
+    "params, seed, digest, text_digest", PURITY_AUDIT_GOLDENS, ids=["noisy-probe", "coherent-probe"]
 )
 def test_purity_audit_csv_bytes_golden(params, seed, digest, text_digest):
     config = ExperimentConfig("purity-audit", params=dict(params, shots=200_000), seed=seed)
@@ -233,14 +236,21 @@ setup,p_first_click
 """
 
 
-def test_monte_carlo_cascade_csv_full_text_golden(capsys):
-    assert main(["cascade", "--setups", "4", "--shots", "20000", "--seed", "5"]) == 0
-    assert capsys.readouterr().out == MONTE_CARLO_CASCADE_CSV
+def _main_stdout(argv):
+    """What ``main(argv)`` writes to stdout; it must exit 0."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+    return sink.getvalue()
 
 
-def test_shared_probe_cascade_csv_bytes_golden(capsys):
-    assert main(["cascade", "--scheme", "shared-probe", "--setups", "18"]) == 0
-    text = capsys.readouterr().out
+def test_monte_carlo_cascade_csv_full_text_golden():
+    text = _main_stdout(["cascade", "--setups", "4", "--shots", "20000", "--seed", "5"])
+    assert text == MONTE_CARLO_CASCADE_CSV
+
+
+def test_shared_probe_cascade_csv_bytes_golden():
+    text = _main_stdout(["cascade", "--scheme", "shared-probe", "--setups", "18"])
     assert _data_digest(text) == "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
     assert _text_digest(text) == "8d8434e438b8326f76fdabaf8f46b012593fede56ecc32a04fcc58fd692143ec"
 
@@ -357,8 +367,11 @@ def test_csv_manifest_block_prefixed():
 
 
 def test_result_table_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        ResultTable(columns=["a", "b"], rows=[(1.0,)], manifest={})
+    # a block of the wrong width, with a short cell list, or with no list to
+    # count its rows is refused, as a ragged row was
+    for block in [([1.0],), ([1.0], [2.0], 3.0), ([1.0, 2.0], [1.0]), (1.0, 2.0)]:
+        with pytest.raises(ValueError, match="block"):
+            ResultTable(columns=["a", "b"], blocks=[([1.0], 2.0), block], manifest={})
 
 
 def test_config_file_parsing(tmp_path):
@@ -727,28 +740,41 @@ def test_whole_number_params_accept_integral_floats():
 
 
 def test_csv_formats_each_cell_object_as_the_per_cell_formatter_does():
-    # to_csv_text formats each distinct cell object of a column once; cells
-    # that compare equal but print apart (0.0 and -0.0, 1 and 1.0) and
-    # numpy scalars keep the per-cell text
+    # to_csv_text formats each cell list once, by identity, and each block
+    # constant once; cells that compare equal but print apart (0.0 and -0.0,
+    # 1 and 1.0) and numpy scalars keep the per-cell text, in a list two
+    # blocks share, next to block constants and across the blocks of a column
     from xpmherald.experiments import _format_cell
 
     zero, one = 0.0, 1.0
-    rows = [
-        (zero, 1, "x"), (-0.0, one, "x"), (zero, True, ""), (np.float64(-0.0), np.int64(1), "x"),
-        (np.float32(0.1), one, None), (zero, 1, "x"),
+    shared = [zero, -0.0, zero, np.float64(-0.0), np.float32(0.1), zero]
+    blocks = [
+        (shared, [1, one, True, np.int64(1), one, 1], "x"),
+        ([-0.0, zero], one, [None, ""]),
+        (shared, 1, ["x", "", None, "y", "x", "x"]),
+        ([np.float64(0.5)], np.int64(-1), None),
+        ([zero, one], False, np.str_("z")),
     ]
-    table = ResultTable(columns=["a", "b", "c"], rows=rows, manifest={"k": "v"})
-    expected = ["# k = v", "a,b,c"] + [",".join(map(_format_cell, row)) for row in rows]
+    table = ResultTable(columns=["a", "b", "c"], blocks=blocks, manifest={"k": "v"})
+    assert table.rows == (
+        *zip(shared, blocks[0][1], ["x"] * 6), (-0.0, one, None), (zero, one, ""),
+        *zip(shared, [1] * 6, blocks[2][2]), (np.float64(0.5), -1, None),
+        (zero, False, "z"), (one, False, "z"),
+    )
+    expected = ["# k = v", "a,b,c"] + [",".join(map(_format_cell, row)) for row in table.rows]
     assert table.to_csv_text() == "\n".join(expected) + "\n"
-    assert table.to_csv_text().splitlines()[2:4] == ["0.0,1,x", "-0.0,1.0,x"]
-    with pytest.raises(ValueError):
-        ResultTable(columns=["a", "b"], rows=[(1.0, 2.0), (1.0,)], manifest={})
+    lines = table.to_csv_text().splitlines()
+    assert lines[2:4] == ["0.0,1,x", "-0.0,1.0,x"]
+    assert lines[8:10] == ["-0.0,1.0,None", "0.0,1.0,"]
+    assert lines[10:12] == ["0.0,1,x", "-0.0,1,"]
+    assert lines[16:] == ["0.5,-1,None", "0.0,0,z", "1.0,0,z"]
 
 
 def test_csv_columns_of_every_kind_equal_the_per_cell_formatter():
-    # each column takes one of to_csv_text's routes: plain floats by repr,
-    # with and without shared objects, and mixed kinds by _format_cell, with
-    # and without shared objects; every byte equals the per-cell reference
+    # each cell list takes one of to_csv_text's routes, plain floats by repr
+    # and mixed kinds by _format_cell, once per list however many blocks
+    # share it; block constants of every kind print as _format_cell prints
+    # them; every byte equals the per-cell reference
     from xpmherald.experiments import _format_cell
 
     shared, zero, negative_zero = 0.1, float("0.0"), -float("0.0")
@@ -763,11 +789,68 @@ def test_csv_columns_of_every_kind_equal_the_per_cell_formatter():
         "distinct": [1.5, np.float64(-0.0), 2**70, False, "", None, -7],
         "ints": [1, 1, 0, -5, 10**20, 1, 0],
     }
-    rows = list(zip(*columns.values()))
     assert zero is not negative_zero and zero == negative_zero
-    table = ResultTable(columns=list(columns), rows=rows, manifest={})
-    expected = [",".join(columns)] + [",".join(map(_format_cell, row)) for row in rows]
+    c = columns
+    blocks = [
+        tuple(columns.values()),
+        # shared lists in other columns, and constants of every kind
+        (c["shared"], negative_zero, c["zeros"], np.float64(2.5), np.int64(7), c["mixed"],
+         None, True),
+        (c["ints"], c["ints"], zero, np.float32(0.1), -(2**65), "t", np.bool_(True), 1.0),
+        ([zero, 1], [negative_zero, 1.0], [1, zero], [np.int64(0), 0.0], [0, 0], [0.0, 0],
+         [False, 0], [np.float64(0.0), np.float64(-0.0)]),
+    ]
+    table = ResultTable(columns=list(columns), blocks=blocks, manifest={})
+    assert table.rows[:n] == tuple(zip(*columns.values()))
+    assert len(table.rows) == 3 * n + 2
+    expected = [",".join(columns)] + [",".join(map(_format_cell, row)) for row in table.rows]
     assert table.to_csv_text() == "\n".join(expected) + "\n"
-    assert table.to_csv_text().splitlines()[1:3] == [
+    lines = table.to_csv_text().splitlines()
+    assert lines[1:3] == [
         "0.0,0.1,0.0,0.0,-3,0.1,1.5,1", "0.3333333333333333,2.5,-0.0,0.3333333333333333,-2,0.1,-0.0,1",
     ]
+    assert lines[n + 1] == "0.1,-0.0,0.0,2.5,7,0.1,None,1"
+    assert lines[2 * n + 1] == "1,1,0.0,0.10000000149011612,-36893488147419103232,t,True,1.0"
+    assert lines[3 * n + 1:] == ["0.0,-0.0,1,0,0,0.0,0,0.0", "1,1.0,0.0,0.0,0,0,0,-0.0"]
+
+
+def test_experiment_rows_equal_the_row_tuples_of_each_builder():
+    # the rows view of the blocks equals the row tuples the runners built
+    # cell by cell: fig4's (phi, beta, efficiency, 0.0), loss-bounds' one row
+    # per (phi_chi, beta_sq) and the purity audit's one row
+    from xpmherald.experiments import (
+        REFERENCE_LOSS_BOUNDS,
+        _click_scale,
+        _click_weights,
+        max_tolerable_loss,
+        sample_shots,
+    )
+
+    table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 41}))
+    phis = np.linspace(0.0, 2.0 * math.pi, 41).tolist()
+    rows = []
+    for beta in DEFAULT_FIG4_BETAS:
+        y = _click_scale(math.pi / 4.0, beta)
+        rows += [(phi, beta, -math.expm1(-(y * _click_weights(phi)[0])), 0.0) for phi in phis]
+    assert table.rows == tuple(rows)
+
+    table = run_experiment(ExperimentConfig("loss-bounds", params=GOLDEN_LOSS_PARAMS))
+    references = {(round(p, 6), b): r for p, b, r in REFERENCE_LOSS_BOUNDS}
+    rows = []
+    for phi_chi in GOLDEN_LOSS_PARAMS["phi_chi"]:
+        setup = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
+        for beta_sq in GOLDEN_LOSS_PARAMS["beta_sq"]:
+            bound = max_tolerable_loss(setup, math.sqrt(beta_sq))
+            ref = references.get((round(phi_chi, 6), beta_sq))
+            cells = ("", "") if ref is None else (repr(ref), repr(abs(bound - ref)))
+            rows.append((phi_chi, beta_sq, bound, *cells))
+    assert table.rows == tuple(rows) and any(row[3] for row in rows)
+
+    config = ExperimentConfig("purity-audit", params={"shots": 4000, "p_a": 0.6}, seed=3)
+    table = run_experiment(config)
+    counts = sample_shots(transparent_via_angle_sum(math.pi / 4.0, 0.0, math.pi),
+                          mzi.NoisySource(0.6), mzi.NoisyPhotonProbe(mzi.NoisySource(0.8)),
+                          4000, 3)
+    freq = (counts["click_and_photon"] + counts["click_no_photon"]) / 4000
+    sigma = math.sqrt(max(freq * (1.0 - freq), 1.0 / 4000) / 4000)
+    assert table.rows == ((4000, 3, 0.6, *counts.values(), freq, sigma),)

@@ -64,43 +64,43 @@ PI = math.pi
 # without (Sandybridge, Nehalem and older).
 GOLDEN_DIGESTS = {
     ("SkylakeX", "fma"): (
-        "9e6d55e1502a745eafa449247988cf553ac1a731081804c46df99fcec8b7428d",
+        "8560e75a12eb4e78d399757efaed659944d3424bdfa8fca8e8bf26a179bc9c67",
         "0cf7c73f926307a06bc4e704d2939bf0ae93e01a70eedcb79114e6862da55965",
     ),
     ("SkylakeX", "sse2"): (
-        "100923d57da0fbf311bc2a2122385ee54e63c64393136449238bdb3a6fbcabe6",
+        "3aafbafe3ef7fca780ca1600eab68991b99395eeca8ad11878a3d87a5cd446a0",
         "f33f0404266dbc3a2fb8c16384d223ff885492af0582e7609ee2f6207918e504",
     ),
     ("Haswell", "fma"): (
-        "a024bfac6a7ee0ccc2fa8253b6bc4b635eff537b4a5cb6c6bf8f63680c340c6d",
+        "a7c3209bef47fd80783edda456e1e6ba420aa2ee8a525202585d64a8066410fa",
         "7fbbb7e7b8185df1d0183d263d581353cba89a16b18050b0b65e950b014b6897",
     ),
     ("Haswell", "sse2"): (
-        "a190050543d1fc44ceb1da64c65969a6d7ee9b06bb86bd27e2df6469294ab1ae",
+        "72a986a5e1d03adfcb4290854f0ff28a02829b512e0f9448b002e60b7dcbcad6",
         "52029d77c46eeae0c6fcdf188402fd736cc28232d313ddb5eda95f35f4c4b9c6",
     ),
     ("Sandybridge", "fma"): (
-        "1ac75f6e1df5c37bcb6dd9e8eacc85fa017fd749bbb5c650c37005ed92a995d6",
+        "2217d3aeb62a0f33bf28d9f8f7e8d62fe972935d078eeacf4897af5ed701a993",
         "bd1701b2923597feec839b081a03ed2743975a2c2680ea3428f4976dcfe0161b",
     ),
     ("Sandybridge", "sse2"): (
-        "1b851b4dc33f103ec0c7feb1c52b67e70f8297bd0632c2e270f4c71399046fb2",
+        "fd8dd3051da39aa44590b5f06e666c0449ef73ef10dcfcc3d537cfea0621399f",
         "e26fa7b0d3fce1cafa8269a02de001a528103cc2414f96119f2ca8fb7ca8fd4d",
     ),
     ("Nehalem", "fma"): (
-        "1ac75f6e1df5c37bcb6dd9e8eacc85fa017fd749bbb5c650c37005ed92a995d6",
+        "2217d3aeb62a0f33bf28d9f8f7e8d62fe972935d078eeacf4897af5ed701a993",
         "e27d5ea379cf9f40c7c7dc8dc987343db448f85c993b54ed66da3e4ca611f583",
     ),
     ("Nehalem", "sse2"): (
-        "1b851b4dc33f103ec0c7feb1c52b67e70f8297bd0632c2e270f4c71399046fb2",
+        "fd8dd3051da39aa44590b5f06e666c0449ef73ef10dcfcc3d537cfea0621399f",
         "bf406b86df6e1d853e3fe33e30998c6b79ee094b3fcfd58b14b32e14e1bb3dba",
     ),
     ("Katmai", "fma"): (
-        "1ac75f6e1df5c37bcb6dd9e8eacc85fa017fd749bbb5c650c37005ed92a995d6",
+        "2217d3aeb62a0f33bf28d9f8f7e8d62fe972935d078eeacf4897af5ed701a993",
         "5653999798bca603c8ed4ee0b8faf267f51d9aaf701d578892c1c17ddfcce6f3",
     ),
     ("Katmai", "sse2"): (
-        "1b851b4dc33f103ec0c7feb1c52b67e70f8297bd0632c2e270f4c71399046fb2",
+        "fd8dd3051da39aa44590b5f06e666c0449ef73ef10dcfcc3d537cfea0621399f",
         "acd01c9323df2988f6be5ae16e01f3ce9bb7644cca730565e267dfd415ff7ace",
     ),
 }
@@ -359,6 +359,40 @@ def test_run_setup_purity_is_one_for_transparent():
         )
         if out.p_click > 1e-9:
             assert out.purity_given_click == pytest.approx(1.0, abs=1e-12)
+
+
+def test_click_state_of_a_transparent_setup_holds_photon_branches_only():
+    # a vacuum signal cannot click on a transparent setup, so the click
+    # ensemble drops the vacuum branch (it held one of weight 5.2e-31 here)
+    # as p_click and the purity do; the no-click ensemble and a leaky
+    # setup's click ensemble keep every branch
+    cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
+    out = run_setup(cfg, NoisySource(0.5), CoherentProbe(1.5))
+    ((weight, ket),) = out.click_state.branches
+    assert weight == 1.0 and not ket.amps[0].any() and out.purity_value == 1.0
+    assert len(out.no_click_state.branches) == 2
+    noisy = run_setup(cfg, NoisySource(0.5), NoisyPhotonProbe(NoisySource(0.8)))
+    assert [w for w, _ in noisy.click_state.branches] == [1.0]  # the |0> probe never clicks
+    assert len(noisy.no_click_state.branches) == 4
+    leaky = run_setup(mzi_config(0.7, 0.3, 0.4, 1.1, 2.1), NoisySource(0.5), CoherentProbe(1.5),
+                      require_transparent=False)
+    assert len(leaky.click_state.branches) == 2
+
+
+@pytest.mark.parametrize("p_b", [0.3, 0.8, 1.0])
+def test_photon_probe_reports_no_truncation_deficit(p_b, monkeypatch):
+    # a noisy photon probe truncates nothing: its deficit read the engine's
+    # rounding (3.3e-16, 7.8e-16, 8.9e-16 here) and is 0.0, while a norm
+    # past 1 + NORM_TOL still raises for either probe
+    cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
+    probe = NoisyPhotonProbe(NoisySource(p_b))
+    assert run_setup(cfg, NoisySource(0.5), probe).truncation_deficit == 0.0
+    assert run_setup(cfg, NoisySource(0.5), CoherentProbe(1.5)).truncation_deficit > 0.0
+    propagate = mzi._propagate_one
+    monkeypatch.setattr(mzi, "_propagate_one", lambda *args: propagate(*args) * 1.001)
+    for probe in (probe, CoherentProbe(1.5)):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            run_setup(cfg, NoisySource(0.5), probe)
 
 
 def test_run_setup_total_success_factorizes():
@@ -703,8 +737,8 @@ def test_propagate_mzi_amplitudes_golden():
 )
 def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     # a kernel- or libm-dependent change shows at once: both goldens, the
-    # resumed sweeps, the column path against the gather path and the CSV
-    # and verify --suite fast goldens of test_experiments again, in a
+    # resumed sweeps, the column path against the gather path and every CSV
+    # and the verify --suite fast golden of test_experiments again, in a
     # child process on each (kernel, libm variant)
     # a digest pair is recorded for; the libm mask is set in the child's
     # environment only, and the FMA pairs keep the bare kernel name as their id
@@ -721,6 +755,9 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
         "import test_experiments as e; e.test_fig4_csv_bytes_golden(); "
         "[e.test_loss_bounds_csv_bytes_golden(*g) for g in e.LOSS_BOUNDS_GOLDENS]; "
         "[e.test_default_csv_full_text_golden(*g) for g in e.DEFAULT_CSV_GOLDENS]; "
+        "[e.test_purity_audit_csv_bytes_golden(*g) for g in e.PURITY_AUDIT_GOLDENS]; "
+        "e.test_monte_carlo_cascade_csv_full_text_golden(); "
+        "e.test_shared_probe_cascade_csv_bytes_golden(); "
         "e.test_verify_fast_report_golden(); "
         "print(t.openblas_core(), t.libm_variant())"
     )
@@ -763,7 +800,9 @@ def test_resumed_sweeps_equal_cleared_runs():
 def _per_branch_outcome(cfg, source, probe):
     """The independent route: each (signal, probe) branch as its own 3-mode
     ket, propagated on its own.  Returns p_click, detection efficiency,
-    truncation deficit and both conditioned ensembles (None when empty)."""
+    truncation deficit (0 for a photon probe, which truncates nothing) and
+    both conditioned ensembles (None when empty); on a transparent setup the
+    click ensemble holds the photon branches alone, renormalized."""
     if isinstance(probe, NoisyPhotonProbe):
         pb = probe.source.p
         probes = [(make_fock((1,), (1,)), pb), (make_fock((0,), (1,)), 1.0 - pb)]
@@ -781,14 +820,18 @@ def _per_branch_outcome(cfg, source, probe):
             det_eff += wb * click if photons else 0.0
             norm += wa * wb * out.squared_norm()
             if wa * wb > 0.0:
-                branches.append((wa * wb, out))
+                branches.append((wa * wb, photons, out))
+    clicking = [(w, ket) for w, _, ket in branches]
+    if is_transparent(cfg):
+        clicking = [(w / source.p, ket) for w, photons, ket in branches if photons]
     states = []
-    for event in ("at_least_one", "zero"):
+    for event, ensemble in (("at_least_one", clicking), ("zero", [(w, k) for w, _, k in branches])):
         try:
-            states.append(condition(Ensemble(branches), 2, event)[1])
+            states.append(condition(Ensemble(ensemble), 2, event)[1])
         except ConditioningError:
             states.append(None)
-    return p_click, det_eff, max(0.0, 1.0 - norm), *states
+    deficit = 0.0 if isinstance(probe, NoisyPhotonProbe) else max(0.0, 1.0 - norm)
+    return p_click, det_eff, deficit, *states
 
 
 @pytest.mark.parametrize("noisy", [False, True])
