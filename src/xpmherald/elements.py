@@ -142,18 +142,17 @@ def _mzi_angles(u) -> tuple[float, float]:
 def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: int) -> tuple:
     """The read-only, angle-free pieces of a chain on ``shape``: (gather,
     scatter, i n, block, flat).  ``ket_flat[gather]`` is the input in the
-    padded block layout ``block`` = (T, n, axes before the partner's,
-    partner, axes after it, slot) of the mode pair, n the occupation of
-    ``modes[0]`` and T <= t_max, and ``blocks_flat[scatter]`` the output
-    ket; both flat arrays end in one zero slot that unused entries point to.
+    padded block layout ``block`` = (T, n, partner, other axes, slot) of
+    the mode pair (n the occupation of ``modes[0]``, T <= t_max, partner
+    axis 0 or of one for None), and ``blocks_flat[scatter]`` the output ket;
+    both flat arrays end in one zero slot that unused entries point to.
     i n: i times 0..t_max, shaped as a diagonal's n axis; flat: (T, n, rest)."""
     size = math.prod(shape)
     flat = np.moveaxis(np.arange(size).reshape(shape), modes, (0, 1))
     flat = flat.reshape(flat.shape[0], flat.shape[1], -1)
     rest = flat.shape[2]
     t, n = np.ogrid[: t_max + 1, : t_max + 1]
-    before = math.prod(shape[a] for a in range(partner or 0) if a not in modes)
-    block = (t_max + 1, t_max + 1, before, 1 if partner is None else shape[partner], -1, slots)
+    block = (t_max + 1, t_max + 1, 1 if partner is None else shape[partner], -1, slots)
     gather = np.where((n <= t)[:, :, None], flat[n, np.maximum(t - n, 0)], size).reshape(block)
     p, q = np.indices(flat.shape[:2])
     slot = ((p + q) * (t_max + 1) + p)[:, :, None] * rest + np.arange(rest)
@@ -161,7 +160,7 @@ def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: in
     scatter[flat.ravel()] = np.where(
         (p + q <= t_max)[:, :, None], slot, (t_max + 1) ** 2 * rest
     ).ravel()
-    scatter, occ = scatter.reshape(shape), 1j * np.arange(t_max + 1).reshape(-1, 1, 1, 1, 1)
+    scatter, occ = scatter.reshape(shape), 1j * np.arange(t_max + 1).reshape(-1, 1, 1, 1)
     for arr in (gather, scatter, occ):
         arr.flags.writeable = False
     return gather, scatter, occ, block, (t_max + 1, t_max + 1, -1)
@@ -187,16 +186,17 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
 
     With ``shape``, ``amps`` is the column of an input of that shape whose
     ``modes[1]`` is empty, laid out as its blocks without n and with a
-    partner axis of one; its last row is the largest occupied total t_max,
-    which an array's occupancy search finds.  A column feeds only a mixing
-    first splitter, block T holding one amplitude at n = T, so the first W
-    product is W_T's column T times it; before any other it becomes the
-    input it stands for.  Returns the ``state`` the XPM phases reach (after
-    the first W pair if the first splitter mixes, else the gathered input),
-    ``w`` and the L factors ``lams`` and diagonals ``diags`` after it, the
-    phases multiplying ``diags[0]``; with ``layout`` None, the input, which
-    only an XPM on ``axes`` changes (none on a zero ket).  Every array the
-    stage makes is read-only, so a stored stage serves any number of phases."""
+    partner axis of one, (T, 1, other axes, slot), the partner being axis 0;
+    its last row is the largest occupied total t_max, which an array's
+    occupancy search finds.  A column feeds only a mixing first splitter,
+    block T holding one amplitude at n = T, so the first W product is W_T's
+    column T times it; before any other it becomes the input it stands for.
+    Returns the ``state`` the XPM phases reach (after the first W pair if
+    the first splitter mixes, else the gathered input), ``w`` and the L
+    factors ``lams`` and diagonals ``diags`` after it, the phases
+    multiplying ``diags[0]``; with ``layout`` None, the input, which only an
+    XPM on ``axes`` changes (none on a zero ket).  Every array the stage
+    makes is read-only, so a stored stage serves any number of phases."""
     rates, mixes = [], []  # the theta and psi rows of each mixing splitter
     for bs in (bs1, bs2):
         thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in bs]) if bs else ((), ())
@@ -205,8 +205,7 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
     k, at = mixes.count(True), int(mixes[0])  # at: mixes before XPM
     if shape is not None and not at:  # build the input the column stands for
         amps, col, shape = np.zeros(shape, dtype=np.complex128), amps, None
-        others = [1 if a == partner else n for a, n in enumerate(amps.shape) if a not in modes]
-        np.moveaxis(amps, modes, (0, 1))[: len(col), 0] = col.reshape(len(col), *others)
+        np.moveaxis(amps, modes, (0, 1))[: len(col), 0] = col  # broadcast over the partner
         amps.setflags(write=False)
     column = shape is not None
     if not k:
@@ -227,13 +226,12 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
     gather, _, iocc, block, _ = layout
     # every splitter phase from one exp over (rate, occupation, slot):
     # e^{i theta n} and e^{i psi n} per mixing splitter; inv: their conjugates
-    ph = np.exp(np.array(rates).reshape(-1, 1, 1, 1, 1, len(bs1)) * iocc)
+    ph = np.exp(np.array(rates).reshape(-1, 1, 1, 1, len(bs1)) * iocc)
     inv, th = ph.conj(), ph[: 2 * k : 2, None]
     lams = inv[: 2 * k : 2, :, None] * (th * th)  # each splitter's e^{-i theta T} L
-    # the diagonals before, between and after the W pairs, over (n, rest
-    # axes before the partner's, s, rest after, slot): each P merges with
-    # the next splitter's P^-1
-    diags = np.empty((k + 1, t_max + 1, 1, block[3], 1, len(bs1)), dtype=np.complex128)
+    # the diagonals before, between and after the W pairs, over (n, s, the
+    # other axes, slot): each P merges with the next splitter's P^-1
+    diags = np.empty((k + 1, t_max + 1, block[2], 1, len(bs1)), dtype=np.complex128)
     diags[0], diags[-1] = inv[1], ph[2 * k - 1]
     if k == 2:
         np.multiply(ph[1], inv[3], out=diags[1])
@@ -265,7 +263,7 @@ def _second_stage(first: _FirstStage, xpm) -> np.ndarray:
     _, scatter, iocc, block, _ = layout
     phased = diags[0]  # times the XPM phases, e^{i phi_chi s n} per partner occupation s
     if xpm:
-        rates = np.array([p.phi_chi * s for s in range(block[3]) for p in xpm])
+        rates = np.array([p.phi_chi * s for s in range(block[2]) for p in xpm])
         phased = phased * np.exp(rates.reshape(-1, 1, len(xpm)) * iocc)
     x = state * phased  # out of place: the state is never written
     for lam, diag in zip(lams, diags[1:]):  # the W pair after the XPM, if any

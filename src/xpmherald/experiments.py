@@ -41,7 +41,11 @@ from .mzi import (
     transparent_via_angle_sum,
 )
 
-EXPERIMENTS = ("fig4", "loss-bounds", "purity-audit")
+EXPERIMENTS = {  # each experiment's parameters; a config naming another is refused
+    "fig4": ("beta", "phi_chi_points"),
+    "loss-bounds": ("phi_chi", "beta_sq", "fixed_p"),
+    "purity-audit": ("shots", "p_a", "phi_chi", "beta", "p_b"),
+}
 
 # Probe amplitudes for the detection-efficiency curves.  These are package
 # defaults chosen for illustration, not authoritative values; the manifest
@@ -87,6 +91,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.params, dict):
             raise ConfigurationError("field 'params' must be a table of values")
+        unknown = [name for name in self.params if name not in EXPERIMENTS[self.experiment]]
+        if unknown:
+            names = ", ".join(EXPERIMENTS[self.experiment])
+            raise ConfigurationError(f"unknown parameter(s) {unknown}; accepted: {names}")
         if self.seed is not None:
             check_count("field 'seed'", self.seed)
         if self.out is not None and not isinstance(self.out, str):

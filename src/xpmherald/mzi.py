@@ -19,7 +19,7 @@ truncation deficit decides nothing.
 The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, ``_click_table`` propagates many setups grouped by
 input shape, as probe columns rather than input arrays (C is in vacuum,
-``elements._first_stage``), and ``_run_setups`` makes each slot's outcome.
+``elements._first_stage``), and checks every norm; the audits read it.
 ``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
 The last two run ``_propagate_one``: along a phi_chi sweep the splitters
 meet one input again and again, so ``_memo`` keeps each miss's read-only
@@ -64,7 +64,7 @@ from .errors import (
 from .fock import NORM_TOL, Ensemble, MultiModeKet, condition, make_coherent
 
 SIGNAL, PROBE, AUX = 0, 1, 2
-_PHOTON_OR_VACUUM = np.eye(2)[::-1, None, None, :, None]  # a noisy photon probe's column: |1>, |0>
+_PHOTON_OR_VACUUM = np.eye(2)[::-1, None, :, None]  # a noisy photon probe's column: |1>, |0>
 _PHOTON_OR_VACUUM.flags.writeable = False
 _memo: dict = {}  # the first stages of ``_propagate_one``, 8 at most
 
@@ -279,10 +279,10 @@ def transparency_sign(cfg: MziConfig) -> int:
 
 def _first(amps, cfgs, column=False):
     """``elements._first_stage`` of an array with the mode axes laid out
-    above, or with ``column`` of the probe columns (B, 1, 1, label, slot) of
+    above, or with ``column`` of the probe columns (B, 1, label, slot) of
     inputs with a signal axis of two and C in vacuum: one configuration for
     the whole input, or S > 1 for the S slots of its last axis."""
-    shape = (2, len(amps), len(amps), *amps.shape[3:]) if column else None
+    shape = (2, len(amps), len(amps), *amps.shape[2:]) if column else None
     bs1, bs2 = [cfg.bs1 for cfg in cfgs], [cfg.bs2 for cfg in cfgs]
     return _first_stage(amps, (PROBE, AUX), bs1, bs2, SIGNAL, shape)
 
@@ -368,7 +368,8 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     of setups, one (config, source, probe) per slot, and return per slot
     the probe-branch weights, the detector-event probabilities as the rows
     ``[signal 0/1][probe branch]`` of the events no click and click, and
-    the array every input branch of the slot was propagated in.
+    the array every input branch of the slot was propagated in; a squared
+    norm past 1 + ``NORM_TOL`` in any slice raises ValueError.
 
     The array has the axes (signal A, probe B, auxiliary C, probe label).
     The label has one entry for a coherent probe, and two (|1> then |0>)
@@ -400,7 +401,7 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
         elif len(cfgs) == 1:  # _propagate_one makes its column, on a memo miss only
             weights, column = (1.0,), None
         else:
-            weights, column = (1.0,), make_coherent(probe.beta).amps[:, None, None, None, None]
+            weights, column = (1.0,), make_coherent(probe.beta).amps[:, None, None, None]
         groups.setdefault(getattr(column, "shape", None), []).append((slot, weights, column))
     for members in groups.values():
         if len(cfgs) == 1:
@@ -409,8 +410,11 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
             cols = np.concatenate([c for _, _, c in members], axis=-1)
             out = _propagate(cols, [cfgs[s] for s, _, _ in members], column=True)
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
-        zero = probs[:, 0].transpose(2, 0, 1).tolist()  # [slot][signal][label]
-        click = probs[:, 1:].sum(axis=1).transpose(2, 0, 1).tolist()
+        zero, click = probs[:, 0], probs[:, 1:].sum(axis=1)  # (signal, label, slot)
+        norm = (zero + click).max()
+        if not norm <= 1.0 + NORM_TOL:
+            raise ValueError(f"propagated squared norm {norm} exceeds 1")
+        zero, click = (a.transpose(2, 0, 1).tolist() for a in (zero, click))  # [slot][A][label]
         for at, (slot, weights, _) in enumerate(members):
             tables[slot] = (weights, (zero[at], click[at]), out[..., at])
     return tables
@@ -426,39 +430,11 @@ def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
     key = bits, coherent, elements._hadamard_blocks
     first = _memo.get(key)
     if first is None:
-        col = make_coherent(beta).amps.reshape(-1, 1, 1, 1, 1) if coherent else _PHOTON_OR_VACUUM
+        col = make_coherent(beta).amps.reshape(-1, 1, 1, 1) if coherent else _PHOTON_OR_VACUUM
         first = _memo[key] = _first(col, (cfg,), column=True)
         for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
             _memo.pop(old, None)
     return _second_stage(first, (cfg.xpm,))
-
-
-def _run_setups(cfgs, sources, probes, require_transparent=True) -> list:
-    """``run_setup`` of every slot of a batch, from one ``_click_table``."""
-    outcomes = []
-    tables = _click_table(cfgs, sources, probes, require_transparent)
-    for cfg, source, probe, (weights, (zero, click), out) in zip(cfgs, sources, probes, tables):
-        joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
-        detection_eff = sum(map(mul, weights, click[1]))
-        photon_click = sum(map(mul, joint[1], click[1]))  # the photon branches' click weight
-        p_click = photon_click  # on a transparent setup a vacuum signal cannot click
-        if not cfg._transparent:
-            p_click = sum(map(mul, joint[1] + joint[0], click[1] + click[0]))
-        deficit, kept = 0.0, None
-        if out is not None:
-            # the positive-weight (signal, label) slices, photon branches first
-            branches = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
-            squared_norms = [zero[s][b] + click[s][b] for _, s, b in branches]
-            if not max(squared_norms) <= 1.0 + NORM_TOL:
-                raise ValueError(f"propagated squared norm {max(squared_norms)} exceeds 1")
-            if isinstance(probe, CoherentProbe):  # a photon probe truncates nothing
-                weighted = sum(map(mul, [w for w, _, _ in branches], squared_norms))
-                deficit = max(0.0, 1.0 - weighted)
-            kept = out, branches, cfg._transparent
-        purity = photon_click / p_click if p_click > 0.0 else None
-        total = detection_eff * source.p
-        outcomes.append(HeraldOutcome(p_click, detection_eff, total, deficit, purity, kept))
-    return outcomes
 
 
 def run_setup(
@@ -487,7 +463,22 @@ def run_setup(
     ``require_transparent=False`` drops the transparency requirement, for
     exploring configurations without the heralding guarantee.
     """
-    return _run_setups((cfg,), (source,), (probe,), require_transparent)[0]
+    weights, (zero, click), out = _click_table((cfg,), (source,), (probe,), require_transparent)[0]
+    joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
+    detection_eff = sum(map(mul, weights, click[1]))
+    photon_click = sum(map(mul, joint[1], click[1]))  # the photon branches' click weight
+    p_click = photon_click  # on a transparent setup a vacuum signal cannot click
+    if not cfg._transparent:
+        p_click = sum(map(mul, joint[1] + joint[0], click[1] + click[0]))
+    deficit, kept = 0.0, None
+    if out is not None:
+        # the positive-weight (signal, label) slices, photon branches first
+        branches = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
+        if isinstance(probe, CoherentProbe):  # a photon probe truncates nothing
+            deficit = max(0.0, 1.0 - sum(w * (zero[s][b] + click[s][b]) for w, s, b in branches))
+        kept = out, branches, cfg._transparent
+    purity = photon_click / p_click if p_click > 0.0 else None
+    return HeraldOutcome(p_click, detection_eff, detection_eff * source.p, deficit, purity, kept)
 
 
 def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:

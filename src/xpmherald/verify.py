@@ -1,16 +1,16 @@
 """Self-audit of the scheme: the paper's guarantees over random setups.
 
-The ``mzi`` group checks zero false clicks for transparent setups and
-click-conditioned purity 1, both read off the engine's click masses, the
-closed forms against exact propagation and transparency for any probe
-input; ``loss`` and ``cascade`` check the absorption model, whose click law
-``mzi._click_exponents`` must match ``mzi._classical_clicks`` without
-absorption, and the chained-setup closed forms built on the same law;
-``elements`` checks the classical path that bright probes take, the arms of
-``mzi.coherent_outputs`` and the clicks read off its arm C, against one
-exact ``mzi._propagate`` batch of the same probes.  The Fock and element
-algebra underneath is tested in ``tests/test_fock.py`` and
-``tests/test_elements.py``, not here.
+The ``mzi`` group checks zero false clicks for transparent setups,
+click-conditioned purity 1 and the closed forms against exact propagation,
+all read off the engine's click masses (``mzi._click_table`` batches), and
+transparency for any probe input; ``loss`` and ``cascade`` check the
+absorption model, whose click law ``mzi._click_exponents`` must match
+``mzi._classical_clicks`` without absorption, and the chained-setup closed
+forms built on the same law; ``elements`` checks the classical path that
+bright probes take, the arms of ``mzi.coherent_outputs`` and the clicks
+read off its arm C, against one exact ``mzi._propagate`` batch of the same
+probes.  The Fock and element algebra underneath is tested in
+``tests/test_fock.py`` and ``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
@@ -150,7 +150,7 @@ def _check_elements(results, rng, dense: bool):
 
 def _check_mzi(results, rng, dense: bool):
     # each check draws its configs in the order of a config-by-config loop,
-    # then runs them as a few batches (mzi._run_setups, mzi._propagate)
+    # then runs them as a few engine batches (mzi._click_table, mzi._propagate)
     n_cfg = 1000 if dense else 120
     cfgs, probes = [], []
     for i in range(n_cfg):
@@ -175,13 +175,12 @@ def _check_mzi(results, rng, dense: bool):
         thetas = np.linspace(0.03, math.pi - 0.03, 15)
     phis = np.linspace(0.0, 2.0 * math.pi, len(thetas))
     full_photon = mzi.NoisyPhotonProbe(mzi.NoisySource(1.0))
+    photon = full_photon.source  # the signal source of both closed-form checks
     cfgs = [mzi.transparent_via_angle_sum(float(t), 0.0, float(p)) for t in thetas for p in phis]
-    outcomes = mzi._run_setups(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), [full_photon] * len(cfgs))
-    values = np.reshape([outcome.p_click for outcome in outcomes], (len(thetas), -1))
-    worst = max(
-        abs(outcome.p_click - mzi.detection_efficiency(cfg, full_photon))
-        for cfg, outcome in zip(cfgs, outcomes)
-    )
+    tables = mzi._click_table(cfgs, [photon] * len(cfgs), [full_photon] * len(cfgs), True)
+    p_clicks = [sum(w * q for w, q in zip(weights, click[1])) for weights, (_, click), _ in tables]
+    values = np.reshape(p_clicks, (len(thetas), -1))
+    worst = max(abs(p - mzi.detection_efficiency(c, full_photon)) for c, p in zip(cfgs, p_clicks))
     _record_worst(
         results, "mzi", "closed-form-vs-exact-noisy", worst, CLOSED_FORM_TOL,
         f"{len(thetas)}x{len(phis)} (theta1, phi_chi) grid",
@@ -207,12 +206,13 @@ def _check_mzi(results, rng, dense: bool):
     grid = [mzi.transparent_via_angle_sum(float(t), 0.0, float(p)) for t in thetas for p in phis]
     cfgs = grid * len(betas)
     probes = [mzi.CoherentProbe(beta) for beta in betas for _ in grid]
-    outcomes = mzi._run_setups(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes)
+    tables = mzi._click_table(cfgs, [photon] * len(cfgs), probes, True)
+    p_clicks = [click[1][0] for _, (_, click), _ in tables]
+    deficits = [max(0.0, 1.0 - (zero[1][0] + click[1][0])) for _, (zero, click), _ in tables]
     closed = [mzi.detection_efficiency(cfg, probe) for cfg, probe in zip(cfgs, probes)]
-    devs = [abs(o.p_click - c) - (1e-8 + o.truncation_deficit) for o, c in zip(outcomes, closed)]
+    devs = [abs(p - c) - (1e-8 + d) for p, c, d in zip(p_clicks, closed, deficits)]
     worst = max(0.0, *devs)
     # the curve over phi_chi at theta1 = pi/4, per beta
-    p_clicks = [outcome.p_click for outcome in outcomes]
     curves = np.reshape(p_clicks, (len(betas), len(thetas), -1))[:, quarter]
     _record(
         results, "mzi", "closed-form-vs-exact-coherent", worst <= 0.0,

@@ -4,13 +4,14 @@ Criteria 1-7 are named checks of ``verify --suite full``, run once; each test
 asserts its checks passed and prints one PASS line (see them with ``-v -s``).
 """
 
+import hashlib
 import time
 
 import pytest
 
 from xpmherald.cli import main
-from xpmherald.experiments import ExperimentConfig, run_experiment
-from xpmherald.verify import run_suite
+from xpmherald.experiments import ExperimentConfig, _platform, run_experiment
+from xpmherald.verify import format_report, run_suite
 
 GROUPS = ("elements", "mzi", "loss", "cascade")
 
@@ -32,18 +33,20 @@ TIME_LIMITS = {1: ("mzi", 30.0), 6: ("loss", 10.0)}
 
 @pytest.fixture(scope="module")
 def full_suite():
-    """The full suite, one group at a time: checks by name, seconds by group."""
-    checks, seconds = {}, {}
+    """The full suite, one group at a time: checks by name, seconds by
+    group, and the results in the order ``run_suite("full")`` reports them."""
+    checks, seconds, results = {}, {}, []
     for group in GROUPS:
         start = time.perf_counter()
-        for r in run_suite("full", modules=[group]):
-            checks.setdefault(f"{r.module}/{r.name}", []).append(r)
+        results += run_suite("full", modules=[group])
         seconds[group] = time.perf_counter() - start
-    return checks, seconds
+    for r in results:
+        checks.setdefault(f"{r.module}/{r.name}", []).append(r)
+    return checks, seconds, results
 
 
 def assert_criterion(number, full_suite):
-    checks, seconds = full_suite
+    checks, seconds, _ = full_suite
     lines = []
     for key in CRITERIA[number]:
         assert checks.get(key), f"{key} missing from the full verify report"
@@ -232,8 +235,38 @@ def test_verify_fast_inventory_pinned():
 
 
 def test_verify_full_inventory_pinned(full_suite):
-    checks, _ = full_suite
+    checks, _, _ = full_suite
     rows = [(key, r.params, r.expected) for key, found in checks.items() for r in found]
     assert rows == FULL_INVENTORY
     failed = [r.line() for found in checks.values() for r in found if not r.passed]
     assert not failed
+
+
+# sha256 of the verify --suite full report per (OpenBLAS kernel, libm
+# variant), keyed as test_mzi.GOLDEN_DIGESTS, whose child processes run
+# check_full_report under each
+VERIFY_FULL_DIGESTS = {
+    ("SkylakeX", "fma"): "0fa8b53821d008f4cd406d4e15ef0d6f3515829ed9c8d64c0e46f07d4bbc314d",
+    ("SkylakeX", "sse2"): "0fa8b53821d008f4cd406d4e15ef0d6f3515829ed9c8d64c0e46f07d4bbc314d",
+    ("Haswell", "fma"): "0fa8b53821d008f4cd406d4e15ef0d6f3515829ed9c8d64c0e46f07d4bbc314d",
+    ("Haswell", "sse2"): "0fa8b53821d008f4cd406d4e15ef0d6f3515829ed9c8d64c0e46f07d4bbc314d",
+    ("Sandybridge", "fma"): "a390738ae92cedf4eb2b4aa01b20e00db6fa97e59fa8d763396684ab3e754643",
+    ("Sandybridge", "sse2"): "a390738ae92cedf4eb2b4aa01b20e00db6fa97e59fa8d763396684ab3e754643",
+    ("Nehalem", "fma"): "a390738ae92cedf4eb2b4aa01b20e00db6fa97e59fa8d763396684ab3e754643",
+    ("Nehalem", "sse2"): "a390738ae92cedf4eb2b4aa01b20e00db6fa97e59fa8d763396684ab3e754643",
+    ("Katmai", "fma"): "f2c969a03bc48b617ad4523d57e9dac98017571bdfecb916f16ffcfce79ed391",
+    ("Katmai", "sse2"): "f2c969a03bc48b617ad4523d57e9dac98017571bdfecb916f16ffcfce79ed391",
+}
+
+
+def check_full_report(results):
+    """Every line of the full report, observed values included, as pinned."""
+    platform = _platform()
+    key = platform["openblas_core"], platform["libm"]
+    assert key in VERIFY_FULL_DIGESTS, f"no verify digest recorded for {key!r}"
+    report = format_report(results)
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_FULL_DIGESTS[key]
+
+
+def test_verify_full_report_golden(full_suite):
+    check_full_report(full_suite[2])

@@ -334,6 +334,27 @@ def test_unknown_experiment_rejected():
         ExperimentConfig("not-an-experiment")
 
 
+def test_unknown_parameter_rejected_by_name(tmp_path, capsys):
+    # a misspelt parameter is refused, not run at its default
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"experiment": "fig4", "params": {"phi_chi_pionts": 7}}))
+    out = tmp_path / "out.csv"
+    assert main(["run", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'phi_chi_pionts'" in err and "accepted: beta, phi_chi_points" in err
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+    accepted = {
+        "fig4": {"beta", "phi_chi_points"},
+        "loss-bounds": {"phi_chi", "beta_sq", "fixed_p"},
+        "purity-audit": {"shots", "p_a", "phi_chi", "beta", "p_b"},
+    }
+    for experiment, names in accepted.items():
+        ExperimentConfig(experiment, params=dict.fromkeys(names))
+        for name in set().union(*accepted.values()) - names | {"seed"}:
+            with pytest.raises(ConfigurationError, match=f"'{name}'"):
+                ExperimentConfig(experiment, params={name: 1.0})
+
+
 def test_csv_bit_identical_for_same_config(tmp_path):
     paths = []
     for name in ("a.csv", "b.csv"):
@@ -695,6 +716,18 @@ def test_verify_catches_faults_in_the_click_law(monkeypatch, mutant):
     checks = {r.name: r for r in results if r.name.startswith("closed-form-vs-exact-")}
     assert sorted(checks) == ["closed-form-vs-exact-coherent", "closed-form-vs-exact-noisy"]
     assert not any(r.passed for r in checks.values()), format_report(results)
+
+
+def test_verify_stays_off_the_product_route(monkeypatch):
+    # the audits read the engine's batches, never the product they audit:
+    # with run_setup and its outcome type broken every check still passes
+    def broken(*args, **kwargs):
+        raise AssertionError("verify reached the product route")
+
+    monkeypatch.setattr(mzi, "run_setup", broken)
+    monkeypatch.setattr(mzi, "HeraldOutcome", broken)
+    for results in (run_suite("fast"), run_suite("full", modules=["mzi"])):
+        assert results and all_passed(results), format_report(results)
 
 
 # sha256 of the verify --suite fast report per (OpenBLAS kernel, libm
