@@ -17,11 +17,12 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 
 from . import __version__
 from .cascade import CascadeConfig, simulate_cascade
 from .errors import ConfigurationError, TruncationError, check_real
-from .experiments import ExperimentConfig, ResultTable, run_experiment
+from .experiments import ExperimentConfig, ResultTable, run_experiment, table_manifest
 from .verify import all_passed, format_report, run_suite
 
 EXIT_OK = 0
@@ -42,9 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="JSON config file")
     p_run.add_argument("--out", help="output CSV path (overrides config)")
     p_run.add_argument("--seed", type=int, help="seed (overrides config)")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--suite", choices=("fast", "full"), default="fast")
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_casc = sub.add_parser("cascade", help="chained setups sharing one probe")
     p_casc.add_argument(
@@ -57,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_casc.add_argument("--shots", type=int, help="Monte Carlo shots (default: exact)")
     p_casc.add_argument("--seed", type=int, help="required with --shots")
     p_casc.add_argument("--out", help="output CSV path")
+    p_casc.set_defaults(handler=_cmd_cascade)
     return parser
 
 
@@ -65,7 +69,7 @@ def _emit(table: ResultTable, out: str | None) -> None:
         table.write(out)
         print(f"wrote {out}")
     else:
-        sys.stdout.write(table.to_csv_text())
+        sys.stdout.writelines(table.csv_slices())
 
 
 def _cmd_run(args) -> int:
@@ -94,19 +98,17 @@ def _cmd_cascade(args) -> int:
     )
     result = simulate_cascade(cfg, shots=args.shots, seed=args.seed)
     block = list(range(1, len(result.per_setup) + 1)), [float(pn) for pn in result.per_setup]
-    manifest = {
-        "experiment": "cascade",
-        "version": __version__,
-        "scheme": scheme,
-        "alpha_sq": repr(args.alpha_sq),
-        "phi_chi": repr(args.phi_chi),
-        "p": repr(args.p),
-        "total": repr(result.total),
-        "residual_amp": repr(result.residual_amp),
-    }
+    manifest = table_manifest(
+        "cascade",
+        scheme=scheme,
+        alpha_sq=repr(args.alpha_sq),
+        phi_chi=repr(args.phi_chi),
+        p=repr(args.p),
+        total=repr(result.total),
+        residual_amp=repr(result.residual_amp),
+    )
     if args.shots is not None:
-        manifest["shots"] = args.shots
-        manifest["seed"] = args.seed
+        manifest.update(shots=args.shots, seed=args.seed)
     table = ResultTable(columns=["setup", "p_first_click"], blocks=[block], manifest=manifest)
     _emit(table, args.out)
     return EXIT_OK
@@ -118,28 +120,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are config errors here
-        if exc.code not in (0, None):
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
+    with warnings.catch_warnings():  # a library warning prints as one line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.handler(args)
+        except TruncationError as exc:
+            print(f"truncation failure: {exc}", file=sys.stderr)
+            return EXIT_TRUNCATION
+        except (ConfigurationError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        return EXIT_OK
-    handlers = {
-        "run": _cmd_run,
-        "verify": _cmd_verify,
-        "cascade": _cmd_cascade,
-    }
-    try:
-        return handlers[args.command](args)
-    except TruncationError as exc:
-        print(f"truncation failure: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except (ConfigurationError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
-        print(f"config error: request too large to allocate ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
+        except OSError as exc:
+            print(f"file error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as exc:
+            print(f"config error: request too large to allocate ({exc})", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ wall clock, run metadata and ``_platform`` go to a JSON sidecar next to the CSV.
 
 A ``ResultTable`` stores its data as column blocks: per column, a list of
 cells or one cell that fills the block.  fig4's blocks, one per beta, share
-one phi_chi list and hold beta and the error bar as constants, so the CSV
-formats each phase once and no row tuple is built; the ``rows`` view is
-built only when read.
+one phi_chi list and hold beta and the error bar as constants, so the CSV,
+written in slices of rows, formats each phase once and builds no row tuple;
+the ``rows`` view is built only when read.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import ctypes
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -41,19 +42,15 @@ from .mzi import (
     transparent_via_angle_sum,
 )
 
-EXPERIMENTS = {  # each experiment's parameters; a config naming another is refused
-    "fig4": ("beta", "phi_chi_points"),
-    "loss-bounds": ("phi_chi", "beta_sq", "fixed_p"),
-    "purity-audit": ("shots", "p_a", "phi_chi", "beta", "p_b"),
-}
-
 # Probe amplitudes for the detection-efficiency curves.  These are package
 # defaults chosen for illustration, not authoritative values; the manifest
 # flags them as such.
 DEFAULT_FIG4_BETAS = (0.5, 1.0, 2.0)
-# fig4 holds its table in memory, about 45 B per (beta, phi_chi) row, and
-# peaks at about 340 B per row while its CSV text is formatted.
+# fig4 holds its table in memory, about 45 B per (beta, phi_chi) row.  Its
+# CSV is written in slices, so writing adds about 30 B per row: the shared
+# phi_chi texts and one slice.
 MAX_FIG4_ROWS = 10**6
+CSV_SLICE_ROWS = 4096  # rows per text slice that the CSV writers emit
 # sin at this input rounds one ulp apart in glibc's FMA and SSE2 libm builds
 LIBM_FINGERPRINT = float.fromhex("0x1.720dc197cadc0p-1")
 _LIBM_VARIANTS = {"0x1.52aaa0ebe1262p-1": "fma", "0x1.52aaa0ebe1261p-1": "sse2"}
@@ -91,9 +88,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.params, dict):
             raise ConfigurationError("field 'params' must be a table of values")
-        unknown = [name for name in self.params if name not in EXPERIMENTS[self.experiment]]
+        _, accepted = EXPERIMENTS[self.experiment]
+        unknown = [name for name in self.params if name not in accepted]
         if unknown:
-            names = ", ".join(EXPERIMENTS[self.experiment])
+            names = ", ".join(accepted)
             raise ConfigurationError(f"unknown parameter(s) {unknown}; accepted: {names}")
         if self.seed is not None:
             check_count("field 'seed'", self.seed)
@@ -116,12 +114,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"config file {path}: top level must be a table")
         if "experiment" not in raw:
             raise ConfigurationError(f"config file {path}: missing field 'experiment'")
-        known = {"experiment", "params", "seed", "out"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigurationError(
-                f"config file {path}: unknown field(s) {sorted(unknown)}"
-            )
+            raise ConfigurationError(f"config file {path}: unknown field(s) {sorted(unknown)}")
         return cls(**raw)
 
 
@@ -154,27 +149,35 @@ class ResultTable:
             for row in zip(*(e if type(e) is list else repeat(e) for e in block))
         )
 
-    def to_csv_text(self) -> str:
-        """The CSV, block by block: each cell list is formatted once, keyed
-        by identity, so a list that blocks share is formatted once, and each
-        block constant once; rows join those texts.  Lists of plain floats
-        print by repr, any other cell by ``_format_cell``."""
-        lines = [f"# {key} = {value}" for key, value in self.manifest.items()]
-        lines.append(",".join(self.columns))
+    def csv_slices(self):
+        """The CSV text in slices of at most ``CSV_SLICE_ROWS`` rows, block
+        by block.  Each cell list is formatted once, keyed by identity: a
+        list that blocks share into a kept list of texts, any other a slice
+        at a time.  Each block constant is formatted once.  Lists of plain
+        floats print by repr, any other cell by ``_format_cell``."""
+        lines = [f"# {key} = {value}\n" for key, value in self.manifest.items()]
+        yield "".join(lines) + ",".join(self.columns) + "\n"
+        uses = Counter(id(e) for block in self.blocks for e in block if type(e) is list)
         texts = {}  # id of a cell list: the texts of its cells
         for block in self.blocks:
             for entry in block:
                 if type(entry) is list and id(entry) not in texts:
-                    fmt = repr if set(map(type, entry)) == {float} else _format_cell
-                    texts[id(entry)] = list(map(fmt, entry))
+                    cells = map(repr if set(map(type, entry)) == {float} else _format_cell, entry)
+                    texts[id(entry)] = list(cells) if uses[id(entry)] > 1 else cells
             parts = [texts[id(e)] if type(e) is list else repeat(_format_cell(e)) for e in block]
-            lines += map(",".join, zip(*parts))
-        return "\n".join(lines) + "\n"
+            rows = map(",".join, zip(*parts))
+            while chunk := list(islice(rows, CSV_SLICE_ROWS)):
+                yield "\n".join(chunk) + "\n"
+
+    def to_csv_text(self) -> str:
+        """The CSV text that ``write`` writes."""
+        return "".join(self.csv_slices())
 
     def write(self, path: str | Path) -> None:
         """Write the CSV plus a JSON sidecar with run metadata."""
         path = Path(path)
-        path.write_text(self.to_csv_text())
+        with path.open("w") as fh:
+            fh.writelines(self.csv_slices())
         sidecar = {
             "manifest": {k: str(v) for k, v in self.manifest.items()},
             "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -184,6 +187,12 @@ class ResultTable:
         path.with_suffix(path.suffix + ".manifest.json").write_text(
             json.dumps(sidecar, indent=2) + "\n"
         )
+
+
+def table_manifest(experiment: str, **lines) -> dict:
+    """A table's manifest: the ``experiment`` and ``version`` lines every
+    table opens with, then ``lines`` in their order."""
+    return {"experiment": experiment, "version": __version__, **lines}
 
 
 def _format_cell(value) -> str:
@@ -245,20 +254,18 @@ def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
             raise ConfigurationError(f"parameter 'beta' entries must be unsigned, got {beta!r}")
         y = _click_scale(theta1, CoherentProbe(beta).beta)  # rejects a non-finite amplitude
         blocks.append((phis, beta, [-math.expm1(-(y * a)) for a in weights], 0.0))
-    manifest = {
-        "experiment": "fig4",
-        "version": __version__,
-        "beta_values": ";".join(repr(b) for b in betas),
-        "beta_provenance": "package default, chosen for illustration"
-        if "beta" not in cfg.params
-        else "user supplied",
-        "phi_chi_points": num,
-        "theta1": repr(theta1),
-    }
     return ResultTable(
         columns=["phi_chi", "beta_abs", "detection_efficiency", "error_bar"],
         blocks=blocks,
-        manifest=manifest,
+        manifest=table_manifest(
+            "fig4",
+            beta_values=";".join(repr(b) for b in betas),
+            beta_provenance="package default, chosen for illustration"
+            if "beta" not in cfg.params
+            else "user supplied",
+            phi_chi_points=num,
+            theta1=repr(theta1),
+        ),
     )
 
 
@@ -272,33 +279,24 @@ def _run_loss_bounds(cfg: ExperimentConfig) -> ResultTable:
     fixed_p = _param(cfg, "fixed_p", None)
     if fixed_p is not None:
         fixed_p = float(fixed_p)
-    references = {
-        (round(p, 6), b): r for p, b, r in REFERENCE_LOSS_BOUNDS
-    }
+    references = {(round(p, 6), b): r for p, b, r in REFERENCE_LOSS_BOUNDS}
     rows = []
     for phi_chi in phi_chis:
         mzi = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
         for beta_sq in beta_sqs:
             bound = max_tolerable_loss(mzi, math.sqrt(beta_sq), fixed_p=fixed_p)
             ref = references.get((round(phi_chi, 6), beta_sq))
-            rows.append((
-                phi_chi,
-                beta_sq,
-                bound,
-                "" if ref is None else repr(ref),
-                "" if ref is None else repr(abs(bound - ref)),
-            ))
-    manifest = {
-        "experiment": "loss-bounds",
-        "version": __version__,
-        "criterion": "weak-source limit" if fixed_p is None else f"fixed p = {fixed_p}",
-        "note": "reference bounds for the weak-phase rows use an unstated "
-        "criterion; deviations are reported, not enforced",
-    }
+            cells = ("", "") if ref is None else (repr(ref), repr(abs(bound - ref)))
+            rows.append((phi_chi, beta_sq, bound, *cells))
     return ResultTable(
         columns=["phi_chi", "beta_sq", "pa_max", "reference_value", "abs_deviation"],
         blocks=[tuple(map(list, zip(*rows)))],
-        manifest=manifest,
+        manifest=table_manifest(
+            "loss-bounds",
+            criterion="weak-source limit" if fixed_p is None else f"fixed p = {fixed_p}",
+            note="reference bounds for the weak-phase rows use an unstated "
+            "criterion; deviations are reported, not enforced",
+        ),
     )
 
 
@@ -324,33 +322,29 @@ def _run_purity_audit(cfg: ExperimentConfig) -> ResultTable:
     freq = clicks / shots
     sigma = math.sqrt(max(freq * (1.0 - freq), 1.0 / shots) / shots)
     row = (shots, cfg.seed, p_a, *counts.values(), freq, sigma)
-    manifest = {
-        "experiment": "purity-audit",
-        "version": __version__,
-        "probe": "coherent" if beta is not None else "noisy_photon",
-        "phi_chi": repr(phi_chi),
-    }
     return ResultTable(
         columns=["shots", "seed", "p_a", *counts, "click_frequency", "click_sigma"],
         blocks=[tuple([cell] for cell in row)],
-        manifest=manifest,
+        manifest=table_manifest(
+            "purity-audit",
+            probe="coherent" if beta is not None else "noisy_photon",
+            phi_chi=repr(phi_chi),
+        ),
     )
 
 
-_RUNNERS = {
-    "fig4": _run_fig4,
-    "loss-bounds": _run_loss_bounds,
-    "purity-audit": _run_purity_audit,
+EXPERIMENTS = {  # each experiment's runner and parameters; a config naming another is refused
+    "fig4": (_run_fig4, ("beta", "phi_chi_points")),
+    "loss-bounds": (_run_loss_bounds, ("phi_chi", "beta_sq", "fixed_p")),
+    "purity-audit": (_run_purity_audit, ("shots", "p_a", "phi_chi", "beta", "p_b")),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run a named experiment; deterministic for a fixed (config, seed)."""
-    table = _RUNNERS[cfg.experiment](cfg)
+    table = EXPERIMENTS[cfg.experiment][0](cfg)
     # full config echo keeps the CSV self-describing and reproducible
-    table.manifest.setdefault(
-        "config_params", json.dumps(cfg.params, sort_keys=True)
-    )
+    table.manifest.setdefault("config_params", json.dumps(cfg.params, sort_keys=True))
     if cfg.seed is not None:
         table.manifest.setdefault("seed", cfg.seed)
     if cfg.out:

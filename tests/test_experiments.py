@@ -7,12 +7,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xpmherald.cli
 import xpmherald.elements as el
+import xpmherald.experiments
 import xpmherald.mzi as mzi
 import xpmherald.verify
 from xpmherald.cascade import MAX_SHOTS
@@ -253,6 +256,75 @@ def test_shared_probe_cascade_csv_bytes_golden():
     text = _main_stdout(["cascade", "--scheme", "shared-probe", "--setups", "18"])
     assert _data_digest(text) == "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
     assert _text_digest(text) == "8d8434e438b8326f76fdabaf8f46b012593fede56ecc32a04fcc58fd692143ec"
+
+
+# every CSV the CLI emits: argv, and the config file that {config} stands for
+EMITTED_TABLES = {
+    "fig4": (["run", "{config}"], {"experiment": "fig4", "params": {"phi_chi_points": 1500}}),
+    "loss-bounds": (
+        ["run", "{config}"], {"experiment": "loss-bounds", "params": GOLDEN_LOSS_PARAMS}
+    ),
+    "purity-audit": (
+        ["run", "{config}"],
+        {"experiment": "purity-audit", "params": {"shots": 20_000, "beta": 1.0}, "seed": 7},
+    ),
+    "cascade-reused": (["cascade", "--setups", "5000"], None),
+    "cascade-shared": (["cascade", "--scheme", "shared-probe", "--setups", "12"], None),
+    "cascade-monte-carlo": (["cascade", "--setups", "40", "--shots", "20000", "--seed", "5"], None),
+}
+
+
+@pytest.mark.parametrize("name", EMITTED_TABLES)
+def test_write_text_and_stdout_are_the_same_bytes(name, tmp_path, monkeypatch):
+    # write, to_csv_text and the CLI's stdout run one slice generator; their
+    # bytes agree with each other and with slices of a few rows
+    argv, config = EMITTED_TABLES[name]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = [arg.replace("{config}", str(tmp_path / "config.json")) for arg in argv]
+    emitted = []
+    for rows in (xpmherald.experiments.CSV_SLICE_ROWS, 7):
+        monkeypatch.setattr(xpmherald.experiments, "CSV_SLICE_ROWS", rows)
+        out = tmp_path / f"{rows}.csv"
+        _main_stdout(argv + ["--out", str(out)])
+        emitted += [out.read_text(), _main_stdout(argv)]
+    tables = []
+    monkeypatch.setattr(xpmherald.cli, "_emit", lambda table, out: tables.append(table))
+    assert main(argv) == 0
+    emitted.append(tables[0].to_csv_text())
+    assert len(set(emitted)) == 1 and emitted[0].endswith("\n")
+
+
+def test_fig4_write_peaks_within_120_bytes_per_row(tmp_path):
+    # the CSV is written in slices, so writing fig4 at 300,000 rows holds the
+    # shared phi_chi texts and one slice, not the whole text (295 B per row
+    # before the slices)
+    table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 100_000}))
+    tracemalloc.start()
+    try:
+        table.write(tmp_path / "fig4.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * 300_000, peak / 300_000
+    assert (tmp_path / "fig4.csv").read_text() == table.to_csv_text()
+
+
+def test_csv_formats_a_shared_cell_list_once_across_slices(monkeypatch):
+    # a list two blocks share is formatted once however many slices it
+    # spans; any other list and each block constant once
+    experiments = xpmherald.experiments
+    calls = []
+    format_cell = experiments._format_cell
+    monkeypatch.setattr(experiments, "_format_cell", lambda v: calls.append(v) or format_cell(v))
+    monkeypatch.setattr(experiments, "CSV_SLICE_ROWS", 3)
+    shared = [1, 2.5, "a", np.int64(4), -0.0, None, 7]
+    blocks = [(shared, [np.float64(i) for i in range(7)], "k"), (shared, list(range(7)), 0.5)]
+    text = ResultTable(columns=["a", "b", "c"], blocks=blocks, manifest={"k": "v"}).to_csv_text()
+    assert len(calls) == 7 + 7 + 1 + 7 + 1
+    rows = [(*cells, "k") for cells in zip(shared, blocks[0][1])]
+    rows += [(*cells, 0.5) for cells in zip(shared, blocks[1][1])]
+    expected = ["# k = v", "a,b,c"] + [",".join(map(format_cell, row)) for row in rows]
+    assert text == "\n".join(expected) + "\n"
 
 
 def test_loss_bounds_table_has_reference_columns():
