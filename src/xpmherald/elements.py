@@ -12,8 +12,7 @@ XPM, splitter conserve the photon total of the splitter modes: one chain of
 four batched real products between one gather and one scatter, whose
 angles and phases enter only as diagonals, shared by the slots of a
 trailing axis.  XPM is its one phi_chi-dependent factor: ``_first_stage``
-runs all before it, read-only, and ``_second_stage`` the rest, so ``mzi``
-memoizes first stages (8 at most) along phi_chi sweeps.
+runs all before it and ``_second_stage`` the rest.
 """
 
 from __future__ import annotations
@@ -195,8 +194,7 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
     the first splitter mixes, else the gathered input), ``w`` and the L
     factors ``lams`` and diagonals ``diags`` after it, the phases
     multiplying ``diags[0]``; with ``layout`` None, the input, which only an
-    XPM on ``axes`` changes (none on a zero ket).  Every array the stage
-    makes is read-only, so a stored stage serves any number of phases."""
+    XPM on ``axes`` changes (none on a zero ket)."""
     rates, mixes = [], []  # the theta and psi rows of each mixing splitter
     for bs in (bs1, bs2):
         thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in bs]) if bs else ((), ())
@@ -206,7 +204,6 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
     if shape is not None and not at:  # build the input the column stands for
         amps, col, shape = np.zeros(shape, dtype=np.complex128), amps, None
         np.moveaxis(amps, modes, (0, 1))[: len(col), 0] = col  # broadcast over the partner
-        amps.setflags(write=False)
     column = shape is not None
     if not k:
         return _FirstStage(amps, (partner, modes[0]))
@@ -239,8 +236,6 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
     state = amps if column else np.concatenate((amps.ravel(), _ZERO))[gather]
     if at:
         state = _w_pair(state * diags[0], w, lams[0], layout, column)
-    for table in (state, lams, diags):
-        table.setflags(write=False)
     return _FirstStage(state, None, layout, w, lams[at:], diags[at:])
 
 

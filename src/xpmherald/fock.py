@@ -25,8 +25,8 @@ report as an error bar instead of silently biasing results.
 Kets are checked (no empty axis, finite norm at most one) where they are
 built from outside data; the operations of this package return
 unchecked kets, since each of them preserves both properties by
-construction.  Amplitude arrays are read-only, and so is every array the
-memo of ``mzi`` holds, so states can be shared freely across workers.
+construction.  Amplitude arrays are read-only, so states can be shared
+freely across workers.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class TruncationPolicy:
         retained cutoff, a real in (0, 1); the cutoff is the smallest whose
         Poisson tail is below it (``np.pad`` the amplitudes for a larger one).
 
-    The scheme routes (``run_setup``, ``sample_shots``) always truncate at
-    the default, 1e-10; ``make_coherent(beta, policy)`` takes another.
+    The scheme routes truncate at the default, 1e-10 (``run_setup`` sums
+    its click law over the truncated photon numbers, the engine propagates
+    the truncated ket); ``make_coherent(beta, policy)`` takes another.
     """
 
     tail_tolerance: float = 1e-10

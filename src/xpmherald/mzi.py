@@ -12,37 +12,34 @@ the two beam splitters invert each other the empty interferometer is
 transparent: with vacuum in A no photon can ever reach the detector, so a
 click certifies a photon in A.  Conditioning on clicks then leaves a pure
 one-photon state in the signal mode.  So ``run_setup`` drops the vacuum
-branches' click mass, rounding, and their click-conditioned branches on a
-transparent setup and reports both as propagated on any other; the
-truncation deficit decides nothing.
+branches' click mass, rounding, on a transparent setup and reports it on
+any other; the truncation deficit decides nothing.
 
-The exact route runs batches: ``_propagate`` takes one configuration per
-slot of a trailing axis, ``_click_table`` propagates many setups grouped by
-input shape, as probe columns rather than input arrays (C is in vacuum,
-``elements._first_stage``), and checks every norm; the audits read it.
-``propagate_mzi``, ``run_setup`` and ``sample_shots`` are the batch of one.
-The last two run ``_propagate_one``: along a phi_chi sweep the splitters
-meet one input again and again, so ``_memo`` keeps each miss's read-only
-first stage, keyed by the exact bits of both splitters' (theta, phi) and of
-a coherent probe's beta, the probe kind and the blocks function, 8 keys at
-most.  Hits and misses run one second stage on it: same bytes, and a hit
-does no splitter algebra (a config keeps its transparency verdict).
-Coherent probes are truncated at ``TruncationPolicy.tail_tolerance`` (1e-10),
-far below every tolerance the audits apply.
+``run_setup`` propagates nothing.  With C in vacuum each probe photon
+leaves toward the detector with q_s = |t01|^2 of the 2x2 map below, s the
+signal occupation, so a photon probe clicks with q_s and n probe photons
+stay dark with (1 - q_s)^n; a coherent probe sums that over its photon
+numbers, truncated at ``TruncationPolicy.tail_tolerance`` (1e-10), far
+below every tolerance the audits apply.  The exact route runs batches:
+``_propagate`` takes one configuration per slot of a trailing axis,
+``_click_table`` propagates many setups grouped by input shape, as probe
+columns rather than input arrays (C is in vacuum, ``elements._first_stage``),
+and checks every norm.  ``sample_shots``, the audits and the click states
+of a ``HeraldOutcome`` read it, ``propagate_mzi`` runs one ket.
 
 The splitter algebra is read as Python numbers off the entries of
 ``elements._bs_entries``, multiplied out only by ``_bc_product``: the
-transparency test and the classical route of bright probes read its
-substitution matrix, ``_classical_clicks`` the ``coherent_outputs`` arm C.
-Transparent setups click by one law, ``_click_exponents``: y = |beta|^2
-sin^2(2 theta1) / 4 times ``_click_weights`` of the phase and absorption.
-``loss``, ``detection_efficiency`` and ``cascade`` read it, fig4 the weights.
+transparency test, the click law and the classical route of bright probes
+read its substitution matrix, ``_classical_clicks`` the ``coherent_outputs``
+arm C.  Transparent setups click by one law, ``_click_exponents``: y =
+|beta|^2 sin^2(2 theta1) / 4 times ``_click_weights`` of the phase and
+absorption.  ``loss``, ``detection_efficiency`` and ``cascade`` read it,
+fig4 the weights.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -50,7 +47,6 @@ from operator import mul
 
 import numpy as np
 
-from . import elements
 from .elements import BeamSplitterParams, XpmParams, _bs_entries, _first_stage, _second_stage
 from .errors import (
     ConditioningError,
@@ -66,7 +62,6 @@ from .fock import NORM_TOL, Ensemble, MultiModeKet, condition, make_coherent
 SIGNAL, PROBE, AUX = 0, 1, 2
 _PHOTON_OR_VACUUM = np.eye(2)[::-1, None, :, None]  # a noisy photon probe's column: |1>, |0>
 _PHOTON_OR_VACUUM.flags.writeable = False
-_memo: dict = {}  # the first stages of ``_propagate_one``, 8 at most
 
 # Above this probe mean photon number the classical coherent path is the
 # default: truncation would need cutoffs far beyond what truncated Fock
@@ -137,20 +132,21 @@ class HeraldOutcome:
 
     ``detection_efficiency`` is the click probability given a photon in the
     signal mode, for any source, a vacuum source included; ``total_success``
-    is it times the source efficiency.  ``truncation_deficit`` bounds the
-    probability mass lost to coherent-state truncation; all probabilities
+    is it times the source efficiency.  ``truncation_deficit`` is the
+    coherent probe's photon-number tail past its cutoff; all probabilities
     here under-count by at most that much, and no decision reads it.  A
     noisy photon probe truncates nothing, so its deficit is 0.0.  On a
     transparent setup a vacuum signal cannot click, so ``p_click`` drops
     the vacuum branches' click mass (a vacuum source's ``p_click`` is 0);
-    otherwise it reports that mass as propagated.
+    otherwise it reports that mass.
     ``purity_given_click`` is undefined when the click probability is 0
     and raises on access in that case.
 
     ``click_state`` and ``no_click_state`` are the conditioned branch
     ensembles, built by ``fock.condition`` on each read from the array the
-    run propagated; they are None for an event of probability zero and on
-    the classical path, which propagates no array.  On a transparent setup
+    exact engine propagates for the run's inputs on the first read of
+    either.  They are None for an event of probability zero and on the
+    classical path, which propagates no array.  On a transparent setup
     ``click_state`` holds the photon-signal branches only, renormalized, as
     ``p_click`` counts them; ``no_click_state`` holds every branch.
     """
@@ -160,11 +156,8 @@ class HeraldOutcome:
     total_success: float
     truncation_deficit: float
     purity_value: float | None = None
-    # the propagated array, its positive-weight (weight, signal, label)
-    # slices, photon branches first, and the config's transparency verdict
-    _branches: tuple[np.ndarray, list[tuple[float, int, int]], bool] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # the run's (config, source, probe)
+    _inputs: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def purity_given_click(self) -> float:
@@ -178,13 +171,24 @@ class HeraldOutcome:
     click_state = property(lambda self: self._conditioned("at_least_one"))
     no_click_state = property(lambda self: self._conditioned("zero"))
 
+    @cached_property
+    def _branches(self) -> tuple[np.ndarray, list[tuple[float, int, int]]]:
+        """The engine's array for ``_inputs`` and its positive-weight
+        (weight, signal, label) slices, photon branches first."""
+        cfg, source, probe = self._inputs
+        weights, _, out = _click_table((cfg,), (source,), (probe,), False)[0]
+        joint = [(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]
+        return out, [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
+
     def _conditioned(self, event: str) -> Ensemble | None:
         """Each slice as a zero-padded 3-mode ket, conditioned on ``event``;
         on a transparent setup a click conditions the photon slices alone."""
-        if self._branches is None or (event == "at_least_one" and self.p_click == 0.0):
+        if self._inputs is None or (event == "at_least_one" and self.p_click == 0.0):
             return None
-        out, branches, transparent = self._branches
-        if event == "at_least_one" and transparent:  # a vacuum signal cannot click
+        out, branches = self._branches
+        if out is None:  # the classical path propagates no array
+            return None
+        if event == "at_least_one" and self._inputs[0]._transparent:  # a vacuum signal cannot click
             total = sum(w for w, s, _ in branches if s)
             branches = [(w / total, s, b) for w, s, b in branches if s]
         kets = []
@@ -363,10 +367,24 @@ def _transparent_clicks(y: float, phi_chi: float, p_absorb: float = 0.0) -> tupl
     return -math.expm1(-x1), -math.expm1(-x0)
 
 
+def _check_slot(cfg, source, probe, require_transparent: bool) -> None:
+    """The input checks of ``run_setup`` and of each slot of ``_click_table``."""
+    check_flag("require_transparent", require_transparent)
+    if not isinstance(source, NoisySource):
+        raise ConfigurationError(f"not a NoisySource: {source!r}")
+    if not is_transparent(cfg) and require_transparent:  # is_transparent checks cfg's type
+        raise ConfigurationError(
+            "configuration is not transparent; pass require_transparent=False "
+            "to run it anyway (the heralding guarantee is void)"
+        )
+    if not isinstance(probe, (NoisyPhotonProbe, CoherentProbe)):
+        raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
+
+
 def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple]:
-    """Check the arguments of ``run_setup`` and ``sample_shots`` for a batch
-    of setups, one (config, source, probe) per slot, and return per slot
-    the probe-branch weights, the detector-event probabilities as the rows
+    """Check the arguments of ``sample_shots`` for a batch of setups, one
+    (config, source, probe) per slot, and return per slot the probe-branch
+    weights, the detector-event probabilities as the rows
     ``[signal 0/1][probe branch]`` of the events no click and click, and
     the array every input branch of the slot was propagated in; a squared
     norm past 1 + ``NORM_TOL`` in any slice raises ValueError.
@@ -379,36 +397,22 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     probes of one cutoff) are one ``_propagate`` batch.  A probe brighter
     than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, no array.
     """
-    check_flag("require_transparent", require_transparent)
     tables: list = [None] * len(cfgs)
     groups: dict = {}  # input shape: (slot, weights, (B, label) amplitudes) per member
     for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
-        if not isinstance(source, NoisySource):
-            raise ConfigurationError(f"not a NoisySource: {source!r}")
-        if not is_transparent(cfg) and require_transparent:  # is_transparent checks cfg's type
-            raise ConfigurationError(
-                "configuration is not transparent; pass require_transparent=False "
-                "to run it anyway (the heralding guarantee is void)"
-            )
+        _check_slot(cfg, source, probe, require_transparent)
         if isinstance(probe, NoisyPhotonProbe):
             weights, column = (probe.source.p, 1.0 - probe.source.p), _PHOTON_OR_VACUUM
-        elif not isinstance(probe, CoherentProbe):
-            raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
         elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
             q1, q0 = _classical_clicks(cfg, probe.beta)
             tables[slot] = ((1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None)
             continue
-        elif len(cfgs) == 1:  # _propagate_one makes its column, on a memo miss only
-            weights, column = (1.0,), None
         else:
             weights, column = (1.0,), make_coherent(probe.beta).amps[:, None, None, None]
-        groups.setdefault(getattr(column, "shape", None), []).append((slot, weights, column))
+        groups.setdefault(column.shape, []).append((slot, weights, column))
     for members in groups.values():
-        if len(cfgs) == 1:
-            out = _propagate_one(cfgs[0], probes[0])
-        else:
-            cols = np.concatenate([c for _, _, c in members], axis=-1)
-            out = _propagate(cols, [cfgs[s] for s, _, _ in members], column=True)
+        cols = np.concatenate([c for _, _, c in members], axis=-1)
+        out = _propagate(cols, [cfgs[s] for s, _, _ in members], column=True)
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero, click = probs[:, 0], probs[:, 1:].sum(axis=1)  # (signal, label, slot)
         norm = (zero + click).max()
@@ -420,21 +424,24 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     return tables
 
 
-def _propagate_one(cfg: MziConfig, probe) -> np.ndarray:
-    """``_propagate`` of one slot through ``_memo`` (module docstring); the
-    probe column feeds only a mixing first splitter (``_first_stage``)."""
-    coherent = isinstance(probe, CoherentProbe)
-    beta = complex(probe.beta) if coherent else 0j
-    splitters = cfg.bs1.theta, cfg.bs1.phi, cfg.bs2.theta, cfg.bs2.phi
-    bits = struct.pack("6d", *splitters, beta.real, beta.imag)
-    key = bits, coherent, elements._hadamard_blocks
-    first = _memo.get(key)
-    if first is None:
-        col = make_coherent(beta).amps.reshape(-1, 1, 1, 1) if coherent else _PHOTON_OR_VACUUM
-        first = _memo[key] = _first(col, (cfg,), column=True)
-        for old in list(_memo)[:-8]:  # drop the oldest keys past 8, safe under threads
-            _memo.pop(old, None)
-    return _second_stage(first, (cfg.xpm,))
+def _law_clicks(cfg: MziConfig, probe) -> tuple[tuple, list[list[float]], float]:
+    """One slot's weights and click rows as ``_click_table`` has them, and the
+    truncation deficit 1 - sum P(n), by the 2x2 law (module docstring): q_s
+    = |``_arms`` C|^2 at |beta| = 1, P(n) = |``make_coherent`` amplitude|^2."""
+    if isinstance(probe, CoherentProbe) and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
+        q1, q0 = _classical_clicks(cfg, probe.beta)
+        return (1.0,), [[q0], [q1]], 0.0
+    leaks = [abs(_arms(cfg, 1.0, s)[1]) ** 2 for s in (False, True)]
+    if isinstance(probe, NoisyPhotonProbe):
+        return (probe.source.p, 1.0 - probe.source.p), [[q, 0.0] for q in leaks], 0.0
+    amps = make_coherent(probe.beta).amps
+    probs = amps.real**2 + amps.imag**2
+    # 1 - (1 - q)^n as -expm1(n log1p(-q)), exact for q near 0; a q that
+    # rounds to 1 or past it sends every photon to the detector: log 0 = -inf
+    logs = [math.log1p(-q) if q < 1.0 else -math.inf for q in leaks]
+    dark = np.expm1(np.multiply.outer(logs, np.arange(1, len(probs))))  # (1 - q)^n - 1
+    rows = [[q] for q in (0.0 - (dark * probs[1:]).sum(axis=1)).tolist()]
+    return (1.0,), rows, max(0.0, 1.0 - float(probs.sum()))
 
 
 def run_setup(
@@ -445,40 +452,33 @@ def run_setup(
 ) -> HeraldOutcome:
     """Run the full heralding setup on a noisy signal and a chosen probe.
 
-    Propagates the complete input ensemble exactly, applies the detector
-    effect on the auxiliary mode, and returns every figure of merit.  With a
-    transparent configuration the click-conditioned signal state is the pure
-    one-photon state (up to rounding, which ``p_click`` drops as the vacuum
-    branches' click mass) and the total success probability factors into
-    detection efficiency times source efficiency.  Otherwise ``p_click``
-    reports the vacuum branches' click mass as propagated.
+    Sums the click probabilities of the 2x2 law (``_law_clicks``) over the
+    input branches and returns every figure of merit; nothing is propagated.
+    With a transparent configuration the click-conditioned signal state is
+    the pure one-photon state (up to rounding, which ``p_click`` drops as
+    the vacuum branches' click mass) and the total success probability
+    factors into detection efficiency times source efficiency.  Otherwise
+    ``p_click`` reports the vacuum branches' click mass.
 
-    Only scalars are computed here; the conditioned branch ensembles are
-    built when ``click_state`` or ``no_click_state`` is read.  A coherent
-    probe brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` is routed through the
-    exact classical coherent path instead of truncated Fock propagation;
-    probabilities are then truncation-free but there are no branch kets
-    (``click_state`` is None).
+    The exact engine propagates the conditioned branch ensembles when
+    ``click_state`` or ``no_click_state`` is first read.  A coherent probe
+    brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` reads the classical coherent
+    path instead of a truncated photon-number sum: truncation-free, but with
+    no branch kets (``click_state`` is None).
 
     ``require_transparent=False`` drops the transparency requirement, for
     exploring configurations without the heralding guarantee.
     """
-    weights, (zero, click), out = _click_table((cfg,), (source,), (probe,), require_transparent)[0]
+    _check_slot(cfg, source, probe, require_transparent)
+    weights, click, deficit = _law_clicks(cfg, probe)
     joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
-    detection_eff = sum(map(mul, weights, click[1]))
+    eff = sum(map(mul, weights, click[1]))
     photon_click = sum(map(mul, joint[1], click[1]))  # the photon branches' click weight
     p_click = photon_click  # on a transparent setup a vacuum signal cannot click
     if not cfg._transparent:
         p_click = sum(map(mul, joint[1] + joint[0], click[1] + click[0]))
-    deficit, kept = 0.0, None
-    if out is not None:
-        # the positive-weight (signal, label) slices, photon branches first
-        branches = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
-        if isinstance(probe, CoherentProbe):  # a photon probe truncates nothing
-            deficit = max(0.0, 1.0 - sum(w * (zero[s][b] + click[s][b]) for w, s, b in branches))
-        kept = out, branches, cfg._transparent
     purity = photon_click / p_click if p_click > 0.0 else None
-    return HeraldOutcome(p_click, detection_eff, detection_eff * source.p, deficit, purity, kept)
+    return HeraldOutcome(p_click, eff, eff * source.p, deficit, purity, (cfg, source, probe))
 
 
 def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:

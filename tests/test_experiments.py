@@ -664,7 +664,6 @@ def test_cli_truncation_failure_exits_three(tmp_path, capsys, monkeypatch):
         raise TruncationError("no cutoff meets the tail tolerance", tail=1.0)
 
     monkeypatch.setattr(mzi, "make_coherent", fail)
-    monkeypatch.setattr(mzi, "_memo", {})
     config = _config(tmp_path, experiment="purity-audit", seed=1, params={"shots": 10, "beta": 3.0})
     assert main(["run", config]) == 3
     err = capsys.readouterr().err

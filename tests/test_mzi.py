@@ -58,49 +58,51 @@ PI = math.pi
 # in different orders, and its splitter entries on glibc's libm, whose FMA and
 # SSE2 builds of sin, cos and exp round some inputs apart, so a bit-for-bit
 # golden holds one digest pair per (kernel, libm variant): (run_setup scalars,
-# propagate_mzi amplitudes).  The kernel name is the one the library reports;
+# propagate_mzi amplitudes).  The run_setup digest is one under all ten keys:
+# its click law makes no BLAS call, and its libm inputs round alike on both
+# variants here.  The kernel name is the one the library reports;
 # OPENBLAS_CORETYPE=Prescott reports "Katmai".  GLIBC_TUNABLES=
 # glibc.cpu.hwcaps=-FMA selects the SSE2 libm on a CPU with FMA, as on one
 # without (Sandybridge, Nehalem and older).
 GOLDEN_DIGESTS = {
     ("SkylakeX", "fma"): (
-        "8560e75a12eb4e78d399757efaed659944d3424bdfa8fca8e8bf26a179bc9c67",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "0cf7c73f926307a06bc4e704d2939bf0ae93e01a70eedcb79114e6862da55965",
     ),
     ("SkylakeX", "sse2"): (
-        "3aafbafe3ef7fca780ca1600eab68991b99395eeca8ad11878a3d87a5cd446a0",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "f33f0404266dbc3a2fb8c16384d223ff885492af0582e7609ee2f6207918e504",
     ),
     ("Haswell", "fma"): (
-        "a7c3209bef47fd80783edda456e1e6ba420aa2ee8a525202585d64a8066410fa",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "7fbbb7e7b8185df1d0183d263d581353cba89a16b18050b0b65e950b014b6897",
     ),
     ("Haswell", "sse2"): (
-        "72a986a5e1d03adfcb4290854f0ff28a02829b512e0f9448b002e60b7dcbcad6",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "52029d77c46eeae0c6fcdf188402fd736cc28232d313ddb5eda95f35f4c4b9c6",
     ),
     ("Sandybridge", "fma"): (
-        "2217d3aeb62a0f33bf28d9f8f7e8d62fe972935d078eeacf4897af5ed701a993",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "bd1701b2923597feec839b081a03ed2743975a2c2680ea3428f4976dcfe0161b",
     ),
     ("Sandybridge", "sse2"): (
-        "fd8dd3051da39aa44590b5f06e666c0449ef73ef10dcfcc3d537cfea0621399f",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "e26fa7b0d3fce1cafa8269a02de001a528103cc2414f96119f2ca8fb7ca8fd4d",
     ),
     ("Nehalem", "fma"): (
-        "2217d3aeb62a0f33bf28d9f8f7e8d62fe972935d078eeacf4897af5ed701a993",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "e27d5ea379cf9f40c7c7dc8dc987343db448f85c993b54ed66da3e4ca611f583",
     ),
     ("Nehalem", "sse2"): (
-        "fd8dd3051da39aa44590b5f06e666c0449ef73ef10dcfcc3d537cfea0621399f",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "bf406b86df6e1d853e3fe33e30998c6b79ee094b3fcfd58b14b32e14e1bb3dba",
     ),
     ("Katmai", "fma"): (
-        "2217d3aeb62a0f33bf28d9f8f7e8d62fe972935d078eeacf4897af5ed701a993",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "5653999798bca603c8ed4ee0b8faf267f51d9aaf701d578892c1c17ddfcce6f3",
     ),
     ("Katmai", "sse2"): (
-        "fd8dd3051da39aa44590b5f06e666c0449ef73ef10dcfcc3d537cfea0621399f",
+        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
         "acd01c9323df2988f6be5ae16e01f3ce9bb7644cca730565e267dfd415ff7ace",
     ),
 }
@@ -263,6 +265,45 @@ def test_vacuum_source_click_mass_is_zero_not_rounding_noise():
     assert faint.purity_given_click == 1.0 and faint.click_state is not None
 
 
+# How far run_setup's click law may sit from the engine's click table (the
+# same arithmetic on the engine's click masses, _engine_scalars) on any
+# scalar: both sum one truncated photon-number distribution, in another order
+ROUTE_TOL = 2e-14
+
+
+def _engine_scalars(cfg, source, probe, require_transparent=True):
+    """run_setup's five scalars as the engine's ``_click_table`` gives them:
+    p_click, detection efficiency, total success, truncation deficit (the
+    norm the engine lost, 0 for a photon probe) and purity (None without
+    clicks); on a transparent setup p_click drops the vacuum click mass."""
+    args = (cfg,), (source,), (probe,), require_transparent
+    weights, (zero, click), out = mzi._click_table(*args)[0]
+    joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
+    det_eff = sum(w * q for w, q in zip(weights, click[1]))
+    photon_click = p_click = sum(w * q for w, q in zip(joint[1], click[1]))
+    if not is_transparent(cfg):
+        p_click += sum(w * q for w, q in zip(joint[0], click[0]))
+    deficit = 0.0
+    if out is not None and isinstance(probe, CoherentProbe):
+        kept = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
+        deficit = max(0.0, 1.0 - sum(w * (zero[s][b] + click[s][b]) for w, s, b in kept))
+    purity = photon_click / p_click if p_click > 0.0 else None
+    return p_click, det_eff, det_eff * source.p, deficit, purity
+
+
+def _scalars(out):
+    return (out.p_click, out.detection_efficiency, out.total_success,
+            out.truncation_deficit, out.purity_value)
+
+
+def _assert_routes_agree(out, engine):
+    """Each of run_setup's scalars within ROUTE_TOL of the engine's."""
+    for got, want in zip(_scalars(out), engine):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= ROUTE_TOL, (got, want)
+
+
 def _vacuum_clicks(cfg, probe, require_transparent=True):
     """The vacuum signal's click mass as propagated in one ``_click_table``
     slot, which ``run_setup`` drops on a transparent setup."""
@@ -279,12 +320,15 @@ def test_full_swaps_leak_only_rounding_yet_are_not_transparent(probe):
     # theta1 = theta2 = pi/2 with phi2 = phi1 + pi + a routes the probe around
     # the medium: the leak amplitude is rounding, but (B, C) maps by
     # diag(e^{ia}, e^{-ia}), so the setup is not transparent and a vacuum
-    # source's p_click is the engine's vacuum click mass, however small
+    # source's p_click is the vacuum click mass, however small; the law's
+    # and the engine's differ only in their rounding
     for phi1, a in ((0.0, 0.5), (0.3, 1.2), (1.0, -0.7), (2.0, 3.0)):
         cfg = mzi_config(PI / 2.0, phi1, PI / 2.0, phi1 + PI + a, 1.3)
         assert not is_transparent(cfg) and abs(vacuum_leak_amplitude(cfg)) < 1e-15
         out = run_setup(cfg, NoisySource(0.0), probe, require_transparent=False)
-        assert 0.0 < out.p_click == _vacuum_clicks(cfg, probe, False) < 1e-30
+        engine = _vacuum_clicks(cfg, probe, False)
+        assert 0.0 < out.p_click < 1e-30 and 0.0 < engine < 1e-30
+        assert abs(out.p_click - engine) <= ROUTE_TOL
 
 
 @pytest.mark.parametrize(
@@ -296,8 +340,8 @@ def test_vacuum_clicks_follow_the_transparency_verdict(monkeypatch, probe):
     # photon branches' click mass bit for bit; with theta2 off by eps the
     # vacuum click mass, down to 1e-16 and often below the truncation
     # deficit, joins p_click as sample_shots draws it, (1 - p) q0, and the
-    # purity is below 1.  At p = 0.5 the difference p_click - p q1 cancels,
-    # so the tolerance is relative to p_click
+    # purity is below 1.  run_setup reads the click law and sample_shots the
+    # engine, so the two agree to ROUTE_TOL
     cells = []
     real_generator = np.random.Generator
 
@@ -319,16 +363,18 @@ def test_vacuum_clicks_follow_the_transparency_verdict(monkeypatch, probe):
         for p in (0.0, 0.5):
             out = run_setup(cfg, NoisySource(p), probe, require_transparent=False)
             if eps == 0.0:
+                assert out.p_click == out.total_success == p * out.detection_efficiency
                 args = (cfg,), (NoisySource(p),), (probe,), True
                 weights, (_, click), _ = mzi._click_table(*args)[0]
-                assert out.p_click == sum(p * w * q for w, q in zip(weights, click[1]))
+                engine = sum(p * w * q for w, q in zip(weights, click[1]))
+                assert abs(out.p_click - engine) <= ROUTE_TOL
                 continue
             sample_shots(cfg, NoisySource(p), probe, 1, seed=0, require_transparent=False)
             photon, vacuum = cells[-1][:2]  # p q1, (1 - p) q0
-            assert math.isclose(out.p_click, photon + vacuum, rel_tol=1e-12, abs_tol=0.0)
+            assert abs(out.p_click - (photon + vacuum)) <= ROUTE_TOL
             assert out.purity_given_click < 1.0
             if p == 0.0:
-                assert out.p_click == vacuum
+                assert out.p_click > 0.0 and vacuum > 0.0
 
 
 def test_run_setup_two_photons_matches_closed_form():
@@ -382,17 +428,19 @@ def test_click_state_of_a_transparent_setup_holds_photon_branches_only():
 @pytest.mark.parametrize("p_b", [0.3, 0.8, 1.0])
 def test_photon_probe_reports_no_truncation_deficit(p_b, monkeypatch):
     # a noisy photon probe truncates nothing: its deficit read the engine's
-    # rounding (3.3e-16, 7.8e-16, 8.9e-16 here) and is 0.0, while a norm
-    # past 1 + NORM_TOL still raises for either probe
+    # rounding (3.3e-16, 7.8e-16, 8.9e-16 there) and is 0.0, while an engine
+    # norm past 1 + NORM_TOL still raises for either probe once a
+    # conditioned state is read
     cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
     probe = NoisyPhotonProbe(NoisySource(p_b))
     assert run_setup(cfg, NoisySource(0.5), probe).truncation_deficit == 0.0
     assert run_setup(cfg, NoisySource(0.5), CoherentProbe(1.5)).truncation_deficit > 0.0
-    propagate = mzi._propagate_one
-    monkeypatch.setattr(mzi, "_propagate_one", lambda *args: propagate(*args) * 1.001)
+    propagate = mzi._propagate
+    monkeypatch.setattr(mzi, "_propagate", lambda *args, **kw: propagate(*args, **kw) * 1.001)
     for probe in (probe, CoherentProbe(1.5)):
+        out = run_setup(cfg, NoisySource(0.5), probe)
         with pytest.raises(ValueError, match="exceeds 1"):
-            run_setup(cfg, NoisySource(0.5), probe)
+            out.no_click_state
 
 
 def test_every_engine_batch_checks_the_propagated_norm(monkeypatch):
@@ -402,8 +450,7 @@ def test_every_engine_batch_checks_the_propagated_norm(monkeypatch):
     probes = (NoisyPhotonProbe(NoisySource(0.8)), CoherentProbe(1.5))
     for probe in probes:
         assert sum(sample_shots(cfg, NoisySource(0.5), probe, 100, seed=1).values()) == 100
-    propagate_one, propagate = mzi._propagate_one, mzi._propagate
-    monkeypatch.setattr(mzi, "_propagate_one", lambda *args: propagate_one(*args) * 1.001)
+    propagate = mzi._propagate
     monkeypatch.setattr(mzi, "_propagate", lambda *args, **kw: propagate(*args, **kw) * 1.001)
     for probe in probes:
         with pytest.raises(ValueError, match="exceeds 1"):
@@ -423,12 +470,11 @@ def test_run_setup_total_success_factorizes():
         assert out.p_click == pytest.approx(out.total_success, abs=1e-12)
 
 
-def test_run_setup_scalars_golden():
-    # every figure of merit of run_setup, bit for bit: the sha256 of their
-    # repr over 216 seeded configs, transparent and not, p in {0, 1,
-    # random}, noisy probes, exact coherent probes and bright ones
+def _golden_setups():
+    """216 seeded (config, source, probe, transparent) runs, transparent and
+    not, p in {0, 1, random}, noisy probes, truncated coherent probes and
+    bright ones."""
     rng = np.random.default_rng(97)
-    rows = []
     for i in range(216):
         transparent = i % 2 == 0
         cfg = random_transparent(rng) if transparent else _random_nontransparent(rng)
@@ -440,12 +486,44 @@ def test_run_setup_scalars_golden():
             # |beta| > 4 takes the bright route
             size = rng.uniform(0.0, 4.0) if kind == 1 else rng.uniform(4.1, 30.0)
             probe = CoherentProbe(complex(size * np.exp(1j * rng.uniform(0.0, 2.0 * PI))))
-        out = run_setup(cfg, NoisySource(p), probe, require_transparent=transparent)
-        rows.append(
-            (out.p_click, out.detection_efficiency, out.total_success,
-             out.truncation_deficit, out.purity_value)
-        )
+        yield cfg, NoisySource(p), probe, transparent
+
+
+def test_run_setup_scalars_golden():
+    # every figure of merit of run_setup, bit for bit: the sha256 of their
+    # repr over the 216 runs of _golden_setups
+    rows = [_scalars(run_setup(cfg, source, probe, transparent))
+            for cfg, source, probe, transparent in _golden_setups()]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == golden_digest(0)
+
+
+def _full_leaks():
+    """Setups whose one-photon leak q_s rounds to 1 or just past it: full
+    swaps, the symmetric 50:50 pair (q0 = 1) and theta1 = pi/4 at phi_chi =
+    pi (q1 = 1), with both probe kinds up to the bright-probe threshold."""
+    cfgs = [mzi_config(PI / 2.0, 0.0, 0.0, 0.0, 1.3), mzi_config(0.0, 0.0, PI / 2.0, 0.4, 2.0),
+            mzi_config(PI / 4.0, 0.0, PI / 4.0, 0.0, PI), mzi_config(PI / 4.0, 0.3, PI / 4.0, 0.3, 0.7),
+            transparent_via_angle_sum(PI / 4.0, 0.0, PI), transparent_via_angle_diff(PI / 4.0, 1.1, PI),
+            transparent_via_angle_sum(PI / 4.0, 0.0, PI, k=1, l=2)]
+    probes = [NoisyPhotonProbe(NoisySource(0.6)), NoisyPhotonProbe(NoisySource(1.0)),
+              CoherentProbe(0.3), CoherentProbe(2.0 - 1.0j), CoherentProbe(4.0)]
+    return [(cfg, NoisySource(p), probe) for cfg in cfgs for p in (0.0, 0.4, 1.0) for probe in probes]
+
+
+def test_run_setup_agrees_with_the_engine_table():
+    # run_setup's click law against the engine's click table, every scalar
+    # within ROUTE_TOL (9.9e-15 at most seen, the purity 2.2e-16): the 216
+    # golden runs, and setups whose leak rounds to 1 or past it, where the
+    # law must not take log1p(-q) of q >= 1
+    for cfg, source, probe, transparent in _golden_setups():
+        out = run_setup(cfg, source, probe, transparent)
+        _assert_routes_agree(out, _engine_scalars(cfg, source, probe, transparent))
+    leaks = set()
+    for cfg, source, probe in _full_leaks():
+        leaks.update(abs(mzi._arms(cfg, 1.0, s)[1]) ** 2 >= 1.0 for s in (False, True))
+        out = run_setup(cfg, source, probe, require_transparent=False)
+        _assert_routes_agree(out, _engine_scalars(cfg, source, probe, False))
+    assert leaks == {False, True}
 
 
 def test_run_setup_builds_no_conditioned_state(monkeypatch):
@@ -754,7 +832,8 @@ def test_propagate_mzi_amplitudes_golden():
 )
 def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     # a kernel- or libm-dependent change shows at once: both goldens, the
-    # resumed sweeps, the column path against the gather path, every CSV
+    # route agreement, the click states against the engine, the column path
+    # against the gather path, every CSV
     # and the verify --suite fast golden of test_experiments and the
     # verify --suite full golden of test_acceptance again, in a child
     # process on each (kernel, libm variant)
@@ -768,7 +847,8 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
     script = (
         "import test_mzi as t; t.test_run_setup_scalars_golden(); "
-        "t.test_propagate_mzi_amplitudes_golden(); t.test_resumed_sweeps_equal_cleared_runs(); "
+        "t.test_propagate_mzi_amplitudes_golden(); t.test_run_setup_agrees_with_the_engine_table(); "
+        "t.test_click_states_read_one_engine_run_bit_for_bit(); "
         "t.test_column_path_equals_array_path_bit_for_bit(); "
         "import test_experiments as e; e.test_fig4_csv_bytes_golden(); "
         "[e.test_loss_bounds_csv_bytes_golden(*g) for g in e.LOSS_BOUNDS_GOLDENS]; "
@@ -788,32 +868,49 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     assert proc.stdout == f"{core} {libm}\n"
 
 
-def test_resumed_sweeps_equal_cleared_runs():
-    # a warm phi_chi sweep, which resumes from the memo, equals the same sweep
-    # with the memo cleared before each call bit for bit, in the scalars and
-    # the propagated array: the noisy probe and |beta| = 2 and 4, transparent
-    # and leaky, and a theta = 0 first splitter, whose stored stage is the
-    # gathered input; the child processes above run it under every kernel and libm
-    probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(2.0 * complex(0.6, 0.8)),
-              CoherentProbe(-4.0j)]
-    setups = [lambda phi: transparent_via_angle_sum(0.7, 0.3, phi),
-              lambda phi: mzi_config(0.7, 0.3, 0.4, 1.1, phi),
-              lambda phi: mzi_config(0.0, 0.3, 0.4, 1.1, phi)]
+def _conditioned_bytes(state):
+    """Weights and amplitude bytes of a conditioned ensemble, or None."""
+    if state is None:
+        return None
+    return [(w, ket.amps.tobytes()) for w, ket in state.branches]
+
+
+def test_click_states_read_one_engine_run_bit_for_bit():
+    # an outcome runs the engine on the first read of either state and keeps
+    # that run for both; its array is, byte for byte, propagate_mzi's of
+    # the input the probe column stands for (the gather path): the noisy
+    # probe and |beta| = 2 and 4, transparent and leaky, and a theta = 0
+    # first splitter; the child processes above run it under every kernel
+    # and libm, without pytest's fixtures, so the spy is set by hand
     runs = []
-    for clear in (False, True):
-        mzi._memo.clear()
-        rows = []
+    propagate = mzi._propagate
+
+    def spy(*args, **kw):
+        runs.append(args)
+        return propagate(*args, **kw)
+
+    mzi._propagate = spy
+    try:
+        probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(2.0 * complex(0.6, 0.8)),
+                  CoherentProbe(-4.0j)]
+        setups = [lambda phi: transparent_via_angle_sum(0.7, 0.3, phi),
+                  lambda phi: mzi_config(0.7, 0.3, 0.4, 1.1, phi),
+                  lambda phi: mzi_config(0.0, 0.3, 0.4, 1.1, phi)]
         for probe in probes:
+            column = (mzi._PHOTON_OR_VACUUM if isinstance(probe, NoisyPhotonProbe)
+                      else make_coherent(probe.beta).amps[:, None, None, None])
+            ket = MultiModeKet._unchecked(_input_array(column)[..., 0])
             for setup in setups:
                 for phi_chi in np.linspace(0.3, 2.0 * PI - 0.3, 6).tolist():
-                    if clear:
-                        mzi._memo.clear()
-                    out = run_setup(setup(phi_chi), NoisySource(0.7), probe, require_transparent=False)
-                    rows.append((out.p_click, out.detection_efficiency, out.total_success,
-                                 out.truncation_deficit, out.purity_value, out._branches[0].tobytes()))
-        runs.append(rows)
-    mzi._memo.clear()
-    assert runs[0] == runs[1]
+                    cfg = setup(phi_chi)
+                    out = run_setup(cfg, NoisySource(0.7), probe, require_transparent=False)
+                    del runs[:]
+                    states = [out.no_click_state, out.click_state, out.no_click_state, out.click_state]
+                    states = [_conditioned_bytes(state) for state in states]
+                    assert len(runs) == 1 and states[:2] == states[2:] and states[0] is not None
+                    assert out._branches[0].tobytes() == propagate_mzi(ket, cfg).amps.tobytes()
+    finally:
+        mzi._propagate = propagate
 
 
 def _per_branch_outcome(cfg, source, probe):
@@ -855,6 +952,8 @@ def _per_branch_outcome(cfg, source, probe):
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_one_propagation_matches_per_branch_propagation(noisy):
+    # the engine's one batched propagation (its click table and the click
+    # states) against each branch propagated on its own
     rng = np.random.default_rng(41 + noisy)
     for i in range(30):
         cfg = random_transparent(rng) if i % 3 else mzi_config(*rng.uniform(0.0, 6.0, 4))
@@ -864,17 +963,20 @@ def test_one_propagation_matches_per_branch_propagation(noisy):
         else:
             probe = CoherentProbe(complex(*rng.uniform(-2.5, 2.5, 2)))
         out = run_setup(cfg, NoisySource(p), probe, require_transparent=False)
+        engine_click, engine_eff, _, engine_deficit, engine_purity = _engine_scalars(
+            cfg, NoisySource(p), probe, False
+        )
         p_click, det_eff, deficit, clicked, unclicked = _per_branch_outcome(
             cfg, NoisySource(p), probe
         )
-        assert abs(out.p_click - p_click) <= 1e-15
-        assert abs(out.detection_efficiency - det_eff) <= 1e-15
-        assert abs(out.truncation_deficit - deficit) <= 1e-15
+        assert abs(engine_click - p_click) <= 1e-15
+        assert abs(engine_eff - det_eff) <= 1e-15
+        assert abs(engine_deficit - deficit) <= 1e-15
         if clicked is None:
-            assert out.purity_value is None
+            assert engine_purity is None
         else:
             purity = sum(w * mode_number_distribution(k, 0)[1] for w, k in clicked.branches)
-            assert abs(out.purity_value - purity) <= 1e-15
+            assert abs(engine_purity - purity) <= 1e-15
         for got, want in ((out.click_state, clicked), (out.no_click_state, unclicked)):
             assert (got is None) == (want is None)
             if want is None:
@@ -1225,23 +1327,6 @@ def test_mixed_cutoff_batch_equals_array_path_bit_for_bit():
             assert tables[slot][2].tobytes() == ref[..., at].tobytes()
 
 
-# --- the memo of mzi._propagate_one ---------------------------------------
-
-
-def _conditioned_bytes(state):
-    """Weights and amplitude bytes of a conditioned ensemble, or None."""
-    if state is None:
-        return None
-    return [(w, ket.amps.tobytes()) for w, ket in state.branches]
-
-
-def _outcome_bytes(cfg, source, probe, transparent):
-    out = run_setup(cfg, source, probe, require_transparent=transparent)
-    scalars = (out.p_click, out.detection_efficiency, out.total_success,
-               out.truncation_deficit, out.purity_value)
-    return scalars, _conditioned_bytes(out.click_state), _conditioned_bytes(out.no_click_state)
-
-
 def _input_array(columns):
     """The (signal, B, C, label, slot) input that probe columns (B, 1,
     label, slot) stand for: C in vacuum, both signal rows the column."""
@@ -1251,243 +1336,134 @@ def _input_array(columns):
 
 
 def _spy_propagate(monkeypatch):
-    """Record (input array, a column's last row, resumed) of every exact
-    propagation in mzi, a second stage: resumed when its first stage is
-    not the one the last mzi._first call made, and the input then None."""
-    calls, made = [], []
-    real_first, real_second = mzi._first, mzi._second_stage
+    """Record (input array, a column's last row) of every exact propagation
+    in mzi: the input a probe column stands for, or the array passed."""
+    calls = []
+    real_first = mzi._first
 
     def first(amps, cfgs, column=False):
-        made[:] = [(_input_array(amps) if column else amps, len(amps) - 1 if column else None,
-                    real_first(amps, cfgs, column))]
-        return made[0][2]
-
-    def second(stage, xpm):
-        fresh = made and made[0][2] is stage
-        calls.append((made[0][0], made[0][1], False) if fresh else (None, None, True))
-        made.clear()
-        return real_second(stage, xpm)
+        calls.append((_input_array(amps) if column else amps, len(amps) - 1 if column else None))
+        return real_first(amps, cfgs, column)
 
     monkeypatch.setattr(mzi, "_first", first)
-    monkeypatch.setattr(mzi, "_second_stage", second)
     return calls
 
 
-@pytest.mark.parametrize("kind", ["transparent", "leaky", "identity first"])
-def test_memo_sweep_equals_runs_with_memo_cleared(monkeypatch, kind):
-    # a phi_chi sweep resumes from the stored first stage; every scalar,
-    # both conditioned ensembles' bytes and the shot counts equal a run
-    # with the memo cleared before each call.  A first splitter at theta = 0
-    # is skipped, and the stage keeps the gathered input as its state.
-    transparent = kind == "transparent"
-    monkeypatch.setattr(mzi, "_memo", {})
-    calls = _spy_propagate(monkeypatch)
-    source = NoisySource(0.7)
-    probes = [NoisyPhotonProbe(NoisySource(0.6))]
-    probes += [CoherentProbe(size * complex(math.cos(0.4), math.sin(0.4))) for size in (0.5, 2.0, 4.0)]
-    runs = []
-    for clear in (False, True):
-        rows = []
+def test_run_setup_stays_off_the_engine(monkeypatch):
+    # run_setup answers from the 2x2 law: with the engine made to raise it
+    # still returns every scalar for photon, truncated coherent and bright
+    # probes on transparent and leaky setups, and only reading a
+    # conditioned state (which bright probes do not have) reaches the engine
+    def refuse(*args, **kw):
+        raise RuntimeError("engine")
+
+    for module, name in ((mzi, "_propagate"), (mzi, "_first_stage"), (mzi, "_second_stage"),
+                         (el, "_first_stage"), (el, "_second_stage")):
+        monkeypatch.setattr(module, name, refuse)
+    probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(0.5), CoherentProbe(2.0 - 1.0j),
+              CoherentProbe(4.0), CoherentProbe(5.0j)]
+    cfgs = [(transparent_via_angle_sum(0.7, 0.3, 2.1), True), (mzi_config(0.7, 0.3, 0.4, 1.1, 2.1), False)]
+    for cfg, transparent in cfgs:
         for probe in probes:
-            for phi_chi in np.linspace(0.3, 2.0 * PI - 0.3, 12):
-                if transparent:
-                    cfg = transparent_via_angle_sum(0.7, 0.3, float(phi_chi))
-                else:
-                    cfg = mzi_config(0.0 if kind == "identity first" else 0.7, 0.3, 0.4, 1.1, float(phi_chi))
-                if clear:
-                    mzi._memo.clear()
-                rows.append(_outcome_bytes(cfg, source, probe, transparent))
-                if clear:
-                    mzi._memo.clear()
-                rows.append(sample_shots(cfg, source, probe, 3000, seed=4, require_transparent=transparent))
-        runs.append(rows)
-    assert runs[0] == runs[1]
-    # the warm sweep resumed on all but its first call per probe
-    resumed = sum(resumed for _, _, resumed in calls)
-    assert resumed == len(probes) * 23
-    (stage,) = mzi._memo.values()  # the last probe's, in the block layout even at theta1 = 0
-    assert stage.state.ndim == len(stage.layout[3])
+            out = run_setup(cfg, NoisySource(0.7), probe, require_transparent=transparent)
+            assert 0.0 < out.p_click < 1.0 and 0.0 < out.detection_efficiency < 1.0
+            assert out.total_success == 0.7 * out.detection_efficiency
+            assert 0.0 <= out.truncation_deficit < 1e-10 and 0.0 < out.purity_given_click <= 1.0
+            if abs(getattr(probe, "beta", 0.0)) ** 2 > mzi.BRIGHT_PROBE_MEAN_PHOTONS:
+                assert out.click_state is None and out.no_click_state is None
+                continue
+            for event in ("click_state", "no_click_state"):
+                with pytest.raises(RuntimeError, match="engine"):
+                    getattr(out, event)
 
 
-def test_memo_never_shares_an_entry(monkeypatch):
-    # inputs whose states may differ get their own entries: probes differing
-    # only in phase or in the sign of a zero imaginary part, probes of either
-    # kind, and first splitters differing only in phi
-    monkeypatch.setattr(mzi, "_memo", {})
-    calls = _spy_propagate(monkeypatch)
+def test_outcome_holds_no_array_until_a_state_is_read():
+    # the outcome keeps its inputs, not the propagated array (73.7 KB at
+    # |beta|^2 = 16), until a conditioned state is read; the array is then
+    # kept for the other state too
     cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
-    other_phi = transparent_via_angle_sum(0.7, 0.3 + 2.0 * PI, 2.1)
-    pairs = [
-        ((cfg, CoherentProbe(2.0)), (cfg, CoherentProbe(2.0j))),
-        ((cfg, CoherentProbe(complex(2.0, 0.0))), (cfg, CoherentProbe(complex(2.0, -0.0)))),
-        ((cfg, CoherentProbe(2.0)), (other_phi, CoherentProbe(2.0))),
-        ((cfg, NoisyPhotonProbe(NoisySource(0.5))), (other_phi, NoisyPhotonProbe(NoisySource(0.5)))),
-        ((cfg, NoisyPhotonProbe(NoisySource(0.5))), (cfg, CoherentProbe(0.0))),
-    ]
-    for (cfg_a, probe_a), (cfg_b, probe_b) in pairs:
-        mzi._memo.clear()
-        for _ in range(2):  # stores the first input's state
-            run_setup(cfg_a, NoisySource(0.7), probe_a)
-        del calls[:]
-        for _ in range(2):  # misses, stores its own state, then resumes from it
-            run_setup(cfg_b, NoisySource(0.7), probe_b)
-        assert [resumed for _, _, resumed in calls] == [False, True]
-        assert len(mzi._memo) == 2
+    for probe in (CoherentProbe(4.0), NoisyPhotonProbe(NoisySource(0.6))):
+        out = run_setup(cfg, NoisySource(0.7), probe)
+        assert not any(isinstance(v, np.ndarray) for v in vars(out).values())
+        assert out._inputs == (cfg, NoisySource(0.7), probe)
+        assert out.click_state is not None and "_branches" in vars(out)
+        assert out._branches[0].shape[-1] == (2 if isinstance(probe, NoisyPhotonProbe) else 1)
 
 
-def test_memo_holds_at_most_eight_read_only_states(monkeypatch):
-    # first splitters at theta = 0 included, whose stage holds the gathered
-    # input, and a setup of two identity splitters, whose stage holds the input
-    monkeypatch.setattr(mzi, "_memo", {})
-    identity = BeamSplitterParams(0.0, 0.3)
-    for theta1 in np.linspace(0.0, 1.2, 12):
-        cfg = transparent_via_angle_sum(float(theta1), 0.3, 2.1)
-        for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
-            for _ in range(2):
-                run_setup(cfg, NoisySource(0.7), probe)
-            assert len(mzi._memo) <= 8
-    run_setup(MziConfig(identity, identity, XpmParams(2.1)), NoisySource(0.7), CoherentProbe(1.5))
-    stages = list(mzi._memo.values())
-    assert len(stages) == 8 and all(isinstance(stage, el._FirstStage) for stage in stages)
-    assert stages[-1].layout is None
-    # every stored table is read-only: the state, the W blocks, the layout's
-    # maps and the L factors and diagonals of the second stage
-    for stage in stages:
-        assert stage.layout is None or stage.w.base is el._hadamard_stack  # the W blocks, no copy
-        tables = [stage.state, stage.w, stage.lams, stage.diags, *(stage.layout or ())]
-        tables = [table for table in tables if isinstance(table, np.ndarray)]
-        assert len(tables) == (1 if stage.layout is None else 7)
-        for table in tables:
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[(0,) * table.ndim] = 0.0
+_GOOD = transparent_via_angle_sum(0.7, 0.3, 2.1), NoisySource(0.5)
+BAD_SLOTS = {  # (config, source, probe, require_transparent) the per-slot checks refuse
+    "source": (_GOOD[0], 0.5, CoherentProbe(1.0), True),
+    "config": (None, _GOOD[1], CoherentProbe(1.0), False),
+    "probe": (*_GOOD, NoisySource(0.5), True),
+    "probe number": (*_GOOD, 5.0, True),
+    "leaky": (mzi_config(0.7, 0.3, 0.4, 1.1), _GOOD[1], CoherentProbe(1.0), True),
+    "flag": (*_GOOD, CoherentProbe(1.0), 1),
+}
 
 
-def test_memo_keeps_one_entry_per_second_splitter(monkeypatch):
-    # interleaved sweeps that share the first splitter and the probe but not
-    # the second splitter resume from entries of their own, and every call
-    # equals its run with the memo cleared, scalars and conditioned bytes
-    monkeypatch.setattr(mzi, "_memo", {})
-    calls = _spy_propagate(monkeypatch)
-    source = NoisySource(0.7)
-    sweeps = [
-        (lambda phi: mzi_config(0.7, 0.3, 0.4, 1.1, phi), False),
-        (lambda phi: mzi_config(0.7, 0.3, 0.4, 1.2, phi), False),
-        (lambda phi: transparent_via_angle_sum(0.7, 0.3, phi), True),
-        (lambda phi: transparent_via_angle_sum(0.7, 0.3, phi, k=1), True),  # bs2's phi - 2 pi
-    ]
-    phis = np.linspace(0.3, 2.0 * PI - 0.3, 5).tolist()
-    for probe in (CoherentProbe(2.0), NoisyPhotonProbe(NoisySource(0.6))):
-        mzi._memo.clear()
-        del calls[:]
-        warm = [_outcome_bytes(setup(phi), source, probe, t) for phi in phis for setup, t in sweeps]
-        assert len(mzi._memo) == len(sweeps)
-        assert [resumed for _, _, resumed in calls] == [False] * 4 + [True] * 16
-        cold = []
-        for phi in phis:
-            for setup, transparent in sweeps:
-                mzi._memo.clear()
-                cold.append(_outcome_bytes(setup(phi), source, probe, transparent))
-        assert warm == cold
+@pytest.mark.parametrize("cfg, source, probe, require", BAD_SLOTS.values(), ids=list(BAD_SLOTS))
+def test_run_setup_and_the_click_table_share_the_slot_checks(cfg, source, probe, require):
+    # one set of per-slot checks: run_setup, sample_shots and a click-table
+    # batch refuse each bad slot with the same message
+    messages = set()
+    for call in (lambda: run_setup(cfg, source, probe, require),
+                 lambda: sample_shots(cfg, source, probe, 10, 1, require),
+                 lambda: mzi._click_table([cfg] * 2, [source] * 2, [probe] * 2, require)):
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
-def _count_calls(monkeypatch, targets):
-    """A Counter of the calls to each (module, name) in ``targets``."""
-    counts = Counter()
-    for module, name in targets:
-        real = getattr(module, name)
+def test_photon_probe_clicks_with_the_leak_of_the_two_by_two_map():
+    # a lone probe photon clicks with |t01|^2 bit for bit: without a signal
+    # photon the leak amplitude vacuum_leak_amplitude reads, with one the
+    # arm C of coherent_outputs at |beta| = 1; a photon-free probe never clicks
+    rng = np.random.default_rng(23)
+    one, none = NoisyPhotonProbe(NoisySource(1.0)), NoisyPhotonProbe(NoisySource(0.0))
+    for _ in range(200):
+        cfg = _random_nontransparent(rng)
+        out = run_setup(cfg, NoisySource(0.0), one, require_transparent=False)
+        assert out.p_click == abs(vacuum_leak_amplitude(cfg)) ** 2
+        out = run_setup(cfg, NoisySource(1.0), one, require_transparent=False)
+        assert out.detection_efficiency == abs(complex(coherent_outputs(cfg, 1.0, True)[1])) ** 2
+        out = run_setup(cfg, NoisySource(0.5), none, require_transparent=False)
+        assert out.p_click == out.detection_efficiency == 0.0 and out.purity_value is None
 
-        def spy(*args, _real=real, _key=f"{module.__name__}.{name}"):
-            counts[_key] += 1
-            return _real(*args)
 
-        monkeypatch.setattr(module, name, spy)
-    return counts
-
-
-def test_resumed_call_does_no_splitter_algebra(monkeypatch):
-    # a memo hit on a config built by a constructor reads the config's kept
-    # transparency verdict and the stored tables, so it makes no splitter
-    # entry, angle or 2x2 product call; a miss makes them
-    monkeypatch.setattr(mzi, "_memo", {})
-    counts = _count_calls(monkeypatch, [
-        (el, "_bs_entries"), (el, "_mzi_angles"), (mzi, "_bs_entries"), (mzi, "_bc_product")
-    ])
-    source = NoisySource(0.7)
-    for probe in (NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(2.0), CoherentProbe(4.0)):
-        cfgs = [transparent_via_angle_sum(0.7, 0.3, phi) for phi in (0.5, 1.5, 2.5, 3.5)]
-        counts.clear()
-        run_setup(cfgs[0], source, probe)
-        assert counts["xpmherald.elements._mzi_angles"] == 2  # the miss
-        counts.clear()
-        for cfg in cfgs[1:]:
-            run_setup(cfg, source, probe)
-            sample_shots(cfg, source, probe, 100, seed=1)
-        assert counts == {}
+def test_click_law_edges_are_exact_zeros():
+    # no photon to click (beta = 0) or no leak (theta1 = 0): every click
+    # probability is +0.0, and a one-entry probe's deficit is 0.0
+    transparent = transparent_via_angle_sum(0.7, 0.3, 2.1)
+    still = mzi_config(0.0, 0.3, 0.0, 1.1, 2.1)
+    for cfg, probe in ((transparent, CoherentProbe(0.0)), (still, CoherentProbe(2.0)),
+                       (still, NoisyPhotonProbe(NoisySource(0.6)))):
+        out = run_setup(cfg, NoisySource(0.7), probe, require_transparent=False)
+        assert [math.copysign(1.0, x) for x in _scalars(out)[:3]] == [1.0] * 3
+        assert _scalars(out)[:3] == (0.0, 0.0, 0.0) and out.purity_value is None
+    assert run_setup(transparent, NoisySource(0.7), CoherentProbe(0.0)).truncation_deficit == 0.0
 
 
 def test_transparency_is_computed_once_per_config(monkeypatch):
     # the constructor's verdict is kept: run_setup, detection_efficiency
     # and is_transparent read it; a config built directly computes it on
     # first use, and the kept verdict changes neither equality nor hash
-    counts = _count_calls(monkeypatch, [(mzi, "_bc_product")])
+    verdict = MziConfig.__dict__["_transparent"]
+    computed, compute = [], verdict.func
+    monkeypatch.setattr(verdict, "func", lambda cfg: computed.append(cfg) or compute(cfg))
     cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
-    assert counts["xpmherald.mzi._bc_product"] == 1
-    for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
-        run_setup(cfg, NoisySource(0.7), probe)
+    assert computed == [cfg]
+    for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5)), CoherentProbe(5.0)):
+        run_setup(cfg, NoisySource(0.7), probe).click_state
+        sample_shots(cfg, NoisySource(0.7), probe, 100, seed=1)
         detection_efficiency(cfg, probe)
     assert is_transparent(cfg)
     leaky = mzi_config(0.7, 0.3, 0.4, 1.1)
     for _ in range(3):
         assert not is_transparent(leaky)
-    assert counts["xpmherald.mzi._bc_product"] == 2
+    assert computed == [cfg, leaky]
     twin = MziConfig(cfg.bs1, cfg.bs2, cfg.xpm)
     assert twin == cfg and hash(twin) == hash(cfg)
-
-
-def test_batches_bypass_the_memo(monkeypatch):
-    # verify's batches and propagate_mzi neither store nor resume
-    monkeypatch.setattr(mzi, "_memo", {})
-    calls = _spy_propagate(monkeypatch)
-    cfgs = [transparent_via_angle_sum(0.7, 0.3, phi) for phi in (1.0, 2.0, 3.0)]
-    sources = [NoisySource(0.7)] * 3
-    for probe in (CoherentProbe(1.5), NoisyPhotonProbe(NoisySource(0.5))):
-        for _ in range(3):
-            mzi._click_table(cfgs, sources, [probe] * 3, True)
-            ket = MultiModeKet._unchecked(_input_array(mzi._PHOTON_OR_VACUUM)[..., 0])
-            propagate_mzi(ket, cfgs[0])
-    assert mzi._memo == {}
-    # a stored state is not read by a batch holding the same setup
-    batch = [cfgs[:1] * 2, sources[:2], [CoherentProbe(1.5)] * 2, True]
-
-    def table_bytes():
-        return [(w, rows, out.tobytes()) for w, rows, out in mzi._click_table(*batch)]
-
-    before = table_bytes()
-    for _ in range(2):
-        run_setup(cfgs[0], sources[0], CoherentProbe(1.5))
-    del calls[:]
-    assert table_bytes() == before
-    assert [resumed for _, _, resumed in calls] == [False]
-
-
-def test_memo_keys_on_the_blocks_function(monkeypatch):
-    # a swapped _hadamard_blocks (as in the flipped-sign verify test) never
-    # resumes from a state built with the real blocks; the leak is read off
-    # the engine's vacuum click mass, which p_click drops on this setup
-    monkeypatch.setattr(mzi, "_memo", {})
-    calls = _spy_propagate(monkeypatch)
-    cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
-    probe = CoherentProbe(1.5)
-    for _ in range(2):
-        real_leak = _vacuum_clicks(cfg, probe)
-    assert real_leak < 1e-20
-    rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-    monkeypatch.setattr(el, "_hadamard_blocks", lambda t_max: el._block_recurrence(rotation, t_max))
-    del calls[:]
-    swapped_leak = _vacuum_clicks(cfg, probe, require_transparent=False)
-    assert calls[0][2] is False
-    assert swapped_leak > 1e-3  # the rotated blocks leak: no false-click guarantee
 
 
 @pytest.mark.parametrize(
@@ -1497,45 +1473,35 @@ def test_memo_keys_on_the_blocks_function(monkeypatch):
     ids=["beta0", "one-entry", "noisy", "beta4", "beta-4j", "complex"],
 )
 def test_passed_occupied_total_equals_search(monkeypatch, probe):
-    # the total the chain reads off a memo miss's column, its last row, is
-    # the one the occupancy search finds in the input the column stands for
-    monkeypatch.setattr(mzi, "_memo", {})
+    # the total the chain reads off a probe column, its last row, is the one
+    # the occupancy search finds in the input the column stands for
     calls = _spy_propagate(monkeypatch)
-    run_setup(transparent_via_angle_sum(0.7, 0.3, 2.1), NoisySource(0.7), probe)
-    ((amps, t_max, resumed),) = calls
-    assert not resumed
+    run_setup(transparent_via_angle_sum(0.7, 0.3, 2.1), NoisySource(0.7), probe).no_click_state
+    ((amps, t_max),) = calls
     n, m = amps.any(axis=(0, 3, 4)).nonzero()
     assert t_max == int((n + m).max(initial=-1))
     if isinstance(probe, CoherentProbe) and abs(probe.beta) < 1e-3:
         assert t_max == 0  # a one-entry column
 
 
-def test_benchmark_traffic_equal_with_memo_warm_and_cleared(monkeypatch):
+def test_benchmark_traffic_agrees_with_the_engine_table():
     # the benchmark's own exact-grid and exact-cold blocks (perfbench/workloads.py,
-    # imported as is) give equal scalars with the memo warm and cleared
+    # imported as is): run_setup's click law within ROUTE_TOL of the
+    # engine's click table on every scalar (1.1e-14 at most seen)
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     ops = [op for block in workloads.exact_grid(1, 2) + workloads.exact_cold(1, 3) for op in block]
-    monkeypatch.setattr(mzi, "_memo", {})
-    runs = []
-    for clear in (False, True):
-        rows = []
-        for op in ops:
-            family = transparent_via_angle_sum if op["family"] == "sum" else transparent_via_angle_diff
-            cfg = family(op["theta1"], op["phi1"], op["phi_chi"], k=op["k"], l=op["l"])
-            spec_probe = op["probe"]
-            if spec_probe["kind"] == "coherent":
-                probe = CoherentProbe(complex(spec_probe["re"], spec_probe["im"]))
-            else:
-                probe = NoisyPhotonProbe(NoisySource(spec_probe["p"]))
-            if clear:
-                mzi._memo.clear()
-            out = run_setup(cfg, NoisySource(op["p"]), probe)
-            rows.append((out.p_click, out.detection_efficiency, out.total_success,
-                         out.truncation_deficit, out.purity_value))
-        runs.append(rows)
-    assert len(runs[0]) == 2 * 18 + 3 * 20
-    assert runs[0] == runs[1]
+    assert len(ops) == 2 * 18 + 3 * 20
+    for op in ops:
+        family = transparent_via_angle_sum if op["family"] == "sum" else transparent_via_angle_diff
+        cfg = family(op["theta1"], op["phi1"], op["phi_chi"], k=op["k"], l=op["l"])
+        spec_probe = op["probe"]
+        if spec_probe["kind"] == "coherent":
+            probe = CoherentProbe(complex(spec_probe["re"], spec_probe["im"]))
+        else:
+            probe = NoisyPhotonProbe(NoisySource(spec_probe["p"]))
+        source = NoisySource(op["p"])
+        _assert_routes_agree(run_setup(cfg, source, probe), _engine_scalars(cfg, source, probe))
