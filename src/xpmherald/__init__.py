@@ -12,7 +12,7 @@ multi-setup schemes, and a verification harness that cross-validates all
 routes against each other.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .cascade import (
     CascadeConfig,

@@ -33,7 +33,7 @@ from .errors import (
     check_count,
     check_real,
 )
-from .mzi import _click_exponents, _click_scale
+from .mzi import _click_scale, _click_weights
 
 # Exact shared-probe enumeration holds 2^(N-1) patterns, O(2^N) work in all
 # and 53 MB peak at this cap.  Past it, use the closed form or Monte Carlo.
@@ -88,12 +88,13 @@ def _rank_table(cfg: CascadeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-rank table of a chain of n setups, read off a ``CascadeConfig``,
     whose construction checks every input of the closed forms.
 
-    With x_k = x_0 cos^(2k)(phi_chi/2), x_0 = ``mzi._click_exponents``' x1
-    at theta1 = pi/4, the click exponent of a photon-bearing setup whose
-    probe was attenuated k times: the click probabilities 1 - exp(-x_k) for
-    k < n and the no-click exponents S_k = x_0 + ... + x_(k-1) for k <= n,
-    scalar libm entries that a per-pattern loop matches bit for bit."""
-    x0 = _click_exponents(_click_scale(math.pi / 4.0, cfg.alpha), cfg.phi_chi)[0]
+    With x_k = x_0 cos^(2k)(phi_chi/2), x_0 = y a1 (``mzi._click_scale``
+    at theta1 = pi/4 times ``mzi._click_weights``' a1, the detector mean m1),
+    the click exponent of a photon-bearing setup whose probe was attenuated
+    k times: the click probabilities 1 - exp(-x_k) for k < n and the
+    no-click exponents S_k = x_0 + ... + x_(k-1) for k <= n, scalar libm
+    entries that a per-pattern loop matches bit for bit."""
+    x0 = _click_scale(math.pi / 4.0, cfg.alpha) * _click_weights(cfg.phi_chi)[0]
     c2 = math.cos(cfg.phi_chi / 2.0) ** 2
     x = [x0 * c2**k for k in range(cfg.n_setups)]
     return np.array([-math.expm1(-xk) for xk in x]), np.concatenate(([0.0], np.cumsum(x)))

@@ -8,9 +8,10 @@ breaks the no-false-click guarantee, because an attenuated-but-unshifted
 probe no longer cancels exactly at the second beam splitter.  This module
 quantifies the damage: the faulty-click probability, the degraded heralded
 efficiency, and the largest absorption the scheme tolerates while still
-improving on the raw source.  All three read one click law,
-``mzi._transparent_clicks``, which truncates nothing, while the exact
-routes of ``mzi`` truncate at ``TruncationPolicy.tail_tolerance`` (1e-10).
+improving on the raw source.  All three read 1 - exp(-m) of the
+``mzi._detector_means`` m, y times the ``_click_weights`` (the bisection
+keeps y fixed), which truncates nothing, while the exact routes of ``mzi``
+truncate at ``TruncationPolicy.tail_tolerance`` (1e-10).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, check_amplitude, check_real
-from .mzi import MziConfig, _click_exponents, _click_scale, _transparent_clicks, is_transparent
+from .mzi import MziConfig, _click_scale, _click_weights, _detector_means, is_transparent
 
 BISECTION_TOL = 1e-6  # max_tolerable_loss's bracket width (per 0.005 of bound below 0.005)
 
@@ -68,16 +69,16 @@ def lossy_click_probs(
         raise ConfigurationError(f"not a LossParams: {loss!r}")
     if not is_transparent(cfg):
         raise ConfigurationError("lossy click analysis assumes transparency")
-    return _transparent_clicks(_click_scale(cfg.bs1.theta, beta), cfg.xpm.phi_chi, loss.p_absorb)
+    return tuple(-math.expm1(-m) for m in _detector_means(cfg, beta, loss.p_absorb))
 
 
 def _normal_click_scale(cfg: MziConfig, beta: complex) -> float:
     """y of a checked transparent ``cfg`` and ``beta``; ConfigurationError if
-    the lossless click exponent x1 is positive but subnormal, where q1 and q0
+    the lossless detector mean x1 is positive but subnormal, where q1 and q0
     keep few digits or none (x1 is 0 only at a zero beta, theta1 or phi_chi)."""
     theta1, phi_chi = cfg.bs1.theta, cfg.xpm.phi_chi
     y = _click_scale(theta1, beta)
-    x1 = _click_exponents(y, phi_chi)[0]
+    x1 = y * _click_weights(phi_chi)[0]
     if x1 < sys.float_info.min and beta and math.sin(2.0 * theta1) and math.sin(phi_chi / 2.0):
         raise ConfigurationError(
             f"probe amplitude {beta!r}: click exponent {x1:.3g} is below the normal range")
@@ -134,7 +135,8 @@ def max_tolerable_loss(cfg: MziConfig, beta: complex, fixed_p: float | None = No
     p = 0.0 if fixed_p is None else fixed_p
 
     def margin(p_absorb: float) -> float:
-        q1, q0 = _transparent_clicks(y, phi_chi, p_absorb)
+        a1, a0 = _click_weights(phi_chi, p_absorb)
+        q1, q0 = -math.expm1(-(y * a1)), -math.expm1(-(y * a0))
         return (1.0 - p_absorb) * q1 * (1.0 - p) - (p * p_absorb + 1.0 - p) * q0
 
     grid = np.linspace(0.0, 1.0, 201).tolist()

@@ -11,30 +11,28 @@ second beam splitter on (B, C), then the click/no-click effect on C.  When
 the two beam splitters invert each other the empty interferometer is
 transparent: with vacuum in A no photon can ever reach the detector, so a
 click certifies a photon in A.  Conditioning on clicks then leaves a pure
-one-photon state in the signal mode.  So ``run_setup`` drops the vacuum
-branches' click mass, rounding, on a transparent setup and reports it on
-any other; the truncation deficit decides nothing.
+one-photon state in the signal mode.
 
-``run_setup`` propagates nothing.  With C in vacuum each probe photon
-leaves toward the detector with q_s = |t01|^2 of the 2x2 map below, s the
-signal occupation, so a photon probe clicks with q_s and n probe photons
-stay dark with (1 - q_s)^n; a coherent probe sums that over its photon
-numbers, truncated at ``TruncationPolicy.tail_tolerance`` (1e-10), far
-below every tolerance the audits apply.  The exact route runs batches:
-``_propagate`` takes one configuration per slot of a trailing axis,
-``_click_table`` propagates many setups grouped by input shape, as probe
-columns rather than input arrays (C is in vacuum, ``elements._first_stage``),
-and checks every norm.  ``sample_shots``, the audits and the click states
-of a ``HeraldOutcome`` read it, ``propagate_mzi`` runs one ket.
+``run_setup`` and ``sample_shots`` propagate nothing.  With C in vacuum
+each probe photon reaches the detector on its own, with q_s = |t01|^2 of
+the 2x2 map below given s signal photons, and a coherent probe beta sends
+it m_s = |beta|^2 q_s photons on average (``_detector_means``).  Both read
+one click pair (q1, q0), ``_law_clicks``: q_s for a photon probe, 1 -
+exp(-m_s) for a bright coherent one, and otherwise the sum of 1 - (1 -
+q_s)^n over its photon numbers, truncated at
+``TruncationPolicy.tail_tolerance`` (1e-10), far below every tolerance the
+audits apply.  On a transparent setup m_s is y = |beta|^2 sin^2(2 theta1)
+/ 4 (``_click_scale``) times the ``_click_weights`` of the phase and
+absorption, which cancel nothing, so q0 is exactly 0; ``loss``,
+``cascade`` and fig4 read the same factors.
 
-The splitter algebra is read as Python numbers off the entries of
-``elements._bs_entries``, multiplied out only by ``_bc_product``: the
-transparency test, the click law and the classical route of bright probes
-read its substitution matrix, ``_classical_clicks`` the ``coherent_outputs``
-arm C.  Transparent setups click by one law, ``_click_exponents``: y =
-|beta|^2 sin^2(2 theta1) / 4 times ``_click_weights`` of the phase and
-absorption.  ``loss``, ``detection_efficiency`` and ``cascade`` read it,
-fig4 the weights.
+The exact route runs batches: ``_propagate`` takes one configuration per
+slot of a trailing axis, and ``_click_table``, which the audits and the
+click states of a ``HeraldOutcome`` read, propagates many setups grouped
+by input shape, as probe columns rather than input arrays (C is in
+vacuum, ``elements._first_stage``), and checks every norm.  The splitter
+algebra is read as Python numbers off ``elements._bs_entries``:
+``_bc_product`` multiplies them out, ``_detector_means`` the leak alone.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-from operator import mul
 
 import numpy as np
 
@@ -135,10 +132,11 @@ class HeraldOutcome:
     is it times the source efficiency.  ``truncation_deficit`` is the
     coherent probe's photon-number tail past its cutoff; all probabilities
     here under-count by at most that much, and no decision reads it.  A
-    noisy photon probe truncates nothing, so its deficit is 0.0.  On a
-    transparent setup a vacuum signal cannot click, so ``p_click`` drops
-    the vacuum branches' click mass (a vacuum source's ``p_click`` is 0);
-    otherwise it reports that mass.
+    noisy photon probe or a bright coherent one truncates nothing, so its
+    deficit is 0.0.  All five read the click pair (q1, q0) that
+    ``sample_shots`` draws from; on a transparent setup q0 is exactly 0, so
+    ``p_click`` holds no vacuum branch's click mass (a vacuum source's
+    ``p_click`` is 0), otherwise it holds that mass.
     ``purity_given_click`` is undefined when the click probability is 0
     and raises on access in that case.
 
@@ -319,21 +317,9 @@ def coherent_outputs(
         raise ConfigurationError(f"not an MziConfig: {cfg!r}")
     check_amplitude("coherent probe amplitude", beta)
     check_flag("photon_present", photon_present)
-    return np.array(_arms(cfg, beta, photon_present))
-
-
-def _arms(cfg: MziConfig, beta: complex, photon_present: bool) -> tuple[complex, complex]:
-    """``coherent_outputs``' (B, C) amplitudes, unchecked, as Python numbers."""
     phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
     t00, t01, _, _ = _bc_product(cfg, phase if photon_present else 1.0)
-    return t00 * beta, t01 * beta
-
-
-def _classical_clicks(cfg: MziConfig, beta: complex) -> tuple[float, float]:
-    """Click probabilities (q1, q0) with and without a signal photon on the
-    classical path of any configuration: 1 - exp(-|``coherent_outputs`` C|^2),
-    read off ``_arms``: its callers pass a checked config and amplitude."""
-    return tuple(-math.expm1(-abs(_arms(cfg, beta, s)[1]) ** 2) for s in (True, False))
+    return np.array((t00 * beta, t01 * beta))
 
 
 def _click_scale(theta1: float, beta: complex) -> float:
@@ -342,29 +328,33 @@ def _click_scale(theta1: float, beta: complex) -> float:
     return abs(beta) ** 2 * math.sin(2.0 * theta1) ** 2 / 4.0
 
 
-def _click_exponents(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
-    """Click exponents of a transparent setup at click scale y (``_click_scale``):
-    (x1, x0) = y times the ``_click_weights``, x1 with an unabsorbed signal
-    photon, x0 without.  A coherent probe clicks with 1 - exp(-x), a lone
-    photon with the x1 of |beta| = 1, the cascade's at theta1 = pi / 4."""
-    a1, a0 = _click_weights(phi_chi, p_absorb)
-    return y * a1, y * a0
-
-
 def _click_weights(phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
-    """The y-free factors |u e^{i phi_chi} - 1|^2 and (1 - u)^2 of the click
-    exponents, u = sqrt(1 - p_absorb).  Nothing cancels: 1 - u is p_absorb /
-    (1 + u), |u e^{i phi_chi} - 1|^2 is (1 - u)^2 + 4 u sin^2(phi_chi / 2)."""
+    """The y-free factors |u e^{i phi_chi} - 1|^2 and (1 - u)^2 of a
+    transparent setup's detector means, u = sqrt(1 - p_absorb).  Nothing
+    cancels: 1 - u is p_absorb / (1 + u), |u e^{i phi_chi} - 1|^2 is
+    (1 - u)^2 + 4 u sin^2(phi_chi / 2)."""
     u = math.sqrt(1.0 - p_absorb)
     dim = p_absorb / (1.0 + u)  # 1 - u
     s = math.sin(phi_chi / 2.0)
     return dim * dim + 4.0 * u * (s * s), dim * dim
 
 
-def _transparent_clicks(y: float, phi_chi: float, p_absorb: float = 0.0) -> tuple[float, float]:
-    """(q1, q0) = 1 - exp(-x) of the ``_click_exponents``, as -expm1(-x)."""
-    x1, x0 = _click_exponents(y, phi_chi, p_absorb)
-    return -math.expm1(-x1), -math.expm1(-x0)
+def _detector_means(cfg: MziConfig, beta: complex, p_absorb: float = 0.0) -> tuple[float, float]:
+    """Mean photon numbers (m1, m0) a checked coherent probe beta sends to
+    the detector with a signal photon that survives the medium and without:
+    |beta|^2 |t01|^2 with the upper arm u e^{i phi_chi} or u, u = sqrt(1 -
+    p_absorb).  On a transparent setup, y (``_click_scale``) times the
+    ``_click_weights``, so m0 is exactly 0 without absorption; on any other,
+    t01 read off each splitter's ``_bs_entries`` once."""
+    if cfg._transparent:
+        y = _click_scale(cfg.bs1.theta, beta)
+        a1, a0 = _click_weights(cfg.xpm.phi_chi, p_absorb)
+        return y * a1, y * a0
+    (a, b), _ = _bs_entries(cfg.bs1)
+    (_, f), (_, h) = _bs_entries(cfg.bs2)
+    u, phi_chi = math.sqrt(1.0 - p_absorb), cfg.xpm.phi_chi
+    upper = u * complex(math.cos(phi_chi), math.sin(phi_chi))
+    return abs((a * upper * f + b * h) * beta) ** 2, abs((a * u * f + b * h) * beta) ** 2
 
 
 def _check_slot(cfg, source, probe, require_transparent: bool) -> None:
@@ -382,8 +372,8 @@ def _check_slot(cfg, source, probe, require_transparent: bool) -> None:
 
 
 def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple]:
-    """Check the arguments of ``sample_shots`` for a batch of setups, one
-    (config, source, probe) per slot, and return per slot the probe-branch
+    """Check the inputs of a batch of setups, one (config, source, probe)
+    per slot, as ``run_setup`` does, and return per slot the probe-branch
     weights, the detector-event probabilities as the rows
     ``[signal 0/1][probe branch]`` of the events no click and click, and
     the array every input branch of the slot was propagated in; a squared
@@ -395,7 +385,8 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     the splitters act on B and C and XPM is diagonal, so no slice mixes
     with another.  Slots of one input shape (noisy photon probes, coherent
     probes of one cutoff) are one ``_propagate`` batch.  A probe brighter
-    than ``BRIGHT_PROBE_MEAN_PHOTONS`` takes the classical path, no array.
+    than ``BRIGHT_PROBE_MEAN_PHOTONS`` reads ``_law_clicks``, no array.
+    The audits and the click states of a ``HeraldOutcome`` read the table.
     """
     tables: list = [None] * len(cfgs)
     groups: dict = {}  # input shape: (slot, weights, (B, label) amplitudes) per member
@@ -404,7 +395,7 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
         if isinstance(probe, NoisyPhotonProbe):
             weights, column = (probe.source.p, 1.0 - probe.source.p), _PHOTON_OR_VACUUM
         elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
-            q1, q0 = _classical_clicks(cfg, probe.beta)
+            q1, q0, _ = _law_clicks(cfg, probe)
             tables[slot] = ((1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None)
             continue
         else:
@@ -424,24 +415,27 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     return tables
 
 
-def _law_clicks(cfg: MziConfig, probe) -> tuple[tuple, list[list[float]], float]:
-    """One slot's weights and click rows as ``_click_table`` has them, and the
-    truncation deficit 1 - sum P(n), by the 2x2 law (module docstring): q_s
-    = |``_arms`` C|^2 at |beta| = 1, P(n) = |``make_coherent`` amplitude|^2."""
-    if isinstance(probe, CoherentProbe) and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
-        q1, q0 = _classical_clicks(cfg, probe.beta)
-        return (1.0,), [[q0], [q1]], 0.0
-    leaks = [abs(_arms(cfg, 1.0, s)[1]) ** 2 for s in (False, True)]
+def _law_clicks(cfg: MziConfig, probe) -> tuple[float, float, float]:
+    """A checked slot's click probabilities (q1, q0) with and without a
+    signal photon and its truncation deficit, from the ``_detector_means``
+    m_s: p q_s for a noisy photon probe, q_s = m_s at |beta| = 1 capped at
+    1; 1 - exp(-m_s) for a bright coherent one; otherwise 1 - sum P(n) (1 -
+    q_s)^n, P(n) = |``make_coherent`` amplitude|^2, and the deficit 1 -
+    sum P(n)."""
     if isinstance(probe, NoisyPhotonProbe):
-        return (probe.source.p, 1.0 - probe.source.p), [[q, 0.0] for q in leaks], 0.0
+        m1, m0 = _detector_means(cfg, 1.0)
+        return probe.source.p * min(m1, 1.0), probe.source.p * min(m0, 1.0), 0.0
+    if abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
+        m1, m0 = _detector_means(cfg, probe.beta)
+        return -math.expm1(-m1), -math.expm1(-m0), 0.0
     amps = make_coherent(probe.beta).amps
     probs = amps.real**2 + amps.imag**2
     # 1 - (1 - q)^n as -expm1(n log1p(-q)), exact for q near 0; a q that
     # rounds to 1 or past it sends every photon to the detector: log 0 = -inf
-    logs = [math.log1p(-q) if q < 1.0 else -math.inf for q in leaks]
+    logs = [math.log1p(-q) if q < 1.0 else -math.inf for q in _detector_means(cfg, 1.0)]
     dark = np.expm1(np.multiply.outer(logs, np.arange(1, len(probs))))  # (1 - q)^n - 1
-    rows = [[q] for q in (0.0 - (dark * probs[1:]).sum(axis=1)).tolist()]
-    return (1.0,), rows, max(0.0, 1.0 - float(probs.sum()))
+    q1, q0 = (0.0 - (dark * probs[1:]).sum(axis=1)).tolist()
+    return q1, q0, max(0.0, 1.0 - float(probs.sum()))
 
 
 def run_setup(
@@ -452,50 +446,47 @@ def run_setup(
 ) -> HeraldOutcome:
     """Run the full heralding setup on a noisy signal and a chosen probe.
 
-    Sums the click probabilities of the 2x2 law (``_law_clicks``) over the
-    input branches and returns every figure of merit; nothing is propagated.
-    With a transparent configuration the click-conditioned signal state is
-    the pure one-photon state (up to rounding, which ``p_click`` drops as
-    the vacuum branches' click mass) and the total success probability
+    Reads the click probabilities (q1, q0) of the 2x2 law (``_law_clicks``)
+    and returns every figure of merit; nothing is propagated.  With p the
+    source efficiency, ``p_click`` is p q1 + (1 - p) q0.  A transparent
+    configuration has q0 = 0 exactly, so the click-conditioned signal state
+    is the pure one-photon state and the total success probability p q1
     factors into detection efficiency times source efficiency.  Otherwise
     ``p_click`` reports the vacuum branches' click mass.
 
     The exact engine propagates the conditioned branch ensembles when
     ``click_state`` or ``no_click_state`` is first read.  A coherent probe
-    brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` reads the classical coherent
-    path instead of a truncated photon-number sum: truncation-free, but with
-    no branch kets (``click_state`` is None).
+    brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` clicks by its mean photon
+    number at the detector instead of a truncated photon-number sum:
+    truncation-free, but with no branch kets (``click_state`` is None).
 
     ``require_transparent=False`` drops the transparency requirement, for
     exploring configurations without the heralding guarantee.
     """
     _check_slot(cfg, source, probe, require_transparent)
-    weights, click, deficit = _law_clicks(cfg, probe)
-    joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
-    eff = sum(map(mul, weights, click[1]))
-    photon_click = sum(map(mul, joint[1], click[1]))  # the photon branches' click weight
-    p_click = photon_click  # on a transparent setup a vacuum signal cannot click
-    if not cfg._transparent:
-        p_click = sum(map(mul, joint[1] + joint[0], click[1] + click[0]))
+    q1, q0, deficit = _law_clicks(cfg, probe)
+    photon_click = source.p * q1
+    p_click = photon_click + (1.0 - source.p) * q0
     purity = photon_click / p_click if p_click > 0.0 else None
-    return HeraldOutcome(p_click, eff, eff * source.p, deficit, purity, (cfg, source, probe))
+    return HeraldOutcome(p_click, q1, photon_click, deficit, purity, (cfg, source, probe))
 
 
 def detection_efficiency(cfg: MziConfig, probe: Probe) -> float:
     """Closed-form probability that a photon present in the signal mode
-    triggers the herald, for either probe choice."""
+    triggers the herald, for either probe choice: untruncated, from the
+    ``_detector_means`` m1 of a transparent setup."""
     if not is_transparent(cfg):
         raise ConfigurationError("closed form assumes a transparent configuration")
-    if isinstance(probe, NoisyPhotonProbe):  # a lone photon clicks with |arm|^2: x1 at |beta| = 1
-        y = _click_scale(cfg.bs1.theta, 1.0)
-        return probe.source.p * _click_exponents(y, cfg.xpm.phi_chi)[0]
+    if isinstance(probe, NoisyPhotonProbe):  # a lone photon clicks with m1 at |beta| = 1
+        return probe.source.p * _detector_means(cfg, 1.0)[0]
     if not isinstance(probe, CoherentProbe):
         raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
-    return _transparent_clicks(_click_scale(cfg.bs1.theta, probe.beta), cfg.xpm.phi_chi)[0]
+    return -math.expm1(-_detector_means(cfg, probe.beta)[0])
 
 
 # n shots resolve rates down to about 1 / n: at the cap, ten times the 1e-10
-# tail tolerance to which the cells are exact.  More is a config error.
+# tail tolerance to which a truncated coherent probe's cells are exact.  More
+# is a config error.
 MAX_SAMPLE_SHOTS = 10**9
 
 
@@ -509,8 +500,8 @@ def sample_shots(
 ) -> dict[str, int]:
     """Monte Carlo photodetection over repeated runs of the setup.
 
-    ``_click_table`` gives q_s, the click probability with s signal photons,
-    a noisy probe's branches folded in by their weights.  With p the source
+    ``_law_clicks`` gives q_s, the click probability with s signal photons,
+    the pair ``run_setup`` reads; nothing is propagated.  With p the source
     efficiency, each shot falls in the four cells of the counts with the
     probabilities p q1, (1 - p) q0, p (1 - q1) and (1 - p) (1 - q0), so the
     counts are one multinomial draw of a Philox generator: reproducible for
@@ -521,8 +512,8 @@ def sample_shots(
     if n_shots > MAX_SAMPLE_SHOTS:
         raise ConfigurationError(f"n_shots is capped at {MAX_SAMPLE_SHOTS}, got {n_shots}")
     check_count("seed", seed)
-    weights, (_, clicks), _ = _click_table((cfg,), (source,), (probe,), require_transparent)[0]
-    q0, q1 = (sum(w * q for w, q in zip(weights, row)) for row in clicks)
+    _check_slot(cfg, source, probe, require_transparent)
+    q1, q0, _ = _law_clicks(cfg, probe)
     p = source.p
     cells = (p * q1, (1.0 - p) * q0, p * (1.0 - q1), (1.0 - p) * (1.0 - q0))
     counts = np.random.Generator(np.random.Philox(seed)).multinomial(n_shots, cells)

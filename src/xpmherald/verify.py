@@ -4,13 +4,15 @@ The ``mzi`` group checks zero false clicks for transparent setups,
 click-conditioned purity 1 and the closed forms against exact propagation,
 all read off the engine's click masses (``mzi._click_table`` batches), and
 transparency for any probe input; ``loss`` and ``cascade`` check the
-absorption model, whose click law ``mzi._click_exponents`` must match
-``mzi._classical_clicks`` without absorption, and the chained-setup closed
-forms built on the same law; ``elements`` checks the classical path that
-bright probes take, the arms of ``mzi.coherent_outputs`` and the clicks
-read off its arm C, against one exact ``mzi._propagate`` batch of the same
-probes.  The Fock and element algebra underneath is tested in
-``tests/test_fock.py`` and ``tests/test_elements.py``, not here.
+absorption model, whose clicks must match 1 - exp(-|arm C|^2) of
+``mzi.coherent_outputs`` without absorption, and the chained-setup closed
+forms built on the same law; ``elements`` checks the classical path of
+coherent probes, the arms of ``mzi.coherent_outputs`` and the clicks read
+off its arm C, against one exact ``mzi._propagate`` batch of the same
+probes.  ``mzi._detector_means``, the click law the closed forms and the
+product route share, is what they audit, never a reference.  The Fock and
+element algebra underneath is tested in ``tests/test_fock.py`` and
+``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
@@ -123,9 +125,9 @@ def _random_probe(rng) -> mzi.Probe:
 
 
 def _check_elements(results, rng, dense: bool):
-    # the classical path of bright probes against the scheme's exact batch of
+    # the classical path of coherent probes against the scheme's exact batch of
     # the same truncated probes: per signal slice, the fidelity with the product
-    # of the ``coherent_outputs`` arms and the click mass of ``_classical_clicks``
+    # of the ``coherent_outputs`` arms and the click mass 1 - exp(-|arm C|^2)
     tol = 100 * fk.TruncationPolicy.tail_tolerance
     cfgs, betas = [], []
     for i in range(10 if dense else 5):
@@ -135,8 +137,9 @@ def _check_elements(results, rng, dense: bool):
     tables = mzi._click_table(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes, False)
     worst = 0.0
     for cfg, beta, (_, _, out) in zip(cfgs, betas, tables):
-        for signal, q in enumerate(mzi._classical_clicks(cfg, beta)[::-1]):
+        for signal in (0, 1):
             arms = mzi.coherent_outputs(cfg, beta, bool(signal))
+            q = -math.expm1(-abs(complex(arms[1])) ** 2)
             exact = out[signal, ..., 0]  # (B, C)
             b, c = (fk.make_coherent(a).amps[: len(exact)] for a in arms)
             fidelity = abs(np.vdot(np.multiply.outer(b, c), exact[: b.size, : c.size]))
@@ -346,14 +349,15 @@ def _check_mzi(results, rng, dense: bool):
 
 
 def _check_loss(results, rng, dense: bool):
-    worst = 0.0  # the click law at no absorption against the 2x2 clicks; q0 exactly 0
+    worst = 0.0  # the click law at no absorption against the classical arm C; q0 exactly 0
     for _ in range(10):
         phi_chi = float(rng.uniform(0.3, 6.0))
         theta1 = float(rng.uniform(0.1, math.pi / 2.0 - 0.1))
         beta = float(rng.uniform(0.3, 3.0))
         cfg = mzi.transparent_via_angle_sum(theta1, 0.0, phi_chi)
         q1, q0 = ls.lossy_click_probs(cfg, beta, ls.LossParams(0.0))
-        c1, c0 = mzi._classical_clicks(cfg, beta)
+        c1, c0 = (-math.expm1(-abs(complex(mzi.coherent_outputs(cfg, beta, s)[1])) ** 2)
+                  for s in (True, False))
         worst = max(worst, abs(q1 - c1), abs(q0 - c0), 0.0 if q0 == 0.0 else math.inf)
     _record_worst(
         results, "loss", "lossless-limit-matches-ideal", worst, ALGEBRA_TOL,

@@ -283,7 +283,7 @@ def _old_rank_table(cfg, square):
 
 
 def test_rank_table_is_the_old_formula_through_the_click_law():
-    # x_0 comes from mzi._click_exponents, which squares the sine as s * s
+    # x_0 comes from mzi._click_weights, which squares the sine as s * s
     # where the old formula took libm's s ** 2.  The table is the old formula
     # bit for bit with that one square swapped, and the old formula itself
     # wherever the two squares agree; they round apart on about 0.1% of

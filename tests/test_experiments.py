@@ -66,13 +66,13 @@ def test_fig4_rows_equal_per_point_detection_efficiency():
 
 def test_fig4_efficiency_is_the_click_law_bit_for_bit():
     # the sweep reads the law's y-free weight once per phase; every value
-    # must still be the first click probability of mzi._transparent_clicks
+    # must still be 1 - exp(-m1) of the detector mean mzi._detector_means
     table = run_experiment(
         ExperimentConfig("fig4", params={"phi_chi_points": 2001, "beta": [0.3, 1.0, 4.0, 37.5]})
     )
     for phi_chi, beta, value, _ in table.rows:
-        y = mzi._click_scale(math.pi / 4.0, beta)
-        assert value.hex() == mzi._transparent_clicks(y, phi_chi)[0].hex()
+        cfg = transparent_via_angle_sum(math.pi / 4.0, 0.0, phi_chi)
+        assert value.hex() == (-math.expm1(-mzi._detector_means(cfg, beta)[0])).hex()
 
 
 def test_fig4_reads_the_click_weights_once_per_phase(monkeypatch):
@@ -85,12 +85,12 @@ def test_fig4_reads_the_click_weights_once_per_phase(monkeypatch):
         return weights(phi_chi, p_absorb)
 
     def forbidden(*args):
-        raise AssertionError("fig4 called _transparent_clicks")
+        raise AssertionError("fig4 called _detector_means")
 
     weights = mzi._click_weights
     monkeypatch.setattr(mzi, "_click_weights", counted)
     monkeypatch.setattr(xpmherald.experiments, "_click_weights", counted)
-    monkeypatch.setattr(mzi, "_transparent_clicks", forbidden)
+    monkeypatch.setattr(mzi, "_detector_means", forbidden)
     table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 37}))
     assert len(table.rows) == 37 * len(DEFAULT_FIG4_BETAS)
     assert calls == np.linspace(0.0, 2.0 * math.pi, 37).tolist()
@@ -178,10 +178,10 @@ def _text_digest(csv_text):
 # (experiment, digest or digests by libm variant)
 DEFAULT_CSV_GOLDENS = [
     ("fig4", {
-        "fma": "3f8dde37d056922ae02f65bccd83303d8a3b2f3e2ae54c09b4c93c48266b0bb5",
-        "sse2": "9ee1b6da4955af99a66486fb2c344343cbb6f2b880c44515c936310143e213f7",
+        "fma": "b3a390c8b3ea2983d429b2ae8a5b8ed2ef247766a1a3511318d9565200d32ae1",
+        "sse2": "726ed709a5645ecedf6d25a908f42ba3976cc69dbbdfb0323785c95fe92262b1",
     }),
-    ("loss-bounds", "5d159f5282be18cc6358479830277068f3188f082e8ac060bf998116758b7b10"),
+    ("loss-bounds", "c9e5e391a661844a12d8097fd5b2e15cb906ec5cfaf7e08fd039ff0b78c153ef"),
 ]
 
 
@@ -197,14 +197,14 @@ PURITY_AUDIT_GOLDENS = [
     (
         {"p_a": 0.7260402951959974, "p_b": 0.7308769845622459, "phi_chi": 1.764629736151154},
         1517124863,
-        "36d29eceb47599242ccb17d7dce9a6d85ce1e8baa17aee460fd34ba979501d34",
-        "41af32be95839cc348e5547460d1ecf8ed940a4b6ad78913be88c07878309669",
+        "e8db5b2970aee74ae8bd61e15152ae6e2e0b283de20fbab07368c1f0aed8605e",
+        "3d9af82b63a89aef7dc59124e68c5d1ad5df61bdae52f6cc3f9dd74725cf32ae",
     ),
     (
         {"beta": 1.3, "p_a": 0.45, "phi_chi": 2.1},
         6,
-        "caf8dd971a136f5c91b4706efb55a36e80aa21a5fec2be06da42ae4183021c02",
-        "f4928ccca029aef369d34dded403e573677c647bba6b545b8a231072a00c5c0a",
+        "d928529450cc000f4ee2ed31d120ea32859df63e7383e9367994e8686b6b5ce6",
+        "3d64c9b056f431eedd5aacf628263a96af0dc733d2289a6c2a1a6262404253ce",
     ),
 ]
 
@@ -222,7 +222,7 @@ def test_purity_audit_csv_bytes_golden(params, seed, digest, text_digest):
 # the whole CSV of a small Monte Carlo cascade run, manifest block included
 MONTE_CARLO_CASCADE_CSV = """\
 # experiment = cascade
-# version = 0.4.0
+# version = 0.5.0
 # scheme = reused_probe
 # alpha_sq = 4.0
 # phi_chi = 1.5707963267948966
@@ -255,7 +255,7 @@ def test_monte_carlo_cascade_csv_full_text_golden():
 def test_shared_probe_cascade_csv_bytes_golden():
     text = _main_stdout(["cascade", "--scheme", "shared-probe", "--setups", "18"])
     assert _data_digest(text) == "7738272a057b0875319941bdfe59d20739de60573730dff9ec7daf7af49312a2"
-    assert _text_digest(text) == "8d8434e438b8326f76fdabaf8f46b012593fede56ecc32a04fcc58fd692143ec"
+    assert _text_digest(text) == "4dd9fd319dffebd819481bcd4d04a1e37d6aae178bb0ecbd6da788b88504dcd4"
 
 
 # every CSV the CLI emits: argv, and the config file that {config} stands for
@@ -751,9 +751,10 @@ def test_verify_catches_flipped_sign_convention(monkeypatch):
 @pytest.mark.parametrize(
     "name, mutant",
     [
-        # the bright route's clicks with and without a signal photon exchanged
-        ("_classical_clicks",
-         lambda clicks: lambda cfg, beta: clicks(cfg, beta)[::-1]),
+        # the detector arms with and without a signal photon exchanged
+        ("coherent_outputs",
+         lambda outputs: lambda cfg, beta, photon: np.array(
+             [outputs(cfg, beta, photon)[0], outputs(cfg, beta, not photon)[1]])),
         # the classical arms of the other signal branch
         ("coherent_outputs",
          lambda outputs: lambda cfg, beta, photon: outputs(cfg, beta, not photon)),

@@ -26,7 +26,8 @@ from xpmherald.mzi import (
     CoherentProbe,
     NoisyPhotonProbe,
     NoisySource,
-    _classical_clicks,
+    _click_scale,
+    coherent_outputs,
     detection_efficiency,
     transparent_via_angle_sum,
 )
@@ -223,16 +224,17 @@ def test_max_tolerable_loss_checks_transparency_once(monkeypatch):
 
 
 def test_solver_margin_equals_public_click_probs_exactly(monkeypatch):
-    # the solver forms its margin from the click law at every absorption it
-    # evaluates, the 201 grid points (0 and 1 among them) and each midpoint;
-    # those clicks must equal, bit for bit, the public lossy_click_probs there
-    law, seen = loss_module._transparent_clicks, []
+    # the solver forms its margin from the click weights at every absorption
+    # it evaluates, the 201 grid points (0 and 1 among them) and each
+    # midpoint; their clicks at the fixed y must equal, bit for bit, the
+    # public lossy_click_probs there
+    law, seen = loss_module._click_weights, []
 
-    def recording_law(y, phi_chi, p_absorb):
-        seen.append((p_absorb, law(y, phi_chi, p_absorb)))
+    def recording_law(phi_chi, p_absorb=0.0):
+        seen.append((p_absorb, law(phi_chi, p_absorb)))
         return seen[-1][1]
 
-    monkeypatch.setattr(loss_module, "_transparent_clicks", recording_law)
+    monkeypatch.setattr(loss_module, "_click_weights", recording_law)
     rng = np.random.default_rng(17)
     for _ in range(60):
         cfg = transparent_via_angle_sum(
@@ -246,22 +248,24 @@ def test_solver_margin_equals_public_click_probs_exactly(monkeypatch):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a documented zero bound
                 max_tolerable_loss(cfg, beta, fixed_p)
-            solver_clicks = list(seen)
-            assert len(solver_clicks) >= 201
-            for pa, clicks in solver_clicks:
+            solver_weights = list(seen)
+            assert len(solver_weights) >= 201
+            y = _click_scale(cfg.bs1.theta, beta)
+            for pa, weights in solver_weights:
+                clicks = tuple(-math.expm1(-(y * a)) for a in weights)
                 assert lossy_click_probs(cfg, beta, LossParams(float(pa))) == clicks
 
 
 def test_solver_runs_on_plain_floats(monkeypatch):
     # the grid, the midpoints and the bound are Python floats, no numpy
     # scalars, with and without a fixed source and for a zero bound
-    law, seen = loss_module._transparent_clicks, []
+    law, seen = loss_module._click_weights, []
 
-    def recording_law(y, phi_chi, p_absorb):
-        seen.append((y, phi_chi, p_absorb))
-        return law(y, phi_chi, p_absorb)
+    def recording_law(phi_chi, p_absorb=0.0):
+        seen.append((phi_chi, p_absorb))
+        return law(phi_chi, p_absorb)
 
-    monkeypatch.setattr(loss_module, "_transparent_clicks", recording_law)
+    monkeypatch.setattr(loss_module, "_click_weights", recording_law)
     for phi_chi, beta, fixed_p in ((PI, 10.0, None), (0.01, 100.0, 0.3), (PI, 1.0, 1.0)):
         seen.clear()
         with warnings.catch_warnings():
@@ -498,7 +502,8 @@ DETECTION_ULP = 6.0  # coherent-probe detection_efficiency (2.6)
 NOISY_DETECTION_ULP = 5.0  # noisy-probe detection_efficiency (2.2)
 CLICK_LAW_ULP = 8.0  # lossy_click_probs, q1 and q0 (3.8)
 HERALDED_ULP = 5.0  # lossy_heralded_efficiency's p_prime (2.0)
-# Absolute, per unit of max(1, |beta|): _classical_clicks (7.3e-17).
+# Absolute, per unit of max(1, |beta|): 1 - exp(-|arm C|^2) of
+# coherent_outputs, the audit route of verify (7.3e-17).
 CLASSICAL_ABS = 1.5e-16
 
 
@@ -564,9 +569,10 @@ def test_click_law_matches_50_digit_reference():
             value = detection_efficiency(cfg, NoisyPhotonProbe(NoisySource(0.5)))
             single = mp.sin(mp.mpf(phi_chi) / 2) ** 2 * mp.sin(2 * mp.mpf(theta1)) ** 2 / 2
             worst["noisy"] = max(worst["noisy"], ulp_error(mp, value, single))
-            # the bright route's 2x2 map cancels the probe's arms by design, so
+            # the audit route's 2x2 map cancels the probe's arms by design, so
             # its error is absolute, in units of the probe amplitude
-            for value, ref in zip(_classical_clicks(cfg, beta), (ref1, ref0)):
+            arms = (coherent_outputs(cfg, beta, s)[1] for s in (True, False))
+            for value, ref in zip((-math.expm1(-abs(complex(c)) ** 2) for c in arms), (ref1, ref0)):
                 dev = float(abs(mp.mpf(value) - ref)) / max(1.0, beta)
                 worst["classical"] = max(worst["classical"], dev)
             for p_absorb in REF_ABSORPTIONS:
@@ -605,11 +611,11 @@ def test_bisection_terminates_at_a_bound_near_the_smallest_float(monkeypatch):
     # shrink to it, and the loop must end once no float lies between its ends
     calls = []
 
-    def law(y, phi_chi, p_absorb):
+    def law(phi_chi, p_absorb=0.0):  # weights whose clicks are 1 and 0, or 1 and 1
         calls.append(p_absorb)
         assert len(calls) < 5000, "the bisection does not terminate"
-        return (1.0, 0.0) if p_absorb < 1e-320 else (1.0, 1.0)
+        return (math.inf, 0.0) if p_absorb < 1e-320 else (math.inf, math.inf)
 
-    monkeypatch.setattr(loss_module, "_transparent_clicks", law)
+    monkeypatch.setattr(loss_module, "_click_weights", law)
     bound = max_tolerable_loss(symmetric_cfg(PI), 1.0)
     assert bound == pytest.approx(1e-320, rel=0.0, abs=2 * 5e-324)

@@ -38,7 +38,6 @@ from xpmherald.mzi import (
     MziConfig,
     NoisyPhotonProbe,
     NoisySource,
-    _classical_clicks,
     coherent_outputs,
     detection_efficiency,
     is_transparent,
@@ -54,57 +53,29 @@ from xpmherald.verify import _random_nontransparent, random_ket, random_transpar
 
 PI = math.pi
 
+# run_setup's scalars, bit for bit: one digest under every (kernel, libm
+# variant) below, since its click law makes no BLAS call and its libm inputs
+# round alike on both variants here.
+RUN_SETUP_DIGEST = "eeff870af353819ad3354e8aa20f59d028a7429d7d6d3d1fdf1040091e4bcb5a"
+
 # The exact engine's block products run on OpenBLAS dgemm, whose kernels sum
 # in different orders, and its splitter entries on glibc's libm, whose FMA and
-# SSE2 builds of sin, cos and exp round some inputs apart, so a bit-for-bit
-# golden holds one digest pair per (kernel, libm variant): (run_setup scalars,
-# propagate_mzi amplitudes).  The run_setup digest is one under all ten keys:
-# its click law makes no BLAS call, and its libm inputs round alike on both
-# variants here.  The kernel name is the one the library reports;
-# OPENBLAS_CORETYPE=Prescott reports "Katmai".  GLIBC_TUNABLES=
-# glibc.cpu.hwcaps=-FMA selects the SSE2 libm on a CPU with FMA, as on one
-# without (Sandybridge, Nehalem and older).
+# SSE2 builds of sin, cos and exp round some inputs apart, so the
+# propagate_mzi golden holds one digest per (kernel, libm variant).  The
+# kernel name is the one the library reports; OPENBLAS_CORETYPE=Prescott
+# reports "Katmai".  GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA selects the SSE2
+# libm on a CPU with FMA, as on one without (Sandybridge, Nehalem and older).
 GOLDEN_DIGESTS = {
-    ("SkylakeX", "fma"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "0cf7c73f926307a06bc4e704d2939bf0ae93e01a70eedcb79114e6862da55965",
-    ),
-    ("SkylakeX", "sse2"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "f33f0404266dbc3a2fb8c16384d223ff885492af0582e7609ee2f6207918e504",
-    ),
-    ("Haswell", "fma"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "7fbbb7e7b8185df1d0183d263d581353cba89a16b18050b0b65e950b014b6897",
-    ),
-    ("Haswell", "sse2"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "52029d77c46eeae0c6fcdf188402fd736cc28232d313ddb5eda95f35f4c4b9c6",
-    ),
-    ("Sandybridge", "fma"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "bd1701b2923597feec839b081a03ed2743975a2c2680ea3428f4976dcfe0161b",
-    ),
-    ("Sandybridge", "sse2"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "e26fa7b0d3fce1cafa8269a02de001a528103cc2414f96119f2ca8fb7ca8fd4d",
-    ),
-    ("Nehalem", "fma"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "e27d5ea379cf9f40c7c7dc8dc987343db448f85c993b54ed66da3e4ca611f583",
-    ),
-    ("Nehalem", "sse2"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "bf406b86df6e1d853e3fe33e30998c6b79ee094b3fcfd58b14b32e14e1bb3dba",
-    ),
-    ("Katmai", "fma"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "5653999798bca603c8ed4ee0b8faf267f51d9aaf701d578892c1c17ddfcce6f3",
-    ),
-    ("Katmai", "sse2"): (
-        "4d423e3c2096f9296671bed6d579421d2823be05392916d086a6eb4077fbf7c0",
-        "acd01c9323df2988f6be5ae16e01f3ce9bb7644cca730565e267dfd415ff7ace",
-    ),
+    ("SkylakeX", "fma"): "0cf7c73f926307a06bc4e704d2939bf0ae93e01a70eedcb79114e6862da55965",
+    ("SkylakeX", "sse2"): "f33f0404266dbc3a2fb8c16384d223ff885492af0582e7609ee2f6207918e504",
+    ("Haswell", "fma"): "7fbbb7e7b8185df1d0183d263d581353cba89a16b18050b0b65e950b014b6897",
+    ("Haswell", "sse2"): "52029d77c46eeae0c6fcdf188402fd736cc28232d313ddb5eda95f35f4c4b9c6",
+    ("Sandybridge", "fma"): "bd1701b2923597feec839b081a03ed2743975a2c2680ea3428f4976dcfe0161b",
+    ("Sandybridge", "sse2"): "e26fa7b0d3fce1cafa8269a02de001a528103cc2414f96119f2ca8fb7ca8fd4d",
+    ("Nehalem", "fma"): "e27d5ea379cf9f40c7c7dc8dc987343db448f85c993b54ed66da3e4ca611f583",
+    ("Nehalem", "sse2"): "bf406b86df6e1d853e3fe33e30998c6b79ee094b3fcfd58b14b32e14e1bb3dba",
+    ("Katmai", "fma"): "5653999798bca603c8ed4ee0b8faf267f51d9aaf701d578892c1c17ddfcce6f3",
+    ("Katmai", "sse2"): "acd01c9323df2988f6be5ae16e01f3ce9bb7644cca730565e267dfd415ff7ace",
 }
 
 
@@ -118,10 +89,10 @@ def libm_variant() -> str:
     return _platform()["libm"]
 
 
-def golden_digest(which: int) -> str:
+def golden_digest() -> str:
     key = openblas_core(), libm_variant()
     assert key in GOLDEN_DIGESTS, f"no golden digest recorded for (OpenBLAS core, libm) {key!r}"
-    return GOLDEN_DIGESTS[key][which]
+    return GOLDEN_DIGESTS[key]
 
 
 def mzi_config(theta1, phi1, theta2, phi2, phi_chi=1.0):
@@ -337,11 +308,10 @@ def test_full_swaps_leak_only_rounding_yet_are_not_transparent(probe):
 )
 def test_vacuum_clicks_follow_the_transparency_verdict(monkeypatch, probe):
     # one rule on every probe route: a transparent setup's p_click is the
-    # photon branches' click mass bit for bit; with theta2 off by eps the
-    # vacuum click mass, down to 1e-16 and often below the truncation
-    # deficit, joins p_click as sample_shots draws it, (1 - p) q0, and the
-    # purity is below 1.  run_setup reads the click law and sample_shots the
-    # engine, so the two agree to ROUTE_TOL
+    # photon branches' click mass bit for bit, and agrees with the engine's to
+    # ROUTE_TOL; with theta2 off by eps the vacuum click mass, down to 1e-16
+    # and often below the truncation deficit, joins p_click as sample_shots
+    # draws it, (1 - p) q0, bit for bit, and the purity is below 1
     cells = []
     real_generator = np.random.Generator
 
@@ -371,7 +341,7 @@ def test_vacuum_clicks_follow_the_transparency_verdict(monkeypatch, probe):
                 continue
             sample_shots(cfg, NoisySource(p), probe, 1, seed=0, require_transparent=False)
             photon, vacuum = cells[-1][:2]  # p q1, (1 - p) q0
-            assert abs(out.p_click - (photon + vacuum)) <= ROUTE_TOL
+            assert out.p_click == photon + vacuum
             assert out.purity_given_click < 1.0
             if p == 0.0:
                 assert out.p_click > 0.0 and vacuum > 0.0
@@ -444,17 +414,12 @@ def test_photon_probe_reports_no_truncation_deficit(p_b, monkeypatch):
 
 
 def test_every_engine_batch_checks_the_propagated_norm(monkeypatch):
-    # the norm check sits in _click_table, so sample_shots and the audits'
-    # batches raise on a norm past 1 + NORM_TOL as run_setup does
+    # the norm check sits in _click_table, so the audits' batches raise on a
+    # norm past 1 + NORM_TOL as the click states do
     cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
-    probes = (NoisyPhotonProbe(NoisySource(0.8)), CoherentProbe(1.5))
-    for probe in probes:
-        assert sum(sample_shots(cfg, NoisySource(0.5), probe, 100, seed=1).values()) == 100
     propagate = mzi._propagate
     monkeypatch.setattr(mzi, "_propagate", lambda *args, **kw: propagate(*args, **kw) * 1.001)
-    for probe in probes:
-        with pytest.raises(ValueError, match="exceeds 1"):
-            sample_shots(cfg, NoisySource(0.5), probe, 100, seed=1)
+    for probe in (NoisyPhotonProbe(NoisySource(0.8)), CoherentProbe(1.5)):
         with pytest.raises(ValueError, match="exceeds 1"):
             mzi._click_table([cfg] * 2, [NoisySource(1.0)] * 2, [probe] * 2, True)
 
@@ -494,7 +459,7 @@ def test_run_setup_scalars_golden():
     # repr over the 216 runs of _golden_setups
     rows = [_scalars(run_setup(cfg, source, probe, transparent))
             for cfg, source, probe, transparent in _golden_setups()]
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == golden_digest(0)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == RUN_SETUP_DIGEST
 
 
 def _full_leaks():
@@ -520,7 +485,7 @@ def test_run_setup_agrees_with_the_engine_table():
         _assert_routes_agree(out, _engine_scalars(cfg, source, probe, transparent))
     leaks = set()
     for cfg, source, probe in _full_leaks():
-        leaks.update(abs(mzi._arms(cfg, 1.0, s)[1]) ** 2 >= 1.0 for s in (False, True))
+        leaks.update(m >= 1.0 for m in mzi._detector_means(cfg, 1.0))
         out = run_setup(cfg, source, probe, require_transparent=False)
         _assert_routes_agree(out, _engine_scalars(cfg, source, probe, False))
     assert leaks == {False, True}
@@ -588,7 +553,7 @@ def test_photon_probe_efficiency_reads_the_click_law():
         theta1, phi_chi, p_b = rng.uniform(0.0, PI), rng.uniform(-7.0, 7.0), rng.uniform()
         cfg = transparent_via_angle_sum(theta1, 0.0, phi_chi)
         got = detection_efficiency(cfg, NoisyPhotonProbe(NoisySource(p_b)))
-        assert got == p_b * mzi._click_exponents(mzi._click_scale(theta1, 1.0), phi_chi)[0]
+        assert got == p_b * (mzi._click_scale(theta1, 1.0) * mzi._click_weights(phi_chi)[0])
         old = math.sin(phi_chi / 2.0) ** 2 * math.sin(2.0 * theta1) ** 2 * p_b
         assert abs(got - old) <= 3.0 * math.ulp(old)
 
@@ -613,8 +578,7 @@ def test_click_exponents_are_y_times_the_y_free_weights_bit_for_bit():
     draws += [(y, phi, p_a) for y in (0.0, 0.3, 1e6) for phi in edges for p_a in (0.0, 1e-300, 1.0)]
     for y, phi_chi, p_absorb in draws:
         a1, a0 = mzi._click_weights(phi_chi, p_absorb)
-        got = mzi._click_exponents(y, phi_chi, p_absorb)
-        assert [x.hex() for x in got] == [x.hex() for x in _inline_click_exponents(y, phi_chi, p_absorb)]
+        got = _inline_click_exponents(y, phi_chi, p_absorb)
         assert [x.hex() for x in got] == [(y * a1).hex(), (y * a0).hex()]
 
 
@@ -734,19 +698,22 @@ def test_bright_and_exact_paths_agree_at_the_threshold():
 
 
 def test_bright_route_is_the_lossless_classical_click_function():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        cfg = random_transparent(rng)
-        beta = complex(*rng.uniform(-30.0, 30.0, 2))
-        if abs(beta) ** 2 <= 16.0:
-            continue
-        p = float(rng.uniform())
-        q1, q0 = _classical_clicks(cfg, beta)
-        out = run_setup(cfg, NoisySource(p), CoherentProbe(beta))
-        assert out.detection_efficiency == q1
-        assert out.p_click == p * q1 + (1.0 - p) * q0
-        assert out.total_success == q1 * p
-        assert out.truncation_deficit == 0.0 and out.click_state is None
+    # a bright probe clicks with 1 - exp(-|beta|^2 sin^2(2 theta1) sin^2(phi_chi
+    # / 2)), to 1e-13 relative of a 50-digit reference down to phi_chi =
+    # 1e-10 on both families, where a difference of the two arms' splitter
+    # products kept six digits; splitter phase 0.7 makes those products complex
+    mp = pytest.importorskip("mpmath")
+    beta = 5.0
+    for family in (transparent_via_angle_sum, transparent_via_angle_diff):
+        for theta1 in (PI / 4.0, 0.3, 1.1):
+            for phi_chi in (1e-4, 1e-6, 1e-8, 1e-10):
+                out = run_setup(family(theta1, 0.7, phi_chi), NoisySource(0.6), CoherentProbe(beta))
+                with mp.workdps(50):
+                    y = mp.mpf(beta) ** 2 * mp.sin(2 * mp.mpf(theta1)) ** 2 / 4
+                    ref = -mp.expm1(-y * abs(mp.expj(phi_chi) - 1) ** 2)
+                    assert abs(out.detection_efficiency - ref) <= 1e-13 * ref
+                assert out.p_click == out.total_success == 0.6 * out.detection_efficiency
+                assert out.truncation_deficit == 0.0 and out.click_state is None
 
 
 def test_propagate_mzi_matches_element_chain():
@@ -822,7 +789,7 @@ def test_propagate_mzi_amplitudes_golden():
         # one unweighted input branch per (signal, label) slice, as in _click_table
         ket = MultiModeKet._unchecked(amps)
         digest.update(propagate_mzi(ket, cfg).amps.tobytes())
-    assert digest.hexdigest() == golden_digest(1)
+    assert digest.hexdigest() == golden_digest()
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 kernels only")
@@ -1040,17 +1007,21 @@ def test_no_click_probe_state_matches_amplitude_recursion():
 
 
 def test_classical_clicks_read_coherent_outputs():
-    # the bright-probe click function and the classical output amplitudes
-    # are one 2x2 map: the click probabilities are 1 - exp(-|detector arm|^2)
+    # the detector means and the classical output amplitudes are one 2x2
+    # map: off transparency m_s is |detector arm|^2 bit for bit; on it m_s
+    # is the cancellation-free form, m0 exactly 0; either way the clicks
+    # 1 - exp(-m_s) are within 1e-14 of 1 - exp(-|detector arm|^2)
     rng = np.random.default_rng(41)
     for i in range(400):
         cfg = random_transparent(rng) if i % 2 else _random_nontransparent(rng)
         beta = complex(rng.normal(0.0, 3.0), rng.normal(0.0, 3.0))
-        q1, q0 = _classical_clicks(cfg, beta)
-        for q, present in ((q1, True), (q0, False)):
-            arm = coherent_outputs(cfg, beta, present)[1]
-            assert q == -math.expm1(-abs(arm) ** 2)  # bit for bit: no products of its own
-            assert abs(q - (1.0 - math.exp(-abs(arm) ** 2))) < 1e-14
+        means = mzi._detector_means(cfg, beta)
+        for m, present in zip(means, (True, False)):
+            arm = complex(coherent_outputs(cfg, beta, present)[1])
+            if not i % 2:
+                assert m == abs(arm) ** 2
+            assert abs(-math.expm1(-m) - (1.0 - math.exp(-abs(arm) ** 2))) < 1e-14
+        assert means[1] == 0.0 or not i % 2
 
 
 def test_coherent_deficit_is_recorded():
@@ -1063,25 +1034,26 @@ def test_coherent_deficit_is_recorded():
 
 
 def test_sample_shots_counts_pinned():
-    # counts of the one multinomial draw, recorded at output version 0.3.0;
-    # any drift in the per-branch click probabilities or in the draw
-    # changes them (test_sample_shots_cells_within_four_sigma bounds them)
+    # counts of the one multinomial draw, recorded at output version 0.5.0,
+    # where q0 became exactly 0 and its cell no longer draws; any drift in
+    # the click pair or in the draw changes them (within four sigma of the
+    # cells, as test_sample_shots_cells_within_four_sigma bounds its cases)
     cfg = transparent_via_angle_sum(0.6, 0.3, 2.1)
     assert sample_shots(
         cfg, NoisySource(0.45), NoisyPhotonProbe(NoisySource(0.7)), 200_000, seed=5
     ) == {
         "click_and_photon": 41331,
         "click_no_photon": 0,
-        "no_click_photon": 48966,
-        "no_click_no_photon": 109703,
+        "no_click_photon": 48831,
+        "no_click_no_photon": 109838,
     }
     assert sample_shots(
         cfg, NoisySource(0.45), CoherentProbe(1.3 + 0.4j), 200_000, seed=6
     ) == {
         "click_and_photon": 63189,
         "click_no_photon": 0,
-        "no_click_photon": 26765,
-        "no_click_no_photon": 110046,
+        "no_click_photon": 26974,
+        "no_click_no_photon": 109837,
     }
     assert sample_shots(
         cfg, NoisySource(1.0), NoisyPhotonProbe(NoisySource(1.0)), 50_000, seed=7
@@ -1350,10 +1322,11 @@ def _spy_propagate(monkeypatch):
 
 
 def test_run_setup_stays_off_the_engine(monkeypatch):
-    # run_setup answers from the 2x2 law: with the engine made to raise it
-    # still returns every scalar for photon, truncated coherent and bright
-    # probes on transparent and leaky setups, and only reading a
-    # conditioned state (which bright probes do not have) reaches the engine
+    # run_setup and sample_shots answer from the 2x2 law: with the engine and
+    # its click table made to raise they still return every scalar and every
+    # count for photon, truncated coherent and bright probes on transparent
+    # and leaky setups, and only reading a conditioned state (which bright
+    # probes do not have) reaches the engine, through the click table
     def refuse(*args, **kw):
         raise RuntimeError("engine")
 
@@ -1365,7 +1338,11 @@ def test_run_setup_stays_off_the_engine(monkeypatch):
     cfgs = [(transparent_via_angle_sum(0.7, 0.3, 2.1), True), (mzi_config(0.7, 0.3, 0.4, 1.1, 2.1), False)]
     for cfg, transparent in cfgs:
         for probe in probes:
-            out = run_setup(cfg, NoisySource(0.7), probe, require_transparent=transparent)
+            with monkeypatch.context() as table:
+                table.setattr(mzi, "_click_table", refuse)
+                out = run_setup(cfg, NoisySource(0.7), probe, require_transparent=transparent)
+                counts = sample_shots(cfg, NoisySource(0.7), probe, 1000, 3, transparent)
+            assert sum(counts.values()) == 1000 and counts["click_and_photon"] > 0
             assert 0.0 < out.p_click < 1.0 and 0.0 < out.detection_efficiency < 1.0
             assert out.total_success == 0.7 * out.detection_efficiency
             assert 0.0 <= out.truncation_deficit < 1e-10 and 0.0 < out.purity_given_click <= 1.0
@@ -1375,6 +1352,80 @@ def test_run_setup_stays_off_the_engine(monkeypatch):
             for event in ("click_state", "no_click_state"):
                 with pytest.raises(RuntimeError, match="engine"):
                     getattr(out, event)
+
+
+def _probe_kinds(rng):
+    """A noisy photon probe, a truncated coherent one and a bright one."""
+    phase = complex(np.exp(1j * rng.uniform(0.0, 2.0 * PI)))
+    return (NoisyPhotonProbe(NoisySource(float(rng.uniform()))),
+            CoherentProbe(float(rng.uniform(0.1, 4.0)) * phase),
+            CoherentProbe(float(rng.uniform(4.1, 30.0)) * phase))
+
+
+def test_transparent_setups_never_click_without_a_signal_photon():
+    # q0 is exactly 0.0 on every transparent setup, both families and every
+    # probe kind, so a vacuum source's p_click is 0.0 and a click's purity 1.0
+    rng = np.random.default_rng(43)
+    for i in range(300):
+        family = transparent_via_angle_sum if i % 2 else transparent_via_angle_diff
+        cfg = family(*rng.uniform(-7.0, 7.0, 3))
+        for probe in _probe_kinds(rng):
+            assert mzi._law_clicks(cfg, probe)[1] == 0.0
+            assert run_setup(cfg, NoisySource(0.0), probe).p_click == 0.0
+            out = run_setup(cfg, NoisySource(0.3), probe)
+            assert out.purity_value in (None, 1.0)
+
+
+def test_transparent_run_setup_is_the_closed_form_bit_for_bit():
+    # photon and bright probes truncate nothing, so run_setup's detection
+    # efficiency is detection_efficiency's, bit for bit
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        cfg = random_transparent(rng, phi_chi=float(rng.uniform(-7.0, 7.0)))
+        photon, _, bright = _probe_kinds(rng)
+        for probe in (photon, bright):
+            out = run_setup(cfg, NoisySource(float(rng.uniform())), probe)
+            assert out.detection_efficiency == detection_efficiency(cfg, probe)
+
+
+def test_sample_shots_draws_from_the_click_pair_run_setup_reads(monkeypatch):
+    # sample_shots' four cells are p q1, (1 - p) q0, p (1 - q1), (1 - p)
+    # (1 - q0) of the one (q1, q0) that run_setup reports, on transparent and
+    # leaky setups and every probe kind; a leak that rounds past 1 still
+    # gives four cells in [0, 1]
+    pairs, cells = [], []
+    real_generator, law = np.random.Generator, mzi._law_clicks
+
+    class Spy:  # records the cells sample_shots draws from
+        def __init__(self, bit_generator):
+            self.generator = real_generator(bit_generator)
+
+        def multinomial(self, n, pvals):
+            cells.append(list(pvals))
+            return self.generator.multinomial(n, pvals)
+
+    def recorded(cfg, probe):
+        clicks = law(cfg, probe)
+        pairs.append(clicks[:2])
+        return clicks
+
+    monkeypatch.setattr(np.random, "Generator", Spy)
+    monkeypatch.setattr(mzi, "_law_clicks", recorded)
+    rng = np.random.default_rng(53)
+    full_swap = mzi_config(PI / 2.0, 0.9, 0.0, 0.1, 1.3)
+    assert min(mzi._detector_means(full_swap, 1.0)) > 1.0
+    cfgs = [(random_transparent(rng), True), (_random_nontransparent(rng), False), (full_swap, False)]
+    for cfg, transparent in cfgs:
+        for probe in _probe_kinds(rng) + (NoisyPhotonProbe(NoisySource(1.0)),):
+            p = float(rng.uniform())
+            out = run_setup(cfg, NoisySource(p), probe, transparent)
+            sample_shots(cfg, NoisySource(p), probe, 100, 9, transparent)
+            assert pairs[-2] == pairs[-1] and pairs[-1][0] == out.detection_efficiency
+            q1, q0 = pairs[-1]
+            assert cells[-1] == [p * q1, (1.0 - p) * q0, p * (1.0 - q1), (1.0 - p) * (1.0 - q0)]
+            assert out.p_click == cells[-1][0] + cells[-1][1]
+            assert all(0.0 <= c <= 1.0 for c in cells[-1])
+    assert len(pairs) == 2 * len(cells) == 24
 
 
 def test_outcome_holds_no_array_until_a_state_is_read():

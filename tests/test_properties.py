@@ -95,7 +95,7 @@ def _subnormal_click_exponent(cfg, beta) -> bool:
     float range, where the loss model refuses the probe."""
     theta1, phi_chi = cfg.bs1.theta, cfg.xpm.phi_chi
     positive = beta != 0 and math.sin(2.0 * theta1) != 0 and math.sin(phi_chi / 2.0) != 0
-    x1 = mzi._click_exponents(mzi._click_scale(theta1, beta), phi_chi)[0]
+    x1 = mzi._detector_means(cfg, beta)[0]
     return positive and x1 < sys.float_info.min
 
 
