@@ -31,8 +31,8 @@ slot of a trailing axis, and ``_click_table``, which the audits and the
 click states of a ``HeraldOutcome`` read, propagates many setups grouped
 by input shape, as probe columns rather than input arrays (C is in
 vacuum, ``elements._first_stage``), and checks every norm.  The splitter
-algebra is read as Python numbers off ``elements._bs_entries``:
-``_bc_product`` multiplies them out, ``_detector_means`` the leak alone.
+algebra is read as Python numbers off ``elements._bs_entries``, and
+``_bc_product`` alone multiplies them out.
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ class HeraldOutcome:
     ``click_state`` and ``no_click_state`` are the conditioned branch
     ensembles, built by ``fock.condition`` on each read from the array the
     exact engine propagates for the run's inputs on the first read of
-    either.  They are None for an event of probability zero and on the
-    classical path, which propagates no array.  On a transparent setup
-    ``click_state`` holds the photon-signal branches only, renormalized, as
-    ``p_click`` counts them; ``no_click_state`` holds every branch.
+    either; None for an event of probability zero or a bright probe, which
+    the engine does not take.  On a transparent setup ``click_state`` holds
+    the photon-signal branches only, renormalized, as ``p_click`` counts
+    them; ``no_click_state`` holds every branch.
     """
 
     p_click: float
@@ -183,9 +183,10 @@ class HeraldOutcome:
         on a transparent setup a click conditions the photon slices alone."""
         if self._inputs is None or (event == "at_least_one" and self.p_click == 0.0):
             return None
+        probe = self._inputs[2]
+        if isinstance(probe, CoherentProbe) and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
+            return None  # the bright route propagates no array
         out, branches = self._branches
-        if out is None:  # the classical path propagates no array
-            return None
         if event == "at_least_one" and self._inputs[0]._transparent:  # a vacuum signal cannot click
             total = sum(w for w, s, _ in branches if s)
             branches = [(w / total, s, b) for w, s, b in branches if s]
@@ -345,16 +346,15 @@ def _detector_means(cfg: MziConfig, beta: complex, p_absorb: float = 0.0) -> tup
     |beta|^2 |t01|^2 with the upper arm u e^{i phi_chi} or u, u = sqrt(1 -
     p_absorb).  On a transparent setup, y (``_click_scale``) times the
     ``_click_weights``, so m0 is exactly 0 without absorption; on any other,
-    t01 read off each splitter's ``_bs_entries`` once."""
+    t01 of ``_bc_product``.  The closed form assumes an exactly inverting
+    splitter pair (see ``run_setup``)."""
     if cfg._transparent:
         y = _click_scale(cfg.bs1.theta, beta)
         a1, a0 = _click_weights(cfg.xpm.phi_chi, p_absorb)
         return y * a1, y * a0
-    (a, b), _ = _bs_entries(cfg.bs1)
-    (_, f), (_, h) = _bs_entries(cfg.bs2)
-    u, phi_chi = math.sqrt(1.0 - p_absorb), cfg.xpm.phi_chi
-    upper = u * complex(math.cos(phi_chi), math.sin(phi_chi))
-    return abs((a * upper * f + b * h) * beta) ** 2, abs((a * u * f + b * h) * beta) ** 2
+    u = math.sqrt(1.0 - p_absorb)
+    phase = complex(math.cos(cfg.xpm.phi_chi), math.sin(cfg.xpm.phi_chi))
+    return abs(_bc_product(cfg, u * phase)[1] * beta) ** 2, abs(_bc_product(cfg, u)[1] * beta) ** 2
 
 
 def _check_slot(cfg, source, probe, require_transparent: bool) -> None:
@@ -385,8 +385,8 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     the splitters act on B and C and XPM is diagonal, so no slice mixes
     with another.  Slots of one input shape (noisy photon probes, coherent
     probes of one cutoff) are one ``_propagate`` batch.  A probe brighter
-    than ``BRIGHT_PROBE_MEAN_PHOTONS`` reads ``_law_clicks``, no array.
-    The audits and the click states of a ``HeraldOutcome`` read the table.
+    than ``BRIGHT_PROBE_MEAN_PHOTONS`` raises ConfigurationError.  The
+    audits and the click states of a ``HeraldOutcome`` read the table.
     """
     tables: list = [None] * len(cfgs)
     groups: dict = {}  # input shape: (slot, weights, (B, label) amplitudes) per member
@@ -395,9 +395,7 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
         if isinstance(probe, NoisyPhotonProbe):
             weights, column = (probe.source.p, 1.0 - probe.source.p), _PHOTON_OR_VACUUM
         elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
-            q1, q0, _ = _law_clicks(cfg, probe)
-            tables[slot] = ((1.0,), ([[1.0 - q0], [1.0 - q1]], [[q0], [q1]]), None)
-            continue
+            raise ConfigurationError(f"the engine takes no probe this bright: {probe!r}")
         else:
             weights, column = (1.0,), make_coherent(probe.beta).amps[:, None, None, None]
         groups.setdefault(column.shape, []).append((slot, weights, column))
@@ -452,7 +450,10 @@ def run_setup(
     configuration has q0 = 0 exactly, so the click-conditioned signal state
     is the pure one-photon state and the total success probability p q1
     factors into detection efficiency times source efficiency.  Otherwise
-    ``p_click`` reports the vacuum branches' click mass.
+    ``p_click`` reports the vacuum branches' click mass.  The transparent
+    law assumes splitters that invert each other exactly; on a pair that
+    passes ``is_transparent`` only within ``TRANSPARENCY_TOL`` the clicks
+    may depart from exact propagation by about 12 max(1, |beta|^2) times it.
 
     The exact engine propagates the conditioned branch ensembles when
     ``click_state`` or ``no_click_state`` is first read.  A coherent probe

@@ -10,9 +10,10 @@ forms built on the same law; ``elements`` checks the classical path of
 coherent probes, the arms of ``mzi.coherent_outputs`` and the clicks read
 off its arm C, against one exact ``mzi._propagate`` batch of the same
 probes.  ``mzi._detector_means``, the click law the closed forms and the
-product route share, is what they audit, never a reference.  The Fock and
-element algebra underneath is tested in ``tests/test_fock.py`` and
-``tests/test_elements.py``, not here.
+product route share, is what they audit, never a reference: the Monte
+Carlo checks hold ``sample_shots`` against the engine's click masses.  The
+Fock and element algebra underneath is tested in ``tests/test_fock.py``
+and ``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
@@ -311,32 +312,31 @@ def _check_mzi(results, rng, dense: bool):
             f"argmax {best:.4f}", f"pi/4 within grid step",
         )
 
-    shots = 1_000_000 if dense else 100_000
-    cases = 6 if dense else 3
-    ok = True
-    worst_z = 0.0
-    zero_bad = 0
-    totals_ok = True
+    # sample_shots reads the click law: held to the engine's click masses
+    shots, cases = (1_000_000, 6) if dense else (100_000, 3)
+    cfgs, sources, probes = [], [], []
     for i in range(cases):
-        cfg = random_transparent(rng, phi_chi=float(rng.uniform(1.0, 5.0)))
-        p_a = float(rng.uniform(0.2, 0.9))
+        cfgs.append(random_transparent(rng, phi_chi=float(rng.uniform(1.0, 5.0))))
+        sources.append(mzi.NoisySource(float(rng.uniform(0.2, 0.9))))
         if i % 2 == 0:
-            probe = mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.4, 1.0))))
+            probes.append(mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.4, 1.0)))))
         else:
-            probe = mzi.CoherentProbe(float(rng.uniform(0.5, 1.5)))
-        counts = mzi.sample_shots(
-            cfg, mzi.NoisySource(p_a), probe, shots, seed=1000 + i
-        )
-        zero_bad += counts["click_no_photon"]
-        totals_ok = totals_ok and sum(counts.values()) == shots
-        expected = mzi.detection_efficiency(cfg, probe) * p_a
-        freq = counts["click_and_photon"] / shots
-        sigma = math.sqrt(expected * (1.0 - expected) / shots)
-        z = abs(freq - expected) / sigma if sigma > 0 else 0.0
-        worst_z = max(worst_z, z)
-        ok = ok and z <= MC_SIGMAS
+            probes.append(mzi.CoherentProbe(float(rng.uniform(0.5, 1.5))))
+    tables = mzi._click_table(cfgs, sources, probes, True)
+    zs, zero_bad, totals_ok = [], 0, True
+    for i, (cfg, source, probe, table) in enumerate(zip(cfgs, sources, probes, tables)):
+        counts = mzi.sample_shots(cfg, source, probe, shots, seed=1000 + i)
+        (weights, (_, click), _), p_a = table, source.p
+        q0, q1 = (sum(w * q for w, q in zip(weights, row)) for row in click)
+        cells = (p_a * q1, (1.0 - p_a) * q0, p_a * (1.0 - q1), (1.0 - p_a) * (1.0 - q0))
+        engine = np.random.Generator(np.random.Philox(1000 + i)).multinomial(shots, cells)
+        zero_bad += counts["click_no_photon"] + int(engine[1])
+        totals_ok = totals_ok and sum(counts.values()) == int(engine.sum()) == shots
+        sigma = math.sqrt(cells[0] * (1.0 - cells[0]) / shots)
+        zs.append(abs(counts["click_and_photon"] / shots - cells[0]) / sigma if sigma > 0 else 0.0)
+    worst_z = max(zs)
     _record(
-        results, "mzi", "mc-click-frequency", ok,
+        results, "mzi", "mc-click-frequency", worst_z <= MC_SIGMAS,
         f"{cases} configs x {shots} shots", f"max z {worst_z:.2f}",
         f"<= {MC_SIGMAS} sigma",
     )

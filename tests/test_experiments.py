@@ -744,8 +744,11 @@ def test_verify_catches_flipped_sign_convention(monkeypatch):
     assert "zero-false-click" in failed_names
     assert "zero-false-click" in report
     # the purity audit reads the engine's click masses, not run_setup's
-    # purity, which is 1 by construction on a transparent setup
+    # purity, which is 1 by construction on a transparent setup, and the
+    # Monte Carlo checks hold sample_shots, whose q0 is 0 there by
+    # construction, against the engine's cells
     assert "click-implies-pure-photon" in failed_names
+    assert {"mc-click-frequency", "mc-click-without-photon"} <= failed_names
 
 
 @pytest.mark.parametrize(

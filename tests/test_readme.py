@@ -85,7 +85,7 @@ def resolves(name, roots) -> bool:
 def test_readme_names_resolve():
     # a renamed or deleted name must not live on in the README: each one is
     # an attribute path from the package or one of its modules (such as
-    # mzi._classical_clicks or xpmherald.loss), or a config parameter that
+    # mzi._detector_means or xpmherald.loss), or a config parameter that
     # experiments reads through _param* (such as p_b or fixed_p)
     roots = [xpmherald] + [
         importlib.import_module(f"xpmherald.{m.name}")
