@@ -67,9 +67,9 @@ class TruncationPolicy:
         retained cutoff, a real in (0, 1); the cutoff is the smallest whose
         Poisson tail is below it (``np.pad`` the amplitudes for a larger one).
 
-    The scheme routes truncate at the default, 1e-10 (``run_setup`` sums
-    its click law over the truncated photon numbers, the engine propagates
-    the truncated ket); ``make_coherent(beta, policy)`` takes another.
+    The scheme routes truncate at the default, 1e-10, at the cutoff of
+    ``_poisson_weights``, which ``run_setup``'s click law and the engine's
+    ``make_coherent`` ket share; ``make_coherent(beta, policy)`` takes another.
     """
 
     tail_tolerance: float = 1e-10
@@ -168,20 +168,10 @@ def make_fock(occupations: tuple[int, ...], cutoffs: tuple[int, ...]) -> MultiMo
     return MultiModeKet(amps)
 
 
-def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> MultiModeKet:
-    """Truncated single-mode coherent state.
-
-    Amplitudes are ``exp(-|beta|^2/2) beta^n / sqrt(n!)`` for n up to the
-    first cutoff whose Poisson tail is below the policy's tolerance; one
-    pass builds them and sums the masses.  The ket is deliberately NOT
-    renormalized: its norm deficit is that tail.  Raises TruncationError,
-    carrying the achieved tail, past ``MAX_AUTO_CUTOFF``, below
-    ``CERTIFIABLE_TAIL``, or at once when ``exp(-|beta|^2)`` underflows to 0.
-    """
-    policy = _DEFAULT_POLICY if policy is None else policy
-    if not isinstance(policy, TruncationPolicy):
-        raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
-    check_amplitude("coherent amplitude", beta)
+def _poisson_weights(mean: float, policy=_DEFAULT_POLICY) -> tuple[np.ndarray, float]:
+    """Poisson weights P(0..N) of a mean photon number and their sum, N the
+    policy's cutoff (the first n whose tail 1 - sum is below the tolerance):
+    a scalar loop's IEEE operations, in its order, as numpy accumulations."""
     tol = policy.tail_tolerance
     if tol < CERTIFIABLE_TAIL:
         raise TruncationError(
@@ -189,24 +179,45 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
             f"double-precision certification floor {CERTIFIABLE_TAIL:.0e}",
             tail=CERTIFIABLE_TAIL,
         )
+    first, sums = math.exp(-mean), (0.0,)  # a sum from exp(-mean) = 0 never grows
+    # a guess that held N at every mean and tolerance tried, then every cutoff and one more
+    for size in (16 + int(mean + 8.0 * math.sqrt(mean)), MAX_AUTO_CUTOFF + 1) if first else ():
+        factors = np.concatenate(((first,), mean / np.arange(1.0, size + 1.0)))
+        terms = np.multiply.accumulate(factors)
+        sums = np.add.accumulate(terms)
+        met = 1.0 - sums[: MAX_AUTO_CUTOFF + 1] < tol
+        n = int(met.argmax())
+        if met[n]:
+            return terms[: n + 1], float(sums[n])
+    raise TruncationError(
+        (f"no cutoff <= {MAX_AUTO_CUTOFF}" if first else "exp(-|beta|^2) underflows, so no cutoff")
+        + f" meets tail tolerance {tol:.3e} at mean photon number {mean:.3e}; "
+        "use the classical coherent-amplitude path instead",
+        tail=max(0.0, 1.0 - float(sums[-1])),
+    )
+
+
+def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> MultiModeKet:
+    """Truncated single-mode coherent state.
+
+    Amplitudes are ``exp(-|beta|^2/2) beta^n / sqrt(n!)`` by recurrence up
+    to the cutoff of ``_poisson_weights``.  The ket is deliberately NOT
+    renormalized: its norm deficit is the Poisson tail past it.  Raises
+    TruncationError, carrying the achieved tail, past ``MAX_AUTO_CUTOFF``,
+    below ``CERTIFIABLE_TAIL``, or at once when ``exp(-|beta|^2)`` is 0.
+    """
+    policy = _DEFAULT_POLICY if policy is None else policy
+    if not isinstance(policy, TruncationPolicy):
+        raise ConfigurationError(f"not a TruncationPolicy: {policy!r}")
+    check_amplitude("coherent amplitude", beta)
     beta = complex(beta)
     mean = abs(beta) ** 2
     a = complex(math.exp(-mean / 2.0))
     amps = [a]
-    term = cum = math.exp(-mean)
-    for n in range(1, MAX_AUTO_CUTOFF + 2 if cum else 0):  # a sum from 0 never grows
-        if 1.0 - cum < tol:
-            return MultiModeKet._unchecked(np.array(amps))
-        term *= mean / n
-        cum += term
+    for n in range(1, len(_poisson_weights(mean, policy)[0])):
         a = a * beta / math.sqrt(n)
         amps.append(a)
-    raise TruncationError(
-        (f"no cutoff <= {MAX_AUTO_CUTOFF}" if cum else "exp(-|beta|^2) underflows, so no cutoff")
-        + f" meets tail tolerance {tol:.3e} at mean photon number {mean:.3e}; "
-        "use the classical coherent-amplitude path instead",
-        tail=max(0.0, 1.0 - cum),
-    )
+    return MultiModeKet._unchecked(np.array(amps))
 
 
 def tensor(kets: list[MultiModeKet]) -> MultiModeKet:

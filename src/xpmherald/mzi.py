@@ -19,12 +19,12 @@ the 2x2 map below given s signal photons, and a coherent probe beta sends
 it m_s = |beta|^2 q_s photons on average (``_detector_means``).  Both read
 one click pair (q1, q0), ``_law_clicks``: q_s for a photon probe, 1 -
 exp(-m_s) for a bright coherent one, and otherwise the sum of 1 - (1 -
-q_s)^n over its photon numbers, truncated at
-``TruncationPolicy.tail_tolerance`` (1e-10), far below every tolerance the
-audits apply.  On a transparent setup m_s is y = |beta|^2 sin^2(2 theta1)
-/ 4 (``_click_scale``) times the ``_click_weights`` of the phase and
-absorption, which cancel nothing, so q0 is exactly 0; ``loss``,
-``cascade`` and fig4 read the same factors.
+q_s)^n over its Poisson weights (``fock._poisson_weights``), truncated as
+the engine's ket at ``TruncationPolicy.tail_tolerance`` (1e-10), far below
+every tolerance the audits apply.  On a transparent setup m_s is y =
+|beta|^2 sin^2(2 theta1) / 4 (``_click_scale``) times the
+``_click_weights`` of the phase and absorption, which cancel nothing, so
+q0 is exactly 0; ``loss``, ``cascade`` and fig4 read the same factors.
 
 The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis, and ``_click_table``, which the audits and the
@@ -54,7 +54,7 @@ from .errors import (
     check_flag,
     check_real,
 )
-from .fock import NORM_TOL, Ensemble, MultiModeKet, condition, make_coherent
+from .fock import NORM_TOL, Ensemble, MultiModeKet, _poisson_weights, condition, make_coherent
 
 SIGNAL, PROBE, AUX = 0, 1, 2
 _PHOTON_OR_VACUUM = np.eye(2)[::-1, None, :, None]  # a noisy photon probe's column: |1>, |0>
@@ -418,22 +418,21 @@ def _law_clicks(cfg: MziConfig, probe) -> tuple[float, float, float]:
     signal photon and its truncation deficit, from the ``_detector_means``
     m_s: p q_s for a noisy photon probe, q_s = m_s at |beta| = 1 capped at
     1; 1 - exp(-m_s) for a bright coherent one; otherwise 1 - sum P(n) (1 -
-    q_s)^n, P(n) = |``make_coherent`` amplitude|^2, and the deficit 1 -
-    sum P(n)."""
+    q_s)^n over the Poisson weights P(n) of ``fock._poisson_weights``, and
+    the deficit 1 - sum P(n).  A q_s of exactly 0 clicks with 0.0."""
     if isinstance(probe, NoisyPhotonProbe):
         m1, m0 = _detector_means(cfg, 1.0)
         return probe.source.p * min(m1, 1.0), probe.source.p * min(m0, 1.0), 0.0
     if abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
         m1, m0 = _detector_means(cfg, probe.beta)
         return -math.expm1(-m1), -math.expm1(-m0), 0.0
-    amps = make_coherent(probe.beta).amps
-    probs = amps.real**2 + amps.imag**2
+    probs, total = _poisson_weights(abs(complex(probe.beta)) ** 2)
+    photons, probs = np.arange(1.0, len(probs)), probs[1:]  # n >= 1
     # 1 - (1 - q)^n as -expm1(n log1p(-q)), exact for q near 0; a q that
     # rounds to 1 or past it sends every photon to the detector: log 0 = -inf
     logs = [math.log1p(-q) if q < 1.0 else -math.inf for q in _detector_means(cfg, 1.0)]
-    dark = np.expm1(np.multiply.outer(logs, np.arange(1, len(probs))))  # (1 - q)^n - 1
-    q1, q0 = (0.0 - (dark * probs[1:]).sum(axis=1)).tolist()
-    return q1, q0, max(0.0, 1.0 - float(probs.sum()))
+    q1, q0 = (0.0 - float((np.expm1(log * photons) * probs).sum()) if log else 0.0 for log in logs)
+    return q1, q0, max(0.0, 1.0 - total)
 
 
 def run_setup(

@@ -660,10 +660,10 @@ def test_cli_rejects_non_finite_and_out_of_range_arguments(argv, tmp_path, capsy
 def test_cli_truncation_failure_exits_three(tmp_path, capsys, monkeypatch):
     # no input fails the fixed truncation, so the exit-3 guard is reached by
     # a truncation failing on purpose; it stays distinct from a config error
-    def fail(beta, policy=None):
+    def fail(mean, policy=None):
         raise TruncationError("no cutoff meets the tail tolerance", tail=1.0)
 
-    monkeypatch.setattr(mzi, "make_coherent", fail)
+    monkeypatch.setattr(mzi, "_poisson_weights", fail)
     config = _config(tmp_path, experiment="purity-audit", seed=1, params={"shots": 10, "beta": 3.0})
     assert main(["run", config]) == 3
     err = capsys.readouterr().err

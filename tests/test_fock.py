@@ -22,6 +22,7 @@ from xpmherald.fock import (
     Ensemble,
     MultiModeKet,
     TruncationPolicy,
+    _poisson_weights,
     condition,
     make_coherent,
     make_fock,
@@ -164,6 +165,56 @@ def test_coherent_underflow_fails_at_once():
     assert "underflows" in str(err.value) and "classical" in str(err.value)
     assert str(MAX_AUTO_CUTOFF) not in str(err.value)
     assert make_coherent(27.0).cutoffs == (885,)  # exp(-729) is still above 0
+
+
+def scalar_poisson_weights(mean, tol):
+    """The Poisson terms up to the first cutoff whose tail 1 - sum is below
+    tol, and that sum, by the scalar loop make_coherent ran before the
+    cutoff rule moved into fock._poisson_weights; or the tail the
+    TruncationError carries."""
+    if tol < CERTIFIABLE_TAIL:
+        return CERTIFIABLE_TAIL
+    term = cum = math.exp(-mean)
+    terms = [term]
+    for n in range(1, MAX_AUTO_CUTOFF + 2 if cum else 0):
+        if 1.0 - cum < tol:
+            return terms, cum
+        term *= mean / n
+        cum += term
+        terms.append(term)
+    return max(0.0, 1.0 - cum)
+
+
+def test_poisson_weights_equal_the_scalar_loop_bit_for_bit():
+    # the one cutoff rule: weights, cutoff and running sum of the numpy
+    # accumulations equal the scalar loop's bit for bit on a dense grid of
+    # the click law's means at the default tolerance, then on seeded large
+    # means and tolerances, where the sum can stall short of 1 - tol (no
+    # cutoff up to MAX_AUTO_CUTOFF) or exp(-mean) is subnormal or 0
+    cases = [(float(mean), 1e-10) for mean in np.linspace(0.0, 16.0, 3201)]
+    rng = np.random.default_rng(53)
+    for _ in range(400):
+        cases.append((float(10.0 ** rng.uniform(-6.0, 4.0)), float(10.0 ** rng.uniform(-15.0, -0.5))))
+    for _ in range(200):
+        cases.append((float(rng.uniform(16.0, 745.0)), float(rng.uniform(1e-15, 1.2e-15))))
+    cases += [(740.0, 1e-10), (1e5, 1e-10), (2.0, 1e-16)]
+    kinds = set()
+    for mean, tol in cases:
+        expected = scalar_poisson_weights(mean, tol)
+        if isinstance(expected, float):
+            with pytest.raises(TruncationError) as err:
+                _poisson_weights(mean, TruncationPolicy(tol))
+            assert err.value.tail == expected, (mean, tol)
+            kinds.add(str(err.value).split()[0])
+            continue
+        terms, total = _poisson_weights(mean, TruncationPolicy(tol))
+        assert terms.dtype == np.float64 and terms.tobytes() == np.array(expected[0]).tobytes()
+        assert total == expected[1], (mean, tol)
+    assert kinds == {"tail", "no", "exp(-|beta|^2)"}  # the certification floor, no cutoff, underflow
+    # make_coherent truncates where the weights do
+    for beta in (0.0, 0.3 - 2.0j, 4.0, 12.0):
+        mean = abs(complex(beta)) ** 2
+        assert make_coherent(beta).cutoffs == (len(_poisson_weights(mean)[0]) - 1,)
 
 
 def test_coherent_amplitude_recurrence():

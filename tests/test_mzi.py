@@ -56,7 +56,7 @@ PI = math.pi
 # run_setup's scalars, bit for bit: one digest under every (kernel, libm
 # variant) below, since its click law makes no BLAS call and its libm inputs
 # round alike on both variants here.
-RUN_SETUP_DIGEST = "eeff870af353819ad3354e8aa20f59d028a7429d7d6d3d1fdf1040091e4bcb5a"
+RUN_SETUP_DIGEST = "9c34466a11b94265a0a3b5fcfba554691886da28973f514afad063de2828a9b5"
 
 # The exact engine's block products run on OpenBLAS dgemm, whose kernels sum
 # in different orders, and its splitter entries on glibc's libm, whose FMA and
@@ -1370,16 +1370,17 @@ def _spy_propagate(monkeypatch):
 
 
 def test_run_setup_stays_off_the_engine(monkeypatch):
-    # run_setup and sample_shots answer from the 2x2 law: with the engine and
-    # its click table made to raise they still return every scalar and every
-    # count for photon, truncated coherent and bright probes on transparent
-    # and leaky setups, and only reading a conditioned state (which bright
-    # probes do not have) reaches the engine, through the click table
+    # run_setup and sample_shots answer from the 2x2 law: with the engine,
+    # its click table and make_coherent made to raise they still return
+    # every scalar and every count for photon, truncated coherent and bright
+    # probes on transparent and leaky setups, and only reading a conditioned
+    # state (which bright probes do not have) reaches the engine, through
+    # the click table
     def refuse(*args, **kw):
         raise RuntimeError("engine")
 
     for module, name in ((mzi, "_propagate"), (mzi, "_first_stage"), (mzi, "_second_stage"),
-                         (el, "_first_stage"), (el, "_second_stage")):
+                         (el, "_first_stage"), (el, "_second_stage"), (mzi, "make_coherent")):
         monkeypatch.setattr(module, name, refuse)
     probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(0.5), CoherentProbe(2.0 - 1.0j),
               CoherentProbe(4.0), CoherentProbe(5.0j)]
@@ -1583,18 +1584,17 @@ def test_passed_occupied_total_equals_search(monkeypatch, probe):
         assert t_max == 0  # a one-entry column
 
 
-def test_benchmark_traffic_agrees_with_the_engine_table():
-    # the benchmark's own exact-grid and exact-cold blocks (perfbench/workloads.py,
-    # imported as is): run_setup's click law within ROUTE_TOL of the
-    # engine's click table on every scalar (1.1e-14 at most seen)
+def _benchmark_ops(workload, n_blocks):
+    """(config, source, probe) of the first blocks of an exact workload, as
+    the benchmark generates them at seed 1 (perfbench/workloads.py, imported
+    as is)."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    ops = [op for block in workloads.exact_grid(1, 2) + workloads.exact_cold(1, 3) for op in block]
-    assert len(ops) == 2 * 18 + 3 * 20
-    for op in ops:
+    runs = []
+    for op in (op for block in getattr(workloads, workload)(1, n_blocks) for op in block):
         family = transparent_via_angle_sum if op["family"] == "sum" else transparent_via_angle_diff
         cfg = family(op["theta1"], op["phi1"], op["phi_chi"], k=op["k"], l=op["l"])
         spec_probe = op["probe"]
@@ -1602,5 +1602,47 @@ def test_benchmark_traffic_agrees_with_the_engine_table():
             probe = CoherentProbe(complex(spec_probe["re"], spec_probe["im"]))
         else:
             probe = NoisyPhotonProbe(NoisySource(spec_probe["p"]))
-        source = NoisySource(op["p"])
+        runs.append((cfg, NoisySource(op["p"]), probe))
+    return runs
+
+
+def test_benchmark_traffic_agrees_with_the_engine_table():
+    # the benchmark's own exact-grid and exact-cold blocks: run_setup's
+    # click law within ROUTE_TOL of the engine's click table on every
+    # scalar (1.1e-14 at most seen)
+    runs = _benchmark_ops("exact_grid", 2) + _benchmark_ops("exact_cold", 3)
+    assert len(runs) == 2 * 18 + 3 * 20
+    for cfg, source, probe in runs:
         _assert_routes_agree(run_setup(cfg, source, probe), _engine_scalars(cfg, source, probe))
+
+
+def _truncated_law(cfg, beta):
+    """A 50-digit evaluation of the truncated law run_setup reads for a
+    coherent probe beta: q1 = sum P(n) (1 - (1 - q)^n) over n up to
+    make_coherent's cutoff, q the one-photon leak ``_detector_means`` gives
+    with a signal photon, and the deficit 1 - sum P(n)."""
+    mp = pytest.importorskip("mpmath")
+    n_max = make_coherent(beta).cutoffs[0]
+    mean, q = mp.mpf(abs(complex(beta)) ** 2), mp.mpf(mzi._detector_means(cfg, 1.0)[0])
+    with mp.workdps(50):
+        weights = [mp.exp(-mean) * mean**n / mp.factorial(n) for n in range(n_max + 1)]
+        q1 = mp.fsum(w * (1 - (1 - q) ** n) for n, w in enumerate(weights))
+        return float(q1), float(1 - mp.fsum(weights))
+
+
+def test_truncated_law_is_within_ulps_of_a_50_digit_reference():
+    # the truncated coherent probes of _golden_setups and of one exact-cold
+    # block: detection_efficiency within 8 ulp and truncation_deficit
+    # within 1e-15 of _truncated_law.  At most seen, under the fma and the
+    # sse2 libm alike: 4 ulp and 4.3e-16 (golden), 6 ulp and 7.3e-16 over
+    # 33 exact-cold blocks; the squared make_coherent amplitudes that
+    # output 0.5.0 summed were 29 ulp and 3.2e-15 off
+    runs = [(cfg, source, probe, transparent) for cfg, source, probe, transparent in _golden_setups()
+            if isinstance(probe, CoherentProbe) and abs(probe.beta) <= 4.0]
+    runs += [(*run, True) for run in _benchmark_ops("exact_cold", 1) if isinstance(run[2], CoherentProbe)]
+    assert len(runs) == 72 + 15
+    for cfg, source, probe, transparent in runs:
+        out = run_setup(cfg, source, probe, transparent)
+        q1, deficit = _truncated_law(cfg, probe.beta)
+        assert abs(out.detection_efficiency - q1) <= 8.0 * math.ulp(q1), (cfg, probe)
+        assert abs(out.truncation_deficit - deficit) <= 1e-15, (cfg, probe)
