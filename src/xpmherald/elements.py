@@ -8,18 +8,16 @@ its entries (``_bs_entries``) are the one source of the splitter algebra.
 The exact path reads a Mach-Zehnder form, two fixed real 50:50 splitters
 around phases, off the same entries, so the only number-conserving blocks
 built are the angle-free ones of the 50:50 splitter.  ``mzi``'s splitter,
-XPM, splitter conserve the photon total of the splitter modes: one chain of
-four batched real products between one gather and one scatter, whose
-angles and phases enter only as diagonals, shared by the slots of a
-trailing axis.  XPM is its one phi_chi-dependent factor: ``_first_stage``
-runs all before it and ``_second_stage`` the rest.
+XPM, splitter conserve the photon total of the splitter modes, so
+``_chain`` runs them in one pass: one gather, a W pair, the XPM phases, a
+W pair, one scatter.  Its four batched real products take the angles and
+phases only as diagonals, shared by the slots of a trailing axis.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -165,62 +163,42 @@ def _layout(shape: tuple, modes: tuple[int, int], partner, t_max: int, slots: in
     return gather, scatter, occ, block, (t_max + 1, t_max + 1, -1)
 
 
-_FirstStage = namedtuple("_FirstStage", "state axes layout w lams diags", defaults=(None,) * 4)
-
-
-def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstStage:
-    """All that phi_chi does not enter of the chain of every caller: a beam
-    splitter on ``modes``, then optionally XPM phases on ``(partner,
-    modes[0])`` and a second beam splitter.  ``bs1`` and ``bs2`` hold one
-    parameter object per slot: one slot acts on the whole array ``amps``,
-    S > 1 slots are its last axis.  Every stage conserves the photon total T
-    of the two modes, so the chain acts on each anti-diagonal n + m = T of
-    their grid as one (T+1) x (T+1) block.  With ``theta, psi =
-    _mzi_angles(_bs_entries(p))`` a splitter's block is ``e^{-i theta T} P
-    W_T L W_T P^-1``, ``P[n] = e^{i psi n}`` and ``L[k] = e^{2 i theta k}``;
-    XPM is the diagonal ``e^{i phi_chi n s}``, s the partner occupation.  A
-    splitter of identities (theta = 0 on every slot) is skipped; a mixing
-    one reaches every row of a block, so an occupied total past a cutoff
-    raises: dropping amplitude would fake the no-false-click guarantee.
-
-    With ``shape``, ``amps`` is the column of an input of that shape whose
-    ``modes[1]`` is empty, laid out as its blocks without n and with a
-    partner axis of one, (T, 1, other axes, slot), the partner being axis 0;
-    its last row is the largest occupied total t_max, which an array's
-    occupancy search finds.  A column feeds only a mixing first splitter,
-    block T holding one amplitude at n = T, so the first W product is W_T's
-    column T times it; before any other it becomes the input it stands for.
-    Returns the ``state`` the XPM phases reach (after the first W pair if
-    the first splitter mixes, else the gathered input), ``w`` and the L
-    factors ``lams`` and diagonals ``diags`` after it, the phases
-    multiplying ``diags[0]``; with ``layout`` None, the input, which only an
-    XPM on ``axes`` changes (none on a zero ket)."""
+def _chain(amps, modes, bs1, bs2=(), partner=None, xpm=()) -> np.ndarray:
+    """A beam splitter on ``modes``, then optionally XPM phases on
+    ``(partner, modes[0])`` and a second beam splitter.  ``bs1``, ``bs2``
+    and ``xpm`` hold one parameter object per slot: one slot acts on the
+    whole array ``amps``, S > 1 slots are its last axis.  Every step
+    conserves the photon total T of the two modes, so the chain acts on
+    each anti-diagonal n + m = T of their grid as one (T+1) x (T+1) block.
+    With ``theta, psi = _mzi_angles(_bs_entries(p))`` a splitter's block is
+    ``e^{-i theta T} P W_T L W_T P^-1``, ``P[n] = e^{i psi n}`` and ``L[k] =
+    e^{2 i theta k}``; XPM is the diagonal ``e^{i phi_chi n s}``, s the
+    partner occupation.  One gather, a W pair per mixing splitter with the
+    diagonals before, between and after them, one scatter.  A splitter of
+    identities (theta = 0 on every slot) is skipped; a mixing one reaches
+    every row of a block, so an occupied total past a cutoff raises:
+    dropping amplitude would fake the no-false-click guarantee.  A zero ket
+    is returned as it is."""
     rates, mixes = [], []  # the theta and psi rows of each mixing splitter
     for bs in (bs1, bs2):
         thetas, psis = zip(*[_mzi_angles(_bs_entries(p)) for p in bs]) if bs else ((), ())
         mixes.append(any(thetas))  # a splitter of identities is skipped
         rates += thetas + psis if mixes[-1] else ()
     k, at = mixes.count(True), int(mixes[0])  # at: mixes before XPM
-    if shape is not None and not at:  # build the input the column stands for
-        amps, col, shape = np.zeros(shape, dtype=np.complex128), amps, None
-        np.moveaxis(amps, modes, (0, 1))[: len(col), 0] = col  # broadcast over the partner
-    column = shape is not None
     if not k:
-        return _FirstStage(amps, (partner, modes[0]))
-    t_max, shape = len(amps) - 1, shape or amps.shape  # a column's last row
-    if not column:  # an array: its largest occupied total
-        n, m = amps.any(axis=tuple(a for a in range(len(shape)) if a not in modes)).nonzero()
-        t_max = int((n + m).max(initial=-1))
-        if t_max < 0:
-            return _FirstStage(amps, None)
-    cuts = tuple(shape[a] - 1 for a in modes)
+        return _xpm(amps, (partner, modes[0]), np.array([p.phi_chi for p in xpm])) if xpm else amps
+    n, m = amps.any(axis=tuple(a for a in range(amps.ndim) if a not in modes)).nonzero()
+    t_max = int((n + m).max(initial=-1))  # the largest occupied total
+    if t_max < 0:
+        return amps
+    cuts = tuple(amps.shape[a] - 1 for a in modes)
     if t_max > min(cuts):
         raise CutoffViolationError(
             f"beam splitter sends {t_max} occupied photons into one mode, "
             f"beyond cutoffs {cuts} on modes {modes}"
         )
-    layout = _layout(shape, modes, partner, t_max, len(bs1))
-    gather, _, iocc, block, _ = layout
+    layout = _layout(amps.shape, modes, partner, t_max, len(bs1))
+    gather, scatter, iocc, block, _ = layout
     # every splitter phase from one exp over (rate, occupation, slot):
     # e^{i theta n} and e^{i psi n} per mixing splitter; inv: their conjugates
     ph = np.exp(np.array(rates).reshape(-1, 1, 1, 1, len(bs1)) * iocc)
@@ -232,39 +210,25 @@ def _first_stage(amps, modes, bs1, bs2=(), partner=None, shape=None) -> _FirstSt
     diags[0], diags[-1] = inv[1], ph[2 * k - 1]
     if k == 2:
         np.multiply(ph[1], inv[3], out=diags[1])
+    if xpm:  # e^{i phi_chi s n} per partner occupation s, on the diagonal the XPM meets
+        rates = np.array([p.phi_chi * s for s in range(block[2]) for p in xpm])
+        diags[at] *= np.exp(rates.reshape(-1, 1, len(xpm)) * iocc)
     w = _hadamard_blocks(t_max)
-    state = amps if column else np.concatenate((amps.ravel(), _ZERO))[gather]
-    if at:
-        state = _w_pair(state * diags[0], w, lams[0], layout, column)
-    return _FirstStage(state, None, layout, w, lams[at:], diags[at:])
+    x = np.concatenate((amps.ravel(), _ZERO))[gather]
+    for lam, diag in zip(lams, diags):
+        x = _w_pair(x * diag, w, lam, layout)
+    x *= diags[-1]
+    return np.concatenate((x.ravel(), _ZERO))[scatter]
 
 
-def _w_pair(x, w, lam, layout, column=False) -> np.ndarray:
-    """W_T lam W_T on each block of ``x``, a block-layout ``x`` taking the result, or a column."""
+def _w_pair(x, w, lam, layout) -> np.ndarray:
+    """W_T lam W_T on each block of the block-layout ``x``, which takes the result."""
     block, flat = layout[3:]
-    xf = (x.reshape(len(x), 1, -1) if column else x.reshape(flat)).view(float)  # (T, n, 2 x rest)
-    yf = np.matmul(w.diagonal(0, 0, 2).T[:, :, None] if column else w, xf)
+    xf = x.reshape(flat).view(float)  # (T, n, 2 x rest)
+    yf = np.matmul(w, xf)
     y = yf.view(complex).reshape(block)
     y *= lam  # in place: the next product reads the same memory through yf
-    return np.matmul(w, yf, out=None if column else xf).view(complex).reshape(block)
-
-
-def _second_stage(first: _FirstStage, xpm) -> np.ndarray:
-    """The rest of the chain after ``first``, which it only reads: the XPM
-    phases of ``xpm`` (one per slot), the W pair after them, the scatter."""
-    state, axes, layout, w, lams, diags = first
-    if layout is None:
-        return _xpm(state, axes, np.array([p.phi_chi for p in xpm])) if xpm and axes else state
-    _, scatter, iocc, block, _ = layout
-    phased = diags[0]  # times the XPM phases, e^{i phi_chi s n} per partner occupation s
-    if xpm:
-        rates = np.array([p.phi_chi * s for s in range(block[2]) for p in xpm])
-        phased = phased * np.exp(rates.reshape(-1, 1, len(xpm)) * iocc)
-    x = state * phased  # out of place: the state is never written
-    for lam, diag in zip(lams, diags[1:]):  # the W pair after the XPM, if any
-        x = _w_pair(x, w, lam, layout)
-        x *= diag
-    return np.concatenate((x.ravel(), _ZERO))[scatter]
+    return np.matmul(w, yf, out=xf).view(complex).reshape(block)
 
 
 def _xpm(amps: np.ndarray, modes: tuple[int, int], phi_chi) -> np.ndarray:
@@ -292,12 +256,12 @@ def _check_element(ket, modes, p, kind: type) -> tuple[int, int]:
 def apply_beam_splitter(
     ket: MultiModeKet, modes: tuple[int, int], p: BeamSplitterParams
 ) -> MultiModeKet:
-    """Apply the beam splitter to two modes of a Fock ket, both stages of a
-    chain without XPM: one gather into the number-conserving block layout,
-    two batched real products and one scatter.  An occupied total past a
+    """Apply the beam splitter to two modes of a Fock ket, a chain of one
+    splitter: one gather into the number-conserving block layout, two
+    batched real products and one scatter.  An occupied total past a
     cutoff raises CutoffViolationError unless the splitter is the identity."""
     modes = _check_element(ket, modes, p, BeamSplitterParams)
-    return MultiModeKet._unchecked(_second_stage(_first_stage(ket.amps, modes, (p,)), ()))
+    return MultiModeKet._unchecked(_chain(ket.amps, modes, (p,)))
 
 
 def apply_xpm(

@@ -32,6 +32,7 @@ freely across workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,9 +180,12 @@ def _poisson_weights(mean: float, policy=_DEFAULT_POLICY) -> tuple[np.ndarray, f
             f"double-precision certification floor {CERTIFIABLE_TAIL:.0e}",
             tail=CERTIFIABLE_TAIL,
         )
-    first, sums = math.exp(-mean), (0.0,)  # a sum from exp(-mean) = 0 never grows
+    # a sum from exp(-mean) = 0 never grows, and one from a subnormal start,
+    # terms of a few significant bits, overshoots 1 and stops early
+    first, sums = math.exp(-mean), (0.0,)
+    normal = first >= sys.float_info.min
     # a guess that held N at every mean and tolerance tried, then every cutoff and one more
-    for size in (16 + int(mean + 8.0 * math.sqrt(mean)), MAX_AUTO_CUTOFF + 1) if first else ():
+    for size in (16 + int(mean + 8.0 * math.sqrt(mean)), MAX_AUTO_CUTOFF + 1) if normal else ():
         factors = np.concatenate(((first,), mean / np.arange(1.0, size + 1.0)))
         terms = np.multiply.accumulate(factors)
         sums = np.add.accumulate(terms)
@@ -190,7 +194,7 @@ def _poisson_weights(mean: float, policy=_DEFAULT_POLICY) -> tuple[np.ndarray, f
         if met[n]:
             return terms[: n + 1], float(sums[n])
     raise TruncationError(
-        (f"no cutoff <= {MAX_AUTO_CUTOFF}" if first else "exp(-|beta|^2) underflows, so no cutoff")
+        (f"no cutoff <= {MAX_AUTO_CUTOFF}" if normal else "exp(-|beta|^2) underflows, so no cutoff")
         + f" meets tail tolerance {tol:.3e} at mean photon number {mean:.3e}; "
         "use the classical coherent-amplitude path instead",
         tail=max(0.0, 1.0 - float(sums[-1])),
@@ -204,7 +208,8 @@ def make_coherent(beta: complex, policy: TruncationPolicy | None = None) -> Mult
     to the cutoff of ``_poisson_weights``.  The ket is deliberately NOT
     renormalized: its norm deficit is the Poisson tail past it.  Raises
     TruncationError, carrying the achieved tail, past ``MAX_AUTO_CUTOFF``,
-    below ``CERTIFIABLE_TAIL``, or at once when ``exp(-|beta|^2)`` is 0.
+    below ``CERTIFIABLE_TAIL``, or at once when ``exp(-|beta|^2)`` is
+    subnormal or 0 (|beta|^2 above about 708.4).
     """
     policy = _DEFAULT_POLICY if policy is None else policy
     if not isinstance(policy, TruncationPolicy):

@@ -27,12 +27,11 @@ every tolerance the audits apply.  On a transparent setup m_s is y =
 q0 is exactly 0; ``loss``, ``cascade`` and fig4 read the same factors.
 
 The exact route runs batches: ``_propagate`` takes one configuration per
-slot of a trailing axis, and ``_click_table``, which the audits and the
-click states of a ``HeraldOutcome`` read, propagates many setups grouped
-by input shape, as probe columns rather than input arrays (C is in
-vacuum, ``elements._first_stage``), and checks every norm.  The splitter
-algebra is read as Python numbers off ``elements._bs_entries``, and
-``_bc_product`` alone multiplies them out.
+slot of a trailing axis through ``elements._chain``, and ``_click_table``,
+which the audits and the click states of a ``HeraldOutcome`` read,
+propagates many setups grouped by input shape and checks every norm.  The
+splitter algebra is read as Python numbers off ``elements._bs_entries``,
+and ``_bc_product`` alone multiplies them out.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .elements import BeamSplitterParams, XpmParams, _bs_entries, _first_stage, _second_stage
+from .elements import BeamSplitterParams, XpmParams, _bs_entries, _chain
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -280,19 +279,12 @@ def transparency_sign(cfg: MziConfig) -> int:
     return 1 if _bc_product(cfg)[0].real > 0.0 else -1
 
 
-def _first(amps, cfgs, column=False):
-    """``elements._first_stage`` of an array with the mode axes laid out
-    above, or with ``column`` of the probe columns (B, 1, label, slot) of
-    inputs with a signal axis of two and C in vacuum: one configuration for
-    the whole input, or S > 1 for the S slots of its last axis."""
-    shape = (2, len(amps), len(amps), *amps.shape[2:]) if column else None
-    bs1, bs2 = [cfg.bs1 for cfg in cfgs], [cfg.bs2 for cfg in cfgs]
-    return _first_stage(amps, (PROBE, AUX), bs1, bs2, SIGNAL, shape)
-
-
-def _propagate(amps, cfgs, column=False) -> np.ndarray:
-    """Exact propagation of ``_first``'s input, both stages."""
-    return _second_stage(_first(amps, cfgs, column), [cfg.xpm for cfg in cfgs])
+def _propagate(amps, cfgs) -> np.ndarray:
+    """Exact propagation of an array with the mode axes laid out above: one
+    configuration for the whole array, or S > 1 for the S slots of its last
+    axis."""
+    bs1, bs2, xpm = zip(*[(cfg.bs1, cfg.bs2, cfg.xpm) for cfg in cfgs])
+    return _chain(amps, (PROBE, AUX), bs1, bs2, SIGNAL, xpm)
 
 
 def propagate_mzi(ket: MultiModeKet, cfg: MziConfig) -> MultiModeKet:
@@ -383,13 +375,15 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     The label has one entry for a coherent probe, and two (|1> then |0>)
     for a noisy photon probe.  Each slice is one unweighted input branch:
     the splitters act on B and C and XPM is diagonal, so no slice mixes
-    with another.  Slots of one input shape (noisy photon probes, coherent
-    probes of one cutoff) are one ``_propagate`` batch.  A probe brighter
-    than ``BRIGHT_PROBE_MEAN_PHOTONS`` raises ConfigurationError.  The
-    audits and the click states of a ``HeraldOutcome`` read the table.
+    with another.  Slots of one probe column shape (noisy photon probes,
+    coherent probes of one cutoff) are one ``_propagate`` batch of the input
+    their columns stand for: C in vacuum and both signal rows the column.
+    A probe brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` raises
+    ConfigurationError.  The audits and the click states of a
+    ``HeraldOutcome`` read the table.
     """
     tables: list = [None] * len(cfgs)
-    groups: dict = {}  # input shape: (slot, weights, (B, label) amplitudes) per member
+    groups: dict = {}  # column shape: (slot, weights, (B, 1, label, 1) amplitudes) per member
     for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
         _check_slot(cfg, source, probe, require_transparent)
         if isinstance(probe, NoisyPhotonProbe):
@@ -401,7 +395,9 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
         groups.setdefault(column.shape, []).append((slot, weights, column))
     for members in groups.values():
         cols = np.concatenate([c for _, _, c in members], axis=-1)
-        out = _propagate(cols, [cfgs[s] for s, _, _ in members], column=True)
+        amps = np.zeros((2, len(cols), len(cols), *cols.shape[2:]), dtype=np.complex128)
+        amps[:, :, 0] = cols[:, 0]
+        out = _propagate(amps, [cfgs[s] for s, _, _ in members])
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
         zero, click = probs[:, 0], probs[:, 1:].sum(axis=1)  # (signal, label, slot)
         norm = (zero + click).max()

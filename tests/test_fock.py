@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,8 @@ def two_pass_coherent(beta, tol):
     beta = complex(beta)
     mean = abs(beta) ** 2
     term = cum = math.exp(-mean)
+    if cum < sys.float_info.min:  # exp(-mean) underflows: no cutoff is trusted
+        return 1.0
     n_max = 0
     if mean != 0.0:
         for n_max in range(MAX_AUTO_CUTOFF + 1):
@@ -156,27 +159,42 @@ def test_coherent_one_pass_equals_two_pass_oracle():
 
 
 def test_coherent_underflow_fails_at_once():
-    # exp(-27.5^2) underflows to 0, so the Poisson sum can never grow: the
-    # error names the underflow and the classical path, with tail 1, instead
-    # of claiming that no cutoff up to MAX_AUTO_CUTOFF meets the tolerance
-    with pytest.raises(TruncationError) as err:
-        make_coherent(27.5)
-    assert err.value.tail == 1.0
-    assert "underflows" in str(err.value) and "classical" in str(err.value)
-    assert str(MAX_AUTO_CUTOFF) not in str(err.value)
-    assert make_coherent(27.0).cutoffs == (885,)  # exp(-729) is still above 0
+    # exp(-27.5^2) underflows to 0, so the Poisson sum can never grow, and
+    # exp(-27.0^2) and exp(-27.2^2) are subnormal, so a sum of terms of a
+    # few significant bits overshoots 1 and would stop with a true tail of
+    # 1.0e-8 and 2.5e-3: the error names the underflow and the classical
+    # path, with tail 1, instead of claiming that no cutoff up to
+    # MAX_AUTO_CUTOFF meets the tolerance
+    for beta in (27.5, 27.0, 27.2):
+        with pytest.raises(TruncationError) as err:
+            make_coherent(beta)
+        assert err.value.tail == 1.0
+        assert "underflows" in str(err.value) and "classical" in str(err.value)
+        assert str(MAX_AUTO_CUTOFF) not in str(err.value)
+
+
+def test_last_normal_start_meets_the_tolerance():
+    # exp(-708) is still a normal float: the cutoff 884 has a true Poisson
+    # tail below the 1e-10 asked (8.35e-11 by a 40-digit sum)
+    mp = pytest.importorskip("mpmath")
+    terms, _ = _poisson_weights(708.0)
+    assert len(terms) - 1 == make_coherent(math.sqrt(708.0)).cutoffs[0] == 884
+    with mp.workdps(40):
+        mean = mp.mpf(708)
+        tail = 1 - mp.fsum(mp.exp(-mean) * mean**n / mp.factorial(n) for n in range(885))
+    assert tail < 1e-10
 
 
 def scalar_poisson_weights(mean, tol):
     """The Poisson terms up to the first cutoff whose tail 1 - sum is below
     tol, and that sum, by the scalar loop make_coherent ran before the
-    cutoff rule moved into fock._poisson_weights; or the tail the
-    TruncationError carries."""
+    cutoff rule moved into fock._poisson_weights, with a subnormal
+    exp(-mean) an underflow; or the tail the TruncationError carries."""
     if tol < CERTIFIABLE_TAIL:
         return CERTIFIABLE_TAIL
     term = cum = math.exp(-mean)
     terms = [term]
-    for n in range(1, MAX_AUTO_CUTOFF + 2 if cum else 0):
+    for n in range(1, MAX_AUTO_CUTOFF + 2 if cum >= sys.float_info.min else 0):
         if 1.0 - cum < tol:
             return terms, cum
         term *= mean / n

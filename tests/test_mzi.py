@@ -51,6 +51,8 @@ from xpmherald.mzi import (
 )
 from xpmherald.verify import _random_nontransparent, random_ket, random_transparent
 
+from test_elements import dense_bs_unitary
+
 PI = math.pi
 
 # run_setup's scalars, bit for bit: one digest under every (kernel, libm
@@ -764,10 +766,28 @@ def test_bright_route_is_the_lossless_classical_click_function():
                 assert out.truncation_deficit == 0.0 and out.click_state is None
 
 
+def dense_setup(amps, cfg):
+    """The setup as dense matrices on an input (A, B, C, labels...), sharing
+    no code with the engine: each splitter is ``dense_bs_unitary`` on (B,
+    C), both padded to the larger cutoff, XPM the diagonal exp(i phi_chi a
+    b), and A and the labels carry the identity.  Returns the padded output."""
+    a_cut, b_cut, c_cut = amps.shape[:3]
+    d = max(b_cut, c_cut)
+    padded = np.zeros((a_cut, d, d, *amps.shape[3:]), dtype=np.complex128)
+    padded[:, :b_cut, :c_cut] = amps
+    u1, u2 = (dense_bs_unitary(p.theta, p.phi, d - 1) for p in (cfg.bs1, cfg.bs2))
+    b_occ = np.repeat(np.arange(d), d)  # the B occupation of each (B, C) basis state
+    xpm = np.exp(1j * cfg.xpm.phi_chi * np.multiply.outer(np.arange(a_cut), b_occ))
+    out = u2 @ (xpm[:, :, None] * (u1 @ padded.reshape(a_cut, d * d, -1)))
+    return out.reshape(padded.shape)
+
+
 def test_propagate_mzi_matches_element_chain():
-    # the fused chain against the elements one by one: seeded random kets
-    # with 0-2 label axes, on transparent and random configs, with either
-    # splitter, or both, at theta = 0
+    # the fused chain against the elements one by one and against dense
+    # matrices (dense_setup, within 1e-12): seeded random kets with 0-2
+    # label axes, zero kets, on transparent and random configs, with either
+    # splitter, or both, at theta = 0 (a theta = 0 first splitter puts the
+    # XPM before the first mixing one)
     rng = np.random.default_rng(53)
     identity = BeamSplitterParams(0.0, 0.4)
     raised = compared = 0
@@ -802,6 +822,10 @@ def test_propagate_mzi_matches_element_chain():
         else:
             compared += 1
             assert np.max(np.abs(results[0] - results[1]), initial=0.0) <= 1e-14
+            dense = dense_setup(amps, cfg)
+            engine = np.zeros_like(dense)
+            engine[:, : shape[1], : shape[2]] = results[0]
+            assert np.max(np.abs(engine - dense)) <= 1e-12
     assert raised > 10 and compared > 100
 
 
@@ -847,8 +871,8 @@ def test_propagate_mzi_amplitudes_golden():
 )
 def test_goldens_hold_under_a_second_blas_kernel(core, libm):
     # a kernel- or libm-dependent change shows at once: both goldens, the
-    # route agreement, the click states against the engine, the column path
-    # against the gather path, every CSV
+    # route agreement, the click states against the engine, the click table
+    # against the batches it stands for, every CSV
     # and the verify --suite fast golden of test_experiments and the
     # verify --suite full golden of test_acceptance again, in a child
     # process on each (kernel, libm variant)
@@ -864,7 +888,7 @@ def test_goldens_hold_under_a_second_blas_kernel(core, libm):
         "import test_mzi as t; t.test_run_setup_scalars_golden(); "
         "t.test_propagate_mzi_amplitudes_golden(); t.test_run_setup_agrees_with_the_engine_table(); "
         "t.test_click_states_read_one_engine_run_bit_for_bit(); "
-        "t.test_column_path_equals_array_path_bit_for_bit(); "
+        "t.test_mixed_cutoff_batch_equals_array_path_bit_for_bit(); "
         "import test_experiments as e; e.test_fig4_csv_bytes_golden(); "
         "[e.test_loss_bounds_csv_bytes_golden(*g) for g in e.LOSS_BOUNDS_GOLDENS]; "
         "[e.test_default_csv_full_text_golden(*g) for g in e.DEFAULT_CSV_GOLDENS]; "
@@ -893,7 +917,7 @@ def _conditioned_bytes(state):
 def test_click_states_read_one_engine_run_bit_for_bit():
     # an outcome runs the engine on the first read of either state and keeps
     # that run for both; its array is, byte for byte, propagate_mzi's of
-    # the input the probe column stands for (the gather path): the noisy
+    # the input the probe column stands for: the noisy
     # probe and |beta| = 2 and 4, transparent and leaky, and a theta = 0
     # first splitter; the child processes above run it under every kernel
     # and libm, without pytest's fixtures, so the spy is set by hand
@@ -1277,7 +1301,7 @@ def test_batched_slots_match_single_runs():
 
 
 def _column_cases(rng):
-    """Configs for the column-path checks: both families and leaky ones,
+    """Configs for the click-table batch check: both families and leaky ones,
     theta = 0 first splitters (the XPM then precedes the first mixing
     splitter, so that splitter's diagonal depends on the signal
     occupation), theta = 0 second splitters, both, and phi_chi = 2 pi."""
@@ -1294,39 +1318,12 @@ def _column_cases(rng):
 COLUMN_BETAS = (0.0, 1e-6, 0.3, complex(1.0, -0.0), 1.0 + 0.5j, 2.5j, -3.9)
 
 
-def test_column_path_equals_array_path_bit_for_bit():
-    # the scheme routes hand the first stage probe columns; the input array
-    # they stand for takes the gather path.  Amplitudes and the first
-    # stages' arrays are byte-identical, signed zeros included, for noisy
-    # and coherent columns, single slots and one batch per column shape; a
-    # column feeds only a mixing first splitter, so before a theta = 0 one
-    # the stage holds the input it stands for, never the column
-    cfgs = _column_cases(np.random.default_rng(31))
-    assert not mzi._PHOTON_OR_VACUUM.flags.writeable  # read-only where it is defined
-    columns = [mzi._PHOTON_OR_VACUUM]
-    columns += [make_coherent(beta).amps[:, None, None, None] for beta in COLUMN_BETAS]
-    for column in columns:
-        for cfg in cfgs:
-            first = mzi._first(column, (cfg,), column=True)
-            ref_first = mzi._first(_input_array(column), (cfg,))
-            out, ref = (el._second_stage(stage, (cfg.xpm,)) for stage in (first, ref_first))
-            assert out.tobytes() == ref.tobytes()
-            assert "column" not in first._fields and first.state is not column
-            assert first.state.tobytes() == ref_first.state.tobytes()
-            assert (first.layout is None) == (ref_first.layout is None)
-            if first.layout is not None:
-                for name in ("lams", "diags"):
-                    assert getattr(first, name).tobytes() == getattr(ref_first, name).tobytes()
-        batch = np.concatenate([column] * len(cfgs), axis=-1)
-        out = mzi._propagate(batch, cfgs, column=True)
-        assert out.tobytes() == mzi._propagate(_input_array(batch), cfgs).tobytes()
-
-
 def test_mixed_cutoff_batch_equals_array_path_bit_for_bit():
     # _click_table splits a batch of noisy and coherent probes of several
-    # cutoffs into one column batch per shape; every slot's propagated array
-    # equals that of its shape's batch run on the array path
+    # cutoffs into one batch per column shape; every slot's propagated array
+    # equals that of its shape's input array, built here, run as one batch
     cfgs = _column_cases(np.random.default_rng(37))
+    assert not mzi._PHOTON_OR_VACUUM.flags.writeable  # read-only where it is defined
     probes = [
         NoisyPhotonProbe(NoisySource(0.5)) if i % 4 == 0 else CoherentProbe(COLUMN_BETAS[i % 7])
         for i in range(len(cfgs))
@@ -1355,20 +1352,6 @@ def _input_array(columns):
     return amps
 
 
-def _spy_propagate(monkeypatch):
-    """Record (input array, a column's last row) of every exact propagation
-    in mzi: the input a probe column stands for, or the array passed."""
-    calls = []
-    real_first = mzi._first
-
-    def first(amps, cfgs, column=False):
-        calls.append((_input_array(amps) if column else amps, len(amps) - 1 if column else None))
-        return real_first(amps, cfgs, column)
-
-    monkeypatch.setattr(mzi, "_first", first)
-    return calls
-
-
 def test_run_setup_stays_off_the_engine(monkeypatch):
     # run_setup and sample_shots answer from the 2x2 law: with the engine,
     # its click table and make_coherent made to raise they still return
@@ -1379,8 +1362,7 @@ def test_run_setup_stays_off_the_engine(monkeypatch):
     def refuse(*args, **kw):
         raise RuntimeError("engine")
 
-    for module, name in ((mzi, "_propagate"), (mzi, "_first_stage"), (mzi, "_second_stage"),
-                         (el, "_first_stage"), (el, "_second_stage"), (mzi, "make_coherent")):
+    for module, name in ((mzi, "_propagate"), (mzi, "_chain"), (el, "_chain"), (mzi, "make_coherent")):
         monkeypatch.setattr(module, name, refuse)
     probes = [NoisyPhotonProbe(NoisySource(0.6)), CoherentProbe(0.5), CoherentProbe(2.0 - 1.0j),
               CoherentProbe(4.0), CoherentProbe(5.0j)]
@@ -1564,24 +1546,6 @@ def test_transparency_is_computed_once_per_config(monkeypatch):
     assert computed == [cfg, leaky]
     twin = MziConfig(cfg.bs1, cfg.bs2, cfg.xpm)
     assert twin == cfg and hash(twin) == hash(cfg)
-
-
-@pytest.mark.parametrize(
-    "probe",
-    [CoherentProbe(0.0), CoherentProbe(1e-6), NoisyPhotonProbe(NoisySource(0.4)),
-     CoherentProbe(4.0), CoherentProbe(-4.0j), CoherentProbe(1.3 + 0.4j)],
-    ids=["beta0", "one-entry", "noisy", "beta4", "beta-4j", "complex"],
-)
-def test_passed_occupied_total_equals_search(monkeypatch, probe):
-    # the total the chain reads off a probe column, its last row, is the one
-    # the occupancy search finds in the input the column stands for
-    calls = _spy_propagate(monkeypatch)
-    run_setup(transparent_via_angle_sum(0.7, 0.3, 2.1), NoisySource(0.7), probe).no_click_state
-    ((amps, t_max),) = calls
-    n, m = amps.any(axis=(0, 3, 4)).nonzero()
-    assert t_max == int((n + m).max(initial=-1))
-    if isinstance(probe, CoherentProbe) and abs(probe.beta) < 1e-3:
-        assert t_max == 0  # a one-entry column
 
 
 def _benchmark_ops(workload, n_blocks):
