@@ -29,7 +29,8 @@ q0 is exactly 0; ``loss``, ``cascade`` and fig4 read the same factors.
 The exact route runs batches: ``_propagate`` takes one configuration per
 slot of a trailing axis through ``elements._chain``, and ``_click_table``,
 which the audits and the click states of a ``HeraldOutcome`` read,
-propagates many setups grouped by input shape and checks every norm.  The
+propagates many setups grouped by input shape, checks every norm and
+answers in the click pair (q1, q0, deficit) of ``_law_clicks``.  The
 splitter algebra is read as Python numbers off ``elements._bs_entries``,
 and ``_bc_product`` alone multiplies them out.
 """
@@ -173,7 +174,7 @@ class HeraldOutcome:
         """The engine's array for ``_inputs`` and its positive-weight
         (weight, signal, label) slices, photon branches first."""
         cfg, source, probe = self._inputs
-        weights, _, out = _click_table((cfg,), (source,), (probe,), False)[0]
+        weights, _, out = _click_table((cfg,), (probe,))[0]
         joint = [(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]
         return out, [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
 
@@ -350,7 +351,7 @@ def _detector_means(cfg: MziConfig, beta: complex, p_absorb: float = 0.0) -> tup
 
 
 def _check_slot(cfg, source, probe, require_transparent: bool) -> None:
-    """The input checks of ``run_setup`` and of each slot of ``_click_table``."""
+    """The input checks of ``run_setup`` and ``sample_shots``."""
     check_flag("require_transparent", require_transparent)
     if not isinstance(source, NoisySource):
         raise ConfigurationError(f"not a NoisySource: {source!r}")
@@ -363,13 +364,15 @@ def _check_slot(cfg, source, probe, require_transparent: bool) -> None:
         raise ConfigurationError(f"not a NoisyPhotonProbe or CoherentProbe: {probe!r}")
 
 
-def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple]:
-    """Check the inputs of a batch of setups, one (config, source, probe)
-    per slot, as ``run_setup`` does, and return per slot the probe-branch
-    weights, the detector-event probabilities as the rows
-    ``[signal 0/1][probe branch]`` of the events no click and click, and
-    the array every input branch of the slot was propagated in; a squared
-    norm past 1 + ``NORM_TOL`` in any slice raises ValueError.
+def _click_table(cfgs, probes) -> list[tuple]:
+    """Propagate a batch of setups, one (config, probe) per slot, checked
+    by the caller, and return per slot the probe-branch weights, the click
+    pair (q1, q0, deficit) of ``_law_clicks`` and the array every input
+    branch of the slot was propagated in; a squared norm past 1 +
+    ``NORM_TOL`` in any slice raises ValueError.  q_s is the click mass of
+    the slices with s signal photons weighted by the probe branches in
+    label order, the deficit 1 - (the photon slices' weighted no-click mass
+    + q1), at least 0.0.
 
     The array has the axes (signal A, probe B, auxiliary C, probe label).
     The label has one entry for a coherent probe, and two (|1> then |0>)
@@ -379,13 +382,11 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
     coherent probes of one cutoff) are one ``_propagate`` batch of the input
     their columns stand for: C in vacuum and both signal rows the column.
     A probe brighter than ``BRIGHT_PROBE_MEAN_PHOTONS`` raises
-    ConfigurationError.  The audits and the click states of a
-    ``HeraldOutcome`` read the table.
+    ConfigurationError.
     """
     tables: list = [None] * len(cfgs)
     groups: dict = {}  # column shape: (slot, weights, (B, 1, label, 1) amplitudes) per member
-    for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
-        _check_slot(cfg, source, probe, require_transparent)
+    for slot, probe in enumerate(probes):
         if isinstance(probe, NoisyPhotonProbe):
             weights, column = (probe.source.p, 1.0 - probe.source.p), _PHOTON_OR_VACUUM
         elif abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
@@ -405,7 +406,9 @@ def _click_table(cfgs, sources, probes, require_transparent: bool) -> list[tuple
             raise ValueError(f"propagated squared norm {norm} exceeds 1")
         zero, click = (a.transpose(2, 0, 1).tolist() for a in (zero, click))  # [slot][A][label]
         for at, (slot, weights, _) in enumerate(members):
-            tables[slot] = (weights, (zero[at], click[at]), out[..., at])
+            rows = click[at][1], click[at][0], zero[at][1]
+            q1, q0, zero1 = (sum(w * q for w, q in zip(weights, row)) for row in rows)
+            tables[slot] = (weights, (q1, q0, max(0.0, 1.0 - (zero1 + q1))), out[..., at])
     return tables
 
 

@@ -8,12 +8,12 @@ absorption model, whose clicks must match 1 - exp(-|arm C|^2) of
 ``mzi.coherent_outputs`` without absorption, and the chained-setup closed
 forms built on the same law; ``elements`` checks the classical path of
 coherent probes, the arms of ``mzi.coherent_outputs`` and the clicks read
-off its arm C, against one exact ``mzi._propagate`` batch of the same
-probes.  ``mzi._detector_means``, the click law the closed forms and the
-product route share, is what they audit, never a reference: the Monte
-Carlo checks hold ``sample_shots`` against the engine's click masses.  The
-Fock and element algebra underneath is tested in ``tests/test_fock.py``
-and ``tests/test_elements.py``, not here.
+off its arm C, against one ``mzi._click_table`` batch of the same probes.
+``mzi._detector_means``, the click law the closed forms and the product
+route share, is what they audit, never a reference: the Monte Carlo
+checks hold ``sample_shots`` against the engine's click masses.  The Fock
+and element algebra underneath is tested in ``tests/test_fock.py`` and
+``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
 closed form versus exact propagation at 1e-10 (plus the truncation deficit
@@ -134,18 +134,16 @@ def _check_elements(results, rng, dense: bool):
     for i in range(10 if dense else 5):
         cfgs.append(_random_nontransparent(rng) if i % 2 else random_transparent(rng))
         betas.append(complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5)))
-    probes = [mzi.CoherentProbe(beta) for beta in betas]
-    tables = mzi._click_table(cfgs, [mzi.NoisySource(1.0)] * len(cfgs), probes, False)
+    tables = mzi._click_table(cfgs, [mzi.CoherentProbe(beta) for beta in betas])
     worst = 0.0
-    for cfg, beta, (_, _, out) in zip(cfgs, betas, tables):
+    for cfg, beta, (_, pair, out) in zip(cfgs, betas, tables):
         for signal in (0, 1):
             arms = mzi.coherent_outputs(cfg, beta, bool(signal))
             q = -math.expm1(-abs(complex(arms[1])) ** 2)
             exact = out[signal, ..., 0]  # (B, C)
             b, c = (fk.make_coherent(a).amps[: len(exact)] for a in arms)
             fidelity = abs(np.vdot(np.multiply.outer(b, c), exact[: b.size, : c.size]))
-            clicks = float(np.sum(np.abs(exact[:, 1:]) ** 2))
-            worst = max(worst, abs(fidelity - 1.0), abs(clicks - q))
+            worst = max(worst, abs(fidelity - 1.0), abs(pair[1 - signal] - q))  # (q1, q0)
     _record_worst(
         results, "elements", "classical-vs-exact-path", worst, tol,
         f"{len(cfgs)} random configs, |beta| <= 1.3, signal 0 and 1", "max gap",
@@ -165,8 +163,7 @@ def _check_mzi(results, rng, dense: bool):
             mag, ang = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 2.0 * math.pi))
             probes.append(mzi.CoherentProbe(mag * complex(math.cos(ang), math.sin(ang))))
     # the click mass as propagated: p_click drops it on a transparent setup
-    tables = mzi._click_table(cfgs, [mzi.NoisySource(0.0)] * n_cfg, probes, True)
-    worst = max(sum(w * q for w, q in zip(weights, click[0])) for weights, (_, click), _ in tables)
+    worst = max(q0 for _, (_, q0, _), _ in mzi._click_table(cfgs, probes))
     _record(
         results, "mzi", "zero-false-click", worst < 1e-12,
         f"{n_cfg} random transparent configs, vacuum signal",
@@ -179,10 +176,8 @@ def _check_mzi(results, rng, dense: bool):
         thetas = np.linspace(0.03, math.pi - 0.03, 15)
     phis = np.linspace(0.0, 2.0 * math.pi, len(thetas))
     full_photon = mzi.NoisyPhotonProbe(mzi.NoisySource(1.0))
-    photon = full_photon.source  # the signal source of both closed-form checks
     cfgs = [mzi.transparent_via_angle_sum(float(t), 0.0, float(p)) for t in thetas for p in phis]
-    tables = mzi._click_table(cfgs, [photon] * len(cfgs), [full_photon] * len(cfgs), True)
-    p_clicks = [sum(w * q for w, q in zip(weights, click[1])) for weights, (_, click), _ in tables]
+    p_clicks = [q1 for _, (q1, _, _), _ in mzi._click_table(cfgs, [full_photon] * len(cfgs))]
     values = np.reshape(p_clicks, (len(thetas), -1))
     worst = max(abs(p - mzi.detection_efficiency(c, full_photon)) for c, p in zip(cfgs, p_clicks))
     _record_worst(
@@ -210,9 +205,7 @@ def _check_mzi(results, rng, dense: bool):
     grid = [mzi.transparent_via_angle_sum(float(t), 0.0, float(p)) for t in thetas for p in phis]
     cfgs = grid * len(betas)
     probes = [mzi.CoherentProbe(beta) for beta in betas for _ in grid]
-    tables = mzi._click_table(cfgs, [photon] * len(cfgs), probes, True)
-    p_clicks = [click[1][0] for _, (_, click), _ in tables]
-    deficits = [max(0.0, 1.0 - (zero[1][0] + click[1][0])) for _, (zero, click), _ in tables]
+    p_clicks, _, deficits = zip(*[pair for _, pair, _ in mzi._click_table(cfgs, probes)])
     closed = [mzi.detection_efficiency(cfg, probe) for cfg, probe in zip(cfgs, probes)]
     devs = [abs(p - c) - (1e-8 + d) for p, c, d in zip(p_clicks, closed, deficits)]
     worst = max(0.0, *devs)
@@ -291,8 +284,8 @@ def _check_mzi(results, rng, dense: bool):
             probes.append(mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.3, 1.0)))))
     # purity as the photon branches' share of the engine's click mass:
     # run_setup's purity is 1 by construction on a transparent setup
-    tables = zip(sources, mzi._click_table(cfgs, sources, probes, True))
-    masses = [(s.p * np.dot(w, c[1]), (1 - s.p) * np.dot(w, c[0])) for s, (w, (_, c), _) in tables]
+    tables = zip(sources, mzi._click_table(cfgs, probes))
+    masses = [(s.p * q1, (1 - s.p) * q0) for s, (_, (q1, q0, _), _) in tables]
     impure = [abs(one / (one + vac) - 1.0) for one, vac in masses if one + vac > 1e-9]
     worst_purity = max(impure, default=0.0)
     _record_worst(
@@ -322,12 +315,11 @@ def _check_mzi(results, rng, dense: bool):
             probes.append(mzi.NoisyPhotonProbe(mzi.NoisySource(float(rng.uniform(0.4, 1.0)))))
         else:
             probes.append(mzi.CoherentProbe(float(rng.uniform(0.5, 1.5))))
-    tables = mzi._click_table(cfgs, sources, probes, True)
+    tables = mzi._click_table(cfgs, probes)
     zs, zero_bad, totals_ok = [], 0, True
     for i, (cfg, source, probe, table) in enumerate(zip(cfgs, sources, probes, tables)):
         counts = mzi.sample_shots(cfg, source, probe, shots, seed=1000 + i)
-        (weights, (_, click), _), p_a = table, source.p
-        q0, q1 = (sum(w * q for w, q in zip(weights, row)) for row in click)
+        (_, (q1, q0, _), _), p_a = table, source.p
         cells = (p_a * q1, (1.0 - p_a) * q0, p_a * (1.0 - q1), (1.0 - p_a) * (1.0 - q0))
         engine = np.random.Generator(np.random.Philox(1000 + i)).multinomial(shots, cells)
         zero_bad += counts["click_no_photon"] + int(engine[1])

@@ -793,6 +793,18 @@ def test_verify_catches_faults_in_the_click_law(monkeypatch, mutant):
     assert not any(r.passed for r in checks.values()), format_report(results)
 
 
+def test_verify_catches_swapped_probe_labels(monkeypatch):
+    # the probe labels are weighted in _click_table alone: a noisy photon
+    # probe's column read |0> first gives the photon's weight p_b to the
+    # vacuum branch, and the engine's clicks part from the closed form
+    swapped = np.eye(2)[:, None, :, None]  # |0>, |1>
+    swapped.flags.writeable = False
+    monkeypatch.setattr(mzi, "_PHOTON_OR_VACUUM", swapped)
+    results = run_suite("fast", modules=["mzi"])
+    failed = {r.name for r in results if not r.passed}
+    assert "closed-form-vs-exact-noisy" in failed, format_report(results)
+
+
 def test_verify_stays_off_the_product_route(monkeypatch):
     # the audits read the engine's batches, never the product they audit:
     # with run_setup and its outcome type broken every check still passes

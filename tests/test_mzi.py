@@ -226,8 +226,8 @@ def test_vacuum_source_click_mass_is_zero_not_rounding_noise():
     # click state and no purity
     cfg = transparent_via_angle_sum(PI / 4.0, 0.0, 2.2)
     out = run_setup(cfg, NoisySource(0.0), CoherentProbe(1.0))
-    _, (_, click), _ = mzi._click_table((cfg,), (NoisySource(0.0),), (CoherentProbe(1.0),), True)[0]
-    assert 0.0 < click[0][0] <= out.truncation_deficit
+    _, (_, q0, _), _ = mzi._click_table((cfg,), (CoherentProbe(1.0),))[0]
+    assert 0.0 < q0 <= out.truncation_deficit
     assert out.p_click == 0.0 and out.click_state is None
     assert out.no_click_state is not None and out.detection_efficiency > 0.5
     with pytest.raises(ConditioningError):
@@ -244,24 +244,19 @@ def test_vacuum_source_click_mass_is_zero_not_rounding_noise():
 ROUTE_TOL = 2e-14
 
 
-def _engine_scalars(cfg, source, probe, require_transparent=True):
-    """run_setup's five scalars as the engine's ``_click_table`` gives them:
-    p_click, detection efficiency, total success, truncation deficit (the
-    norm the engine lost, 0 for a photon probe) and purity (None without
-    clicks); on a transparent setup p_click drops the vacuum click mass."""
-    args = (cfg,), (source,), (probe,), require_transparent
-    weights, (zero, click), out = mzi._click_table(*args)[0]
-    joint = [[(1.0 - source.p) * w for w in weights], [source.p * w for w in weights]]
-    det_eff = sum(w * q for w, q in zip(weights, click[1]))
-    photon_click = p_click = sum(w * q for w, q in zip(joint[1], click[1]))
+def _engine_scalars(cfg, source, probe):
+    """run_setup's five scalars from the engine's ``_click_table`` pair (q1,
+    q0, deficit), by run_setup's formulas: p_click p q1, plus (1 - p) q0
+    off transparency, detection efficiency q1, total success, truncation
+    deficit (the norm the engine lost, 0 for a photon probe, which truncates
+    nothing) and purity (None without clicks)."""
+    q1, q0, deficit = mzi._click_table((cfg,), (probe,))[0][1]
+    photon_click = p_click = source.p * q1
     if not is_transparent(cfg):
-        p_click += sum(w * q for w, q in zip(joint[0], click[0]))
-    deficit = 0.0
-    if isinstance(probe, CoherentProbe):
-        kept = [(w, s, b) for s in (1, 0) for b, w in enumerate(joint[s]) if w > 0.0]
-        deficit = max(0.0, 1.0 - sum(w * (zero[s][b] + click[s][b]) for w, s, b in kept))
+        p_click += (1.0 - source.p) * q0
     purity = photon_click / p_click if p_click > 0.0 else None
-    return p_click, det_eff, det_eff * source.p, deficit, purity
+    deficit = deficit if isinstance(probe, CoherentProbe) else 0.0
+    return p_click, q1, q1 * source.p, deficit, purity
 
 
 def _bright_scalars(cfg, source, probe):
@@ -282,12 +277,12 @@ def _bright_scalars(cfg, source, probe):
     return p_click, q1, q1 * source.p, 0.0, purity
 
 
-def _reference_scalars(cfg, source, probe, require_transparent=True):
+def _reference_scalars(cfg, source, probe):
     """``_engine_scalars``, or ``_bright_scalars`` for a probe the engine
     refuses."""
     if isinstance(probe, CoherentProbe) and abs(probe.beta) ** 2 > mzi.BRIGHT_PROBE_MEAN_PHOTONS:
         return _bright_scalars(cfg, source, probe)
-    return _engine_scalars(cfg, source, probe, require_transparent)
+    return _engine_scalars(cfg, source, probe)
 
 
 def _scalars(out):
@@ -307,12 +302,10 @@ def _assert_routes_agree(out, engine, tol=ROUTE_TOL):
     return gap
 
 
-def _vacuum_clicks(cfg, probe, require_transparent=True):
-    """The vacuum signal's click mass as propagated in one ``_click_table``
-    slot, which ``run_setup`` drops on a transparent setup."""
-    args = (cfg,), (NoisySource(0.0),), (probe,), require_transparent
-    weights, (_, click), _ = mzi._click_table(*args)[0]
-    return sum(w * q for w, q in zip(weights, click[0]))
+def _vacuum_clicks(cfg, probe):
+    """The vacuum signal's click mass q0 as propagated in one
+    ``_click_table`` slot, which ``run_setup`` drops on a transparent setup."""
+    return mzi._click_table((cfg,), (probe,))[0][1][1]
 
 
 @pytest.mark.parametrize(
@@ -329,7 +322,7 @@ def test_full_swaps_leak_only_rounding_yet_are_not_transparent(probe):
         cfg = mzi_config(PI / 2.0, phi1, PI / 2.0, phi1 + PI + a, 1.3)
         assert not is_transparent(cfg) and abs(vacuum_leak_amplitude(cfg)) < 1e-15
         out = run_setup(cfg, NoisySource(0.0), probe, require_transparent=False)
-        engine = _vacuum_clicks(cfg, probe, False)
+        engine = _vacuum_clicks(cfg, probe)
         assert 0.0 < out.p_click < 1e-30 and 0.0 < engine < 1e-30
         assert abs(out.p_click - engine) <= ROUTE_TOL
 
@@ -451,7 +444,7 @@ def test_every_engine_batch_checks_the_propagated_norm(monkeypatch):
     monkeypatch.setattr(mzi, "_propagate", lambda *args, **kw: propagate(*args, **kw) * 1.001)
     for probe in (NoisyPhotonProbe(NoisySource(0.8)), CoherentProbe(1.5)):
         with pytest.raises(ValueError, match="exceeds 1"):
-            mzi._click_table([cfg] * 2, [NoisySource(1.0)] * 2, [probe] * 2, True)
+            mzi._click_table([cfg] * 2, [probe] * 2)
 
 
 def test_run_setup_total_success_factorizes():
@@ -513,12 +506,12 @@ def test_run_setup_agrees_with_the_engine_table():
     # law must not take log1p(-q) of q >= 1
     for cfg, source, probe, transparent in _golden_setups():
         out = run_setup(cfg, source, probe, transparent)
-        _assert_routes_agree(out, _reference_scalars(cfg, source, probe, transparent))
+        _assert_routes_agree(out, _reference_scalars(cfg, source, probe))
     leaks = set()
     for cfg, source, probe in _full_leaks():
         leaks.update(m >= 1.0 for m in mzi._detector_means(cfg, 1.0))
         out = run_setup(cfg, source, probe, require_transparent=False)
-        _assert_routes_agree(out, _engine_scalars(cfg, source, probe, False))
+        _assert_routes_agree(out, _engine_scalars(cfg, source, probe))
     assert leaks == {False, True}
     # a second splitter moved by 5e-10 in angle or phase still passes
     # is_transparent, so run_setup reads the closed form of an exactly
@@ -1003,7 +996,7 @@ def test_one_propagation_matches_per_branch_propagation(noisy):
             probe = CoherentProbe(complex(*rng.uniform(-2.5, 2.5, 2)))
         out = run_setup(cfg, NoisySource(p), probe, require_transparent=False)
         engine_click, engine_eff, _, engine_deficit, engine_purity = _engine_scalars(
-            cfg, NoisySource(p), probe, False
+            cfg, NoisySource(p), probe
         )
         p_click, det_eff, deficit, clicked, unclicked = _per_branch_outcome(
             cfg, NoisySource(p), probe
@@ -1259,13 +1252,15 @@ def test_amplitude_without_finite_square_rejected_without_warnings():
 
 
 def test_batched_slots_match_single_runs():
-    # one mixed _click_table batch against each slot run alone: noisy and
-    # coherent probes of several cutoffs, transparent and leaky configs,
-    # theta = 0 splitters in either place and an inert phi_chi = 2 pi;
-    # random kets through _propagate; a bright probe is refused
+    # one mixed _click_table batch against each slot run alone: noisy probes
+    # (p_b = 0 and 1 among them, so labels of weight zero) and coherent probes
+    # of several cutoffs, transparent and leaky configs, theta = 0 splitters
+    # in either place and an inert phi_chi = 2 pi; each slot's pair (q1, q0,
+    # deficit) recomputed from its own array and label weights; random kets
+    # through _propagate; a bright probe is refused
     rng = np.random.default_rng(89)
     identity = BeamSplitterParams(0.0, 0.7)
-    cfgs, sources, probes = [], [], []
+    cfgs, probes = [], []
     for i in range(64):
         cfg = random_transparent(rng) if i % 3 else _random_nontransparent(rng)
         bs1, bs2, xpm = cfg.bs1, cfg.bs2, cfg.xpm
@@ -1276,21 +1271,26 @@ def test_batched_slots_match_single_runs():
         if i % 8 == 5:
             xpm = XpmParams(2.0 * PI)
         cfgs.append(MziConfig(bs1, bs2, xpm))
-        sources.append(NoisySource((0.0, 1.0, float(rng.uniform()))[i % 3]))
         if i % 4 == 0:
-            probes.append(NoisyPhotonProbe(NoisySource(float(rng.uniform()))))
+            probes.append(NoisyPhotonProbe(NoisySource((0.0, 1.0, float(rng.uniform()))[i // 4 % 3])))
         else:  # |beta| in four bands of a few cutoffs each
             size = (0.3, 1.0, 2.5, 3.7)[i // 4 % 4] + 0.2 * rng.uniform()
             probes.append(CoherentProbe(complex(size * np.exp(1j * rng.uniform(0.0, 2.0 * PI)))))
-    tables = mzi._click_table(cfgs, sources, probes, False)
+    tables = mzi._click_table(cfgs, probes)
     assert len({t[2].shape for t in tables}) > 4
-    for slot, (cfg, source, probe) in enumerate(zip(cfgs, sources, probes)):
-        weights, rows, out = mzi._click_table((cfg,), (source,), (probe,), False)[0]
+    for slot, (cfg, probe) in enumerate(zip(cfgs, probes)):
+        weights, pair, out = mzi._click_table((cfg,), (probe,))[0]
         assert tables[slot][0] == weights
-        assert np.max(np.abs(np.subtract(tables[slot][1], rows))) <= 1e-14
+        assert np.max(np.abs(np.subtract(tables[slot][1], pair))) <= 1e-14
         assert np.max(np.abs(tables[slot][2] - out)) <= 1e-14
+        # |out|^2 summed over B, and over C >= 1 for the clicks: (signal, label)
+        mass = np.abs(tables[slot][2]) ** 2
+        zero, click = mass[:, :, 0].sum(axis=1), mass[:, :, 1:].sum(axis=(1, 2))
+        q1, q0, zero1 = (np.dot(weights, row) for row in (click[1], click[0], zero[1]))
+        want = q1, q0, max(0.0, 1.0 - (zero1 + q1))
+        assert np.max(np.abs(np.subtract(tables[slot][1], want))) <= 1e-15
     with pytest.raises(ConfigurationError, match="bright"):
-        mzi._click_table(cfgs[:2], sources[:2], [probes[0], CoherentProbe(4.01)], False)
+        mzi._click_table(cfgs[:2], [probes[0], CoherentProbe(4.01)])
     # one random (A, B, C) ket per slot, B + C <= 5
     amps = np.stack([random_ket(rng, (1, 5, 5), max_total=6).amps for _ in cfgs], axis=-1)
     amps[:, np.add.outer(range(6), range(6)) > 5] = 0.0
@@ -1328,7 +1328,7 @@ def test_mixed_cutoff_batch_equals_array_path_bit_for_bit():
         NoisyPhotonProbe(NoisySource(0.5)) if i % 4 == 0 else CoherentProbe(COLUMN_BETAS[i % 7])
         for i in range(len(cfgs))
     ]
-    tables = mzi._click_table(cfgs, [NoisySource(0.7)] * len(cfgs), probes, False)
+    tables = mzi._click_table(cfgs, probes)
     shapes = {}
     for slot, probe in enumerate(probes):
         column = (
@@ -1484,13 +1484,12 @@ BAD_SLOTS = {  # (config, source, probe, require_transparent) the per-slot check
 
 
 @pytest.mark.parametrize("cfg, source, probe, require", BAD_SLOTS.values(), ids=list(BAD_SLOTS))
-def test_run_setup_and_the_click_table_share_the_slot_checks(cfg, source, probe, require):
-    # one set of per-slot checks: run_setup, sample_shots and a click-table
-    # batch refuse each bad slot with the same message
+def test_run_setup_and_sample_shots_share_the_slot_checks(cfg, source, probe, require):
+    # one set of per-slot checks: run_setup and sample_shots refuse each bad
+    # slot with the same message
     messages = set()
     for call in (lambda: run_setup(cfg, source, probe, require),
-                 lambda: sample_shots(cfg, source, probe, 10, 1, require),
-                 lambda: mzi._click_table([cfg] * 2, [source] * 2, [probe] * 2, require)):
+                 lambda: sample_shots(cfg, source, probe, 10, 1, require)):
         with pytest.raises(ConfigurationError) as info:
             call()
         messages.add(str(info.value))
