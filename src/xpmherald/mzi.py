@@ -181,8 +181,8 @@ class HeraldOutcome:
     def _conditioned(self, event: str) -> Ensemble | None:
         """Each slice as a zero-padded 3-mode ket, conditioned on ``event``;
         on a transparent setup a click conditions the photon slices alone."""
-        if self._inputs is None or (event == "at_least_one" and self.p_click == 0.0):
-            return None
+        if self._inputs is None or self.p_click == {"at_least_one": 0.0, "zero": 1.0}[event]:
+            return None  # no run, or an event of probability zero
         probe = self._inputs[2]
         if isinstance(probe, CoherentProbe) and abs(probe.beta) ** 2 > BRIGHT_PROBE_MEAN_PHOTONS:
             return None  # the bright route propagates no array
@@ -370,9 +370,9 @@ def _click_table(cfgs, probes) -> list[tuple]:
     pair (q1, q0, deficit) of ``_law_clicks`` and the array every input
     branch of the slot was propagated in; a squared norm past 1 +
     ``NORM_TOL`` in any slice raises ValueError.  q_s is the click mass of
-    the slices with s signal photons weighted by the probe branches in
-    label order, the deficit 1 - (the photon slices' weighted no-click mass
-    + q1), at least 0.0.
+    the slices with s signal photons and the deficit, at least 0.0, the
+    norm the probe columns lack (1 - sum P(n) as in ``_law_clicks``, 0.0
+    for a photon probe), each weighted by the probe branches in label order.
 
     The array has the axes (signal A, probe B, auxiliary C, probe label).
     The label has one entry for a coherent probe, and two (|1> then |0>)
@@ -400,15 +400,14 @@ def _click_table(cfgs, probes) -> list[tuple]:
         amps[:, :, 0] = cols[:, 0]
         out = _propagate(amps, [cfgs[s] for s, _, _ in members])
         probs = (out.real**2 + out.imag**2).sum(axis=1)  # (signal, auxiliary, label, slot)
-        zero, click = probs[:, 0], probs[:, 1:].sum(axis=1)  # (signal, label, slot)
-        norm = (zero + click).max()
+        norm = probs.sum(axis=1).max()
         if not norm <= 1.0 + NORM_TOL:
             raise ValueError(f"propagated squared norm {norm} exceeds 1")
-        zero, click = (a.transpose(2, 0, 1).tolist() for a in (zero, click))  # [slot][A][label]
-        for at, (slot, weights, _) in enumerate(members):
-            rows = click[at][1], click[at][0], zero[at][1]
-            q1, q0, zero1 = (sum(w * q for w, q in zip(weights, row)) for row in rows)
-            tables[slot] = (weights, (q1, q0, max(0.0, 1.0 - (zero1 + q1))), out[..., at])
+        tails = 1.0 - (cols.real**2 + cols.imag**2).sum(axis=(0, 1))  # (label, slot)
+        rows = np.stack((*probs[::-1, 1:].sum(axis=1), tails)).transpose(2, 0, 1).tolist()
+        for at, (slot, weights, _) in enumerate(members):  # rows[at]: q1, q0, tail per label
+            q1, q0, tail = (sum(w * q for w, q in zip(weights, row)) for row in rows[at])
+            tables[slot] = (weights, (q1, q0, max(0.0, tail)), out[..., at])
     return tables
 
 

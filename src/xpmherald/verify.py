@@ -16,13 +16,13 @@ and element algebra underneath is tested in ``tests/test_fock.py`` and
 ``tests/test_elements.py``, not here.
 
 The tolerance ladder is fixed package-wide: algebraic identities at 1e-12,
-closed form versus exact propagation at 1e-10 (plus the truncation deficit
-for coherent probes), Monte Carlo frequencies within four binomial standard
-deviations.  The ``fast`` suite uses small grids and finishes in well under
-a minute; ``full`` runs every check at the sizes of the acceptance criteria
-(``tests/test_acceptance.py`` asserts on its named checks) and raises the
-Monte Carlo campaign to a million shots.  Each group draws from its own
-generator, so a group run alone reproduces its part of the whole suite.
+closed form versus exact propagation at 1e-10 plus the truncated coherent
+probe's tail (never the norm the engine lost), Monte Carlo frequencies within
+four binomial standard deviations.  The ``fast`` suite uses small grids and
+finishes in well under a minute; ``full`` runs every check at the sizes of the
+acceptance criteria (``tests/test_acceptance.py`` asserts on its named checks)
+and raises the Monte Carlo campaign to a million shots.  Each group draws from
+its own generator, so a group run alone reproduces its part of the whole suite.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _check_mzi(results, rng, dense: bool):
     probes = [mzi.CoherentProbe(beta) for beta in betas for _ in grid]
     p_clicks, _, deficits = zip(*[pair for _, pair, _ in mzi._click_table(cfgs, probes)])
     closed = [mzi.detection_efficiency(cfg, probe) for cfg, probe in zip(cfgs, probes)]
-    devs = [abs(p - c) - (1e-8 + d) for p, c, d in zip(p_clicks, closed, deficits)]
+    devs = [abs(p - c) - (CLOSED_FORM_TOL + d) for p, c, d in zip(p_clicks, closed, deficits)]
     worst = max(0.0, *devs)
     # the curve over phi_chi at theta1 = pi/4, per beta
     curves = np.reshape(p_clicks, (len(betas), len(thetas), -1))[:, quarter]

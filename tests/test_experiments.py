@@ -450,6 +450,21 @@ def test_csv_bit_identical_for_same_config(tmp_path):
     assert "libm" not in paths[0].read_text() and "openblas" not in paths[0].read_text()
 
 
+def test_sidecar_reports_an_unreadable_openblas(tmp_path, monkeypatch):
+    # the kernel name is metadata: a library that cannot be loaded reads as
+    # unreadable in the platform entry, and the CSV and sidecar still land
+    def unloadable(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    monkeypatch.setattr(xpmherald.experiments.ctypes, "CDLL", unloadable)
+    core = _platform()["openblas_core"]
+    assert core.startswith("unreadable: ") and "cannot open shared object file" in core
+    out = tmp_path / "fig4.csv"
+    run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5}, out=str(out)))
+    sidecar = json.loads((tmp_path / "fig4.csv.manifest.json").read_text())
+    assert sidecar["platform"]["openblas_core"] == core and out.stat().st_size > 0
+
+
 def test_csv_manifest_block_prefixed():
     table = run_experiment(ExperimentConfig("fig4", params={"phi_chi_points": 5}))
     text = table.to_csv_text()
@@ -520,6 +535,17 @@ def test_cli_run_bad_config_exits_one(tmp_path, capsys):
 
 def test_cli_usage_error_exits_one():
     assert main(["no-such-command"]) == 1
+
+
+def test_cli_request_too_large_to_allocate_exits_one(monkeypatch, capsys):
+    # a MemoryError from any command is a config error, with no traceback
+    def too_large(args):
+        raise MemoryError("10 TiB")
+
+    monkeypatch.setattr(xpmherald.cli, "_cmd_verify", too_large)
+    assert main(["verify", "--suite", "fast"]) == 1
+    err = capsys.readouterr().err
+    assert "request too large to allocate (10 TiB)" in err and "Traceback" not in err
 
 
 def _config(tmp_path, **fields):
@@ -803,6 +829,23 @@ def test_verify_catches_swapped_probe_labels(monkeypatch):
     results = run_suite("fast", modules=["mzi"])
     failed = {r.name for r in results if not r.passed}
     assert "closed-form-vs-exact-noisy" in failed, format_report(results)
+
+
+def test_verify_catches_an_engine_that_loses_norm(monkeypatch):
+    # the coherent allowance is the probe's tail, not the norm the engine
+    # lost: an engine that drops every block at photon total >= 8 loses
+    # click mass the closed form keeps, and must fail the check
+    w_pair = el._w_pair
+
+    def lossy(*args):
+        out = w_pair(*args)
+        out[8:] = 0.0
+        return out
+
+    monkeypatch.setattr(el, "_w_pair", lossy)
+    results = run_suite("fast", modules=["mzi"])
+    failed = {r.name for r in results if not r.passed}
+    assert "closed-form-vs-exact-coherent" in failed, format_report(results)
 
 
 def test_verify_stays_off_the_product_route(monkeypatch):

@@ -58,6 +58,7 @@ from xpmherald.mzi import (
     sample_shots,
     transparent_via_angle_diff,
     transparent_via_angle_sum,
+    vacuum_leak_amplitude,
 )
 from xpmherald.verify import run_suite
 
@@ -104,6 +105,7 @@ HOSTILE = {
     ),
     "detection_efficiency cfg=None": lambda: detection_efficiency(None, CoherentProbe(1.0)),
     'is_transparent("x")': lambda: is_transparent("x"),
+    'vacuum_leak_amplitude("x")': lambda: vacuum_leak_amplitude("x"),
     "lossy_click_probs loss=None": lambda: lossy_click_probs(CFG, 1.0, None),
     "max_tolerable_loss cfg=None": lambda: max_tolerable_loss(None, 1.0),
     "NoisyPhotonProbe(0.5)": lambda: NoisyPhotonProbe(0.5),

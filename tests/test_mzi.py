@@ -238,6 +238,17 @@ def test_vacuum_source_click_mass_is_zero_not_rounding_noise():
     assert faint.purity_given_click == 1.0 and faint.click_state is not None
 
 
+def test_certain_click_has_no_no_click_state():
+    # a photon source and a photon probe at theta1 = pi/4, phi_chi = pi
+    # click with p_click 1.0: no click is an event of probability zero, whose
+    # state is None rather than the engine's rounding (9.1e-35) renormalized
+    cfg = transparent_via_angle_sum(PI / 4.0, 0.0, PI)
+    out = run_setup(cfg, NoisySource(1.0), NoisyPhotonProbe(NoisySource(1.0)))
+    assert out.p_click == 1.0 and out.no_click_state is None
+    ((weight, ket),) = out.click_state.branches
+    assert weight == 1.0 and not ket.amps[0].any()
+
+
 # How far run_setup's click law may sit from the engine's click table (the
 # same arithmetic on the engine's click masses, _engine_scalars) on any
 # scalar: both sum one truncated photon-number distribution, in another order
@@ -248,14 +259,12 @@ def _engine_scalars(cfg, source, probe):
     """run_setup's five scalars from the engine's ``_click_table`` pair (q1,
     q0, deficit), by run_setup's formulas: p_click p q1, plus (1 - p) q0
     off transparency, detection efficiency q1, total success, truncation
-    deficit (the norm the engine lost, 0 for a photon probe, which truncates
-    nothing) and purity (None without clicks)."""
+    deficit (the probe's tail) and purity (None without clicks)."""
     q1, q0, deficit = mzi._click_table((cfg,), (probe,))[0][1]
     photon_click = p_click = source.p * q1
     if not is_transparent(cfg):
         p_click += (1.0 - source.p) * q0
     purity = photon_click / p_click if p_click > 0.0 else None
-    deficit = deficit if isinstance(probe, CoherentProbe) else 0.0
     return p_click, q1, q1 * source.p, deficit, purity
 
 
@@ -420,13 +429,13 @@ def test_click_state_of_a_transparent_setup_holds_photon_branches_only():
 
 @pytest.mark.parametrize("p_b", [0.3, 0.8, 1.0])
 def test_photon_probe_reports_no_truncation_deficit(p_b, monkeypatch):
-    # a noisy photon probe truncates nothing: its deficit read the engine's
-    # rounding (3.3e-16, 7.8e-16, 8.9e-16 there) and is 0.0, while an engine
-    # norm past 1 + NORM_TOL still raises for either probe once a
-    # conditioned state is read
+    # a noisy photon probe truncates nothing: its deficit is 0.0 in the law
+    # and in the engine's table, while an engine norm past 1 + NORM_TOL
+    # still raises for either probe once a conditioned state is read
     cfg = transparent_via_angle_sum(0.7, 0.3, 2.1)
     probe = NoisyPhotonProbe(NoisySource(p_b))
     assert run_setup(cfg, NoisySource(0.5), probe).truncation_deficit == 0.0
+    assert mzi._click_table((cfg,), (probe,))[0][1][2] == 0.0
     assert run_setup(cfg, NoisySource(0.5), CoherentProbe(1.5)).truncation_deficit > 0.0
     propagate = mzi._propagate
     monkeypatch.setattr(mzi, "_propagate", lambda *args, **kw: propagate(*args, **kw) * 1.001)
@@ -948,8 +957,8 @@ def test_click_states_read_one_engine_run_bit_for_bit():
 def _per_branch_outcome(cfg, source, probe):
     """The independent route: each (signal, probe) branch as its own 3-mode
     ket, propagated on its own.  Returns p_click, detection efficiency,
-    truncation deficit (0 for a photon probe, which truncates nothing) and
-    both conditioned ensembles (None when empty); on a transparent setup the
+    truncation deficit (the norm the weighted probe kets lack) and both
+    conditioned ensembles (None when empty); on a transparent setup the
     click ensemble holds the photon branches alone, renormalized."""
     if isinstance(probe, NoisyPhotonProbe):
         pb = probe.source.p
@@ -957,7 +966,7 @@ def _per_branch_outcome(cfg, source, probe):
     else:
         probes = [(make_coherent(probe.beta, TruncationPolicy()), 1.0)]
     cut = probes[0][0].cutoffs[0]
-    p_click = det_eff = norm = 0.0
+    p_click = det_eff = 0.0
     branches = []
     for photons, wa in ((1, source.p), (0, 1.0 - source.p)):
         for b_ket, wb in probes:
@@ -966,7 +975,6 @@ def _per_branch_outcome(cfg, source, probe):
             click = _click_mass(out)
             p_click += wa * wb * click
             det_eff += wb * click if photons else 0.0
-            norm += wa * wb * out.squared_norm()
             if wa * wb > 0.0:
                 branches.append((wa * wb, photons, out))
     clicking = [(w, ket) for w, _, ket in branches]
@@ -978,7 +986,7 @@ def _per_branch_outcome(cfg, source, probe):
             states.append(condition(Ensemble(ensemble), 2, event)[1])
         except ConditioningError:
             states.append(None)
-    deficit = 0.0 if isinstance(probe, NoisyPhotonProbe) else max(0.0, 1.0 - norm)
+    deficit = max(0.0, sum(wb * (1.0 - b_ket.squared_norm()) for b_ket, wb in probes))
     return p_click, det_eff, deficit, *states
 
 
@@ -1255,9 +1263,10 @@ def test_batched_slots_match_single_runs():
     # one mixed _click_table batch against each slot run alone: noisy probes
     # (p_b = 0 and 1 among them, so labels of weight zero) and coherent probes
     # of several cutoffs, transparent and leaky configs, theta = 0 splitters
-    # in either place and an inert phi_chi = 2 pi; each slot's pair (q1, q0,
-    # deficit) recomputed from its own array and label weights; random kets
-    # through _propagate; a bright probe is refused
+    # in either place and an inert phi_chi = 2 pi; each slot's clicks
+    # recomputed from its own array and label weights, its deficit from the
+    # norms of its probe's kets and held to the law's; random kets through
+    # _propagate; a bright probe is refused
     rng = np.random.default_rng(89)
     identity = BeamSplitterParams(0.0, 0.7)
     cfgs, probes = [], []
@@ -1283,11 +1292,19 @@ def test_batched_slots_match_single_runs():
         assert tables[slot][0] == weights
         assert np.max(np.abs(np.subtract(tables[slot][1], pair))) <= 1e-14
         assert np.max(np.abs(tables[slot][2] - out)) <= 1e-14
-        # |out|^2 summed over B, and over C >= 1 for the clicks: (signal, label)
+        # |out|^2 summed over B and over C >= 1, the clicks: (signal, label)
         mass = np.abs(tables[slot][2]) ** 2
-        zero, click = mass[:, :, 0].sum(axis=1), mass[:, :, 1:].sum(axis=(1, 2))
-        q1, q0, zero1 = (np.dot(weights, row) for row in (click[1], click[0], zero[1]))
-        want = q1, q0, max(0.0, 1.0 - (zero1 + q1))
+        click = mass[:, :, 1:].sum(axis=(1, 2))
+        # one deficit for table and law: exactly 0.0 for a photon probe
+        deficit, law = tables[slot][1][2], mzi._law_clicks(cfg, probe)[2]
+        if isinstance(probe, NoisyPhotonProbe):
+            kets = make_fock((1,), (1,)), make_fock((0,), (1,))
+            assert deficit == law == 0.0
+        else:
+            kets = (make_coherent(probe.beta, TruncationPolicy()),)
+            assert abs(deficit - law) <= 1e-14
+        tail = np.dot(weights, [1.0 - ket.squared_norm() for ket in kets])
+        want = np.dot(weights, click[1]), np.dot(weights, click[0]), max(0.0, tail)
         assert np.max(np.abs(np.subtract(tables[slot][1], want))) <= 1e-15
     with pytest.raises(ConfigurationError, match="bright"):
         mzi._click_table(cfgs[:2], [probes[0], CoherentProbe(4.01)])
